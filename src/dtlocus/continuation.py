@@ -183,7 +183,8 @@ def correct(
     plane constraint all within tol), so a converged outcome always satisfies
     the locus equations to tolerance.  kappa is the ratio of the first two
     Newton step lengths (0 when fewer than two steps ran); delta is the
-    direct locus distance |1 - e^(M+jP)| at the final point.
+    direct locus distance |1 - e^(M+jP)| at the final point, inf when that
+    overflows.
     """
     x = [predicted.sigma, predicted.omega, predicted.Kval]
     norms: list[float] = []
@@ -209,7 +210,10 @@ def correct(
         x[2] += dx[2]
         norms.append(math.sqrt(dx[0] ** 2 + dx[1] ** 2 + dx[2] ** 2))
     kappa = norms[1] / norms[0] if len(norms) >= 2 and norms[0] > 0.0 else 0.0
-    delta = abs(1.0 - cmath.exp(complex(M, P)))
+    try:
+        delta = abs(1.0 - cmath.exp(complex(M, P)))
+    except OverflowError:
+        delta = math.inf  # M past ~709 after a failed correction
     return CorrectorOutcome(
         point=LocusPoint(x[0], x[1], x[2]),
         iterations=len(norms),

@@ -56,6 +56,8 @@ _GAIN_GATE_REL = 1e-2
 _FLAT_K_REL = 1e-9
 _MATCH_OMEGA = 1e-4
 _MATCH_K = 1e-3
+_DEDUP_TOL = 1e-8
+_DEDUP_CELL = 2e-8  # strictly above _DEDUP_TOL: close endpoints bin at most one cell apart
 
 
 @dataclass(frozen=True)
@@ -277,6 +279,17 @@ def _refine_gain_cap(plant, below: LocusPoint, above: LocusPoint, lnkmax: float,
     return LocusPoint(sig, w, lnkmax)
 
 
+def _cap_point_ok(plant: Plant, region: RegionSpec, p: LocusPoint, tol: float) -> bool:
+    """A gain cap end must lie in the region and on the locus."""
+    if p.sigma < region.sigma0:
+        return False
+    try:
+        M, P = residuals(plant, p)
+    except (SingularPointError, InputError):
+        return False
+    return max(abs(M), abs(P)) <= tol
+
+
 def _match_outward(point: LocusPoint, w_out, claimed: set[int]) -> int | None:
     """Nearest unclaimed outward crossing within tolerance, else None."""
     best, best_score = None, math.inf
@@ -303,7 +316,8 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
     (distance and gain both inside their windows), region exit (sigma below
     the boundary), gain cap, and gain monotonicity.  Gain-flat accepted
     points advance the cursor without being recorded so the stored gain
-    strictly increases.
+    strictly increases.  A gain cap end that falls off the locus or left of
+    the boundary is not recorded; the step is redone at half the length.
     """
     options = options or TraceOptions()
     claimed = claimed if claimed is not None else set()
@@ -389,8 +403,17 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
             # the cap is reached before the boundary: fall through
 
         if c.Kval > lnkmax or (c.sigma < region.sigma0):
-            cap_pt = _refine_gain_cap(plant, cursor, c, lnkmax, options.tol_corr)
-            if cap_pt.Kval > points[-1].Kval:
+            if points[-1].Kval < lnkmax:
+                cap_pt = _refine_gain_cap(plant, cursor, c, lnkmax, options.tol_corr)
+                if not _cap_point_ok(plant, region, cap_pt, options.tol_corr):
+                    # the refinement jumped off this sheet or out of the
+                    # region: retry the step from the cursor at half the length
+                    if h_used <= ctl.h_min * (1.0 + 1e-12):
+                        return finish(StepFailure(
+                            f"gain cap refinement left the locus at step {len(points)}"
+                        ))
+                    ctl = replace(ctl, h=0.5 * h_used)
+                    continue
                 points.append(cap_pt)
             return finish(GainCap())
 
@@ -446,23 +469,46 @@ def _mirror_trajectory(plant: Plant, branches, traj: Trajectory) -> Trajectory:
 def _dedup(trajectories: list[Trajectory]) -> list[Trajectory]:
     """Drop a trajectory when another of the same ending reaches the same
     final point; distinct arrivals at one branch point are kept apart
-    (their shared endpoint is the snap, not a duplication)."""
+    (their shared endpoint is the snap, not a duplication).
+
+    Endpoints are binned on a grid of cell _DEDUP_CELL > _DEDUP_TOL, so two
+    endpoints within tolerance sit in the same or adjacent cells and each
+    trajectory is compared only against the 27 cells around its own.  The
+    choice of survivors is greedy, in index order: for each i still kept,
+    every later j still kept and within tolerance drops the shorter of the
+    pair, j on a tie.  Which j are dropped for one i does not depend on the
+    order its candidates are visited, so the result equals the pairwise scan.
+    """
+    keys: list[tuple | None] = []
+    cells: dict[tuple, list[int]] = {}
+    for j, t in enumerate(trajectories):
+        if isinstance(t.termination, ReachedBranch):
+            keys.append(None)
+            continue
+        p = t.points[-1]
+        key = (type(t.termination), math.floor(p.sigma / _DEDUP_CELL),
+               math.floor(p.omega / _DEDUP_CELL), math.floor(p.Kval / _DEDUP_CELL))
+        keys.append(key)
+        cells.setdefault(key, []).append(j)
+
     drop: set[int] = set()
-    for i in range(len(trajectories)):
-        if i in drop:
+    for i, key in enumerate(keys):
+        if key is None or i in drop:
             continue
+        kind, x, y, z = key
         ti = trajectories[i]
-        if isinstance(ti.termination, ReachedBranch):
-            continue
-        for j in range(i + 1, len(trajectories)):
-            if j in drop:
+        near = (
+            j
+            for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+            for j in cells.get((kind, x + dx, y + dy, z + dz), ())
+        )
+        for j in near:
+            if j <= i or j in drop:
                 continue
             tj = trajectories[j]
-            if type(ti.termination) is not type(tj.termination):
-                continue
             a, b = ti.points[-1], tj.points[-1]
             sep = max(abs(a.sigma - b.sigma), abs(a.omega - b.omega), abs(a.Kval - b.Kval))
-            if sep <= 1e-8:
+            if sep <= _DEDUP_TOL:
                 drop.add(j if len(tj.points) <= len(ti.points) else i)
     return [t for i, t in enumerate(trajectories) if i not in drop]
 
@@ -538,11 +584,16 @@ def _run_signed(plant: Plant, region: RegionSpec, options: TraceOptions) -> Root
 
     warnings: list[str] = []
     for traj in trajectories:
+        p = traj.points[-1]
         if isinstance(traj.termination, LeftRegion) and traj.termination.matched is None:
-            p = traj.points[-1]
             warnings.append(
                 f"region exit at omega={p.omega:.6g}, k={math.exp(p.Kval):.6g} "
                 "has no matching outward crossing"
+            )
+        elif isinstance(traj.termination, StepFailure):
+            warnings.append(
+                f"trajectory stopped at {p.sigma:.6g}{p.omega:+.6g}j, k={math.exp(p.Kval):.6g}: "
+                f"{traj.termination.reason}"
             )
     if options.mirror:
         mirrored: list[Trajectory] = []

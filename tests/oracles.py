@@ -183,3 +183,34 @@ def clean_region(plant, rng):
         if min(abs(sigma0 - r) for r in res) >= 0.05:
             return sigma0, math.exp(rng.uniform(-1.0, 3.0))
     return min(res) - 1.0, math.e
+
+
+def pairwise_dedup(trajectories):
+    """Reference trajectory dedup by comparing every pair, O(T^2).
+
+    For i ascending, then j > i ascending: two trajectories of the same
+    termination type whose final points are within 1e-8 in sigma, omega and
+    K (Chebyshev distance) are duplicates, and the one with fewer points is
+    dropped (j on a tie).  Trajectories already dropped are skipped as i and
+    as j; one ending at a branch point is never dropped.
+    """
+    from dtlocus.tracer import ReachedBranch
+
+    drop = set()
+    for i in range(len(trajectories)):
+        if i in drop:
+            continue
+        ti = trajectories[i]
+        if isinstance(ti.termination, ReachedBranch):
+            continue
+        for j in range(i + 1, len(trajectories)):
+            if j in drop:
+                continue
+            tj = trajectories[j]
+            if type(ti.termination) is not type(tj.termination):
+                continue
+            a, b = ti.points[-1], tj.points[-1]
+            sep = max(abs(a.sigma - b.sigma), abs(a.omega - b.omega), abs(a.Kval - b.Kval))
+            if sep <= 1e-8:
+                drop.add(j if len(tj.points) <= len(ti.points) else i)
+    return [t for i, t in enumerate(trajectories) if i not in drop]

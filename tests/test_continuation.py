@@ -193,6 +193,14 @@ class TestPredictCorrect:
         out = correct(p1, LocusPoint(-0.5, 0.0, 5.0), unit3((0.0, 0.0, 1.0)), max_iter=20)
         assert out.iterations <= 20  # bounded; may or may not converge
 
+    def test_huge_magnitude_residual_gives_infinite_delta(self, p1):
+        # M = ln|G| + K is about 800 here; e^M overflows a float
+        out = correct(p1, LocusPoint(-0.5, 0.0, 800.0), unit3((0.0, 0.0, 1.0)), max_iter=0)
+        assert not out.converged
+        assert out.delta == math.inf
+        new_h, repeat = step_update(StepController(h=0.1), out)
+        assert repeat and new_h == pytest.approx(0.05)
+
     def test_kappa_zero_for_quick_convergence(self, p1):
         out = correct(p1, LocusPoint(-1.0, 0.0, -1.0), unit3((1.0, 0.0, 0.0)))
         assert out.kappa == 0.0

@@ -5,12 +5,14 @@ closed-loop roots of s e^s = -k (positive gain) and s e^s = k (flipped sign)
 sit on W branches, evaluated through scipy as an independent oracle.
 """
 
+import json
 import math
 
 import pytest
 from scipy.special import lambertw
 
 from dtlocus.boundary import RegionSpec
+from dtlocus.cli import parse_input
 from dtlocus.continuation import residuals
 from dtlocus.errors import BranchOnBoundary
 from dtlocus.plant import Plant
@@ -220,6 +222,17 @@ class TestP3AndEdges:
         assert all(isinstance(t.termination, StepFailure) for t in res.trajectories)
         assert "budget" in res.trajectories[0].termination.reason
 
+    def test_step_failure_warns_once_per_trajectory(self, p1):
+        res = run(p1, RegionSpec(-2.0, 1.0), TraceOptions(tol_corr=1e-18))
+        failed = [t for t in res.trajectories
+                  if isinstance(t.termination, StepFailure) and not t.mirrored]
+        assert failed
+        stops = [w for w in res.warnings if w.startswith("trajectory stopped")]
+        assert len(stops) == len(failed)
+        for t, w in zip(failed, stops):
+            assert w.endswith(t.termination.reason)
+            assert f"k={math.exp(t.points[-1].Kval):.6g}" in w
+
     def test_mirror_off_traces_both_halves(self, p3):
         res = run(p3, RegionSpec(-2.0, 2.0), TraceOptions(mirror=False))
         assert len(res.trajectories) == 2
@@ -283,3 +296,52 @@ class TestSeedsAndStability:
             pa, pb = a.points[-1], b.points[-1]
             assert abs(pa.sigma - pb.sigma) <= 1e-4
             assert abs(pa.omega - pb.omega) <= 1e-4
+
+
+def assert_ends_on_locus(result, sigma0, tol=1e-6):
+    for t in result.trajectories:
+        assert not isinstance(t.termination, StepFailure), t.termination
+        end = t.points[-1]
+        assert end.sigma >= sigma0
+        M, P = residuals(result.plant, end)
+        assert max(abs(M), abs(P)) <= tol
+
+
+class TestCorpusRegressions:
+    """Random corpus draws that once broke the tracer."""
+
+    def test_corrector_overflow_does_not_abort(self):
+        # an unconverged correction reached M > 709, and e^M overflowed
+        plant = parse_input(json.dumps({
+            "alpha": 3.412644, "delay": 0.922339,
+            "zeros": [[1.371709, 0], [2.99103, 1.594607], [2.99103, -1.594607]],
+            "poles": [[-1.148499, 0], [-0.409626, 0], [-2.373166, 1.27043],
+                      [-2.373166, -1.27043], [0.440626, 0], [-1.712378, 0]],
+        }).encode())
+        res = run(plant, RegionSpec(-1.004888, 4.142812), TraceOptions(negative_gains=True))
+        assert_ends_on_locus(res, -1.004888)
+        assert_ends_on_locus(res.negative, -1.004888)
+
+    def test_gain_cap_end_stays_in_region(self):
+        # the cap refinement used to jump to a root left of sigma0
+        plant = parse_input(json.dumps({
+            "alpha": 1.857143, "delay": 0.801721,
+            "zeros": [[2.175579, 0], [-1.226473, 0], [-2.717868, 1.696558],
+                      [-2.717868, -1.696558], [-0.364887, 0], [-0.950146, 0]],
+            "poles": [[-0.424364, 2.077631], [-0.424364, -2.077631], [-1.806685, 0],
+                      [-0.280896, 2.181938], [-0.280896, -2.181938], [-1.65713, 0]],
+        }).encode())
+        res = run(plant, RegionSpec(-2.422133, 0.038617))
+        assert_ends_on_locus(res, -2.422133)
+        assert any(isinstance(t.termination, GainCap) for t in res.trajectories)
+
+    def test_real_axis_gain_cap_end_stays_on_locus(self):
+        # the real-axis cap bisection used to return an unrefined point
+        plant = parse_input(json.dumps({
+            "alpha": 1.468577, "delay": 0.534714, "zeros": [[2.035526, 0]],
+            "poles": [[-2.544574, 0], [-0.165133, 0], [-1.755284, 0]],
+        }).encode())
+        res = run(plant, RegionSpec(-2.466171, 2.568576), TraceOptions(negative_gains=True))
+        assert_ends_on_locus(res, -2.466171)
+        assert_ends_on_locus(res.negative, -2.466171)
+        assert any(isinstance(t.termination, GainCap) for t in res.negative.trajectories)
