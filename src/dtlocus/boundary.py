@@ -176,6 +176,11 @@ def boundary_functions(plant: Plant, region: RegionSpec) -> BoundaryFunctions:
     for r, cof in enumerate(Gz_r):
         sum_z = sum_z + RealPolynomial((-omz[r], 1.0)) * cof
     kprime_poly = Gz * sum_p - Gp * sum_z
+    if plant.biproper and plant.n_poles:
+        # the omega^(4n-2) coefficient is sum(Im p) - sum(Im z), zero by
+        # conjugate closure; its rounding residue would be a spurious root
+        # near 1e16 that blows up _omega_cap
+        kprime_poly = RealPolynomial(kprime_poly.coeffs[: 4 * plant.n_poles - 2])
 
     ssum_z = zero
     for r, cof in enumerate(Gz_r):

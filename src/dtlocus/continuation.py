@@ -21,7 +21,7 @@ from .errors import (
     SingularPointError,
     StepUnderflow,
 )
-from .plant import Plant, log_eval, wrap_angle
+from .plant import Plant, _log_kernel, wrap_angle
 
 TOL_CORR = 1e-6
 MAX_ITER = 20
@@ -56,9 +56,12 @@ class LocusPoint:
         return math.exp(self.Kval)
 
 
-@dataclass(frozen=True)
+@dataclass
 class StepController:
-    """Adaptive step length with nominal contraction/distance targets."""
+    """Adaptive step length with nominal contraction/distance targets.
+
+    h always lies in [h_min, h_max]: the constructor and resize clamp it.
+    """
 
     h: float
     kappa_nom: float = KAPPA_NOM
@@ -71,7 +74,10 @@ class StepController:
             raise InputError("nominal contraction and distance must be positive")
         if not (0.0 < self.h_min <= self.h_max):
             raise InputError("step bounds must satisfy 0 < h_min <= h_max")
-        object.__setattr__(self, "h", min(max(self.h, self.h_min), self.h_max))
+        self.resize(self.h)
+
+    def resize(self, h: float) -> None:
+        self.h = min(max(h, self.h_min), self.h_max)
 
 
 @dataclass(frozen=True)
@@ -90,30 +96,30 @@ def unit3(v) -> tuple[float, float, float]:
     return (v[0] / n, v[1] / n, v[2] / n)
 
 
+def _locus_eval(plant: Plant, sigma: float, omega: float, Kval: float):
+    """(M, P, dM/dsigma, dM/domega) at one iterate, from one plant pass.
+
+    A non-finite iterate raises InputError, as LocusPoint does.
+    """
+    if not (math.isfinite(sigma) and math.isfinite(omega) and math.isfinite(Kval)):
+        raise InputError(f"non-finite locus point ({sigma}, {omega}, {Kval})")
+    lnmag, phase, msig, mom = _log_kernel(plant, sigma, omega)
+    return lnmag + Kval, wrap_angle(phase - math.pi), msig, mom
+
+
 def residuals(plant: Plant, p: LocusPoint) -> tuple[float, float]:
     """Log-magnitude and phase residuals of 1 + e^K G(s)e^(-hs) = 0.
 
     Both vanish exactly on the locus; P is the principal distance of the
     phase from pi, so it lives in (-pi, pi].
     """
-    lv = log_eval(plant, p.s)
-    return lv.lnmag + p.Kval, wrap_angle(lv.phase - math.pi)
+    M, P, _, _ = _locus_eval(plant, p.sigma, p.omega, p.Kval)
+    return M, P
 
 
 def _partials(plant: Plant, sigma: float, omega: float) -> tuple[float, float]:
     """(dM/dsigma, dM/domega) at the running point."""
-    msig = -plant.delay
-    mom = 0.0
-    for z in plant.zeros:
-        ds, dw = sigma - z.real, omega - z.imag
-        g = ds * ds + dw * dw
-        msig += ds / g
-        mom += dw / g
-    for q in plant.poles:
-        ds, dw = sigma - q.real, omega - q.imag
-        g = ds * ds + dw * dw
-        msig -= ds / g
-        mom -= dw / g
+    _, _, msig, mom = _log_kernel(plant, sigma, omega)
     return msig, mom
 
 
@@ -132,34 +138,71 @@ def predict(prev: LocusPoint, d, h: float) -> LocusPoint:
 
 
 def solve3(a: list[list[float]], b: list[float]) -> list[float]:
-    """3x3 linear solve, partial pivoting; raises on ill-conditioned systems."""
-    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
-    scale = max(abs(m[i][j]) for i in range(3) for j in range(3))
+    """3x3 linear solve, partial pivoting; raises on ill-conditioned systems.
+
+    Unrolled Gaussian elimination: each pivot is the first entry of largest
+    magnitude in its column, a row is updated only for a nonzero multiplier,
+    and the condition estimate is the largest entry over the smallest pivot.
+    """
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    b0, b1, b2 = b
+    top, m1, m2 = abs(a00), abs(a10), abs(a20)
+    scale = max(top, abs(a01), abs(a02), m1, abs(a11), abs(a12), m2, abs(a21), abs(a22))
     if scale == 0.0:
         raise SingularJacobian("zero Jacobian")
-    min_pivot = math.inf
-    for col in range(3):
-        piv = max(range(col, 3), key=lambda r: abs(m[r][col]))
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
-        if p == 0.0:
-            raise SingularJacobian("exactly singular Jacobian")
-        min_pivot = min(min_pivot, abs(p))
-        for r in range(col + 1, 3):
-            f = m[r][col] / p
-            if f != 0.0:
-                for c in range(col, 4):
-                    m[r][c] -= f * m[col][c]
+
+    # column 0; top tracks the pivot magnitude
+    if m1 > top:
+        top = m1
+        if m2 > top:
+            top = m2
+            a00, a01, a02, b0, a20, a21, a22, b2 = a20, a21, a22, b2, a00, a01, a02, b0
+        else:
+            a00, a01, a02, b0, a10, a11, a12, b1 = a10, a11, a12, b1, a00, a01, a02, b0
+    elif m2 > top:
+        top = m2
+        a00, a01, a02, b0, a20, a21, a22, b2 = a20, a21, a22, b2, a00, a01, a02, b0
+    if top == 0.0:
+        raise SingularJacobian("exactly singular Jacobian")
+    min_pivot = min(math.inf, top)
+    f = a10 / a00
+    if f != 0.0:
+        a11 -= f * a01
+        a12 -= f * a02
+        b1 -= f * b0
+    f = a20 / a00
+    if f != 0.0:
+        a21 -= f * a01
+        a22 -= f * a02
+        b2 -= f * b0
+
+    # column 1
+    top, m2 = abs(a11), abs(a21)
+    if m2 > top:
+        top = m2
+        a11, a12, b1, a21, a22, b2 = a21, a22, b2, a11, a12, b1
+    if top == 0.0:
+        raise SingularJacobian("exactly singular Jacobian")
+    if top < min_pivot:
+        min_pivot = top
+    f = a21 / a11
+    if f != 0.0:
+        a22 -= f * a12
+        b2 -= f * b1
+
+    # column 2
+    top = abs(a22)
+    if top == 0.0:
+        raise SingularJacobian("exactly singular Jacobian")
+    if top < min_pivot:
+        min_pivot = top
+
     if scale / min_pivot > COND_LIMIT:
         raise SingularJacobian(f"Jacobian condition estimate {scale / min_pivot:.3e}")
-    x = [0.0, 0.0, 0.0]
-    for r in (2, 1, 0):
-        acc = m[r][3]
-        for c in range(r + 1, 3):
-            acc -= m[r][c] * x[c]
-        x[r] = acc / m[r][r]
-    return x
+    x2 = b2 / a22
+    x1 = (b1 - a12 * x2) / a11
+    x0 = (b0 - a01 * x1 - a02 * x2) / a00
+    return [x0, x1, x2]
 
 
 def solve2(a11: float, a12: float, a21: float, a22: float, b1: float, b2: float):
@@ -186,28 +229,24 @@ def correct(
     direct locus distance |1 - e^(M+jP)| at the final point, inf when that
     overflows.
     """
-    x = [predicted.sigma, predicted.omega, predicted.Kval]
+    s0, w0, K0 = predicted.sigma, predicted.omega, predicted.Kval
+    d0, d1, d2 = prev_dir
+    sig, w, K = s0, w0, K0
     norms: list[float] = []
     converged = False
     M = P = 0.0
     while True:
-        pt = LocusPoint(x[0], x[1], x[2])
-        M, P = residuals(plant, pt)
-        f3 = (
-            (x[0] - predicted.sigma) * prev_dir[0]
-            + (x[1] - predicted.omega) * prev_dir[1]
-            + (x[2] - predicted.Kval) * prev_dir[2]
-        )
+        M, P, msig, mom = _locus_eval(plant, sig, w, K)
+        f3 = (sig - s0) * d0 + (w - w0) * d1 + (K - K0) * d2
         if max(abs(M), abs(P), abs(f3)) <= tol:
             converged = True
             break
         if len(norms) >= max_iter:
             break
-        J = jacobian(plant, pt, prev_dir)
-        dx = solve3(J, [-M, -P, -f3])
-        x[0] += dx[0]
-        x[1] += dx[1]
-        x[2] += dx[2]
+        dx = solve3([[msig, mom, 1.0], [-mom, msig, 0.0], [d0, d1, d2]], [-M, -P, -f3])
+        sig += dx[0]
+        w += dx[1]
+        K += dx[2]
         norms.append(math.sqrt(dx[0] ** 2 + dx[1] ** 2 + dx[2] ** 2))
     kappa = norms[1] / norms[0] if len(norms) >= 2 and norms[0] > 0.0 else 0.0
     try:
@@ -215,7 +254,7 @@ def correct(
     except OverflowError:
         delta = math.inf  # M past ~709 after a failed correction
     return CorrectorOutcome(
-        point=LocusPoint(x[0], x[1], x[2]),
+        point=LocusPoint(sig, w, K),
         iterations=len(norms),
         kappa=kappa,
         delta=delta,

@@ -7,9 +7,9 @@ forms e^(-h·s) directly.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from math import atan2 as _atan2, log as _log  # bound once for _log_kernel's loop
 
 from .errors import InputError, SingularPointError
 from .poly import RealPolynomial, complex_roots
@@ -123,42 +123,56 @@ def plant_from_coefficients(num: RealPolynomial, den: RealPolynomial, delay: flo
     return Plant(alpha, delay, roots_of(num), roots_of(den))
 
 
-def _assert_regular(plant: Plant, s: complex) -> None:
-    tol = TOL_SING * (1.0 + abs(s))
-    for x in plant.zeros + plant.poles:
-        if abs(s - x) <= tol:
-            raise SingularPointError(f"evaluation at {s} hits the root {x}")
+def _log_kernel(plant: Plant, sigma: float, omega: float) -> tuple[float, float, float, float]:
+    """ln|G(s)e^(-hs)|, its principal phase, dM/dsigma and dM/domega at s.
+
+    One pass over the zeros and poles serves the value and its gradient; by
+    Cauchy-Riemann the phase gradient is (-dM/domega, dM/dsigma).  A point
+    within TOL_SING*(1+|s|) of a root raises SingularPointError.
+    """
+    tol = TOL_SING * (1.0 + abs(complex(sigma, omega)))
+    near = tol * tol * (1.0 + 1e-9)  # squared distance bound; abs() decides
+    lnmag = math.log(abs(plant.alpha))
+    phase = 0.0 if plant.alpha > 0 else math.pi
+    msig = -plant.delay
+    mom = 0.0
+    for z in plant.zeros:
+        ds = sigma - z.real
+        dw = omega - z.imag
+        g = ds * ds + dw * dw
+        if g <= near and abs(complex(ds, dw)) <= tol:
+            raise SingularPointError(f"evaluation at {complex(sigma, omega)} hits the root {z}")
+        lnmag += 0.5 * _log(g)
+        phase += _atan2(dw, ds)
+        msig += ds / g
+        mom += dw / g
+    for p in plant.poles:
+        ds = sigma - p.real
+        dw = omega - p.imag
+        g = ds * ds + dw * dw
+        if g <= near and abs(complex(ds, dw)) <= tol:
+            raise SingularPointError(f"evaluation at {complex(sigma, omega)} hits the root {p}")
+        lnmag -= 0.5 * _log(g)
+        phase -= _atan2(dw, ds)
+        msig -= ds / g
+        mom -= dw / g
+    lnmag -= plant.delay * sigma
+    phase -= plant.delay * omega
+    return lnmag, wrap_angle(phase), msig, mom
 
 
 def log_eval(plant: Plant, s: complex) -> LogValue:
     """Log-domain value of G(s)e^(-h*s): never forms the exponential."""
     s = complex(s)
-    _assert_regular(plant, s)
-    lnmag = math.log(abs(plant.alpha))
-    phase = 0.0 if plant.alpha > 0 else math.pi
-    for z in plant.zeros:
-        d = s - z
-        lnmag += 0.5 * math.log(d.real * d.real + d.imag * d.imag)
-        phase += math.atan2(d.imag, d.real)
-    for p in plant.poles:
-        d = s - p
-        lnmag -= 0.5 * math.log(d.real * d.real + d.imag * d.imag)
-        phase -= math.atan2(d.imag, d.real)
-    lnmag -= plant.delay * s.real
-    phase -= plant.delay * s.imag
-    return LogValue(lnmag, wrap_angle(phase))
+    lnmag, phase, _, _ = _log_kernel(plant, s.real, s.imag)
+    return LogValue(lnmag, phase)
 
 
 def dlog_ratio(plant: Plant, s: complex) -> complex:
     """Logarithmic derivative of the delayed plant: G'(s)/G(s) - h."""
     s = complex(s)
-    _assert_regular(plant, s)
-    acc = complex(-plant.delay, 0.0)
-    for z in plant.zeros:
-        acc += 1.0 / (s - z)
-    for p in plant.poles:
-        acc -= 1.0 / (s - p)
-    return acc
+    _, _, msig, mom = _log_kernel(plant, s.real, s.imag)
+    return complex(msig, -mom)
 
 
 def gain_at(plant: Plant, s: complex) -> float:

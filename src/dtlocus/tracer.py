@@ -30,7 +30,7 @@ from .continuation import (
     CorrectorOutcome,
     LocusPoint,
     StepController,
-    _partials,
+    _locus_eval,
     correct,
     departure_angles,
     entry_direction_crossing,
@@ -149,10 +149,9 @@ def _polish_frozen_K(plant: Plant, sigma: float, omega: float, Kval: float, tol:
     """Drive (M, P) to zero in (sigma, omega) at fixed gain."""
     for _ in range(12):
         try:
-            M, P = residuals(plant, LocusPoint(sigma, omega, Kval))
+            M, P, msig, mom = _locus_eval(plant, sigma, omega, Kval)
             if max(abs(M), abs(P)) <= tol:
                 break
-            msig, mom = _partials(plant, sigma, omega)
             dx, dy = solve2(msig, mom, -mom, msig, -M, -P)
         except (SingularJacobian, SingularPointError, InputError):
             break
@@ -225,10 +224,9 @@ def _refine_frozen_sigma(plant, sigma0, omega, Kval, tol):
     w, K = omega, Kval
     for _ in range(20):
         try:
-            M, P = residuals(plant, LocusPoint(sigma0, w, K))
+            M, P, msig, mom = _locus_eval(plant, sigma0, w, K)
             if max(abs(M), abs(P)) <= tol:
                 return LocusPoint(sigma0, w, K), True
-            msig, mom = _partials(plant, sigma0, w)
             dw, dK = solve2(mom, 1.0, msig, 0.0, -M, -P)
         except (SingularJacobian, SingularPointError, InputError):
             return LocusPoint(sigma0, omega, Kval), False
@@ -267,10 +265,9 @@ def _refine_gain_cap(plant, below: LocusPoint, above: LocusPoint, lnkmax: float,
     w = below.omega + t * (above.omega - below.omega)
     for _ in range(20):
         try:
-            M, P = residuals(plant, LocusPoint(sig, w, lnkmax))
+            M, P, msig, mom = _locus_eval(plant, sig, w, lnkmax)
             if max(abs(M), abs(P)) <= tol:
                 break
-            msig, mom = _partials(plant, sig, w)
             dx, dy = solve2(msig, mom, -mom, msig, -M, -P)
         except (SingularJacobian, SingularPointError, InputError):
             break
@@ -353,7 +350,7 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
             new_h, repeat = step_update(ctl, out)
         except StepUnderflow as e:
             return finish(StepFailure(f"step underflow: {e}"))
-        ctl = replace(ctl, h=new_h)
+        ctl.resize(new_h)
         if repeat:
             continue
         c = out.point
@@ -412,7 +409,7 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
                         return finish(StepFailure(
                             f"gain cap refinement left the locus at step {len(points)}"
                         ))
-                    ctl = replace(ctl, h=0.5 * h_used)
+                    ctl.resize(0.5 * h_used)
                     continue
                 points.append(cap_pt)
             return finish(GainCap())

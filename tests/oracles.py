@@ -214,3 +214,127 @@ def pairwise_dedup(trajectories):
             if sep <= 1e-8:
                 drop.add(j if len(tj.points) <= len(ti.points) else i)
     return [t for i, t in enumerate(trajectories) if i not in drop]
+
+
+# The references below are the library's former evaluation loops and 3x3
+# solve, kept verbatim so the single-pass kernel and the unrolled solve can be
+# checked for exact (not approximate) agreement with them.
+
+
+def reference_log_eval(plant, s):
+    """(lnmag, principal phase) of G(s)e^(-hs) by the former log_eval loops.
+
+    The regularity check runs over every root first, then one loop per root
+    set accumulates the magnitude and the phase.
+    """
+    from dtlocus.errors import SingularPointError
+    from dtlocus.plant import TOL_SING, wrap_angle
+
+    s = complex(s)
+    tol = TOL_SING * (1.0 + abs(s))
+    for x in plant.zeros + plant.poles:
+        if abs(s - x) <= tol:
+            raise SingularPointError(f"evaluation at {s} hits the root {x}")
+    lnmag = math.log(abs(plant.alpha))
+    phase = 0.0 if plant.alpha > 0 else math.pi
+    for z in plant.zeros:
+        d = s - z
+        lnmag += 0.5 * math.log(d.real * d.real + d.imag * d.imag)
+        phase += math.atan2(d.imag, d.real)
+    for p in plant.poles:
+        d = s - p
+        lnmag -= 0.5 * math.log(d.real * d.real + d.imag * d.imag)
+        phase -= math.atan2(d.imag, d.real)
+    lnmag -= plant.delay * s.real
+    phase -= plant.delay * s.imag
+    return lnmag, wrap_angle(phase)
+
+
+def reference_partials(plant, sigma, omega):
+    """(dM/dsigma, dM/domega) by the former separate loop (no regularity check)."""
+    msig = -plant.delay
+    mom = 0.0
+    for z in plant.zeros:
+        ds, dw = sigma - z.real, omega - z.imag
+        g = ds * ds + dw * dw
+        msig += ds / g
+        mom += dw / g
+    for q in plant.poles:
+        ds, dw = sigma - q.real, omega - q.imag
+        g = ds * ds + dw * dw
+        msig -= ds / g
+        mom -= dw / g
+    return msig, mom
+
+
+def reference_solve3(a, b):
+    """The former list-based 3x3 Gaussian elimination with partial pivoting."""
+    from dtlocus.continuation import COND_LIMIT
+    from dtlocus.errors import SingularJacobian
+
+    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
+    scale = max(abs(m[i][j]) for i in range(3) for j in range(3))
+    if scale == 0.0:
+        raise SingularJacobian("zero Jacobian")
+    min_pivot = math.inf
+    for col in range(3):
+        piv = max(range(col, 3), key=lambda r: abs(m[r][col]))
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+        p = m[col][col]
+        if p == 0.0:
+            raise SingularJacobian("exactly singular Jacobian")
+        min_pivot = min(min_pivot, abs(p))
+        for r in range(col + 1, 3):
+            f = m[r][col] / p
+            if f != 0.0:
+                for c in range(col, 4):
+                    m[r][c] -= f * m[col][c]
+    if scale / min_pivot > COND_LIMIT:
+        raise SingularJacobian(f"Jacobian condition estimate {scale / min_pivot:.3e}")
+    x = [0.0, 0.0, 0.0]
+    for r in (2, 1, 0):
+        acc = m[r][3]
+        for c in range(r + 1, 3):
+            acc -= m[r][c] * x[c]
+        x[r] = acc / m[r][r]
+    return x
+
+
+def reference_correct(plant, predicted, prev_dir, tol=1e-6, max_iter=20):
+    """The former corrector: a validated LocusPoint, a residual pass, a
+    partials pass and a list solve per Newton iteration."""
+    from dtlocus.continuation import CorrectorOutcome, LocusPoint
+    from dtlocus.plant import wrap_angle
+
+    x = [predicted.sigma, predicted.omega, predicted.Kval]
+    norms = []
+    converged = False
+    M = P = 0.0
+    while True:
+        pt = LocusPoint(x[0], x[1], x[2])
+        lnmag, phase = reference_log_eval(plant, pt.s)
+        M, P = lnmag + pt.Kval, wrap_angle(phase - math.pi)
+        f3 = (
+            (x[0] - predicted.sigma) * prev_dir[0]
+            + (x[1] - predicted.omega) * prev_dir[1]
+            + (x[2] - predicted.Kval) * prev_dir[2]
+        )
+        if max(abs(M), abs(P), abs(f3)) <= tol:
+            converged = True
+            break
+        if len(norms) >= max_iter:
+            break
+        msig, mom = reference_partials(plant, pt.sigma, pt.omega)
+        J = [[msig, mom, 1.0], [-mom, msig, 0.0], [prev_dir[0], prev_dir[1], prev_dir[2]]]
+        dx = reference_solve3(J, [-M, -P, -f3])
+        x[0] += dx[0]
+        x[1] += dx[1]
+        x[2] += dx[2]
+        norms.append(math.sqrt(dx[0] ** 2 + dx[1] ** 2 + dx[2] ** 2))
+    kappa = norms[1] / norms[0] if len(norms) >= 2 and norms[0] > 0.0 else 0.0
+    try:
+        delta = abs(1.0 - cmath.exp(complex(M, P)))
+    except OverflowError:
+        delta = math.inf
+    return CorrectorOutcome(LocusPoint(x[0], x[1], x[2]), len(norms), kappa, delta, converged)

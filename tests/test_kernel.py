@@ -1,0 +1,226 @@
+"""Exact agreement of the single-pass plant kernel, the unrolled 3x3 solve
+and the corrector with the former loops kept in oracles.py.
+
+Every comparison is ==, not approx: the kernel keeps each accumulator's
+operation order, so the loci it traces are the same to the last bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from dtlocus import continuation
+from dtlocus.continuation import (
+    LocusPoint,
+    StepController,
+    _locus_eval,
+    _partials,
+    correct,
+    jacobian,
+    residuals,
+    solve3,
+    unit3,
+)
+from dtlocus.errors import InputError, SingularJacobian, SingularPointError
+from dtlocus.plant import TOL_SING, Plant, _log_kernel, dlog_ratio, log_eval, wrap_angle
+
+from oracles import (
+    random_plant,
+    reference_correct,
+    reference_log_eval,
+    reference_partials,
+    reference_solve3,
+)
+
+
+def _plants():
+    rng = np.random.RandomState(11)
+    out = [random_plant(rng, Plant) for _ in range(8)]
+    out += [
+        # repeated real pole, repeated complex pair, right-half-plane zeros
+        Plant(2.0, 0.7, (1.5 + 0j, 0.5 + 2j, 0.5 - 2j), (-1 + 0j, -1 + 0j, -1 + 0j, -2 + 1j, -2 - 1j,
+                                                      -2 + 1j, -2 - 1j)),
+        # negative gain, bi-proper
+        Plant(-0.416151, 0.145683,
+              (1.747341 + 0.413925j, 1.747341 - 0.413925j, 0.845759 + 0.566891j, 0.845759 - 0.566891j),
+              (0.07467 + 1.7916j, 0.07467 - 1.7916j, -0.56304 + 1.788567j, -0.56304 - 1.788567j)),
+        # bi-proper first order, pure integrator, pure delay
+        Plant(3.0, 1.3, (-0.25 + 0j,), (0.75 + 0j,)),
+        Plant(1.0, 1.0, (), (0j,)),
+        Plant(-1.5, 0.4, (), ()),
+    ]
+    return out
+
+
+PLANTS = _plants()
+
+
+def _points(plant, rng, n):
+    """Random points: a box around the roots, far left (large |M|), on the
+    real axis, on a root's horizontal line and close to a root."""
+    roots = plant.zeros + plant.poles
+    pts = []
+    for i in range(n):
+        kind = i % 5
+        if kind == 0:
+            pts.append(complex(rng.uniform(-5.0, 4.0), rng.uniform(-6.0, 6.0)))
+        elif kind == 1:
+            pts.append(complex(-rng.uniform(50.0, 400.0), rng.uniform(-30.0, 30.0)))
+        elif kind == 2:
+            pts.append(complex(rng.uniform(-5.0, 4.0), 0.0))
+        elif roots and kind == 3:
+            r = roots[rng.randint(len(roots))]
+            pts.append(complex(rng.uniform(-5.0, 4.0), r.imag))
+        elif roots:
+            r = roots[rng.randint(len(roots))]
+            rho = 10.0 ** rng.uniform(-9.0, -2.0)
+            pts.append(r + rho * complex(math.cos(i), math.sin(i)))
+        else:
+            pts.append(complex(rng.uniform(-80.0, 4.0), rng.uniform(-6.0, 6.0)))
+    return pts
+
+
+def _outcome(f, *args):
+    """Return value, or (exception type, message) when f raises."""
+    try:
+        return f(*args)
+    except (SingularPointError, SingularJacobian, InputError) as e:
+        return type(e), str(e)
+
+
+def test_kernel_equals_former_loops():
+    rng = np.random.RandomState(5)
+    checked = 0
+    big_m = 0
+    for plant in PLANTS:
+        for s in _points(plant, rng, 120):
+            got = _outcome(_log_kernel, plant, s.real, s.imag)
+            ref = _outcome(reference_log_eval, plant, s)
+            if isinstance(ref, tuple) and ref and ref[0] is SingularPointError:
+                assert got == ref
+                continue
+            assert got == ref + reference_partials(plant, s.real, s.imag)
+            lv = log_eval(plant, s)
+            assert (lv.lnmag, lv.phase) == ref
+            assert dlog_ratio(plant, s) == complex(got[2], -got[3])
+            assert _partials(plant, s.real, s.imag) == got[2:]
+            K = rng.uniform(-3.0, 3.0)
+            M, P = residuals(plant, LocusPoint(s.real, s.imag, K))
+            assert (M, P) == (ref[0] + K, wrap_angle(ref[1] - math.pi))
+            d = unit3((rng.randn(), rng.randn(), rng.randn()))
+            msig, mom = got[2:]
+            assert jacobian(plant, LocusPoint(s.real, s.imag, K), d) == [
+                [msig, mom, 1.0], [-mom, msig, 0.0], [d[0], d[1], d[2]]]
+            big_m += abs(M) > 50.0
+            checked += 1
+    assert checked >= 1000
+    assert big_m >= 100
+
+
+def test_singular_points_raise_as_before():
+    hits = 0
+    for plant in PLANTS:
+        for x in plant.zeros + plant.poles:
+            scale = TOL_SING * (1.0 + abs(x))
+            for c in (0.0, 0.3, 0.999, 1.0, 1.001, 1.5, 4.0, 1e3):
+                for theta in (0.0, 0.7, math.pi / 2, 2.5, math.pi):
+                    s = x + c * scale * complex(math.cos(theta), math.sin(theta))
+                    got = _outcome(_log_kernel, plant, s.real, s.imag)
+                    ref = _outcome(reference_log_eval, plant, s)
+                    if ref[0] is SingularPointError:
+                        assert got == ref
+                        hits += 1
+                    else:
+                        assert got[:2] == ref
+    assert hits > 0
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 0.0, 0.0), (0.5, math.inf, 0.0),
+                                 (0.5, 0.5, -math.inf), (math.nan, math.nan, math.nan)])
+def test_nonfinite_iterate_raises_input_error(bad):
+    plant = PLANTS[0]
+    with pytest.raises(InputError):
+        LocusPoint(*bad)
+    with pytest.raises(InputError):
+        _locus_eval(plant, *bad)
+
+
+def test_corrector_still_raises_on_nonfinite_iterate(monkeypatch):
+    plant = Plant(1.0, 1.0, (), (0j,))
+    monkeypatch.setattr(continuation, "solve3", lambda a, b: [math.inf, 0.0, 0.0])
+    with pytest.raises(InputError):
+        correct(plant, LocusPoint(-0.5, 0.3, 0.0), unit3((1.0, 0.0, 0.0)))
+
+
+def _systems(rng):
+    for _ in range(300):
+        yield rng.randn(3, 3) * 10.0 ** rng.uniform(-3, 3, (3, 3)), rng.randn(3)
+    for _ in range(300):
+        # small integers: pivot ties in both columns, exact zeros, exact singularity
+        yield rng.randint(-2, 3, (3, 3)).astype(float), rng.randint(-3, 4, 3).astype(float)
+    for _ in range(100):
+        # a column of equal magnitudes with mixed signs
+        a = rng.randn(3, 3)
+        a[:, 0] = rng.choice([-1.0, 1.0], 3) * 2.5
+        a[1:, 1] = rng.choice([-1.0, 1.0], 2) * 0.75
+        yield a, rng.randn(3)
+    for eps in (1e-10, 1e-12, 1e-13, 1e-16, 0.0):
+        # ill-conditioned and singular: a nearly repeated row
+        a = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 4.0], [1.0, 2.0, 3.0 + eps]])
+        yield a, np.array([1.0, 2.0, 3.0])
+    yield np.zeros((3, 3)), np.ones(3)
+    yield np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]), np.ones(3)
+    yield np.array([[1.0, 0.0, 0.0], [0.0, 1e-13, 0.0], [0.0, 0.0, 1.0]]), np.ones(3)
+    yield np.array([[math.nan, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 3.0]]), np.ones(3)
+    yield np.array([[1.0, 1.0, 0.0], [1.0, math.inf, 1.0], [0.0, 1.0, 3.0]]), np.ones(3)
+    # a zero multiplier must leave its row alone: -0.0 - 0.0 * -1.0 is +0.0
+    yield np.eye(3), np.array([-1.0, -0.0, 1.0])
+
+
+def _same(a, b):
+    # by repr, NaN matches NaN and -0.0 does not match 0.0
+    if isinstance(a, list) and isinstance(b, list):
+        return [repr(x) for x in a] == [repr(y) for y in b]
+    return a == b
+
+
+def test_solve3_equals_former_elimination():
+    rng = np.random.RandomState(3)
+    raised = solved = 0
+    for a, b in _systems(rng):
+        rows, rhs = [[float(v) for v in r] for r in a], [float(v) for v in b]
+        got = _outcome(solve3, [r[:] for r in rows], rhs[:])
+        ref = _outcome(reference_solve3, [r[:] for r in rows], rhs[:])
+        assert _same(got, ref), (rows, rhs, got, ref)
+        if isinstance(got, list):
+            solved += 1
+        else:
+            raised += 1
+    assert solved > 500 and raised > 20
+
+
+def test_corrector_equals_former_corrector():
+    rng = np.random.RandomState(17)
+    converged = total = 0
+    for plant in PLANTS:
+        for s in _points(plant, rng, 40):
+            ref_lv = _outcome(reference_log_eval, plant, s)
+            if ref_lv[0] is SingularPointError:
+                continue
+            K = -ref_lv[0] + rng.uniform(-0.05, 0.05)
+            pred = LocusPoint(s.real, s.imag, K)
+            d = unit3((rng.randn(), rng.randn(), rng.randn()))
+            got = _outcome(correct, plant, pred, d)
+            ref = _outcome(reference_correct, plant, pred, d)
+            assert got == ref
+            converged += getattr(got, "converged", False)
+            total += 1
+    assert total >= 400 and converged >= 50
+
+
+def test_step_controller_resize_clamps_like_constructor():
+    ctl = StepController(h=0.01)
+    for h in (1e-12, 1e-8, 0.3, 0.5, 7.0):
+        ctl.resize(h)
+        assert ctl.h == StepController(h=h).h

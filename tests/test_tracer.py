@@ -11,11 +11,12 @@ import math
 import pytest
 from scipy.special import lambertw
 
-from dtlocus.boundary import RegionSpec
+from dtlocus.boundary import RegionSpec, _omega_cap, boundary_functions
 from dtlocus.cli import parse_input
 from dtlocus.continuation import residuals
 from dtlocus.errors import BranchOnBoundary
 from dtlocus.plant import Plant
+from dtlocus.poly import nonneg_real_roots
 from dtlocus.tracer import (
     BranchOrigin,
     CrossingOrigin,
@@ -345,3 +346,24 @@ class TestCorpusRegressions:
         assert_ends_on_locus(res, -2.466171)
         assert_ends_on_locus(res.negative, -2.466171)
         assert any(isinstance(t.termination, GainCap) for t in res.negative.trajectories)
+
+    def test_biproper_kprime_has_exact_degree(self):
+        # the cancelled omega^(4n-2) coefficient of K' kept a 1e-16 residue, a
+        # spurious root near 1e16 and an omega cap near 1e17: the crossing
+        # search then ran for millions of pieces
+        plant = parse_input(json.dumps({
+            "alpha": -0.416151, "delay": 0.145683,
+            "zeros": [[1.747341, 0.413925], [1.747341, -0.413925],
+                      [0.845759, 0.566891], [0.845759, -0.566891]],
+            "poles": [[0.07467, 1.7916], [0.07467, -1.7916],
+                      [-0.56304, 1.788567], [-0.56304, -1.788567]],
+        }).encode())
+        region = RegionSpec(-1.264558, 0.434758)
+        for signed in (plant, plant.flipped_gain()):
+            bf = boundary_functions(signed, region)
+            assert bf.kprime_poly.degree == 13
+            assert _omega_cap(bf, region, nonneg_real_roots(bf.kprime_poly)) < 1e3
+        res = run(plant, region, TraceOptions(negative_gains=True))
+        assert_ends_on_locus(res, -1.264558)
+        assert_ends_on_locus(res.negative, -1.264558)
+        assert res.warnings == () and res.negative.warnings == ()
