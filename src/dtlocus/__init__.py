@@ -21,7 +21,7 @@ from .boundary import (
     boundary_crossings,
     boundary_functions,
 )
-from .branch import BranchPoint, branch_points, redirect
+from .branch import BranchPoint, branch_departures, branch_points
 from .continuation import CorrectorOutcome, LocusPoint, StepController, correct, predict
 from .errors import (
     BiProperGainCapViolated,
@@ -87,6 +87,7 @@ __all__ = [
     "Trajectory",
     "boundary_crossings",
     "boundary_functions",
+    "branch_departures",
     "branch_points",
     "complex_roots",
     "correct",
@@ -94,7 +95,6 @@ __all__ = [
     "log_eval",
     "plant_from_coefficients",
     "predict",
-    "redirect",
     "render_svg",
     "run",
     "__version__",

@@ -8,11 +8,12 @@ polynomial after clearing denominators); membership is a phase test.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 from .boundary import RegionSpec
-from .errors import InputError, SingularPointError
+from .errors import SingularPointError
 from .plant import Plant, branch_numerator, log_eval, wrap_angle
 from .poly import complex_roots
 
@@ -34,17 +35,20 @@ class BranchPoint:
     active: bool
 
 
-def redirect(incoming_angle: float, multiplicity: int) -> float:
-    """Outgoing trajectory angle after passing through a branch point.
+def branch_departures(plant: Plant, bp: BranchPoint) -> list[float]:
+    """The N gain-increasing departure angles out of a branch point.
 
-    The direction continues straight for odd multiplicity and rotates by
-    -pi/N for even N; the result is reduced to (-pi, pi].
+    With F = G e^(-hs), the first N-1 log-derivatives of F vanish at a
+    multiplicity-N point s*, and the delay drops out of every log-derivative
+    past the first, so c = F^(N)(s*)/N! is a positive multiple of
+    (-1)^N S_N with S_N = sum_z (s*-z)^-N - sum_p (s*-p)^-N (the factor is
+    positive because F(s*) = -1/k*).  Near s*, (s-s*)^N ~ dk/(k*^2 c): the
+    departures leave along (-arg c + 2 pi j)/N.
     """
-    if multiplicity < 2:
-        raise InputError(f"redirect needs multiplicity >= 2, got {multiplicity}")
-    if multiplicity % 2 == 1:
-        return wrap_angle(incoming_angle)
-    return wrap_angle(incoming_angle - math.pi / multiplicity)
+    n = bp.multiplicity
+    s_n = sum((bp.s - z) ** -n for z in plant.zeros) - sum((bp.s - p) ** -n for p in plant.poles)
+    arg_c = cmath.phase((-1) ** n * s_n)
+    return [wrap_angle((-arg_c + 2.0 * math.pi * j) / n) for j in range(n)]
 
 
 def branch_points(plant: Plant, region: RegionSpec) -> list[BranchPoint]:

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from .boundary import RegionSpec
-from .continuation import DELTA_NOM, H0, KAPPA_NOM, TOL_CORR
+from .continuation import H0, TOL_CORR
 from .errors import (
     BiProperGainCapViolated,
     BranchOnBoundary,
@@ -49,10 +49,7 @@ class RunConfig:
     svg_path: str | None = None
     tol_corr: float = TOL_CORR
     h0: float = H0
-    kappa_nom: float = KAPPA_NOM
-    delta_nom: float = DELTA_NOM
     negative_gains: bool = False
-    no_mirror: bool = False
     strict: bool = False
 
 
@@ -228,14 +225,7 @@ def execute(cfg: RunConfig) -> RootLocusResult:
     with open(cfg.input_path, "rb") as f:
         plant = parse_input(f.read())
     region = RegionSpec(cfg.sigma0, cfg.kmax)
-    options = TraceOptions(
-        tol_corr=cfg.tol_corr,
-        h0=cfg.h0,
-        kappa_nom=cfg.kappa_nom,
-        delta_nom=cfg.delta_nom,
-        mirror=not cfg.no_mirror,
-        negative_gains=cfg.negative_gains,
-    )
+    options = TraceOptions(tol_corr=cfg.tol_corr, h0=cfg.h0, negative_gains=cfg.negative_gains)
     return run(plant, region, options)
 
 

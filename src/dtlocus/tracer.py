@@ -1,10 +1,12 @@
 """Whole-locus orchestration.
 
-Seeds trajectories at open-loop poles (gain 0+) and inward boundary
-crossings, advances each by predictor-corrector continuation until it hits a
-branching point, the gain cap, the region boundary, or a step failure, then
-respawns continuations out of branch points and finally mirrors the upper
-half-plane picture onto the lower one (real-coefficient symmetry).
+Seeds trajectories at open-loop poles (gain 0+), inward boundary crossings
+and the closed-form departure fan of every active branch point, all before
+tracing starts, so no seed depends on another.  Each seed is advanced by
+predictor-corrector continuation until it hits a branching point, the gain
+cap, the region boundary, or a step failure.  Region exits are then matched
+to outward crossings, and the upper half-plane picture is mirrored onto the
+lower one (real-coefficient symmetry).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .boundary import (
     boundary_crossings,
     boundary_functions,
 )
-from .branch import BranchPoint, branch_points, redirect
+from .branch import BranchPoint, branch_departures, branch_points
 from .continuation import (
     DELTA_NOM,
     H0,
@@ -160,27 +162,41 @@ def _polish_frozen_K(plant: Plant, sigma: float, omega: float, Kval: float, tol:
     return LocusPoint(sigma, omega, Kval)
 
 
-def _seed_from_ray(plant, origin, anchor: complex, theta: float, tol_corr: float,
-                   lift_K: float, start_marker=None) -> Seed:
+def _seed_from_ray(plant, origin, anchor: complex, theta: float, sigma0: float,
+                   tol_corr: float, lift_K: float, start_marker=None) -> Seed:
     """Seed one trajectory a small step along a ray from anchor.
 
-    lift_K is the gain component of the initial lifted direction: 1 for pole
-    departures (gain rises steeply off a pole), 0 for branch respawns (gain
-    is stationary across a branch point).
+    The step is 1e-3(1 + |anchor|), or half the way to the boundary line
+    Re(s) = sigma0 when the ray meets it sooner, so the seed starts inside
+    the region.  lift_K is the gain component of the initial lifted
+    direction: 1 for pole departures (gain rises steeply off a pole), 0 for
+    branch departures (gain is stationary across a branch point).
     """
     dx, dy = math.cos(theta), math.sin(theta)
     if abs(dy) <= _SPAWN_ANGLE_TOL:
         dx, dy = math.copysign(1.0, dx), 0.0  # keep exactly on axis
     delta = 1e-3 * (1.0 + abs(anchor))
+    if dx < 0.0:
+        delta = min(delta, 0.5 * (anchor.real - sigma0) / -dx)
     s1 = anchor + delta * complex(dx, dy)
     K1 = -log_eval(plant, s1).lnmag
     start = _polish_frozen_K(plant, s1.real, s1.imag, K1, 0.01 * tol_corr)
     return Seed(origin, start, unit3((dx, dy, lift_K)), start_marker)
 
 
+def _mirrored_away(options: TraceOptions, anchor: complex, theta: float) -> bool:
+    """Whether the ray from anchor is the conjugate image of a seeded one."""
+    if not options.mirror:
+        return False
+    if abs(anchor.imag) <= _AXIS_TOL:
+        return math.sin(theta) < -_AXIS_TOL
+    return anchor.imag < 0.0
+
+
 def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
-                options: TraceOptions | None = None) -> list[Seed]:
-    """Initial trajectories: one per in-region pole ray, one per inward crossing.
+                options: TraceOptions | None = None, branches=None) -> list[Seed]:
+    """Initial trajectories: one per in-region pole ray, one per inward
+    crossing, one per departure ray of each active branch point.
 
     With mirroring on, seeds whose trajectory is the conjugate image of
     another are omitted; the mirror pass reinstates them.
@@ -190,6 +206,8 @@ def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
         bf = boundary_functions(plant, region)
     if crossings is None:
         crossings = boundary_crossings(bf, region)
+    if branches is None:
+        branches = branch_points(plant, region)
 
     seeds: list[Seed] = []
     for i, p in enumerate(plant.poles):
@@ -198,15 +216,12 @@ def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
             continue  # one fan per distinct pole location
         if p.real < region.sigma0:
             continue
-        if options.mirror and p.imag < -_AXIS_TOL:
-            continue
         for theta in departure_angles(plant, i):
-            if options.mirror and abs(p.imag) <= _AXIS_TOL and math.sin(theta) < -_AXIS_TOL:
-                continue
-            seeds.append(
-                _seed_from_ray(plant, PoleOrigin(i), p, theta, options.tol_corr,
-                               lift_K=1.0, start_marker=p)
-            )
+            if not _mirrored_away(options, p, theta):
+                seeds.append(
+                    _seed_from_ray(plant, PoleOrigin(i), p, theta, region.sigma0,
+                                   options.tol_corr, lift_K=1.0, start_marker=p)
+                )
     for ci, c in enumerate(crossings.inward):
         d0 = entry_direction_crossing(plant, bf, c)
         seeds.append(
@@ -216,6 +231,15 @@ def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
                 unit3((d0.real, d0.imag, 1.0)),
             )
         )
+    for bi, bp in enumerate(branches):
+        if not bp.active:
+            continue
+        for theta in branch_departures(plant, bp):
+            if not _mirrored_away(options, bp.s, theta):
+                seeds.append(
+                    _seed_from_ray(plant, BranchOrigin(bi, theta), bp.s, theta,
+                                   region.sigma0, options.tol_corr, lift_K=0.0)
+                )
     return seeds
 
 
@@ -305,19 +329,20 @@ def _match_outward(point: LocusPoint, w_out, claimed: set[int]) -> int | None:
 
 
 def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
-          w_out, options: TraceOptions | None = None,
-          claimed: set[int] | None = None) -> Trajectory:
+          options: TraceOptions | None = None) -> Trajectory:
     """Advance one seed to its termination.
 
     Every accepted corrector point is screened in order for: branch capture
     (distance and gain both inside their windows), region exit (sigma below
     the boundary), gain cap, and gain monotonicity.  Gain-flat accepted
     points advance the cursor without being recorded so the stored gain
-    strictly increases.  A gain cap end that falls off the locus or left of
-    the boundary is not recorded; the step is redone at half the length.
+    strictly increases.  A region exit whose refinement onto the boundary
+    does not converge, and a gain cap end that falls off the locus or left of
+    the boundary, are not recorded; the step is redone at half the length.
+    A region exit ends in LeftRegion(None); the caller matches it to an
+    outward crossing.
     """
     options = options or TraceOptions()
-    claimed = claimed if claimed is not None else set()
     lnkmax = region.lnkmax
 
     points: list[LocusPoint] = [seed.start]
@@ -393,10 +418,17 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
             w0 = cursor.omega + t * (c.omega - cursor.omega)
             K0 = cursor.Kval + t * (c.Kval - cursor.Kval)
             exit_pt, refined = _refine_frozen_sigma(plant, region.sigma0, w0, K0, options.tol_corr)
-            if not (refined and exit_pt.Kval > lnkmax):
+            if not refined:
+                if h_used <= ctl.h_min * (1.0 + 1e-12):
+                    return finish(StepFailure(
+                        f"region exit refinement did not converge at step {len(points)}"
+                    ))
+                ctl.resize(0.5 * h_used)
+                continue
+            if exit_pt.Kval <= lnkmax:
                 if exit_pt.Kval > points[-1].Kval:
                     points.append(exit_pt)
-                return finish(LeftRegion(_match_outward(points[-1], w_out, claimed)))
+                return finish(LeftRegion(None))
             # the cap is reached before the boundary: fall through
 
         if c.Kval > lnkmax or (c.sigma < region.sigma0):
@@ -535,47 +567,13 @@ def _run_signed(plant: Plant, region: RegionSpec, options: TraceOptions) -> Root
             )
     crossings = boundary_crossings(bf, region)
 
+    seeds = seed_points(plant, region, bf, crossings, options, branches)
+    trajectories = [trace(plant, region, seed, branches, options) for seed in seeds]
     claimed: set[int] = set()
-    trajectories: list[Trajectory] = []
-    queue = seed_points(plant, region, bf, crossings, options)
-    spawned: dict[int, list[float]] = {}
-
-    rounds = 0
-    while queue and rounds < 64:
-        rounds += 1
-        arrivals: list[tuple[int, float]] = []
-        for seed in queue:
-            traj = trace(plant, region, seed, branches, crossings.outward, options, claimed)
-            trajectories.append(traj)
-            if isinstance(traj.termination, ReachedBranch):
-                bp = branches[traj.termination.index]
-                ref = traj.points[-2] if len(traj.points) >= 2 else seed.start
-                vec = bp.s - ref.s
-                if abs(vec) > 0.0:
-                    arrivals.append((traj.termination.index, math.atan2(vec.imag, vec.real)))
-
-        specs: list[tuple[float, int, float]] = []
-        for bi, theta_in in arrivals:
-            bp = branches[bi]
-            outs = [redirect(theta_in, bp.multiplicity)]
-            real_branch = abs(bp.s.imag) <= _AXIS_TOL
-            if options.mirror and real_branch and abs(math.sin(theta_in)) > _SPAWN_ANGLE_TOL:
-                # the untraced conjugate arrival redirects too
-                outs.append(redirect(wrap_angle(-theta_in), bp.multiplicity))
-            for theta_out in outs:
-                if options.mirror and real_branch and math.sin(theta_out) < -_SPAWN_ANGLE_TOL:
-                    continue
-                known = spawned.setdefault(bi, [])
-                if any(abs(wrap_angle(theta_out - a)) <= _SPAWN_ANGLE_TOL for a in known):
-                    continue
-                known.append(theta_out)
-                specs.append((bp.Kval, bi, theta_out))
-        specs.sort()
-        queue = [
-            _seed_from_ray(plant, BranchOrigin(bi, theta), branches[bi].s, theta,
-                           options.tol_corr, lift_K=0.0)
-            for _, bi, theta in specs
-        ]
+    for i, traj in enumerate(trajectories):
+        if isinstance(traj.termination, LeftRegion):
+            matched = _match_outward(traj.points[-1], crossings.outward, claimed)
+            trajectories[i] = replace(traj, termination=LeftRegion(matched))
 
     trajectories = _dedup(trajectories)
 

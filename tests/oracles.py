@@ -185,6 +185,26 @@ def clean_region(plant, rng):
     return min(res) - 1.0, math.e
 
 
+def branch_fan_angles(plant, s_star, k_star):
+    """Angles about s_star of the closed-loop roots just past a branch gain.
+
+    At k = k_star(1 + 1e-6) the multiple root has split; direct complex
+    Newton from 90 points on a circle of radius r = 1e-3(1 + |s_star|) finds
+    the pieces, and the distinct converged roots within 5r give the
+    departure directions.
+    """
+    k = k_star * (1.0 + 1e-6)
+    r = 1e-3 * (1.0 + abs(s_star))
+    found = []
+    for i in range(90):
+        s = newton_root(plant, k, s_star + r * cmath.exp(2j * math.pi * i / 90))
+        if locus_residual(plant, s, k) > 1e-9 or abs(s - s_star) > 5.0 * r:
+            continue
+        if all(abs(s - q) > 1e-3 * r for q in found):
+            found.append(s)
+    return [cmath.phase(s - s_star) for s in found]
+
+
 def pairwise_dedup(trajectories):
     """Reference trajectory dedup by comparing every pair, O(T^2).
 

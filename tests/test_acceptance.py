@@ -10,6 +10,7 @@ never from the implementation under test.
 import cmath
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -469,3 +470,16 @@ def test_09_conjugate_symmetry(corpus):
                 and abs(q.Kval - p.Kval) <= tol
                 for q in near
             ), (res.plant, p)
+
+
+def test_branch_departures_complete(corpus):
+    # every active branch point is left along its full closed-form fan
+    for res in corpus:
+        for w in res.warnings:
+            m = re.search(r"expects (\d+) arrivals and departures, traced \d+ and (\d+)", w)
+            assert m is None or int(m.group(2)) >= int(m.group(1)), w
+        for bi, bp in enumerate(res.branch_points):
+            if bp.active:
+                dep = [t for t in res.trajectories
+                       if isinstance(t.origin, BranchOrigin) and t.origin.index == bi]
+                assert len(dep) == bp.multiplicity, (res.plant, bp)

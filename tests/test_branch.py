@@ -1,4 +1,6 @@
-"""Branch point location, membership filtering, and the redirection rule."""
+"""Branch point location, membership filtering, and the closed-form
+departure fan, checked against roots found by direct Newton just past the
+branch gain."""
 
 import math
 
@@ -6,34 +8,92 @@ import numpy as np
 import pytest
 
 from dtlocus.boundary import RegionSpec
-from dtlocus.branch import branch_points, redirect
-from dtlocus.errors import InputError
+from dtlocus.branch import branch_departures, branch_points
 from dtlocus.plant import Plant
 
-from oracles import locus_residual
+from oracles import _wrap, branch_fan_angles, locus_residual, random_plant
+
+# corpus seed 408 job 461: a secant of the arriving trajectory sent the real
+# branch point near -1.668 out at +-1.385 rad instead of +-pi/2
+JOB_461 = Plant(
+    -4.905108, 1.420699,
+    (-1.497614 + 0.829942j, -1.497614 - 0.829942j, -0.781329 + 0j,
+     1.814507 + 1.017389j, 1.814507 - 1.017389j, 1.873596 + 0j),
+    (-0.715817 + 0j, -0.827853 + 0j, -0.781923 + 0j, -1.158687 + 0j,
+     -2.912805 + 0.337496j, -2.912805 - 0.337496j),
+)
+JOB_461_REGION = RegionSpec(-1.747593, 0.008512)
 
 
-class TestRedirect:
-    def test_even_rotates(self):
-        assert redirect(0.0, 2) == pytest.approx(-math.pi / 2)
-        assert redirect(math.pi, 2) == pytest.approx(math.pi / 2)
-        assert redirect(0.0, 4) == pytest.approx(-math.pi / 4)
+def fan_error(plant, bp):
+    """Largest angle between a departure and its oracle root direction."""
+    got = branch_departures(plant, bp)
+    want = branch_fan_angles(plant, bp.s, bp.k)
+    assert len(got) == len(want) == bp.multiplicity
+    pairs = [min(range(len(want)), key=lambda i: abs(_wrap(theta - want[i]))) for theta in got]
+    assert sorted(pairs) == list(range(len(want)))  # one departure per root
+    return max(abs(_wrap(theta - want[i])) for theta, i in zip(got, pairs))
 
-    def test_odd_passes_through(self):
-        assert redirect(1.234, 3) == pytest.approx(1.234)
-        assert redirect(-2.0, 5) == pytest.approx(-2.0)
 
-    def test_normalization(self):
-        assert redirect(-math.pi + 0.1, 2) == pytest.approx(math.pi / 2 + 0.1)
+class TestBranchDepartures:
+    def test_integrator_goes_vertical(self, p1):
+        (bp,) = branch_points(p1, RegionSpec(-2.0, 1.0))
+        assert sorted(branch_departures(p1, bp)) == pytest.approx([-math.pi / 2, math.pi / 2])
+        assert fan_error(p1, bp) <= 1e-2
 
-    def test_rejects_simple(self):
-        with pytest.raises(InputError):
-            redirect(0.0, 1)
+    def test_demo_plant(self, p2):
+        (bp,) = branch_points(p2, RegionSpec(-3.5, 5.0))
+        assert fan_error(p2, bp) <= 1e-2
 
-    def test_real_pair_goes_vertical(self):
-        # two real arrivals at an N=2 point leave as a conjugate pair
-        up, down = redirect(0.0, 2), redirect(math.pi, 2)
-        assert sorted((up, down)) == pytest.approx([-math.pi / 2, math.pi / 2])
+    def test_job_461(self):
+        got = [bp for bp in branch_points(JOB_461, JOB_461_REGION) if bp.active]
+        assert any(bp.s == pytest.approx(-1.668, abs=1e-3) for bp in got)
+        for bp in got:
+            assert fan_error(JOB_461, bp) <= 1e-2
+
+    def test_triple_point(self):
+        # poles lam*(+-a, +-jv, 1) with h = 1/lam make s = 0 a triple root:
+        # sum 1/p = h zeroes the first log-derivative and 2/a^2 - 2/v^2 + 1
+        # = 0 the second; S_3 = lam^-3 > 0, so c < 0 and the fan is
+        # -pi/3, pi/3, pi
+        lam, v = 0.1, 1.3
+        a = math.sqrt(2.0 / (2.0 / v**2 - 1.0))
+        plant = Plant(-lam**5, 1.0 / lam, (),
+                      tuple(lam * x for x in (a, -a, 1j * v, -1j * v, 1.0)))
+        (bp,) = [b for b in branch_points(plant, RegionSpec(-0.3, 10.0)) if b.multiplicity == 3]
+        assert abs(bp.s) <= 1e-12
+        assert sorted(branch_departures(plant, bp)) == pytest.approx(
+            [-math.pi / 3, math.pi / 3, math.pi], abs=1e-12)
+        assert fan_error(plant, bp) <= 1e-2
+
+    def test_complex_pair(self):
+        # at this delay the complex branch candidates of the plant pass the
+        # phase test; their fans are each other's conjugates
+        plant = Plant(1.0, 1.173588916172437, (-1 + 2j, -1 - 2j), (0j, -4 + 0j))
+        got = [bp for bp in branch_points(plant, RegionSpec(-2.0, 100.0)) if abs(bp.s.imag) > 1.0]
+        assert len(got) == 2
+        lower, upper = sorted(got, key=lambda bp: bp.s.imag)
+        assert sorted(branch_departures(plant, lower)) == pytest.approx(
+            sorted(-t for t in branch_departures(plant, upper)), abs=1e-12)
+        for bp in got:
+            assert fan_error(plant, bp) <= 1e-2
+
+    def test_independent_of_alpha(self, p2):
+        (bp,) = branch_points(p2, RegionSpec(-3.5, 5.0))
+        doubled = Plant(2.0, p2.delay, p2.zeros, p2.poles)
+        (bq,) = branch_points(doubled, RegionSpec(-3.5, 5.0))
+        assert branch_departures(doubled, bq) == pytest.approx(branch_departures(p2, bp), abs=1e-9)
+
+    def test_random_corpus(self):
+        rng = np.random.RandomState(43)
+        errors = []
+        for _ in range(30):
+            plant = random_plant(rng, Plant)
+            for bp in branch_points(plant, RegionSpec(-4.0, 100.0)):
+                if bp.active:
+                    errors.append(fan_error(plant, bp))
+        assert len(errors) >= 20
+        assert max(errors) <= 1e-2
 
 
 class TestBranchPoints:

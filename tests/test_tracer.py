@@ -367,3 +367,67 @@ class TestCorpusRegressions:
         assert_ends_on_locus(res, -1.264558)
         assert_ends_on_locus(res.negative, -1.264558)
         assert res.warnings == () and res.negative.warnings == ()
+
+    def test_branch_departures_leave_real_point_vertically(self):
+        # corpus seed 408 job 461: the departures out of the real branch point
+        # near -1.668 once came from a secant of the arriving trajectory
+        plant = parse_input(json.dumps({
+            "alpha": -4.905108, "delay": 1.420699,
+            "zeros": [[-1.497614, 0.829942], [-1.497614, -0.829942], [-0.781329, 0],
+                      [1.814507, 1.017389], [1.814507, -1.017389], [1.873596, 0]],
+            "poles": [[-0.715817, 0], [-0.827853, 0], [-0.781923, 0], [-1.158687, 0],
+                      [-2.912805, 0.337496], [-2.912805, -0.337496]],
+        }).encode())
+        res = run(plant, RegionSpec(-1.747593, 0.008512))
+        assert res.branch_points[1].s == pytest.approx(-1.668, abs=1e-3)
+        angles = [t.origin.angle for t in res.trajectories
+                  if isinstance(t.origin, BranchOrigin) and t.origin.index == 1]
+        assert sorted(angles) == pytest.approx([-math.pi / 2, math.pi / 2], abs=1e-9)
+
+    def test_unrefined_region_exit_not_recorded(self):
+        # corpus seed 405 job 12: the exit refinement did not converge and
+        # the interpolated exit point, off the locus, ended the trajectory
+        plant = parse_input(json.dumps({
+            "alpha": 0.594576, "delay": 1.435631,
+            "zeros": [[-1.661074, 0], [2.520345, 0], [-2.200218, 0], [1.444943, 0]],
+            "poles": [[-0.848337, 0], [0.329148, 2.4933], [0.329148, -2.4933],
+                      [-0.495952, 0]],
+        }).encode())
+        res = run(plant, RegionSpec(-0.926796, 0.222289), TraceOptions(negative_gains=True))
+        assert_ends_on_locus(res, -0.926796)
+        assert_ends_on_locus(res.negative, -0.926796)
+        assert res.warnings == () and res.negative.warnings == ()
+
+    def test_unrefined_region_exit_negative_gains(self):
+        # corpus seed 402 job 230: the same, on the negative-gain pass
+        plant = parse_input(json.dumps({
+            "alpha": -2.119636, "delay": 1.237318,
+            "zeros": [[-1.731972, 1.498028], [-1.731972, -1.498028]],
+            "poles": [[-1.484862, 2.059444], [-1.484862, -2.059444],
+                      [-1.288251, 1.398539], [-1.288251, -1.398539], [-2.965099, 0],
+                      [0.244868, 1.469025], [0.244868, -1.469025], [-2.240541, 0]],
+        }).encode())
+        res = run(plant, RegionSpec(-2.151683, 12.266624), TraceOptions(negative_gains=True))
+        assert_ends_on_locus(res, -2.151683)
+        assert_ends_on_locus(res.negative, -2.151683)
+        assert res.warnings == () and res.negative.warnings == ()
+
+    def test_branch_departure_seed_stays_in_region(self):
+        # corpus seed 405 job 90: a real branch point 1.6e-3 right of sigma0
+        # departs along the axis toward the boundary; a seed placed the usual
+        # 3.6e-3 away would start left of sigma0
+        plant = parse_input(json.dumps({
+            "alpha": -4.007204, "delay": 0.825813,
+            "zeros": [[1.266502, 0], [-1.842266, 0]],
+            "poles": [[-0.597835, 1.633674], [-0.597835, -1.633674],
+                      [-0.673553, 1.383274], [-0.673553, -1.383274],
+                      [-2.720488, 0.345289], [-2.720488, -0.345289],
+                      [-1.864961, 0], [-1.693723, 0]],
+        }).encode())
+        res = run(plant, RegionSpec(-2.640953, 8.165603))
+        assert res.branch_points[0].s.real - -2.640953 == pytest.approx(1.6e-3, abs=1e-4)
+        assert_ends_on_locus(res, -2.640953)
+        (left,) = [t for t in res.trajectories
+                   if isinstance(t.origin, BranchOrigin) and t.origin.angle == math.pi]
+        assert all(p.sigma >= -2.640953 for p in left.points)
+        assert left.termination == LeftRegion(0)
