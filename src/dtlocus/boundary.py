@@ -2,9 +2,11 @@
 
 Roots of 1 + k*G(s)e^(-hs) crossing the line are found by splitting omega >= 0
 into pieces where the boundary gain K(omega) = h*sigma0 - ln|G(sigma0+j omega)|
-and the continuous phase phi(omega) are monotone (the breakpoints are real
-roots of two explicitly assembled polynomials), then bisecting K against the
-gain cap and phi against the odd multiples of pi.
+and the continuous phase phi(omega) are monotone, then bisecting K against the
+gain cap and phi against the odd multiples of pi.  The breakpoints are the
+nonnegative real roots of K' and phi' cleared of their denominators: two
+polynomials built from one running product of the squared root distances per
+root set, with the parity that conjugate closure gives them imposed exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import (
     InputError,
     PoleOrZeroOnBoundary,
 )
-from .plant import Plant, log_eval, wrap_angle
+from .plant import Plant, dlog_ratio, log_eval
 from .poly import RealPolynomial, nonneg_real_roots
 
 TOL_BND = 1e-9
@@ -73,11 +75,23 @@ def _gamma_poly(dsig: float, om: float) -> RealPolynomial:
     return RealPolynomial((dsig * dsig + om * om, -2.0 * om, 1.0))
 
 
-def _prod(polys) -> RealPolynomial:
-    acc = RealPolynomial((1.0,))
-    for p in polys:
-        acc = acc * p
-    return acc
+def _line_products(ds, om) -> tuple[RealPolynomial, RealPolynomial]:
+    """G = prod_r g_r and H = sum_r ds_r prod_{q != r} g_q for one root set.
+
+    g_r is the squared distance from sigma0 + j w to root r (_gamma_poly) and
+    ds_r its horizontal offset, so 2H is dG/dsigma0 and G' carries the sum of
+    (w - Im r) prod_{q != r} g_q.
+    """
+    G, H = RealPolynomial((1.0,)), RealPolynomial(())
+    for d, o in zip(ds, om):
+        g = _gamma_poly(d, o)
+        G, H = G * g, H * g + d * G
+    return G, H
+
+
+def _with_parity(p: RealPolynomial, odd: bool) -> RealPolynomial:
+    """p with its coefficients of the other parity set to exactly zero."""
+    return RealPolynomial(tuple(c if i % 2 == odd else 0.0 for i, c in enumerate(p.coeffs)))
 
 
 @dataclass(frozen=True)
@@ -112,14 +126,7 @@ class BoundaryFunctions:
         return acc
 
     def Kprime(self, omega: float) -> float:
-        acc = 0.0
-        for ds, om in zip(self.dsp, self.omp):
-            d = omega - om
-            acc += d / (ds * ds + d * d)
-        for ds, om in zip(self.dsz, self.omz):
-            d = omega - om
-            acc -= d / (ds * ds + d * d)
-        return acc
+        return dlog_ratio(self.plant, complex(self.sigma0, omega)).imag
 
     def phi(self, omega: float) -> float:
         acc = self.phi0 - self.plant.delay * omega
@@ -130,14 +137,7 @@ class BoundaryFunctions:
         return acc
 
     def phiprime(self, omega: float) -> float:
-        acc = -self.plant.delay
-        for ds, om in zip(self.dsz, self.omz):
-            d = omega - om
-            acc += ds / (ds * ds + d * d)
-        for ds, om in zip(self.dsp, self.omp):
-            d = omega - om
-            acc -= ds / (ds * ds + d * d)
-        return acc
+        return dlog_ratio(self.plant, complex(self.sigma0, omega)).real
 
 
 def boundary_functions(plant: Plant, region: RegionSpec) -> BoundaryFunctions:
@@ -160,35 +160,14 @@ def boundary_functions(plant: Plant, region: RegionSpec) -> BoundaryFunctions:
     dsp = tuple(s0 - p.real for p in plant.poles)
     omp = tuple(p.imag for p in plant.poles)
 
-    gz = [_gamma_poly(ds, om) for ds, om in zip(dsz, omz)]
-    gp = [_gamma_poly(ds, om) for ds, om in zip(dsp, omp)]
-    Gz = _prod(gz)
-    Gp = _prod(gp)
-    # cofactor products: all gamma factors except the i-th
-    Gz_r = [_prod(gz[:r] + gz[r + 1 :]) for r in range(len(gz))]
-    Gp_i = [_prod(gp[:i] + gp[i + 1 :]) for i in range(len(gp))]
-
-    zero = RealPolynomial(())
-    sum_p = zero
-    for i, cof in enumerate(Gp_i):
-        sum_p = sum_p + RealPolynomial((-omp[i], 1.0)) * cof
-    sum_z = zero
-    for r, cof in enumerate(Gz_r):
-        sum_z = sum_z + RealPolynomial((-omz[r], 1.0)) * cof
-    kprime_poly = Gz * sum_p - Gp * sum_z
-    if plant.biproper and plant.n_poles:
-        # the omega^(4n-2) coefficient is sum(Im p) - sum(Im z), zero by
-        # conjugate closure; its rounding residue would be a spurious root
-        # near 1e16 that blows up _omega_cap
-        kprime_poly = RealPolynomial(kprime_poly.coeffs[: 4 * plant.n_poles - 2])
-
-    ssum_z = zero
-    for r, cof in enumerate(Gz_r):
-        ssum_z = ssum_z + dsz[r] * cof
-    ssum_p = zero
-    for i, cof in enumerate(Gp_i):
-        ssum_p = ssum_p + dsp[i] * cof
-    phiprime_poly = Gp * ssum_z - Gz * ssum_p - plant.delay * (Gz * Gp)
+    Gz, Hz = _line_products(dsz, omz)
+    Gp, Hp = _line_products(dsp, omp)
+    # conjugate closure makes K and phi' even in omega, so K' is odd.  Zeroing
+    # the other parity exactly keeps rounding residue off the root at omega = 0
+    # and drops a bi-proper plant's cancelled omega^(4n-2) coefficient, whose
+    # residue would be a spurious root near 1e16.
+    kprime_poly = _with_parity(0.5 * (Gz * Gp.derivative() - Gp * Gz.derivative()), odd=True)
+    phiprime_poly = _with_parity(Gp * Hz - Gz * Hp - plant.delay * (Gz * Gp), odd=False)
 
     phi1_0 = (
         sum(math.atan(-om / ds) for ds, om in zip(dsz, omz))

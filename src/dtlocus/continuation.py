@@ -21,7 +21,7 @@ from .errors import (
     SingularPointError,
     StepUnderflow,
 )
-from .plant import Plant, _log_kernel, wrap_angle
+from .plant import Plant, _log_kernel, dlog_ratio, wrap_angle
 
 TOL_CORR = 1e-6
 MAX_ITER = 20
@@ -115,22 +115,6 @@ def residuals(plant: Plant, p: LocusPoint) -> tuple[float, float]:
     """
     M, P, _, _ = _locus_eval(plant, p.sigma, p.omega, p.Kval)
     return M, P
-
-
-def _partials(plant: Plant, sigma: float, omega: float) -> tuple[float, float]:
-    """(dM/dsigma, dM/domega) at the running point."""
-    _, _, msig, mom = _log_kernel(plant, sigma, omega)
-    return msig, mom
-
-
-def jacobian(plant: Plant, p: LocusPoint, d) -> list[list[float]]:
-    """Rows: gradient of M, gradient of P (Cauchy-Riemann pair), direction."""
-    msig, mom = _partials(plant, p.sigma, p.omega)
-    return [
-        [msig, mom, 1.0],
-        [-mom, msig, 0.0],
-        [d[0], d[1], d[2]],
-    ]
 
 
 def predict(prev: LocusPoint, d, h: float) -> LocusPoint:
@@ -330,9 +314,9 @@ def entry_direction_crossing(
     plant: Plant, bf: BoundaryFunctions, c: BoundaryCrossing
 ) -> complex:
     """ds/dk direction (complex, unnormalized) of a boundary entry root."""
-    slope = bf.phiprime(c.omega)
-    if abs(slope) <= TOL_DIR:
+    dlog = dlog_ratio(plant, complex(bf.sigma0, c.omega))  # complex(phi', K')
+    if abs(dlog.real) <= TOL_DIR:
         raise DegenerateCrossing(
-            f"phase slope {slope:.3e} at omega={c.omega:.12g}; entry direction undefined"
+            f"phase slope {dlog.real:.3e} at omega={c.omega:.12g}; entry direction undefined"
         )
-    return -1.0 / (c.k * complex(slope, bf.Kprime(c.omega)))
+    return -1.0 / (c.k * dlog)

@@ -60,6 +60,7 @@ _MATCH_OMEGA = 1e-4
 _MATCH_K = 1e-3
 _DEDUP_TOL = 1e-8
 _DEDUP_CELL = 2e-8  # strictly above _DEDUP_TOL: close endpoints bin at most one cell apart
+_SEED_HALVINGS = 8
 
 
 @dataclass(frozen=True)
@@ -147,19 +148,20 @@ class RootLocusResult:
     negative: "RootLocusResult | None" = None
 
 
-def _polish_frozen_K(plant: Plant, sigma: float, omega: float, Kval: float, tol: float) -> LocusPoint:
-    """Drive (M, P) to zero in (sigma, omega) at fixed gain."""
-    for _ in range(12):
+def _polish_frozen_K(plant: Plant, sigma: float, omega: float, Kval: float, tol: float,
+                     iters: int) -> tuple[LocusPoint, bool]:
+    """Drive (M, P) to zero in (sigma, omega) at fixed gain; (point, converged?)."""
+    for _ in range(iters):
         try:
             M, P, msig, mom = _locus_eval(plant, sigma, omega, Kval)
             if max(abs(M), abs(P)) <= tol:
-                break
+                return LocusPoint(sigma, omega, Kval), True
             dx, dy = solve2(msig, mom, -mom, msig, -M, -P)
         except (SingularJacobian, SingularPointError, InputError):
             break
         sigma += dx
         omega += dy
-    return LocusPoint(sigma, omega, Kval)
+    return LocusPoint(sigma, omega, Kval), False
 
 
 def _seed_from_ray(plant, origin, anchor: complex, theta: float, sigma0: float,
@@ -168,9 +170,12 @@ def _seed_from_ray(plant, origin, anchor: complex, theta: float, sigma0: float,
 
     The step is 1e-3(1 + |anchor|), or half the way to the boundary line
     Re(s) = sigma0 when the ray meets it sooner, so the seed starts inside
-    the region.  lift_K is the gain component of the initial lifted
-    direction: 1 for pole departures (gain rises steeply off a pole), 0 for
-    branch departures (gain is stationary across a branch point).
+    the region.  When the frozen-gain polish of the stepped point does not
+    converge (the step overshot a nearby branch point or root), the step is
+    halved, at most _SEED_HALVINGS times.  lift_K is the gain component of
+    the initial lifted direction: 1 for pole departures (gain rises steeply
+    off a pole), 0 for branch departures (gain is stationary across a branch
+    point).
     """
     dx, dy = math.cos(theta), math.sin(theta)
     if abs(dy) <= _SPAWN_ANGLE_TOL:
@@ -178,9 +183,13 @@ def _seed_from_ray(plant, origin, anchor: complex, theta: float, sigma0: float,
     delta = 1e-3 * (1.0 + abs(anchor))
     if dx < 0.0:
         delta = min(delta, 0.5 * (anchor.real - sigma0) / -dx)
-    s1 = anchor + delta * complex(dx, dy)
-    K1 = -log_eval(plant, s1).lnmag
-    start = _polish_frozen_K(plant, s1.real, s1.imag, K1, 0.01 * tol_corr)
+    for _ in range(_SEED_HALVINGS + 1):
+        s1 = anchor + delta * complex(dx, dy)
+        K1 = -log_eval(plant, s1).lnmag
+        start, converged = _polish_frozen_K(plant, s1.real, s1.imag, K1, 0.01 * tol_corr, 12)
+        if converged:
+            break
+        delta *= 0.5
     return Seed(origin, start, unit3((dx, dy, lift_K)), start_marker)
 
 
@@ -287,17 +296,7 @@ def _refine_gain_cap(plant, below: LocusPoint, above: LocusPoint, lnkmax: float,
     t = (lnkmax - below.Kval) / (above.Kval - below.Kval)
     sig = below.sigma + t * (above.sigma - below.sigma)
     w = below.omega + t * (above.omega - below.omega)
-    for _ in range(20):
-        try:
-            M, P, msig, mom = _locus_eval(plant, sig, w, lnkmax)
-            if max(abs(M), abs(P)) <= tol:
-                break
-            dx, dy = solve2(msig, mom, -mom, msig, -M, -P)
-        except (SingularJacobian, SingularPointError, InputError):
-            break
-        sig += dx
-        w += dy
-    return LocusPoint(sig, w, lnkmax)
+    return _polish_frozen_K(plant, sig, w, lnkmax, tol, 20)[0]
 
 
 def _cap_point_ok(plant: Plant, region: RegionSpec, p: LocusPoint, tol: float) -> bool:

@@ -358,3 +358,54 @@ def reference_correct(plant, predicted, prev_dir, tol=1e-6, max_iter=20):
     except OverflowError:
         delta = math.inf
     return CorrectorOutcome(LocusPoint(x[0], x[1], x[2]), len(norms), kappa, delta, converged)
+
+
+def reference_breakpoint_polys(plant, sigma0):
+    """(kprime_poly, phiprime_poly) by the former cofactor assembly, O(n^3).
+
+    Each root set's sum over roots multiplies a per-root factor into the
+    product of every other root's squared distance to sigma0 + j w, built
+    afresh per root.  A bi-proper plant's K' is truncated to degree 4n-3.
+    """
+    from dtlocus.poly import RealPolynomial
+
+    def gamma(dsig, om):
+        return RealPolynomial((dsig * dsig + om * om, -2.0 * om, 1.0))
+
+    def prod(polys):
+        acc = RealPolynomial((1.0,))
+        for p in polys:
+            acc = acc * p
+        return acc
+
+    dsz = tuple(sigma0 - z.real for z in plant.zeros)
+    omz = tuple(z.imag for z in plant.zeros)
+    dsp = tuple(sigma0 - p.real for p in plant.poles)
+    omp = tuple(p.imag for p in plant.poles)
+
+    gz = [gamma(ds, om) for ds, om in zip(dsz, omz)]
+    gp = [gamma(ds, om) for ds, om in zip(dsp, omp)]
+    Gz = prod(gz)
+    Gp = prod(gp)
+    Gz_r = [prod(gz[:r] + gz[r + 1 :]) for r in range(len(gz))]
+    Gp_i = [prod(gp[:i] + gp[i + 1 :]) for i in range(len(gp))]
+
+    zero = RealPolynomial(())
+    sum_p = zero
+    for i, cof in enumerate(Gp_i):
+        sum_p = sum_p + RealPolynomial((-omp[i], 1.0)) * cof
+    sum_z = zero
+    for r, cof in enumerate(Gz_r):
+        sum_z = sum_z + RealPolynomial((-omz[r], 1.0)) * cof
+    kprime_poly = Gz * sum_p - Gp * sum_z
+    if plant.biproper and plant.n_poles:
+        kprime_poly = RealPolynomial(kprime_poly.coeffs[: 4 * plant.n_poles - 2])
+
+    ssum_z = zero
+    for r, cof in enumerate(Gz_r):
+        ssum_z = ssum_z + dsz[r] * cof
+    ssum_p = zero
+    for i, cof in enumerate(Gp_i):
+        ssum_p = ssum_p + dsp[i] * cof
+    phiprime_poly = Gp * ssum_z - Gz * ssum_p - plant.delay * (Gz * Gp)
+    return kprime_poly, phiprime_poly

@@ -1,5 +1,6 @@
 """Boundary-line gain/phase functions, intervals, and crossing detection."""
 
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from dtlocus.boundary import (
     boundary_functions,
     magnitude_intervals,
 )
+from dtlocus.cli import parse_input
 from dtlocus.errors import (
     BiProperGainCapViolated,
     DegenerateCrossing,
@@ -252,3 +254,152 @@ class TestBoundaryCrossings:
                 assert gw == pytest.approx(ww, abs=1e-6)
                 assert gd == wd
             done += 1
+
+
+def _roots(rng, n, lo, hi):
+    """n roots closed under conjugation, a complex pair half the time."""
+    out = []
+    while len(out) < n:
+        re = rng.uniform(lo, hi)
+        if n - len(out) >= 2 and rng.rand() < 0.5:
+            im = rng.uniform(0.3, 3.0)
+            out += [complex(re, im), complex(re, -im)]
+        else:
+            out.append(complex(re, 0.0))
+    return tuple(out)
+
+
+def _breakpoint_corpus():
+    """(plant, region) pairs: seeded random plants, bi-proper plants,
+    repeated real and complex roots, right-half-plane zeros, each on a clean
+    sigma0 and on a sigma0 10 to 40 left of every root."""
+    from oracles import clean_region, random_plant
+
+    rng = np.random.RandomState(47)
+    plants = [random_plant(rng, Plant) for _ in range(24)]
+    for _ in range(8):
+        n = rng.randint(1, 7)
+        plants.append(Plant(rng.uniform(0.2, 5.0) * rng.choice([-1, 1]), rng.uniform(0.1, 2.0),
+                            _roots(rng, n, -3.0, 3.0), _roots(rng, n, -3.0, 0.5)))
+    plants += [
+        Plant(2.0, 0.7, (1.5 + 0j, 0.5 + 2j, 0.5 - 2j),
+              (-1 + 0j, -1 + 0j, -1 + 0j, -2 + 1j, -2 - 1j, -2 + 1j, -2 - 1j)),
+        Plant(-1.2, 1.3, (0.4 + 0j, 0.4 + 0j, -0.5 + 1j, -0.5 - 1j),
+              (-0.3 + 2j, -0.3 - 2j, -0.3 + 2j, -0.3 - 2j)),
+        Plant(1.0, 1.0, (), (0j, 0j, 0j)),
+    ]
+    out = []
+    for plant in plants:
+        res = [r.real for r in plant.zeros + plant.poles]
+        sigma0, _ = clean_region(plant, rng)
+        for s0 in (sigma0, min(res) - rng.uniform(10.0, 40.0)):
+            kmax = 0.5 * math.exp(plant.delay * s0) / abs(plant.alpha) if plant.biproper else math.e
+            out.append((plant, RegionSpec(s0, kmax)))
+    return out
+
+
+BREAKPOINT_CORPUS = _breakpoint_corpus()
+
+
+class TestBreakpointPolynomials:
+    """kprime_poly and phiprime_poly from one running product per root set."""
+
+    def test_match_cofactor_reference(self):
+        from oracles import reference_breakpoint_polys
+
+        plants = {id(p): p for p, _ in BREAKPOINT_CORPUS}.values()
+        assert sum(p.biproper for p in plants) >= 8
+        assert any(len(set(p.poles)) < len(p.poles) for p in plants)
+        assert any(r.imag != 0.0 for p in plants for r in p.poles + p.zeros)
+        assert any(z.real > 0.0 for p in plants for z in p.zeros)
+        assert any(
+            region.sigma0 < min(r.real for r in p.zeros + p.poles) - 10.0
+            for p, region in BREAKPOINT_CORPUS
+        )
+        for plant, region in BREAKPOINT_CORPUS:
+            bf = boundary_functions(plant, region)
+            ref_kp, ref_pp = reference_breakpoint_polys(plant, region.sigma0)
+            for got, ref in ((bf.kprime_poly, ref_kp), (bf.phiprime_poly, ref_pp)):
+                assert got.degree == ref.degree, (plant, region)
+                scale = max((abs(c) for c in ref.coeffs), default=0.0)
+                for a, b in zip(got.coeffs, ref.coeffs):
+                    assert abs(a - b) <= 1e-12 * scale, (plant, region)
+
+    def test_parity_is_exact(self):
+        from dtlocus.poly import nonneg_real_roots
+
+        for plant, region in BREAKPOINT_CORPUS:
+            bf = boundary_functions(plant, region)
+            kp, pp = bf.kprime_poly, bf.phiprime_poly
+            assert all(c == 0.0 for c in kp.coeffs[0::2])
+            assert all(c == 0.0 for c in pp.coeffs[1::2])
+            if kp.degree >= 1:
+                m = next(i for i, c in enumerate(kp.coeffs) if c != 0.0)
+                assert nonneg_real_roots(kp)[0] == (0.0, m)
+
+
+# Benchmark jobs (corpus seed 101 jobs 195, 393, 471, 500, 594, 606, 729 and
+# 835, highorder seed 101 job 55) on which K' built without exact parity kept
+# a ~1e-13 constant term: its root moved just past omega = 0, the first
+# magnitude interval started there, and the real-axis crossing was lost.
+OMEGA0_JOBS = [
+    ({"alpha": 0.900038, "delay": 0.855094, "zeros": [[1.309373, 2.205538], [1.309373, -2.205538]],
+      "poles": [[-0.91296, 0.0], [-2.332976, 0.482232], [-2.332976, -0.482232], [0.244179, 0.640328],
+                [0.244179, -0.640328], [-1.940797, 0.0]]}, -0.103698, 5.047174),
+    ({"alpha": 2.017591, "delay": 1.510297,
+      "zeros": [[0.018543, 0.356569], [0.018543, -0.356569], [2.766262, 0.0]],
+      "poles": [[-0.094013, 1.518642], [-0.094013, -1.518642], [-0.701472, 1.06803],
+                [-0.701472, -1.06803]]}, -1.151736, 3.804224),
+    ({"alpha": 3.192995, "delay": 1.532328, "zeros": [],
+      "poles": [[-0.332031, 2.530532], [-0.332031, -2.530532], [-2.83716, 0.0], [-0.612817, 0.0],
+                [-0.271179, 0.441061], [-0.271179, -0.441061]]}, 0.015774, 1.197022),
+    ({"alpha": 3.860875, "delay": 1.128714, "zeros": [[2.893101, 0.0]],
+      "poles": [[0.384522, 0.0], [-1.423881, 2.027836], [-1.423881, -2.027836], [-1.118886, 2.414967],
+                [-1.118886, -2.414967]]}, -1.979571, 1.91823),
+    ({"alpha": 3.707475, "delay": 1.576862,
+      "zeros": [[1.558316, 0.78494], [1.558316, -0.78494], [0.977308, 0.0]],
+      "poles": [[-2.794691, 0.0], [-2.866323, 1.239639], [-2.866323, -1.239639],
+                [-0.037187, 1.782819], [-0.037187, -1.782819], [-2.681216, 0.0]]}, -0.832071, 17.855103),
+    ({"alpha": -0.649301, "delay": 1.169866, "zeros": [[1.065903, 0.333183], [1.065903, -0.333183]],
+      "poles": [[0.164184, 0.0], [-1.377644, 0.787202], [-1.377644, -0.787202], [-1.612763, 2.273425],
+                [-1.612763, -2.273425], [-0.322831, 0.0], [-0.025594, 0.0], [0.125898, 0.0]]},
+     -1.158127, 1.428993),
+    ({"alpha": 0.326507, "delay": 0.851789,
+      "zeros": [[-1.934271, 1.895689], [-1.934271, -1.895689], [0.983357, 0.0]],
+      "poles": [[-1.962674, 0.0], [-1.695376, 0.460709], [-1.695376, -0.460709], [-0.09278, 1.282453],
+                [-0.09278, -1.282453]]}, -0.884319, 0.447894),
+    ({"alpha": -4.183842, "delay": 1.667198,
+      "zeros": [[-2.870059, 0.0], [-0.860109, 1.864766], [-0.860109, -1.864766]],
+      "poles": [[-2.921366, 0.983221], [-2.921366, -0.983221], [-2.522934, 2.774887],
+                [-2.522934, -2.774887]]}, -1.24599, 2.25211),
+    ({"num": [-4318.613704470754, -7671.686286934535, -5213.589874246051, -3882.0531671423137,
+              -1776.0435020077118, -295.73484215045875, 3.8737466221020043, 67.77169706372527,
+              13.28233273351, 3.690034],
+      "den": [12761.766037901933, 303791.6145910128, 1273388.703311129, 2163174.2339946474,
+              2147122.824006303, 1492648.1482926882, 797015.6492485089, 339854.9960716694,
+              117843.23693928834, 33496.68735804825, 7748.743584534392, 1424.061279398742,
+              199.35898595216096, 19.368357, 1.0],
+      "delay": 0.872025}, -2.580224, 0.88083),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, sigma0, kmax", OMEGA0_JOBS,
+    ids=[f"corpus101-{j}" for j in (195, 393, 471, 500, 594, 606, 729, 835)] + ["highorder101-55"],
+)
+def test_real_axis_crossing_kept(doc, sigma0, kmax):
+    plant = parse_input(json.dumps(doc).encode())
+    region = RegionSpec(sigma0, kmax)
+    at_zero = 0
+    for signed in (plant, plant.flipped_gain()):
+        cs = boundary_crossings(boundary_functions(signed, region), region)
+        want = grid_crossings(signed, sigma0, kmax, step=1e-3)
+        got = sorted(
+            [(c.omega, "in") for c in cs.inward] + [(c.omega, "out") for c in cs.outward]
+        )
+        assert len(got) == len(want)
+        for (gw, gd), (ww, _, wd) in zip(got, want):
+            assert gw == pytest.approx(ww, abs=1e-6)
+            assert gd == wd
+        at_zero += sum(ww == 0.0 for ww, _, _ in want)
+    assert at_zero == 1

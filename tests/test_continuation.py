@@ -10,11 +10,11 @@ from dtlocus.continuation import (
     CorrectorOutcome,
     LocusPoint,
     StepController,
+    _locus_eval,
     correct,
     departure_angles,
     departure_direction_pole,
     entry_direction_crossing,
-    jacobian,
     predict,
     residuals,
     solve2,
@@ -23,7 +23,7 @@ from dtlocus.continuation import (
     unit3,
 )
 from dtlocus.errors import InputError, SingularJacobian, StepUnderflow
-from dtlocus.plant import Plant
+from dtlocus.plant import Plant, dlog_ratio
 
 from oracles import fd
 
@@ -60,16 +60,15 @@ class TestResiduals:
 
 
 class TestJacobian:
+    """The corrector's Jacobian rows are (dM/dsigma, dM/domega, 1) and
+    (-dM/domega, dM/dsigma, 0), built from _locus_eval's gradient."""
+
     def test_p1_branch_point_structure(self, p1):
-        J = jacobian(p1, LocusPoint(-1.0, 0.0, -1.0), (0.0, 1.0, 0.0))
-        # at the branch point the 2x2 (M,P)x(sigma,omega) block vanishes
-        assert J[0][0] == pytest.approx(0.0, abs=1e-12)
-        assert J[0][1] == pytest.approx(0.0, abs=1e-12)
-        assert J[0][2] == 1.0
-        assert J[1][0] == pytest.approx(0.0, abs=1e-12)
-        assert J[1][1] == pytest.approx(0.0, abs=1e-12)
-        assert J[1][2] == 0.0
-        assert J[2] == [0.0, 1.0, 0.0]
+        _, _, msig, mom = _locus_eval(p1, -1.0, 0.0, -1.0)
+        # at the branch point the 2x2 (M,P)x(sigma,omega) block, rows
+        # (msig, mom) and (-mom, msig), vanishes
+        assert msig == pytest.approx(0.0, abs=1e-12)
+        assert mom == pytest.approx(0.0, abs=1e-12)
 
     def test_cauchy_riemann_exact(self, p2):
         rng = np.random.RandomState(7)
@@ -77,9 +76,9 @@ class TestJacobian:
             pt = LocusPoint(rng.uniform(-4, 6), rng.uniform(-8, 8), rng.uniform(-3, 3))
             if min(abs(pt.s - r) for r in p2.zeros + p2.poles) < 1e-3:
                 continue
-            J = jacobian(p2, pt, (1.0, 0.0, 0.0))
-            assert J[1][0] == -J[0][1]  # exact: shared subexpressions
-            assert J[1][1] == J[0][0]
+            _, _, msig, mom = _locus_eval(p2, pt.sigma, pt.omega, pt.Kval)
+            # exact: both rows are parts of the one complex log-derivative
+            assert dlog_ratio(p2, pt.s) == complex(msig, -mom)
 
     def test_partials_match_fd(self, p2):
         rng = np.random.RandomState(19)
@@ -88,7 +87,7 @@ class TestJacobian:
             pt = LocusPoint(rng.uniform(-4, 6), rng.uniform(-8, 8), rng.uniform(-3, 3))
             if min(abs(pt.s - r) for r in p2.zeros + p2.poles) < 1e-2:
                 continue
-            J = jacobian(p2, pt, (1.0, 0.0, 0.0))
+            _, _, msig, mom = _locus_eval(p2, pt.sigma, pt.omega, pt.Kval)
 
             def M_at(sig, om):
                 return residuals(p2, LocusPoint(sig, om, pt.Kval))[0]
@@ -96,10 +95,10 @@ class TestJacobian:
             def P_at(sig, om):
                 return residuals(p2, LocusPoint(sig, om, pt.Kval))[1]
 
-            assert J[0][0] == pytest.approx(fd(lambda x: M_at(x, pt.omega), pt.sigma), rel=1e-5, abs=1e-7)
-            assert J[0][1] == pytest.approx(fd(lambda y: M_at(pt.sigma, y), pt.omega), rel=1e-5, abs=1e-7)
-            assert J[1][0] == pytest.approx(fd(lambda x: P_at(x, pt.omega), pt.sigma), rel=1e-5, abs=1e-7)
-            assert J[1][1] == pytest.approx(fd(lambda y: P_at(pt.sigma, y), pt.omega), rel=1e-5, abs=1e-7)
+            assert msig == pytest.approx(fd(lambda x: M_at(x, pt.omega), pt.sigma), rel=1e-5, abs=1e-7)
+            assert mom == pytest.approx(fd(lambda y: M_at(pt.sigma, y), pt.omega), rel=1e-5, abs=1e-7)
+            assert -mom == pytest.approx(fd(lambda x: P_at(x, pt.omega), pt.sigma), rel=1e-5, abs=1e-7)
+            assert msig == pytest.approx(fd(lambda y: P_at(pt.sigma, y), pt.omega), rel=1e-5, abs=1e-7)
             checked += 1
 
     def test_dM_dK_is_one(self, p2):

@@ -15,9 +15,7 @@ from dtlocus.continuation import (
     LocusPoint,
     StepController,
     _locus_eval,
-    _partials,
     correct,
-    jacobian,
     residuals,
     solve3,
     unit3,
@@ -104,14 +102,11 @@ def test_kernel_equals_former_loops():
             lv = log_eval(plant, s)
             assert (lv.lnmag, lv.phase) == ref
             assert dlog_ratio(plant, s) == complex(got[2], -got[3])
-            assert _partials(plant, s.real, s.imag) == got[2:]
             K = rng.uniform(-3.0, 3.0)
             M, P = residuals(plant, LocusPoint(s.real, s.imag, K))
             assert (M, P) == (ref[0] + K, wrap_angle(ref[1] - math.pi))
-            d = unit3((rng.randn(), rng.randn(), rng.randn()))
-            msig, mom = got[2:]
-            assert jacobian(plant, LocusPoint(s.real, s.imag, K), d) == [
-                [msig, mom, 1.0], [-mom, msig, 0.0], [d[0], d[1], d[2]]]
+            assert _locus_eval(plant, s.real, s.imag, K) == (M, P) + got[2:]
+            rng.randn(3)  # the former direction draw, so later points stay the same
             big_m += abs(M) > 50.0
             checked += 1
     assert checked >= 1000

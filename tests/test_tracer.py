@@ -266,17 +266,36 @@ class TestNegativeGains:
         assert complex(end.sigma, end.omega) == pytest.approx(complex(w1), abs=1e-4)
 
 
+# Corpus seed 408 job 461 (its negative-gain pass) and seed 405 job 183: the
+# usual pole seed step overshoots a nearby branch point or pole and its
+# frozen-gain polish does not converge (residuals 1.5 and 0.012), so the step
+# must shrink until it does.
+JOB_461_FLIPPED = Plant(
+    4.905108, 1.420699,
+    (-1.497614 + 0.829942j, -1.497614 - 0.829942j, -0.781329 + 0j, 1.814507 + 1.017389j,
+     1.814507 - 1.017389j, 1.873596 + 0j),
+    (-0.715817 + 0j, -0.827853 + 0j, -0.781923 + 0j, -1.158687 + 0j, -2.912805 + 0.337496j,
+     -2.912805 - 0.337496j),
+)
+JOB_183 = Plant(
+    3.106323, 0.729426, (-2.505918 + 2.237048j, -2.505918 - 2.237048j),
+    (-1.117539 + 0j, -0.268133 + 0.968595j, -0.268133 - 0.968595j, -2.71468 + 0j, -1.115777 + 0j),
+)
+
+
 class TestSeedsAndStability:
     def test_pole_seeds_land_on_locus(self, p2):
-        region = RegionSpec(-3.5, 5.0)
-        seeds = seed_points(p2, region)
-        pole_seeds = [s for s in seeds if isinstance(s.origin, PoleOrigin)]
-        assert len(pole_seeds) == 3
-        for s in pole_seeds:
-            M, P = residuals(p2, s.start)
-            assert max(abs(M), abs(P)) <= 1e-8
-            assert math.hypot(*s.direction) <= 1.0 + 1e-12
-            assert abs(sum(x * x for x in s.direction) - 1.0) <= 1e-12
+        cases = [(p2, RegionSpec(-3.5, 5.0), 3), (JOB_461_FLIPPED, RegionSpec(-1.747593, 0.008512), 4),
+                 (JOB_183, RegionSpec(-2.402994, 6.621255), 3)]
+        for plant, region, n_seeds in cases:
+            seeds = seed_points(plant, region)
+            pole_seeds = [s for s in seeds if isinstance(s.origin, PoleOrigin)]
+            assert len(pole_seeds) == n_seeds
+            for s in pole_seeds:
+                M, P = residuals(plant, s.start)
+                assert max(abs(M), abs(P)) <= 1e-8
+                assert math.hypot(*s.direction) <= 1.0 + 1e-12
+                assert abs(sum(x * x for x in s.direction) - 1.0) <= 1e-12
 
     def test_crossing_seeds_sit_on_crossings(self, p2):
         region = RegionSpec(-3.5, 5.0)
