@@ -2,11 +2,13 @@
 
 Roots of 1 + k*G(s)e^(-hs) crossing the line are found by splitting omega >= 0
 into pieces where the boundary gain K(omega) = h*sigma0 - ln|G(sigma0+j omega)|
-and the continuous phase phi(omega) are monotone, then bisecting K against the
-gain cap and phi against the odd multiples of pi.  The breakpoints are the
+and the continuous phase phi(omega) are monotone, then solving K against the
+gain cap and phi against the odd multiples of pi by safeguarded Newton, with
+value and slope from one pass over the roots.  The breakpoints are the
 nonnegative real roots of K' and phi' cleared of their denominators: two
 polynomials built from one running product of the squared root distances per
 root set, with the parity that conjugate closure gives them imposed exactly.
+That parity lets them be rooted in omega^2, at half the degree.
 """
 
 from __future__ import annotations
@@ -100,8 +102,11 @@ class BoundaryFunctions:
 
     dsz/dsp hold the signed horizontal offsets sigma0 - Re(root); omz/omp the
     root imaginary parts.  phi is the continuous phase extension, equal to the
-    principal phase of G(sigma0)e^(-h sigma0) at omega = 0 and built from
-    single-argument arctangents (safe: no root sits on the line).
+    principal phase of G(sigma0)e^(-h sigma0) at omega = 0 (an exact multiple
+    of pi there) and built from single-argument arctangents (safe: no root
+    sits on the line).  K and phi are projections of K_slope and phi_slope,
+    which return the value and its omega-derivative from one pass; Kprime and
+    phiprime take the derivative from the plant's log kernel instead.
     """
 
     plant: Plant
@@ -115,26 +120,51 @@ class BoundaryFunctions:
     phiprime_poly: RealPolynomial = field(repr=False)
 
     def K(self, omega: float) -> float:
+        return self.K_slope(omega)[0]
+
+    def K_slope(self, omega: float) -> tuple[float, float]:
+        """K and K' at omega in one pass over the roots."""
         h = self.plant.delay
         acc = h * self.sigma0 - math.log(abs(self.plant.alpha))
+        slope = 0.0
         for ds, om in zip(self.dsp, self.omp):
             d = omega - om
-            acc += 0.5 * math.log(ds * ds + d * d)
+            g = ds * ds + d * d
+            acc += 0.5 * math.log(g)
+            slope += d / g
         for ds, om in zip(self.dsz, self.omz):
             d = omega - om
-            acc -= 0.5 * math.log(ds * ds + d * d)
-        return acc
+            g = ds * ds + d * d
+            acc -= 0.5 * math.log(g)
+            slope -= d / g
+        return acc, slope
 
     def Kprime(self, omega: float) -> float:
         return dlog_ratio(self.plant, complex(self.sigma0, omega)).imag
 
     def phi(self, omega: float) -> float:
+        return self.phi_slope(omega)[0]
+
+    def phi_slope(self, omega: float) -> tuple[float, float]:
+        """phi and phi' at omega in one pass over the roots.
+
+        At omega = 0 the phase is rounded to the multiple of pi it equals:
+        conjugate closure makes G(sigma0)e^(-h sigma0) real, and the summed
+        arctangents would land a few ulp off a phase line that lies there.
+        """
         acc = self.phi0 - self.plant.delay * omega
+        slope = -self.plant.delay
         for ds, om in zip(self.dsz, self.omz):
-            acc += math.atan((omega - om) / ds)
+            x = omega - om
+            acc += math.atan(x / ds)
+            slope += ds / (ds * ds + x * x)
         for ds, om in zip(self.dsp, self.omp):
-            acc -= math.atan((omega - om) / ds)
-        return acc
+            x = omega - om
+            acc -= math.atan(x / ds)
+            slope -= ds / (ds * ds + x * x)
+        if omega == 0.0:
+            acc = math.pi * round(acc / math.pi)
+        return acc, slope
 
     def phiprime(self, omega: float) -> float:
         return dlog_ratio(self.plant, complex(self.sigma0, omega)).real
@@ -188,25 +218,63 @@ def boundary_functions(plant: Plant, region: RegionSpec) -> BoundaryFunctions:
     )
 
 
-def _bisect(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
-    """Root of monotone f on [a, b] with f(a), f(b) already known."""
+def _breakpoints(p: RealPolynomial, odd: bool) -> list[float]:
+    """The nonnegative real roots of a polynomial of exact parity, ascending.
+
+    An even p is q(omega^2) and an odd one omega*q(omega^2), where q holds
+    every other coefficient of p.  So the roots are sqrt(u) for the
+    nonnegative real roots u of q, plus omega = 0 when p is odd: half the
+    degree for the eigenproblem, a quarter of the work for the polish.
+    """
+    roots = [math.sqrt(u) for u, _ in nonneg_real_roots(RealPolynomial(p.coeffs[odd::2]))]
+    if odd and p.coeffs and not (roots and roots[0] == 0.0):
+        roots.insert(0, 0.0)
+    return roots
+
+
+def _solve_monotone(f, target, a, b, va, vb, lo, start, tol):
+    """The omega in [a, b] where the monotone f(omega)[0] meets target.
+
+    f returns (value, slope); va and vb are the values at a and b.  The
+    search runs on [lo, b], where lo >= a lies at or before the root, by
+    Newton from the tangent of start = (omega, value, slope).  A step that
+    leaves the bracket, or does not halve the step before it, bisects
+    instead.  Returns the root and the last evaluation, which starts the next
+    solve on the same piece.
+    """
+    fa, fb = va - target, vb - target
     if fa == 0.0:
-        return a
+        return a, start
     if fb == 0.0:
-        return b
+        return b, start
     if (fa < 0.0) == (fb < 0.0):
         # rounding pushed an endpoint graze off the bracket; nearest end wins
-        return a if abs(fa) <= abs(fb) else b
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fa < 0.0) == (fm < 0.0):
-            a, fa = m, fm
+        return (a if abs(fa) <= abs(fb) else b), start
+    up = fa < 0.0
+    hi = b
+    w, v, d = start
+    x = w + (target - v) / d if d != 0.0 else lo
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    step_old = hi - lo
+    while True:
+        v, d = f(x)
+        g = v - target
+        if g == 0.0:
+            return x, (x, v, d)
+        if (g < 0.0) == up:
+            lo = x
         else:
-            b, fb = m, fm
-    return 0.5 * (a + b)
+            hi = x
+        step = g / d if d != 0.0 else math.inf
+        if abs(step) <= 0.5 * abs(step_old) and lo < x - step < hi:
+            if abs(step) <= tol:
+                return x - step, (x, v, d)
+        elif hi - lo <= tol:
+            return 0.5 * (lo + hi), (x, v, d)
+        else:
+            step = x - 0.5 * (lo + hi)
+        x, step_old = x - step, step
 
 
 def _omega_cap(bf: BoundaryFunctions, region: RegionSpec, kp_roots) -> float:
@@ -217,7 +285,7 @@ def _omega_cap(bf: BoundaryFunctions, region: RegionSpec, kp_roots) -> float:
     doubling from beyond the last breakpoint terminates either way.
     """
     plant = bf.plant
-    mags = [abs(x) for x in plant.zeros + plant.poles] + [r for r, _ in kp_roots] + [1.0]
+    mags = [abs(x) for x in plant.zeros + plant.poles] + kp_roots + [1.0]
     cap = 1.0 + 2.0 * max(mags)
     if plant.biproper:
         k_inf = plant.delay * bf.sigma0 - math.log(abs(plant.alpha))
@@ -234,26 +302,27 @@ def _omega_cap(bf: BoundaryFunctions, region: RegionSpec, kp_roots) -> float:
 def magnitude_intervals(bf: BoundaryFunctions, region: RegionSpec) -> list[tuple[float, float]]:
     """The omega >= 0 set where the boundary gain stays within the cap.
 
-    Returned as disjoint closed intervals, ascending.
+    Returned as disjoint closed intervals, ascending.  Between consecutive
+    roots of K', K is monotone and meets the cap at most once.
     """
     L = region.lnkmax
-    kp_roots = nonneg_real_roots(bf.kprime_poly)
+    kp_roots = _breakpoints(bf.kprime_poly, odd=True)
     cap = _omega_cap(bf, region, kp_roots)
-    cuts = [0.0] + [r for r, _ in kp_roots if 0.0 < r < cap] + [cap]
+    cuts = [0.0] + [r for r in kp_roots if 0.0 < r < cap] + [cap]
 
     tol = TOL_BISECT * (1.0 + cap)
     kept: list[tuple[float, float]] = []
     for a, b in zip(cuts, cuts[1:]):
         if b - a <= tol:
             continue
-        Ka, Kb = bf.K(a) - L, bf.K(b) - L
-        if Ka <= 0.0 and Kb <= 0.0:
+        (Ka, da), (Kb, _) = bf.K_slope(a), bf.K_slope(b)
+        if Ka <= L and Kb <= L:
             kept.append((a, b))
-        elif Ka > 0.0 and Kb > 0.0:
+        elif Ka > L and Kb > L:
             continue
         else:
-            m = _bisect(lambda w: bf.K(w) - L, a, b, Ka, Kb, tol)
-            kept.append((a, m) if Ka <= 0.0 else (m, b))
+            m, _ = _solve_monotone(bf.K_slope, L, a, b, Ka, Kb, a, (a, Ka, da), tol)
+            kept.append((a, m) if Ka <= L else (m, b))
 
     merged: list[list[float]] = []
     for a, b in kept:
@@ -268,29 +337,31 @@ def boundary_crossings(bf: BoundaryFunctions, region: RegionSpec) -> CrossingSet
     """All locus roots on the boundary line with gain within the cap.
 
     Within each interval of admissible gain, the continuous phase is split
-    into monotone pieces; each piece meets a given odd-multiple-of-pi phase
-    line at most once, so the line count comes from the endpoint phases and
-    each hit is a bisection.
+    into monotone pieces at the roots of phi'.  Each piece meets a given
+    odd-multiple-of-pi phase line at most once, so the line count comes from
+    the endpoint phases.  The hits are solved in order along the piece, each
+    by safeguarded Newton on phi from the tangent at the previous one.
     """
     intervals = magnitude_intervals(bf, region)
-    pp_roots = [r for r, _ in nonneg_real_roots(bf.phiprime_poly)]
+    pp_roots = _breakpoints(bf.phiprime_poly, odd=False)
 
     hits: list[float] = []
     for lo, hi in intervals:
         tol = TOL_BISECT * (1.0 + hi)
         cuts = [lo] + [r for r in pp_roots if lo < r < hi] + [hi]
-        for a, b in zip(cuts, cuts[1:]):
+        ends = [bf.phi_slope(w) for w in cuts]
+        for a, b, (pa, da), (pb, _) in zip(cuts, cuts[1:], ends, ends[1:]):
             if b - a <= 0.0:
                 continue
-            pa, pb = bf.phi(a), bf.phi(b)
             pmin, pmax = (pa, pb) if pa <= pb else (pb, pa)
-            l_hi = math.floor(pmax / _TWO_PI - 0.5)
-            l_lo = math.ceil(pmin / _TWO_PI - 0.5)
-            for l in range(l_lo, l_hi + 1):
+            lines = range(
+                math.ceil(pmin / _TWO_PI - 0.5), math.floor(pmax / _TWO_PI - 0.5) + 1
+            )
+            last, left = (a, pa, da), a
+            for l in (lines if pa <= pb else reversed(lines)):
                 target = (2.0 * l + 1.0) * math.pi
-                hits.append(
-                    _bisect(lambda w: bf.phi(w) - target, a, b, pa - target, pb - target, tol)
-                )
+                left, last = _solve_monotone(bf.phi_slope, target, a, b, pa, pb, left, last, tol)
+                hits.append(left)
 
     hits.sort()
     inward: list[BoundaryCrossing] = []

@@ -95,6 +95,11 @@ def grid_crossings(plant, sigma0, kmax, step=1e-3, pad=0.0):
     grid = np.arange(0.0, wcap + step, step)
     raw = np.array([cmath.phase(geval(plant, sigma0 + 1j * w)) for w in grid])
     ph = np.unwrap(raw) - h * grid
+    # conjugate closure makes G(sigma0) real: the phase at omega = 0 is exactly
+    # 0 or pi by its sign, wherever rounding put cmath.phase
+    on_line = geval(plant, sigma0).real < 0.0
+    ph += (math.pi if on_line else 0.0) - ph[0]
+    ph[0] = math.pi if on_line else 0.0
 
     found = []
     two_pi = 2.0 * math.pi
@@ -129,7 +134,7 @@ def grid_crossings(plant, sigma0, kmax, step=1e-3, pad=0.0):
                 found.append((w, math.exp(K(w)), "in" if slope < 0 else "out"))
 
     # exact hit at omega=0 (phase already on an odd line there)
-    if abs(_wrap(ph[0] - math.pi)) < 1e-12 and K(0.0) <= lnkmax + pad:
+    if on_line and K(0.0) <= lnkmax + pad:
         d = 1e-7
         slope = (_phase_cont(plant, sigma0, d, ph[0]) - ph[0]) / d
         found.append((0.0, math.exp(K(0.0)), "in" if slope < 0 else "out"))
@@ -409,3 +414,100 @@ def reference_breakpoint_polys(plant, sigma0):
         ssum_p = ssum_p + dsp[i] * cof
     phiprime_poly = Gp * ssum_z - Gz * ssum_p - plant.delay * (Gz * Gp)
     return kprime_poly, phiprime_poly
+
+
+# The former boundary search: breakpoints as the nonnegative real roots of the
+# full-degree K' and phi' polynomials, and every gain-cap and phase-line hit by
+# bisection.  Its loops are kept as they were; only the result differs, a
+# list of (omega, direction, interval end) with no DegenerateCrossing check.
+# The library roots those polynomials in omega^2 and solves each line by
+# safeguarded Newton; the tests compare the two on the same BoundaryFunctions.
+
+
+def reference_bisect(f, a, b, fa, fb, tol):
+    """Root of monotone f on [a, b] with f(a), f(b) already known."""
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa < 0.0) == (fb < 0.0):
+        # rounding pushed an endpoint graze off the bracket; nearest end wins
+        return a if abs(fa) <= abs(fb) else b
+    while b - a > tol:
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if (fa < 0.0) == (fm < 0.0):
+            a, fa = m, fm
+        else:
+            b, fb = m, fm
+    return 0.5 * (a + b)
+
+
+def reference_magnitude_intervals(bf, region):
+    """The omega >= 0 set where the boundary gain stays within the cap."""
+    from dtlocus.boundary import TOL_BISECT, _omega_cap
+    from dtlocus.poly import nonneg_real_roots
+
+    L = region.lnkmax
+    kp_roots = nonneg_real_roots(bf.kprime_poly)
+    cap = _omega_cap(bf, region, [r for r, _ in kp_roots])
+    cuts = [0.0] + [r for r, _ in kp_roots if 0.0 < r < cap] + [cap]
+
+    tol = TOL_BISECT * (1.0 + cap)
+    kept = []
+    for a, b in zip(cuts, cuts[1:]):
+        if b - a <= tol:
+            continue
+        Ka, Kb = bf.K(a) - L, bf.K(b) - L
+        if Ka <= 0.0 and Kb <= 0.0:
+            kept.append((a, b))
+        elif Ka > 0.0 and Kb > 0.0:
+            continue
+        else:
+            m = reference_bisect(lambda w: bf.K(w) - L, a, b, Ka, Kb, tol)
+            kept.append((a, m) if Ka <= 0.0 else (m, b))
+
+    merged = []
+    for a, b in kept:
+        if merged and a - merged[-1][1] <= tol:
+            merged[-1][1] = b
+        else:
+            merged.append([a, b])
+    return [(a, b) for a, b in merged]
+
+
+def reference_crossing_omegas(bf, region):
+    """Sorted (omega, 'in'|'out', interval end) of every boundary crossing."""
+    from dtlocus.boundary import TOL_BISECT
+    from dtlocus.poly import nonneg_real_roots
+
+    intervals = reference_magnitude_intervals(bf, region)
+    pp_roots = [r for r, _ in nonneg_real_roots(bf.phiprime_poly)]
+
+    hits = []
+    for lo, hi in intervals:
+        tol = TOL_BISECT * (1.0 + hi)
+        cuts = [lo] + [r for r in pp_roots if lo < r < hi] + [hi]
+        for a, b in zip(cuts, cuts[1:]):
+            if b - a <= 0.0:
+                continue
+            pa, pb = bf.phi(a), bf.phi(b)
+            pmin, pmax = (pa, pb) if pa <= pb else (pb, pa)
+            l_hi = math.floor(pmax / (2.0 * math.pi) - 0.5)
+            l_lo = math.ceil(pmin / (2.0 * math.pi) - 0.5)
+            for l in range(l_lo, l_hi + 1):
+                target = (2.0 * l + 1.0) * math.pi
+                w = reference_bisect(lambda w: bf.phi(w) - target, a, b, pa - target, pb - target, tol)
+                hits.append((w, hi))
+
+    hits.sort()
+    out = []
+    prev = None
+    for w, hi in hits:
+        if prev is not None and w - prev <= 2.0 * TOL_BISECT * (1.0 + w):
+            continue
+        prev = w
+        out.append((w, "in" if bf.phiprime(w) < 0.0 else "out", hi))
+    return out

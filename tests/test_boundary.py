@@ -7,9 +7,14 @@ import numpy as np
 import pytest
 
 from dtlocus.boundary import (
+    TOL_BISECT,
     BoundaryCrossing,
+    BoundaryFunctions,
     Direction,
     RegionSpec,
+    _breakpoints,
+    _omega_cap,
+    _solve_monotone,
     boundary_crossings,
     boundary_functions,
     magnitude_intervals,
@@ -23,7 +28,7 @@ from dtlocus.errors import (
 )
 from dtlocus.plant import Plant, log_eval, wrap_angle
 
-from oracles import fd, grid_crossings
+from oracles import fd, geval, grid_crossings
 
 
 @pytest.fixture
@@ -113,6 +118,8 @@ class TestBoundaryFunctions:
         for w in rng.uniform(0.1, 15.0, size=50):
             assert bf.Kprime(w) == pytest.approx(fd(bf.K, w), rel=1e-5, abs=1e-8)
             assert bf.phiprime(w) == pytest.approx(fd(bf.phi, w), rel=1e-5, abs=1e-8)
+            assert bf.K_slope(w) == (bf.K(w), pytest.approx(bf.Kprime(w), rel=1e-12, abs=1e-14))
+            assert bf.phi_slope(w) == (bf.phi(w), pytest.approx(bf.phiprime(w), rel=1e-12, abs=1e-14))
 
     def test_critical_polys_match_functions(self, bf2):
         plant, bf = bf2
@@ -383,9 +390,54 @@ OMEGA0_JOBS = [
 ]
 
 
+# Benchmark jobs (corpus seed 101 jobs 34, 72, 187 and 399, highorder
+# seed 101 jobs 46 and 81) whose phase at omega = 0, summed from arctangents,
+# landed a few ulp off the line at +-pi it lies on.  The piece starting there
+# counted its phase lines from that value, missed the line at omega = 0, and
+# the real-axis crossing was lost.
+EXACT_PHASE_JOBS = [
+    ({"alpha": 4.358233, "delay": 0.648244, "zeros": [],
+      "poles": [[-2.215902, 2.412985], [-2.215902, -2.412985], [-2.794387, 0.0], [-2.221246, 1.041712],
+                [-2.221246, -1.041712], [-1.264597, 0.0], [-2.111082, 0.0]]}, -0.96487, 11.868524),
+    ({"alpha": -1.135096, "delay": 0.661094, "zeros": [[-2.153698, 0.0]],
+      "poles": [[-1.540026, 2.036364], [-1.540026, -2.036364], [-0.135139, 0.0], [-2.932592, 0.318743],
+                [-2.932592, -0.318743], [-2.001784, 0.890017], [-2.001784, -0.890017]]},
+     -3.651957, 13.064517),
+    ({"alpha": 4.759249, "delay": 0.88207, "zeros": [[2.962182, 0.0]],
+      "poles": [[-1.1883, 2.50865], [-1.1883, -2.50865]]}, -0.36381, 4.212023),
+    ({"alpha": 3.274744, "delay": 0.671386, "zeros": [[1.12472, 0.920368], [1.12472, -0.920368]],
+      "poles": [[-0.609346, 0.0], [-0.709328, 1.289194], [-0.709328, -1.289194]]}, 0.916388, 18.332259),
+    ({"num": [9437638.986226495, 10797872.272945246, -21632964.282100398, -55503267.64030126,
+              -58175093.31173242, -38213568.48402196, -17003765.074096404, -5013396.255868058,
+              -713684.8672212368, 208677.2980305032, 202587.63344783644, 88772.70917781432,
+              28183.59200996745, 7289.317413587608, 1563.8437520677608, 265.66614368969647,
+              30.62886482843101, 1.978371],
+      "den": [1.0313156260217908, -140.2428398765852, -3381.558535056618, -23288.389573437897,
+              -79976.39779169325, -211276.55467636613, -517952.6972704068, -830791.3628054385,
+              -500711.93279940274, 533760.3949789285, 1652954.0369307734, 2270121.915366749,
+              2157553.135424471, 1571086.0008359624, 916932.1274570263, 433330.0424882313,
+              165968.85047995072, 51201.44391608266, 12397.747293958519, 2263.0453897987995,
+              293.26761963801295, 24.280775999999996, 1.0],
+      "delay": 0.952513}, -0.753241, 10.549213),
+    ({"num": [19410581.720973533, 170008045.67286667, -241582665.81412512, -259240833.32202524,
+              -117988423.0068478, -9544688.46719176, -68255394.12797609, 20704589.755746424,
+              -16738516.093714276, 5394289.2163495, -2087470.6127822548, 434438.16575213365,
+              -36286.12213633517, -14724.41415303725, 8050.960498738193, -725.3659158257116,
+              -155.86282006681483, 147.10192793142818, -25.75544391143101, 3.667583],
+      "den": [26703514.32276182, 138059680.6870251, 96555068.78974184, -357166658.6695313,
+              -857729317.5437887, -808514234.4145935, -194957955.3453634, 475046015.7431511,
+              794111110.8437016, 741427560.2819027, 513121940.9142585, 285959631.01129377,
+              132991628.59678367, 52492675.93336555, 17705158.26417896, 5101758.266452117,
+              1247182.0443405088, 254866.6013069435, 42463.23839202719, 5541.933410768223,
+              530.5849853033681, 33.039345000000004, 1.0],
+      "delay": 0.338756}, -1.849624, 4.307498),
+]
+
+
 @pytest.mark.parametrize(
-    "doc, sigma0, kmax", OMEGA0_JOBS,
-    ids=[f"corpus101-{j}" for j in (195, 393, 471, 500, 594, 606, 729, 835)] + ["highorder101-55"],
+    "doc, sigma0, kmax", OMEGA0_JOBS + EXACT_PHASE_JOBS,
+    ids=[f"corpus101-{j}" for j in (195, 393, 471, 500, 594, 606, 729, 835)] + ["highorder101-55"]
+    + [f"corpus101-{j}" for j in (34, 72, 187, 399)] + ["highorder101-46", "highorder101-81"],
 )
 def test_real_axis_crossing_kept(doc, sigma0, kmax):
     plant = parse_input(json.dumps(doc).encode())
@@ -403,3 +455,133 @@ def test_real_axis_crossing_kept(doc, sigma0, kmax):
             assert gd == wd
         at_zero += sum(ww == 0.0 for ww, _, _ in want)
     assert at_zero == 1
+
+
+def _signed_corpus(far_left=True):
+    """BREAKPOINT_CORPUS with both gain signs.
+
+    far_left=False keeps only each plant's clean sigma0: on the sigma0 10 to
+    40 left of every root, the gain cap e admits up to millions of crossings.
+    """
+    return [(s, region) for i, (p, region) in enumerate(BREAKPOINT_CORPUS)
+            if far_left or i % 2 == 0 for s in (p, p.flipped_gain())]
+
+
+class TestExactPhaseAtOrigin:
+    def test_job_phase_is_pi(self):
+        doc, sigma0, kmax = EXACT_PHASE_JOBS[0]
+        plant = parse_input(json.dumps(doc).encode()).flipped_gain()
+        bf = boundary_functions(plant, RegionSpec(sigma0, kmax))
+        assert bf.phi(0.0) == math.pi  # the sum of its arctangents is 1 ulp short
+
+    def test_phase_is_the_exact_multiple_of_pi(self):
+        for plant, region in _signed_corpus():
+            bf = boundary_functions(plant, region)
+            value, slope = bf.phi_slope(0.0)
+            assert bf.phi(0.0) == value
+            turns = round(value / math.pi)
+            assert value == math.pi * turns
+            # the phase line through omega = 0 is odd exactly when G(sigma0) < 0
+            assert turns % 2 == (geval(plant, region.sigma0).real < 0.0), (plant, region)
+            assert slope == pytest.approx(bf.phiprime(0.0), rel=1e-12, abs=1e-12)
+
+
+def _demo_ladder(plant):
+    return [(plant, RegionSpec(s0, kmax)) for s0, kmax in
+            ((-3.5, 50.0), (-3.5, 150.0), (-3.5, 500.0), (-6.0, 5.0))]
+
+
+class TestHalfDegreeBreakpoints:
+    def test_cover_full_degree_roots(self, p2):
+        from dtlocus.poly import nonneg_real_roots
+
+        for plant, region in BREAKPOINT_CORPUS + _demo_ladder(p2):
+            bf = boundary_functions(plant, region)
+            for poly, odd in ((bf.kprime_poly, True), (bf.phiprime_poly, False)):
+                half = _breakpoints(poly, odd)
+                assert half == sorted(half) and all(r >= 0.0 for r in half)
+                # extra roots are allowed: an extra cut only splits a monotone piece
+                for r, _ in nonneg_real_roots(poly):
+                    assert min(abs(r - w) for w in half) <= 1e-9 * (1.0 + r), (plant, region, r)
+
+    def test_odd_polynomial_roots_at_origin(self):
+        from dtlocus.poly import RealPolynomial
+
+        # omega (omega^2 - 4) and omega^3 (omega^2 - 4): omega = 0 once, then 2
+        assert _breakpoints(RealPolynomial((0.0, -4.0, 0.0, 1.0)), odd=True) == [0.0, 2.0]
+        assert _breakpoints(RealPolynomial((0.0, 0.0, 0.0, -4.0, 0.0, 1.0)), odd=True) == [0.0, 2.0]
+        assert _breakpoints(RealPolynomial((-4.0, 0.0, 1.0)), odd=False) == [2.0]
+        assert _breakpoints(RealPolynomial(()), odd=True) == []
+
+
+class TestNewtonSearch:
+    """The safeguarded Newton search against the former bisection search."""
+
+    def test_matches_bisection_reference(self, p2):
+        from oracles import reference_crossing_omegas, reference_magnitude_intervals
+
+        compared = crossings = 0
+        for plant, region in _signed_corpus(far_left=False) + _demo_ladder(p2):
+            bf = boundary_functions(plant, region)
+            cap = _omega_cap(bf, region, _breakpoints(bf.kprime_poly, odd=True))
+            got_iv = magnitude_intervals(bf, region)
+            want_iv = reference_magnitude_intervals(bf, region)
+            assert len(got_iv) == len(want_iv), (plant, region)
+            for g, w in zip(got_iv, want_iv):
+                assert g == pytest.approx(w, rel=0.0, abs=TOL_BISECT * (1.0 + cap))
+            try:
+                cs = boundary_crossings(bf, region)
+            except DegenerateCrossing:
+                continue
+            got = sorted(
+                [(c.omega, "in") for c in cs.inward] + [(c.omega, "out") for c in cs.outward]
+            )
+            want = reference_crossing_omegas(bf, region)
+            assert len(got) == len(want), (plant, region)
+            for (gw, gd), (ww, wd, hi) in zip(got, want):
+                assert gd == wd
+                assert abs(gw - ww) <= TOL_BISECT * (1.0 + hi), (plant, region, gw, ww)
+            compared += 1
+            crossings += len(got)
+        assert compared >= 70 and crossings >= 4000
+
+    def test_phase_evaluations_per_crossing(self, p2, monkeypatch):
+        region = RegionSpec(-3.5, 500.0)
+        bf = boundary_functions(p2, region)
+        calls = []
+        phi_slope = BoundaryFunctions.phi_slope
+
+        def counted(self, omega):
+            calls.append(omega)
+            return phi_slope(self, omega)
+
+        monkeypatch.setattr(BoundaryFunctions, "phi_slope", counted)
+        cs = boundary_crossings(bf, region)
+        n = len(cs.inward) + len(cs.outward)
+        assert n > 2000
+        assert len(calls) <= 3 * n  # bisection to TOL_BISECT took about 34
+
+    def test_safeguards(self):
+        # w^3 = 1 on [0, 4]: the tangent at 0 is flat and the one at 4 jumps
+        # past 0, so only bisection steps make progress at first
+        def f(w):
+            return w ** 3, 3.0 * w * w
+
+        for start in ((0.0, 0.0, 0.0), (4.0, 64.0, 48.0), (-1.0, 0.0, 1e-300)):
+            root, _ = _solve_monotone(f, 1.0, 0.0, 4.0, 0.0, 64.0, 0.0, start, 1e-12)
+            assert root == pytest.approx(1.0, abs=1e-12)
+        # w^25 = 1e-25: plain Newton from 2 creeps toward 0.1 by a factor 24/25
+        # per step; a step that fails to halve the one before it bisects
+        calls = []
+
+        def steep(w):
+            calls.append(w)
+            return w ** 25, 25.0 * w ** 24
+
+        root, _ = _solve_monotone(steep, 1e-25, 0.0, 2.0, 0.0, 2.0 ** 25, 0.0,
+                                  (2.0, 2.0 ** 25, 25.0 * 2.0 ** 24), 1e-12)
+        assert root == pytest.approx(0.1, abs=1e-12)
+        assert len(calls) <= 30
+        # an endpoint on the target returns it; a graze off the bracket picks the nearer end
+        assert _solve_monotone(f, 0.0, 0.0, 4.0, 0.0, 64.0, 0.0, (0.0, 0.0, 0.0), 1e-12)[0] == 0.0
+        assert _solve_monotone(f, -1e-9, 0.0, 4.0, 0.0, 64.0, 0.0, (0.0, 0.0, 0.0), 1e-12)[0] == 0.0

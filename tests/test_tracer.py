@@ -11,12 +11,11 @@ import math
 import pytest
 from scipy.special import lambertw
 
-from dtlocus.boundary import RegionSpec, _omega_cap, boundary_functions
+from dtlocus.boundary import RegionSpec, _breakpoints, _omega_cap, boundary_functions
 from dtlocus.cli import parse_input
 from dtlocus.continuation import residuals
 from dtlocus.errors import BranchOnBoundary
 from dtlocus.plant import Plant
-from dtlocus.poly import nonneg_real_roots
 from dtlocus.tracer import (
     BranchOrigin,
     CrossingOrigin,
@@ -381,7 +380,7 @@ class TestCorpusRegressions:
         for signed in (plant, plant.flipped_gain()):
             bf = boundary_functions(signed, region)
             assert bf.kprime_poly.degree == 13
-            assert _omega_cap(bf, region, nonneg_real_roots(bf.kprime_poly)) < 1e3
+            assert _omega_cap(bf, region, _breakpoints(bf.kprime_poly, odd=True)) < 1e3
         res = run(plant, region, TraceOptions(negative_gains=True))
         assert_ends_on_locus(res, -1.264558)
         assert_ends_on_locus(res.negative, -1.264558)
