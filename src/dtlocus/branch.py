@@ -76,10 +76,16 @@ def branch_points(plant: Plant, region: RegionSpec) -> list[BranchPoint]:
         if abs(wrap_angle(lv.phase - math.pi)) > TOL_PHASE:
             continue
         Kval = -lv.lnmag
+        try:
+            k = math.exp(Kval)
+        except OverflowError:
+            # a gain beyond the double range exceeds every kmax, so the point
+            # could never be active
+            continue
         out.append(
             BranchPoint(
                 s=s,
-                k=math.exp(Kval),
+                k=k,
                 Kval=Kval,
                 multiplicity=mu + 1,
                 active=Kval <= region.lnkmax,

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass
 
 from .boundary import RegionSpec
 from .continuation import H0, TOL_CORR
@@ -37,20 +35,6 @@ from .tracer import (
     TraceOptions,
     run,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    input_path: str
-    sigma0: float
-    kmax: float
-    fmt: str = "json"
-    out_path: str | None = None
-    svg_path: str | None = None
-    tol_corr: float = TOL_CORR
-    h0: float = H0
-    negative_gains: bool = False
-    strict: bool = False
 
 
 def _number(doc, field):
@@ -113,90 +97,56 @@ def parse_input(data: bytes) -> Plant:
     )
 
 
-def _num(v) -> str:
-    return format(float(v), ".17g")
+_TYPE_NAMES = {
+    PoleOrigin: "pole",
+    CrossingOrigin: "crossing",
+    BranchOrigin: "branch",
+    GainCap: "gain_cap",
+    LeftRegion: "left_region",
+    ReachedBranch: "reached_branch",
+    StepFailure: "step_failure",
+}
 
 
-def _pairs(values) -> str:
-    return "[" + ", ".join(f"[{_num(v.real)}, {_num(v.imag)}]" for v in values) + "]"
+def _tagged(value) -> dict:
+    return {"type": _TYPE_NAMES[type(value)], **vars(value)}
 
 
-def _origin_obj(origin) -> str:
-    if isinstance(origin, PoleOrigin):
-        return f'{{"type": "pole", "index": {origin.index}}}'
-    if isinstance(origin, CrossingOrigin):
-        return f'{{"type": "crossing", "index": {origin.index}}}'
-    if isinstance(origin, BranchOrigin):
-        return f'{{"type": "branch", "index": {origin.index}, "angle": {_num(origin.angle)}}}'
-    raise InputError(f"unknown origin {origin!r}")
-
-
-def _termination_obj(term) -> str:
-    if isinstance(term, GainCap):
-        return '{"type": "gain_cap"}'
-    if isinstance(term, LeftRegion):
-        m = "null" if term.matched is None else str(term.matched)
-        return f'{{"type": "left_region", "matched": {m}}}'
-    if isinstance(term, ReachedBranch):
-        return f'{{"type": "reached_branch", "index": {term.index}}}'
-    if isinstance(term, StepFailure):
-        return f'{{"type": "step_failure", "reason": {json.dumps(term.reason)}}}'
-    raise InputError(f"unknown termination {term!r}")
-
-
-def _trajectory_rows(traj, sign: float):
-    rows = []
-    if traj.start_marker is not None:
-        rows.append((traj.start_marker.real, traj.start_marker.imag, 0.0))
-    for p in traj.points:
-        rows.append((p.sigma, p.omega, sign * math.exp(p.Kval)))
-    return rows
-
-
-def _result_obj(result: RootLocusResult, sign: float, indent: str) -> str:
-    nl = "\n" + indent
-    crossing = lambda c: f'{{"omega": {_num(c.omega)}, "k": {_num(sign * c.k)}}}'
-    inward = ", ".join(crossing(c) for c in result.crossings.inward)
-    outward = ", ".join(crossing(c) for c in result.crossings.outward)
-    branches = ", ".join(
-        f'{{"re": {_num(b.s.real)}, "im": {_num(b.s.imag)}, "k": {_num(sign * b.k)}, '
-        f'"multiplicity": {b.multiplicity}, "active": {str(b.active).lower()}}}'
-        for b in result.branch_points
-    )
-    trajs = []
-    for t in result.trajectories:
-        pts = ", ".join(
-            f"[{_num(s)}, {_num(w)}, {_num(k)}]" for s, w, k in _trajectory_rows(t, sign)
-        )
-        trajs.append(
-            f'{{"origin": {_origin_obj(t.origin)}, '
-            f'"termination": {_termination_obj(t.termination)}, '
-            f'"mirrored": {str(t.mirrored).lower()}, '
-            f'"points": [{pts}]}}'
-        )
-    warn = ", ".join(json.dumps(w) for w in result.warnings)
-    if trajs:
-        traj_block = nl + "  " + ("," + nl + "  ").join(trajs) + nl
-    else:
-        traj_block = ""
-    fields = [
-        f'"plant": {{"alpha": {_num(result.plant.alpha)}, "delay": {_num(result.plant.delay)}, '
-        f'"zeros": {_pairs(result.plant.zeros)}, "poles": {_pairs(result.plant.poles)}}}',
-        f'"region": {{"sigma0": {_num(result.region.sigma0)}, "kmax": {_num(result.region.kmax)}}}',
-        f'"crossings": {{"inward": [{inward}], "outward": [{outward}]}}',
-        f'"branch_points": [{branches}]',
-        f'"trajectories": [{traj_block}]',
-        f'"warnings": [{warn}]',
-    ]
-    return "{" + nl + ("," + nl).join(fields) + "\n" + indent[:-2] + "}"
+def _result_doc(result: RootLocusResult, sign: float) -> dict:
+    plant = result.plant
+    crossing = lambda c: {"omega": c.omega, "k": sign * c.k}
+    return {
+        "plant": {
+            "alpha": plant.alpha,
+            "delay": plant.delay,
+            "zeros": [[z.real, z.imag] for z in plant.zeros],
+            "poles": [[p.real, p.imag] for p in plant.poles],
+        },
+        "region": {"sigma0": result.region.sigma0, "kmax": result.region.kmax},
+        "crossings": {
+            "inward": [crossing(c) for c in result.crossings.inward],
+            "outward": [crossing(c) for c in result.crossings.outward],
+        },
+        "branch_points": [
+            {"re": b.s.real, "im": b.s.imag, "k": sign * b.k,
+             "multiplicity": b.multiplicity, "active": b.active}
+            for b in result.branch_points
+        ],
+        "trajectories": [
+            {"origin": _tagged(t.origin), "termination": _tagged(t.termination),
+             "mirrored": t.mirrored, "points": t.rows(sign)}
+            for t in result.trajectories
+        ],
+        "warnings": list(result.warnings),
+    }
 
 
 def result_to_json(result: RootLocusResult) -> str:
-    body = _result_obj(result, 1.0, "  ")
+    """The result as one line of strict JSON; floats round-trip exactly."""
+    doc = _result_doc(result, 1.0)
     if result.negative is not None:
-        neg = _result_obj(result.negative, -1.0, "    ")
-        body = body[: body.rfind("\n}")] + ',\n  "negative": ' + neg + "\n}"
-    return body + "\n"
+        doc["negative"] = _result_doc(result.negative, -1.0)
+    return json.dumps(doc, allow_nan=False) + "\n"
 
 
 def result_to_csv(result: RootLocusResult) -> str:
@@ -206,8 +156,8 @@ def result_to_csv(result: RootLocusResult) -> str:
         if res is None:
             continue
         for t in res.trajectories:
-            for s, w, k in _trajectory_rows(t, sign):
-                lines.append(f"{tid},{_num(s)},{_num(w)},{_num(k)}")
+            for s, w, k in t.rows(sign):
+                lines.append(f"{tid},{s:.17g},{w:.17g},{k:.17g}")
             tid += 1
     return "\n".join(lines) + "\n"
 
@@ -219,14 +169,6 @@ def _has_step_failure(result: RootLocusResult) -> bool:
         if any(isinstance(t.termination, StepFailure) for t in res.trajectories):
             return True
     return False
-
-
-def execute(cfg: RunConfig) -> RootLocusResult:
-    with open(cfg.input_path, "rb") as f:
-        plant = parse_input(f.read())
-    region = RegionSpec(cfg.sigma0, cfg.kmax)
-    options = TraceOptions(tol_corr=cfg.tol_corr, h0=cfg.h0, negative_gains=cfg.negative_gains)
-    return run(plant, region, options)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -252,20 +194,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        input_path=args.input,
-        sigma0=args.sigma0,
-        kmax=args.kmax,
-        fmt=args.format,
-        out_path=args.out,
-        svg_path=args.svg,
-        tol_corr=args.tol,
-        h0=args.h0,
-        negative_gains=args.negative_gains,
-        strict=args.strict,
-    )
     try:
-        result = execute(cfg)
+        with open(args.input, "rb") as f:
+            plant = parse_input(f.read())
+        options = TraceOptions(tol_corr=args.tol, h0=args.h0, negative_gains=args.negative_gains)
+        result = run(plant, RegionSpec(args.sigma0, args.kmax), options)
     except (
         InputError,
         PoleOrZeroOnBoundary,
@@ -277,15 +210,15 @@ def main(argv=None) -> int:
         print(f"dtlocus: error: {e}", file=sys.stderr)
         return 2
 
-    text = result_to_json(result) if cfg.fmt == "json" else result_to_csv(result)
+    text = result_to_json(result) if args.format == "json" else result_to_csv(result)
     try:
-        if cfg.out_path:
-            with open(cfg.out_path, "w", encoding="utf-8") as f:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as f:
                 f.write(text)
         else:
             sys.stdout.write(text)
-        if cfg.svg_path:
-            with open(cfg.svg_path, "w", encoding="utf-8") as f:
+        if args.svg:
+            with open(args.svg, "w", encoding="utf-8") as f:
                 f.write(render_svg(result))
     except OSError as e:
         print(f"dtlocus: error: {e}", file=sys.stderr)
@@ -297,7 +230,7 @@ def main(argv=None) -> int:
         for w in res.warnings:
             print(f"dtlocus: warning: {w}", file=sys.stderr)
 
-    if cfg.strict and _has_step_failure(result):
+    if args.strict and _has_step_failure(result):
         return 3
     return 0
 

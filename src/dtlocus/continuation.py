@@ -299,17 +299,6 @@ def departure_angles(plant: Plant, pole_index: int) -> list[float]:
     return [wrap_angle((psi + 2.0 * math.pi * j) / mu) for j in range(mu)]
 
 
-def departure_direction_pole(plant: Plant, pole_index: int) -> float:
-    """Departure angle from a simple pole; repeated poles are rejected."""
-    group = pole_group(plant, pole_index)
-    if len(group) > 1:
-        raise InputError(
-            f"pole {plant.poles[pole_index]} is repeated {len(group)} times; "
-            "use departure_angles for the full fan"
-        )
-    return departure_angles(plant, pole_index)[0]
-
-
 def entry_direction_crossing(
     plant: Plant, bf: BoundaryFunctions, c: BoundaryCrossing
 ) -> complex:

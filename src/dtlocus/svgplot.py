@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .tracer import RootLocusResult, Trajectory
+from .tracer import RootLocusResult
 
 _WIDTH = 800.0
 _HEIGHT = 600.0
@@ -64,27 +64,18 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return out
 
 
-def _gather_points(result: RootLocusResult):
-    pts = []
-    for res in (result, result.negative):
-        if res is None:
-            continue
-        for t in res.trajectories:
-            if t.start_marker is not None:
-                pts.append((t.start_marker.real, t.start_marker.imag))
-            for p in t.points:
-                pts.append((p.sigma, p.omega))
-    return pts
-
-
 def render_svg(result: RootLocusResult) -> str:
-    pts = _gather_points(result)
+    curves = [(t, "", t.rows()) for t in result.trajectories]
+    if result.negative is not None:
+        curves += [(t, " negative", t.rows()) for t in result.negative.trajectories]
+    xs = [row[0] for _, _, rows in curves for row in rows]
+    ys = [row[1] for _, _, rows in curves for row in rows]
     sigma0 = result.region.sigma0
-    if pts:
-        xmin = min(min(x for x, _ in pts), sigma0)
-        xmax = max(max(x for x, _ in pts), sigma0)
-        ymin = min(y for _, y in pts)
-        ymax = max(y for _, y in pts)
+    if xs:
+        xmin = min(min(xs), sigma0)
+        xmax = max(max(xs), sigma0)
+        ymin = min(ys)
+        ymax = max(ys)
     else:
         xmin, xmax, ymin, ymax = sigma0 - 1.0, sigma0 + 1.0, -1.0, 1.0
     # 10% margin, never a zero-thickness box
@@ -145,20 +136,12 @@ def render_svg(result: RootLocusResult) -> str:
         f'<line class="boundary" x1="{bx}" y1="{_fmt(py1)}" x2="{bx}" y2="{_fmt(py0)}"/>'
     )
 
-    def polyline(t: Trajectory, extra_class: str) -> str:
-        coords = []
-        if t.start_marker is not None:
-            coords.append((t.start_marker.real, t.start_marker.imag))
-        coords.extend((p.sigma, p.omega) for p in t.points)
-        d = " ".join(f"{_fmt(X(x))},{_fmt(Y(y))}" for x, y in coords)
-        cls = f"trajectory{extra_class}"
-        return f'<polyline class="{cls}" points="{d}" data-mirrored="{str(t.mirrored).lower()}"/>'
-
-    for t in result.trajectories:
-        parts.append(polyline(t, ""))
-    if result.negative is not None:
-        for t in result.negative.trajectories:
-            parts.append(polyline(t, " negative"))
+    for t, extra_class, rows in curves:
+        d = " ".join(f"{_fmt(X(x))},{_fmt(Y(y))}" for x, y, _ in rows)
+        parts.append(
+            f'<polyline class="trajectory{extra_class}" points="{d}" '
+            f'data-mirrored="{str(t.mirrored).lower()}"/>'
+        )
 
     for p in result.plant.poles:
         x, y = X(p.real), Y(p.imag)

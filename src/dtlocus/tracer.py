@@ -114,6 +114,14 @@ class Trajectory:
     mirrored: bool = False
     start_marker: complex | None = None
 
+    def rows(self, sign: float = 1.0) -> list[tuple[float, float, float]]:
+        """(sigma, omega, k) per point, led by a (sigma, omega, 0.0) row for
+        the start marker; sign is -1.0 for the negative-gain pass."""
+        rows = [(p.sigma, p.omega, sign * math.exp(p.Kval)) for p in self.points]
+        if self.start_marker is not None:
+            rows.insert(0, (self.start_marker.real, self.start_marker.imag, 0.0))
+        return rows
+
 
 @dataclass(frozen=True)
 class TraceOptions:

@@ -2,12 +2,18 @@
 schemas, SVG content, determinism, and exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dtlocus
 from dtlocus.cli import main, parse_input, result_to_csv, result_to_json
 from dtlocus.errors import InputError
 from dtlocus.plant import Plant
@@ -74,6 +80,12 @@ def res():
     return run(Plant(1.0, 1.0, (), (0j,)), RegionSpec(-2.0, 1.0))
 
 
+@pytest.fixture(scope="module")
+def res_both():
+    return run(Plant(1.0, 1.0, (), (0j,)), RegionSpec(-2.0, 1.0),
+               TraceOptions(negative_gains=True))
+
+
 class TestSerialization:
     def test_json_schema(self, res):
         data = json.loads(result_to_json(res))
@@ -109,9 +121,38 @@ class TestSerialization:
         # values survive a float round trip
         assert float(rows[1][3]) > 0
 
-    def test_seventeen_digit_numbers(self, res):
-        text = result_to_json(res)
-        assert format(math.exp(-1), ".17g") in text
+    def test_numbers_round_trip(self, res_both):
+        data = json.loads(result_to_json(res_both))
+        assert res_both.branch_points
+        for block, r, sign in ((data, res_both, 1.0), (data["negative"], res_both.negative, -1.0)):
+            crossings = r.crossings.inward + r.crossings.outward
+            assert crossings and r.trajectories
+            got = block["crossings"]["inward"] + block["crossings"]["outward"]
+            assert [(c["omega"], c["k"]) for c in got] == [(c.omega, sign * c.k) for c in crossings]
+            assert [(b["re"], b["im"], b["k"]) for b in block["branch_points"]] == [
+                (b.s.real, b.s.imag, sign * b.k) for b in r.branch_points
+            ]
+            assert [[tuple(row) for row in t["points"]] for t in block["trajectories"]] == [
+                t.rows(sign) for t in r.trajectories
+            ]
+
+    def test_csv_rows_equal_json_points(self, res_both):
+        data = json.loads(result_to_json(res_both))
+        trajs = data["trajectories"] + data["negative"]["trajectories"]
+        expected = [[tid] + row for tid, t in enumerate(trajs) for row in t["points"]]
+        rows = [line.split(",") for line in result_to_csv(res_both).splitlines()[1:]]
+        assert [[int(r[0])] + [float(x) for x in r[1:]] for r in rows] == expected
+
+    def test_strict_json(self, res_both):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        text = result_to_json(res_both)
+        assert text.count("\n") == 1 and text.endswith("\n")
+        json.loads(text, parse_constant=reject)
+        bp = dataclasses.replace(res_both.branch_points[0], k=math.inf)
+        with pytest.raises(ValueError):
+            result_to_json(dataclasses.replace(res_both, branch_points=(bp,)))
 
 
 class TestSvg:
@@ -179,6 +220,36 @@ class TestMain:
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert all(c["k"] < 0 for c in data["negative"]["crossings"]["inward"])
+
+    def test_branch_point_beyond_double_range(self, tmp_path, capsys):
+        # the negative-gain branch point near s = 801 has ln k near 808
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(
+            {"alpha": 1, "delay": 1, "zeros": [[800, 0]], "poles": [[-1, 0], [-2, 0]]}
+        ))
+        rc = main([str(path), "--sigma0", "-0.5", "--kmax", "2", "--negative-gains"])
+        assert rc == 0
+        data = json.loads(capsys.readouterr().out)
+        assert "negative" in data
+
+    def test_readme_demo_command(self, tmp_path):
+        demo = tmp_path / "demo.json"
+        demo.write_text(json.dumps({"alpha": 1.0, "delay": 1.0, "zeros": [[5, 5], [5, -5]],
+                                    "poles": [[-0.5, 0], [-1, 0], [-2.5, 0]]}))
+        src = str(Path(dtlocus.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "dtlocus", str(demo), "--sigma0", "-3.5", "--kmax", "5"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        assert len(data["crossings"]["inward"]) == 27
+        assert len(data["crossings"]["outward"]) == 1
+        (bp,) = data["branch_points"]
+        assert bp["re"] == pytest.approx(-0.69762, abs=5e-6) and bp["im"] == 0.0
+        assert bp["k"] == pytest.approx(9.33e-4, rel=1e-3)
+        assert bp["multiplicity"] == 2
+        assert len(data["trajectories"]) == 59
 
     def test_exit_2_on_bad_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -13,7 +13,6 @@ from dtlocus.continuation import (
     _locus_eval,
     correct,
     departure_angles,
-    departure_direction_pole,
     entry_direction_crossing,
     predict,
     residuals,
@@ -258,24 +257,22 @@ class TestStepController:
 
 class TestInitialDirections:
     def test_p1_pole_departs_left(self, p1):
-        assert departure_direction_pole(p1, 0) == pytest.approx(math.pi)
+        assert departure_angles(p1, 0)[0] == pytest.approx(math.pi)
 
     def test_p2_departures(self, p2):
         # G_rest at -0.5 is 55.25 > 0 -> angle pi; at -1 it is negative -> 0
-        angles = {p.real: departure_direction_pole(p2, i) for i, p in enumerate(p2.poles)}
+        angles = {p.real: departure_angles(p2, i)[0] for i, p in enumerate(p2.poles)}
         assert angles[-0.5] == pytest.approx(math.pi)
         assert angles[-1.0] == pytest.approx(0.0, abs=1e-12)
         assert angles[-2.5] == pytest.approx(math.pi)
 
     def test_conjugate_pole_angles_mirror(self, p3):
-        a = departure_direction_pole(p3, 0)  # pole -1 + j
-        b = departure_direction_pole(p3, 1)  # pole -1 - j
+        a = departure_angles(p3, 0)[0]  # pole -1 + j
+        b = departure_angles(p3, 1)[0]  # pole -1 - j
         assert a == pytest.approx(-b, abs=1e-12)
 
     def test_repeated_pole_fan(self):
         plant = Plant(1.0, 1.0, (), (-1 + 0j, -1 + 0j))
-        with pytest.raises(InputError):
-            departure_direction_pole(plant, 0)
         fan = departure_angles(plant, 0)
         assert len(fan) == 2
         # G_rest = 1 > 0 at -1, h*omega = 0: psi = -pi, angles -pi/2 and pi/2
@@ -287,7 +284,7 @@ class TestInitialDirections:
         from oracles import locus_residual, newton_root
 
         for i, p in enumerate(p2.poles):
-            theta = departure_direction_pole(p2, i)
+            theta = departure_angles(p2, i)[0]
             k = 1e-8
             # first-order root distance from the pole: k |residue| e^{-h Re p}
             res = complex(p2.alpha)
