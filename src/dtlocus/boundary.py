@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     BiProperGainCapViolated,
@@ -107,6 +107,11 @@ class BoundaryFunctions:
     sits on the line).  K and phi are projections of K_slope and phi_slope,
     which return the value and its omega-derivative from one pass; Kprime and
     phiprime take the derivative from the plant's log kernel instead.
+
+    Only plant and phi0 depend on the sign of the gain: the offsets, the
+    breakpoint polynomials of K' and phi' and their nonnegative real roots
+    (kprime_roots, phiprime_roots, ascending) do not, so flipped_gain()
+    serves the negative-gain locus without rebuilding or re-rooting them.
     """
 
     plant: Plant
@@ -118,6 +123,8 @@ class BoundaryFunctions:
     phi0: float
     kprime_poly: RealPolynomial = field(repr=False)
     phiprime_poly: RealPolynomial = field(repr=False)
+    kprime_roots: tuple[float, ...] = field(repr=False)
+    phiprime_roots: tuple[float, ...] = field(repr=False)
 
     def K(self, omega: float) -> float:
         return self.K_slope(omega)[0]
@@ -169,6 +176,21 @@ class BoundaryFunctions:
     def phiprime(self, omega: float) -> float:
         return dlog_ratio(self.plant, complex(self.sigma0, omega)).real
 
+    def flipped_gain(self) -> "BoundaryFunctions":
+        """The same line for plant.flipped_gain(): only phi0 is recomputed."""
+        plant = self.plant.flipped_gain()
+        return replace(self, plant=plant, phi0=_phi0(plant, self.sigma0, self.dsz, self.omz,
+                                                     self.dsp, self.omp))
+
+
+def _phi0(plant: Plant, s0: float, dsz, omz, dsp, omp) -> float:
+    """The offset that makes phi(0) the principal phase of G(s0)e^(-h s0)."""
+    phi1_0 = (
+        sum(math.atan(-om / ds) for ds, om in zip(dsz, omz))
+        - sum(math.atan(-om / ds) for ds, om in zip(dsp, omp))
+    )
+    return log_eval(plant, complex(s0, 0.0)).phase - phi1_0
+
 
 def boundary_functions(plant: Plant, region: RegionSpec) -> BoundaryFunctions:
     s0 = region.sigma0
@@ -199,12 +221,6 @@ def boundary_functions(plant: Plant, region: RegionSpec) -> BoundaryFunctions:
     kprime_poly = _with_parity(0.5 * (Gz * Gp.derivative() - Gp * Gz.derivative()), odd=True)
     phiprime_poly = _with_parity(Gp * Hz - Gz * Hp - plant.delay * (Gz * Gp), odd=False)
 
-    phi1_0 = (
-        sum(math.atan(-om / ds) for ds, om in zip(dsz, omz))
-        - sum(math.atan(-om / ds) for ds, om in zip(dsp, omp))
-    )
-    phi0 = log_eval(plant, complex(s0, 0.0)).phase - phi1_0
-
     return BoundaryFunctions(
         plant=plant,
         sigma0=s0,
@@ -212,9 +228,11 @@ def boundary_functions(plant: Plant, region: RegionSpec) -> BoundaryFunctions:
         omz=omz,
         dsp=dsp,
         omp=omp,
-        phi0=phi0,
+        phi0=_phi0(plant, s0, dsz, omz, dsp, omp),
         kprime_poly=kprime_poly,
         phiprime_poly=phiprime_poly,
+        kprime_roots=tuple(_breakpoints(kprime_poly, odd=True)),
+        phiprime_roots=tuple(_breakpoints(phiprime_poly, odd=False)),
     )
 
 
@@ -285,7 +303,7 @@ def _omega_cap(bf: BoundaryFunctions, region: RegionSpec, kp_roots) -> float:
     doubling from beyond the last breakpoint terminates either way.
     """
     plant = bf.plant
-    mags = [abs(x) for x in plant.zeros + plant.poles] + kp_roots + [1.0]
+    mags = [abs(x) for x in plant.zeros + plant.poles] + list(kp_roots) + [1.0]
     cap = 1.0 + 2.0 * max(mags)
     if plant.biproper:
         k_inf = plant.delay * bf.sigma0 - math.log(abs(plant.alpha))
@@ -306,9 +324,8 @@ def magnitude_intervals(bf: BoundaryFunctions, region: RegionSpec) -> list[tuple
     roots of K', K is monotone and meets the cap at most once.
     """
     L = region.lnkmax
-    kp_roots = _breakpoints(bf.kprime_poly, odd=True)
-    cap = _omega_cap(bf, region, kp_roots)
-    cuts = [0.0] + [r for r in kp_roots if 0.0 < r < cap] + [cap]
+    cap = _omega_cap(bf, region, bf.kprime_roots)
+    cuts = [0.0] + [r for r in bf.kprime_roots if 0.0 < r < cap] + [cap]
 
     tol = TOL_BISECT * (1.0 + cap)
     kept: list[tuple[float, float]] = []
@@ -340,17 +357,18 @@ def boundary_crossings(bf: BoundaryFunctions, region: RegionSpec) -> CrossingSet
     into monotone pieces at the roots of phi'.  Each piece meets a given
     odd-multiple-of-pi phase line at most once, so the line count comes from
     the endpoint phases.  The hits are solved in order along the piece, each
-    by safeguarded Newton on phi from the tangent at the previous one.
+    by safeguarded Newton on phi from the tangent at the previous one.  A
+    hit's direction comes from the phase slope its solve last evaluated, or
+    from the cut's own slope when the hit is a piece endpoint.
     """
     intervals = magnitude_intervals(bf, region)
-    pp_roots = _breakpoints(bf.phiprime_poly, odd=False)
 
-    hits: list[float] = []
+    hits: list[tuple[float, float]] = []  # (omega, phase slope there)
     for lo, hi in intervals:
         tol = TOL_BISECT * (1.0 + hi)
-        cuts = [lo] + [r for r in pp_roots if lo < r < hi] + [hi]
+        cuts = [lo] + [r for r in bf.phiprime_roots if lo < r < hi] + [hi]
         ends = [bf.phi_slope(w) for w in cuts]
-        for a, b, (pa, da), (pb, _) in zip(cuts, cuts[1:], ends, ends[1:]):
+        for a, b, (pa, da), (pb, db) in zip(cuts, cuts[1:], ends, ends[1:]):
             if b - a <= 0.0:
                 continue
             pmin, pmax = (pa, pb) if pa <= pb else (pb, pa)
@@ -361,17 +379,16 @@ def boundary_crossings(bf: BoundaryFunctions, region: RegionSpec) -> CrossingSet
             for l in (lines if pa <= pb else reversed(lines)):
                 target = (2.0 * l + 1.0) * math.pi
                 left, last = _solve_monotone(bf.phi_slope, target, a, b, pa, pb, left, last, tol)
-                hits.append(left)
+                hits.append((left, da if left == a else db if left == b else last[2]))
 
-    hits.sort()
+    hits.sort(key=lambda hit: hit[0])
     inward: list[BoundaryCrossing] = []
     outward: list[BoundaryCrossing] = []
     prev = None
-    for w in hits:
+    for w, slope in hits:
         if prev is not None and w - prev <= 2.0 * TOL_BISECT * (1.0 + w):
             continue
         prev = w
-        slope = bf.phiprime(w)
         if abs(slope) <= TOL_DIR:
             raise DegenerateCrossing(
                 f"phase slope {slope:.3e} at boundary root omega={w:.12g}; "

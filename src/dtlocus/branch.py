@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .boundary import RegionSpec
 from .errors import SingularPointError
 from .plant import Plant, branch_numerator, log_eval, wrap_angle
-from .poly import complex_roots
+from .poly import PolyRoot, complex_roots
 
 TOL_PHASE = 1e-6
 
@@ -51,19 +51,30 @@ def branch_departures(plant: Plant, bp: BranchPoint) -> list[float]:
     return [wrap_angle((-arg_c + 2.0 * math.pi * j) / n) for j in range(n)]
 
 
-def branch_points(plant: Plant, region: RegionSpec) -> list[BranchPoint]:
+def branch_roots(plant: Plant) -> tuple[PolyRoot, ...]:
+    """Roots of the branch polynomial, the candidates for branch points.
+
+    The polynomial drops alpha, so the roots serve both gain signs.
+    """
+    b = branch_numerator(plant)
+    return tuple(complex_roots(b)) if b.degree >= 1 else ()
+
+
+def branch_points(plant: Plant, region: RegionSpec,
+                  roots: tuple[PolyRoot, ...] | None = None) -> list[BranchPoint]:
     """All branch points with Re(s) >= sigma0, sorted by gain.
 
     A root of the branch polynomial with multiplicity mu meets N = mu + 1
     trajectories.  Roots that coincide with plant poles/zeros are artifacts
     of repeated factors (the gain there is 0 or infinite) and are skipped.
+    roots, when given, is branch_roots of this plant or of its flipped-gain
+    twin; the phase test and the active flags are made for this plant.
     """
-    b = branch_numerator(plant)
-    if b.degree < 1:
-        return []
+    if roots is None:
+        roots = branch_roots(plant)
     out: list[BranchPoint] = []
     structure = plant.zeros + plant.poles
-    for root in complex_roots(b):
+    for root in roots:
         s, mu = root.value, root.multiplicity
         if s.real < region.sigma0 - 1e-9 * (1.0 + abs(s)):
             continue

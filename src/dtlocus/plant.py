@@ -8,7 +8,7 @@ forms e^(-h·s) directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import atan2 as _atan2, log as _log  # bound once for _log_kernel's loop
 
 from .errors import InputError, SingularPointError
@@ -47,13 +47,18 @@ class Plant:
     """Proper rational plant alpha*N(s)/D(s) with input delay.
 
     zeros/poles are stored with repetition (a double pole appears twice) and
-    each list must be closed under complex conjugation.
+    each list must be closed under complex conjugation.  _table holds the same
+    roots as (re, im) float pairs, zeros then poles, for the evaluation loop;
+    it is derived, so it stays out of == and repr.
     """
 
     alpha: float
     delay: float
     zeros: tuple[complex, ...]
     poles: tuple[complex, ...]
+    _table: tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", float(self.alpha))
@@ -73,6 +78,10 @@ class Plant:
                 raise InputError("zeros/poles must be finite")
         _check_conjugate_closed(self.zeros, "zeros")
         _check_conjugate_closed(self.poles, "poles")
+        object.__setattr__(self, "_table", (
+            tuple((z.real, z.imag) for z in self.zeros),
+            tuple((p.real, p.imag) for p in self.poles),
+        ))
 
     @property
     def n_poles(self) -> int:
@@ -126,9 +135,9 @@ def plant_from_coefficients(num: RealPolynomial, den: RealPolynomial, delay: flo
 def _log_kernel(plant: Plant, sigma: float, omega: float) -> tuple[float, float, float, float]:
     """ln|G(s)e^(-hs)|, its principal phase, dM/dsigma and dM/domega at s.
 
-    One pass over the zeros and poles serves the value and its gradient; by
-    Cauchy-Riemann the phase gradient is (-dM/domega, dM/dsigma).  A point
-    within TOL_SING*(1+|s|) of a root raises SingularPointError.
+    One pass over the plant's (re, im) root table serves the value and its
+    gradient; by Cauchy-Riemann the phase gradient is (-dM/domega, dM/dsigma).
+    A point within TOL_SING*(1+|s|) of a root raises SingularPointError.
     """
     tol = TOL_SING * (1.0 + abs(complex(sigma, omega)))
     near = tol * tol * (1.0 + 1e-9)  # squared distance bound; abs() decides
@@ -136,22 +145,27 @@ def _log_kernel(plant: Plant, sigma: float, omega: float) -> tuple[float, float,
     phase = 0.0 if plant.alpha > 0 else math.pi
     msig = -plant.delay
     mom = 0.0
-    for z in plant.zeros:
-        ds = sigma - z.real
-        dw = omega - z.imag
+    zeros, poles = plant._table
+    for re, im in zeros:
+        ds = sigma - re
+        dw = omega - im
         g = ds * ds + dw * dw
         if g <= near and abs(complex(ds, dw)) <= tol:
-            raise SingularPointError(f"evaluation at {complex(sigma, omega)} hits the root {z}")
+            raise SingularPointError(
+                f"evaluation at {complex(sigma, omega)} hits the root {complex(re, im)}"
+            )
         lnmag += 0.5 * _log(g)
         phase += _atan2(dw, ds)
         msig += ds / g
         mom += dw / g
-    for p in plant.poles:
-        ds = sigma - p.real
-        dw = omega - p.imag
+    for re, im in poles:
+        ds = sigma - re
+        dw = omega - im
         g = ds * ds + dw * dw
         if g <= near and abs(complex(ds, dw)) <= tol:
-            raise SingularPointError(f"evaluation at {complex(sigma, omega)} hits the root {p}")
+            raise SingularPointError(
+                f"evaluation at {complex(sigma, omega)} hits the root {complex(re, im)}"
+            )
         lnmag -= 0.5 * _log(g)
         phase -= _atan2(dw, ds)
         msig -= ds / g

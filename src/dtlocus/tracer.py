@@ -15,12 +15,13 @@ import math
 from dataclasses import dataclass, replace
 
 from .boundary import (
+    BoundaryFunctions,
     CrossingSet,
     RegionSpec,
     boundary_crossings,
     boundary_functions,
 )
-from .branch import BranchPoint, branch_departures, branch_points
+from .branch import BranchPoint, branch_departures, branch_points, branch_roots
 from .continuation import (
     DELTA_NOM,
     H0,
@@ -554,18 +555,25 @@ def run(plant: Plant, region: RegionSpec, options: TraceOptions | None = None) -
 
     With negative_gains set, a second pass runs with the plant gain sign
     flipped (the locus of negative k values) and lands in result.negative.
+    The sign-free set-up is built once and serves both passes: the boundary
+    breakpoint polynomials of K' and phi' with their roots, and the roots of
+    the branch polynomial.  Each pass makes its own boundary phase offset,
+    branch phase test and active flags, seeds and traces.
     """
     options = options or TraceOptions()
-    result = _run_signed(plant, region, options)
+    bf = boundary_functions(plant, region)
+    roots = branch_roots(plant)
+    result = _run_signed(bf, region, options, roots)
     if options.negative_gains:
-        neg = _run_signed(plant.flipped_gain(), region, replace(options, negative_gains=False))
+        neg = _run_signed(bf.flipped_gain(), region, replace(options, negative_gains=False), roots)
         result = replace(result, negative=neg)
     return result
 
 
-def _run_signed(plant: Plant, region: RegionSpec, options: TraceOptions) -> RootLocusResult:
-    bf = boundary_functions(plant, region)
-    branches = tuple(branch_points(plant, region))
+def _run_signed(bf: BoundaryFunctions, region: RegionSpec, options: TraceOptions,
+                roots) -> RootLocusResult:
+    plant = bf.plant
+    branches = tuple(branch_points(plant, region, roots))
     for bp in branches:
         if bp.active and abs(bp.s.real - region.sigma0) <= 1e-9 * (1.0 + abs(bp.s)):
             raise BranchOnBoundary(

@@ -511,3 +511,21 @@ def reference_crossing_omegas(bf, region):
         prev = w
         out.append((w, "in" if bf.phiprime(w) < 0.0 else "out", hi))
     return out
+
+
+def reference_classify(bf, region, omegas):
+    """The former classification of boundary roots: a CrossingSet whose
+    directions come from one log-kernel pass (bf.phiprime) per root."""
+    from dtlocus.boundary import BoundaryCrossing, CrossingSet, Direction
+
+    inward, outward = [], []
+    for w in omegas:
+        slope = bf.phiprime(w)
+        Kval = min(bf.K(w), region.lnkmax)
+        direction = Direction.INWARD if slope < 0.0 else Direction.OUTWARD
+        (inward if slope < 0.0 else outward).append(
+            BoundaryCrossing(omega=w, Kval=Kval, k=math.exp(Kval), direction=direction)
+        )
+    inward.sort(key=lambda c: c.Kval)
+    outward.sort(key=lambda c: c.Kval)
+    return CrossingSet(inward=tuple(inward), outward=tuple(outward))

@@ -28,7 +28,7 @@ from dtlocus.errors import (
 )
 from dtlocus.plant import Plant, log_eval, wrap_angle
 
-from oracles import fd, geval, grid_crossings
+from oracles import fd, geval, grid_crossings, reference_classify
 
 
 @pytest.fixture
@@ -560,6 +560,26 @@ class TestNewtonSearch:
         n = len(cs.inward) + len(cs.outward)
         assert n > 2000
         assert len(calls) <= 3 * n  # bisection to TOL_BISECT took about 34
+
+    def test_direction_from_solve_slope(self, p2, monkeypatch):
+        # each crossing's direction comes from the phase slope the solve
+        # already has, not from a kernel pass of its own
+        region = RegionSpec(-3.5, 500.0)
+        bf = boundary_functions(p2, region)
+        calls = []
+        phiprime = BoundaryFunctions.phiprime
+
+        def counted(self, omega):
+            calls.append(omega)
+            return phiprime(self, omega)
+
+        monkeypatch.setattr(BoundaryFunctions, "phiprime", counted)
+        cs = boundary_crossings(bf, region)
+        monkeypatch.undo()
+        assert calls == []
+        omegas = sorted(c.omega for c in cs.inward + cs.outward)
+        assert len(omegas) > 2000
+        assert cs == reference_classify(bf, region, omegas)
 
     def test_safeguards(self):
         # w^3 = 1 on [0, 4]: the tangent at 0 is flat and the one at 4 jumps

@@ -7,14 +7,17 @@ sit on W branches, evaluated through scipy as an independent oracle.
 
 import json
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 from scipy.special import lambertw
 
+from dtlocus import boundary, branch
 from dtlocus.boundary import RegionSpec, _breakpoints, _omega_cap, boundary_functions
 from dtlocus.cli import parse_input
 from dtlocus.continuation import residuals
-from dtlocus.errors import BranchOnBoundary
+from dtlocus.errors import BranchOnBoundary, DtLocusError
 from dtlocus.plant import Plant
 from dtlocus.tracer import (
     BranchOrigin,
@@ -31,6 +34,8 @@ from dtlocus.tracer import (
     run,
     seed_points,
 )
+
+from oracles import clean_region, random_plant
 
 
 def by_origin(result, kind, index=None, mirrored=False):
@@ -263,6 +268,72 @@ class TestNegativeGains:
         w1 = lambertw(1.0, 1)
         end = t.points[-1]
         assert complex(end.sigma, end.omega) == pytest.approx(complex(w1), abs=1e-4)
+
+
+def _sign_corpus(n=36):
+    """(plant, region) draws for the shared-set-up property: every fourth is
+    bi-proper, every fourth has a repeated pole, every fourth a negative gain;
+    random_plant supplies complex pairs and right-half-plane zeros."""
+    rng = np.random.RandomState(2027)
+    out = []
+    for i in range(n):
+        plant = random_plant(rng, Plant)
+        alpha, zeros, poles = plant.alpha, list(plant.zeros), list(plant.poles)
+        if i % 4 == 1:
+            while len(zeros) < len(poles):
+                zeros.append(complex(rng.uniform(-3.0, 3.0), 0.0))
+        elif i % 4 == 2:
+            poles += poles[:2] if poles[0].imag else poles[:1]
+        elif i % 4 == 3:
+            alpha = -abs(alpha)
+        plant = Plant(alpha, plant.delay, tuple(zeros), tuple(poles))
+        sigma0, kmax = clean_region(plant, rng)
+        if plant.biproper:
+            kmax = min(kmax, 0.5 * math.exp(plant.delay * sigma0) / abs(alpha))
+        out.append((plant, RegionSpec(sigma0, kmax)))
+    return out
+
+
+class TestSharedSetUp:
+    """The sign-free set-up of a two-sign run is built once and serves the
+    negative pass exactly as a run of the flipped plant builds its own."""
+
+    def test_roots_found_once_for_both_signs(self, p2, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(branch, "complex_roots", counted("complex_roots", branch.complex_roots))
+        monkeypatch.setattr(boundary, "nonneg_real_roots",
+                            counted("nonneg_real_roots", boundary.nonneg_real_roots))
+        res = run(p2, RegionSpec(-3.5, 5.0), TraceOptions(negative_gains=True))
+        assert res.negative is not None and res.branch_points
+        assert calls == {"complex_roots": 1, "nonneg_real_roots": 2}
+
+    def test_negative_pass_equals_flipped_run(self):
+        compared, active = 0, Counter()
+        kinds = Counter()
+        for plant, region in _sign_corpus():
+            try:
+                res = run(plant, region, TraceOptions(negative_gains=True))
+            except DtLocusError:
+                continue  # the positive pass raised; no negative pass to compare
+            assert res.negative == run(plant.flipped_gain(), region, TraceOptions())
+            compared += 1
+            active["positive"] += any(b.active for b in res.branch_points)
+            active["negative"] += any(b.active for b in res.negative.branch_points)
+            kinds["biproper"] += plant.biproper
+            kinds["repeated"] += len(set(plant.poles)) < len(plant.poles)
+            kinds["complex"] += any(p.imag for p in plant.poles)
+            kinds["rhp_zero"] += any(z.real > 0.0 for z in plant.zeros)
+            kinds["negative_alpha"] += plant.alpha < 0.0
+        assert compared >= 30
+        assert min(active["positive"], active["negative"]) >= 3, active
+        assert min(kinds.values()) >= 3 and len(kinds) == 5, kinds
 
 
 # Corpus seed 408 job 461 (its negative-gain pass) and seed 405 job 183: the
