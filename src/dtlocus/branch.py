@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .boundary import RegionSpec
 from .errors import SingularPointError
 from .plant import Plant, branch_numerator, log_eval, wrap_angle
-from .poly import PolyRoot, complex_roots
+from .poly import PolyRoot, _right_of, complex_roots
 
 TOL_PHASE = 1e-6
 
@@ -51,13 +51,19 @@ def branch_departures(plant: Plant, bp: BranchPoint) -> list[float]:
     return [wrap_angle((-arg_c + 2.0 * math.pi * j) / n) for j in range(n)]
 
 
-def branch_roots(plant: Plant) -> tuple[PolyRoot, ...]:
-    """Roots of the branch polynomial, the candidates for branch points.
+def branch_roots(plant: Plant, sigma0: float) -> tuple[PolyRoot, ...]:
+    """Roots of the branch polynomial with Re(s) >= sigma0, the candidates
+    for branch points.
 
-    The polynomial drops alpha, so the roots serve both gain signs.
+    Only the eigenvalues that may become such a root are polished
+    (complex_roots' screen).  The polynomial drops alpha, so the roots serve
+    both gain signs.
     """
     b = branch_numerator(plant)
-    return tuple(complex_roots(b)) if b.degree >= 1 else ()
+    if b.degree < 1:
+        return ()
+    return tuple(r for r in complex_roots(b, _keep=_right_of(sigma0))
+                 if r.value.real >= sigma0 - 1e-9 * (1.0 + abs(r.value)))
 
 
 def branch_points(plant: Plant, region: RegionSpec,
@@ -67,17 +73,16 @@ def branch_points(plant: Plant, region: RegionSpec,
     A root of the branch polynomial with multiplicity mu meets N = mu + 1
     trajectories.  Roots that coincide with plant poles/zeros are artifacts
     of repeated factors (the gain there is 0 or infinite) and are skipped.
-    roots, when given, is branch_roots of this plant or of its flipped-gain
-    twin; the phase test and the active flags are made for this plant.
+    roots, when given, is branch_roots(plant, region.sigma0) of this plant or
+    of its flipped-gain twin; the phase test and the active flags are made
+    for this plant.
     """
     if roots is None:
-        roots = branch_roots(plant)
+        roots = branch_roots(plant, region.sigma0)
     out: list[BranchPoint] = []
     structure = plant.zeros + plant.poles
     for root in roots:
         s, mu = root.value, root.multiplicity
-        if s.real < region.sigma0 - 1e-9 * (1.0 + abs(s)):
-            continue
         if structure and min(abs(s - x) for x in structure) <= 1e-9 * (1.0 + abs(s)):
             continue
         try:

@@ -2,9 +2,12 @@
 
 Coefficients are stored densely in ascending degree order, so coeffs[d] is the
 coefficient of x**d.  Root finding normalizes by the largest coefficient
-magnitude, takes companion-matrix eigenvalues, polishes each eigenvalue with a
-few Newton steps, and finally clusters nearby values so callers see multiple
-roots with an explicit multiplicity.
+magnitude, takes companion-matrix eigenvalues, polishes the eigenvalues the
+caller may keep with a few Newton steps, and finally clusters nearby values so
+callers see multiple roots with an explicit multiplicity.  A caller that keeps
+only part of the plane (nonneg_real_roots, branch.branch_roots) screens the
+eigenvalues first, with a margin of SCREEN_REL*(1+|z|): those that cannot
+become a kept root are neither polished nor clustered.
 """
 
 from __future__ import annotations
@@ -19,6 +22,10 @@ from .errors import InputError
 TOL_ROOT = 1e-8
 TOL_IMAG = 1e-8
 CLUSTER_REL = 1e-6
+# Screen margin: far above the worst companion-eigenvalue error seen on the
+# benchmark plants (9e-5) and the eps^(1/4) ~ 1.2e-4 spread of a 4-fold root,
+# so no root a caller keeps and no member of its cluster is screened out.
+SCREEN_REL = 1e-2
 
 
 def _trimmed(coeffs) -> tuple[float, ...]:
@@ -151,12 +158,27 @@ def _cluster(values, rel):
     return [(sum(g) / len(g), len(g)) for g in groups.values()]
 
 
-def complex_roots(p: RealPolynomial, cluster_rel: float = CLUSTER_REL) -> list[PolyRoot]:
+def _near_nonneg_real(z: complex) -> bool:
+    """Screen for the nonnegative real roots."""
+    margin = SCREEN_REL * (1.0 + abs(z))
+    return abs(z.imag) <= margin and z.real >= -margin
+
+
+def _right_of(sigma: float):
+    """Screen for the roots with Re >= sigma."""
+    return lambda z: z.real >= sigma - SCREEN_REL * (1.0 + abs(z))
+
+
+def complex_roots(p: RealPolynomial, cluster_rel: float = CLUSTER_REL,
+                  _keep=None) -> list[PolyRoot]:
     """All complex roots of p with multiplicities.
 
     The root set is closed under conjugation: complex clusters are paired with
     their mirror cluster and averaged, and clusters with negligible imaginary
-    part are snapped onto the real axis.
+    part are snapped onto the real axis.  _keep, when given, is a screen
+    (_near_nonneg_real or _right_of): eigenvalues it rejects are neither
+    polished nor clustered, so only roots near the screened part of the plane
+    come back.
     """
     if p.degree < 1:
         raise InputError(f"root finding needs degree >= 1, got degree {p.degree}")
@@ -168,11 +190,12 @@ def complex_roots(p: RealPolynomial, cluster_rel: float = CLUSTER_REL) -> list[P
     # scale by a power of two: exact division, so multiple roots stay multiple
     scale = 2.0 ** round(math.log2(max(abs(v) for v in c)))
     cs = [v / scale for v in c]
+    keep = _keep or (lambda z: True)
     raw: list[complex] = []
     if len(cs) >= 2:
-        raw = [complex(z) for z in np.roots(cs[::-1])]
-        raw = [_polish(cs, z) for z in raw]
-    raw.extend([0j] * nzero)
+        raw = [_polish(cs, z) for z in map(complex, np.roots(cs[::-1])) if keep(z)]
+    if keep(0j):
+        raw.extend([0j] * nzero)
 
     clusters = _cluster(raw, cluster_rel)
     reals: list[tuple[float, int]] = []
@@ -206,12 +229,13 @@ def nonneg_real_roots(p: RealPolynomial, tol_imag: float = TOL_IMAG) -> list[tup
     """Real roots with Re >= 0, as (value, multiplicity), ascending.
 
     Roots with |Im| <= tol_imag count as real; small negative reals are
-    clamped to 0.  Constant polynomials have no roots.
+    clamped to 0.  Constant polynomials have no roots.  Only the eigenvalues
+    near the nonnegative real axis are polished (complex_roots' screen).
     """
     if p.degree < 1:
         return []
     picked: list[tuple[float, int]] = []
-    for r in complex_roots(p):
+    for r in complex_roots(p, _keep=_near_nonneg_real):
         if abs(r.value.imag) <= tol_imag and r.value.real >= -tol_imag:
             picked.append((max(r.value.real, 0.0), r.multiplicity))
     picked.sort()

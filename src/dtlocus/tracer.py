@@ -557,12 +557,12 @@ def run(plant: Plant, region: RegionSpec, options: TraceOptions | None = None) -
     flipped (the locus of negative k values) and lands in result.negative.
     The sign-free set-up is built once and serves both passes: the boundary
     breakpoint polynomials of K' and phi' with their roots, and the roots of
-    the branch polynomial.  Each pass makes its own boundary phase offset,
-    branch phase test and active flags, seeds and traces.
+    the branch polynomial right of sigma0.  Each pass makes its own boundary
+    phase offset, branch phase test and active flags, seeds and traces.
     """
     options = options or TraceOptions()
     bf = boundary_functions(plant, region)
-    roots = branch_roots(plant)
+    roots = branch_roots(plant, region.sigma0)
     result = _run_signed(bf, region, options, roots)
     if options.negative_gains:
         neg = _run_signed(bf.flipped_gain(), region, replace(options, negative_gains=False), roots)

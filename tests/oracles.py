@@ -529,3 +529,31 @@ def reference_classify(bf, region, omegas):
     inward.sort(key=lambda c: c.Kval)
     outward.sort(key=lambda c: c.Kval)
     return CrossingSet(inward=tuple(inward), outward=tuple(outward))
+
+
+def backward_error(coeffs, z):
+    """|p(z)| / sum |c_k||z|^k for p with ascending coeffs: about eps at a root
+    found to working accuracy, and about 1 at a point that is not a root."""
+    den = sum(abs(c) * abs(z) ** k for k, c in enumerate(coeffs))
+    if den == 0.0:
+        return 0.0
+    return abs(sum(c * z ** k for k, c in enumerate(coeffs))) / den
+
+
+def reference_nonneg_real_roots(p, tol_imag=1e-8):
+    """The nonnegative real roots picked from the full, unscreened root set:
+    every companion eigenvalue of p polished and clustered, then the roots
+    with |Im| <= tol_imag and Re >= -tol_imag kept and merged."""
+    from dtlocus.poly import complex_roots
+
+    if p.degree < 1:
+        return []
+    picked = sorted((max(r.value.real, 0.0), r.multiplicity) for r in complex_roots(p)
+                    if abs(r.value.imag) <= tol_imag and r.value.real >= -tol_imag)
+    merged = []
+    for v, m in picked:
+        if merged and abs(v - merged[-1][0]) <= 1e-12 * (1.0 + abs(v)):
+            merged[-1] = (merged[-1][0], merged[-1][1] + m)
+        else:
+            merged.append((v, m))
+    return merged

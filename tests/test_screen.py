@@ -1,0 +1,257 @@
+"""The eigenvalue screen of the breakpoint and branch root finders.
+
+nonneg_real_roots and branch.branch_roots polish only the companion
+eigenvalues that may become a root they keep.  The screen must change
+nothing but the work: every root they return is a root, and they return
+every genuine root the full, unscreened root set would have given them.
+"""
+
+import numpy as np
+import pytest
+
+from dtlocus import branch, poly
+from dtlocus.boundary import RegionSpec, boundary_functions
+from dtlocus.branch import branch_roots
+from dtlocus.plant import Plant, branch_numerator, plant_from_coefficients
+from dtlocus.poly import RealPolynomial, complex_roots, nonneg_real_roots
+from dtlocus.tracer import TraceOptions, run
+
+from oracles import backward_error, clean_region, random_plant, reference_nonneg_real_roots
+
+TOL_GENUINE = 1e-10
+
+# Benchmark highorder jobs (num, den, delay, sigma0, kmax) where polishing
+# every companion eigenvalue of a breakpoint polynomial carried one onto a
+# point that is not a root.
+NON_ROOT_POLISH_JOBS = {
+    # the root u = -49.26 of phi''s omega^2 polynomial went to u = 17.94, a
+    # spurious phi' breakpoint at omega = 4.2352
+    "highorder seed 101 job 219": (
+        RealPolynomial((19456557.723197695, 48403093.260163814, 39801338.94631182,
+                        6115705.360095404, -9395691.85651473, -4440979.013669231,
+                        1840608.6731478828, 2429484.0195886074, 798164.2807439475,
+                        -72259.9671452221, -136609.2798177025, -41233.40922321995,
+                        -2463.708743805872, 1778.2998841488984, 582.7627740931367,
+                        79.59207145711801, 4.378323)),
+        RealPolynomial((-35931409.98516332, -352418321.1224531, -1305446026.8521988,
+                        -2395455960.091775, -2454763950.5559454, -1031261412.2899084,
+                        1281765283.2099736, 3641195082.4297843, 5235431773.558727,
+                        5469114159.725834, 4443379500.75649, 2888305932.1461,
+                        1529655346.4820166, 668456625.1753161, 242994593.8294969,
+                        73751156.03622107, 18673744.241487544, 3921333.91420311,
+                        674696.503663397, 93154.8345395404, 9971.060505575775,
+                        779.933471641293, 39.821067000000006, 1.0)),
+        0.208333, 3.922062, 2.980971),
+    "highorder seed 101 job 160": (
+        RealPolynomial((580301.5007570409, -3285741.038569455, 2625939.319036404,
+                        1452121.5791949444, -595655.6299369264, -184578.14600739675,
+                        44599.632058086725, -2662.8585272467753, -5093.326398513318,
+                        1071.31886309706, 415.09575160491516, -64.12000480445197,
+                        -17.8578173906298, 2.6965055461319998, 0.629611)),
+        RealPolynomial((6076516.553239804, 113966303.94123906, 516968544.10784495,
+                        382660267.6002377, -1786483776.4247165, -4842108145.287415,
+                        -4626332758.887537, 1046601992.5895169, 9169357452.729776,
+                        14627070866.370823, 14989380517.757372, 11568572762.643415,
+                        7129810165.521942, 3606980010.3963223, 1517777457.781509,
+                        533763050.7017815, 156713295.4162765, 38189812.71889792,
+                        7643604.778133921, 1236346.3778368055, 157762.93840945803,
+                        15305.059863859322, 1062.1784096184438, 47.037289999999985, 1.0)),
+        0.147744, 3.771769, 1.750213),
+    "highorder seed 103 job 5": (
+        RealPolynomial((46459.19694377675, 484.13523931714735, -18453.341587906398,
+                        -2433.2074060119194, 2190.7736287516746, 568.0062085338831,
+                        -37.10976049415879, -28.442587975463997, -3.165114)),
+        RealPolynomial((58100499.20789419, 715724041.0977528, 4118105775.851564,
+                        14750869937.005173, 36982839758.54537, 69164599603.08221,
+                        100380393433.95439, 116091375218.10364, 108982653663.49815,
+                        84138584418.03564, 53911236280.54445, 28842793491.163815,
+                        12929061294.637386, 4861078104.002248, 1530982346.9593706,
+                        402347555.2779324, 87626478.10979038, 15646194.527767107,
+                        2254009.9122143034, 255786.08104032034, 22036.818066001164,
+                        1356.2488977392682, 53.186018, 1.0)),
+        0.41301, 3.231846, 1.219547),
+    "highorder seed 103 job 185": (
+        RealPolynomial((17851352.13463542, 9971440.632138085, -20042362.05590297,
+                        2283072.9817205938, 5972158.8308698945, -1500794.2911126488,
+                        -836515.4425727935, 301574.9563603514, 54875.47401317774,
+                        -30545.03947609231, -342.27507340406373, 1545.1219981570885,
+                        -133.19616386552647, -29.676611314194002, 4.740229)),
+        RealPolynomial((-2822586708.452159, -7413574140.782924, 10348154625.281902,
+                        92119769784.38977, 251675495567.66986, 440563100690.32056,
+                        573769578483.0472, 592711681256.6182, 502764843648.5203,
+                        357491826920.6725, 215802050106.88242, 111438610870.20306,
+                        49427992754.05914, 18856844612.73057, 6182258135.996285,
+                        1736620674.268928, 415768458.66527563, 84162857.07565537,
+                        14240247.026172627, 1981077.3152638543, 221243.30413487682,
+                        19125.103025901783, 1205.410894135614, 49.504259999999995, 1.0)),
+        0.10938, 3.922939, 15.630632),
+}
+
+
+def _job(name):
+    num, den, delay, sigma0, kmax = NON_ROOT_POLISH_JOBS[name]
+    return plant_from_coefficients(num, den, delay), RegionSpec(sigma0, kmax)
+
+
+def _omega2_polys(bf):
+    """q with K'(omega) = omega*q(omega^2) and phi'(omega) = q(omega^2)."""
+    return (RealPolynomial(bf.kprime_poly.coeffs[1::2]),
+            RealPolynomial(bf.phiprime_poly.coeffs[0::2]))
+
+
+def _genuine(p, z):
+    return backward_error(p.coeffs, z) <= TOL_GENUINE
+
+
+class TestGenuineBreakpoints:
+    @pytest.mark.parametrize("name", sorted(NON_ROOT_POLISH_JOBS))
+    def test_breakpoints_are_roots(self, name):
+        plant, region = _job(name)
+        bf = boundary_functions(plant, region)
+        kq, phiq = _omega2_polys(bf)
+        # omega = 0 is a root of the odd K' by parity, not a root of kq
+        for w in [w for w in bf.kprime_roots if w > 0.0]:
+            assert _genuine(kq, w * w), (name, "K'", w)
+        for w in bf.phiprime_roots:
+            assert _genuine(phiq, w * w), (name, "phi'", w)
+
+    @pytest.mark.parametrize("name", sorted(NON_ROOT_POLISH_JOBS))
+    def test_branch_candidates_are_roots(self, name):
+        plant, region = _job(name)
+        b = branch_numerator(plant)
+        for r in branch_roots(plant, region.sigma0):
+            assert _genuine(b, r.value), (name, r)
+
+
+def _from_roots(roots):
+    """Real polynomial with the given roots; complex ones bring their mirror."""
+    p = RealPolynomial((1.0,))
+    for r in roots:
+        if r.imag == 0.0:
+            p = p * RealPolynomial((-r.real, 1.0))
+        else:
+            p = p * RealPolynomial((abs(r) ** 2, -2.0 * r.real, 1.0))
+    return p
+
+
+def _highorder_plant(rng):
+    """Coefficient form of order 14-24, as the highorder benchmark draws it."""
+    def draw(n, re_lo, re_hi):
+        out = []
+        while len(out) < n:
+            re = round(rng.uniform(re_lo, re_hi), 6)
+            if n - len(out) >= 2 and rng.rand() < 0.5:
+                out.append(complex(re, round(rng.uniform(0.3, 4.0), 6)))
+                out.append(out[-1].conjugate())
+            else:
+                out.append(complex(re, 0.0))
+        return [r for r in out if r.imag >= 0.0]
+
+    n = rng.randint(14, 25)
+    num = float(rng.uniform(0.2, 5.0)) * _from_roots(draw(rng.randint(0, n), -4.0, 4.0))
+    den = _from_roots(draw(n, -4.0, 1.0))
+    return plant_from_coefficients(num, den, round(rng.uniform(0.1, 1.0), 6))
+
+
+def _plants():
+    rng = np.random.RandomState(909)
+    out = []
+    for i in range(80):
+        plant = random_plant(rng, Plant)
+        reals = [p for p in plant.poles if p.imag == 0.0]
+        if i % 4 == 0 and reals:  # a repeated pole
+            plant = Plant(plant.alpha, plant.delay, plant.zeros, plant.poles + tuple(reals[:1]))
+        out.append(plant)
+    out += [_highorder_plant(rng) for _ in range(24)]
+    return [(plant, clean_region(plant, rng)[0]) for plant in out]
+
+
+def _crafted(rng, center):
+    """Polynomials with roots at the edge of a screen at center: multiple
+    real roots on and next to it, and conjugate pairs |Im| ~ 1e-9 off the axis."""
+    out = []
+    for d in (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3):
+        for m in (2, 3):
+            others = [complex(rng.uniform(-3.0, 3.0), rng.uniform(0.2, 3.0)) for _ in range(2)]
+            others += [complex(rng.uniform(-3.0, 3.0), 0.0) for _ in range(rng.randint(1, 4))]
+            out.append(_from_roots([complex(center + d, 0.0)] * m + others))
+    for _ in range(6):
+        re = center + rng.uniform(-0.5, 2.0)
+        others = [complex(rng.uniform(-3.0, 3.0), rng.uniform(0.2, 3.0))]
+        out.append(_from_roots([complex(re, 1e-9 * rng.uniform(0.5, 2.0))] + others))
+    return out
+
+
+class TestScreenChangesNothingElse:
+    def test_nonneg_real_roots(self):
+        rng = np.random.RandomState(77)
+        polys = []
+        for plant, sigma0 in _plants():
+            polys += [q for q in _omega2_polys(boundary_functions(plant, RegionSpec(sigma0, 10.0)))
+                      if q.degree >= 1]
+        polys += _crafted(rng, 0.0)
+        for k in (1, 2, 3):  # exact roots at the origin
+            polys.append(RealPolynomial((0.0,) * k + tuple(rng.uniform(-2.0, 2.0, 5))))
+        assert len(polys) >= 200
+        kept = 0
+        for p in polys:
+            got = [(v, m) for v, m in nonneg_real_roots(p) if _genuine(p, v)]
+            want = [(v, m) for v, m in reference_nonneg_real_roots(p) if _genuine(p, v)]
+            assert got == want, p
+            kept += len(got)
+        assert kept >= 100
+
+    def test_branch_roots(self, monkeypatch):
+        cases = [(branch_numerator(plant), sigma0) for plant, sigma0 in _plants()]
+        rng = np.random.RandomState(78)
+        for sigma0 in (-1.3, 0.0, 0.7):
+            cases += [(p, sigma0) for p in _crafted(rng, sigma0)]
+        assert len(cases) >= 100
+        kept = 0
+        for b, sigma0 in cases:
+            monkeypatch.setattr(branch, "branch_numerator", lambda plant: b)
+            got = [r for r in branch_roots(None, sigma0) if _genuine(b, r.value)]
+            want = [r for r in complex_roots(b) if _genuine(b, r.value)
+                    and r.value.real >= sigma0 - 1e-9 * (1.0 + abs(r.value))]
+            assert got == want, (b, sigma0)
+            kept += len(got)
+        assert kept >= 100
+
+
+class TestScreenWork:
+    def test_nonneg_polishes_only_screened_eigenvalues(self, monkeypatch):
+        polished = []
+
+        def counted(coeffs, z, *args):
+            polished.append(z)
+            return exact(coeffs, z, *args)
+
+        exact = poly._polish
+        monkeypatch.setattr(poly, "_polish", counted)
+        p = _from_roots([0.5 + 0j, 2.0 + 0j, -1.0 + 0j, -3.0 + 0j,
+                         -2.0 + 1.5j, 1.0 + 2.0j, 3.0 + 0.5j])
+        assert nonneg_real_roots(p) == [(pytest.approx(0.5), 1), (pytest.approx(2.0), 1)]
+        assert len(polished) == 2
+        for z in polished:
+            assert abs(z.imag) <= poly.SCREEN_REL * (1.0 + abs(z))
+            assert z.real >= -poly.SCREEN_REL * (1.0 + abs(z))
+
+    def test_run_polishes_fewer_than_it_finds(self, monkeypatch):
+        plant, region = _job("highorder seed 101 job 219")
+        found, polished = [0], [0]
+        roots, polish = np.roots, poly._polish
+
+        def counted_roots(c):
+            out = roots(c)
+            found[0] += len(out)
+            return out
+
+        def counted_polish(*args):
+            polished[0] += 1
+            return polish(*args)
+
+        monkeypatch.setattr(poly.np, "roots", counted_roots)
+        monkeypatch.setattr(poly, "_polish", counted_polish)
+        run(plant, region, TraceOptions(negative_gains=True))
+        assert found[0] > 0
+        assert polished[0] < found[0]
