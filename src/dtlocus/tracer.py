@@ -277,8 +277,11 @@ def _refine_frozen_sigma(plant, sigma0, omega, Kval, tol):
     return LocusPoint(sigma0, w, K), False
 
 
-def _refine_gain_cap(plant, below: LocusPoint, above: LocusPoint, lnkmax: float, tol: float) -> LocusPoint:
-    """Point with K exactly at the cap between two accepted points."""
+def _refine_gain_cap(plant, below: LocusPoint, above: LocusPoint, lnkmax: float,
+                     tol: float) -> tuple[LocusPoint, bool]:
+    """Point with K exactly at the cap between two accepted points, and
+    whether it is verified on the locus: True only when the frozen-gain
+    polish converged at exactly that point (its residuals are within tol)."""
     if abs(below.omega) <= _AXIS_TOL and abs(above.omega) <= _AXIS_TOL:
         # real axis: the magnitude residual is monotone along the segment
         def f(sig):
@@ -288,7 +291,7 @@ def _refine_gain_cap(plant, below: LocusPoint, above: LocusPoint, lnkmax: float,
         try:
             fa, fb = f(a), f(b)
             if (fa < 0.0) == (fb < 0.0):
-                return LocusPoint(b, 0.0, lnkmax)
+                return LocusPoint(b, 0.0, lnkmax), False
             while abs(b - a) > 1e-12 * (1.0 + abs(b)):
                 m = 0.5 * (a + b)
                 fm = f(m)
@@ -300,18 +303,16 @@ def _refine_gain_cap(plant, below: LocusPoint, above: LocusPoint, lnkmax: float,
                     b, fb = m, fm
         except (SingularPointError, InputError):
             pass
-        return LocusPoint(0.5 * (a + b), 0.0, lnkmax)
+        return LocusPoint(0.5 * (a + b), 0.0, lnkmax), False
 
     t = (lnkmax - below.Kval) / (above.Kval - below.Kval)
     sig = below.sigma + t * (above.sigma - below.sigma)
     w = below.omega + t * (above.omega - below.omega)
-    return _polish_frozen_K(plant, sig, w, lnkmax, tol, 20)[0]
+    return _polish_frozen_K(plant, sig, w, lnkmax, tol, 20)
 
 
-def _cap_point_ok(plant: Plant, region: RegionSpec, p: LocusPoint, tol: float) -> bool:
-    """A gain cap end must lie in the region and on the locus."""
-    if p.sigma < region.sigma0:
-        return False
+def _on_locus(plant: Plant, p: LocusPoint, tol: float) -> bool:
+    """Whether both residuals at p are within tol."""
     try:
         M, P = residuals(plant, p)
     except (SingularPointError, InputError):
@@ -441,8 +442,10 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
 
         if c.Kval > lnkmax or (c.sigma < region.sigma0):
             if points[-1].Kval < lnkmax:
-                cap_pt = _refine_gain_cap(plant, cursor, c, lnkmax, options.tol_corr)
-                if not _cap_point_ok(plant, region, cap_pt, options.tol_corr):
+                cap_pt, verified = _refine_gain_cap(plant, cursor, c, lnkmax, options.tol_corr)
+                if cap_pt.sigma < region.sigma0 or not (
+                    verified or _on_locus(plant, cap_pt, options.tol_corr)
+                ):
                     # the refinement jumped off this sheet or out of the
                     # region: retry the step from the cursor at half the length
                     if h_used <= ctl.h_min * (1.0 + 1e-12):

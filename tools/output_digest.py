@@ -1,7 +1,7 @@
 """One digest line per job of a benchmark workload, for same-output checks.
 
     python3 tools/output_digest.py corpus|highorder|dense [--seed N] [--jobs N]
-        [--src DIR]
+        [--src DIR] [--topology]
 
 Each job runs as the benchmark runs it (``cli.parse_input`` ->
 ``tracer.run`` -> ``cli.result_to_json``, plus ``result_to_csv`` and
@@ -11,8 +11,13 @@ output text; a job that raises prints its label, the exception type and its
 message.  The jobs come from ``locusbench/workloads.py`` of this checkout;
 the program comes from ``--src`` (default: this checkout's ``src``).
 
+With ``--topology`` a job that returns prints, instead of hashes, one line
+per gain sign: the trajectory count, the count of each termination type and
+the warning count.  Diffing these shows that a change which moves points
+keeps the structure of every locus.
+
 Digest two commits and diff the files to show a change keeps every output
-byte and every failure the same:
+byte (or, with ``--topology``, every structure) and every failure the same:
 
     python3 tools/output_digest.py corpus --src ../old/src > old.txt
     python3 tools/output_digest.py corpus > new.txt
@@ -26,6 +31,7 @@ import hashlib
 import importlib
 import itertools
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,12 +60,39 @@ def digest_line(dtlocus, job) -> str:
     return f"{job.label} " + " ".join(parts)
 
 
+def topology(result) -> str:
+    """Trajectory count, termination counts and warning count per gain sign."""
+    parts = []
+    for sign, res in (("+", result), ("-", result.negative)):
+        if res is None:
+            continue
+        ends = Counter(type(t.termination).__name__ for t in res.trajectories)
+        fields = [f"n={len(res.trajectories)}"]
+        fields += [f"{name}={n}" for name, n in sorted(ends.items())]
+        fields.append(f"warnings={len(res.warnings)}")
+        parts.append(f"{sign}[{' '.join(fields)}]")
+    return " ".join(parts)
+
+
+def topology_line(dtlocus, job) -> str:
+    try:
+        plant = dtlocus.cli.parse_input(job.doc)
+        region = dtlocus.RegionSpec(job.sigma0, job.kmax)
+        result = dtlocus.run(plant, region, dtlocus.TraceOptions(negative_gains=job.negative_gains))
+        text = topology(result)
+    except Exception as e:  # a raising job is part of the digest
+        text = f"raised {type(e).__name__}: {e}"
+    return f"{job.label} {text}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("workload", choices=sorted(DEFAULT_JOBS))
     ap.add_argument("--seed", type=int, default=101)
     ap.add_argument("--jobs", type=int, help="jobs to run (default: %s)" % DEFAULT_JOBS)
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding dtlocus/")
+    ap.add_argument("--topology", action="store_true",
+                    help="print trajectory and termination counts, not output hashes")
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(args.src.resolve()))
@@ -72,9 +105,10 @@ def main(argv=None) -> int:
     importlib.import_module("dtlocus.svgplot")
     workloads = importlib.import_module("workloads")
 
+    line = topology_line if args.topology else digest_line
     n = args.jobs if args.jobs is not None else DEFAULT_JOBS[args.workload]
     for job in itertools.islice(workloads.jobs(args.workload, args.seed), n):
-        print(digest_line(dtlocus, job), flush=True)
+        print(line(dtlocus, job), flush=True)
     return 0
 
 
