@@ -62,6 +62,7 @@ _MATCH_K = 1e-3
 _DEDUP_TOL = 1e-8
 _DEDUP_CELL = 2e-8  # strictly above _DEDUP_TOL: close endpoints bin at most one cell apart
 _SEED_HALVINGS = 8
+_FIRST_STEP_REL = 0.1
 
 
 @dataclass(frozen=True)
@@ -261,6 +262,20 @@ def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
     return seeds
 
 
+def _first_step(plant: Plant, branches, start: complex, options: TraceOptions) -> float:
+    """First step length of a trajectory starting at start.
+
+    A tenth of rho, the distance from start to the nearest plant zero, pole
+    or branch point, clamped to [h0, h_max]: a seed far from everything that
+    bends the locus starts long instead of doubling up from h0 step by step.
+    Pole seeds and branch departures sit within 1e-3(1 + |anchor|) of their
+    anchor, so they keep h0 while the anchor lies inside |s| < 99.
+    """
+    rho = min((abs(start - r) for r in (*plant.zeros, *plant.poles, *(bp.s for bp in branches))),
+              default=math.inf)
+    return max(options.h0, min(options.h_max, _FIRST_STEP_REL * rho))
+
+
 def _refine_frozen_sigma(plant, sigma0, omega, Kval, tol):
     """Newton in (omega, K) at fixed sigma; returns (point, refined?)."""
     w, K = omega, Kval
@@ -348,8 +363,14 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
     strictly increases.  A region exit whose refinement onto the boundary
     does not converge, and a gain cap end that falls off the locus or left of
     the boundary, are not recorded; the step is redone at half the length.
-    A region exit ends in LeftRegion(None); the caller matches it to an
-    outward crossing.
+    So is a step that overshoots a branch point: one whose gain falls, and
+    one that starts within the capture radius of a branch point whose gain
+    it brackets yet passes it by.  Only at h_min does such a step end in
+    StepFailure (or, for the pass-by, get accepted).  A region exit ends in
+    LeftRegion(None); the caller matches it to an outward crossing.
+
+    The first step is _first_step's, sized to the seed's distance from the
+    nearest plant root or branch point.
     """
     options = options or TraceOptions()
     lnkmax = region.lnkmax
@@ -357,9 +378,9 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
     points: list[LocusPoint] = [seed.start]
     cursor = seed.start
     d = seed.direction
-    ctl = StepController(h=options.h0, kappa_nom=options.kappa_nom,
-                         delta_nom=options.delta_nom, h_min=options.h_min,
-                         h_max=options.h_max)
+    ctl = StepController(h=_first_step(plant, branches, seed.start.s, options),
+                         kappa_nom=options.kappa_nom, delta_nom=options.delta_nom,
+                         h_min=options.h_min, h_max=options.h_max)
     origin_branch = seed.origin.index if isinstance(seed.origin, BranchOrigin) else None
     escaped = origin_branch is None
 
@@ -374,6 +395,7 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
         except (SingularJacobian, SingularPointError, InputError):
             out = CorrectorOutcome(predicted, options.max_iter, math.inf, math.inf, False)
         h_used = ctl.h
+        at_floor = h_used <= ctl.h_min * (1.0 + 1e-12)  # no halving is left
         if out.converged:
             # leash: a converged point far from the prediction is a basin
             # escape onto another sheet, not a continuation of this one
@@ -390,9 +412,12 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
         c = out.point
 
         # branch capture: the step's gain window brackets a branch gain and
-        # the path, interpolated to that gain, passes by the branch point
+        # the path, interpolated to that gain, passes by the branch point.
+        # A step that starts by the branch point but passes it by has jumped
+        # onto another sheet; it is redone at half the length.
         captured = None
         best_dist = math.inf
+        overshot = False
         for bi, bp in enumerate(branches):
             if not bp.active:
                 continue
@@ -410,8 +435,13 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
             t = min(max(t, 0.0), 1.0)
             pos = cursor.s + t * (c.s - cursor.s)
             dist = abs(pos - bp.s)
-            if dist <= r_cap and dist < best_dist:
+            if dist > r_cap:
+                overshot = overshot or abs(cursor.s - bp.s) <= r_cap
+            elif dist < best_dist:
                 captured, best_dist = bi, dist
+        if captured is None and overshot and not at_floor:
+            ctl.resize(0.5 * h_used)
+            continue
         if captured is not None:
             bp = branches[captured]
             kept = [pt for pt in points if pt.Kval < bp.Kval - 1e-12]
@@ -428,7 +458,7 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
             K0 = cursor.Kval + t * (c.Kval - cursor.Kval)
             exit_pt, refined = _refine_frozen_sigma(plant, region.sigma0, w0, K0, options.tol_corr)
             if not refined:
-                if h_used <= ctl.h_min * (1.0 + 1e-12):
+                if at_floor:
                     return finish(StepFailure(
                         f"region exit refinement did not converge at step {len(points)}"
                     ))
@@ -448,7 +478,7 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
                 ):
                     # the refinement jumped off this sheet or out of the
                     # region: retry the step from the cursor at half the length
-                    if h_used <= ctl.h_min * (1.0 + 1e-12):
+                    if at_floor:
                         return finish(StepFailure(
                             f"gain cap refinement left the locus at step {len(points)}"
                         ))
@@ -460,7 +490,13 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
         dK = c.Kval - cursor.Kval
         if dK <= 0.0:
             if dK <= -_FLAT_K_REL * (1.0 + abs(c.Kval)):
-                return finish(StepFailure(f"gain reversal at step {len(points)}: dK={dK:.3e}"))
+                # the gain falls along a trajectory only past a critical
+                # point of the gain, a branch point the step jumped over:
+                # redo the step at half the length
+                if at_floor:
+                    return finish(StepFailure(f"gain reversal at step {len(points)}: dK={dK:.3e}"))
+                ctl.resize(0.5 * h_used)
+                continue
             # flat in gain: move the cursor, record nothing
             try:
                 d = unit3((c.sigma - cursor.sigma, c.omega - cursor.omega, dK))
