@@ -188,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--strict", action="store_true",
                     help="exit 3 if any trajectory ends in a step failure")
     ap.add_argument("--tol", type=float, default=TOL_CORR, help="corrector tolerance")
-    ap.add_argument("--h0", type=float, default=H0, help="initial continuation step")
+    ap.add_argument("--h0", type=float, default=H0, help="smallest first continuation step")
     return ap
 
 

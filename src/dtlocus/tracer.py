@@ -218,7 +218,8 @@ def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
     crossing, one per departure ray of each active branch point.
 
     With mirroring on, seeds whose trajectory is the conjugate image of
-    another are omitted; the mirror pass reinstates them.
+    another are omitted; the mirror pass reinstates them.  A seed carries no
+    step length: trace starts it at _first_step's.
     """
     options = options or TraceOptions()
     if bf is None:

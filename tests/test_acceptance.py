@@ -26,6 +26,7 @@ from dtlocus.cli import parse_input
 from dtlocus.continuation import (
     DELTA_NOM,
     H0,
+    H_MAX,
     KAPPA_NOM,
     CorrectorOutcome,
     LocusPoint,
@@ -47,7 +48,9 @@ from dtlocus.tracer import (
     PoleOrigin,
     ReachedBranch,
     TraceOptions,
+    _first_step,
     run,
+    seed_points,
 )
 from oracles import (
     clean_region,
@@ -428,19 +431,23 @@ def test_08_step_control(demo_plant, demo_result, p1_result):
     h, repeat = step_update(StepController(h=0.4, h_max=0.5), crisp)
     assert h == 0.5 and repeat is False
 
-    # halving the initial step and the distance target must not change any
-    # termination reason, and endpoints may move at most 1e-4
-    fine = TraceOptions(h0=H0 / 2.0, delta_nom=DELTA_NOM / 2.0)
-    for plant, region, base in (
-        (P1, P1_REGION, p1_result),
-        (demo_plant, DEMO_REGION, demo_result),
-    ):
-        refined = run(plant, region, fine)
-        a, b = _endpoint_map(base), _endpoint_map(refined)
-        assert set(a) == set(b)
-        for key in a:
-            assert a[key][0] == b[key][0], key
-            assert abs(a[key][1] - b[key][1]) <= 1e-4, key
+    # halving the initial step and the distance target, or the largest step,
+    # must not change any termination reason, and endpoints may move at most
+    # 1e-4.  The distance target rarely binds (a converged corrector leaves
+    # delta near tol_corr) and crossing seeds start above h0, so the h_max
+    # run is the one that shortens most steps.
+    for fine in (TraceOptions(h0=H0 / 2.0, delta_nom=DELTA_NOM / 2.0),
+                 TraceOptions(h_max=H_MAX / 2.0)):
+        for plant, region, base in (
+            (P1, P1_REGION, p1_result),
+            (demo_plant, DEMO_REGION, demo_result),
+        ):
+            refined = run(plant, region, fine)
+            a, b = _endpoint_map(base), _endpoint_map(refined)
+            assert set(a) == set(b)
+            for key in a:
+                assert a[key][0] == b[key][0], key
+                assert abs(a[key][1] - b[key][1]) <= 1e-4, key
 
 
 @_criterion(9, "trajectory point sets are conjugate symmetric within 1e-8")
@@ -481,3 +488,24 @@ def test_branch_departures_complete(corpus):
                 dep = [t for t in res.trajectories
                        if isinstance(t.origin, BranchOrigin) and t.origin.index == bi]
                 assert len(dep) == bp.multiplicity, (res.plant, bp)
+
+
+def test_first_step_rule(corpus):
+    # pole seeds and branch departures start at h0; every first step lies in
+    # [h0, h_max], and below h_max a crossing seed starts at a tenth of its
+    # distance to the nearest plant root or branch point
+    options = TraceOptions()
+    crossings_sized = 0
+    for res in corpus:
+        anchors = [*res.plant.zeros, *res.plant.poles, *(bp.s for bp in res.branch_points)]
+        seeds = seed_points(res.plant, res.region, options=options, branches=res.branch_points)
+        for seed in seeds:
+            h = _first_step(res.plant, res.branch_points, seed.start.s, options)
+            assert options.h0 <= h <= options.h_max
+            if isinstance(seed.origin, (PoleOrigin, BranchOrigin)):
+                assert h == options.h0, seed
+            else:
+                rho = min(abs(seed.start.s - a) for a in anchors)
+                assert h == max(options.h0, min(options.h_max, 0.1 * rho)), seed
+                crossings_sized += options.h0 < 0.1 * rho < options.h_max
+    assert crossings_sized > 0

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from scipy.special import lambertw
 
-from dtlocus import boundary, branch
+from dtlocus import boundary, branch, tracer
 from dtlocus.boundary import RegionSpec, _breakpoints, _omega_cap, boundary_functions
 from dtlocus.cli import parse_input
-from dtlocus.continuation import residuals
+from dtlocus.continuation import H_MAX, residuals
 from dtlocus.errors import BranchOnBoundary, DtLocusError
 from dtlocus.plant import Plant
 from dtlocus.tracer import (
@@ -379,13 +379,91 @@ class TestSeedsAndStability:
     def test_topology_stable_under_refinement(self, p1):
         region = RegionSpec(-2.0, 1.0)
         coarse = run(p1, region)
-        fine = run(p1, region, TraceOptions(h0=5e-3, delta_nom=5e-4))
-        assert len(coarse.trajectories) == len(fine.trajectories)
-        for a, b in zip(coarse.trajectories, fine.trajectories):
-            assert type(a.termination) is type(b.termination)
-            pa, pb = a.points[-1], b.points[-1]
-            assert abs(pa.sigma - pb.sigma) <= 1e-4
-            assert abs(pa.omega - pb.omega) <= 1e-4
+        for options in (TraceOptions(h0=5e-3, delta_nom=5e-4), TraceOptions(h_max=H_MAX / 2.0)):
+            fine = run(p1, region, options)
+            assert len(coarse.trajectories) == len(fine.trajectories)
+            for a, b in zip(coarse.trajectories, fine.trajectories):
+                assert type(a.termination) is type(b.termination)
+                pa, pb = a.points[-1], b.points[-1]
+                assert abs(pa.sigma - pb.sigma) <= 1e-4
+                assert abs(pa.omega - pb.omega) <= 1e-4
+
+
+class TestFirstStep:
+    """The README demo plant at sigma0 -3.5 and kmax 500: 2,639 traced
+    trajectories, almost all seeded at boundary crossings far from every
+    root, which start at a step sized to that distance instead of h0."""
+
+    @pytest.fixture(scope="class")
+    def demo_500(self):
+        calls = []
+        correct = tracer.correct
+
+        def counted(*args):
+            calls.append(None)
+            return correct(*args)
+
+        plant = parse_input(b'{"num": [50, -10, 1], "den": [1.25, 4.25, 4, 1], "delay": 1}')
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tracer, "correct", counted)
+            res = run(plant, RegionSpec(-3.5, 500.0))
+        return res, len(calls)
+
+    def test_corrector_calls_per_trajectory(self, demo_500):
+        res, calls = demo_500
+        traced = sum(1 for t in res.trajectories if not t.mirrored)
+        assert calls <= 4 * traced  # 7.8 per trajectory from a first step of h0
+
+    def test_topology(self, demo_500):
+        res, _ = demo_500
+        ends = Counter(type(t.termination).__name__ for t in res.trajectories)
+        assert len(res.trajectories) == 5275
+        assert ends == {"GainCap": 5272, "LeftRegion": 1, "ReachedBranch": 2}
+        assert res.warnings == ()
+
+
+# corpus draws where a real-axis trajectory stepped past the branch point it
+# was arriving at: into falling gain (124, 154, 607) or onto another sheet
+# (429, 486, 656, 737); each step is now redone at half the length
+_OVERSHOOT_CASES = [
+    ({"alpha": 3.546259, "delay": 0.375937, "zeros": [],
+      "poles": [[-0.524087, 0], [-0.053702, 0.911345], [-0.053702, -0.911345],
+                [-1.654103, 1.074922], [-1.654103, -1.074922], [-2.091377, 0],
+                [-0.524087, 0]]}, -2.367108, 0.648453, -1),
+    ({"alpha": 4.814848, "delay": 0.519405, "zeros": [],
+      "poles": [[0.180416, 0], [-1.626686, 1.349893], [-1.626686, -1.349893]]},
+     -1.307978, 15.285959, 1),
+    ({"alpha": 0.200721, "delay": 0.443282, "zeros": [[2.6086, 0]],
+      "poles": [[-0.497711, 0], [-0.454203, 0], [-0.190637, 1.414825],
+                [-0.190637, -1.414825], [-1.381718, 1.685196], [-1.381718, -1.685196],
+                [-0.497711, 0]]}, -1.935781, 6.120233, -1),
+    ({"alpha": 2.154809, "delay": 1.922042, "zeros": [],
+      "poles": [[-0.970863, 0], [-0.586357, 0], [-0.102619, 0], [-0.102619, 0],
+                [-1.261645, 0]]}, -0.447188, 0.664038, -1),
+    ({"alpha": 2.701045, "delay": 0.746612,
+      "zeros": [[2.47523, 0], [-0.229818, 2.881815], [-0.229818, -2.881815], [2.169531, 0],
+                [0.674923, 0], [-1.275804, 0], [1.586002, 0]],
+      "poles": [[-1.186247, 2.173751], [-1.186247, -2.173751], [0.464154, 1.102363],
+                [0.464154, -1.102363], [-0.537021, 0], [-1.596583, 0], [0.19069, 0]]},
+     -0.39214, 0.13813, 1),
+    ({"alpha": 4.697289, "delay": 1.591063,
+      "zeros": [[1.470681, 0.789899], [1.470681, -0.789899], [0.758655, 0]],
+      "poles": [[-2.244591, 0], [-2.438812, 0], [-0.337875, 0], [-1.630465, 0],
+                [-1.735954, 0], [-1.623342, 0]]}, -1.424064, 0.711628, -1),
+    ({"alpha": 4.043233, "delay": 1.970284,
+      "zeros": [[0.136769, 0.35326], [0.136769, -0.35326]],
+      "poles": [[-0.295887, 0], [0.485879, 0], [-1.217395, 0]]}, 0.02383, 6.243304, 1),
+]
+
+
+@pytest.mark.parametrize("doc, sigma0, kmax, sign", _OVERSHOOT_CASES)
+def test_branch_overshoot_is_redone(doc, sigma0, kmax, sign):
+    res = run(parse_input(json.dumps(doc).encode()), RegionSpec(sigma0, kmax),
+              TraceOptions(negative_gains=True))
+    res = res if sign > 0 else res.negative
+    # no step failure, no unmatched region exit, no branch point short of
+    # its arrivals
+    assert res.warnings == ()
 
 
 def assert_ends_on_locus(result, sigma0, tol=1e-6):

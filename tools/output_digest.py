@@ -44,22 +44,6 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def digest_line(dtlocus, job) -> str:
-    cli, svgplot = dtlocus.cli, dtlocus.svgplot
-    try:
-        plant = cli.parse_input(job.doc)
-        region = dtlocus.RegionSpec(job.sigma0, job.kmax)
-        result = dtlocus.run(plant, region, dtlocus.TraceOptions(negative_gains=job.negative_gains))
-        parts = [f"json={_sha(cli.result_to_json(result))}"]
-        if "csv" in job.outputs:
-            parts.append(f"csv={_sha(cli.result_to_csv(result))}")
-        if "svg" in job.outputs:
-            parts.append(f"svg={_sha(svgplot.render_svg(result))}")
-    except Exception as e:  # a raising job is part of the digest
-        parts = [f"raised {type(e).__name__}: {e}"]
-    return f"{job.label} " + " ".join(parts)
-
-
 def topology(result) -> str:
     """Trajectory count, termination counts and warning count per gain sign."""
     parts = []
@@ -74,15 +58,23 @@ def topology(result) -> str:
     return " ".join(parts)
 
 
-def topology_line(dtlocus, job) -> str:
+def digest_line(dtlocus, job, structure: bool = False) -> str:
+    cli, svgplot = dtlocus.cli, dtlocus.svgplot
     try:
-        plant = dtlocus.cli.parse_input(job.doc)
+        plant = cli.parse_input(job.doc)
         region = dtlocus.RegionSpec(job.sigma0, job.kmax)
         result = dtlocus.run(plant, region, dtlocus.TraceOptions(negative_gains=job.negative_gains))
-        text = topology(result)
+        if structure:
+            parts = [topology(result)]
+        else:
+            parts = [f"json={_sha(cli.result_to_json(result))}"]
+            if "csv" in job.outputs:
+                parts.append(f"csv={_sha(cli.result_to_csv(result))}")
+            if "svg" in job.outputs:
+                parts.append(f"svg={_sha(svgplot.render_svg(result))}")
     except Exception as e:  # a raising job is part of the digest
-        text = f"raised {type(e).__name__}: {e}"
-    return f"{job.label} {text}"
+        parts = [f"raised {type(e).__name__}: {e}"]
+    return f"{job.label} " + " ".join(parts)
 
 
 def main(argv=None) -> int:
@@ -105,10 +97,9 @@ def main(argv=None) -> int:
     importlib.import_module("dtlocus.svgplot")
     workloads = importlib.import_module("workloads")
 
-    line = topology_line if args.topology else digest_line
     n = args.jobs if args.jobs is not None else DEFAULT_JOBS[args.workload]
     for job in itertools.islice(workloads.jobs(args.workload, args.seed), n):
-        print(line(dtlocus, job), flush=True)
+        print(digest_line(dtlocus, job, args.topology), flush=True)
     return 0
 
 
