@@ -22,7 +22,7 @@ from .boundary import (
     boundary_functions,
 )
 from .branch import BranchPoint, branch_departures, branch_points
-from .continuation import CorrectorOutcome, LocusPoint, StepController, correct, predict
+from .continuation import CorrectorOutcome, LocusPoint, correct, predict
 from .errors import (
     BiProperGainCapViolated,
     BranchOnBoundary,
@@ -32,7 +32,6 @@ from .errors import (
     PoleOrZeroOnBoundary,
     SingularJacobian,
     SingularPointError,
-    StepUnderflow,
 )
 from .plant import LogValue, Plant, gain_at, log_eval, plant_from_coefficients
 from .poly import PolyRoot, RealPolynomial, complex_roots
@@ -80,9 +79,7 @@ __all__ = [
     "RootLocusResult",
     "SingularJacobian",
     "SingularPointError",
-    "StepController",
     "StepFailure",
-    "StepUnderflow",
     "TraceOptions",
     "Trajectory",
     "boundary_crossings",

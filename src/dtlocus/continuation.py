@@ -5,22 +5,19 @@ the log-magnitude residual M, the phase residual P, and an affine constraint
 pinning the iterate to the plane through the predicted point orthogonal to
 the travel direction; the 3x3 Jacobian rows for M and P share their entries
 by the Cauchy-Riemann structure of ln G.
+
+The step length follows one rule, step_update: it grows or shrinks with the
+corrector's contraction, and a failed correction halves it.  The step stays
+in [H_MIN, h_max]; the tracer ends a trajectory that must halve at H_MIN.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 from .boundary import BoundaryCrossing, BoundaryFunctions
-from .errors import (
-    DegenerateCrossing,
-    InputError,
-    SingularJacobian,
-    SingularPointError,
-    StepUnderflow,
-)
+from .errors import DegenerateCrossing, InputError, SingularJacobian
 from .plant import Plant, _log_kernel, dlog_ratio, wrap_angle
 
 TOL_CORR = 1e-6
@@ -29,7 +26,6 @@ H0 = 1e-2
 H_MIN = 1e-8
 H_MAX = 0.5
 KAPPA_NOM = 1.1
-DELTA_NOM = 1e-3
 COND_LIMIT = 1e12
 TOL_DIR = 1e-9
 
@@ -56,36 +52,11 @@ class LocusPoint:
         return math.exp(self.Kval)
 
 
-@dataclass
-class StepController:
-    """Adaptive step length with nominal contraction/distance targets.
-
-    h always lies in [h_min, h_max]: the constructor and resize clamp it.
-    """
-
-    h: float
-    kappa_nom: float = KAPPA_NOM
-    delta_nom: float = DELTA_NOM
-    h_min: float = H_MIN
-    h_max: float = H_MAX
-
-    def __post_init__(self):
-        if not (self.kappa_nom > 0.0 and self.delta_nom > 0.0):
-            raise InputError("nominal contraction and distance must be positive")
-        if not (0.0 < self.h_min <= self.h_max):
-            raise InputError("step bounds must satisfy 0 < h_min <= h_max")
-        self.resize(self.h)
-
-    def resize(self, h: float) -> None:
-        self.h = min(max(h, self.h_min), self.h_max)
-
-
 @dataclass(frozen=True)
 class CorrectorOutcome:
     point: LocusPoint
     iterations: int
     kappa: float
-    delta: float
     converged: bool
 
 
@@ -209,16 +180,13 @@ def correct(
     Convergence is declared on the residuals themselves (|M|, |P| and the
     plane constraint all within tol), so a converged outcome always satisfies
     the locus equations to tolerance.  kappa is the ratio of the first two
-    Newton step lengths (0 when fewer than two steps ran); delta is the
-    direct locus distance |1 - e^(M+jP)| at the final point, inf when that
-    overflows.
+    Newton step lengths (0 when fewer than two steps ran).
     """
     s0, w0, K0 = predicted.sigma, predicted.omega, predicted.Kval
     d0, d1, d2 = prev_dir
     sig, w, K = s0, w0, K0
     norms: list[float] = []
     converged = False
-    M = P = 0.0
     while True:
         M, P, msig, mom = _locus_eval(plant, sig, w, K)
         f3 = (sig - s0) * d0 + (w - w0) * d1 + (K - K0) * d2
@@ -233,36 +201,19 @@ def correct(
         K += dx[2]
         norms.append(math.sqrt(dx[0] ** 2 + dx[1] ** 2 + dx[2] ** 2))
     kappa = norms[1] / norms[0] if len(norms) >= 2 and norms[0] > 0.0 else 0.0
-    try:
-        delta = abs(1.0 - cmath.exp(complex(M, P)))
-    except OverflowError:
-        delta = math.inf  # M past ~709 after a failed correction
-    return CorrectorOutcome(
-        point=LocusPoint(sig, w, K),
-        iterations=len(norms),
-        kappa=kappa,
-        delta=delta,
-        converged=converged,
-    )
+    return CorrectorOutcome(LocusPoint(sig, w, K), len(norms), kappa, converged)
 
 
-def step_update(ctl: StepController, out: CorrectorOutcome) -> tuple[float, bool]:
-    """Next step length and whether the prediction must be redone.
+def step_update(h: float, out: CorrectorOutcome, h_max: float = H_MAX) -> tuple[float, bool]:
+    """Next step length after a step of length h, and whether to redo it.
 
-    Converged steps are graded by contraction and locus distance against the
-    nominal targets; a failed correction forces the maximum reduction.
+    A converged step is graded by its contraction: the step is divided by
+    sqrt(kappa/KAPPA_NOM) clamped to [0.5, 2].  A factor of 2, or a failed
+    correction, halves the step and redoes it.  The new length is kept in
+    [H_MIN, h_max]; a redo asked at H_MIN is the caller's to end.
     """
-    if out.converged:
-        k_df = math.sqrt(max(out.kappa, 0.0) / ctl.kappa_nom)
-        d_df = math.sqrt(max(out.delta, 0.0) / ctl.delta_nom)
-        h_bar = min(max(max(k_df, d_df), 0.5), 2.0)
-    else:
-        h_bar = 2.0
-    repeat = h_bar >= 2.0 or not out.converged
-    if repeat and ctl.h <= ctl.h_min * (1.0 + 1e-12):
-        raise StepUnderflow(f"step length {ctl.h:.3e} cannot shrink below {ctl.h_min:.3e}")
-    new_h = min(max(ctl.h / h_bar, ctl.h_min), ctl.h_max)
-    return new_h, repeat
+    h_bar = min(max(math.sqrt(out.kappa / KAPPA_NOM), 0.5), 2.0) if out.converged else 2.0
+    return min(max(h / h_bar, H_MIN), h_max), h_bar >= 2.0
 
 
 def _phase_rest_at(plant: Plant, p: complex, skip: list[int]) -> float:

@@ -36,6 +36,3 @@ class SingularJacobian(DtLocusError):
     """Newton system matrix is numerically singular (pivot-based condition
     estimate exceeded)."""
 
-
-class StepUnderflow(DtLocusError):
-    """The step-length controller was asked to shrink the step below h_min."""

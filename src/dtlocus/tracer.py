@@ -23,16 +23,13 @@ from .boundary import (
 )
 from .branch import BranchPoint, branch_departures, branch_points, branch_roots
 from .continuation import (
-    DELTA_NOM,
     H0,
     H_MAX,
     H_MIN,
-    KAPPA_NOM,
     MAX_ITER,
     TOL_CORR,
     CorrectorOutcome,
     LocusPoint,
-    StepController,
     _locus_eval,
     correct,
     departure_angles,
@@ -44,13 +41,7 @@ from .continuation import (
     step_update,
     unit3,
 )
-from .errors import (
-    BranchOnBoundary,
-    InputError,
-    SingularJacobian,
-    SingularPointError,
-    StepUnderflow,
-)
+from .errors import BranchOnBoundary, InputError, SingularJacobian, SingularPointError
 from .plant import Plant, log_eval, wrap_angle
 
 _AXIS_TOL = 1e-9
@@ -127,16 +118,26 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class TraceOptions:
+    """Corrector tolerance, smallest first step, largest step, step budget
+    per trajectory, mirroring and the negative-gain pass; checked once here."""
+
     tol_corr: float = TOL_CORR
     h0: float = H0
-    h_min: float = H_MIN
     h_max: float = H_MAX
-    max_iter: int = MAX_ITER
-    kappa_nom: float = KAPPA_NOM
-    delta_nom: float = DELTA_NOM
     mirror: bool = True
     max_steps: int = 20000
     negative_gains: bool = False
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol_corr) and self.tol_corr > 0.0):
+            raise InputError(f"corrector tolerance must be finite and > 0, got {self.tol_corr}")
+        if not (math.isfinite(self.h0) and self.h0 > 0.0):
+            raise InputError(f"first step h0 must be finite and > 0, got {self.h0}")
+        if not (math.isfinite(self.h_max) and self.h_max >= H_MIN):
+            raise InputError(f"largest step h_max must be finite and >= {H_MIN}, got {self.h_max}")
+        steps = self.max_steps
+        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+            raise InputError(f"step budget max_steps must be an int >= 1, got {steps!r}")
 
 
 @dataclass(frozen=True)
@@ -267,14 +268,15 @@ def _first_step(plant: Plant, branches, start: complex, options: TraceOptions) -
     """First step length of a trajectory starting at start.
 
     A tenth of rho, the distance from start to the nearest plant zero, pole
-    or branch point, clamped to [h0, h_max]: a seed far from everything that
-    bends the locus starts long instead of doubling up from h0 step by step.
-    Pole seeds and branch departures sit within 1e-3(1 + |anchor|) of their
-    anchor, so they keep h0 while the anchor lies inside |s| < 99.
+    or branch point, raised to h0 and then kept in [H_MIN, h_max]: a seed far
+    from everything that bends the locus starts long instead of doubling up
+    from h0 step by step.  Pole seeds and branch departures sit within
+    1e-3(1 + |anchor|) of their anchor, so they keep h0 while the anchor lies
+    inside |s| < 99.
     """
     rho = min((abs(start - r) for r in (*plant.zeros, *plant.poles, *(bp.s for bp in branches))),
               default=math.inf)
-    return max(options.h0, min(options.h_max, _FIRST_STEP_REL * rho))
+    return min(max(options.h0, _FIRST_STEP_REL * rho, H_MIN), options.h_max)
 
 
 def _refine_frozen_sigma(plant, sigma0, omega, Kval, tol):
@@ -353,22 +355,61 @@ def _match_outward(point: LocusPoint, w_out, claimed: set[int]) -> int | None:
     return best
 
 
+def _branch_capture(branches, cursor: LocusPoint, c: LocusPoint, h: float,
+                    origin_branch: int | None, escaped: bool):
+    """Screen a step of length h from cursor to c against the branch points.
+
+    A step arrives at a branch point when its gain window brackets the
+    branch gain and the path, interpolated to that gain, passes within the
+    capture radius.  A step that starts within that radius but passes by
+    has jumped onto another sheet.  A branch departure ignores its own
+    branch point until it has escaped it.  Returns (index of the nearest
+    branch point arrived at or None, passed by?, escaped).
+    """
+    captured = None
+    best_dist = math.inf
+    overshot = False
+    for bi, bp in enumerate(branches):
+        if not bp.active:
+            continue
+        tol_Kb = _GAIN_GATE_REL * (1.0 + abs(bp.Kval))
+        r_cap = max(h, 1e-3) * (1.0 + abs(bp.s))
+        if bi == origin_branch and not escaped:
+            if abs(c.s - bp.s) > r_cap or c.Kval > bp.Kval + 2.0 * tol_Kb:
+                escaped = True
+            else:
+                continue
+        if cursor.Kval > bp.Kval + tol_Kb or c.Kval < bp.Kval - tol_Kb:
+            continue
+        span = c.Kval - cursor.Kval
+        t = (bp.Kval - cursor.Kval) / span if span > 0.0 else 0.0
+        t = min(max(t, 0.0), 1.0)
+        pos = cursor.s + t * (c.s - cursor.s)
+        dist = abs(pos - bp.s)
+        if dist > r_cap:
+            overshot = overshot or abs(cursor.s - bp.s) <= r_cap
+        elif dist < best_dist:
+            captured, best_dist = bi, dist
+    return captured, overshot, escaped
+
+
 def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
           options: TraceOptions | None = None) -> Trajectory:
     """Advance one seed to its termination.
 
-    Every accepted corrector point is screened in order for: branch capture
-    (distance and gain both inside their windows), region exit (sigma below
-    the boundary), gain cap, and gain monotonicity.  Gain-flat accepted
-    points advance the cursor without being recorded so the stored gain
-    strictly increases.  A region exit whose refinement onto the boundary
-    does not converge, and a gain cap end that falls off the locus or left of
-    the boundary, are not recorded; the step is redone at half the length.
-    So is a step that overshoots a branch point: one whose gain falls, and
-    one that starts within the capture radius of a branch point whose gain
-    it brackets yet passes it by.  Only at h_min does such a step end in
-    StepFailure (or, for the pass-by, get accepted).  A region exit ends in
-    LeftRegion(None); the caller matches it to an outward crossing.
+    The corrector's point is screened in order for: convergence (step_update
+    grades it; the leash rejects a converged point far from its prediction),
+    branch capture, region exit (sigma below the boundary), gain cap, and
+    gain monotonicity.  Five of these can reject the step: a failed or
+    leashed correction, a step that passes by a branch point it started
+    beside, a region exit whose refinement onto the boundary does not
+    converge, a gain cap end that falls off the locus or left of the
+    boundary, and a gain that falls.  A rejected step is redone from the
+    cursor at half the length; at H_MIN it ends in StepFailure with the
+    reason instead, except the pass-by, which is then accepted.  An accepted
+    point is recorded only when its gain rises, so the stored gain strictly
+    increases.  A region exit ends in LeftRegion(None); the caller matches
+    it to an outward crossing.
 
     The first step is _first_step's, sized to the seed's distance from the
     nearest plant root or branch point.
@@ -379,9 +420,7 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
     points: list[LocusPoint] = [seed.start]
     cursor = seed.start
     d = seed.direction
-    ctl = StepController(h=_first_step(plant, branches, seed.start.s, options),
-                         kappa_nom=options.kappa_nom, delta_nom=options.delta_nom,
-                         h_min=options.h_min, h_max=options.h_max)
+    h = _first_step(plant, branches, seed.start.s, options)
     origin_branch = seed.origin.index if isinstance(seed.origin, BranchOrigin) else None
     escaped = origin_branch is None
 
@@ -390,122 +429,78 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
                           start_marker=seed.start_marker)
 
     for _ in range(options.max_steps):
-        predicted = predict(cursor, d, ctl.h)
+        h_used = h
+        at_floor = h_used <= H_MIN * (1.0 + 1e-12)  # no halving is left
+        predicted = predict(cursor, d, h_used)
         try:
-            out = correct(plant, predicted, d, options.tol_corr, options.max_iter)
+            out = correct(plant, predicted, d, options.tol_corr, MAX_ITER)
         except (SingularJacobian, SingularPointError, InputError):
-            out = CorrectorOutcome(predicted, options.max_iter, math.inf, math.inf, False)
-        h_used = ctl.h
-        at_floor = h_used <= ctl.h_min * (1.0 + 1e-12)  # no halving is left
+            out = CorrectorOutcome(predicted, MAX_ITER, math.inf, False)
         if out.converged:
             # leash: a converged point far from the prediction is a basin
             # escape onto another sheet, not a continuation of this one
             disp = math.hypot(abs(out.point.s - predicted.s), out.point.Kval - predicted.Kval)
             if disp > 10.0 * h_used * (1.0 + abs(cursor.s)):
-                out = CorrectorOutcome(out.point, out.iterations, math.inf, math.inf, False)
-        try:
-            new_h, repeat = step_update(ctl, out)
-        except StepUnderflow as e:
-            return finish(StepFailure(f"step underflow: {e}"))
-        ctl.resize(new_h)
-        if repeat:
-            continue
+                out = CorrectorOutcome(out.point, out.iterations, math.inf, False)
+        h, repeat = step_update(h_used, out, options.h_max)
         c = out.point
+        reason = None
 
-        # branch capture: the step's gain window brackets a branch gain and
-        # the path, interpolated to that gain, passes by the branch point.
-        # A step that starts by the branch point but passes it by has jumped
-        # onto another sheet; it is redone at half the length.
-        captured = None
-        best_dist = math.inf
-        overshot = False
-        for bi, bp in enumerate(branches):
-            if not bp.active:
-                continue
-            tol_Kb = _GAIN_GATE_REL * (1.0 + abs(bp.Kval))
-            r_cap = max(h_used, 1e-3) * (1.0 + abs(bp.s))
-            if bi == origin_branch and not escaped:
-                if abs(c.s - bp.s) > r_cap or c.Kval > bp.Kval + 2.0 * tol_Kb:
-                    escaped = True
-                else:
-                    continue
-            if cursor.Kval > bp.Kval + tol_Kb or c.Kval < bp.Kval - tol_Kb:
-                continue
-            span = c.Kval - cursor.Kval
-            t = (bp.Kval - cursor.Kval) / span if span > 0.0 else 0.0
-            t = min(max(t, 0.0), 1.0)
-            pos = cursor.s + t * (c.s - cursor.s)
-            dist = abs(pos - bp.s)
-            if dist > r_cap:
-                overshot = overshot or abs(cursor.s - bp.s) <= r_cap
-            elif dist < best_dist:
-                captured, best_dist = bi, dist
-        if captured is None and overshot and not at_floor:
-            ctl.resize(0.5 * h_used)
-            continue
-        if captured is not None:
-            bp = branches[captured]
-            kept = [pt for pt in points if pt.Kval < bp.Kval - 1e-12]
-            if kept:
-                kept.append(LocusPoint(bp.s.real, bp.s.imag, bp.Kval))
-                points = kept
-                return finish(ReachedBranch(captured))
-            # no below-gain history: treat as a graze, keep going
+        if repeat:
+            reason = f"step underflow: step length {h_used:.3e} cannot shrink below {H_MIN:.3e}"
+        else:
+            captured, overshot, escaped = _branch_capture(branches, cursor, c, h_used,
+                                                          origin_branch, escaped)
+            if captured is not None:
+                bp = branches[captured]
+                kept = [pt for pt in points if pt.Kval < bp.Kval - 1e-12]
+                if kept:
+                    kept.append(LocusPoint(bp.s.real, bp.s.imag, bp.Kval))
+                    points = kept
+                    return finish(ReachedBranch(captured))
+                # no below-gain history: treat as a graze, keep going
+            elif overshot and not at_floor:
+                reason = "passed by a branch point"
 
-        if c.sigma < region.sigma0:
+        if reason is None and c.sigma < region.sigma0:
             span = c.sigma - cursor.sigma
             t = (region.sigma0 - cursor.sigma) / span if span != 0.0 else 1.0
-            w0 = cursor.omega + t * (c.omega - cursor.omega)
-            K0 = cursor.Kval + t * (c.Kval - cursor.Kval)
-            exit_pt, refined = _refine_frozen_sigma(plant, region.sigma0, w0, K0, options.tol_corr)
+            exit_pt, refined = _refine_frozen_sigma(
+                plant, region.sigma0, cursor.omega + t * (c.omega - cursor.omega),
+                cursor.Kval + t * (c.Kval - cursor.Kval), options.tol_corr)
             if not refined:
-                if at_floor:
-                    return finish(StepFailure(
-                        f"region exit refinement did not converge at step {len(points)}"
-                    ))
-                ctl.resize(0.5 * h_used)
-                continue
-            if exit_pt.Kval <= lnkmax:
+                reason = f"region exit refinement did not converge at step {len(points)}"
+            elif exit_pt.Kval <= lnkmax:
                 if exit_pt.Kval > points[-1].Kval:
                     points.append(exit_pt)
                 return finish(LeftRegion(None))
-            # the cap is reached before the boundary: fall through
+            # else the cap is reached before the boundary: fall through
 
-        if c.Kval > lnkmax or (c.sigma < region.sigma0):
-            if points[-1].Kval < lnkmax:
-                cap_pt, verified = _refine_gain_cap(plant, cursor, c, lnkmax, options.tol_corr)
-                if cap_pt.sigma < region.sigma0 or not (
-                    verified or _on_locus(plant, cap_pt, options.tol_corr)
-                ):
-                    # the refinement jumped off this sheet or out of the
-                    # region: retry the step from the cursor at half the length
-                    if at_floor:
-                        return finish(StepFailure(
-                            f"gain cap refinement left the locus at step {len(points)}"
-                        ))
-                    ctl.resize(0.5 * h_used)
-                    continue
+        if reason is None and (c.Kval > lnkmax or c.sigma < region.sigma0):
+            if points[-1].Kval >= lnkmax:
+                return finish(GainCap())
+            cap_pt, verified = _refine_gain_cap(plant, cursor, c, lnkmax, options.tol_corr)
+            if cap_pt.sigma >= region.sigma0 and (
+                verified or _on_locus(plant, cap_pt, options.tol_corr)
+            ):
                 points.append(cap_pt)
-            return finish(GainCap())
+                return finish(GainCap())
+            # the refinement jumped off this sheet or out of the region
+            reason = f"gain cap refinement left the locus at step {len(points)}"
 
         dK = c.Kval - cursor.Kval
-        if dK <= 0.0:
-            if dK <= -_FLAT_K_REL * (1.0 + abs(c.Kval)):
-                # the gain falls along a trajectory only past a critical
-                # point of the gain, a branch point the step jumped over:
-                # redo the step at half the length
-                if at_floor:
-                    return finish(StepFailure(f"gain reversal at step {len(points)}: dK={dK:.3e}"))
-                ctl.resize(0.5 * h_used)
-                continue
-            # flat in gain: move the cursor, record nothing
-            try:
-                d = unit3((c.sigma - cursor.sigma, c.omega - cursor.omega, dK))
-            except InputError:
-                pass
-            cursor = c
+        if reason is None and dK <= -_FLAT_K_REL * (1.0 + abs(c.Kval)):
+            # the gain falls along a trajectory only past a critical point
+            # of the gain, a branch point the step jumped over
+            reason = f"gain reversal at step {len(points)}: dK={dK:.3e}"
+
+        if reason is not None:
+            if at_floor:
+                return finish(StepFailure(reason))
+            h = max(0.5 * h_used, H_MIN)
             continue
 
+        # accepted; a step flat in gain moves the cursor but records nothing
         try:
             d = unit3((c.sigma - cursor.sigma, c.omega - cursor.omega, dK))
         except InputError:
@@ -653,18 +648,15 @@ def _run_signed(bf: BoundaryFunctions, region: RegionSpec, options: TraceOptions
                 mirrored.append(_mirror_trajectory(plant, branches, traj))
         trajectories = mirrored
 
-    for bi, bp in enumerate(branches):
-        if not bp.active:
-            continue
-        arr = sum(
-            1 for t in trajectories
-            if isinstance(t.termination, ReachedBranch) and t.termination.index == bi
-        )
-        dep = sum(
-            1 for t in trajectories
-            if isinstance(t.origin, BranchOrigin) and t.origin.index == bi
-        )
-        if arr < bp.multiplicity or dep < bp.multiplicity:
+    arrivals = [0] * len(branches)
+    departures = [0] * len(branches)
+    for t in trajectories:
+        if isinstance(t.termination, ReachedBranch):
+            arrivals[t.termination.index] += 1
+        if isinstance(t.origin, BranchOrigin):
+            departures[t.origin.index] += 1
+    for bp, arr, dep in zip(branches, arrivals, departures):
+        if bp.active and (arr < bp.multiplicity or dep < bp.multiplicity):
             warnings.append(
                 f"branch point at {bp.s.real:.6g}{bp.s.imag:+.6g}j expects "
                 f"{bp.multiplicity} arrivals and departures, traced {arr} and {dep}"

@@ -335,7 +335,6 @@ def reference_correct(plant, predicted, prev_dir, tol=1e-6, max_iter=20):
     x = [predicted.sigma, predicted.omega, predicted.Kval]
     norms = []
     converged = False
-    M = P = 0.0
     while True:
         pt = LocusPoint(x[0], x[1], x[2])
         lnmag, phase = reference_log_eval(plant, pt.s)
@@ -358,11 +357,7 @@ def reference_correct(plant, predicted, prev_dir, tol=1e-6, max_iter=20):
         x[2] += dx[2]
         norms.append(math.sqrt(dx[0] ** 2 + dx[1] ** 2 + dx[2] ** 2))
     kappa = norms[1] / norms[0] if len(norms) >= 2 and norms[0] > 0.0 else 0.0
-    try:
-        delta = abs(1.0 - cmath.exp(complex(M, P)))
-    except OverflowError:
-        delta = math.inf
-    return CorrectorOutcome(LocusPoint(x[0], x[1], x[2]), len(norms), kappa, delta, converged)
+    return CorrectorOutcome(LocusPoint(x[0], x[1], x[2]), len(norms), kappa, converged)
 
 
 def reference_breakpoint_polys(plant, sigma0):

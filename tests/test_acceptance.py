@@ -24,13 +24,11 @@ from dtlocus.boundary import (
 from dtlocus.branch import branch_points
 from dtlocus.cli import parse_input
 from dtlocus.continuation import (
-    DELTA_NOM,
     H0,
     H_MAX,
     KAPPA_NOM,
     CorrectorOutcome,
     LocusPoint,
-    StepController,
     _locus_eval,
     step_update,
 )
@@ -417,27 +415,25 @@ def _endpoint_map(res):
 def test_08_step_control(demo_plant, demo_result, p1_result):
     pt = LocusPoint(0.0, 0.0, 0.0)
 
-    nominal = CorrectorOutcome(pt, 3, KAPPA_NOM, DELTA_NOM, True)
-    h, repeat = step_update(StepController(h=0.1), nominal)
+    nominal = CorrectorOutcome(pt, 3, KAPPA_NOM, True)
+    h, repeat = step_update(0.1, nominal)
     assert h == 0.1 and repeat is False
 
-    slow = CorrectorOutcome(pt, 6, 4.0 * KAPPA_NOM, DELTA_NOM, True)
-    h, repeat = step_update(StepController(h=0.1), slow)
+    slow = CorrectorOutcome(pt, 6, 4.0 * KAPPA_NOM, True)
+    h, repeat = step_update(0.1, slow)
     assert h == 0.05 and repeat is True
 
-    crisp = CorrectorOutcome(pt, 2, KAPPA_NOM / 9.0, DELTA_NOM / 16.0, True)
-    h, repeat = step_update(StepController(h=0.01), crisp)
+    crisp = CorrectorOutcome(pt, 2, KAPPA_NOM / 9.0, True)
+    h, repeat = step_update(0.01, crisp)
     assert h == 0.02 and repeat is False
-    h, repeat = step_update(StepController(h=0.4, h_max=0.5), crisp)
+    h, repeat = step_update(0.4, crisp, h_max=0.5)
     assert h == 0.5 and repeat is False
 
-    # halving the initial step and the distance target, or the largest step,
-    # must not change any termination reason, and endpoints may move at most
-    # 1e-4.  The distance target rarely binds (a converged corrector leaves
-    # delta near tol_corr) and crossing seeds start above h0, so the h_max
-    # run is the one that shortens most steps.
-    for fine in (TraceOptions(h0=H0 / 2.0, delta_nom=DELTA_NOM / 2.0),
-                 TraceOptions(h_max=H_MAX / 2.0)):
+    # halving the initial step, or the largest step, must not change any
+    # termination reason, and endpoints may move at most 1e-4.  Crossing
+    # seeds start above h0, so the h_max run is the one that shortens most
+    # steps.
+    for fine in (TraceOptions(h0=H0 / 2.0), TraceOptions(h_max=H_MAX / 2.0)):
         for plant, region, base in (
             (P1, P1_REGION, p1_result),
             (demo_plant, DEMO_REGION, demo_result),

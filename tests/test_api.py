@@ -1,5 +1,7 @@
-"""Public surface: every exported name resolves, and the module entry point runs."""
+"""Public surface: every exported name resolves, the module entry point runs,
+and the benchmark harness finds every function it times."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -7,7 +9,8 @@ from pathlib import Path
 
 import dtlocus
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_all_names_resolve():
@@ -23,3 +26,14 @@ def test_module_entry_point_help():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: dtlocus")
+
+
+def test_benchmark_harness_finds_every_target(monkeypatch):
+    # locusbench times public dtlocus functions by name and reads a missing
+    # one as zero, so a deleted or renamed name would blank its metrics
+    spec = importlib.util.spec_from_file_location("locusbench_tracing",
+                                                  ROOT / "locusbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
+    spec.loader.exec_module(tracing)
+    assert tracing.missing_targets() == []

@@ -1,4 +1,4 @@
-"""Residuals, Jacobian, corrector, and the adaptive step controller."""
+"""Residuals, Jacobian, corrector, and the adaptive step rule."""
 
 import math
 
@@ -8,8 +8,8 @@ import pytest
 from dtlocus.boundary import RegionSpec, boundary_crossings, boundary_functions
 from dtlocus.continuation import (
     CorrectorOutcome,
+    H_MIN,
     LocusPoint,
-    StepController,
     _locus_eval,
     correct,
     departure_angles,
@@ -21,7 +21,7 @@ from dtlocus.continuation import (
     step_update,
     unit3,
 )
-from dtlocus.errors import InputError, SingularJacobian, StepUnderflow
+from dtlocus.errors import InputError, SingularJacobian
 from dtlocus.plant import Plant, dlog_ratio
 
 from oracles import fd
@@ -145,7 +145,6 @@ class TestPredictCorrect:
         out = correct(p1, LocusPoint(-1.0, 0.0, -1.0), unit3((1.0, 0.0, 1.0)))
         assert out.converged
         assert out.iterations == 0
-        assert out.delta <= 1e-12
         assert out.point == LocusPoint(-1.0, 0.0, -1.0)
 
     def test_pulls_back_to_real_locus(self, p1):
@@ -184,19 +183,17 @@ class TestPredictCorrect:
                 for i, f in enumerate(("sigma", "omega", "Kval"))
             )
             assert abs(M) <= 1e-6 and abs(P) <= 1e-6 and abs(f3) <= 1e-6
-            assert out.delta <= 2.0 * (abs(M) + abs(P)) + 1e-12
             count += 1
 
     def test_far_off_manifold_terminates(self, p1):
         out = correct(p1, LocusPoint(-0.5, 0.0, 5.0), unit3((0.0, 0.0, 1.0)), max_iter=20)
         assert out.iterations <= 20  # bounded; may or may not converge
 
-    def test_huge_magnitude_residual_gives_infinite_delta(self, p1):
-        # M = ln|G| + K is about 800 here; e^M overflows a float
+    def test_huge_magnitude_residual_halves_the_step(self, p1):
+        # M = ln|G| + K is about 800 here, far off the locus
         out = correct(p1, LocusPoint(-0.5, 0.0, 800.0), unit3((0.0, 0.0, 1.0)), max_iter=0)
         assert not out.converged
-        assert out.delta == math.inf
-        new_h, repeat = step_update(StepController(h=0.1), out)
+        new_h, repeat = step_update(0.1, out)
         assert repeat and new_h == pytest.approx(0.05)
 
     def test_kappa_zero_for_quick_convergence(self, p1):
@@ -205,52 +202,49 @@ class TestPredictCorrect:
 
 
 class TestStepController:
-    def test_clamps_h(self):
-        assert StepController(h=10.0).h == 0.5
-        assert StepController(h=1e-12).h == 1e-8
-        with pytest.raises(InputError):
-            StepController(h=0.1, kappa_nom=0.0)
+    """step_update, the one step rule: (new h, redo?) from h and the outcome."""
 
-    def _out(self, kappa, delta, converged=True):
-        return CorrectorOutcome(LocusPoint(0, 0, 0), 3, kappa, delta, converged)
+    def _out(self, kappa, converged=True):
+        return CorrectorOutcome(LocusPoint(0, 0, 0), 3, kappa, converged)
+
+    def test_clamps_h(self):
+        # the new length stays in [H_MIN, h_max] whatever h is
+        for h, want in ((1e-12, 1e-8), (1e-8, 1e-8), (0.3, 0.3), (0.5, 0.5), (7.0, 0.5),
+                        (10.0, 0.5)):
+            assert step_update(h, self._out(1.1)) == (want, False)
+        assert step_update(0.4, self._out(1.1), h_max=0.2) == (0.2, False)
 
     def test_nominal_keeps_h(self):
-        ctl = StepController(h=0.01)
-        new_h, repeat = step_update(ctl, self._out(1.1, 1e-3))
+        new_h, repeat = step_update(0.01, self._out(1.1))
         assert new_h == pytest.approx(0.01)
         assert not repeat
 
     def test_bad_contraction_halves_and_repeats(self):
-        ctl = StepController(h=0.01)
-        new_h, repeat = step_update(ctl, self._out(4.4, 1e-3 / 16))
+        new_h, repeat = step_update(0.01, self._out(4.4))
         assert new_h == pytest.approx(0.005)
         assert repeat
 
     def test_good_step_doubles(self):
-        ctl = StepController(h=0.01)
-        new_h, repeat = step_update(ctl, self._out(1.1 / 4, 1e-3 / 4))
+        new_h, repeat = step_update(0.01, self._out(1.1 / 4))
         assert new_h == pytest.approx(0.02)
         assert not repeat
 
     def test_growth_capped_at_h_max(self):
-        ctl = StepController(h=0.4)
-        new_h, _ = step_update(ctl, self._out(0.0, 0.0))
+        new_h, _ = step_update(0.4, self._out(0.0))
         assert new_h == 0.5
 
     def test_failed_correction_forces_halving(self):
-        ctl = StepController(h=0.01)
-        new_h, repeat = step_update(ctl, self._out(0.5, 1e-5, converged=False))
+        new_h, repeat = step_update(0.01, self._out(0.5, converged=False))
         assert new_h == pytest.approx(0.005)
         assert repeat
 
     def test_underflow(self):
-        ctl = StepController(h=1e-8)
-        with pytest.raises(StepUnderflow):
-            step_update(ctl, self._out(9.0, 1.0, converged=False))
+        # a redo at H_MIN stays at H_MIN; ending the trajectory is the caller's
+        assert step_update(H_MIN, self._out(9.0, converged=False)) == (H_MIN, True)
+        assert step_update(H_MIN, self._out(4.4)) == (H_MIN, True)
 
     def test_no_underflow_when_not_repeating(self):
-        ctl = StepController(h=1e-8)
-        new_h, repeat = step_update(ctl, self._out(1.1, 1e-3))
+        new_h, repeat = step_update(1e-8, self._out(1.1))
         assert not repeat
         assert new_h == 1e-8
 

@@ -13,7 +13,6 @@ import pytest
 from dtlocus import continuation
 from dtlocus.continuation import (
     LocusPoint,
-    StepController,
     _locus_eval,
     correct,
     residuals,
@@ -213,9 +212,3 @@ def test_corrector_equals_former_corrector():
             total += 1
     assert total >= 400 and converged >= 50
 
-
-def test_step_controller_resize_clamps_like_constructor():
-    ctl = StepController(h=0.01)
-    for h in (1e-12, 1e-8, 0.3, 0.5, 7.0):
-        ctl.resize(h)
-        assert ctl.h == StepController(h=h).h

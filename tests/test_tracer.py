@@ -5,6 +5,7 @@ closed-loop roots of s e^s = -k (positive gain) and s e^s = k (flipped sign)
 sit on W branches, evaluated through scipy as an independent oracle.
 """
 
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -16,8 +17,8 @@ from scipy.special import lambertw
 from dtlocus import boundary, branch, tracer
 from dtlocus.boundary import RegionSpec, _breakpoints, _omega_cap, boundary_functions
 from dtlocus.cli import parse_input
-from dtlocus.continuation import H_MAX, residuals
-from dtlocus.errors import BranchOnBoundary, DtLocusError
+from dtlocus.continuation import H_MAX, H_MIN, LocusPoint, residuals
+from dtlocus.errors import BranchOnBoundary, DtLocusError, InputError
 from dtlocus.plant import Plant
 from dtlocus.tracer import (
     BranchOrigin,
@@ -238,6 +239,16 @@ class TestP3AndEdges:
             assert w.endswith(t.termination.reason)
             assert f"k={math.exp(t.points[-1].Kval):.6g}" in w
 
+    def test_options_validated_at_construction(self):
+        for bad in (dict(tol_corr=0.0), dict(tol_corr=-1.0), dict(tol_corr=math.nan),
+                    dict(tol_corr=math.inf), dict(h0=0.0), dict(h0=-1.0), dict(h0=math.nan),
+                    dict(h0=math.inf), dict(h_max=H_MIN / 2.0), dict(h_max=math.inf),
+                    dict(h_max=math.nan), dict(max_steps=0), dict(max_steps=2.0),
+                    dict(max_steps=True)):
+            with pytest.raises(InputError):
+                TraceOptions(**bad)
+        TraceOptions(tol_corr=1e-18, h0=1e-12, h_max=H_MIN, max_steps=1)
+
     def test_mirror_off_traces_both_halves(self, p3):
         res = run(p3, RegionSpec(-2.0, 2.0), TraceOptions(mirror=False))
         assert len(res.trajectories) == 2
@@ -379,7 +390,7 @@ class TestSeedsAndStability:
     def test_topology_stable_under_refinement(self, p1):
         region = RegionSpec(-2.0, 1.0)
         coarse = run(p1, region)
-        for options in (TraceOptions(h0=5e-3, delta_nom=5e-4), TraceOptions(h_max=H_MAX / 2.0)):
+        for options in (TraceOptions(h0=5e-3), TraceOptions(h_max=H_MAX / 2.0)):
             fine = run(p1, region, options)
             assert len(coarse.trajectories) == len(fine.trajectories)
             for a, b in zip(coarse.trajectories, fine.trajectories):
@@ -464,6 +475,85 @@ def test_branch_overshoot_is_redone(doc, sigma0, kmax, sign):
     # no step failure, no unmatched region exit, no branch point short of
     # its arrivals
     assert res.warnings == ()
+
+
+DEMO = b'{"num": [50, -10, 1], "den": [1.25, 4.25, 4, 1], "delay": 1}'
+
+
+class TestLooseTolerance:
+    """At tol_corr 1e-2 a converged point may sit 1e-2 off the locus; the
+    step rule must not read that as a bad step and shrink to H_MIN."""
+
+    def test_p1(self, p1):
+        res = run(p1, RegionSpec(-2.0, 1.0), TraceOptions(tol_corr=1e-2))
+        assert not any(isinstance(t.termination, StepFailure) for t in res.trajectories)
+
+    def test_demo_plant(self):
+        res = run(parse_input(DEMO), RegionSpec(-3.5, 5.0), TraceOptions(tol_corr=1e-2))
+        assert not any(isinstance(t.termination, StepFailure) for t in res.trajectories)
+        assert sum(len(t.points) for t in res.trajectories) < 1000
+
+
+class TestRejectAtFloor:
+    """Each way a step is rejected halves it down to H_MIN, then ends the
+    trajectory in StepFailure with that reason."""
+
+    @pytest.fixture()
+    def traced(self, monkeypatch):
+        """[trajectory, [(cursor, h) of each predicted step]] per traced seed."""
+        traced = []
+        predict, trace = tracer.predict, tracer.trace
+
+        def recorded_predict(prev, d, h):
+            traced[-1][1].append((prev, h))
+            return predict(prev, d, h)
+
+        def recorded_trace(*args):
+            traced.append([None, []])
+            traced[-1][0] = trace(*args)
+            return traced[-1][0]
+
+        monkeypatch.setattr(tracer, "predict", recorded_predict)
+        monkeypatch.setattr(tracer, "trace", recorded_trace)
+        return traced
+
+    def _assert_failed(self, traced, prefix):
+        failed = [(t, steps) for t, steps in traced if isinstance(t.termination, StepFailure)]
+        assert failed
+        for t, steps in failed:
+            assert t.termination.reason.startswith(prefix), t.termination.reason
+            assert steps[-1][1] == H_MIN and steps[-2][1] <= 2.0 * H_MIN
+
+    def test_region_exit_not_refined(self, p1, monkeypatch, traced):
+        # the pole trajectory leaves the region right of the branch point
+        monkeypatch.setattr(tracer, "_refine_frozen_sigma",
+                            lambda plant, sigma0, omega, Kval, tol:
+                            (LocusPoint(sigma0, omega, Kval), False))
+        run(p1, RegionSpec(-0.5, 1.0))
+        self._assert_failed(traced, "region exit refinement did not converge at step ")
+
+    def test_gain_cap_off_locus(self, p1, monkeypatch, traced):
+        monkeypatch.setattr(tracer, "_refine_gain_cap",
+                            lambda plant, below, above, lnkmax, tol:
+                            (LocusPoint(above.sigma, above.omega + 1.0, lnkmax), False))
+        run(p1, RegionSpec(-2.0, 1.0))
+        self._assert_failed(traced, "gain cap refinement left the locus at step ")
+
+    def test_gain_falls(self, p1, monkeypatch, traced):
+        # every converged point lands 2h below the cursor's gain: inside the
+        # leash, and past the flat band even at H_MIN
+        correct = tracer.correct
+
+        def falling(plant, predicted, d, *args):
+            out = correct(plant, predicted, d, *args)
+            prev, h = traced[-1][1][-1]
+            point = LocusPoint(predicted.sigma, predicted.omega, prev.Kval - 2.0 * h)
+            return dataclasses.replace(out, point=point, kappa=0.0, converged=True)
+
+        monkeypatch.setattr(tracer, "correct", falling)
+        res = run(p1, RegionSpec(-2.0, 1.0))
+        assert all(isinstance(t.termination, StepFailure) for t in res.trajectories)
+        self._assert_failed(traced, "gain reversal at step 1: dK=")
 
 
 def assert_ends_on_locus(result, sigma0, tol=1e-6):
