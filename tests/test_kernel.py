@@ -12,15 +12,19 @@ import pytest
 
 from dtlocus import continuation
 from dtlocus.continuation import (
+    KAPPA_NOM,
+    CorrectorOutcome,
     LocusPoint,
     _locus_eval,
     correct,
     residuals,
     solve3,
+    step_update,
     unit3,
 )
 from dtlocus.errors import InputError, SingularJacobian, SingularPointError
 from dtlocus.plant import TOL_SING, Plant, _log_kernel, dlog_ratio, log_eval, wrap_angle
+from dtlocus.tracer import TraceOptions, _first_step
 
 from oracles import (
     random_plant,
@@ -212,3 +216,11 @@ def test_corrector_equals_former_corrector():
             total += 1
     assert total >= 400 and converged >= 50
 
+
+def test_step_controller_resize_clamps_like_constructor():
+    # a nominal step keeps its length, so step_update only clamps it; the
+    # first step of a seed next to a pole is h0 clamped: the two clamps agree
+    plant = Plant(1.0, 1.0, (), (0j,))
+    nominal = CorrectorOutcome(LocusPoint(0.0, 0.0, 0.0), 3, KAPPA_NOM, True)
+    for h in (1e-12, 1e-8, 0.3, 0.5, 7.0):
+        assert step_update(h, nominal) == (_first_step(plant, [], 1e-15 + 0j, TraceOptions(h0=h)), False)
