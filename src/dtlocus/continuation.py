@@ -2,9 +2,11 @@
 
 Work happens in (sigma, omega, K) space with K = ln k.  The corrector solves
 the log-magnitude residual M, the phase residual P, and an affine constraint
-pinning the iterate to the plane through the predicted point orthogonal to
-the travel direction; the 3x3 Jacobian rows for M and P share their entries
-by the Cauchy-Riemann structure of ln G.
+pinning the iterate to the plane through the start point orthogonal to a
+normal: the travel direction along a trajectory, or a unit normal that
+freezes one coordinate, (0, 0, 1) the gain and (1, 0, 0) sigma.  The 3x3
+Jacobian rows for M and P share their entries by the Cauchy-Riemann
+structure of ln G.  correct is the one Newton solve on (M, P).
 
 The step length follows one rule, step_update: it grows or shrinks with the
 corrector's contraction, and a failed correction halves it.  The step stays
@@ -158,14 +160,6 @@ def solve3(a: list[list[float]], b: list[float]) -> list[float]:
     x1 = (b1 - a12 * x2) / a11
     x0 = (b0 - a01 * x1 - a02 * x2) / a00
     return [x0, x1, x2]
-
-
-def solve2(a11: float, a12: float, a21: float, a22: float, b1: float, b2: float):
-    det = a11 * a22 - a12 * a21
-    norm = max(abs(a11), abs(a12), abs(a21), abs(a22))
-    if det == 0.0 or norm * norm / abs(det) > COND_LIMIT:
-        raise SingularJacobian("2x2 system ill-conditioned")
-    return (b1 * a22 - b2 * a12) / det, (a11 * b2 - a21 * b1) / det
 
 
 def correct(

@@ -30,14 +30,12 @@ from .continuation import (
     TOL_CORR,
     CorrectorOutcome,
     LocusPoint,
-    _locus_eval,
     correct,
     departure_angles,
     entry_direction_crossing,
     pole_group,
     predict,
     residuals,
-    solve2,
     step_update,
     unit3,
 )
@@ -159,20 +157,14 @@ class RootLocusResult:
     negative: "RootLocusResult | None" = None
 
 
-def _polish_frozen_K(plant: Plant, sigma: float, omega: float, Kval: float, tol: float,
-                     iters: int) -> tuple[LocusPoint, bool]:
-    """Drive (M, P) to zero in (sigma, omega) at fixed gain; (point, converged?)."""
-    for _ in range(iters):
-        try:
-            M, P, msig, mom = _locus_eval(plant, sigma, omega, Kval)
-            if max(abs(M), abs(P)) <= tol:
-                return LocusPoint(sigma, omega, Kval), True
-            dx, dy = solve2(msig, mom, -mom, msig, -M, -P)
-        except (SingularJacobian, SingularPointError, InputError):
-            break
-        sigma += dx
-        omega += dy
-    return LocusPoint(sigma, omega, Kval), False
+def _correct(plant: Plant, start: LocusPoint, normal, tol: float,
+             max_iter: int) -> CorrectorOutcome:
+    """correct on the plane through start with the given normal; a solver
+    error (singular Jacobian, plant root, non-finite iterate) fails at start."""
+    try:
+        return correct(plant, start, normal, tol, max_iter)
+    except (SingularJacobian, SingularPointError, InputError):
+        return CorrectorOutcome(start, max_iter, math.inf, False)
 
 
 def _seed_from_ray(plant, origin, anchor: complex, theta: float, sigma0: float,
@@ -197,11 +189,12 @@ def _seed_from_ray(plant, origin, anchor: complex, theta: float, sigma0: float,
     for _ in range(_SEED_HALVINGS + 1):
         s1 = anchor + delta * complex(dx, dy)
         K1 = -log_eval(plant, s1).lnmag
-        start, converged = _polish_frozen_K(plant, s1.real, s1.imag, K1, 0.01 * tol_corr, 12)
-        if converged:
+        out = _correct(plant, LocusPoint(s1.real, s1.imag, K1), (0.0, 0.0, 1.0),
+                       0.01 * tol_corr, 11)
+        if out.converged:
             break
         delta *= 0.5
-    return Seed(origin, start, unit3((dx, dy, lift_K)), start_marker)
+    return Seed(origin, out.point, unit3((dx, dy, lift_K)), start_marker)
 
 
 def _mirrored_away(options: TraceOptions, anchor: complex, theta: float) -> bool:
@@ -279,36 +272,24 @@ def _first_step(plant: Plant, branches, start: complex, options: TraceOptions) -
     return min(max(options.h0, _FIRST_STEP_REL * rho, H_MIN), options.h_max)
 
 
-def _refine_frozen_sigma(plant, sigma0, omega, Kval, tol):
-    """Newton in (omega, K) at fixed sigma; returns (point, refined?)."""
-    w, K = omega, Kval
-    for _ in range(20):
-        try:
-            M, P, msig, mom = _locus_eval(plant, sigma0, w, K)
-            if max(abs(M), abs(P)) <= tol:
-                return LocusPoint(sigma0, w, K), True
-            dw, dK = solve2(mom, 1.0, msig, 0.0, -M, -P)
-        except (SingularJacobian, SingularPointError, InputError):
-            return LocusPoint(sigma0, omega, Kval), False
-        w += dw
-        K += dK
-    return LocusPoint(sigma0, w, K), False
-
-
 def _refine_gain_cap(plant, below: LocusPoint, above: LocusPoint, lnkmax: float,
                      tol: float) -> tuple[LocusPoint, bool]:
     """Point with K exactly at the cap between two accepted points, and
     whether it is verified on the locus: True only when the frozen-gain
-    polish converged at exactly that point (its residuals are within tol)."""
+    correction converged (its residuals are within tol)."""
     if abs(below.omega) <= _AXIS_TOL and abs(above.omega) <= _AXIS_TOL:
-        # real axis: the magnitude residual is monotone along the segment
+        # real axis: omega stays exactly 0 and the magnitude residual is
+        # monotone along the segment, but not continuous across a real plant
+        # root, so a bracket around one holds no cap point
         def f(sig):
             return residuals(plant, LocusPoint(sig, 0.0, lnkmax))[0]
 
         a, b = below.sigma, above.sigma
+        straddled = any(abs(r.imag) <= _AXIS_TOL and min(a, b) < r.real < max(a, b)
+                        for r in plant.zeros + plant.poles)
         try:
             fa, fb = f(a), f(b)
-            if (fa < 0.0) == (fb < 0.0):
+            if straddled or (fa < 0.0) == (fb < 0.0):
                 return LocusPoint(b, 0.0, lnkmax), False
             while abs(b - a) > 1e-12 * (1.0 + abs(b)):
                 m = 0.5 * (a + b)
@@ -326,7 +307,8 @@ def _refine_gain_cap(plant, below: LocusPoint, above: LocusPoint, lnkmax: float,
     t = (lnkmax - below.Kval) / (above.Kval - below.Kval)
     sig = below.sigma + t * (above.sigma - below.sigma)
     w = below.omega + t * (above.omega - below.omega)
-    return _polish_frozen_K(plant, sig, w, lnkmax, tol, 20)
+    out = _correct(plant, LocusPoint(sig, w, lnkmax), (0.0, 0.0, 1.0), tol, 19)
+    return out.point, out.converged
 
 
 def _on_locus(plant: Plant, p: LocusPoint, tol: float) -> bool:
@@ -399,17 +381,20 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
 
     The corrector's point is screened in order for: convergence (step_update
     grades it; the leash rejects a converged point far from its prediction),
-    branch capture, region exit (sigma below the boundary), gain cap, and
-    gain monotonicity.  Five of these can reject the step: a failed or
-    leashed correction, a step that passes by a branch point it started
-    beside, a region exit whose refinement onto the boundary does not
-    converge, a gain cap end that falls off the locus or left of the
-    boundary, and a gain that falls.  A rejected step is redone from the
-    cursor at half the length; at H_MIN it ends in StepFailure with the
-    reason instead, except the pass-by, which is then accepted.  An accepted
-    point is recorded only when its gain rises, so the stored gain strictly
-    increases.  A region exit ends in LeftRegion(None); the caller matches
-    it to an outward crossing.
+    branch capture, region exit (sigma below the boundary), gain cap, and gain
+    monotonicity.  Five of these can reject the step: a failed or leashed
+    correction, a step that passes by a branch point it started beside, a
+    region exit whose solve onto the boundary does not converge, a gain cap
+    end that the step's gain does not pass or that falls off the locus or left
+    of the boundary, and a gain that falls.  Newton solves go through _correct:
+    the step on the plane normal to the travel direction, the region exit at
+    frozen sigma and an off-axis cap end at frozen gain, each from the step
+    interpolated to sigma0 or ln kmax; a real-axis cap end is bisected with
+    omega pinned at 0.  A rejected step is redone from the cursor at half the
+    length; at H_MIN it ends in StepFailure with the reason instead, except
+    the pass-by, which is then accepted.  An accepted point is recorded only
+    when its gain rises, so the stored gain strictly increases.  A region exit
+    ends in LeftRegion(None); the caller matches it to an outward crossing.
 
     The first step is _first_step's, sized to the seed's distance from the
     nearest plant root or branch point.
@@ -432,10 +417,7 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
         h_used = h
         at_floor = h_used <= H_MIN * (1.0 + 1e-12)  # no halving is left
         predicted = predict(cursor, d, h_used)
-        try:
-            out = correct(plant, predicted, d, options.tol_corr, MAX_ITER)
-        except (SingularJacobian, SingularPointError, InputError):
-            out = CorrectorOutcome(predicted, MAX_ITER, math.inf, False)
+        out = _correct(plant, predicted, d, options.tol_corr, MAX_ITER)
         if out.converged:
             # leash: a converged point far from the prediction is a basin
             # escape onto another sheet, not a continuation of this one
@@ -465,10 +447,11 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
         if reason is None and c.sigma < region.sigma0:
             span = c.sigma - cursor.sigma
             t = (region.sigma0 - cursor.sigma) / span if span != 0.0 else 1.0
-            exit_pt, refined = _refine_frozen_sigma(
-                plant, region.sigma0, cursor.omega + t * (c.omega - cursor.omega),
-                cursor.Kval + t * (c.Kval - cursor.Kval), options.tol_corr)
-            if not refined:
+            start = LocusPoint(region.sigma0, cursor.omega + t * (c.omega - cursor.omega),
+                               cursor.Kval + t * (c.Kval - cursor.Kval))
+            exit_out = _correct(plant, start, (1.0, 0.0, 0.0), options.tol_corr, 19)
+            exit_pt = replace(exit_out.point, sigma=region.sigma0)  # undo an ulp of drift
+            if not exit_out.converged:
                 reason = f"region exit refinement did not converge at step {len(points)}"
             elif exit_pt.Kval <= lnkmax:
                 if exit_pt.Kval > points[-1].Kval:
@@ -479,13 +462,14 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
         if reason is None and (c.Kval > lnkmax or c.sigma < region.sigma0):
             if points[-1].Kval >= lnkmax:
                 return finish(GainCap())
-            cap_pt, verified = _refine_gain_cap(plant, cursor, c, lnkmax, options.tol_corr)
-            if cap_pt.sigma >= region.sigma0 and (
-                verified or _on_locus(plant, cap_pt, options.tol_corr)
-            ):
-                points.append(cap_pt)
-                return finish(GainCap())
-            # the refinement jumped off this sheet or out of the region
+            if c.Kval > lnkmax:  # else the step holds no cap point to solve for
+                cap_pt, verified = _refine_gain_cap(plant, cursor, c, lnkmax, options.tol_corr)
+                if cap_pt.sigma >= region.sigma0 and (
+                    verified or _on_locus(plant, cap_pt, options.tol_corr)
+                ):
+                    points.append(cap_pt)
+                    return finish(GainCap())
+            # the step ends below the cap, or the cap solve left this sheet or the region
             reason = f"gain cap refinement left the locus at step {len(points)}"
 
         dK = c.Kval - cursor.Kval

@@ -16,12 +16,11 @@ from dtlocus.continuation import (
     entry_direction_crossing,
     predict,
     residuals,
-    solve2,
     solve3,
     step_update,
     unit3,
 )
-from dtlocus.errors import InputError, SingularJacobian
+from dtlocus.errors import InputError, SingularJacobian, SingularPointError
 from dtlocus.plant import Plant, dlog_ratio
 
 from oracles import fd
@@ -129,12 +128,6 @@ class TestSolvers:
         with pytest.raises(SingularJacobian):
             solve3([[0.0] * 3] * 3, [0.0] * 3)
 
-    def test_solve2(self):
-        x, y = solve2(2.0, 1.0, 1.0, 3.0, 5.0, 10.0)
-        assert (2 * x + y, x + 3 * y) == pytest.approx((5.0, 10.0))
-        with pytest.raises(SingularJacobian):
-            solve2(1.0, 2.0, 2.0, 4.0, 1.0, 1.0)
-
 
 class TestPredictCorrect:
     def test_predict(self):
@@ -195,6 +188,25 @@ class TestPredictCorrect:
         assert not out.converged
         new_h, repeat = step_update(0.1, out)
         assert repeat and new_h == pytest.approx(0.05)
+
+    def test_frozen_gain_plane_keeps_gain_exactly(self):
+        # a (0, 0, 1) normal freezes K: every Newton step leaves it bit-equal
+        # to the start's, which keeps gain-cap points at exactly ln kmax
+        from oracles import random_plant
+
+        rng = np.random.RandomState(59)
+        converged = 0
+        for _ in range(300):
+            plant = random_plant(rng, Plant)
+            start = LocusPoint(float(rng.uniform(-3.0, 1.0)), float(rng.uniform(-3.0, 3.0)),
+                               float(rng.uniform(-3.0, 3.0)))
+            try:
+                out = correct(plant, start, (0.0, 0.0, 1.0), 1e-8, 11)
+            except (SingularJacobian, SingularPointError, InputError):
+                continue
+            assert out.point.Kval == start.Kval
+            converged += out.converged
+        assert converged >= 150
 
     def test_kappa_zero_for_quick_convergence(self, p1):
         out = correct(p1, LocusPoint(-1.0, 0.0, -1.0), unit3((1.0, 0.0, 0.0)))

@@ -1,0 +1,35 @@
+"""Smoke test of tools/output_digest.py, the per-job same-output check: one
+labelled line per job, in the hash format and in the --topology format."""
+
+import importlib.util
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_SIGN = r"[+-]\[n=\d+( [A-Za-z]+=\d+)* warnings=\d+\]"
+
+
+def _output_digest():
+    spec = importlib.util.spec_from_file_location("output_digest",
+                                                  ROOT / "tools" / "output_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_output_digest_lines(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main() prepends src and locusbench
+    digest = _output_digest()
+
+    assert digest.main(["corpus", "--jobs", "3", "--topology"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    for i, line in enumerate(lines):
+        assert re.fullmatch(rf"corpus\[{i}\] {_SIGN}( {_SIGN})?", line), line
+
+    assert digest.main(["dense", "--jobs", "1"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"dense\[0\] sigma0=\S+ kmax=\S+ json=[0-9a-f]{64}"
+                        r"( (csv|svg)=[0-9a-f]{64})*", line), line

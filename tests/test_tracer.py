@@ -17,7 +17,7 @@ from scipy.special import lambertw
 from dtlocus import boundary, branch, tracer
 from dtlocus.boundary import RegionSpec, _breakpoints, _omega_cap, boundary_functions
 from dtlocus.cli import parse_input
-from dtlocus.continuation import H_MAX, H_MIN, LocusPoint, residuals
+from dtlocus.continuation import H_MAX, H_MIN, CorrectorOutcome, LocusPoint, residuals
 from dtlocus.errors import BranchOnBoundary, DtLocusError, InputError
 from dtlocus.plant import Plant
 from dtlocus.tracer import (
@@ -408,15 +408,15 @@ class TestFirstStep:
     @pytest.fixture(scope="class")
     def demo_500(self):
         calls = []
-        correct = tracer.correct
+        predict = tracer.predict
 
         def counted(*args):
             calls.append(None)
-            return correct(*args)
+            return predict(*args)
 
         plant = parse_input(b'{"num": [50, -10, 1], "den": [1.25, 4.25, 4, 1], "delay": 1}')
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tracer, "correct", counted)
+            mp.setattr(tracer, "predict", counted)
             res = run(plant, RegionSpec(-3.5, 500.0))
         return res, len(calls)
 
@@ -526,9 +526,14 @@ class TestRejectAtFloor:
 
     def test_region_exit_not_refined(self, p1, monkeypatch, traced):
         # the pole trajectory leaves the region right of the branch point
-        monkeypatch.setattr(tracer, "_refine_frozen_sigma",
-                            lambda plant, sigma0, omega, Kval, tol:
-                            (LocusPoint(sigma0, omega, Kval), False))
+        correct = tracer._correct
+
+        def no_exit(plant, start, normal, tol, max_iter):
+            if normal == (1.0, 0.0, 0.0):
+                return CorrectorOutcome(start, max_iter, math.inf, False)
+            return correct(plant, start, normal, tol, max_iter)
+
+        monkeypatch.setattr(tracer, "_correct", no_exit)
         run(p1, RegionSpec(-0.5, 1.0))
         self._assert_failed(traced, "region exit refinement did not converge at step ")
 
@@ -546,6 +551,8 @@ class TestRejectAtFloor:
 
         def falling(plant, predicted, d, *args):
             out = correct(plant, predicted, d, *args)
+            if d == (0.0, 0.0, 1.0):  # a seed polish, not a step
+                return out
             prev, h = traced[-1][1][-1]
             point = LocusPoint(predicted.sigma, predicted.omega, prev.Kval - 2.0 * h)
             return dataclasses.replace(out, point=point, kappa=0.0, converged=True)
@@ -554,6 +561,43 @@ class TestRejectAtFloor:
         res = run(p1, RegionSpec(-2.0, 1.0))
         assert all(isinstance(t.termination, StepFailure) for t in res.trajectories)
         self._assert_failed(traced, "gain reversal at step 1: dK=")
+
+
+def test_region_exit_pinned_to_the_line(p1, monkeypatch):
+    # the exit solve freezes sigma with a (1, 0, 0) plane, whose elimination
+    # can move sigma by an ulp; the recorded exit is put back on the line
+    correct = tracer._correct
+
+    def drifting(plant, start, normal, tol, max_iter):
+        out = correct(plant, start, normal, tol, max_iter)
+        if normal != (1.0, 0.0, 0.0):
+            return out
+        p = out.point
+        return dataclasses.replace(out, point=LocusPoint(math.nextafter(p.sigma, 0.0),
+                                                         p.omega, p.Kval))
+
+    monkeypatch.setattr(tracer, "_correct", drifting)
+    res = run(p1, RegionSpec(-0.5, 1.0))
+    ends = [t.points[-1] for t in res.trajectories if isinstance(t.termination, LeftRegion)]
+    assert ends and all(p.sigma == -0.5 for p in ends)
+
+
+def test_region_exits_lie_on_the_boundary_line():
+    # a recorded exit lies exactly on Re(s) = sigma0; an exit whose gain
+    # does not rise is not recorded, and the end stays inside the region
+    rng = np.random.RandomState(23)
+    exits = 0
+    for _ in range(60):
+        plant = random_plant(rng, Plant)
+        sigma0, kmax = clean_region(plant, rng)
+        res = run(plant, RegionSpec(sigma0, kmax), TraceOptions(negative_gains=True))
+        for r in (res, res.negative):
+            for t in r.trajectories:
+                if isinstance(t.termination, LeftRegion):
+                    end = t.points[-1].sigma
+                    assert end == sigma0 or end - sigma0 > 1e-9, (end, sigma0)
+                    exits += end == sigma0
+    assert exits >= 20
 
 
 def assert_ends_on_locus(result, sigma0, tol=1e-6):
@@ -603,6 +647,35 @@ class TestCorpusRegressions:
         assert_ends_on_locus(res, -2.466171)
         assert_ends_on_locus(res.negative, -2.466171)
         assert any(isinstance(t.termination, GainCap) for t in res.negative.trajectories)
+        # corpus seed 101 job 682: a cap solve extrapolated from a step that
+        # ends below the cap lands on the departure's cap point, and both
+        # departures of the branch point near -0.6009 are then dropped
+        neg = res.negative
+        assert neg.warnings == ()
+        (bi,) = [i for i, bp in enumerate(neg.branch_points)
+                 if bp.active and abs(bp.s - -0.6009) < 1e-3]
+        departures = [t for t in neg.trajectories
+                      if isinstance(t.origin, BranchOrigin) and t.origin.index == bi]
+        assert len(departures) == 2
+        assert all(isinstance(t.termination, GainCap) for t in departures)
+
+    def test_real_axis_cap_bracket_skips_plant_root(self):
+        # corpus seed 101 job 541: the last step of the pole at 0.132068 jumps
+        # from -0.161 to +0.352, across the poles 0.132068 and 0.20331; the
+        # cap bisection over that bracket returned the other pole's cap point
+        # and the trajectory was dropped as its duplicate
+        plant = parse_input(json.dumps({
+            "alpha": -4.96985, "delay": 1.902015,
+            "zeros": [[0.974576, 1.02104], [0.974576, -1.02104]],
+            "poles": [[-2.667288, 0], [0.20331, 0], [0.132068, 0],
+                      [-2.755341, 2.90241], [-2.755341, -2.90241]],
+        }).encode())
+        res = run(plant, RegionSpec(-0.313378, 0.395235))
+        assert_ends_on_locus(res, -0.313378)
+        (left,) = [t for t in res.trajectories if t.start_marker == 0.132068]
+        assert isinstance(left.termination, LeftRegion)
+        assert left.termination.matched is not None
+        assert res.warnings == ()
 
     def test_biproper_kprime_has_exact_degree(self):
         # the cancelled omega^(4n-2) coefficient of K' kept a 1e-16 residue, a
