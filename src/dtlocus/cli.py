@@ -156,8 +156,8 @@ def result_to_csv(result: RootLocusResult) -> str:
         if res is None:
             continue
         for t in res.trajectories:
-            for s, w, k in t.rows(sign):
-                lines.append(f"{tid},{s:.17g},{w:.17g},{k:.17g}")
+            row = f"{tid},%.17g,%.17g,%.17g"
+            lines += [row % r for r in t.rows(sign)]
             tid += 1
     return "\n".join(lines) + "\n"
 

@@ -31,19 +31,26 @@ KAPPA_NOM = 1.1
 COND_LIMIT = 1e12
 TOL_DIR = 1e-9
 
+_setattr = object.__setattr__  # how a frozen dataclass sets its own fields
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class LocusPoint:
-    """One point of a trajectory: position sigma + j*omega at gain e^Kval."""
+    """One point of a trajectory: position sigma + j*omega at gain e^Kval.
+
+    The constructor checks finiteness before it sets the frozen fields.
+    """
 
     sigma: float
     omega: float
     Kval: float
 
-    def __post_init__(self):
-        for v in (self.sigma, self.omega, self.Kval):
-            if not math.isfinite(v):
-                raise InputError(f"non-finite locus point ({self.sigma}, {self.omega}, {self.Kval})")
+    def __init__(self, sigma: float, omega: float, Kval: float):
+        if not (math.isfinite(sigma) and math.isfinite(omega) and math.isfinite(Kval)):
+            raise InputError(f"non-finite locus point ({sigma}, {omega}, {Kval})")
+        _setattr(self, "sigma", sigma)
+        _setattr(self, "omega", omega)
+        _setattr(self, "Kval", Kval)
 
     @property
     def s(self) -> complex:
@@ -174,12 +181,14 @@ def correct(
     Convergence is declared on the residuals themselves (|M|, |P| and the
     plane constraint all within tol), so a converged outcome always satisfies
     the locus equations to tolerance.  kappa is the ratio of the first two
-    Newton step lengths (0 when fewer than two steps ran).
+    Newton step lengths (0 when fewer than two steps ran); only those two
+    lengths are kept.
     """
     s0, w0, K0 = predicted.sigma, predicted.omega, predicted.Kval
     d0, d1, d2 = prev_dir
     sig, w, K = s0, w0, K0
-    norms: list[float] = []
+    steps = 0
+    norm0 = norm1 = 0.0
     converged = False
     while True:
         M, P, msig, mom = _locus_eval(plant, sig, w, K)
@@ -187,15 +196,20 @@ def correct(
         if max(abs(M), abs(P), abs(f3)) <= tol:
             converged = True
             break
-        if len(norms) >= max_iter:
+        if steps >= max_iter:
             break
-        dx = solve3([[msig, mom, 1.0], [-mom, msig, 0.0], [d0, d1, d2]], [-M, -P, -f3])
-        sig += dx[0]
-        w += dx[1]
-        K += dx[2]
-        norms.append(math.sqrt(dx[0] ** 2 + dx[1] ** 2 + dx[2] ** 2))
-    kappa = norms[1] / norms[0] if len(norms) >= 2 and norms[0] > 0.0 else 0.0
-    return CorrectorOutcome(LocusPoint(sig, w, K), len(norms), kappa, converged)
+        x0, x1, x2 = solve3([[msig, mom, 1.0], [-mom, msig, 0.0], [d0, d1, d2]], [-M, -P, -f3])
+        sig += x0
+        w += x1
+        K += x2
+        steps += 1
+        if steps <= 2:
+            if steps == 1:
+                norm0 = math.sqrt(x0 ** 2 + x1 ** 2 + x2 ** 2)
+            else:
+                norm1 = math.sqrt(x0 ** 2 + x1 ** 2 + x2 ** 2)
+    kappa = norm1 / norm0 if steps >= 2 and norm0 > 0.0 else 0.0
+    return CorrectorOutcome(LocusPoint(sig, w, K), steps, kappa, converged)
 
 
 def step_update(h: float, out: CorrectorOutcome, h_max: float = H_MAX) -> tuple[float, bool]:

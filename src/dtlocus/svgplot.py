@@ -89,11 +89,14 @@ def render_svg(result: RootLocusResult) -> str:
     px0, px1 = _MARGIN_LEFT, _WIDTH - _MARGIN_RIGHT
     py0, py1 = _HEIGHT - _MARGIN_BOTTOM, _MARGIN_TOP
 
+    sx, wx = xmax - xmin, px1 - px0
+    sy, wy = ymax - ymin, py1 - py0
+
     def X(x):
-        return px0 + (x - xmin) / (xmax - xmin) * (px1 - px0)
+        return px0 + (x - xmin) / sx * wx
 
     def Y(y):
-        return py0 + (y - ymin) / (ymax - ymin) * (py1 - py0)
+        return py0 + (y - ymin) / sy * wy
 
     parts = [
         (
@@ -137,7 +140,9 @@ def render_svg(result: RootLocusResult) -> str:
     )
 
     for t, extra_class, rows in curves:
-        d = " ".join(f"{_fmt(X(x))},{_fmt(Y(y))}" for x, y, _ in rows)
+        # one format per point; a "-0.00" can only be a whole coordinate
+        d = " ".join(["%.2f,%.2f" % (px0 + (x - xmin) / sx * wx, py0 + (y - ymin) / sy * wy)
+                      for x, y, _ in rows]).replace("-0.00", "0.00")
         parts.append(
             f'<polyline class="trajectory{extra_class}" points="{d}" '
             f'data-mirrored="{str(t.mirrored).lower()}"/>'

@@ -50,6 +50,7 @@ _MATCH_OMEGA = 1e-4
 _MATCH_K = 1e-3
 _DEDUP_TOL = 1e-8
 _DEDUP_CELL = 2e-8  # strictly above _DEDUP_TOL: close endpoints bin at most one cell apart
+_NEAR_CELLS = tuple((dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1))
 _SEED_HALVINGS = 8
 _FIRST_STEP_REL = 0.1
 
@@ -267,8 +268,8 @@ def _first_step(plant: Plant, branches, start: complex, options: TraceOptions) -
     1e-3(1 + |anchor|) of their anchor, so they keep h0 while the anchor lies
     inside |s| < 99.
     """
-    rho = min((abs(start - r) for r in (*plant.zeros, *plant.poles, *(bp.s for bp in branches))),
-              default=math.inf)
+    anchors = (*plant.zeros, *plant.poles, *(bp.s for bp in branches))
+    rho = min(map(abs, map(start.__sub__, anchors)), default=math.inf)
     return min(max(options.h0, _FIRST_STEP_REL * rho, H_MIN), options.h_max)
 
 
@@ -413,6 +414,7 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
         return Trajectory(seed.origin, tuple(points), termination,
                           start_marker=seed.start_marker)
 
+    scale = 1.0 + abs(complex(cursor.sigma, cursor.omega))  # the leash's 1 + |cursor|
     for _ in range(options.max_steps):
         h_used = h
         at_floor = h_used <= H_MIN * (1.0 + 1e-12)  # no halving is left
@@ -421,9 +423,11 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
         if out.converged:
             # leash: a converged point far from the prediction is a basin
             # escape onto another sheet, not a continuation of this one
-            disp = math.hypot(abs(out.point.s - predicted.s), out.point.Kval - predicted.Kval)
-            if disp > 10.0 * h_used * (1.0 + abs(cursor.s)):
-                out = CorrectorOutcome(out.point, out.iterations, math.inf, False)
+            p = out.point
+            disp = math.hypot(abs(complex(p.sigma - predicted.sigma, p.omega - predicted.omega)),
+                              p.Kval - predicted.Kval)
+            if disp > 10.0 * h_used * scale:
+                out = CorrectorOutcome(p, out.iterations, math.inf, False)
         h, repeat = step_update(h_used, out, options.h_max)
         c = out.point
         reason = None
@@ -490,6 +494,7 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
         except InputError:
             pass
         cursor = c
+        scale = 1.0 + abs(complex(c.sigma, c.omega))
         if c.Kval > points[-1].Kval:
             points.append(c)
 
@@ -515,7 +520,7 @@ def _mirror_trajectory(plant: Plant, branches, traj: Trajectory) -> Trajectory:
         )
     return Trajectory(
         origin=origin,
-        points=tuple(LocusPoint(p.sigma, -p.omega, p.Kval) for p in traj.points),
+        points=tuple([LocusPoint(p.sigma, -p.omega, p.Kval) for p in traj.points]),
         termination=termination,
         mirrored=True,
         start_marker=traj.start_marker.conjugate() if traj.start_marker is not None else None,
@@ -553,19 +558,15 @@ def _dedup(trajectories: list[Trajectory]) -> list[Trajectory]:
             continue
         kind, x, y, z = key
         ti = trajectories[i]
-        near = (
-            j
-            for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
-            for j in cells.get((kind, x + dx, y + dy, z + dz), ())
-        )
-        for j in near:
-            if j <= i or j in drop:
-                continue
-            tj = trajectories[j]
-            a, b = ti.points[-1], tj.points[-1]
-            sep = max(abs(a.sigma - b.sigma), abs(a.omega - b.omega), abs(a.Kval - b.Kval))
-            if sep <= _DEDUP_TOL:
-                drop.add(j if len(tj.points) <= len(ti.points) else i)
+        for dx, dy, dz in _NEAR_CELLS:
+            for j in cells.get((kind, x + dx, y + dy, z + dz), ()):
+                if j <= i or j in drop:
+                    continue
+                tj = trajectories[j]
+                a, b = ti.points[-1], tj.points[-1]
+                sep = max(abs(a.sigma - b.sigma), abs(a.omega - b.omega), abs(a.Kval - b.Kval))
+                if sep <= _DEDUP_TOL:
+                    drop.add(j if len(tj.points) <= len(ti.points) else i)
     return [t for i, t in enumerate(trajectories) if i not in drop]
 
 
