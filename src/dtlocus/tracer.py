@@ -382,20 +382,22 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
 
     The corrector's point is screened in order for: convergence (step_update
     grades it; the leash rejects a converged point far from its prediction),
-    branch capture, region exit (sigma below the boundary), gain cap, and gain
-    monotonicity.  Five of these can reject the step: a failed or leashed
-    correction, a step that passes by a branch point it started beside, a
-    region exit whose solve onto the boundary does not converge, a gain cap
-    end that the step's gain does not pass or that falls off the locus or left
-    of the boundary, and a gain that falls.  Newton solves go through _correct:
-    the step on the plane normal to the travel direction, the region exit at
-    frozen sigma and an off-axis cap end at frozen gain, each from the step
-    interpolated to sigma0 or ln kmax; a real-axis cap end is bisected with
-    omega pinned at 0.  A rejected step is redone from the cursor at half the
-    length; at H_MIN it ends in StepFailure with the reason instead, except
-    the pass-by, which is then accepted.  An accepted point is recorded only
-    when its gain rises, so the stored gain strictly increases.  A region exit
-    ends in LeftRegion(None); the caller matches it to an outward crossing.
+    branch capture, gain monotonicity, region exit (sigma below the boundary)
+    and gain cap.  Five of these can reject the step: a failed or leashed
+    correction, a step that passes by a branch point it started beside, a gain
+    that falls (so a falling step that lands left of the boundary is redone,
+    not taken as an exit), a region exit whose solve onto the boundary does
+    not converge, and a gain cap end that the step's gain does not pass or
+    that falls off the locus or left of the boundary.  Newton solves go
+    through _correct: the step on the plane normal to the travel direction,
+    the region exit at frozen sigma and an off-axis cap end at frozen gain,
+    each from the step interpolated to sigma0 or ln kmax; a real-axis cap end
+    is bisected with omega pinned at 0.  A rejected step is redone from the
+    cursor at half the length; at H_MIN it ends in StepFailure with the reason
+    instead, except the pass-by, which is then accepted.  An accepted point is
+    recorded only when its gain rises, so the stored gain strictly increases.
+    A region exit ends in LeftRegion(None); the caller matches it to an
+    outward crossing.
 
     The first step is _first_step's, sized to the seed's distance from the
     nearest plant root or branch point.
@@ -448,6 +450,12 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
             elif overshot and not at_floor:
                 reason = "passed by a branch point"
 
+        dK = c.Kval - cursor.Kval
+        if reason is None and dK <= -_FLAT_K_REL * (1.0 + abs(c.Kval)):
+            # the gain falls along a trajectory only past a critical point
+            # of the gain, a branch point the step jumped over
+            reason = f"gain reversal at step {len(points)}: dK={dK:.3e}"
+
         if reason is None and c.sigma < region.sigma0:
             span = c.sigma - cursor.sigma
             t = (region.sigma0 - cursor.sigma) / span if span != 0.0 else 1.0
@@ -475,12 +483,6 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
                     return finish(GainCap())
             # the step ends below the cap, or the cap solve left this sheet or the region
             reason = f"gain cap refinement left the locus at step {len(points)}"
-
-        dK = c.Kval - cursor.Kval
-        if reason is None and dK <= -_FLAT_K_REL * (1.0 + abs(c.Kval)):
-            # the gain falls along a trajectory only past a critical point
-            # of the gain, a branch point the step jumped over
-            reason = f"gain reversal at step {len(points)}: dK={dK:.3e}"
 
         if reason is not None:
             if at_floor:

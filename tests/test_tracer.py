@@ -677,6 +677,20 @@ class TestCorpusRegressions:
         assert left.termination.matched is not None
         assert res.warnings == ()
 
+    def test_falling_step_left_of_boundary_is_redone(self):
+        # draw 43 of the region-exit test's sequence, negative gains: a step
+        # from -0.6998+0.3022j lands left of sigma0 with falling gain; taken
+        # as a region exit, it left an unmatched exit at omega 0.302 and the
+        # branch point at -0.6731 with "traced 0 and 2"
+        rng = np.random.RandomState(23)
+        for _ in range(44):
+            plant = random_plant(rng, Plant)
+            sigma0, kmax = clean_region(plant, rng)
+        assert abs(sigma0 - -1.04245) < 1e-5 and abs(kmax - 3.11263) < 1e-5
+        res = run(plant, RegionSpec(sigma0, kmax), TraceOptions(negative_gains=True))
+        assert res.warnings == () and res.negative.warnings == ()
+        assert_ends_on_locus(res.negative, sigma0)
+
     def test_biproper_kprime_has_exact_degree(self):
         # the cancelled omega^(4n-2) coefficient of K' kept a 1e-16 residue, a
         # spurious root near 1e16 and an omega cap near 1e17: the crossing
