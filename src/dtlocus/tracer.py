@@ -18,6 +18,7 @@ from .boundary import (
     BoundaryFunctions,
     CrossingSet,
     RegionSpec,
+    _solve_monotone,
     boundary_crossings,
     boundary_functions,
 )
@@ -30,6 +31,7 @@ from .continuation import (
     TOL_CORR,
     CorrectorOutcome,
     LocusPoint,
+    _locus_eval,
     correct,
     departure_angles,
     entry_direction_crossing,
@@ -281,29 +283,26 @@ def _refine_gain_cap(plant, below: LocusPoint, above: LocusPoint, lnkmax: float,
     if abs(below.omega) <= _AXIS_TOL and abs(above.omega) <= _AXIS_TOL:
         # real axis: omega stays exactly 0 and the magnitude residual is
         # monotone along the segment, but not continuous across a real plant
-        # root, so a bracket around one holds no cap point
+        # root, so a bracket around one holds no cap point.  The cap point is
+        # solved by the boundary's safeguarded Newton, slope dM/dsigma.
         def f(sig):
-            return residuals(plant, LocusPoint(sig, 0.0, lnkmax))[0]
+            M, _, msig, _ = _locus_eval(plant, sig, 0.0, lnkmax)
+            return M, msig
 
-        a, b = below.sigma, above.sigma
-        straddled = any(abs(r.imag) <= _AXIS_TOL and min(a, b) < r.real < max(a, b)
-                        for r in plant.zeros + plant.poles)
+        a, b = sorted((below.sigma, above.sigma))
+        unsolved = LocusPoint(above.sigma, 0.0, lnkmax), False
+        if any(abs(r.imag) <= _AXIS_TOL and a < r.real < b for r in plant.zeros + plant.poles):
+            return unsolved
         try:
-            fa, fb = f(a), f(b)
-            if straddled or (fa < 0.0) == (fb < 0.0):
-                return LocusPoint(b, 0.0, lnkmax), False
-            while abs(b - a) > 1e-12 * (1.0 + abs(b)):
-                m = 0.5 * (a + b)
-                fm = f(m)
-                if fm == 0.0:
-                    a = b = m
-                elif (fa < 0.0) == (fm < 0.0):
-                    a, fa = m, fm
-                else:
-                    b, fb = m, fm
+            fa, da = f(a)
+            fb, _ = f(b)
+            if (fa < 0.0) == (fb < 0.0):
+                return unsolved
+            root, _ = _solve_monotone(f, 0.0, a, b, fa, fb, a, (a, fa, da),
+                                      1e-12 * (1.0 + abs(b)))
         except (SingularPointError, InputError):
-            pass
-        return LocusPoint(0.5 * (a + b), 0.0, lnkmax), False
+            return unsolved
+        return LocusPoint(root, 0.0, lnkmax), False
 
     t = (lnkmax - below.Kval) / (above.Kval - below.Kval)
     sig = below.sigma + t * (above.sigma - below.sigma)
@@ -392,12 +391,12 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
     through _correct: the step on the plane normal to the travel direction,
     the region exit at frozen sigma and an off-axis cap end at frozen gain,
     each from the step interpolated to sigma0 or ln kmax; a real-axis cap end
-    is bisected with omega pinned at 0.  A rejected step is redone from the
-    cursor at half the length; at H_MIN it ends in StepFailure with the reason
-    instead, except the pass-by, which is then accepted.  An accepted point is
-    recorded only when its gain rises, so the stored gain strictly increases.
-    A region exit ends in LeftRegion(None); the caller matches it to an
-    outward crossing.
+    is solved by safeguarded Newton in sigma with omega pinned at 0.  A
+    rejected step is redone from the cursor at half the length; at H_MIN it
+    ends in StepFailure with the reason instead, except the pass-by, which is
+    then accepted.  An accepted point is recorded only when its gain rises, so
+    the stored gain strictly increases.  A region exit ends in LeftRegion(None);
+    the caller matches it to an outward crossing.
 
     The first step is _first_step's, sized to the seed's distance from the
     nearest plant root or branch point.
