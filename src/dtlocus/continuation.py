@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .boundary import BoundaryCrossing, BoundaryFunctions
+from .boundary import TOL_DIR, BoundaryCrossing, BoundaryFunctions
 from .errors import DegenerateCrossing, InputError, SingularJacobian
 from .plant import Plant, _log_kernel, dlog_ratio, wrap_angle
 
@@ -29,7 +29,6 @@ H_MIN = 1e-8
 H_MAX = 0.5
 KAPPA_NOM = 1.1
 COND_LIMIT = 1e12
-TOL_DIR = 1e-9
 
 _setattr = object.__setattr__  # how a frozen dataclass sets its own fields
 

@@ -22,6 +22,7 @@ from .errors import InputError
 TOL_ROOT = 1e-8
 TOL_IMAG = 1e-8
 CLUSTER_REL = 1e-6
+_POLISH_STEPS = 10
 # Screen margin: far above the worst companion-eigenvalue error seen on the
 # benchmark plants (9e-5) and the eps^(1/4) ~ 1.2e-4 spread of a 4-fold root,
 # so no root a caller keeps and no member of its cluster is screened out.
@@ -106,7 +107,7 @@ def _horner_triple(coeffs, z):
     return v, d1, 2.0 * d2
 
 
-def _polish(coeffs, z, steps=10):
+def _polish(coeffs, z):
     """Newton iteration on p/p', which has a simple zero at every root.
 
     Plain Newton stalls on multiple roots (|p| hits the rounding floor while
@@ -114,7 +115,7 @@ def _polish(coeffs, z, steps=10):
     pass); the ratio variant converges quadratically for any multiplicity.
     """
     best, best_prox = z, None
-    for _ in range(steps):
+    for _ in range(_POLISH_STEPS):
         v, d1, d2 = _horner_triple(coeffs, z)
         if v == 0:
             return z
@@ -169,8 +170,7 @@ def _right_of(sigma: float):
     return lambda z: z.real >= sigma - SCREEN_REL * (1.0 + abs(z))
 
 
-def complex_roots(p: RealPolynomial, cluster_rel: float = CLUSTER_REL,
-                  _keep=None) -> list[PolyRoot]:
+def complex_roots(p: RealPolynomial, _keep=None) -> list[PolyRoot]:
     """All complex roots of p with multiplicities.
 
     The root set is closed under conjugation: complex clusters are paired with
@@ -197,7 +197,7 @@ def complex_roots(p: RealPolynomial, cluster_rel: float = CLUSTER_REL,
     if keep(0j):
         raw.extend([0j] * nzero)
 
-    clusters = _cluster(raw, cluster_rel)
+    clusters = _cluster(raw, CLUSTER_REL)
     reals: list[tuple[float, int]] = []
     ups: list[tuple[complex, int]] = []
     downs: list[tuple[complex, int]] = []
@@ -225,10 +225,10 @@ def complex_roots(p: RealPolynomial, cluster_rel: float = CLUSTER_REL,
     return out
 
 
-def nonneg_real_roots(p: RealPolynomial, tol_imag: float = TOL_IMAG) -> list[tuple[float, int]]:
+def nonneg_real_roots(p: RealPolynomial) -> list[tuple[float, int]]:
     """Real roots with Re >= 0, as (value, multiplicity), ascending.
 
-    Roots with |Im| <= tol_imag count as real; small negative reals are
+    Roots with |Im| <= TOL_IMAG count as real; small negative reals are
     clamped to 0.  Constant polynomials have no roots.  Only the eigenvalues
     near the nonnegative real axis are polished (complex_roots' screen).
     """
@@ -236,7 +236,7 @@ def nonneg_real_roots(p: RealPolynomial, tol_imag: float = TOL_IMAG) -> list[tup
         return []
     picked: list[tuple[float, int]] = []
     for r in complex_roots(p, _keep=_near_nonneg_real):
-        if abs(r.value.imag) <= tol_imag and r.value.real >= -tol_imag:
+        if abs(r.value.imag) <= TOL_IMAG and r.value.real >= -TOL_IMAG:
             picked.append((max(r.value.real, 0.0), r.multiplicity))
     picked.sort()
     merged: list[tuple[float, int]] = []
