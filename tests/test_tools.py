@@ -1,5 +1,6 @@
 """Smoke test of tools/output_digest.py, the per-job same-output check: one
-labelled line per job, in the hash format and in the --topology format."""
+labelled line per job, in the hash format, the --topology format and the
+--work format."""
 
 import importlib.util
 import re
@@ -33,3 +34,23 @@ def test_output_digest_lines(capsys, monkeypatch):
     (line,) = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"dense\[0\] sigma0=\S+ kmax=\S+ json=[0-9a-f]{64}"
                         r"( (csv|svg)=[0-9a-f]{64})*", line), line
+
+
+def test_output_digest_work_lines(capsys, monkeypatch):
+    # --work counts through wrappers and puts the program's names back after
+    from dtlocus import continuation, plant, tracer
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    digest = _output_digest()
+    before = (plant._log_kernel, continuation._log_kernel, continuation.correct, tracer.correct)
+
+    assert digest.main(["corpus", "--jobs", "3", "--work"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    work = r"[+-]\[kernel=(\d+) correct=(\d+) newton=(\d+)\]"
+    for i, line in enumerate(lines):
+        assert re.fullmatch(rf"corpus\[{i}\] {work}( {work})?", line), line
+    counts = [int(n) for line in lines for n in re.findall(r"=(\d+)", line)]
+    assert sum(counts) > 0
+    assert (plant._log_kernel, continuation._log_kernel, continuation.correct,
+            tracer.correct) == before

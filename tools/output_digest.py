@@ -1,7 +1,7 @@
 """One digest line per job of a benchmark workload, for same-output checks.
 
     python3 tools/output_digest.py corpus|highorder|dense [--seed N] [--jobs N]
-        [--src DIR] [--topology]
+        [--src DIR] [--topology | --work]
 
 Each job runs as the benchmark runs it (``cli.parse_input`` ->
 ``tracer.run`` -> ``cli.result_to_json``, plus ``result_to_csv`` and
@@ -15,6 +15,14 @@ With ``--topology`` a job that returns prints, instead of hashes, one line
 per gain sign: the trajectory count, the count of each termination type and
 the warning count.  Diffing these shows that a change which moves points
 keeps the structure of every locus.
+
+With ``--work`` a job that returns prints, instead of hashes, one line per
+gain sign: the plant kernel evaluations (``plant._log_kernel``), the
+``continuation.correct`` calls and their Newton iterations.  They are
+counted by wrapping those names in every dtlocus module that holds them,
+where the program looks them up, as ``locusbench/tracing.py`` does; the
+sign-free set-up both passes share counts with the positive one.  Diffing
+these shows that a change which should only save time does the same work.
 
 Digest two commits and diff the files to show a change keeps every output
 byte (or, with ``--topology``, every structure) and every failure the same:
@@ -58,13 +66,72 @@ def topology(result) -> str:
     return " ".join(parts)
 
 
-def digest_line(dtlocus, job, structure: bool = False) -> str:
+class WorkCount:
+    """Kernel evaluations, correct calls and Newton iterations per gain sign.
+
+    install() wraps ``plant._log_kernel`` and ``continuation.correct`` in
+    every dtlocus module namespace that holds them; uninstall() puts the
+    originals back.  A call counts towards "+" when its plant's gain has the
+    sign of the job's plant (set ``alpha`` before each job), else "-".
+    """
+
+    def __init__(self):
+        self.alpha = 1.0
+        self.counts: Counter = Counter()
+        self._undo: list[tuple[object, str, object]] = []
+
+    def _sign(self, plant) -> str:
+        return "+" if (plant.alpha > 0.0) == (self.alpha > 0.0) else "-"
+
+    def install(self) -> None:
+        kernel = sys.modules["dtlocus.plant"]._log_kernel
+        correct = sys.modules["dtlocus.continuation"].correct
+
+        def counted_kernel(plant, *args):
+            self.counts[self._sign(plant), "kernel"] += 1
+            return kernel(plant, *args)
+
+        def counted_correct(plant, *args, **kwargs):
+            sign = self._sign(plant)
+            self.counts[sign, "correct"] += 1
+            out = correct(plant, *args, **kwargs)
+            self.counts[sign, "newton"] += out.iterations
+            return out
+
+        wrappers = {kernel: counted_kernel, correct: counted_correct}
+        for name, module in list(sys.modules.items()):
+            if module is None or not (name == "dtlocus" or name.startswith("dtlocus.")):
+                continue
+            for key, value in list(vars(module).items()):
+                if any(value is fn for fn in wrappers):
+                    self._undo.append((module, key, value))
+                    setattr(module, key, wrappers[value])
+
+    def uninstall(self) -> None:
+        for module, key, value in reversed(self._undo):
+            setattr(module, key, value)
+        self._undo.clear()
+
+    def line(self, signs) -> str:
+        return " ".join(
+            f"{sign}[kernel={self.counts[sign, 'kernel']} correct={self.counts[sign, 'correct']} "
+            f"newton={self.counts[sign, 'newton']}]"
+            for sign in signs
+        )
+
+
+def digest_line(dtlocus, job, structure: bool = False, work: WorkCount | None = None) -> str:
     cli, svgplot = dtlocus.cli, dtlocus.svgplot
     try:
         plant = cli.parse_input(job.doc)
         region = dtlocus.RegionSpec(job.sigma0, job.kmax)
+        if work is not None:
+            work.alpha = plant.alpha
+            work.counts.clear()
         result = dtlocus.run(plant, region, dtlocus.TraceOptions(negative_gains=job.negative_gains))
-        if structure:
+        if work is not None:
+            parts = [work.line("+-" if result.negative is not None else "+")]
+        elif structure:
             parts = [topology(result)]
         else:
             parts = [f"json={_sha(cli.result_to_json(result))}"]
@@ -83,8 +150,11 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=101)
     ap.add_argument("--jobs", type=int, help="jobs to run (default: %s)" % DEFAULT_JOBS)
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding dtlocus/")
-    ap.add_argument("--topology", action="store_true",
-                    help="print trajectory and termination counts, not output hashes")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--topology", action="store_true",
+                      help="print trajectory and termination counts, not output hashes")
+    mode.add_argument("--work", action="store_true",
+                      help="print kernel evaluations, correct calls and Newton iterations")
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(args.src.resolve()))
@@ -98,8 +168,15 @@ def main(argv=None) -> int:
     workloads = importlib.import_module("workloads")
 
     n = args.jobs if args.jobs is not None else DEFAULT_JOBS[args.workload]
-    for job in itertools.islice(workloads.jobs(args.workload, args.seed), n):
-        print(digest_line(dtlocus, job, args.topology), flush=True)
+    work = WorkCount() if args.work else None
+    if work is not None:
+        work.install()
+    try:
+        for job in itertools.islice(workloads.jobs(args.workload, args.seed), n):
+            print(digest_line(dtlocus, job, args.topology, work), flush=True)
+    finally:
+        if work is not None:
+            work.uninstall()
     return 0
 
 
