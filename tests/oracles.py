@@ -552,3 +552,61 @@ def reference_nonneg_real_roots(p, tol_imag=1e-8):
         else:
             merged.append((v, m))
     return merged
+
+
+# The writers' former per-point formatting.  render_svg now formats a whole
+# polyline with one % format per point and result_to_csv a whole trajectory;
+# these are the loops they replaced, kept so tests can require the same bytes.
+
+def _fmt_2f(v, rewrite=True):
+    s = format(v, ".2f")
+    return "0.00" if rewrite and s == "-0.00" else s
+
+
+def reference_polyline_points(result, svgplot, rewrite=True):
+    """The points="..." text of each trajectory polyline, in render_svg's
+    order, by the former per-point _fmt(X(x)),_fmt(Y(y)).  The page and its
+    margins are read from the svgplot module, as render_svg reads them;
+    rewrite=False keeps a "-0.00" the former _fmt turned into "0.00"."""
+    curves = [t.rows() for t in result.trajectories]
+    if result.negative is not None:
+        curves += [t.rows() for t in result.negative.trajectories]
+    xs = [row[0] for rows in curves for row in rows]
+    ys = [row[1] for rows in curves for row in rows]
+    sigma0 = result.region.sigma0
+    if xs:
+        xmin, xmax = min(min(xs), sigma0), max(max(xs), sigma0)
+        ymin, ymax = min(ys), max(ys)
+    else:
+        xmin, xmax, ymin, ymax = sigma0 - 1.0, sigma0 + 1.0, -1.0, 1.0
+    dx = (xmax - xmin) or 1.0
+    dy = (ymax - ymin) or 1.0
+    xmin -= 0.1 * dx
+    xmax += 0.1 * dx
+    ymin -= 0.1 * dy
+    ymax += 0.1 * dy
+    px0, px1 = svgplot._MARGIN_LEFT, svgplot._WIDTH - svgplot._MARGIN_RIGHT
+    py0, py1 = svgplot._HEIGHT - svgplot._MARGIN_BOTTOM, svgplot._MARGIN_TOP
+
+    def X(x):
+        return px0 + (x - xmin) / (xmax - xmin) * (px1 - px0)
+
+    def Y(y):
+        return py0 + (y - ymin) / (ymax - ymin) * (py1 - py0)
+
+    return [" ".join(f"{_fmt_2f(X(x), rewrite)},{_fmt_2f(Y(y), rewrite)}" for x, y, _ in rows)
+            for rows in curves]
+
+
+def reference_csv(result):
+    """result_to_csv by the former per-row f-string."""
+    lines = ["traj_id,sigma,omega,k"]
+    tid = 0
+    for res, sign in ((result, 1.0), (result.negative, -1.0)):
+        if res is None:
+            continue
+        for t in res.trajectories:
+            for s, w, k in t.rows(sign):
+                lines.append(f"{tid},{s:.17g},{w:.17g},{k:.17g}")
+            tid += 1
+    return "\n".join(lines) + "\n"
