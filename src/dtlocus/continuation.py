@@ -202,11 +202,10 @@ def correct(
         w += x1
         K += x2
         steps += 1
-        if steps <= 2:
-            if steps == 1:
-                norm0 = math.sqrt(x0 ** 2 + x1 ** 2 + x2 ** 2)
-            else:
-                norm1 = math.sqrt(x0 ** 2 + x1 ** 2 + x2 ** 2)
+        if steps == 1:
+            norm0 = math.sqrt(x0 ** 2 + x1 ** 2 + x2 ** 2)
+        elif steps == 2:
+            norm1 = math.sqrt(x0 ** 2 + x1 ** 2 + x2 ** 2)
     kappa = norm1 / norm0 if steps >= 2 and norm0 > 0.0 else 0.0
     return CorrectorOutcome(LocusPoint(sig, w, K), steps, kappa, converged)
 

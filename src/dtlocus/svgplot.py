@@ -141,8 +141,7 @@ def render_svg(result: RootLocusResult) -> str:
 
     for t, extra_class, rows in curves:
         # one format per point; a "-0.00" can only be a whole coordinate
-        d = " ".join(["%.2f,%.2f" % (px0 + (x - xmin) / sx * wx, py0 + (y - ymin) / sy * wy)
-                      for x, y, _ in rows]).replace("-0.00", "0.00")
+        d = " ".join(["%.2f,%.2f" % (X(x), Y(y)) for x, y, _ in rows]).replace("-0.00", "0.00")
         parts.append(
             f'<polyline class="trajectory{extra_class}" points="{d}" '
             f'data-mirrored="{str(t.mirrored).lower()}"/>'
