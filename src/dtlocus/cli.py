@@ -146,7 +146,7 @@ def result_to_json(result: RootLocusResult) -> str:
     doc = _result_doc(result, 1.0)
     if result.negative is not None:
         doc["negative"] = _result_doc(result.negative, -1.0)
-    return json.dumps(doc, allow_nan=False) + "\n"
+    return json.dumps(doc, allow_nan=False, check_circular=False) + "\n"
 
 
 def result_to_csv(result: RootLocusResult) -> str:

@@ -47,18 +47,17 @@ class Plant:
     """Proper rational plant alpha*N(s)/D(s) with input delay.
 
     zeros/poles are stored with repetition (a double pole appears twice) and
-    each list must be closed under complex conjugation.  _table holds the same
-    roots as (re, im) float pairs, zeros then poles, for the evaluation loop;
-    it is derived, so it stays out of == and repr.
+    each list must be closed under complex conjugation.  _table holds what
+    the evaluation loop starts from: the same roots as (re, im) float pairs,
+    zeros then poles, ln|alpha| and the phase of alpha; it is derived, so it
+    stays out of == and repr.
     """
 
     alpha: float
     delay: float
     zeros: tuple[complex, ...]
     poles: tuple[complex, ...]
-    _table: tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", float(self.alpha))
@@ -81,6 +80,8 @@ class Plant:
         object.__setattr__(self, "_table", (
             tuple((z.real, z.imag) for z in self.zeros),
             tuple((p.real, p.imag) for p in self.poles),
+            math.log(abs(self.alpha)),
+            0.0 if self.alpha > 0 else math.pi,
         ))
 
     @property
@@ -141,11 +142,10 @@ def _log_kernel(plant: Plant, sigma: float, omega: float) -> tuple[float, float,
     """
     tol = TOL_SING * (1.0 + abs(complex(sigma, omega)))
     near = tol * tol * (1.0 + 1e-9)  # squared distance bound; abs() decides
-    lnmag = math.log(abs(plant.alpha))
-    phase = 0.0 if plant.alpha > 0 else math.pi
-    msig = -plant.delay
+    zeros, poles, lnmag, phase = plant._table
+    delay = plant.delay
+    msig = -delay
     mom = 0.0
-    zeros, poles = plant._table
     for re, im in zeros:
         ds = sigma - re
         dw = omega - im
@@ -170,8 +170,8 @@ def _log_kernel(plant: Plant, sigma: float, omega: float) -> tuple[float, float,
         phase -= _atan2(dw, ds)
         msig -= ds / g
         mom -= dw / g
-    lnmag -= plant.delay * sigma
-    phase -= plant.delay * omega
+    lnmag -= delay * sigma
+    phase -= delay * omega
     return lnmag, wrap_angle(phase), msig, mom
 
 

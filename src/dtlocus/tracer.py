@@ -52,7 +52,7 @@ _MATCH_OMEGA = 1e-4
 _MATCH_K = 1e-3
 _DEDUP_TOL = 1e-8
 _DEDUP_CELL = 2e-8  # strictly above _DEDUP_TOL: close endpoints bin at most one cell apart
-_NEAR_CELLS = tuple((dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1))
+_NEAR_CELLS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 _SEED_HALVINGS = 8
 _FIRST_STEP_REL = 0.1
 
@@ -533,13 +533,14 @@ def _dedup(trajectories: list[Trajectory]) -> list[Trajectory]:
     final point; distinct arrivals at one branch point are kept apart
     (their shared endpoint is the snap, not a duplication).
 
-    Endpoints are binned on a grid of cell _DEDUP_CELL > _DEDUP_TOL, so two
-    endpoints within tolerance sit in the same or adjacent cells and each
-    trajectory is compared only against the 27 cells around its own.  The
-    choice of survivors is greedy, in index order: for each i still kept,
-    every later j still kept and within tolerance drops the shorter of the
-    pair, j on a tie.  Which j are dropped for one i does not depend on the
-    order its candidates are visited, so the result equals the pairwise scan.
+    Endpoints are binned by sigma and omega on a grid of cell
+    _DEDUP_CELL > _DEDUP_TOL, so two endpoints within tolerance sit in the
+    same or adjacent cells and each trajectory is compared only against the
+    9 cells around its own.  The choice of survivors is greedy, in index
+    order: for each i still kept, every later j still kept and within
+    tolerance drops the shorter of the pair, j on a tie.  Which j are dropped
+    for one i does not depend on the order its candidates are visited, so the
+    result equals the pairwise scan.
     """
     keys: list[tuple | None] = []
     cells: dict[tuple, list[int]] = {}
@@ -549,7 +550,7 @@ def _dedup(trajectories: list[Trajectory]) -> list[Trajectory]:
             continue
         p = t.points[-1]
         key = (type(t.termination), math.floor(p.sigma / _DEDUP_CELL),
-               math.floor(p.omega / _DEDUP_CELL), math.floor(p.Kval / _DEDUP_CELL))
+               math.floor(p.omega / _DEDUP_CELL))
         keys.append(key)
         cells.setdefault(key, []).append(j)
 
@@ -557,10 +558,10 @@ def _dedup(trajectories: list[Trajectory]) -> list[Trajectory]:
     for i, key in enumerate(keys):
         if key is None or i in drop:
             continue
-        kind, x, y, z = key
+        kind, x, y = key
         ti = trajectories[i]
-        for dx, dy, dz in _NEAR_CELLS:
-            for j in cells.get((kind, x + dx, y + dy, z + dz), ()):
+        for dx, dy in _NEAR_CELLS:
+            for j in cells.get((kind, x + dx, y + dy), ()):
                 if j <= i or j in drop:
                     continue
                 tj = trajectories[j]
