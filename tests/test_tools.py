@@ -1,6 +1,6 @@
 """Smoke test of tools/output_digest.py, the per-job same-output check: one
-labelled line per job, in the hash format, the --topology format and the
---work format."""
+labelled line per job, in the hash format, the --topology format (with its
+mirrored count) and the --work format."""
 
 import importlib.util
 import re
@@ -9,7 +9,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-_SIGN = r"[+-]\[n=\d+( [A-Za-z]+=\d+)* warnings=\d+\]"
+_SIGN = r"[+-]\[n=(\d+)(?: [A-Z][A-Za-z]+=\d+)* mirrored=(\d+) warnings=\d+\]"
 
 
 def _output_digest():
@@ -28,7 +28,11 @@ def test_output_digest_lines(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
     for i, line in enumerate(lines):
-        assert re.fullmatch(rf"corpus\[{i}\] {_SIGN}( {_SIGN})?", line), line
+        match = re.fullmatch(rf"corpus\[{i}\] {_SIGN}(?: {_SIGN})?", line)
+        assert match, line
+        counts = [int(n) for n in match.groups() if n is not None]
+        for n, mirrored in zip(counts[::2], counts[1::2]):
+            assert 2 * mirrored <= n  # each mirrored trajectory has its original
 
     assert digest.main(["dense", "--jobs", "1"]) == 0
     (line,) = capsys.readouterr().out.splitlines()

@@ -12,9 +12,11 @@ message.  The jobs come from ``locusbench/workloads.py`` of this checkout;
 the program comes from ``--src`` (default: this checkout's ``src``).
 
 With ``--topology`` a job that returns prints, instead of hashes, one line
-per gain sign: the trajectory count, the count of each termination type and
-the warning count.  Diffing these shows that a change which moves points
-keeps the structure of every locus.
+per gain sign: the trajectory count, the count of each termination type,
+the count of mirrored trajectories and the warning count.  Diffing these
+shows that a change which moves points keeps the structure of every locus;
+a real-axis trajectory that drifts off the axis and is mirrored into a
+duplicate shows up in ``mirrored``.
 
 With ``--work`` a job that returns prints, instead of hashes, one line per
 gain sign: the plant kernel evaluations (``plant._log_kernel``), the
@@ -53,7 +55,8 @@ def _sha(text: str) -> str:
 
 
 def topology(result) -> str:
-    """Trajectory count, termination counts and warning count per gain sign."""
+    """Trajectory count, termination counts, mirrored count and warning
+    count per gain sign."""
     parts = []
     for sign, res in (("+", result), ("-", result.negative)):
         if res is None:
@@ -61,6 +64,7 @@ def topology(result) -> str:
         ends = Counter(type(t.termination).__name__ for t in res.trajectories)
         fields = [f"n={len(res.trajectories)}"]
         fields += [f"{name}={n}" for name, n in sorted(ends.items())]
+        fields.append(f"mirrored={sum(t.mirrored for t in res.trajectories)}")
         fields.append(f"warnings={len(res.warnings)}")
         parts.append(f"{sign}[{' '.join(fields)}]")
     return " ".join(parts)
