@@ -42,7 +42,7 @@ from .continuation import (
     unit3,
 )
 from .errors import BranchOnBoundary, InputError, SingularJacobian, SingularPointError
-from .plant import Plant, log_eval, wrap_angle
+from .plant import Plant, dlog_ratio, log_eval, wrap_angle
 
 _AXIS_TOL = 1e-9
 _SPAWN_ANGLE_TOL = 1e-6
@@ -171,17 +171,20 @@ def _correct(plant: Plant, start: LocusPoint, normal, tol: float,
 
 
 def _seed_from_ray(plant, origin, anchor: complex, theta: float, sigma0: float,
-                   tol_corr: float, lift_K: float, start_marker=None) -> Seed:
+                   tol_corr: float, start_marker=None) -> Seed:
     """Seed one trajectory a small step along a ray from anchor.
 
     The step is 1e-3(1 + |anchor|), or half the way to the boundary line
     Re(s) = sigma0 when the ray meets it sooner, so the seed starts inside
     the region.  When the frozen-gain polish of the stepped point does not
     converge (the step overshot a nearby branch point or root), the step is
-    halved, at most _SEED_HALVINGS times.  lift_K is the gain component of
-    the initial lifted direction: 1 for pole departures (gain rises steeply
-    off a pole), 0 for branch departures (gain is stationary across a branch
-    point).
+    halved, at most _SEED_HALVINGS times.  The seed leaves along the locus
+    tangent at its polished start s: differentiating ln(G e^(-hs)) + K = const
+    gives ds/dK = -1/dlog with dlog = G'/G - h, so the lifted direction is
+    (Re ds/dK, Im ds/dK, 1), which is parallel to (-msig, -mom, msig² + mom²)
+    for dlog = msig - j mom and always raises the gain.  Where the tangent is
+    undefined (dlog zero or non-finite, or s on a plant root) the seed keeps
+    the ray's direction (cos theta, sin theta, 0).
     """
     dx, dy = math.cos(theta), math.sin(theta)
     if abs(dy) <= _SPAWN_ANGLE_TOL:
@@ -197,7 +200,13 @@ def _seed_from_ray(plant, origin, anchor: complex, theta: float, sigma0: float,
         if out.converged:
             break
         delta *= 0.5
-    return Seed(origin, out.point, unit3((dx, dy, lift_K)), start_marker)
+    start = out.point
+    try:
+        dlog = dlog_ratio(plant, start.s)
+        d = unit3((-dlog.real, dlog.imag, dlog.real * dlog.real + dlog.imag * dlog.imag))
+    except (SingularPointError, InputError):
+        d = (dx, dy, 0.0)
+    return Seed(origin, start, d, start_marker)
 
 
 def _mirrored_away(options: TraceOptions, anchor: complex, theta: float) -> bool:
@@ -214,7 +223,10 @@ def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
     """Initial trajectories: one per in-region pole ray, one per inward
     crossing, one per departure ray of each active branch point.
 
-    With mirroring on, seeds whose trajectory is the conjugate image of
+    Pole and branch seeds start on the locus a short way along their ray and
+    leave along the locus tangent there (_seed_from_ray).  A crossing seed
+    starts on the boundary with its entry direction ds/dk lifted as
+    (Re, Im, 1).  With mirroring on, seeds whose trajectory is the conjugate image of
     another are omitted; the mirror pass reinstates them.  A seed carries no
     step length: trace starts it at _first_step's.
     """
@@ -237,7 +249,7 @@ def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
             if not _mirrored_away(options, p, theta):
                 seeds.append(
                     _seed_from_ray(plant, PoleOrigin(i), p, theta, region.sigma0,
-                                   options.tol_corr, lift_K=1.0, start_marker=p)
+                                   options.tol_corr, start_marker=p)
                 )
     for ci, c in enumerate(crossings.inward):
         d0 = entry_direction_crossing(plant, bf, c)
@@ -255,7 +267,7 @@ def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
             if not _mirrored_away(options, bp.s, theta):
                 seeds.append(
                     _seed_from_ray(plant, BranchOrigin(bi, theta), bp.s, theta,
-                                   region.sigma0, options.tol_corr, lift_K=0.0)
+                                   region.sigma0, options.tol_corr)
                 )
     return seeds
 
@@ -399,22 +411,26 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
     the caller matches it to an outward crossing.
 
     The first step is _first_step's, sized to the seed's distance from the
-    nearest plant root or branch point.
+    nearest plant root or branch point.  A seed that starts at or above the
+    gain cap ends GainCap at once, its start the only point.
     """
     options = options or TraceOptions()
     lnkmax = region.lnkmax
 
     points: list[LocusPoint] = [seed.start]
-    cursor = seed.start
-    d = seed.direction
-    h = _first_step(plant, branches, seed.start.s, options)
-    origin_branch = seed.origin.index if isinstance(seed.origin, BranchOrigin) else None
-    escaped = origin_branch is None
 
     def finish(termination):
         return Trajectory(seed.origin, tuple(points), termination,
                           start_marker=seed.start_marker)
 
+    if seed.start.Kval >= lnkmax:
+        return finish(GainCap())  # the seed already sits at or above the cap
+
+    cursor = seed.start
+    d = seed.direction
+    h = _first_step(plant, branches, seed.start.s, options)
+    origin_branch = seed.origin.index if isinstance(seed.origin, BranchOrigin) else None
+    escaped = origin_branch is None
     scale = 1.0 + abs(complex(cursor.sigma, cursor.omega))  # the leash's 1 + |cursor|
     for _ in range(options.max_steps):
         h_used = h

@@ -19,7 +19,7 @@ from dtlocus.boundary import RegionSpec, _breakpoints, _omega_cap, boundary_func
 from dtlocus.cli import parse_input
 from dtlocus.continuation import H_MAX, H_MIN, CorrectorOutcome, LocusPoint, residuals
 from dtlocus.errors import BranchOnBoundary, DtLocusError, InputError
-from dtlocus.plant import Plant
+from dtlocus.plant import Plant, _log_kernel
 from dtlocus.tracer import (
     BranchOrigin,
     CrossingOrigin,
@@ -377,6 +377,48 @@ class TestSeedsAndStability:
                 assert max(abs(M), abs(P)) <= 1e-8
                 assert math.hypot(*s.direction) <= 1.0 + 1e-12
                 assert abs(sum(x * x for x in s.direction) - 1.0) <= 1e-12
+
+    def test_seed_directions_are_locus_tangents(self):
+        # a pole or branch seed leaves along the tangent of the locus at its
+        # polished start: the linearised M and P rows vanish on it, and the
+        # gain rises
+        rng = np.random.RandomState(11)
+        checked = 0
+        for _ in range(100):
+            plant = random_plant(rng, Plant)
+            region = RegionSpec(*clean_region(plant, rng))
+            for signed in (plant, plant.flipped_gain()):
+                for s in seed_points(signed, region):
+                    if isinstance(s.origin, CrossingOrigin):
+                        continue
+                    _, _, msig, mom = _log_kernel(signed, s.start.sigma, s.start.omega)
+                    d0, d1, d2 = s.direction
+                    tol = 1e-9 * (1.0 + abs(msig) + abs(mom))
+                    assert abs(msig * d0 + mom * d1 + d2) <= tol, (s.origin, s.direction)
+                    assert abs(-mom * d0 + msig * d1) <= tol, (s.origin, s.direction)
+                    assert d2 > 0.0
+                    checked += 1
+        assert checked > 300
+
+    def test_seed_at_gain_cap_ends_without_a_step(self, p1, monkeypatch):
+        # the pole seed 1e-3 off the integrator's pole sits at k ~ 1e-3,
+        # above a cap of 1e-4: it is its own only point, with no corrector call
+        region = RegionSpec(-2.0, 1e-4)
+        (seed,) = [s for s in seed_points(p1, region) if isinstance(s.origin, PoleOrigin)]
+        assert seed.start.Kval >= region.lnkmax
+        calls = []
+        correct = tracer.correct
+
+        def counted(*args):
+            calls.append(None)
+            return correct(*args)
+
+        monkeypatch.setattr(tracer, "correct", counted)
+        traj = tracer.trace(p1, region, seed, ())
+        assert traj.points == (seed.start,)
+        assert traj.termination == GainCap()
+        assert traj.start_marker == 0j
+        assert calls == []
 
     def test_crossing_seeds_sit_on_crossings(self, p2):
         region = RegionSpec(-3.5, 5.0)
@@ -755,6 +797,22 @@ class TestCorpusRegressions:
         assert_ends_on_locus(res, -2.151683)
         assert_ends_on_locus(res.negative, -2.151683)
         assert res.warnings == () and res.negative.warnings == ()
+
+    def test_branch_departure_between_close_poles(self):
+        # corpus seed 405 job 183: the poles -1.117539 and -1.115777 are
+        # 1.8e-3 apart with a branch point between them; the departure seeded
+        # at -1.11666+0.00212j (k 2.9e-7) along the ray, with no gain in its
+        # direction, underflowed before its first step
+        plant = parse_input(json.dumps({
+            "alpha": 3.106323, "delay": 0.729426,
+            "zeros": [[-2.505918, 2.237048], [-2.505918, -2.237048]],
+            "poles": [[-1.117539, 0], [-0.268133, 0.968595], [-0.268133, -0.968595],
+                      [-2.71468, 0], [-1.115777, 0]],
+        }).encode())
+        res = run(plant, RegionSpec(-2.402994, 6.621255), TraceOptions(negative_gains=True))
+        assert not any(isinstance(t.termination, StepFailure) for t in res.trajectories)
+        assert res.warnings == ()
+        assert_ends_on_locus(res, -2.402994)
 
     def test_branch_departure_seed_stays_in_region(self):
         # corpus seed 405 job 90: a real branch point 1.6e-3 right of sigma0
