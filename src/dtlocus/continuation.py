@@ -6,7 +6,9 @@ pinning the iterate to the plane through the start point orthogonal to a
 normal: the travel direction along a trajectory, or a unit normal that
 freezes one coordinate, (0, 0, 1) the gain and (1, 0, 0) sigma.  The 3x3
 Jacobian rows for M and P share their entries by the Cauchy-Riemann
-structure of ln G.  correct is the one Newton solve on (M, P).
+structure of ln G.  correct is the one Newton solve on (M, P); it also
+returns the locus tangent at its last iterate, from the same kernel pass, so
+every trajectory leaves each point along _tangent, the one travel direction.
 
 The step length follows one rule, step_update: it grows or shrinks with the
 corrector's contraction, and a failed correction halves it.  The step stays
@@ -18,9 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .boundary import TOL_DIR, BoundaryCrossing, BoundaryFunctions
-from .errors import DegenerateCrossing, InputError, SingularJacobian
-from .plant import Plant, _log_kernel, dlog_ratio, wrap_angle
+from .errors import InputError, SingularJacobian
+from .plant import Plant, _log_kernel, wrap_angle
 
 TOL_CORR = 1e-6
 MAX_ITER = 20
@@ -62,10 +63,14 @@ class LocusPoint:
 
 @dataclass(frozen=True)
 class CorrectorOutcome:
+    """A corrected point and its Newton record; tangent is the unit locus
+    tangent at the point, None where _tangent has none."""
+
     point: LocusPoint
     iterations: int
     kappa: float
     converged: bool
+    tangent: tuple[float, float, float] | None = None
 
 
 def unit3(v) -> tuple[float, float, float]:
@@ -73,6 +78,21 @@ def unit3(v) -> tuple[float, float, float]:
     if n == 0.0 or not math.isfinite(n):
         raise InputError(f"cannot normalize direction {v}")
     return (v[0] / n, v[1] / n, v[2] / n)
+
+
+def _tangent(msig: float, mom: float) -> tuple[float, float, float] | None:
+    """Unit locus tangent in (sigma, omega, K) where dM/dsigma = msig and
+    dM/domega = mom, or None where it is undefined (both zero, or too large
+    to normalise).
+
+    Differentiating ln(G e^(-hs)) + K = const gives ds/dK = -1/dlog with
+    dlog = G'/G - h = msig - j mom, so the lifted direction (Re ds/dK,
+    Im ds/dK, 1) is parallel to (-msig, -mom, msig² + mom²): the gain rises.
+    """
+    try:
+        return unit3((-msig, -mom, msig * msig + mom * mom))
+    except InputError:
+        return None
 
 
 def _locus_eval(plant: Plant, sigma: float, omega: float, Kval: float):
@@ -181,7 +201,8 @@ def correct(
     plane constraint all within tol), so a converged outcome always satisfies
     the locus equations to tolerance.  kappa is the ratio of the first two
     Newton step lengths (0 when fewer than two steps ran); only those two
-    lengths are kept.
+    lengths are kept.  tangent is _tangent at the returned point, from the
+    partials of the residual pass that ended the loop.
     """
     s0, w0, K0 = predicted.sigma, predicted.omega, predicted.Kval
     d0, d1, d2 = prev_dir
@@ -207,7 +228,7 @@ def correct(
         elif steps == 2:
             norm1 = math.sqrt(x0 ** 2 + x1 ** 2 + x2 ** 2)
     kappa = norm1 / norm0 if steps >= 2 and norm0 > 0.0 else 0.0
-    return CorrectorOutcome(LocusPoint(sig, w, K), steps, kappa, converged)
+    return CorrectorOutcome(LocusPoint(sig, w, K), steps, kappa, converged, _tangent(msig, mom))
 
 
 def step_update(h: float, out: CorrectorOutcome, h_max: float = H_MAX) -> tuple[float, bool]:
@@ -255,14 +276,3 @@ def departure_angles(plant: Plant, pole_index: int) -> list[float]:
     psi = _phase_rest_at(plant, p, group) - plant.delay * p.imag - math.pi
     return [wrap_angle((psi + 2.0 * math.pi * j) / mu) for j in range(mu)]
 
-
-def entry_direction_crossing(
-    plant: Plant, bf: BoundaryFunctions, c: BoundaryCrossing
-) -> complex:
-    """ds/dk direction (complex, unnormalized) of a boundary entry root."""
-    dlog = dlog_ratio(plant, complex(bf.sigma0, c.omega))  # complex(phi', K')
-    if abs(dlog.real) <= TOL_DIR:
-        raise DegenerateCrossing(
-            f"phase slope {dlog.real:.3e} at omega={c.omega:.12g}; entry direction undefined"
-        )
-    return -1.0 / (c.k * dlog)

@@ -32,17 +32,16 @@ from .continuation import (
     CorrectorOutcome,
     LocusPoint,
     _locus_eval,
+    _tangent,
     correct,
     departure_angles,
-    entry_direction_crossing,
     pole_group,
     predict,
     residuals,
     step_update,
-    unit3,
 )
 from .errors import BranchOnBoundary, InputError, SingularJacobian, SingularPointError
-from .plant import Plant, dlog_ratio, log_eval, wrap_angle
+from .plant import Plant, _log_kernel, log_eval, wrap_angle
 
 _AXIS_TOL = 1e-9
 _SPAWN_ANGLE_TOL = 1e-6
@@ -55,6 +54,7 @@ _DEDUP_CELL = 2e-8  # strictly above _DEDUP_TOL: close endpoints bin at most one
 _NEAR_CELLS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 _SEED_HALVINGS = 8
 _FIRST_STEP_REL = 0.1
+MAX_STEPS = 20000  # step budget per trajectory
 
 
 @dataclass(frozen=True)
@@ -119,14 +119,12 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class TraceOptions:
-    """Corrector tolerance, smallest first step, largest step, step budget
-    per trajectory, mirroring and the negative-gain pass; checked once here."""
+    """Corrector tolerance, smallest first step, largest step and the
+    negative-gain pass; checked once here."""
 
     tol_corr: float = TOL_CORR
     h0: float = H0
     h_max: float = H_MAX
-    mirror: bool = True
-    max_steps: int = 20000
     negative_gains: bool = False
 
     def __post_init__(self):
@@ -136,9 +134,6 @@ class TraceOptions:
             raise InputError(f"first step h0 must be finite and > 0, got {self.h0}")
         if not (math.isfinite(self.h_max) and self.h_max >= H_MIN):
             raise InputError(f"largest step h_max must be finite and >= {H_MIN}, got {self.h_max}")
-        steps = self.max_steps
-        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-            raise InputError(f"step budget max_steps must be an int >= 1, got {steps!r}")
 
 
 @dataclass(frozen=True)
@@ -179,12 +174,9 @@ def _seed_from_ray(plant, origin, anchor: complex, theta: float, sigma0: float,
     the region.  When the frozen-gain polish of the stepped point does not
     converge (the step overshot a nearby branch point or root), the step is
     halved, at most _SEED_HALVINGS times.  The seed leaves along the locus
-    tangent at its polished start s: differentiating ln(G e^(-hs)) + K = const
-    gives ds/dK = -1/dlog with dlog = G'/G - h, so the lifted direction is
-    (Re ds/dK, Im ds/dK, 1), which is parallel to (-msig, -mom, msig² + mom²)
-    for dlog = msig - j mom and always raises the gain.  Where the tangent is
-    undefined (dlog zero or non-finite, or s on a plant root) the seed keeps
-    the ray's direction (cos theta, sin theta, 0).
+    tangent at its polished start, which the polish returns; where the
+    tangent is undefined (or the polish raised) it keeps the ray's direction
+    (cos theta, sin theta, 0).
     """
     dx, dy = math.cos(theta), math.sin(theta)
     if abs(dy) <= _SPAWN_ANGLE_TOL:
@@ -200,19 +192,11 @@ def _seed_from_ray(plant, origin, anchor: complex, theta: float, sigma0: float,
         if out.converged:
             break
         delta *= 0.5
-    start = out.point
-    try:
-        dlog = dlog_ratio(plant, start.s)
-        d = unit3((-dlog.real, dlog.imag, dlog.real * dlog.real + dlog.imag * dlog.imag))
-    except (SingularPointError, InputError):
-        d = (dx, dy, 0.0)
-    return Seed(origin, start, d, start_marker)
+    return Seed(origin, out.point, out.tangent or (dx, dy, 0.0), start_marker)
 
 
-def _mirrored_away(options: TraceOptions, anchor: complex, theta: float) -> bool:
+def _mirrored_away(anchor: complex, theta: float) -> bool:
     """Whether the ray from anchor is the conjugate image of a seeded one."""
-    if not options.mirror:
-        return False
     if abs(anchor.imag) <= _AXIS_TOL:
         return math.sin(theta) < -_AXIS_TOL
     return anchor.imag < 0.0
@@ -223,12 +207,14 @@ def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
     """Initial trajectories: one per in-region pole ray, one per inward
     crossing, one per departure ray of each active branch point.
 
-    Pole and branch seeds start on the locus a short way along their ray and
-    leave along the locus tangent there (_seed_from_ray).  A crossing seed
-    starts on the boundary with its entry direction ds/dk lifted as
-    (Re, Im, 1).  With mirroring on, seeds whose trajectory is the conjugate image of
-    another are omitted; the mirror pass reinstates them.  A seed carries no
-    step length: trace starts it at _first_step's.
+    Every seed leaves along the locus tangent at its start.  Pole and branch
+    seeds start on the locus a short way along their ray (_seed_from_ray).
+    A crossing seed starts on the boundary, its tangent from one kernel pass
+    there (boundary_crossings has already rejected a flat phase slope); the
+    boundary's inward normal stands in where the tangent is undefined.
+    Seeds whose trajectory is the conjugate image of another are omitted;
+    the mirror pass reinstates them.  A seed carries no step length: trace
+    starts it at _first_step's.
     """
     options = options or TraceOptions()
     if bf is None:
@@ -246,25 +232,20 @@ def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
         if p.real < region.sigma0:
             continue
         for theta in departure_angles(plant, i):
-            if not _mirrored_away(options, p, theta):
+            if not _mirrored_away(p, theta):
                 seeds.append(
                     _seed_from_ray(plant, PoleOrigin(i), p, theta, region.sigma0,
                                    options.tol_corr, start_marker=p)
                 )
     for ci, c in enumerate(crossings.inward):
-        d0 = entry_direction_crossing(plant, bf, c)
-        seeds.append(
-            Seed(
-                CrossingOrigin(ci),
-                LocusPoint(region.sigma0, c.omega, c.Kval),
-                unit3((d0.real, d0.imag, 1.0)),
-            )
-        )
+        _, _, msig, mom = _log_kernel(plant, region.sigma0, c.omega)
+        seeds.append(Seed(CrossingOrigin(ci), LocusPoint(region.sigma0, c.omega, c.Kval),
+                          _tangent(msig, mom) or (1.0, 0.0, 0.0)))
     for bi, bp in enumerate(branches):
         if not bp.active:
             continue
         for theta in branch_departures(plant, bp):
-            if not _mirrored_away(options, bp.s, theta):
+            if not _mirrored_away(bp.s, theta):
                 seeds.append(
                     _seed_from_ray(plant, BranchOrigin(bi, theta), bp.s, theta,
                                    region.sigma0, options.tol_corr)
@@ -410,6 +391,12 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
     the stored gain strictly increases.  A region exit ends in LeftRegion(None);
     the caller matches it to an outward crossing.
 
+    Each step predicts along the travel direction: the seed's, then the locus
+    tangent the corrector returned with the last accepted point (kept where
+    it has none).  The tangent always raises the gain, so a step taken after
+    a jump onto another sheet still heads up that sheet.  A trajectory that
+    runs MAX_STEPS steps ends in StepFailure.
+
     The first step is _first_step's, sized to the seed's distance from the
     nearest plant root or branch point.  A seed that starts at or above the
     gain cap ends GainCap at once, its start the only point.
@@ -432,7 +419,7 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
     origin_branch = seed.origin.index if isinstance(seed.origin, BranchOrigin) else None
     escaped = origin_branch is None
     scale = 1.0 + abs(complex(cursor.sigma, cursor.omega))  # the leash's 1 + |cursor|
-    for _ in range(options.max_steps):
+    for _ in range(MAX_STEPS):
         h_used = h
         at_floor = h_used <= H_MIN * (1.0 + 1e-12)  # no halving is left
         predicted = predict(cursor, d, h_used)
@@ -506,16 +493,13 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
             continue
 
         # accepted; a step flat in gain moves the cursor but records nothing
-        try:
-            d = unit3((c.sigma - cursor.sigma, c.omega - cursor.omega, dK))
-        except InputError:
-            pass
+        d = out.tangent or d
         cursor = c
         scale = 1.0 + abs(complex(c.sigma, c.omega))
         if c.Kval > points[-1].Kval:
             points.append(c)
 
-    return finish(StepFailure(f"step budget of {options.max_steps} exhausted"))
+    return finish(StepFailure(f"step budget of {MAX_STEPS} exhausted"))
 
 
 def _conj_index(items, value: complex) -> int:
@@ -643,13 +627,12 @@ def _run_signed(bf: BoundaryFunctions, region: RegionSpec, options: TraceOptions
                 f"trajectory stopped at {p.sigma:.6g}{p.omega:+.6g}j, k={math.exp(p.Kval):.6g}: "
                 f"{traj.termination.reason}"
             )
-    if options.mirror:
-        mirrored: list[Trajectory] = []
-        for traj in trajectories:
-            mirrored.append(traj)
-            if any(abs(p.omega) > _AXIS_TOL for p in traj.points):
-                mirrored.append(_mirror_trajectory(plant, branches, traj))
-        trajectories = mirrored
+    mirrored: list[Trajectory] = []
+    for traj in trajectories:
+        mirrored.append(traj)
+        if any(abs(p.omega) > _AXIS_TOL for p in traj.points):
+            mirrored.append(_mirror_trajectory(plant, branches, traj))
+    trajectories = mirrored
 
     arrivals = [0] * len(branches)
     departures = [0] * len(branches)

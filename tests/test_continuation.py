@@ -11,9 +11,9 @@ from dtlocus.continuation import (
     H_MIN,
     LocusPoint,
     _locus_eval,
+    _tangent,
     correct,
     departure_angles,
-    entry_direction_crossing,
     predict,
     residuals,
     solve3,
@@ -21,7 +21,8 @@ from dtlocus.continuation import (
     unit3,
 )
 from dtlocus.errors import InputError, SingularJacobian, SingularPointError
-from dtlocus.plant import Plant, dlog_ratio
+from dtlocus.plant import Plant, _log_kernel, dlog_ratio
+from dtlocus.tracer import CrossingOrigin, seed_points
 
 from oracles import fd
 
@@ -305,23 +306,35 @@ class TestInitialDirections:
             got = math.atan2((s - p).imag, (s - p).real)
             assert math.cos(got - theta) == pytest.approx(1.0, abs=1e-6)
 
+    @staticmethod
+    def _entry(plant, sigma0, c):
+        """ds/dK of the crossing root, from the tangent a crossing seed takes."""
+        _, _, msig, mom = _log_kernel(plant, sigma0, c.omega)
+        d = _tangent(msig, mom)
+        assert d[2] > 0.0
+        return complex(d[0], d[1]) / d[2]
+
     def test_p1_entry_direction(self, p1):
         region = RegionSpec(-2.0, 1.0)
         bf = boundary_functions(p1, region)
         cs = boundary_crossings(bf, region)
-        d0 = entry_direction_crossing(p1, bf, cs.inward[0])
-        # -1/(k * phi') = -1/(2e^-2 * -0.5) = e^2
-        assert d0.real == pytest.approx(math.exp(2.0), rel=1e-9)
+        c = cs.inward[0]
+        d0 = self._entry(p1, region.sigma0, c)
+        # ds/dK = k ds/dk = k * -1/(k * phi') = -1/phi' = 2
+        assert c.k * math.exp(2.0) == pytest.approx(2.0, rel=1e-9)
+        assert d0.real == pytest.approx(2.0, rel=1e-9)
         assert d0.imag == pytest.approx(0.0, abs=1e-12)
+        (seed,) = [s for s in seed_points(p1, region) if isinstance(s.origin, CrossingOrigin)]
+        assert seed.direction == _tangent(*_log_kernel(p1, region.sigma0, c.omega)[2:])
 
     def test_inward_entries_point_right(self, p2):
         region = RegionSpec(-3.5, 5.0)
         bf = boundary_functions(p2, region)
         cs = boundary_crossings(bf, region)
         for c in cs.inward:
-            assert entry_direction_crossing(p2, bf, c).real > 0
+            assert self._entry(p2, region.sigma0, c).real > 0
         for c in cs.outward:
-            assert entry_direction_crossing(p2, bf, c).real < 0
+            assert self._entry(p2, region.sigma0, c).real < 0
 
     def test_entry_matches_perturbed_roots(self, p2):
         from oracles import newton_root
@@ -330,11 +343,11 @@ class TestInitialDirections:
         bf = boundary_functions(p2, region)
         cs = boundary_crossings(bf, region)
         for c in list(cs.inward)[:3] + list(cs.outward)[:2]:
-            d0 = entry_direction_crossing(p2, bf, c)
+            d0 = self._entry(p2, region.sigma0, c)
             s_c = complex(-3.5, c.omega)
             eps = 1e-5 * c.k
             s_hi = newton_root(p2, c.k + eps, s_c)
             s_lo = newton_root(p2, c.k - eps, s_c)
-            fd_dir = (s_hi - s_lo) / (2 * eps)
+            fd_dir = c.k * (s_hi - s_lo) / (2 * eps)  # ds/dK = k ds/dk
             assert fd_dir.real == pytest.approx(d0.real, rel=1e-4, abs=1e-9)
             assert fd_dir.imag == pytest.approx(d0.imag, rel=1e-4, abs=1e-9)

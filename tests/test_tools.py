@@ -1,8 +1,10 @@
-"""Smoke test of tools/output_digest.py, the per-job same-output check: one
-labelled line per job, in the hash format, the --topology format (with its
-mirrored count) and the --work format."""
+"""Smoke tests of the tools.  tools/output_digest.py, the per-job same-output
+check: one labelled line per job, in the hash format, the --topology format
+(with its mirrored count) and the --work format.  tools/bench_pairs.py:
+current bytecode in both checkouts before the first pair."""
 
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
@@ -12,12 +14,15 @@ ROOT = Path(__file__).resolve().parents[1]
 _SIGN = r"[+-]\[n=(\d+)(?: [A-Z][A-Za-z]+=\d+)* mirrored=(\d+) warnings=\d+\]"
 
 
-def _output_digest():
-    spec = importlib.util.spec_from_file_location("output_digest",
-                                                  ROOT / "tools" / "output_digest.py")
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _output_digest():
+    return _tool("output_digest")
 
 
 def test_output_digest_lines(capsys, monkeypatch):
@@ -58,3 +63,31 @@ def test_output_digest_work_lines(capsys, monkeypatch):
     assert sum(counts) > 0
     assert (plant._log_kernel, continuation._log_kernel, continuation.correct,
             tracer.correct) == before
+
+
+def test_bench_pairs_compiles_both_checkouts_first(tmp_path, monkeypatch, capsys):
+    bench = _tool("bench_pairs")
+    parent = tmp_path / "parent"
+    (parent / "locusbench").mkdir(parents=True)
+    (parent / "locusbench" / "run.py").write_text("")
+    module = parent / "src" / "pkg" / "mod.py"
+    module.parent.mkdir(parents=True)
+    module.write_text("X = 1\n")
+
+    # compileall writes bytecode even where imports may not
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    bench.compile_sources(parent, sys.executable)
+    assert Path(importlib.util.cache_from_source(str(module))).is_file()
+
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    summary = {"failed": 0, "attempted": 1, "correct": True,
+               "metrics": {m["name"]: {"value": 1.0} for m in metrics}}
+    events = []
+    monkeypatch.setattr(bench, "compile_sources",
+                        lambda checkout, python: events.append(("compile", checkout)))
+    monkeypatch.setattr(bench, "run_once",
+                        lambda checkout, *args: events.append(("run", checkout)) or (summary, set()))
+    assert bench.main(["--parent", str(parent), "--workload", "corpus", "--seeds", "1-2"]) == 0
+    assert events[:2] == [("compile", parent), ("compile", ROOT)]
+    assert [kind for kind, _ in events[2:]] == ["run"] * 4
+    assert "corpus, seeds 1-2, 2 pairs" in capsys.readouterr().out

@@ -223,8 +223,9 @@ class TestP3AndEdges:
         with pytest.raises(BranchOnBoundary):
             run(p1, RegionSpec(-1.0, 1.0))
 
-    def test_step_budget_failure(self, p3):
-        res = run(p3, RegionSpec(-2.0, 2.0), TraceOptions(max_steps=1))
+    def test_step_budget_failure(self, p3, monkeypatch):
+        monkeypatch.setattr(tracer, "MAX_STEPS", 1)
+        res = run(p3, RegionSpec(-2.0, 2.0))
         assert all(isinstance(t.termination, StepFailure) for t in res.trajectories)
         assert "budget" in res.trajectories[0].termination.reason
 
@@ -243,18 +244,10 @@ class TestP3AndEdges:
         for bad in (dict(tol_corr=0.0), dict(tol_corr=-1.0), dict(tol_corr=math.nan),
                     dict(tol_corr=math.inf), dict(h0=0.0), dict(h0=-1.0), dict(h0=math.nan),
                     dict(h0=math.inf), dict(h_max=H_MIN / 2.0), dict(h_max=math.inf),
-                    dict(h_max=math.nan), dict(max_steps=0), dict(max_steps=2.0),
-                    dict(max_steps=True)):
+                    dict(h_max=math.nan)):
             with pytest.raises(InputError):
                 TraceOptions(**bad)
-        TraceOptions(tol_corr=1e-18, h0=1e-12, h_max=H_MIN, max_steps=1)
-
-    def test_mirror_off_traces_both_halves(self, p3):
-        res = run(p3, RegionSpec(-2.0, 2.0), TraceOptions(mirror=False))
-        assert len(res.trajectories) == 2
-        assert not any(t.mirrored for t in res.trajectories)
-        ends = sorted(t.points[-1].omega for t in res.trajectories)
-        assert ends[0] == pytest.approx(-ends[1], abs=1e-8)
+        TraceOptions(tol_corr=1e-18, h0=1e-12, h_max=H_MIN)
 
 
 class TestNegativeGains:
@@ -379,9 +372,9 @@ class TestSeedsAndStability:
                 assert abs(sum(x * x for x in s.direction) - 1.0) <= 1e-12
 
     def test_seed_directions_are_locus_tangents(self):
-        # a pole or branch seed leaves along the tangent of the locus at its
-        # polished start: the linearised M and P rows vanish on it, and the
-        # gain rises
+        # every seed leaves along the tangent of the locus at its start (a
+        # pole or branch seed's polished start, a crossing on the boundary):
+        # the linearised M and P rows vanish on it, and the gain rises
         rng = np.random.RandomState(11)
         checked = 0
         for _ in range(100):
@@ -389,8 +382,6 @@ class TestSeedsAndStability:
             region = RegionSpec(*clean_region(plant, rng))
             for signed in (plant, plant.flipped_gain()):
                 for s in seed_points(signed, region):
-                    if isinstance(s.origin, CrossingOrigin):
-                        continue
                     _, _, msig, mom = _log_kernel(signed, s.start.sigma, s.start.omega)
                     d0, d1, d2 = s.direction
                     tol = 1e-9 * (1.0 + abs(msig) + abs(mom))
@@ -813,6 +804,26 @@ class TestCorpusRegressions:
         assert not any(isinstance(t.termination, StepFailure) for t in res.trajectories)
         assert res.warnings == ()
         assert_ends_on_locus(res, -2.402994)
+
+    def test_step_after_sheet_jump_heads_up_the_locus(self):
+        # corpus seed 101 job 231, negative gains: the trajectory of the pole
+        # -2.24463+2.722738j takes a halved step that converges on another
+        # sheet; the secant of that step pointed back down the locus, so
+        # every later step lost gain and the trajectory underflowed
+        plant = parse_input(json.dumps({
+            "alpha": 3.922218, "delay": 0.343679,
+            "zeros": [[-0.372245, 0], [-2.335929, 1.7766], [-2.335929, -1.7766]],
+            "poles": [[-2.24463, 2.722738], [-2.24463, -2.722738], [-0.92018, 0],
+                      [-0.016623, 1.685557], [-0.016623, -1.685557], [-0.290349, 0]],
+        }).encode())
+        res = run(plant, RegionSpec(-3.104679, 16.582898), TraceOptions(negative_gains=True))
+        neg = res.negative
+        assert not any(isinstance(t.termination, StepFailure) for t in neg.trajectories)
+        assert neg.warnings == ()
+        pole = [t for t in neg.trajectories if isinstance(t.origin, PoleOrigin)
+                and abs(neg.plant.poles[t.origin.index] - (-2.24463 + 2.722738j)) < 1e-9]
+        assert len(pole) == 1 and isinstance(pole[0].termination, GainCap)
+        assert_ends_on_locus(neg, -3.104679)
 
     def test_branch_departure_seed_stays_in_region(self):
         # corpus seed 405 job 90: a real branch point 1.6e-3 right of sigma0

@@ -7,7 +7,11 @@ For each seed in A..B (inclusive) the benchmark command of BENCHMARK.json
 (``locusbench/run.py --trace 0``) runs once in the parent checkout DIR and
 once in this checkout, the parent first on even pairs and second on odd
 ones, so a drift of the machine's speed falls on both sides alike.  Each run
-imports the program from its own checkout's ``src``.
+imports the program from its own checkout's ``src``.  Before the first pair
+both checkouts' ``src`` is byte-compiled (``compileall``): with
+``PYTHONDONTWRITEBYTECODE`` set, a module edited since its ``.pyc`` was
+written would otherwise be recompiled on every import of every run, which
+reads as set-up time.
 
 As each pair ends it prints the seed's failed job count on each side and
 whether the failed jobs are the same ones (read from the run records the
@@ -37,6 +41,15 @@ def _seeds(text: str) -> list[int]:
     if b < a:
         raise argparse.ArgumentTypeError(f"empty seed range {text}")
     return list(range(a, b + 1))
+
+
+def compile_sources(checkout: Path, python: str) -> None:
+    """Write current bytecode for every module under the checkout's src."""
+    proc = subprocess.run([python, "-m", "compileall", "-q", "src"], cwd=checkout,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"bench_pairs.py: compileall in {checkout} exited "
+                         f"{proc.returncode}:\n{proc.stdout}{proc.stderr}")
 
 
 def run_once(checkout: Path, command: list[str], workload: str, seed: int,
@@ -76,6 +89,8 @@ def main(argv=None) -> int:
     metrics = spec["end_to_end"]
 
     sides = {"parent": parent, "change": ROOT}
+    for checkout in sides.values():
+        compile_sources(checkout, spec["command"][0])
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
