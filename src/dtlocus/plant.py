@@ -1,21 +1,28 @@
 """SISO dead-time plant G(s)·e^(-h·s) in zero-pole-gain form.
 
-Evaluation works in the log domain throughout: magnitudes as sums of half-log
-squared distances and phases as sums of angles, so a large |Re(s)| never
-forms e^(-h·s) directly.
+Evaluation multiplies each root set's factors s - r into one complex
+product and takes its complex log, so the magnitude and phase cost one log
+per root set, not one per root.  The delay enters in the log domain only,
+so a large |Re(s)| never forms e^(-h·s) directly.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from cmath import log as _clog
 from dataclasses import dataclass, field
-from math import atan2 as _atan2, log as _log  # bound once for _log_kernel's loop
+from math import log as _log
 
 from .errors import InputError, SingularPointError
 from .poly import RealPolynomial, complex_roots
 
 TOL_SING = 1e-12
 _TOL_CONJ = 1e-9
+# ln of the smallest normal and of the largest double: a product whose ln|.|
+# lies outside has lost precision or overflowed
+_LN_MIN = math.log(sys.float_info.min)
+_LN_MAX = math.log(sys.float_info.max)
 
 
 def wrap_angle(x: float) -> float:
@@ -48,9 +55,8 @@ class Plant:
 
     zeros/poles are stored with repetition (a double pole appears twice) and
     each list must be closed under complex conjugation.  _table holds what
-    the evaluation loop starts from: the same roots as (re, im) float pairs,
-    zeros then poles, ln|alpha| and the phase of alpha; it is derived, so it
-    stays out of == and repr.
+    the evaluation loop starts from: the zeros, the poles, ln|alpha| and the
+    phase of alpha; it is derived, so it stays out of == and repr.
     """
 
     alpha: float
@@ -78,8 +84,8 @@ class Plant:
         _check_conjugate_closed(self.zeros, "zeros")
         _check_conjugate_closed(self.poles, "poles")
         object.__setattr__(self, "_table", (
-            tuple((z.real, z.imag) for z in self.zeros),
-            tuple((p.real, p.imag) for p in self.poles),
+            self.zeros,
+            self.poles,
             math.log(abs(self.alpha)),
             0.0 if self.alpha > 0 else math.pi,
         ))
@@ -136,43 +142,55 @@ def plant_from_coefficients(num: RealPolynomial, den: RealPolynomial, delay: flo
 def _log_kernel(plant: Plant, sigma: float, omega: float) -> tuple[float, float, float, float]:
     """ln|G(s)e^(-hs)|, its principal phase, dM/dsigma and dM/domega at s.
 
-    One pass over the plant's (re, im) root table serves the value and its
-    gradient; by Cauchy-Riemann the phase gradient is (-dM/domega, dM/dsigma).
-    A point within TOL_SING*(1+|s|) of a root raises SingularPointError.
+    One pass over each root set multiplies the factors s - r into a running
+    complex product and sums their reciprocals, which give dlog = G'/G - h =
+    dM/dsigma - j dM/domega; by Cauchy-Riemann the phase gradient is
+    (-dM/domega, dM/dsigma).  The magnitude and phase then come from one
+    complex log per product.  A product that leaves the normal double range
+    is taken again by _folded_log.  A point within TOL_SING*(1+|s|) of a root
+    raises SingularPointError.
     """
-    tol = TOL_SING * (1.0 + abs(complex(sigma, omega)))
-    near = tol * tol * (1.0 + 1e-9)  # squared distance bound; abs() decides
-    zeros, poles, lnmag, phase = plant._table
+    s = complex(sigma, omega)
+    tol = TOL_SING * (1.0 + abs(s))
+    zeros, poles, lnalpha, argalpha = plant._table
     delay = plant.delay
-    msig = -delay
-    mom = 0.0
-    for re, im in zeros:
-        ds = sigma - re
-        dw = omega - im
-        g = ds * ds + dw * dw
-        if g <= near and abs(complex(ds, dw)) <= tol:
-            raise SingularPointError(
-                f"evaluation at {complex(sigma, omega)} hits the root {complex(re, im)}"
-            )
-        lnmag += 0.5 * _log(g)
-        phase += _atan2(dw, ds)
-        msig += ds / g
-        mom += dw / g
-    for re, im in poles:
-        ds = sigma - re
-        dw = omega - im
-        g = ds * ds + dw * dw
-        if g <= near and abs(complex(ds, dw)) <= tol:
-            raise SingularPointError(
-                f"evaluation at {complex(sigma, omega)} hits the root {complex(re, im)}"
-            )
-        lnmag -= 0.5 * _log(g)
-        phase -= _atan2(dw, ds)
-        msig -= ds / g
-        mom -= dw / g
-    lnmag -= delay * sigma
-    phase -= delay * omega
-    return lnmag, wrap_angle(phase), msig, mom
+    num = den = 1.0
+    dlog = -delay
+    for r in zeros:
+        d = s - r
+        if abs(d) <= tol:
+            raise SingularPointError(f"evaluation at {s} hits the root {r}")
+        num *= d
+        dlog += (1 + 0j) / d  # a complex numerator skips the float's coercion
+    for r in poles:
+        d = s - r
+        if abs(d) <= tol:
+            raise SingularPointError(f"evaluation at {s} hits the root {r}")
+        den *= d
+        dlog -= (1 + 0j) / d
+    try:
+        lz, lp = _clog(num), _clog(den)
+        normal = _LN_MIN < lz.real < _LN_MAX and _LN_MIN < lp.real < _LN_MAX
+    except ValueError:  # a product underflowed to zero
+        normal = False
+    if not normal:
+        lz, lp = _folded_log(s, zeros), _folded_log(s, poles)
+    lnmag = lnalpha + lz.real - lp.real - delay * sigma
+    phase = argalpha + lz.imag - lp.imag - delay * omega
+    return lnmag, wrap_angle(phase), dlog.real, 0.0 - dlog.imag  # 0.0 - keeps a zero positive
+
+
+def _folded_log(s: complex, roots) -> complex:
+    """ln of the product of s - r over roots, |product| folded into a sum of
+    logs at every factor so that no partial product leaves the double range."""
+    lnabs = 0.0
+    unit = 1.0
+    for r in roots:
+        unit *= s - r
+        m = abs(unit)
+        lnabs += _log(m)
+        unit /= m
+    return lnabs + _clog(unit)
 
 
 def log_eval(plant: Plant, s: complex) -> LogValue:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .tracer import RootLocusResult
+from .tracer import RootLocusResult, Trajectory
 
 _WIDTH = 800.0
 _HEIGHT = 600.0
@@ -64,12 +64,20 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return out
 
 
+def _plane_points(t: Trajectory) -> list[tuple[float, float]]:
+    """(sigma, omega) of each point, led by the start marker; no gain."""
+    xy = [(p.sigma, p.omega) for p in t.points]
+    if t.start_marker is not None:
+        xy.insert(0, (t.start_marker.real, t.start_marker.imag))
+    return xy
+
+
 def render_svg(result: RootLocusResult) -> str:
-    curves = [(t, "", t.rows()) for t in result.trajectories]
+    curves = [(t, "", _plane_points(t)) for t in result.trajectories]
     if result.negative is not None:
-        curves += [(t, " negative", t.rows()) for t in result.negative.trajectories]
-    xs = [row[0] for _, _, rows in curves for row in rows]
-    ys = [row[1] for _, _, rows in curves for row in rows]
+        curves += [(t, " negative", _plane_points(t)) for t in result.negative.trajectories]
+    xs = [x for _, _, xy in curves for x, _ in xy]
+    ys = [y for _, _, xy in curves for _, y in xy]
     sigma0 = result.region.sigma0
     if xs:
         xmin = min(min(xs), sigma0)
@@ -139,9 +147,9 @@ def render_svg(result: RootLocusResult) -> str:
         f'<line class="boundary" x1="{bx}" y1="{_fmt(py1)}" x2="{bx}" y2="{_fmt(py0)}"/>'
     )
 
-    for t, extra_class, rows in curves:
+    for t, extra_class, xy in curves:
         # one format per point; a "-0.00" can only be a whole coordinate
-        d = " ".join(["%.2f,%.2f" % (X(x), Y(y)) for x, y, _ in rows]).replace("-0.00", "0.00")
+        d = " ".join(["%.2f,%.2f" % (X(x), Y(y)) for x, y in xy]).replace("-0.00", "0.00")
         parts.append(
             f'<polyline class="trajectory{extra_class}" points="{d}" '
             f'data-mirrored="{str(t.mirrored).lower()}"/>'

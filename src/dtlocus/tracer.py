@@ -18,7 +18,6 @@ from .boundary import (
     BoundaryFunctions,
     CrossingSet,
     RegionSpec,
-    _solve_monotone,
     boundary_crossings,
     boundary_functions,
 )
@@ -31,13 +30,11 @@ from .continuation import (
     TOL_CORR,
     CorrectorOutcome,
     LocusPoint,
-    _locus_eval,
     _tangent,
     correct,
     departure_angles,
     pole_group,
     predict,
-    residuals,
     step_update,
 )
 from .errors import BranchOnBoundary, InputError, SingularJacobian, SingularPointError
@@ -268,51 +265,6 @@ def _first_step(plant: Plant, branches, start: complex, options: TraceOptions) -
     return min(max(options.h0, _FIRST_STEP_REL * rho, H_MIN), options.h_max)
 
 
-def _refine_gain_cap(plant, below: LocusPoint, above: LocusPoint, lnkmax: float,
-                     tol: float) -> tuple[LocusPoint, bool]:
-    """Point with K exactly at the cap between two accepted points, and
-    whether it is verified on the locus: True only when the frozen-gain
-    correction converged (its residuals are within tol)."""
-    if abs(below.omega) <= _AXIS_TOL and abs(above.omega) <= _AXIS_TOL:
-        # real axis: omega stays exactly 0 and the magnitude residual is
-        # monotone along the segment, but not continuous across a real plant
-        # root, so a bracket around one holds no cap point.  The cap point is
-        # solved by the boundary's safeguarded Newton, slope dM/dsigma.
-        def f(sig):
-            M, _, msig, _ = _locus_eval(plant, sig, 0.0, lnkmax)
-            return M, msig
-
-        a, b = sorted((below.sigma, above.sigma))
-        unsolved = LocusPoint(above.sigma, 0.0, lnkmax), False
-        if any(abs(r.imag) <= _AXIS_TOL and a < r.real < b for r in plant.zeros + plant.poles):
-            return unsolved
-        try:
-            fa, da = f(a)
-            fb, _ = f(b)
-            if (fa < 0.0) == (fb < 0.0):
-                return unsolved
-            root, _ = _solve_monotone(f, 0.0, a, b, fa, fb, a, (a, fa, da),
-                                      1e-12 * (1.0 + abs(b)))
-        except (SingularPointError, InputError):
-            return unsolved
-        return LocusPoint(root, 0.0, lnkmax), False
-
-    t = (lnkmax - below.Kval) / (above.Kval - below.Kval)
-    sig = below.sigma + t * (above.sigma - below.sigma)
-    w = below.omega + t * (above.omega - below.omega)
-    out = _correct(plant, LocusPoint(sig, w, lnkmax), (0.0, 0.0, 1.0), tol, 19)
-    return out.point, out.converged
-
-
-def _on_locus(plant: Plant, p: LocusPoint, tol: float) -> bool:
-    """Whether both residuals at p are within tol."""
-    try:
-        M, P = residuals(plant, p)
-    except (SingularPointError, InputError):
-        return False
-    return max(abs(M), abs(P)) <= tol
-
-
 def _match_outward(point: LocusPoint, w_out, claimed: set[int]) -> int | None:
     """Nearest unclaimed outward crossing within tolerance, else None."""
     best, best_score = None, math.inf
@@ -372,24 +324,31 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
           options: TraceOptions | None = None) -> Trajectory:
     """Advance one seed to its termination.
 
+    A step whose prediction along the travel direction reaches the gain cap
+    inside the region is a cap step: it is shortened to end at ln kmax and
+    corrected on the frozen-gain plane, so its converged point is the cap
+    point.  A step that converges above the cap without being aimed at it is
+    redone from the cursor as a cap step, when that step is no longer than
+    h_max and ends inside the region; otherwise it is rejected.
+
     The corrector's point is screened in order for: convergence (step_update
     grades it; the leash rejects a converged point far from its prediction),
-    branch capture, gain monotonicity, region exit (sigma below the boundary)
-    and gain cap.  Five of these can reject the step: a failed or leashed
-    correction, a step that passes by a branch point it started beside, a gain
-    that falls (so a falling step that lands left of the boundary is redone,
-    not taken as an exit), a region exit whose solve onto the boundary does
-    not converge, and a gain cap end that the step's gain does not pass or
-    that falls off the locus or left of the boundary.  Newton solves go
-    through _correct: the step on the plane normal to the travel direction,
-    the region exit at frozen sigma and an off-axis cap end at frozen gain,
-    each from the step interpolated to sigma0 or ln kmax; a real-axis cap end
-    is solved by safeguarded Newton in sigma with omega pinned at 0.  A
-    rejected step is redone from the cursor at half the length; at H_MIN it
-    ends in StepFailure with the reason instead, except the pass-by, which is
-    then accepted.  An accepted point is recorded only when its gain rises, so
-    the stored gain strictly increases.  A region exit ends in LeftRegion(None);
-    the caller matches it to an outward crossing.
+    branch capture, gain monotonicity and region exit (sigma below the
+    boundary).  Cap steps pass the same screens.  Besides the failed or
+    leashed correction, these can reject the step: a step that passes by a
+    branch point it started beside, a gain that falls (so a falling step
+    that lands left of the boundary is redone, not taken as an exit), a
+    region exit whose solve onto the boundary does not converge or lies
+    above the cap while the step ends below it, and a step past the cap that
+    cannot be redone as a cap step.  Newton solves go through _correct: the
+    step on the plane normal to the travel direction, the cap step at frozen
+    gain, and the region exit at frozen sigma from the step interpolated to
+    sigma0.  A rejected step is redone from the cursor at half the length;
+    at H_MIN it ends in StepFailure with the reason instead, except the
+    pass-by, which is then accepted.  An accepted point is recorded only
+    when its gain rises, so the stored gain strictly increases.  A region
+    exit ends in LeftRegion(None); the caller matches it to an outward
+    crossing.  An accepted cap step ends in GainCap.
 
     Each step predicts along the travel direction: the seed's, then the locus
     tangent the corrector returned with the last accepted point (kept where
@@ -419,11 +378,22 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
     origin_branch = seed.origin.index if isinstance(seed.origin, BranchOrigin) else None
     escaped = origin_branch is None
     scale = 1.0 + abs(complex(cursor.sigma, cursor.omega))  # the leash's 1 + |cursor|
+    aim = False  # redo the last step as a cap step
     for _ in range(MAX_STEPS):
         h_used = h
+        # the length of a step along d to the cap, and whether it ends in the region
+        h_cap = (lnkmax - cursor.Kval) / d[2] if d[2] > 0.0 else math.inf
+        cap_inside = cursor.sigma + h_cap * d[0] >= region.sigma0
+        capping = aim or (h_cap <= h_used and cap_inside)
+        aim = False
+        if capping:  # a cap step ends at the cap, corrected at frozen gain
+            h_used = h_cap
+            ahead = predict(cursor, d, h_cap)
+            predicted, normal = LocusPoint(ahead.sigma, ahead.omega, lnkmax), (0.0, 0.0, 1.0)
+        else:
+            predicted, normal = predict(cursor, d, h_used), d
         at_floor = h_used <= H_MIN * (1.0 + 1e-12)  # no halving is left
-        predicted = predict(cursor, d, h_used)
-        out = _correct(plant, predicted, d, options.tol_corr, MAX_ITER)
+        out = _correct(plant, predicted, normal, options.tol_corr, MAX_ITER)
         if out.converged:
             # leash: a converged point far from the prediction is a basin
             # escape onto another sheet, not a continuation of this one
@@ -437,7 +407,8 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
         reason = None
 
         if repeat:
-            reason = f"step underflow: step length {h_used:.3e} cannot shrink below {H_MIN:.3e}"
+            reason = (f"gain cap step left the locus at step {len(points)}" if capping else
+                      f"step underflow: step length {h_used:.3e} cannot shrink below {H_MIN:.3e}")
         else:
             captured, overshot, escaped = _branch_capture(branches, cursor, c, h_used,
                                                           origin_branch, escaped)
@@ -471,26 +442,25 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
                 if exit_pt.Kval > points[-1].Kval:
                     points.append(exit_pt)
                 return finish(LeftRegion(None))
-            # else the cap is reached before the boundary: fall through
+            elif c.Kval <= lnkmax:  # the step ends at or below the cap, its exit above it
+                reason = f"region exit above the gain cap at step {len(points)}"
 
-        if reason is None and (c.Kval > lnkmax or c.sigma < region.sigma0):
-            if points[-1].Kval >= lnkmax:
-                return finish(GainCap())
-            if c.Kval > lnkmax:  # else the step holds no cap point to solve for
-                cap_pt, verified = _refine_gain_cap(plant, cursor, c, lnkmax, options.tol_corr)
-                if cap_pt.sigma >= region.sigma0 and (
-                    verified or _on_locus(plant, cap_pt, options.tol_corr)
-                ):
-                    points.append(cap_pt)
-                    return finish(GainCap())
-            # the step ends below the cap, or the cap solve left this sheet or the region
-            reason = f"gain cap refinement left the locus at step {len(points)}"
+        if reason is None and c.Kval > lnkmax:
+            if h_cap <= options.h_max and cap_inside:
+                aim = True
+                continue
+            reason = f"step passed the gain cap at step {len(points)}"
 
         if reason is not None:
             if at_floor:
                 return finish(StepFailure(reason))
             h = max(0.5 * h_used, H_MIN)
             continue
+
+        if capping:
+            if c.Kval > points[-1].Kval:
+                points.append(c)
+            return finish(GainCap())
 
         # accepted; a step flat in gain moves the cursor but records nothing
         d = out.tangent or d

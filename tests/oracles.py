@@ -241,9 +241,10 @@ def pairwise_dedup(trajectories):
     return [t for i, t in enumerate(trajectories) if i not in drop]
 
 
-# The references below are the library's former evaluation loops and 3x3
-# solve, kept verbatim so the single-pass kernel and the unrolled solve can be
-# checked for exact (not approximate) agreement with them.
+# The references below are the library's former evaluation loops, 3x3 solve
+# and corrector.  The unrolled solve and the corrector are checked for exact
+# agreement with them; the product kernel is checked to be as accurate as the
+# former loops against an extended-precision evaluation of the same sums.
 
 
 def reference_log_eval(plant, s):
@@ -326,9 +327,11 @@ def reference_solve3(a, b):
     return x
 
 
-def reference_correct(plant, predicted, prev_dir, tol=1e-6, max_iter=20):
-    """The former corrector: a validated LocusPoint, a residual pass, a
-    partials pass and a list solve per Newton iteration."""
+def reference_correct(plant, predicted, prev_dir, kernel, tol=1e-6, max_iter=20):
+    """The former corrector: a validated LocusPoint, a kernel pass and a list
+    solve per Newton iteration.  kernel(plant, sigma, omega) returns
+    (lnmag, phase, dM/dsigma, dM/domega), so the library's kernel pins the
+    corrector logic to the bit whatever the kernel's own rounding."""
     from dtlocus.continuation import CorrectorOutcome, LocusPoint
     from dtlocus.plant import wrap_angle
 
@@ -337,7 +340,7 @@ def reference_correct(plant, predicted, prev_dir, tol=1e-6, max_iter=20):
     converged = False
     while True:
         pt = LocusPoint(x[0], x[1], x[2])
-        lnmag, phase = reference_log_eval(plant, pt.s)
+        lnmag, phase, msig, mom = kernel(plant, pt.sigma, pt.omega)
         M, P = lnmag + pt.Kval, wrap_angle(phase - math.pi)
         f3 = (
             (x[0] - predicted.sigma) * prev_dir[0]
@@ -349,7 +352,6 @@ def reference_correct(plant, predicted, prev_dir, tol=1e-6, max_iter=20):
             break
         if len(norms) >= max_iter:
             break
-        msig, mom = reference_partials(plant, pt.sigma, pt.omega)
         J = [[msig, mom, 1.0], [-mom, msig, 0.0], [prev_dir[0], prev_dir[1], prev_dir[2]]]
         dx = reference_solve3(J, [-M, -P, -f3])
         x[0] += dx[0]
@@ -358,6 +360,44 @@ def reference_correct(plant, predicted, prev_dir, tol=1e-6, max_iter=20):
         norms.append(math.sqrt(dx[0] ** 2 + dx[1] ** 2 + dx[2] ** 2))
     kappa = norms[1] / norms[0] if len(norms) >= 2 and norms[0] > 0.0 else 0.0
     return CorrectorOutcome(LocusPoint(x[0], x[1], x[2]), len(norms), kappa, converged)
+
+
+def extended_log_eval(plant, sigma, omega):
+    """(lnmag, phase, dM/dsigma, dM/domega) of G(s)e^(-hs) and the magnitude
+    sum each is bounded by, all in numpy longdouble.
+
+    The values are the former loops' sums (half-log squared distances,
+    atan2 angles, ds/g and dw/g over the roots), formed from the same double
+    inputs in extended precision, so they serve as the exact values for
+    double-precision kernels.  A double kernel's error in a value is then a
+    small multiple of eps times its magnitude sum: per term, |term| and the
+    running sum after it (what adding the term in doubles rounds), and 1
+    more for the magnitude and the phase, since every factor carries a
+    relative rounding error, an absolute one in its log and its angle.  The
+    gain's ln|alpha| and angle and the delay terms count as terms.  The
+    phase is not wrapped.
+    """
+    ld = np.longdouble
+    sig, om, delay = ld(sigma), ld(omega), ld(plant.delay)
+    terms = [[np.log(ld(abs(plant.alpha)))], [ld(0.0) if plant.alpha > 0 else 4 * np.arctan(ld(1))],
+             [-delay], [ld(0.0)]]
+    for roots, sign in ((plant.zeros, 1), (plant.poles, -1)):
+        for r in roots:
+            ds, dw = sig - ld(r.real), om - ld(r.imag)
+            g = ds * ds + dw * dw
+            for acc, term in zip(terms, (np.log(g) / 2, np.arctan2(dw, ds), ds / g, dw / g)):
+                acc.append(sign * term)
+    terms[0].append(-delay * sig)
+    terms[1].append(-delay * om)
+    values, scales = [], []
+    for i, acc in enumerate(terms):
+        total = scale = ld(0.0)
+        for term in acc:
+            total += term
+            scale += abs(term) + abs(total) + (1 if i < 2 else 0)
+        values.append(total)
+        scales.append(scale)
+    return tuple(values), tuple(scales)
 
 
 def reference_breakpoint_polys(plant, sigma0):

@@ -1,10 +1,15 @@
-"""Exact agreement of the single-pass plant kernel, the unrolled 3x3 solve
-and the corrector with the former loops kept in oracles.py.
+"""The product plant kernel against the former loops kept in oracles.py, and
+exact agreement of the unrolled 3x3 solve and the corrector with theirs.
 
-Every comparison is ==, not approx: the kernel keeps each accumulator's
-operation order, so the loci it traces are the same to the last bit.
+The kernel multiplies factors where the former loops summed logs and
+angles, so it is held to their accuracy, not to their bits: both must come
+within BOUND·eps of an extended-precision evaluation of the same sums,
+scaled by each value's magnitude sum (oracles.extended_log_eval).  Which
+points raise, and the message, stay ==, as do the kernel's callers and the
+corrector logic run on the kernel.
 """
 
+import cmath
 import dataclasses
 import math
 
@@ -12,6 +17,7 @@ import numpy as np
 import pytest
 
 from dtlocus import continuation
+from dtlocus import plant as plant_module
 from dtlocus.continuation import (
     KAPPA_NOM,
     CorrectorOutcome,
@@ -29,6 +35,7 @@ from dtlocus.plant import TOL_SING, Plant, _log_kernel, dlog_ratio, log_eval, wr
 from dtlocus.tracer import TraceOptions, _first_step
 
 from oracles import (
+    extended_log_eval,
     random_plant,
     reference_correct,
     reference_log_eval,
@@ -92,7 +99,29 @@ def _outcome(f, *args):
         return type(e), str(e)
 
 
+BOUND = 2.0  # in units of eps times a value's magnitude sum
+_EPS = np.finfo(float).eps
+_PI = 4 * np.arctan(np.longdouble(1))
+
+
+def _errors(vals, plant, s):
+    """Error of each of (lnmag, phase, dM/dsigma, dM/domega) in units of eps
+    times its magnitude sum; the phase error is taken around the circle."""
+    exact, scale = extended_log_eval(plant, s.real, s.imag)
+    errs = []
+    for i, (v, x, m) in enumerate(zip(vals, exact, scale)):
+        diff = np.longdouble(v) - x
+        if i == 1:
+            diff = (diff + _PI) % (2 * _PI) - _PI
+        if m > 0:
+            errs.append(float(abs(diff) / (_EPS * m)))
+        else:  # no terms at all: the value must be exact
+            errs.append(0.0 if diff == 0 else math.inf)
+    return errs
+
+
 def test_kernel_equals_former_loops():
+    # as accurate as the former loops: both within BOUND of extended precision
     rng = np.random.RandomState(5)
     checked = 0
     big_m = 0
@@ -103,13 +132,15 @@ def test_kernel_equals_former_loops():
             if isinstance(ref, tuple) and ref and ref[0] is SingularPointError:
                 assert got == ref
                 continue
-            assert got == ref + reference_partials(plant, s.real, s.imag)
+            assert max(_errors(got, plant, s)) <= BOUND, (plant, s)
+            former = ref + reference_partials(plant, s.real, s.imag)
+            assert max(_errors(former, plant, s)) <= BOUND, (plant, s)
             lv = log_eval(plant, s)
-            assert (lv.lnmag, lv.phase) == ref
+            assert (lv.lnmag, lv.phase) == got[:2]
             assert dlog_ratio(plant, s) == complex(got[2], -got[3])
             K = rng.uniform(-3.0, 3.0)
             M, P = residuals(plant, LocusPoint(s.real, s.imag, K))
-            assert (M, P) == (ref[0] + K, wrap_angle(ref[1] - math.pi))
+            assert (M, P) == (got[0] + K, wrap_angle(got[1] - math.pi))
             assert _locus_eval(plant, s.real, s.imag, K) == (M, P) + got[2:]
             rng.randn(3)  # the former direction draw, so later points stay the same
             big_m += abs(M) > 50.0
@@ -132,8 +163,41 @@ def test_singular_points_raise_as_before():
                         assert got == ref
                         hits += 1
                     else:
-                        assert got[:2] == ref
+                        assert max(_errors(got, plant, s)) <= BOUND, (plant, s)
     assert hits > 0
+
+
+def _ring(n, radius, centre=0j):
+    """n roots (n even) on a circle, closed under conjugation."""
+    half = [centre + radius * complex(math.cos(a), math.sin(a))
+            for a in np.linspace(0.1, math.pi - 0.1, n // 2)]
+    return tuple(half + [r.conjugate() for r in half])
+
+
+@pytest.mark.parametrize("plant, points, folded", [
+    # a 100-pole plant high on the imaginary axis: the pole product is near
+    # 1e330, past the double range, so the kernel takes it again folded
+    (Plant(1.0, 0.5, (), _ring(100, 3.0, -4.0)), [2000j, 1500 + 2000j, -1800 + 50j], True),
+    # within 1e-10 of a 4-fold pole: a pole product near 1e-40 stays in range
+    (Plant(2.0, 1.0, (-0.5 + 0j,), (-1 + 0j,) * 4 + (-2 + 1j, -2 - 1j)),
+     [-1 + 1e-10 * complex(math.cos(a), math.sin(a)) for a in (0.0, 1.0, 2.0, math.pi)], False),
+    # roots of magnitude 1e30: 13 pole factors near 1e30 each overflow
+    (Plant(-3.0, 0.2, _ring(4, 1e30), _ring(12, 2e30) + (-1e30 + 0j,)), [0.5 + 1j, 1e29j, 3e30 + 0j],
+     True),
+])
+def test_kernel_range_extremes(plant, points, folded, monkeypatch):
+    calls = []
+    fold = plant_module._folded_log
+    monkeypatch.setattr(plant_module, "_folded_log", lambda s, roots: calls.append(s) or fold(s, roots))
+    for s in points:
+        got = _log_kernel(plant, s.real, s.imag)
+        assert all(math.isfinite(v) for v in got)
+        assert max(_errors(got, plant, s)) <= BOUND, s
+        former = reference_log_eval(plant, s) + reference_partials(plant, s.real, s.imag)
+        assert max(_errors(former, plant, s)) <= BOUND, s
+    assert bool(calls) is folded
+    if folded:  # a plain product overflows there
+        assert not cmath.isfinite(math.prod(points[0] - p for p in plant.poles))
 
 
 @pytest.mark.parametrize("bad", [(math.nan, 0.0, 0.0), (0.5, math.inf, 0.0),
@@ -212,7 +276,7 @@ def test_corrector_equals_former_corrector():
             pred = LocusPoint(s.real, s.imag, K)
             d = unit3((rng.randn(), rng.randn(), rng.randn()))
             got = _outcome(correct, plant, pred, d)
-            ref = _outcome(reference_correct, plant, pred, d)
+            ref = _outcome(reference_correct, plant, pred, d, _log_kernel)
             if isinstance(got, CorrectorOutcome):
                 # the tangent comes from the kernel pass at the returned point
                 p = got.point

@@ -571,11 +571,25 @@ class TestRejectAtFloor:
         self._assert_failed(traced, "region exit refinement did not converge at step ")
 
     def test_gain_cap_off_locus(self, p1, monkeypatch, traced):
-        monkeypatch.setattr(tracer, "_refine_gain_cap",
-                            lambda plant, below, above, lnkmax, tol:
-                            (LocusPoint(above.sigma, above.omega + 1.0, lnkmax), False))
+        # every frozen-gain solve at the cap (ln kmax = 0) fails: each failed
+        # cap step is halved, the cursor creeps up to the cap, and the cap
+        # step shrinks with it until one no longer than H_MIN fails
+        correct = tracer._correct
+
+        def no_cap(plant, start, normal, tol, max_iter):
+            if normal == (0.0, 0.0, 1.0) and start.Kval == 0.0:
+                return CorrectorOutcome(start, max_iter, math.inf, False)
+            return correct(plant, start, normal, tol, max_iter)
+
+        monkeypatch.setattr(tracer, "_correct", no_cap)
         run(p1, RegionSpec(-2.0, 1.0))
-        self._assert_failed(traced, "gain cap refinement left the locus at step ")
+        failed = [(t, steps) for t, steps in traced if isinstance(t.termination, StepFailure)]
+        assert failed
+        for t, steps in failed:
+            assert t.termination.reason.startswith("gain cap step left the locus at step ")
+            cursor, h = steps[-1]
+            assert h <= H_MIN * (1.0 + 1e-12) and cursor.Kval < 0.0
+            assert t.points[-1].Kval < 0.0
 
     def test_gain_falls(self, p1, monkeypatch, traced):
         # every converged point lands 2h below the cursor's gain: inside the
@@ -708,6 +722,42 @@ class TestCorpusRegressions:
         (left,) = [t for t in res.trajectories if t.start_marker == 0.132068]
         assert isinstance(left.termination, LeftRegion)
         assert left.termination.matched is not None
+        assert res.warnings == ()
+
+    def test_real_axis_cap_end_stays_on_the_axis(self):
+        # corpus seed 101 job 15: the cap end of the pole 0.105973 drifted to
+        # omega 3.59e-9 and was mirrored into a duplicate of itself
+        plant = parse_input(json.dumps({
+            "alpha": -1.404062, "delay": 1.255026, "zeros": [[2.241379, 0.0]],
+            "poles": [[-2.961157, 1.476593], [-2.961157, -1.476593], [0.105973, 0.0]],
+        }).encode())
+        res = run(plant, RegionSpec(-0.786556, 0.583048))
+        assert len(res.trajectories) == 2
+        assert not any(t.mirrored for t in res.trajectories)
+        (pole,) = [t for t in res.trajectories if t.start_marker == 0.105973]
+        assert isinstance(pole.termination, GainCap)
+        assert pole.points[-1].omega == 0.0
+        assert_ends_on_locus(res, -0.786556)
+
+    def test_real_axis_pole_leaves_before_the_crossing_cap_root(self):
+        # corpus seed 101 job 534: the pole -0.408936 ended on the crossing
+        # trajectory's cap root -0.809574+0.478216j, counting it twice; on
+        # the axis between it and the zero -1.207795 it must leave at sigma0
+        plant = parse_input(json.dumps({
+            "alpha": 0.787449, "delay": 1.797276, "zeros": [[-1.207795, 0.0]],
+            "poles": [[-0.104843, 1.985933], [-0.104843, -1.985933], [0.243768, 1.619587],
+                      [0.243768, -1.619587], [-2.411496, 0.0], [-1.327767, 0.0],
+                      [-0.408936, 0.0], [-2.391152, 0.0]],
+        }).encode())
+        res = run(plant, RegionSpec(-1.012989, 9.000215))
+        assert_ends_on_locus(res, -1.012989)
+        (pole,) = [t for t in res.trajectories if t.start_marker == -0.408936]
+        assert isinstance(pole.termination, LeftRegion)
+        assert pole.termination.matched is not None
+        end = pole.points[-1]
+        assert (end.sigma, end.omega) == (-1.012989, 0.0)
+        cap_ends = [t for t in res.trajectories if abs(t.points[-1].s - (-0.809574 + 0.478216j)) < 1e-5]
+        assert len(cap_ends) == 1
         assert res.warnings == ()
 
     def test_falling_step_left_of_boundary_is_redone(self):
