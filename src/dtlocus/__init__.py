@@ -22,7 +22,7 @@ from .boundary import (
     boundary_functions,
 )
 from .branch import BranchPoint, branch_departures, branch_points
-from .continuation import CorrectorOutcome, LocusPoint, correct, predict
+from .continuation import CorrectorOutcome, LocusPoint, correct
 from .errors import (
     BiProperGainCapViolated,
     BranchOnBoundary,
@@ -30,7 +30,6 @@ from .errors import (
     DtLocusError,
     InputError,
     PoleOrZeroOnBoundary,
-    SingularJacobian,
     SingularPointError,
 )
 from .plant import LogValue, Plant, gain_at, log_eval, plant_from_coefficients
@@ -77,7 +76,6 @@ __all__ = [
     "RealPolynomial",
     "RegionSpec",
     "RootLocusResult",
-    "SingularJacobian",
     "SingularPointError",
     "StepFailure",
     "TraceOptions",
@@ -91,7 +89,6 @@ __all__ = [
     "gain_at",
     "log_eval",
     "plant_from_coefficients",
-    "predict",
     "render_svg",
     "run",
     "__version__",

@@ -31,8 +31,3 @@ class BranchOnBoundary(DtLocusError):
     """An active branch point lies on the boundary line; crossing directions
     are ill-posed there."""
 
-
-class SingularJacobian(DtLocusError):
-    """Newton system matrix is numerically singular (pivot-based condition
-    estimate exceeded)."""
-

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from math import log as _log
 
 from .errors import InputError, SingularPointError
-from .poly import RealPolynomial, complex_roots
+from .poly import RealPolynomial, complex_roots, refine_roots
 
 TOL_SING = 1e-12
 _TOL_CONJ = 1e-9
@@ -118,7 +118,8 @@ def plant_from_coefficients(num: RealPolynomial, den: RealPolynomial, delay: flo
     """Build a Plant from numerator/denominator coefficients.
 
     The gain is the ratio of leading coefficients; zeros and poles come from
-    the monic factors, with multiplicity expanded to repeated entries.
+    the monic factors, with multiplicity expanded to repeated entries, and
+    each simple root is refined on compensated values (poly.refine_roots).
     """
     if num.degree < 0:
         raise InputError("numerator is the zero polynomial")
@@ -131,9 +132,10 @@ def plant_from_coefficients(num: RealPolynomial, den: RealPolynomial, delay: flo
     def roots_of(p: RealPolynomial) -> tuple[complex, ...]:
         if p.degree < 1:
             return ()
+        roots = complex_roots(p)
         out: list[complex] = []
-        for r in complex_roots(p):
-            out.extend([r.value] * r.multiplicity)
+        for r, value in zip(roots, refine_roots(p, roots)):
+            out.extend([value] * r.multiplicity)
         return tuple(out)
 
     return Plant(alpha, delay, roots_of(num), roots_of(den))

@@ -135,6 +135,77 @@ def _polish(coeffs, z):
             break
     return best
 
+
+_REFINE_STEPS = 4
+_REFINE_REL = 1e-12
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for doubles
+
+
+def _compensated_value(coeffs, x: float, y: float) -> complex:
+    """p(x + jy) by compensated Horner: as accurate as if evaluated in twice
+    the working precision, then rounded.
+
+    Each step's rounding errors are taken exactly (Dekker's product on
+    Veltkamp's split, Knuth's sum) and carried by a second Horner recurrence
+    in plain arithmetic (Graillat, Langlois and Louvet, 2009).
+    """
+    sr = si = cr = ci = 0.0
+    t, u = _SPLIT * x, _SPLIT * y
+    xh, yh = t - (t - x), u - (u - y)
+    xl, yl = x - xh, y - yh
+    for a in reversed(coeffs):
+        t, u = _SPLIT * sr, _SPLIT * si
+        rh, ih = t - (t - sr), u - (u - si)
+        rl, il = sr - rh, si - ih
+        p1, p2, p3, p4 = sr * x, si * y, sr * y, si * x
+        e1 = rl * xl - (((p1 - rh * xh) - rl * xh) - rh * xl)
+        e2 = il * yl - (((p2 - ih * yh) - il * yh) - ih * yl)
+        e3 = rl * yl - (((p3 - rh * yh) - rl * yh) - rh * yl)
+        e4 = il * xl - (((p4 - ih * xh) - il * xh) - ih * xl)
+        t = p1 - p2
+        sr, si = t + a, p3 + p4
+        z1, z2, z3 = t - p1, sr - t, si - p3
+        f = (p1 - (t - z1)) + (-p2 - z1) + (t - (sr - z2)) + (a - z2)
+        g = (p3 - (si - z3)) + (p4 - z3)
+        cr, ci = cr * x - ci * y + (e1 - e2 + f), cr * y + ci * x + (e3 + e4 + g)
+    return complex(sr + cr, si + ci)
+
+
+def refine_roots(p: RealPolynomial, roots: list[PolyRoot]) -> list[complex]:
+    """The values of roots, each simple one refined by Newton steps on
+    compensated values.  Plain Horner leaves a root no closer than its
+    rounding floor eps sum|a_i||z|^i / |p'(z)|, far from eps for clustered
+    roots of a high-degree p; compensated values lower that to about eps^2.
+    A simple root whose floor exceeds _REFINE_REL(1 + |z|) takes up to
+    _REFINE_STEPS steps, until one is below sqrt(eps)(1 + |z|), none to a
+    point farther than half the distance to its nearest neighbour.
+    """
+    c = np.array(p.coeffs[::-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.array([r.value for r in roots], dtype=complex)
+        floor = 2.0 ** -52 * np.polyval(np.abs(c), np.abs(z)) / np.abs(np.polyval(np.polyder(c), z))
+    out = []
+    for r, f in zip(roots, floor):
+        z0 = w = r.value
+        if r.multiplicity == 1 and not f <= _REFINE_REL * (1.0 + abs(w)):
+            reach = 0.5 * min((abs(w - q.value) for q in roots if q is not r), default=math.inf)
+            for _ in range(_REFINE_STEPS):
+                d = v = 0j
+                for a in reversed(p.coeffs):
+                    d, v = d * w + v, v * w + a
+                if d == 0:
+                    break
+                step = _compensated_value(p.coeffs, w.real, w.imag) / d
+                step = step.real if w.imag == 0.0 else step
+                if abs(w - step - z0) > reach:
+                    break
+                w -= step
+                if abs(step) <= 2.0 ** -26 * (1.0 + abs(w)):
+                    break
+        out.append(w)
+    return out
+
+
 def _cluster(values, rel):
     """Group values whose pairwise distance is within rel*(1 + magnitude)."""
     n = len(values)

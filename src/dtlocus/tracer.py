@@ -21,7 +21,7 @@ from .boundary import (
     boundary_crossings,
     boundary_functions,
 )
-from .branch import BranchPoint, branch_departures, branch_points, branch_roots
+from .branch import BranchPoint, branch_departures, branch_points, branch_roots, power_sum
 from .continuation import (
     H0,
     H_MAX,
@@ -30,20 +30,18 @@ from .continuation import (
     TOL_CORR,
     CorrectorOutcome,
     LocusPoint,
-    _tangent,
     correct,
+    correct_on_line,
     departure_angles,
+    gain_step,
     pole_group,
-    predict,
     step_update,
 )
-from .errors import BranchOnBoundary, InputError, SingularJacobian, SingularPointError
-from .plant import Plant, _log_kernel, log_eval, wrap_angle
+from .errors import BranchOnBoundary, InputError, SingularPointError
+from .plant import Plant, log_eval, wrap_angle
 
 _AXIS_TOL = 1e-9
 _SPAWN_ANGLE_TOL = 1e-6
-_GAIN_GATE_REL = 1e-2
-_FLAT_K_REL = 1e-9
 _MATCH_OMEGA = 1e-4
 _MATCH_K = 1e-3
 _DEDUP_TOL = 1e-8
@@ -137,7 +135,6 @@ class TraceOptions:
 class Seed:
     origin: PoleOrigin | CrossingOrigin | BranchOrigin
     start: LocusPoint
-    direction: tuple[float, float, float]
     start_marker: complex | None = None
 
 
@@ -152,44 +149,41 @@ class RootLocusResult:
     negative: "RootLocusResult | None" = None
 
 
-def _correct(plant: Plant, start: LocusPoint, normal, tol: float,
-             max_iter: int) -> CorrectorOutcome:
-    """correct on the plane through start with the given normal; a solver
-    error (singular Jacobian, plant root, non-finite iterate) fails at start."""
+def _correct(plant: Plant, s: complex, Kval: float, tol: float, max_iter: int,
+             real: bool) -> CorrectorOutcome:
+    """correct, failing at s on a plant root, zero slope or non-finite iterate."""
     try:
-        return correct(plant, start, normal, tol, max_iter)
-    except (SingularJacobian, SingularPointError, InputError):
-        return CorrectorOutcome(start, max_iter, math.inf, False)
+        return correct(plant, s, Kval, tol, max_iter, real)
+    except (SingularPointError, InputError, ZeroDivisionError):
+        return CorrectorOutcome(LocusPoint(s.real, s.imag, Kval), max_iter, math.inf, False)
 
 
 def _seed_from_ray(plant, origin, anchor: complex, theta: float, sigma0: float,
-                   tol_corr: float, start_marker=None) -> Seed:
+                   tol_corr: float, neighbours, start_marker=None) -> Seed:
     """Seed one trajectory a small step along a ray from anchor.
 
-    The step is 1e-3(1 + |anchor|), or half the way to the boundary line
-    Re(s) = sigma0 when the ray meets it sooner, so the seed starts inside
-    the region.  When the frozen-gain polish of the stepped point does not
-    converge (the step overshot a nearby branch point or root), the step is
-    halved, at most _SEED_HALVINGS times.  The seed leaves along the locus
-    tangent at its polished start, which the polish returns; where the
-    tangent is undefined (or the polish raised) it keeps the ray's direction
-    (cos theta, sin theta, 0).
+    The step is 1e-3(1 + |anchor|), or half the way to the nearest other
+    neighbour (plant root or branch point) or to the line Re(s) = sigma0 if
+    less.  The stepped point is polished by Newton at its own gain, on the
+    axis for a real ray; while that fails the step is halved, at most
+    _SEED_HALVINGS times.
     """
     dx, dy = math.cos(theta), math.sin(theta)
     if abs(dy) <= _SPAWN_ANGLE_TOL:
         dx, dy = math.copysign(1.0, dx), 0.0  # keep exactly on axis
-    delta = 1e-3 * (1.0 + abs(anchor))
+    tol = 1e-9 * (1.0 + abs(anchor))
+    near = min((d for d in (abs(anchor - x) for x in neighbours) if d > tol), default=math.inf)
+    delta = min(1e-3 * (1.0 + abs(anchor)), 0.5 * near)
     if dx < 0.0:
         delta = min(delta, 0.5 * (anchor.real - sigma0) / -dx)
     for _ in range(_SEED_HALVINGS + 1):
         s1 = anchor + delta * complex(dx, dy)
-        K1 = -log_eval(plant, s1).lnmag
-        out = _correct(plant, LocusPoint(s1.real, s1.imag, K1), (0.0, 0.0, 1.0),
-                       0.01 * tol_corr, 11)
+        out = _correct(plant, s1, -log_eval(plant, s1).lnmag, 0.01 * tol_corr, 11,
+                       s1.imag == 0.0)
         if out.converged:
             break
         delta *= 0.5
-    return Seed(origin, out.point, out.tangent or (dx, dy, 0.0), start_marker)
+    return Seed(origin, out.point, start_marker)
 
 
 def _mirrored_away(anchor: complex, theta: float) -> bool:
@@ -204,14 +198,11 @@ def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
     """Initial trajectories: one per in-region pole ray, one per inward
     crossing, one per departure ray of each active branch point.
 
-    Every seed leaves along the locus tangent at its start.  Pole and branch
-    seeds start on the locus a short way along their ray (_seed_from_ray).
-    A crossing seed starts on the boundary, its tangent from one kernel pass
-    there (boundary_crossings has already rejected a flat phase slope); the
-    boundary's inward normal stands in where the tangent is undefined.
-    Seeds whose trajectory is the conjugate image of another are omitted;
-    the mirror pass reinstates them.  A seed carries no step length: trace
-    starts it at _first_step's.
+    Pole and branch seeds start on the locus a short way along their ray
+    (_seed_from_ray), a crossing seed at its crossing.  Seeds whose
+    trajectory is the conjugate image of another are omitted; the mirror
+    pass reinstates them.  Every trajectory heads along ds/dK = -1/dlog, so
+    a seed carries no direction.
     """
     options = options or TraceOptions()
     if bf is None:
@@ -222,6 +213,7 @@ def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
         branches = branch_points(plant, region)
 
     seeds: list[Seed] = []
+    neighbours = (*plant.zeros, *plant.poles, *(bp.s for bp in branches))
     for i, p in enumerate(plant.poles):
         group = pole_group(plant, i)
         if group[0] != i:
@@ -232,12 +224,10 @@ def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
             if not _mirrored_away(p, theta):
                 seeds.append(
                     _seed_from_ray(plant, PoleOrigin(i), p, theta, region.sigma0,
-                                   options.tol_corr, start_marker=p)
+                                   options.tol_corr, neighbours, start_marker=p)
                 )
     for ci, c in enumerate(crossings.inward):
-        _, _, msig, mom = _log_kernel(plant, region.sigma0, c.omega)
-        seeds.append(Seed(CrossingOrigin(ci), LocusPoint(region.sigma0, c.omega, c.Kval),
-                          _tangent(msig, mom) or (1.0, 0.0, 0.0)))
+        seeds.append(Seed(CrossingOrigin(ci), LocusPoint(region.sigma0, c.omega, c.Kval)))
     for bi, bp in enumerate(branches):
         if not bp.active:
             continue
@@ -245,7 +235,7 @@ def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
             if not _mirrored_away(bp.s, theta):
                 seeds.append(
                     _seed_from_ray(plant, BranchOrigin(bi, theta), bp.s, theta,
-                                   region.sigma0, options.tol_corr)
+                                   region.sigma0, options.tol_corr, neighbours)
                 )
     return seeds
 
@@ -282,86 +272,50 @@ def _match_outward(point: LocusPoint, w_out, claimed: set[int]) -> int | None:
     return best
 
 
-def _branch_capture(branches, cursor: LocusPoint, c: LocusPoint, h: float,
-                    origin_branch: int | None, escaped: bool):
-    """Screen a step of length h from cursor to c against the branch points.
-
-    A step arrives at a branch point when its gain window brackets the
-    branch gain and the path, interpolated to that gain, passes within the
-    capture radius.  A step that starts within that radius but passes by
-    has jumped onto another sheet.  A branch departure ignores its own
-    branch point until it has escaped it.  Returns (index of the nearest
-    branch point arrived at or None, passed by?, escaped).
+def _branch_probes(plant: Plant, branches, Kval: float) -> list[tuple[float, int, float]]:
+    """(probe gain, index, |a|) of each active branch point above gain Kval,
+    sorted by probe gain.  Near s* of multiplicity N the arriving roots lie
+    rho = (N(K* - K)/|a|)^(1/N) from s*, with a = (-1)^(N-1) S_N
+    (branch.power_sum); the probe gain K* - |a|(R/2)^N/N is where rho = R/2,
+    R a quarter of the distance from s* to the nearest other plant root or
+    branch point.
     """
-    captured = None
-    best_dist = math.inf
-    overshot = False
+    roots = plant.zeros + plant.poles
+    probes = []
     for bi, bp in enumerate(branches):
-        if not bp.active:
+        if not bp.active or bp.Kval <= Kval:
             continue
-        tol_Kb = _GAIN_GATE_REL * (1.0 + abs(bp.Kval))
-        r_cap = max(h, 1e-3) * (1.0 + abs(bp.s))
-        if bi == origin_branch and not escaped:
-            if abs(c.s - bp.s) > r_cap or c.Kval > bp.Kval + 2.0 * tol_Kb:
-                escaped = True
-            else:
-                continue
-        if cursor.Kval > bp.Kval + tol_Kb or c.Kval < bp.Kval - tol_Kb:
-            continue
-        span = c.Kval - cursor.Kval
-        t = (bp.Kval - cursor.Kval) / span if span > 0.0 else 0.0
-        t = min(max(t, 0.0), 1.0)
-        pos = cursor.s + t * (c.s - cursor.s)
-        dist = abs(pos - bp.s)
-        if dist > r_cap:
-            overshot = overshot or abs(cursor.s - bp.s) <= r_cap
-        elif dist < best_dist:
-            captured, best_dist = bi, dist
-    return captured, overshot, escaped
+        n = bp.multiplicity
+        abs_a = abs(power_sum(plant, bp))
+        others = (*roots, *(b.s for j, b in enumerate(branches) if j != bi))
+        R = 0.25 * min((abs(bp.s - x) for x in others), default=math.inf)
+        probes.append((bp.Kval - abs_a * (0.5 * R) ** n / n, bi, abs_a))
+    probes.sort()
+    return probes
 
 
 def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
           options: TraceOptions | None = None) -> Trajectory:
-    """Advance one seed to its termination.
+    """Advance one seed to its termination, stepping in the gain.
 
-    A step whose prediction along the travel direction reaches the gain cap
-    inside the region is a cap step: it is shortened to end at ln kmax and
-    corrected on the frozen-gain plane, so its converged point is the cap
-    point.  A step that converges above the cap without being aimed at it is
-    redone from the cursor as a cap step, when that step is no longer than
-    h_max and ends inside the region; otherwise it is rejected.
-
-    The corrector's point is screened in order for: convergence (step_update
-    grades it; the leash rejects a converged point far from its prediction),
-    branch capture, gain monotonicity and region exit (sigma below the
-    boundary).  Cap steps pass the same screens.  Besides the failed or
-    leashed correction, these can reject the step: a step that passes by a
-    branch point it started beside, a gain that falls (so a falling step
-    that lands left of the boundary is redone, not taken as an exit), a
-    region exit whose solve onto the boundary does not converge or lies
-    above the cap while the step ends below it, and a step past the cap that
-    cannot be redone as a cap step.  Newton solves go through _correct: the
-    step on the plane normal to the travel direction, the cap step at frozen
-    gain, and the region exit at frozen sigma from the step interpolated to
-    sigma0.  A rejected step is redone from the cursor at half the length;
-    at H_MIN it ends in StepFailure with the reason instead, except the
-    pass-by, which is then accepted.  An accepted point is recorded only
-    when its gain rises, so the stored gain strictly increases.  A region
-    exit ends in LeftRegion(None); the caller matches it to an outward
-    crossing.  An accepted cap step ends in GainCap.
-
-    Each step predicts along the travel direction: the seed's, then the locus
-    tangent the corrector returned with the last accepted point (kept where
-    it has none).  The tangent always raises the gain, so a step taken after
-    a jump onto another sheet still heads up that sheet.  A trajectory that
-    runs MAX_STEPS steps ends in StepFailure.
-
-    The first step is _first_step's, sized to the seed's distance from the
-    nearest plant root or branch point.  A seed that starts at or above the
-    gain cap ends GainCap at once, its start the only point.
+    A step of length h in (sigma, omega, K) raises the gain by
+    gain_step(h, dlog) to K1, at most to ln kmax and to the next branch probe
+    gain, predicts s - (K1 - K)/dlog and corrects by Newton at frozen K1, on
+    the axis for a trajectory that starts on it.  step_update grades each
+    step; these reject it too: a real-axis step past a real plant root, and
+    a step left of sigma0 whose exit (correct_on_line from the step
+    interpolated to sigma0) fails or lies outside the gain window [K, K1].
+    A rejected step is redone at half the length; at H_MIN, or after
+    MAX_STEPS steps, the trajectory ends in StepFailure.  An exit ends in
+    LeftRegion(None), for the caller to match; a step to ln kmax in GainCap.
+    At a branch point's probe gain (_branch_probes) the trajectory arrives,
+    ending ReachedBranch at s*, if it lies within 2 rho of s*; otherwise it
+    ignores that branch point.  Departures start above their own branch
+    gain, so they are never probed against it.  The first step is
+    _first_step's; a seed at or above the cap is its own only point.
     """
     options = options or TraceOptions()
-    lnkmax = region.lnkmax
+    lnkmax, sigma0, tol = region.lnkmax, region.sigma0, options.tol_corr
 
     points: list[LocusPoint] = [seed.start]
 
@@ -372,102 +326,65 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
     if seed.start.Kval >= lnkmax:
         return finish(GainCap())  # the seed already sits at or above the cap
 
-    cursor = seed.start
-    d = seed.direction
-    h = _first_step(plant, branches, seed.start.s, options)
-    origin_branch = seed.origin.index if isinstance(seed.origin, BranchOrigin) else None
-    escaped = origin_branch is None
-    scale = 1.0 + abs(complex(cursor.sigma, cursor.omega))  # the leash's 1 + |cursor|
-    aim = False  # redo the last step as a cap step
+    s, K = seed.start.s, seed.start.Kval
+    real = s.imag == 0.0
+    # a real trajectory stays between the real plant roots around its start
+    axis = [r.real for r in plant.zeros + plant.poles if abs(r.imag) <= _AXIS_TOL * (1.0 + abs(r))]
+    lo = max((x for x in axis if x < s.real), default=-math.inf)
+    hi = min((x for x in axis if x > s.real), default=math.inf)
+    dlog = _correct(plant, s, K, math.inf, 0, real).dlog  # 0j where the kernel raises
+    probes = _branch_probes(plant, branches, K)
+    h = _first_step(plant, branches, s, options)
     for _ in range(MAX_STEPS):
+        while probes and probes[0][0] <= K:  # the cursor is at a probe gain
+            _, bi, abs_a = probes.pop(0)
+            bp = branches[bi]
+            n = bp.multiplicity
+            if abs_a * abs(s - bp.s) ** n <= 2.0 ** n * n * (bp.Kval - K):
+                points.append(LocusPoint(bp.s.real, bp.s.imag, bp.Kval))
+                return finish(ReachedBranch(bi))
+
+        K1 = min(K + gain_step(h, dlog), lnkmax, probes[0][0] if probes else math.inf)
+        slope = dlog.real if real else dlog
+        if K1 <= K or not slope:
+            return finish(StepFailure(f"the gain no longer rises at step {len(points)}"))
+        ds = (K - K1) / slope
+        out = _correct(plant, s + ds, K1, tol, MAX_ITER, real)
         h_used = h
-        # the length of a step along d to the cap, and whether it ends in the region
-        h_cap = (lnkmax - cursor.Kval) / d[2] if d[2] > 0.0 else math.inf
-        cap_inside = cursor.sigma + h_cap * d[0] >= region.sigma0
-        capping = aim or (h_cap <= h_used and cap_inside)
-        aim = False
-        if capping:  # a cap step ends at the cap, corrected at frozen gain
-            h_used = h_cap
-            ahead = predict(cursor, d, h_cap)
-            predicted, normal = LocusPoint(ahead.sigma, ahead.omega, lnkmax), (0.0, 0.0, 1.0)
-        else:
-            predicted, normal = predict(cursor, d, h_used), d
-        at_floor = h_used <= H_MIN * (1.0 + 1e-12)  # no halving is left
-        out = _correct(plant, predicted, normal, options.tol_corr, MAX_ITER)
-        if out.converged:
-            # leash: a converged point far from the prediction is a basin
-            # escape onto another sheet, not a continuation of this one
-            p = out.point
-            disp = math.hypot(abs(complex(p.sigma - predicted.sigma, p.omega - predicted.omega)),
-                              p.Kval - predicted.Kval)
-            if disp > 10.0 * h_used * scale:
-                out = CorrectorOutcome(p, out.iterations, math.inf, False)
-        h, repeat = step_update(h_used, out, options.h_max)
+        h, repeat = step_update(h_used, out, options.h_max, abs(ds), tol / abs(slope))
         c = out.point
         reason = None
 
         if repeat:
-            reason = (f"gain cap step left the locus at step {len(points)}" if capping else
-                      f"step underflow: step length {h_used:.3e} cannot shrink below {H_MIN:.3e}")
-        else:
-            captured, overshot, escaped = _branch_capture(branches, cursor, c, h_used,
-                                                          origin_branch, escaped)
-            if captured is not None:
-                bp = branches[captured]
-                kept = [pt for pt in points if pt.Kval < bp.Kval - 1e-12]
-                if kept:
-                    kept.append(LocusPoint(bp.s.real, bp.s.imag, bp.Kval))
-                    points = kept
-                    return finish(ReachedBranch(captured))
-                # no below-gain history: treat as a graze, keep going
-            elif overshot and not at_floor:
-                reason = "passed by a branch point"
-
-        dK = c.Kval - cursor.Kval
-        if reason is None and dK <= -_FLAT_K_REL * (1.0 + abs(c.Kval)):
-            # the gain falls along a trajectory only past a critical point
-            # of the gain, a branch point the step jumped over
-            reason = f"gain reversal at step {len(points)}: dK={dK:.3e}"
-
-        if reason is None and c.sigma < region.sigma0:
-            span = c.sigma - cursor.sigma
-            t = (region.sigma0 - cursor.sigma) / span if span != 0.0 else 1.0
-            start = LocusPoint(region.sigma0, cursor.omega + t * (c.omega - cursor.omega),
-                               cursor.Kval + t * (c.Kval - cursor.Kval))
-            exit_out = _correct(plant, start, (1.0, 0.0, 0.0), options.tol_corr, 19)
-            exit_pt = replace(exit_out.point, sigma=region.sigma0)  # undo an ulp of drift
+            reason = f"step underflow: step length {h_used:.3e} cannot shrink below {H_MIN:.3e}"
+        elif real and (c.sigma > hi or lo > max(c.sigma, sigma0)):
+            reason = f"step passed a real plant root at step {len(points)}"
+        elif c.sigma < sigma0:
+            t = (sigma0 - s.real) / (c.sigma - s.real)
+            try:
+                exit_out = correct_on_line(plant, sigma0, s.imag + t * (c.omega - s.imag), tol)
+            except (SingularPointError, InputError, ZeroDivisionError):
+                exit_out = CorrectorOutcome(c, MAX_ITER, math.inf, False)
+            exit_pt = exit_out.point
             if not exit_out.converged:
                 reason = f"region exit refinement did not converge at step {len(points)}"
-            elif exit_pt.Kval <= lnkmax:
-                if exit_pt.Kval > points[-1].Kval:
+            elif not K - tol <= exit_pt.Kval <= min(K1 + tol, lnkmax):
+                reason = f"region exit outside the step's gain window at step {len(points)}"
+            else:
+                if exit_pt.Kval > K:
                     points.append(exit_pt)
                 return finish(LeftRegion(None))
-            elif c.Kval <= lnkmax:  # the step ends at or below the cap, its exit above it
-                reason = f"region exit above the gain cap at step {len(points)}"
-
-        if reason is None and c.Kval > lnkmax:
-            if h_cap <= options.h_max and cap_inside:
-                aim = True
-                continue
-            reason = f"step passed the gain cap at step {len(points)}"
 
         if reason is not None:
-            if at_floor:
+            if h_used <= H_MIN * (1.0 + 1e-12):  # no halving is left
                 return finish(StepFailure(reason))
             h = max(0.5 * h_used, H_MIN)
             continue
 
-        if capping:
-            if c.Kval > points[-1].Kval:
-                points.append(c)
+        points.append(c)
+        if K1 >= lnkmax:
             return finish(GainCap())
-
-        # accepted; a step flat in gain moves the cursor but records nothing
-        d = out.tangent or d
-        cursor = c
-        scale = 1.0 + abs(complex(c.sigma, c.omega))
-        if c.Kval > points[-1].Kval:
-            points.append(c)
+        s, K, dlog = c.s, K1, out.dlog
 
     return finish(StepFailure(f"step budget of {MAX_STEPS} exhausted"))
 
@@ -612,7 +529,7 @@ def _run_signed(bf: BoundaryFunctions, region: RegionSpec, options: TraceOptions
         if isinstance(t.origin, BranchOrigin):
             departures[t.origin.index] += 1
     for bp, arr, dep in zip(branches, arrivals, departures):
-        if bp.active and (arr < bp.multiplicity or dep < bp.multiplicity):
+        if bp.active and (arr != bp.multiplicity or dep != bp.multiplicity):
             warnings.append(
                 f"branch point at {bp.s.real:.6g}{bp.s.imag:+.6g}j expects "
                 f"{bp.multiplicity} arrivals and departures, traced {arr} and {dep}"

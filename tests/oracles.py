@@ -293,73 +293,33 @@ def reference_partials(plant, sigma, omega):
     return msig, mom
 
 
-def reference_solve3(a, b):
-    """The former list-based 3x3 Gaussian elimination with partial pivoting."""
-    from dtlocus.continuation import COND_LIMIT
-    from dtlocus.errors import SingularJacobian
-
-    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
-    scale = max(abs(m[i][j]) for i in range(3) for j in range(3))
-    if scale == 0.0:
-        raise SingularJacobian("zero Jacobian")
-    min_pivot = math.inf
-    for col in range(3):
-        piv = max(range(col, 3), key=lambda r: abs(m[r][col]))
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
-        if p == 0.0:
-            raise SingularJacobian("exactly singular Jacobian")
-        min_pivot = min(min_pivot, abs(p))
-        for r in range(col + 1, 3):
-            f = m[r][col] / p
-            if f != 0.0:
-                for c in range(col, 4):
-                    m[r][c] -= f * m[col][c]
-    if scale / min_pivot > COND_LIMIT:
-        raise SingularJacobian(f"Jacobian condition estimate {scale / min_pivot:.3e}")
-    x = [0.0, 0.0, 0.0]
-    for r in (2, 1, 0):
-        acc = m[r][3]
-        for c in range(r + 1, 3):
-            acc -= m[r][c] * x[c]
-        x[r] = acc / m[r][r]
-    return x
-
-
-def reference_correct(plant, predicted, prev_dir, kernel, tol=1e-6, max_iter=20):
-    """The former corrector: a validated LocusPoint, a kernel pass and a list
-    solve per Newton iteration.  kernel(plant, sigma, omega) returns
-    (lnmag, phase, dM/dsigma, dM/domega), so the library's kernel pins the
-    corrector logic to the bit whatever the kernel's own rounding."""
+def reference_frozen_newton(plant, s, Kval, kernel, tol=1e-6, max_iter=20, real=False):
+    """Plain Newton on ln(k G(s)e^(-hs)) = j pi at the frozen gain e^Kval: a
+    validated LocusPoint, a kernel pass and one complex step per iteration,
+    every step length kept.  kernel(plant, sigma, omega) returns (lnmag,
+    phase, dM/dsigma, dM/domega), so the library's kernel pins the corrector
+    logic to the bit whatever the kernel's own rounding."""
     from dtlocus.continuation import CorrectorOutcome, LocusPoint
     from dtlocus.plant import wrap_angle
 
-    x = [predicted.sigma, predicted.omega, predicted.Kval]
+    z = complex(s)
     norms = []
-    converged = False
     while True:
-        pt = LocusPoint(x[0], x[1], x[2])
+        pt = LocusPoint(z.real, z.imag, Kval)
         lnmag, phase, msig, mom = kernel(plant, pt.sigma, pt.omega)
-        M, P = lnmag + pt.Kval, wrap_angle(phase - math.pi)
-        f3 = (
-            (x[0] - predicted.sigma) * prev_dir[0]
-            + (x[1] - predicted.omega) * prev_dir[1]
-            + (x[2] - predicted.Kval) * prev_dir[2]
-        )
-        if max(abs(M), abs(P), abs(f3)) <= tol:
-            converged = True
+        r = complex(lnmag + Kval, wrap_angle(phase - math.pi))
+        dlog = complex(msig, -mom)
+        if abs(r.real) <= tol and abs(r.imag) <= tol:
             break
         if len(norms) >= max_iter:
             break
-        J = [[msig, mom, 1.0], [-mom, msig, 0.0], [prev_dir[0], prev_dir[1], prev_dir[2]]]
-        dx = reference_solve3(J, [-M, -P, -f3])
-        x[0] += dx[0]
-        x[1] += dx[1]
-        x[2] += dx[2]
-        norms.append(math.sqrt(dx[0] ** 2 + dx[1] ** 2 + dx[2] ** 2))
+        step = complex(-r.real / msig, 0.0) if real else -(r / dlog)
+        z = complex(z.real + step.real, z.imag + step.imag)
+        norms.append(math.hypot(step.real, step.imag))
+    converged = abs(r.real) <= tol and abs(r.imag) <= tol
     kappa = norms[1] / norms[0] if len(norms) >= 2 and norms[0] > 0.0 else 0.0
-    return CorrectorOutcome(LocusPoint(x[0], x[1], x[2]), len(norms), kappa, converged)
+    return CorrectorOutcome(LocusPoint(z.real, z.imag, Kval), len(norms), kappa, converged,
+                            dlog, norms[0] if norms else 0.0)
 
 
 def extended_log_eval(plant, sigma, omega):

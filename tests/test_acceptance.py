@@ -24,8 +24,10 @@ from dtlocus.boundary import (
 from dtlocus.branch import branch_points
 from dtlocus.cli import parse_input
 from dtlocus.continuation import (
+    FIRST_MAX,
     H0,
     H_MAX,
+    KAPPA_MAX,
     KAPPA_NOM,
     CorrectorOutcome,
     LocusPoint,
@@ -419,8 +421,12 @@ def test_08_step_control(demo_plant, demo_result, p1_result):
     h, repeat = step_update(0.1, nominal)
     assert h == 0.1 and repeat is False
 
-    slow = CorrectorOutcome(pt, 6, 4.0 * KAPPA_NOM, True)
+    slow = CorrectorOutcome(pt, 6, 2.0 * KAPPA_MAX, True)
     h, repeat = step_update(0.1, slow)
+    assert h == 0.05 and repeat is True
+
+    far = CorrectorOutcome(pt, 2, 0.0, True, first=2.0 * FIRST_MAX * 0.01)
+    h, repeat = step_update(0.1, far, ds=0.01)
     assert h == 0.05 and repeat is True
 
     crisp = CorrectorOutcome(pt, 2, KAPPA_NOM / 9.0, True)

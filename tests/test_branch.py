@@ -171,3 +171,53 @@ class TestBranchPoints:
             assert len(ims) % 2 == 0
             for lo, hi in zip(ims, reversed(ims)):
                 assert lo == pytest.approx(-hi, abs=1e-8)
+
+    def test_candidates_polished_onto_zeros_of_dlog(self):
+        # highorder seed 101 job 159: the degree-38 branch numerator in
+        # coefficient form put a real branch point at -2.21964, where dlog is
+        # 3.59; the real-axis gain peaks at -2.231252, and the polish on dlog
+        # moves the point there; every point kept is a zero of dlog
+        import json
+
+        from dtlocus.cli import parse_input
+        from dtlocus.plant import dlog_ratio
+
+        plant = parse_input(json.dumps({
+            "num": [40722.75892529389, -2302.9508908840708, -197578.58127162207,
+                    -266550.40252179594, -157914.44305267898, -54820.81452019485,
+                    -380.44649880058205, 18223.682941904037, 9624.233777512542,
+                    281.0457019151995, -800.5052988183786, -43.926801147777354,
+                    36.40945966093906, -8.709900442420267, -5.254668578166, -0.545097],
+            "den": [698666144.87589, 6414029554.326253, 27085222507.97059, 70382484578.96005,
+                    127208866006.75035, 171517843957.1746, 180708666237.3752,
+                    153763294773.39264, 108246851506.60303, 64176550578.04485,
+                    32461423438.176563, 14139361622.576237, 5337312619.946436,
+                    1752549655.128784, 501152260.20413834, 124589262.03031549,
+                    26791711.6307129, 4937288.907378981, 768136.1115328991,
+                    98572.48594870327, 10059.623673656133, 768.248821679759,
+                    39.144960000000005, 1.0],
+            "delay": 0.924273}).encode())
+        region = RegionSpec(-2.975088, 0.960858)
+        bps = branch_points(plant, region)
+        assert any(bp.active and abs(bp.s - -2.231252) < 1e-6 for bp in bps)
+        assert not any(abs(bp.s - -2.21964) < 1e-3 for bp in bps)
+        for bp in bps + branch_points(plant.flipped_gain(), region):
+            scale = plant.delay + sum(abs(1.0 / (bp.s - r)) for r in plant.zeros + plant.poles)
+            assert abs(dlog_ratio(plant, bp.s)) <= 1e-9 * scale, bp
+
+    def test_missing_real_zero_of_dlog_is_added(self, p2):
+        # dlog runs from -inf just right of the pole -1 to +inf just left of
+        # the pole -0.5, so a zero lies between them: with no candidate there
+        # it is found by bisection and polished; with one, it is not added
+        from dtlocus.branch import _axis_zeros
+        from dtlocus.plant import dlog_ratio
+        from dtlocus.poly import PolyRoot
+
+        # (the stretch between the poles -2.5 and -1 holds one as well)
+        low, added = _axis_zeros(p2, -3.5, [])
+        assert -2.5 < low.value.real < -1.0
+        assert -1.0 < added.value.real < -0.5 and added.value.imag == 0.0
+        assert abs(dlog_ratio(p2, added.value)) <= 1e-12
+        bp = [b for b in branch_points(p2, RegionSpec(-3.5, 5.0)) if -1.0 < b.s.real < -0.5]
+        assert abs(bp[0].s - added.value) <= 1e-12
+        assert _axis_zeros(p2, -3.5, [PolyRoot(bp[0].s, 1)]) == [low]

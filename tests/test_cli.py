@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import dtlocus
+from dtlocus import tracer
 from dtlocus.cli import main, parse_input, result_to_csv, result_to_json
 from dtlocus.errors import InputError
 from dtlocus.plant import Plant
@@ -284,17 +285,20 @@ class TestMain:
         assert rc == 2
         assert ("tolerance" if flag == "--tol" else "h0") in err.getvalue()
 
-    def test_exit_3_strict_step_failure_still_writes(self, p1_path, tmp_path):
+    def test_exit_3_strict_step_failure_still_writes(self, p1_path, tmp_path, monkeypatch):
+        # a two-step budget stops every trajectory short of its end
+        monkeypatch.setattr(tracer, "MAX_STEPS", 2)
         out = tmp_path / "out.json"
         with contextlib.redirect_stderr(io.StringIO()):
             rc = main([p1_path, "--sigma0", "-2", "--kmax", "1",
-                       "--strict", "--tol", "1e-18", "--out", str(out)])
+                       "--strict", "--out", str(out)])
         assert rc == 3
         data = json.loads(out.read_text())
         assert any(t["termination"]["type"] == "step_failure" for t in data["trajectories"])
 
-    def test_unstrict_step_failure_exits_zero(self, p1_path, capsys):
+    def test_unstrict_step_failure_exits_zero(self, p1_path, capsys, monkeypatch):
+        monkeypatch.setattr(tracer, "MAX_STEPS", 2)
         with contextlib.redirect_stderr(io.StringIO()):
-            rc = main([p1_path, "--sigma0", "-2", "--kmax", "1", "--tol", "1e-18"])
+            rc = main([p1_path, "--sigma0", "-2", "--kmax", "1"])
         assert rc == 0
-        capsys.readouterr()
+        assert '"step_failure"' in capsys.readouterr().out

@@ -1,4 +1,5 @@
-"""Residuals, Jacobian, corrector, and the adaptive step rule."""
+"""Residuals, their gradient, the frozen-gain corrector, and the adaptive
+step rule."""
 
 import math
 
@@ -7,21 +8,22 @@ import pytest
 
 from dtlocus.boundary import RegionSpec, boundary_crossings, boundary_functions
 from dtlocus.continuation import (
-    CorrectorOutcome,
+    FIRST_MAX,
     H_MIN,
+    KAPPA_MAX,
+    KAPPA_NOM,
+    CorrectorOutcome,
     LocusPoint,
     _locus_eval,
-    _tangent,
     correct,
+    correct_on_line,
     departure_angles,
-    predict,
+    gain_step,
     residuals,
-    solve3,
     step_update,
-    unit3,
 )
-from dtlocus.errors import InputError, SingularJacobian, SingularPointError
-from dtlocus.plant import Plant, _log_kernel, dlog_ratio
+from dtlocus.errors import InputError, SingularPointError
+from dtlocus.plant import Plant, dlog_ratio
 from dtlocus.tracer import CrossingOrigin, seed_points
 
 from oracles import fd
@@ -59,8 +61,9 @@ class TestResiduals:
 
 
 class TestJacobian:
-    """The corrector's Jacobian rows are (dM/dsigma, dM/domega, 1) and
-    (-dM/domega, dM/dsigma, 0), built from _locus_eval's gradient."""
+    """The corrector divides by dlog = dM/dsigma - j dM/domega, built from
+    _locus_eval's gradient; by Cauchy-Riemann it is the whole (M, P)
+    Jacobian in s."""
 
     def test_p1_branch_point_structure(self, p1):
         _, _, msig, mom = _locus_eval(p1, -1.0, 0.0, -1.0)
@@ -107,54 +110,46 @@ class TestJacobian:
         assert M1 - M0 == pytest.approx(0.7, abs=1e-12)
 
 
-class TestSolvers:
-    def test_solve3_known_system(self):
-        A = [[2.0, 1.0, -1.0], [-3.0, -1.0, 2.0], [-2.0, 1.0, 2.0]]
-        x = solve3(A, [8.0, -11.0, -3.0])
-        assert x == pytest.approx([2.0, 3.0, -1.0], abs=1e-12)
-
-    def test_solve3_random_roundtrip(self):
-        rng = np.random.RandomState(3)
-        for _ in range(50):
-            A = rng.uniform(-2, 2, size=(3, 3))
-            if abs(np.linalg.det(A)) < 1e-3:
-                continue
-            xs = rng.uniform(-5, 5, size=3)
-            got = solve3([list(r) for r in A], list(A @ xs))
-            assert got == pytest.approx(list(xs), abs=1e-9)
-
-    def test_solve3_singular_raises(self):
-        with pytest.raises(SingularJacobian):
-            solve3([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]], [1.0, 2.0, 0.0])
-        with pytest.raises(SingularJacobian):
-            solve3([[0.0] * 3] * 3, [0.0] * 3)
-
-
 class TestPredictCorrect:
-    def test_predict(self):
-        assert predict(LocusPoint(0, 0, 0), (1.0, 0.0, 0.0), 0.1) == LocusPoint(0.1, 0.0, 0.0)
-        assert predict(LocusPoint(-1, 0, -1), (0.0, 1.0, 0.0), 0.2) == LocusPoint(-1.0, 0.2, -1.0)
+    def test_gain_step_travels_h(self):
+        # a gain step dK moves s by dK/|dlog|: the step is h long in (sigma, omega, K)
+        for h, dlog in ((0.1, 1.0 + 0j), (0.02, 3.0 - 4.0j), (0.5, 1e-3j), (1e-8, 1e6 + 0j)):
+            dK = gain_step(h, dlog)
+            ds = dK / abs(dlog)
+            assert math.hypot(ds, dK) == pytest.approx(h, rel=1e-12)
+            assert dK > 0.0
+        assert gain_step(0.1, 0j) == 0.0
 
     def test_exact_root_is_fixed_point(self, p1):
-        out = correct(p1, LocusPoint(-1.0, 0.0, -1.0), unit3((1.0, 0.0, 1.0)))
+        out = correct(p1, complex(-1.0, 0.0), -1.0)
         assert out.converged
         assert out.iterations == 0
         assert out.point == LocusPoint(-1.0, 0.0, -1.0)
+        assert out.first == 0.0 and out.dlog == dlog_ratio(p1, -1.0)
 
     def test_pulls_back_to_real_locus(self, p1):
-        # walk leftward along the real locus k = -sigma e^sigma from -0.45
-        a = LocusPoint(-0.45, 0.0, math.log(0.45 * math.exp(-0.45)))
-        b = LocusPoint(-0.48, 0.0, math.log(0.48 * math.exp(-0.48)))
-        d = unit3((b.sigma - a.sigma, 0.0, b.Kval - a.Kval))
-        out = correct(p1, predict(b, d, 0.02), d)
-        assert out.converged
-        sig = out.point.sigma
-        assert out.point.omega == pytest.approx(0.0, abs=1e-12)
-        assert out.point.Kval == pytest.approx(math.log(-sig * math.exp(sig)), abs=1e-6)
-        assert sig < b.sigma
+        # the real locus k = -sigma e^sigma at sigma -0.48, from a start 0.02 off
+        sig = -0.48
+        K = math.log(-sig * math.exp(sig))
+        for real in (False, True):
+            out = correct(p1, complex(sig + 0.02, 0.0), K, real=real)
+            assert out.converged
+            assert out.point.omega == 0.0
+            assert out.point.Kval == K
+            assert out.point.sigma == pytest.approx(sig, abs=1e-6)
+            assert out.first == pytest.approx(0.02, rel=0.1)
+
+    def test_real_mode_keeps_omega(self, p2):
+        # with real set only the real part of each Newton step is taken
+        from dtlocus.plant import log_eval
+
+        K = -log_eval(p2, -0.6).lnmag  # on the real segment between the poles -0.5 and -1
+        out = correct(p2, complex(-0.62, 0.0), K, real=True)
+        assert out.converged and out.point.omega == 0.0
+        assert out.point.sigma == pytest.approx(-0.6, abs=1e-6)
 
     def test_converged_residuals_hold(self, p2):
-        # perturb true locus points, correct, verify the invariant directly
+        # perturb true locus points, correct at their gain, verify directly
         rng = np.random.RandomState(37)
         from oracles import locus_residual, newton_root
 
@@ -165,80 +160,105 @@ class TestPredictCorrect:
             s = newton_root(p2, k, s0)
             if locus_residual(p2, s, k) > 1e-10:
                 continue
-            base = LocusPoint(s.real, s.imag, math.log(k))
-            d = unit3((rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)))
-            pred = LocusPoint(base.sigma + 1e-3, base.omega - 1e-3, base.Kval + 1e-3)
-            out = correct(p2, pred, d)
+            out = correct(p2, s + complex(1e-3, -1e-3), math.log(k))
             if not out.converged:
                 continue
             M, P = residuals(p2, out.point)
-            f3 = sum(
-                (getattr(out.point, f) - getattr(pred, f)) * d[i]
-                for i, f in enumerate(("sigma", "omega", "Kval"))
-            )
-            assert abs(M) <= 1e-6 and abs(P) <= 1e-6 and abs(f3) <= 1e-6
+            assert abs(M) <= 1e-6 and abs(P) <= 1e-6
+            assert out.point.Kval == math.log(k)
+            assert abs(out.point.s - s) <= 1e-6
             count += 1
 
     def test_far_off_manifold_terminates(self, p1):
-        out = correct(p1, LocusPoint(-0.5, 0.0, 5.0), unit3((0.0, 0.0, 1.0)), max_iter=20)
+        out = correct(p1, complex(-0.5, 0.0), 5.0, max_iter=20)
         assert out.iterations <= 20  # bounded; may or may not converge
 
     def test_huge_magnitude_residual_halves_the_step(self, p1):
         # M = ln|G| + K is about 800 here, far off the locus
-        out = correct(p1, LocusPoint(-0.5, 0.0, 800.0), unit3((0.0, 0.0, 1.0)), max_iter=0)
+        out = correct(p1, complex(-0.5, 0.0), 800.0, max_iter=0)
         assert not out.converged
         new_h, repeat = step_update(0.1, out)
         assert repeat and new_h == pytest.approx(0.05)
 
     def test_frozen_gain_plane_keeps_gain_exactly(self):
-        # a (0, 0, 1) normal freezes K: every Newton step leaves it bit-equal
-        # to the start's, which keeps gain-cap points at exactly ln kmax
+        # every solve holds K fixed, which keeps gain-cap points at exactly ln kmax
         from oracles import random_plant
 
         rng = np.random.RandomState(59)
         converged = 0
         for _ in range(300):
             plant = random_plant(rng, Plant)
-            start = LocusPoint(float(rng.uniform(-3.0, 1.0)), float(rng.uniform(-3.0, 3.0)),
-                               float(rng.uniform(-3.0, 3.0)))
+            s = complex(rng.uniform(-3.0, 1.0), rng.uniform(-3.0, 3.0))
+            K = float(rng.uniform(-3.0, 3.0))
             try:
-                out = correct(plant, start, (0.0, 0.0, 1.0), 1e-8, 11)
-            except (SingularJacobian, SingularPointError, InputError):
+                out = correct(plant, s, K, 1e-8, 11)
+            except (SingularPointError, InputError, ZeroDivisionError):
                 continue
-            assert out.point.Kval == start.Kval
+            assert out.point.Kval == K
             converged += out.converged
         assert converged >= 150
 
     def test_kappa_zero_for_quick_convergence(self, p1):
-        out = correct(p1, LocusPoint(-1.0, 0.0, -1.0), unit3((1.0, 0.0, 0.0)))
+        out = correct(p1, complex(-1.0, 0.0), -1.0)
         assert out.kappa == 0.0
+
+
+class TestCorrectOnLine:
+    """The region-exit solve: Newton on the phase along Re(s) = sigma."""
+
+    def test_exit_lies_on_the_line_and_locus(self, p2):
+        region = RegionSpec(-3.5, 5.0)
+        cs = boundary_crossings(boundary_functions(p2, region), region)
+        assert cs.outward
+        for c in cs.outward:
+            out = correct_on_line(p2, -3.5, c.omega + 1e-3)
+            assert out.converged and out.point.sigma == -3.5
+            assert out.point.omega == pytest.approx(c.omega, abs=1e-6)
+            assert out.point.Kval == pytest.approx(c.Kval, abs=1e-6)
+            M, P = residuals(p2, out.point)
+            assert abs(M) <= 1e-12 and abs(P) <= 1e-6
+
+    def test_budget_bounds_the_solve(self, p1):
+        out = correct_on_line(p1, -2.0, 0.7, tol=1e-300, max_iter=3)
+        assert out.iterations == 3 and not out.converged
 
 
 class TestStepController:
     """step_update, the one step rule: (new h, redo?) from h and the outcome."""
 
-    def _out(self, kappa, converged=True):
-        return CorrectorOutcome(LocusPoint(0, 0, 0), 3, kappa, converged)
+    def _out(self, kappa, converged=True, first=0.0):
+        return CorrectorOutcome(LocusPoint(0, 0, 0), 3, kappa, converged, first=first)
 
     def test_clamps_h(self):
         # the new length stays in [H_MIN, h_max] whatever h is
         for h, want in ((1e-12, 1e-8), (1e-8, 1e-8), (0.3, 0.3), (0.5, 0.5), (7.0, 0.5),
                         (10.0, 0.5)):
-            assert step_update(h, self._out(1.1)) == (want, False)
-        assert step_update(0.4, self._out(1.1), h_max=0.2) == (0.2, False)
+            assert step_update(h, self._out(KAPPA_NOM)) == (want, False)
+        assert step_update(0.4, self._out(KAPPA_NOM), h_max=0.2) == (0.2, False)
 
     def test_nominal_keeps_h(self):
-        new_h, repeat = step_update(0.01, self._out(1.1))
+        new_h, repeat = step_update(0.01, self._out(KAPPA_NOM))
         assert new_h == pytest.approx(0.01)
         assert not repeat
 
     def test_bad_contraction_halves_and_repeats(self):
-        new_h, repeat = step_update(0.01, self._out(4.4))
+        new_h, repeat = step_update(0.01, self._out(1.01 * KAPPA_MAX))
+        assert new_h == pytest.approx(0.005)
+        assert repeat
+        # the largest accepted contraction shrinks the next step only
+        new_h, repeat = step_update(0.01, self._out(KAPPA_MAX))
+        assert new_h == pytest.approx(0.01 / math.sqrt(KAPPA_MAX / KAPPA_NOM))
+        assert not repeat
+
+    def test_large_first_correction_halves_and_repeats(self):
+        # the first Newton correction may be at most FIRST_MAX of the predicted |ds|
+        assert step_update(0.01, self._out(0.0, first=FIRST_MAX * 0.2), ds=0.2) == (0.02, False)
+        new_h, repeat = step_update(0.01, self._out(0.0, first=1.01 * FIRST_MAX * 0.2), ds=0.2)
         assert new_h == pytest.approx(0.005)
         assert repeat
 
     def test_good_step_doubles(self):
-        new_h, repeat = step_update(0.01, self._out(1.1 / 4))
+        new_h, repeat = step_update(0.01, self._out(KAPPA_NOM / 4))
         assert new_h == pytest.approx(0.02)
         assert not repeat
 
@@ -247,17 +267,17 @@ class TestStepController:
         assert new_h == 0.5
 
     def test_failed_correction_forces_halving(self):
-        new_h, repeat = step_update(0.01, self._out(0.5, converged=False))
+        new_h, repeat = step_update(0.01, self._out(0.1, converged=False))
         assert new_h == pytest.approx(0.005)
         assert repeat
 
     def test_underflow(self):
         # a redo at H_MIN stays at H_MIN; ending the trajectory is the caller's
         assert step_update(H_MIN, self._out(9.0, converged=False)) == (H_MIN, True)
-        assert step_update(H_MIN, self._out(4.4)) == (H_MIN, True)
+        assert step_update(H_MIN, self._out(1.01 * KAPPA_MAX)) == (H_MIN, True)
 
     def test_no_underflow_when_not_repeating(self):
-        new_h, repeat = step_update(1e-8, self._out(1.1))
+        new_h, repeat = step_update(1e-8, self._out(KAPPA_NOM))
         assert not repeat
         assert new_h == 1e-8
 
@@ -308,11 +328,8 @@ class TestInitialDirections:
 
     @staticmethod
     def _entry(plant, sigma0, c):
-        """ds/dK of the crossing root, from the tangent a crossing seed takes."""
-        _, _, msig, mom = _log_kernel(plant, sigma0, c.omega)
-        d = _tangent(msig, mom)
-        assert d[2] > 0.0
-        return complex(d[0], d[1]) / d[2]
+        """ds/dK = -1/dlog of the crossing root, the way a crossing seed heads."""
+        return -1.0 / dlog_ratio(plant, complex(sigma0, c.omega))
 
     def test_p1_entry_direction(self, p1):
         region = RegionSpec(-2.0, 1.0)
@@ -325,7 +342,7 @@ class TestInitialDirections:
         assert d0.real == pytest.approx(2.0, rel=1e-9)
         assert d0.imag == pytest.approx(0.0, abs=1e-12)
         (seed,) = [s for s in seed_points(p1, region) if isinstance(s.origin, CrossingOrigin)]
-        assert seed.direction == _tangent(*_log_kernel(p1, region.sigma0, c.omega)[2:])
+        assert seed.start == LocusPoint(region.sigma0, c.omega, c.Kval)
 
     def test_inward_entries_point_right(self, p2):
         region = RegionSpec(-3.5, 5.0)

@@ -1,5 +1,5 @@
 """The product plant kernel against the former loops kept in oracles.py, and
-exact agreement of the unrolled 3x3 solve and the corrector with theirs.
+exact agreement of the frozen-gain corrector with a plain Newton loop.
 
 The kernel multiplies factors where the former loops summed logs and
 angles, so it is held to their accuracy, not to their bits: both must come
@@ -10,7 +10,6 @@ corrector logic run on the kernel.
 """
 
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -23,24 +22,21 @@ from dtlocus.continuation import (
     CorrectorOutcome,
     LocusPoint,
     _locus_eval,
-    _tangent,
     correct,
     residuals,
-    solve3,
     step_update,
-    unit3,
 )
-from dtlocus.errors import InputError, SingularJacobian, SingularPointError
+from dtlocus.errors import InputError, SingularPointError
 from dtlocus.plant import TOL_SING, Plant, _log_kernel, dlog_ratio, log_eval, wrap_angle
 from dtlocus.tracer import TraceOptions, _first_step
 
 from oracles import (
     extended_log_eval,
+    newton_root,
     random_plant,
-    reference_correct,
+    reference_frozen_newton,
     reference_log_eval,
     reference_partials,
-    reference_solve3,
 )
 
 
@@ -95,7 +91,7 @@ def _outcome(f, *args):
     """Return value, or (exception type, message) when f raises."""
     try:
         return f(*args)
-    except (SingularPointError, SingularJacobian, InputError) as e:
+    except (SingularPointError, InputError, ZeroDivisionError) as e:
         return type(e), str(e)
 
 
@@ -211,60 +207,18 @@ def test_nonfinite_iterate_raises_input_error(bad):
 
 
 def test_corrector_still_raises_on_nonfinite_iterate(monkeypatch):
+    # a log-derivative of 1e-320 sends the Newton step to infinity
     plant = Plant(1.0, 1.0, (), (0j,))
-    monkeypatch.setattr(continuation, "solve3", lambda a, b: [math.inf, 0.0, 0.0])
+    kernel = continuation._log_kernel
+    monkeypatch.setattr(continuation, "_log_kernel",
+                        lambda *args: kernel(*args)[:2] + (1e-320, 0.0))
     with pytest.raises(InputError):
-        correct(plant, LocusPoint(-0.5, 0.3, 0.0), unit3((1.0, 0.0, 0.0)))
-
-
-def _systems(rng):
-    for _ in range(300):
-        yield rng.randn(3, 3) * 10.0 ** rng.uniform(-3, 3, (3, 3)), rng.randn(3)
-    for _ in range(300):
-        # small integers: pivot ties in both columns, exact zeros, exact singularity
-        yield rng.randint(-2, 3, (3, 3)).astype(float), rng.randint(-3, 4, 3).astype(float)
-    for _ in range(100):
-        # a column of equal magnitudes with mixed signs
-        a = rng.randn(3, 3)
-        a[:, 0] = rng.choice([-1.0, 1.0], 3) * 2.5
-        a[1:, 1] = rng.choice([-1.0, 1.0], 2) * 0.75
-        yield a, rng.randn(3)
-    for eps in (1e-10, 1e-12, 1e-13, 1e-16, 0.0):
-        # ill-conditioned and singular: a nearly repeated row
-        a = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 4.0], [1.0, 2.0, 3.0 + eps]])
-        yield a, np.array([1.0, 2.0, 3.0])
-    yield np.zeros((3, 3)), np.ones(3)
-    yield np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]), np.ones(3)
-    yield np.array([[1.0, 0.0, 0.0], [0.0, 1e-13, 0.0], [0.0, 0.0, 1.0]]), np.ones(3)
-    yield np.array([[math.nan, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 3.0]]), np.ones(3)
-    yield np.array([[1.0, 1.0, 0.0], [1.0, math.inf, 1.0], [0.0, 1.0, 3.0]]), np.ones(3)
-    # a zero multiplier must leave its row alone: -0.0 - 0.0 * -1.0 is +0.0
-    yield np.eye(3), np.array([-1.0, -0.0, 1.0])
-
-
-def _same(a, b):
-    # by repr, NaN matches NaN and -0.0 does not match 0.0
-    if isinstance(a, list) and isinstance(b, list):
-        return [repr(x) for x in a] == [repr(y) for y in b]
-    return a == b
-
-
-def test_solve3_equals_former_elimination():
-    rng = np.random.RandomState(3)
-    raised = solved = 0
-    for a, b in _systems(rng):
-        rows, rhs = [[float(v) for v in r] for r in a], [float(v) for v in b]
-        got = _outcome(solve3, [r[:] for r in rows], rhs[:])
-        ref = _outcome(reference_solve3, [r[:] for r in rows], rhs[:])
-        assert _same(got, ref), (rows, rhs, got, ref)
-        if isinstance(got, list):
-            solved += 1
-        else:
-            raised += 1
-    assert solved > 500 and raised > 20
+        correct(plant, complex(-0.5, 0.3), 0.0)
 
 
 def test_corrector_equals_former_corrector():
+    # the corrector's logic to the bit, against a plain Newton loop on the
+    # same kernel; converged points are the closed-loop roots at their gain
     rng = np.random.RandomState(17)
     converged = total = 0
     for plant in PLANTS:
@@ -273,17 +227,14 @@ def test_corrector_equals_former_corrector():
             if ref_lv[0] is SingularPointError:
                 continue
             K = -ref_lv[0] + rng.uniform(-0.05, 0.05)
-            pred = LocusPoint(s.real, s.imag, K)
-            d = unit3((rng.randn(), rng.randn(), rng.randn()))
-            got = _outcome(correct, plant, pred, d)
-            ref = _outcome(reference_correct, plant, pred, d, _log_kernel)
-            if isinstance(got, CorrectorOutcome):
-                # the tangent comes from the kernel pass at the returned point
-                p = got.point
-                assert got.tangent == _tangent(*_log_kernel(plant, p.sigma, p.omega)[2:])
-                got = dataclasses.replace(got, tangent=None)
+            real = s.imag == 0.0
+            got = _outcome(correct, plant, s, K, 1e-6, 20, real)
+            ref = _outcome(reference_frozen_newton, plant, s, K, _log_kernel, 1e-6, 20, real)
             assert got == ref
-            converged += getattr(got, "converged", False)
+            if getattr(got, "converged", False) and not real:
+                root = newton_root(plant, math.exp(K), got.point.s)
+                assert abs(root - got.point.s) <= 1e-5 * (1.0 + abs(root))
+                converged += 1
             total += 1
     assert total >= 400 and converged >= 50
 

@@ -1,7 +1,9 @@
 """Smoke tests of the tools.  tools/output_digest.py, the per-job same-output
 check: one labelled line per job, in the hash format, the --topology format
-(with its mirrored count) and the --work format.  tools/bench_pairs.py:
-current bytecode in both checkouts before the first pair."""
+(with its mirrored and over-captured counts), the --work format and the
+--ledger format, whose count is checked on a crafted result.
+tools/bench_pairs.py: current bytecode in both checkouts before the first
+pair."""
 
 import importlib.util
 import json
@@ -11,7 +13,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-_SIGN = r"[+-]\[n=(\d+)(?: [A-Z][A-Za-z]+=\d+)* mirrored=(\d+) warnings=\d+\]"
+_SIGN = r"[+-]\[n=(\d+)(?: [A-Z][A-Za-z]+=\d+)* mirrored=(\d+) over=\d+ warnings=\d+\]"
 
 
 def _tool(name):
@@ -63,6 +65,39 @@ def test_output_digest_work_lines(capsys, monkeypatch):
     assert sum(counts) > 0
     assert (plant._log_kernel, continuation._log_kernel, continuation.correct,
             tracer.correct) == before
+
+
+def test_output_digest_ledger_lines(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    digest = _output_digest()
+    assert digest.main(["corpus", "--jobs", "3", "--ledger"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    sign = r"[+-]\[gains=(\d+) mismatched=(\d+)\]"
+    for i, line in enumerate(lines):
+        match = re.fullmatch(rf"corpus\[{i}\] {sign}(?: {sign})?", line)
+        assert match, line
+        counts = [int(n) for n in match.groups() if n is not None]
+        assert all(bad <= n for n, bad in zip(counts[::2], counts[1::2]))
+
+
+def test_ledger_counts_a_missing_root():
+    # P1 at sigma0 -2, kmax 1: one pole, one inward crossing at omega 0 (k
+    # 2e^-2) and a double branch point at -1 (k 1/e); the traced count agrees
+    # with the ledger at every gain, and drops one below it over the gains
+    # from the branch point up once a departure is taken away
+    import dataclasses
+
+    from dtlocus import BranchOrigin, Plant, RegionSpec, run
+
+    digest = _output_digest()
+    res = run(Plant(1.0, 1.0, (), (0j,)), RegionSpec(-2.0, 1.0))
+    assert digest.ledger_mismatches(res) == (3, 0)
+    kept = [t for t in res.trajectories if not (isinstance(t.origin, BranchOrigin) and t.mirrored)]
+    assert len(kept) == len(res.trajectories) - 1
+    gains, bad = digest.ledger_mismatches(dataclasses.replace(res, trajectories=tuple(kept)))
+    assert (gains, bad) == (3, 1)
+    assert digest._over_captured(res) == 0
 
 
 def test_bench_pairs_compiles_both_checkouts_first(tmp_path, monkeypatch, capsys):

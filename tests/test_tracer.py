@@ -17,9 +17,9 @@ from scipy.special import lambertw
 from dtlocus import boundary, branch, tracer
 from dtlocus.boundary import RegionSpec, _breakpoints, _omega_cap, boundary_functions
 from dtlocus.cli import parse_input
-from dtlocus.continuation import H_MAX, H_MIN, CorrectorOutcome, LocusPoint, residuals
+from dtlocus.continuation import H_MAX, H_MIN, MAX_ITER, CorrectorOutcome, LocusPoint, residuals
 from dtlocus.errors import BranchOnBoundary, DtLocusError, InputError
-from dtlocus.plant import Plant, _log_kernel
+from dtlocus.plant import Plant, dlog_ratio
 from dtlocus.tracer import (
     BranchOrigin,
     CrossingOrigin,
@@ -118,6 +118,22 @@ class TestP1Topology:
         for t in res_p1.trajectories:
             ks = [p.Kval for p in t.points]
             assert all(b > a for a, b in zip(ks, ks[1:]))
+
+
+def test_arity_warning_counts_extra_arrivals(p1, monkeypatch):
+    # the pole seed is traced twice, so the double branch point at -1 gets
+    # three arrivals: that warns as a missing one would
+    seed_points = tracer.seed_points
+
+    def doubled(*args):
+        seeds = seed_points(*args)
+        return seeds + [s for s in seeds if isinstance(s.origin, PoleOrigin)]
+
+    monkeypatch.setattr(tracer, "seed_points", doubled)
+    res = run(p1, RegionSpec(-2.0, 1.0))
+    assert sum(isinstance(t.termination, ReachedBranch) for t in res.trajectories) == 3
+    assert res.warnings == ("branch point at -1+0j expects 2 arrivals and departures, "
+                            "traced 3 and 2",)
 
 
 class TestP2Topology:
@@ -229,8 +245,10 @@ class TestP3AndEdges:
         assert all(isinstance(t.termination, StepFailure) for t in res.trajectories)
         assert "budget" in res.trajectories[0].termination.reason
 
-    def test_step_failure_warns_once_per_trajectory(self, p1):
-        res = run(p1, RegionSpec(-2.0, 1.0), TraceOptions(tol_corr=1e-18))
+    def test_step_failure_warns_once_per_trajectory(self, p1, monkeypatch):
+        # a two-step budget stops every trajectory short of its end
+        monkeypatch.setattr(tracer, "MAX_STEPS", 2)
+        res = run(p1, RegionSpec(-2.0, 1.0))
         failed = [t for t in res.trajectories
                   if isinstance(t.termination, StepFailure) and not t.mirrored]
         assert failed
@@ -368,13 +386,14 @@ class TestSeedsAndStability:
             for s in pole_seeds:
                 M, P = residuals(plant, s.start)
                 assert max(abs(M), abs(P)) <= 1e-8
-                assert math.hypot(*s.direction) <= 1.0 + 1e-12
-                assert abs(sum(x * x for x in s.direction) - 1.0) <= 1e-12
+                if s.start_marker.imag == 0.0 and abs(s.start.omega) < 1e-6:
+                    assert s.start.omega == 0.0  # a real ray is polished on the axis
 
     def test_seed_directions_are_locus_tangents(self):
-        # every seed leaves along the tangent of the locus at its start (a
-        # pole or branch seed's polished start, a crossing on the boundary):
-        # the linearised M and P rows vanish on it, and the gain rises
+        # every seed heads along ds/dK = -1/dlog at its start (a pole or
+        # branch seed's polished start, a crossing on the boundary): dlog is
+        # finite and nonzero there, so its first step raises the gain, and a
+        # crossing seed heads into the region
         rng = np.random.RandomState(11)
         checked = 0
         for _ in range(100):
@@ -382,12 +401,10 @@ class TestSeedsAndStability:
             region = RegionSpec(*clean_region(plant, rng))
             for signed in (plant, plant.flipped_gain()):
                 for s in seed_points(signed, region):
-                    _, _, msig, mom = _log_kernel(signed, s.start.sigma, s.start.omega)
-                    d0, d1, d2 = s.direction
-                    tol = 1e-9 * (1.0 + abs(msig) + abs(mom))
-                    assert abs(msig * d0 + mom * d1 + d2) <= tol, (s.origin, s.direction)
-                    assert abs(-mom * d0 + msig * d1) <= tol, (s.origin, s.direction)
-                    assert d2 > 0.0
+                    dlog = dlog_ratio(signed, s.start.s)
+                    assert 0.0 < abs(dlog) < math.inf, s.origin
+                    if isinstance(s.origin, CrossingOrigin):
+                        assert (-1.0 / dlog).real > 0.0, s.origin
                     checked += 1
         assert checked > 300
 
@@ -418,7 +435,7 @@ class TestSeedsAndStability:
         assert len(cross) == 27
         for s in cross:
             assert s.start.sigma == -3.5
-            assert s.direction[0] > 0.0  # inward means growing sigma
+            assert (-1.0 / dlog_ratio(p2, s.start.s)).real > 0.0  # inward means growing sigma
 
     def test_topology_stable_under_refinement(self, p1):
         region = RegionSpec(-2.0, 1.0)
@@ -440,16 +457,16 @@ class TestFirstStep:
 
     @pytest.fixture(scope="class")
     def demo_500(self):
-        calls = []
-        predict = tracer.predict
+        calls = []  # one step_update per step taken
+        step_update = tracer.step_update
 
         def counted(*args):
             calls.append(None)
-            return predict(*args)
+            return step_update(*args)
 
         plant = parse_input(b'{"num": [50, -10, 1], "den": [1.25, 4.25, 4, 1], "delay": 1}')
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tracer, "predict", counted)
+            mp.setattr(tracer, "step_update", counted)
             res = run(plant, RegionSpec(-3.5, 500.0))
         return res, len(calls)
 
@@ -533,98 +550,98 @@ class TestRejectAtFloor:
 
     @pytest.fixture()
     def traced(self, monkeypatch):
-        """[trajectory, [(cursor, h) of each predicted step]] per traced seed."""
+        """[trajectory, [h of each step]] per traced seed."""
         traced = []
-        predict, trace = tracer.predict, tracer.trace
+        step_update, trace = tracer.step_update, tracer.trace
 
-        def recorded_predict(prev, d, h):
-            traced[-1][1].append((prev, h))
-            return predict(prev, d, h)
+        def recorded_step_update(h, *args):
+            traced[-1][1].append(h)
+            return step_update(h, *args)
 
         def recorded_trace(*args):
             traced.append([None, []])
             traced[-1][0] = trace(*args)
             return traced[-1][0]
 
-        monkeypatch.setattr(tracer, "predict", recorded_predict)
+        monkeypatch.setattr(tracer, "step_update", recorded_step_update)
         monkeypatch.setattr(tracer, "trace", recorded_trace)
         return traced
 
-    def _assert_failed(self, traced, prefix):
+    def _assert_failed(self, traced, prefix, at_least=1):
         failed = [(t, steps) for t, steps in traced if isinstance(t.termination, StepFailure)]
-        assert failed
+        assert len(failed) >= at_least
         for t, steps in failed:
             assert t.termination.reason.startswith(prefix), t.termination.reason
-            assert steps[-1][1] == H_MIN and steps[-2][1] <= 2.0 * H_MIN
+            assert steps[-1] == H_MIN and steps[-2] <= 2.0 * H_MIN
+        return failed
 
     def test_region_exit_not_refined(self, p1, monkeypatch, traced):
         # the pole trajectory leaves the region right of the branch point
-        correct = tracer._correct
+        def no_exit(plant, sigma, omega, tol):
+            return CorrectorOutcome(LocusPoint(sigma, omega, 0.0), 20, 0.0, False)
 
-        def no_exit(plant, start, normal, tol, max_iter):
-            if normal == (1.0, 0.0, 0.0):
-                return CorrectorOutcome(start, max_iter, math.inf, False)
-            return correct(plant, start, normal, tol, max_iter)
-
-        monkeypatch.setattr(tracer, "_correct", no_exit)
+        monkeypatch.setattr(tracer, "correct_on_line", no_exit)
         run(p1, RegionSpec(-0.5, 1.0))
         self._assert_failed(traced, "region exit refinement did not converge at step ")
 
+    def test_region_exit_outside_the_gain_window(self, p1, monkeypatch, traced):
+        # an exit solved one unit of K below the step's gain window
+        correct_on_line = tracer.correct_on_line
+
+        def low_exit(*args):
+            out = correct_on_line(*args)
+            p = out.point
+            return dataclasses.replace(out, point=LocusPoint(p.sigma, p.omega, p.Kval - 1.0))
+
+        monkeypatch.setattr(tracer, "correct_on_line", low_exit)
+        run(p1, RegionSpec(-0.5, 1.0))
+        self._assert_failed(traced, "region exit outside the step's gain window at step ")
+
     def test_gain_cap_off_locus(self, p1, monkeypatch, traced):
         # every frozen-gain solve at the cap (ln kmax = 0) fails: each failed
-        # cap step is halved, the cursor creeps up to the cap, and the cap
-        # step shrinks with it until one no longer than H_MIN fails
-        correct = tracer._correct
-
-        def no_cap(plant, start, normal, tol, max_iter):
-            if normal == (0.0, 0.0, 1.0) and start.Kval == 0.0:
-                return CorrectorOutcome(start, max_iter, math.inf, False)
-            return correct(plant, start, normal, tol, max_iter)
-
-        monkeypatch.setattr(tracer, "_correct", no_cap)
-        run(p1, RegionSpec(-2.0, 1.0))
-        failed = [(t, steps) for t, steps in traced if isinstance(t.termination, StepFailure)]
-        assert failed
-        for t, steps in failed:
-            assert t.termination.reason.startswith("gain cap step left the locus at step ")
-            cursor, h = steps[-1]
-            assert h <= H_MIN * (1.0 + 1e-12) and cursor.Kval < 0.0
-            assert t.points[-1].Kval < 0.0
-
-    def test_gain_falls(self, p1, monkeypatch, traced):
-        # every converged point lands 2h below the cursor's gain: inside the
-        # leash, and past the flat band even at H_MIN
+        # cap step is halved, the cursor creeps up to the cap, and the step
+        # shrinks with it until one no longer than H_MIN fails
         correct = tracer.correct
 
-        def falling(plant, predicted, d, *args):
-            out = correct(plant, predicted, d, *args)
-            if d == (0.0, 0.0, 1.0):  # a seed polish, not a step
-                return out
-            prev, h = traced[-1][1][-1]
-            point = LocusPoint(predicted.sigma, predicted.omega, prev.Kval - 2.0 * h)
-            return dataclasses.replace(out, point=point, kappa=0.0, converged=True)
+        def no_cap(plant, s, Kval, *args):
+            if Kval == 0.0:
+                return CorrectorOutcome(LocusPoint(s.real, s.imag, Kval), 20, math.inf, False)
+            return correct(plant, s, Kval, *args)
 
-        monkeypatch.setattr(tracer, "correct", falling)
-        res = run(p1, RegionSpec(-2.0, 1.0))
-        assert all(isinstance(t.termination, StepFailure) for t in res.trajectories)
-        self._assert_failed(traced, "gain reversal at step 1: dK=")
+        monkeypatch.setattr(tracer, "correct", no_cap)
+        run(p1, RegionSpec(-2.0, 1.0))
+        for t, _ in self._assert_failed(traced, "step underflow: step length "):
+            assert t.points[-1].Kval < 0.0
+
+    def test_step_passes_a_real_root(self, p2, monkeypatch, traced):
+        # every real-axis step lands 3 to the right of its prediction, past
+        # a real pole of the plant, and is redone
+        correct = tracer.correct
+
+        def jumping(plant, s, Kval, tol, max_iter, real):
+            out = correct(plant, s, Kval, tol, max_iter, real)
+            if not real or max_iter != MAX_ITER:  # off the axis, or a seed polish
+                return out
+            return CorrectorOutcome(LocusPoint(s.real + 3.0, 0.0, Kval), 1, 0.0, True, out.dlog)
+
+        monkeypatch.setattr(tracer, "correct", jumping)
+        run(p2, RegionSpec(-3.5, 5.0))
+        self._assert_failed(traced, "step passed a real plant root at step ", at_least=3)
 
 
 def test_region_exit_pinned_to_the_line(p1, monkeypatch):
-    # the exit solve freezes sigma with a (1, 0, 0) plane, whose elimination
-    # can move sigma by an ulp; the recorded exit is put back on the line
-    correct = tracer._correct
+    # the exit solve moves omega alone along Re(s) = sigma0, so every exit
+    # it returns, and every recorded exit, lies exactly on the line
+    exits = []
+    correct_on_line = tracer.correct_on_line
 
-    def drifting(plant, start, normal, tol, max_iter):
-        out = correct(plant, start, normal, tol, max_iter)
-        if normal != (1.0, 0.0, 0.0):
-            return out
-        p = out.point
-        return dataclasses.replace(out, point=LocusPoint(math.nextafter(p.sigma, 0.0),
-                                                         p.omega, p.Kval))
+    def recorded(*args):
+        exits.append(correct_on_line(*args))
+        return exits[-1]
 
-    monkeypatch.setattr(tracer, "_correct", drifting)
+    monkeypatch.setattr(tracer, "correct_on_line", recorded)
     res = run(p1, RegionSpec(-0.5, 1.0))
+    assert exits and all(out.point.sigma == -0.5 for out in exits)
     ends = [t.points[-1] for t in res.trajectories if isinstance(t.termination, LeftRegion)]
     assert ends and all(p.sigma == -0.5 for p in ends)
 
@@ -658,6 +675,106 @@ def assert_ends_on_locus(result, sigma0, tol=1e-6):
 
 class TestCorpusRegressions:
     """Random corpus draws that once broke the tracer."""
+
+    @staticmethod
+    def _arrivals_match(res):
+        # every active branch point is reached by exactly its multiplicity
+        arrivals = Counter(t.termination.index for t in res.trajectories
+                           if isinstance(t.termination, ReachedBranch))
+        for bi, bp in enumerate(res.branch_points):
+            if bp.active:
+                assert arrivals[bi] == bp.multiplicity, (bp, arrivals[bi])
+
+    @staticmethod
+    def _distinct_cap_ends(res):
+        ends = [t.points[-1].s for t in res.trajectories if isinstance(t.termination, GainCap)]
+        for i, a in enumerate(ends):
+            assert all(abs(a - b) > 1e-6 for b in ends[i + 1:]), a
+
+    def test_branch_point_not_over_captured(self):
+        # corpus seed 101 job 22: all seven pole trajectories, the pole at
+        # -0.673 among them 0.85 away, were captured by the double branch
+        # point -1.527 (K -6.083) inside its radius 0.5(1 + |s*|), with no
+        # warning; six roots live at K -0.023, where two trajectories were
+        plant = parse_input(json.dumps({
+            "alpha": 1.078556, "delay": 0.398065,
+            "zeros": [[1.251255, 2.108382], [1.251255, -2.108382]],
+            "poles": [[-1.842559, 0.0], [-2.726549, 0.376469], [-2.726549, -0.376469],
+                      [-2.477959, 0.0], [-0.673334, 0.0], [-1.158574, 0.0], [-1.158574, 0.0]],
+        }).encode())
+        res = run(plant, RegionSpec(-2.886095, 19.625275))
+        assert any(bp.active and abs(bp.s - -1.527) < 1e-3 for bp in res.branch_points)
+        self._arrivals_match(res)
+        assert res.warnings == ()
+        assert_ends_on_locus(res, -2.886095)
+
+    def test_branch_point_not_captured_across_a_pole(self):
+        # corpus seed 101 job 429, negative gains: the right-going ray of the
+        # double pole -0.102619 was recorded as arriving at -0.33596, 0.31
+        # away on the other side of its own pole; that branch point got three
+        # arrivals, with no warning
+        plant = parse_input(json.dumps({
+            "alpha": 2.154809, "delay": 1.922042, "zeros": [],
+            "poles": [[-0.970863, 0.0], [-0.586357, 0.0], [-0.102619, 0.0], [-0.102619, 0.0],
+                      [-1.261645, 0.0]],
+        }).encode())
+        res = run(plant, RegionSpec(-0.447188, 0.664038), TraceOptions(negative_gains=True))
+        neg = res.negative
+        assert any(bp.active and abs(bp.s - -0.33596) < 1e-4 for bp in neg.branch_points)
+        self._arrivals_match(neg)
+        assert neg.warnings == ()
+        assert_ends_on_locus(neg, -0.447188)
+
+    def test_region_exit_inside_the_step_gain_window(self):
+        # corpus seed 101 job 122: a step from -0.6212 (K -6.9318) converged
+        # at -3.6414+3.5364j (K -6.8044), on another sheet, and its exit
+        # solve was accepted below the step's gain window: an unmatched exit
+        # at omega -3.7497 and "traced 1 and 2" at the branch point -0.717
+        plant = parse_input(json.dumps({
+            "alpha": 4.511525, "delay": 1.927351, "zeros": [[-2.419353, 0.0]],
+            "poles": [[-0.540948, 0.0], [-0.947872, 0.0]],
+        }).encode())
+        res = run(plant, RegionSpec(-1.461703, 1.630979))
+        assert res.warnings == ()
+        self._arrivals_match(res)
+        assert all(t.termination.matched is not None for t in res.trajectories
+                   if isinstance(t.termination, LeftRegion))
+        assert_ends_on_locus(res, -1.461703)
+
+    @pytest.mark.parametrize("doc, sigma0, kmax, sign", [
+        # corpus seed 101 job 377 (positive gains): poles 1 and 2 both ended
+        # at the cap root 1.185709
+        ({"alpha": 2.098697, "delay": 1.21405,
+          "zeros": [[-0.16239, 2.59566], [-0.16239, -2.59566], [2.581496, 0.0]],
+          "poles": [[-1.50594, 0.0], [-1.027277, 0.0], [-0.569376, 0.0], [-1.747907, 0.0]]},
+         -1.156699, 5.162854, 1),
+        # job 407 (negative gains): poles 4 and 5 at 1.076415
+        ({"alpha": -4.377459, "delay": 1.210658,
+          "zeros": [[-0.816071, 2.503608], [-0.816071, -2.503608], [2.033694, 0.0]],
+          "poles": [[0.344713, 0.679797], [0.344713, -0.679797], [-1.725447, 0.0],
+                    [-2.242591, 0.0], [-0.053281, 0.0], [0.227897, 0.0], [-0.051997, 0.0],
+                    [-0.053281, 0.0]]},
+         -1.18388, 1.0109, -1),
+        # job 492 (positive gains): poles 2 and 3 at -1.437469
+        ({"alpha": 2.486798, "delay": 0.907598,
+          "zeros": [[1.971108, 0.0], [-0.906097, 2.486549], [-0.906097, -2.486549],
+                    [-0.266434, 1.324928], [-0.266434, -1.324928], [-1.078665, 0.0],
+                    [-2.836575, 0.0]],
+          "poles": [[-0.687635, 1.344749], [-0.687635, -1.344749], [-0.059702, 0.0],
+                    [-1.085837, 0.0], [-0.348326, 1.15786], [-0.348326, -1.15786],
+                    [0.078638, 0.0]]},
+         -2.94571, 0.013875, 1),
+    ])
+    def test_real_poles_end_at_distinct_cap_roots(self, doc, sigma0, kmax, sign):
+        # two real-axis pole trajectories ended at one cap root and both were
+        # kept, so that root was listed twice and another was missing
+        res = run(parse_input(json.dumps(doc).encode()), RegionSpec(sigma0, kmax),
+                  TraceOptions(negative_gains=True))
+        res = res if sign > 0 else res.negative
+        self._distinct_cap_ends(res)
+        self._arrivals_match(res)
+        assert res.warnings == ()
+        assert_ends_on_locus(res, sigma0)
 
     def test_corrector_overflow_does_not_abort(self):
         # an unconverged correction reached M > 709, and e^M overflowed

@@ -1,7 +1,7 @@
 """One digest line per job of a benchmark workload, for same-output checks.
 
     python3 tools/output_digest.py corpus|highorder|dense [--seed N] [--jobs N]
-        [--src DIR] [--topology | --work]
+        [--src DIR] [--topology | --work | --ledger]
 
 Each job runs as the benchmark runs it (``cli.parse_input`` ->
 ``tracer.run`` -> ``cli.result_to_json``, plus ``result_to_csv`` and
@@ -13,10 +13,26 @@ the program comes from ``--src`` (default: this checkout's ``src``).
 
 With ``--topology`` a job that returns prints, instead of hashes, one line
 per gain sign: the trajectory count, the count of each termination type,
-the count of mirrored trajectories and the warning count.  Diffing these
-shows that a change which moves points keeps the structure of every locus;
-a real-axis trajectory that drifts off the axis and is mirrored into a
-duplicate shows up in ``mirrored``.
+the count of mirrored trajectories, the count of active branch points with
+more arrivals than their multiplicity (``over``) and the warning count.
+Diffing these shows that a change which moves points keeps the structure of
+every locus; a real-axis trajectory that drifts off the axis and is mirrored
+into a duplicate shows up in ``mirrored``, a branch point that captures
+trajectories it should not in ``over``.
+
+With ``--ledger`` a job that returns prints, instead of hashes, one line per
+gain sign: ``gains``, the number of gain intervals between consecutive event
+gains below the cap, and ``mismatched``, how many of them hold a traced
+count that differs from the crossing ledger.  The event gains are the start
+and end gains of every trajectory and the gains of the boundary crossings.
+The traced count at a gain is the number of trajectories alive there,
+mirrored ones included; a pole trajectory is alive from gain 0, a branch
+departure from its branch point's gain, and a matched region exit ends at
+its outward crossing's gain.  The ledger is the number of plant poles with
+Re p > sigma0, plus the inward crossings below the gain, minus the outward
+ones, a crossing at omega > 0 counted twice (its mirror image crosses too).
+Roots enter and leave the window only across Re s = sigma0, so on a correct
+locus the two counts agree at every gain.
 
 With ``--work`` a job that returns prints, instead of hashes, one line per
 gain sign: the plant kernel evaluations (``plant._log_kernel``), the
@@ -40,6 +56,7 @@ import argparse
 import hashlib
 import importlib
 import itertools
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -54,9 +71,17 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _over_captured(res) -> int:
+    """Active branch points with more arrivals than their multiplicity."""
+    arrivals = Counter(t.termination.index for t in res.trajectories
+                       if type(t.termination).__name__ == "ReachedBranch")
+    return sum(bp.active and arrivals[bi] > bp.multiplicity
+               for bi, bp in enumerate(res.branch_points))
+
+
 def topology(result) -> str:
-    """Trajectory count, termination counts, mirrored count and warning
-    count per gain sign."""
+    """Trajectory count, termination counts, mirrored count, over-captured
+    branch points and warning count per gain sign."""
     parts = []
     for sign, res in (("+", result), ("-", result.negative)):
         if res is None:
@@ -65,8 +90,58 @@ def topology(result) -> str:
         fields = [f"n={len(res.trajectories)}"]
         fields += [f"{name}={n}" for name, n in sorted(ends.items())]
         fields.append(f"mirrored={sum(t.mirrored for t in res.trajectories)}")
+        fields.append(f"over={_over_captured(res)}")
         fields.append(f"warnings={len(res.warnings)}")
         parts.append(f"{sign}[{' '.join(fields)}]")
+    return " ".join(parts)
+
+
+_AXIS_TOL = 1e-9
+
+
+def _alive_span(res, t) -> tuple[float, float]:
+    """(start gain, end gain) of one trajectory for the ledger."""
+    kind, end = type(t.termination).__name__, t.points[-1].Kval
+    if kind == "LeftRegion" and t.termination.matched is not None:
+        end = res.crossings.outward[t.termination.matched].Kval
+    origin = type(t.origin).__name__
+    if origin == "PoleOrigin":
+        return -math.inf, end
+    if origin == "BranchOrigin":
+        return res.branch_points[t.origin.index].Kval, end
+    return t.points[0].Kval, end
+
+
+def ledger_mismatches(res) -> tuple[int, int]:
+    """(gain intervals below the cap, intervals whose traced count differs
+    from the crossing ledger) for one gain sign, by one sweep over the
+    event gains of traced count minus ledger."""
+    lnkmax = res.region.lnkmax
+    change: Counter = Counter()
+    for a, b in (_alive_span(res, t) for t in res.trajectories):
+        if a < b:
+            change[a] += 1
+            change[b] -= 1
+    for c in res.crossings.inward:
+        change[c.Kval] -= 2 if c.omega > _AXIS_TOL else 1
+    for c in res.crossings.outward:
+        change[c.Kval] += 2 if c.omega > _AXIS_TOL else 1
+    diff = change[-math.inf] - sum(p.real > res.region.sigma0 for p in res.plant.poles)
+    events = sorted(K for K in change if -math.inf < K < lnkmax)
+    mismatched = int(diff != 0)
+    for K in events:
+        diff += change[K]
+        mismatched += diff != 0
+    return len(events) + 1, mismatched
+
+
+def ledger(result) -> str:
+    """Gain intervals and ledger mismatches per gain sign."""
+    parts = []
+    for sign, res in (("+", result), ("-", result.negative)):
+        if res is not None:
+            n, bad = ledger_mismatches(res)
+            parts.append(f"{sign}[gains={n} mismatched={bad}]")
     return " ".join(parts)
 
 
@@ -124,7 +199,8 @@ class WorkCount:
         )
 
 
-def digest_line(dtlocus, job, structure: bool = False, work: WorkCount | None = None) -> str:
+def digest_line(dtlocus, job, structure: bool = False, work: WorkCount | None = None,
+                audit: bool = False) -> str:
     cli, svgplot = dtlocus.cli, dtlocus.svgplot
     try:
         plant = cli.parse_input(job.doc)
@@ -137,6 +213,8 @@ def digest_line(dtlocus, job, structure: bool = False, work: WorkCount | None = 
             parts = [work.line("+-" if result.negative is not None else "+")]
         elif structure:
             parts = [topology(result)]
+        elif audit:
+            parts = [ledger(result)]
         else:
             parts = [f"json={_sha(cli.result_to_json(result))}"]
             if "csv" in job.outputs:
@@ -159,6 +237,8 @@ def main(argv=None) -> int:
                       help="print trajectory and termination counts, not output hashes")
     mode.add_argument("--work", action="store_true",
                       help="print kernel evaluations, correct calls and Newton iterations")
+    mode.add_argument("--ledger", action="store_true",
+                      help="print gain intervals and those whose traced count misses the ledger")
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(args.src.resolve()))
@@ -177,7 +257,7 @@ def main(argv=None) -> int:
         work.install()
     try:
         for job in itertools.islice(workloads.jobs(args.workload, args.seed), n):
-            print(digest_line(dtlocus, job, args.topology, work), flush=True)
+            print(digest_line(dtlocus, job, args.topology, work, args.ledger), flush=True)
     finally:
         if work is not None:
             work.uninstall()
