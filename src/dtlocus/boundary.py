@@ -112,6 +112,11 @@ class BoundaryFunctions:
     breakpoint polynomials of K' and phi' and their nonnegative real roots
     (kprime_roots, phiprime_roots, ascending) do not, so flipped_gain()
     serves the negative-gain locus without rebuilding or re-rooting them.
+    kprime_roots are found when the object is built.  phiprime_roots are
+    found on first use, which only a crossing search inside an interval of
+    admissible gain makes, and are then shared with every flipped_gain()
+    copy, so a run roots phi' at most once and a run with no such interval
+    not at all.
     """
 
     plant: Plant
@@ -124,7 +129,13 @@ class BoundaryFunctions:
     kprime_poly: RealPolynomial = field(repr=False)
     phiprime_poly: RealPolynomial = field(repr=False)
     kprime_roots: tuple[float, ...] = field(repr=False)
-    phiprime_roots: tuple[float, ...] = field(repr=False)
+    _phiprime_cell: list = field(default_factory=list, repr=False, compare=False)
+
+    @property
+    def phiprime_roots(self) -> tuple[float, ...]:
+        if not self._phiprime_cell:  # the one-item cell flipped_gain() copies share
+            self._phiprime_cell.append(tuple(_breakpoints(self.phiprime_poly, odd=False)))
+        return self._phiprime_cell[0]
 
     def K(self, omega: float) -> float:
         return self.K_slope(omega)[0]
@@ -232,7 +243,6 @@ def boundary_functions(plant: Plant, region: RegionSpec) -> BoundaryFunctions:
         kprime_poly=kprime_poly,
         phiprime_poly=phiprime_poly,
         kprime_roots=tuple(_breakpoints(kprime_poly, odd=True)),
-        phiprime_roots=tuple(_breakpoints(phiprime_poly, odd=False)),
     )
 
 

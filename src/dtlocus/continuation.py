@@ -4,9 +4,14 @@ Points live in (sigma, omega, K) with K = ln k.  Between branch points each
 closed-loop root is an analytic function s(K), ds/dK = -1/dlog with
 dlog = G'/G - h, so trajectories step in K and every solve on the locus
 holds K fixed: correct is scalar complex Newton, one kernel pass per
-iteration.  correct_on_line is the one solve at frozen sigma, for region
-exits.  step_update is the one step rule; the step stays in [H_MIN, h_max],
-and the tracer ends a trajectory that must halve at H_MIN.
+iteration.  The tracer predicts each step along the cubic Hermite through
+the last two accepted points and their tangents, and along the tangent
+alone on a trajectory's first step, on the cap step, on a step more than
+twice as long as the last accepted one, and where the cubic bends by more
+than half the tangent step (tracer.trace).  correct_on_line is the one
+solve at frozen sigma, for region exits.  step_update is the one step rule;
+the step stays in [H_MIN, h_max], and the tracer ends a trajectory that must
+halve at H_MIN.
 """
 
 from __future__ import annotations

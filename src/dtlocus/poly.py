@@ -4,7 +4,10 @@ Coefficients are stored densely in ascending degree order, so coeffs[d] is the
 coefficient of x**d.  Root finding normalizes by the largest coefficient
 magnitude, takes companion-matrix eigenvalues, polishes the eigenvalues the
 caller may keep with a few Newton steps, and finally clusters nearby values so
-callers see multiple roots with an explicit multiplicity.  A caller that keeps
+callers see multiple roots with an explicit multiplicity.  The polish stops
+after a step that rounding lets it meet: one below 1e-12(1 + |z|), or one no
+longer than its own rounding floor eps sum|a_i||z|^i / |p'(z)| where that
+floor lies within a tenth of the cluster tolerance.  A caller that keeps
 only part of the plane (nonneg_real_roots, branch.branch_roots) screens the
 eigenvalues first, with a margin of SCREEN_REL*(1+|z|): those that cannot
 become a kept root are neither polished nor clustered.
@@ -23,6 +26,9 @@ TOL_ROOT = 1e-8
 TOL_IMAG = 1e-8
 CLUSTER_REL = 1e-6
 _POLISH_STEPS = 10
+_STOP_REL = 1e-12  # a polish step this short ends it
+_FLOOR_REL = 0.1 * CLUSTER_REL  # so does one within its rounding floor, if that is this narrow
+_EPS = 2.0 ** -52
 # Screen margin: far above the worst companion-eigenvalue error seen on the
 # benchmark plants (9e-5) and the eps^(1/4) ~ 1.2e-4 spread of a 4-fold root,
 # so no root a caller keeps and no member of its cluster is screened out.
@@ -107,12 +113,30 @@ def _horner_triple(coeffs, z):
     return v, d1, 2.0 * d2
 
 
+def _magnitude(coeffs, r: float) -> float:
+    """sum |a_i| r^i, which bounds the rounding error of p at |z| = r over eps."""
+    m = 0.0
+    for c in reversed(coeffs):
+        m = m * r + abs(c)
+    return m
+
+
 def _polish(coeffs, z):
     """Newton iteration on p/p', which has a simple zero at every root.
 
     Plain Newton stalls on multiple roots (|p| hits the rounding floor while
     the iterates are still spread ~eps^(1/m) apart, too wide for the cluster
     pass); the ratio variant converges quadratically for any multiplicity.
+
+    Returns the iterate of least |p/p'|.  The iteration ends after
+    _POLISH_STEPS passes, or after a step no longer than _STOP_REL(1 + |z|),
+    or no longer than f = eps sum|a_i||z|^i / |p'(z)|, the rounding floor of
+    a step at a simple root, when f <= _FLOOR_REL(1 + |z|).  A step that
+    short leaves the iterate at the floor, so the point it reaches is
+    evaluated, kept if it is better, and no further pass can improve on it.
+    Near a multiple root p' is small and f wide, so the copies keep
+    iterating until they meet the cluster tolerance; a floor
+    within a tenth of that tolerance leaves copies stopped at it clustered.
     """
     best, best_prox = z, None
     for _ in range(_POLISH_STEPS):
@@ -127,8 +151,12 @@ def _polish(coeffs, z):
         if den == 0:
             break
         step = v * d1 / den
+        size, r = abs(step), abs(z)
         z = z - step
-        if abs(step) <= 1e-16 * (1.0 + abs(z)):
+        floor_max = _FLOOR_REL * (1.0 + r)
+        if size <= _STOP_REL * (1.0 + r) or (  # the sum only for a step under floor_max
+                size <= floor_max
+                and size * abs(d1) <= _EPS * _magnitude(coeffs, r) <= floor_max * abs(d1)):
             v, d1, _ = _horner_triple(coeffs, z)
             if d1 != 0 and (best_prox is None or abs(v / d1) < best_prox):
                 best = z

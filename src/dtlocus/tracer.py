@@ -294,14 +294,30 @@ def _branch_probes(plant: Plant, branches, Kval: float) -> list[tuple[float, int
     return probes
 
 
+def _ds_dK(dlog: complex, real: bool):
+    """ds/dK = -1/dlog, its real part on the axis; 0 where that slope vanishes."""
+    slope = dlog.real if real else dlog
+    return -1.0 / slope if slope else 0.0
+
+
 def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
           options: TraceOptions | None = None) -> Trajectory:
     """Advance one seed to its termination, stepping in the gain.
 
     A step of length h in (sigma, omega, K) raises the gain by
-    gain_step(h, dlog) to K1, at most to ln kmax and to the next branch probe
-    gain, predicts s - (K1 - K)/dlog and corrects by Newton at frozen K1, on
-    the axis for a trajectory that starts on it.  step_update grades each
+    gain_step(h, dlog) to K1, at most to ln kmax and to the next branch
+    probe gain, predicts along the cubic in t = K1 - K through the cursor s
+    and the point s0 one accepted gain step H back, with their slopes
+    ds/dK = -1/dlog, v and v0 (the cubic Hermite interpolant; Allgower and
+    Georg, Introduction to Numerical Continuation Methods, SIAM 2003), and
+    corrects by Newton at frozen K1, on the axis for a trajectory that
+    starts on it.  The prediction is the tangent s + t v plus the cubic's
+    bend t^2 (c2 + c3 t), which is left out on the first step, when t
+    exceeds 2H (after a step cut short at a probe gain the cubic would be
+    extrapolated far beyond its data), when the bend exceeds half of |t v|,
+    and on the step to ln kmax (from a bent prediction Newton can stop at
+    once, inside tol but farther from the cap root than its solve would
+    bring it).  A rejected step keeps s0 and v0.  step_update grades each
     step; these reject it too: a real-axis step past a real plant root, and
     a step left of sigma0 whose exit (correct_on_line from the step
     interpolated to sigma0) fails or lies outside the gain window [K, K1].
@@ -333,6 +349,8 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
     lo = max((x for x in axis if x < s.real), default=-math.inf)
     hi = min((x for x in axis if x > s.real), default=math.inf)
     dlog = _correct(plant, s, K, math.inf, 0, real).dlog  # 0j where the kernel raises
+    v = _ds_dK(dlog, real)  # at the cursor
+    s0, v0, H = s, v, 0.0  # the point and ds/dK one accepted gain step H back
     probes = _branch_probes(plant, branches, K)
     h = _first_step(plant, branches, s, options)
     for _ in range(MAX_STEPS):
@@ -345,13 +363,22 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
                 return finish(ReachedBranch(bi))
 
         K1 = min(K + gain_step(h, dlog), lnkmax, probes[0][0] if probes else math.inf)
-        slope = dlog.real if real else dlog
-        if K1 <= K or not slope:
+        if K1 <= K or not v:
             return finish(StepFailure(f"the gain no longer rises at step {len(points)}"))
-        ds = (K - K1) / slope
+        t = K1 - K
+        ds = t * v
+        if t <= 2.0 * H and K1 < lnkmax:  # bend along the cubic through (s0, v0) and (s, v)
+            u = 1.0 / H
+            q = (s0 - s) * u
+            if real:
+                q = q.real
+            c3 = (v + v0 + q + q) * u * u
+            bend = t * t * ((q + v) * u + c3 * (H + t))
+            if abs(bend) <= 0.5 * abs(ds):
+                ds += bend
         out = _correct(plant, s + ds, K1, tol, MAX_ITER, real)
         h_used = h
-        h, repeat = step_update(h_used, out, options.h_max, abs(ds), tol / abs(slope))
+        h, repeat = step_update(h_used, out, options.h_max, abs(ds), tol * abs(v))
         c = out.point
         reason = None
 
@@ -360,9 +387,9 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
         elif real and (c.sigma > hi or lo > max(c.sigma, sigma0)):
             reason = f"step passed a real plant root at step {len(points)}"
         elif c.sigma < sigma0:
-            t = (sigma0 - s.real) / (c.sigma - s.real)
+            frac = (sigma0 - s.real) / (c.sigma - s.real)
             try:
-                exit_out = correct_on_line(plant, sigma0, s.imag + t * (c.omega - s.imag), tol)
+                exit_out = correct_on_line(plant, sigma0, s.imag + frac * (c.omega - s.imag), tol)
             except (SingularPointError, InputError, ZeroDivisionError):
                 exit_out = CorrectorOutcome(c, MAX_ITER, math.inf, False)
             exit_pt = exit_out.point
@@ -384,7 +411,9 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
         points.append(c)
         if K1 >= lnkmax:
             return finish(GainCap())
+        s0, v0, H = s, v, t
         s, K, dlog = c.s, K1, out.dlog
+        v = _ds_dK(dlog, real)
 
     return finish(StepFailure(f"step budget of {MAX_STEPS} exhausted"))
 
@@ -465,8 +494,9 @@ def run(plant: Plant, region: RegionSpec, options: TraceOptions | None = None) -
     With negative_gains set, a second pass runs with the plant gain sign
     flipped (the locus of negative k values) and lands in result.negative.
     The sign-free set-up is built once and serves both passes: the boundary
-    breakpoint polynomials of K' and phi' with their roots, and the roots of
-    the branch polynomial right of sigma0.  Each pass makes its own boundary
+    breakpoint polynomials of K' and phi' with their roots (those of phi'
+    found on first use, by either pass), and the roots of the branch
+    polynomial right of sigma0.  Each pass makes its own boundary
     phase offset, branch phase test and active flags, seeds and traces.
     """
     options = options or TraceOptions()

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dtlocus import poly
 from dtlocus.errors import InputError
 from dtlocus.poly import PolyRoot, RealPolynomial, complex_roots, nonneg_real_roots
 
@@ -154,3 +155,42 @@ class TestNonnegRealRoots:
         p = RealPolynomial((1e-12, 1.0))  # root at -1e-12
         got = nonneg_real_roots(p)
         assert got == [(0.0, 1)]
+
+
+def _exact_backward_error(coeffs, z):
+    """|p(z)| / sum |a_i||z|^i with p(z) summed exactly in rationals."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    re = im = Fraction(0)
+    for a in reversed(coeffs):
+        re, im = re * x - im * y + Fraction(a), re * y + im * x
+    return float(re * re + im * im) ** 0.5 / sum(abs(a) * abs(z) ** i for i, a in enumerate(coeffs))
+
+
+def test_polish_stops_at_the_rounding_floor(monkeypatch):
+    # twelve conjugate pairs, at least 0.6 apart, with moduli 0.5 to 4.2:
+    # in coefficient form the rounding floor of each root lies near 1e-9
+    # relative, so a polish that waits for a step of 1e-16 or 1e-12 runs all
+    # its passes, while the first step at the floor ends it
+    rng = np.random.RandomState(0)
+    ups = []
+    while len(ups) < 12:
+        r = complex(rng.uniform(-3.0, 0.0), rng.uniform(0.2, 3.0))
+        if abs(r) > 0.5 and all(abs(r - q) > 0.6 for q in ups):
+            ups.append(r)
+    p = RealPolynomial((1.0,))
+    for r in ups:
+        p = p * RealPolynomial((abs(r) ** 2, -2.0 * r.real, 1.0))
+    passes = []
+    horner = poly._horner_triple
+
+    def counted(*args):
+        passes.append(None)
+        return horner(*args)
+
+    monkeypatch.setattr(poly, "_horner_triple", counted)
+    roots = complex_roots(p)
+    assert [r.multiplicity for r in roots] == [1] * 24
+    assert len(passes) <= 3 * 24
+    for r in roots:
+        assert min(abs(r.value - q) for q in ups + [q.conjugate() for q in ups]) <= 1e-7
+        assert _exact_backward_error(p.coeffs, r.value) <= 2.0 ** -51

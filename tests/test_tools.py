@@ -48,23 +48,42 @@ def test_output_digest_lines(capsys, monkeypatch):
 
 
 def test_output_digest_work_lines(capsys, monkeypatch):
-    # --work counts through wrappers and puts the program's names back after
-    from dtlocus import continuation, plant, tracer
+    # --work counts through wrappers and puts the program's names back after;
+    # every polish pass, the plant's own rooting included, counts with "+"
+    from dtlocus import RegionSpec, TraceOptions, cli, continuation, plant, poly, run, tracer
 
     monkeypatch.setattr(sys, "path", list(sys.path))
     digest = _output_digest()
-    before = (plant._log_kernel, continuation._log_kernel, continuation.correct, tracer.correct)
+    before = (plant._log_kernel, continuation._log_kernel, continuation.correct, tracer.correct,
+              poly._horner_triple)
 
     assert digest.main(["corpus", "--jobs", "3", "--work"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
-    work = r"[+-]\[kernel=(\d+) correct=(\d+) newton=(\d+)\]"
+    work = r"([+-])\[kernel=(\d+) correct=(\d+) newton=(\d+) polish=(\d+)\]"
     for i, line in enumerate(lines):
         assert re.fullmatch(rf"corpus\[{i}\] {work}( {work})?", line), line
     counts = [int(n) for line in lines for n in re.findall(r"=(\d+)", line)]
     assert sum(counts) > 0
+    polish = [(sign, int(n)) for line in lines for sign, *_, n in re.findall(work, line)]
+    assert all(n == 0 for sign, n in polish if sign == "-")
+    assert all(n > 0 for sign, n in polish if sign == "+")
     assert (plant._log_kernel, continuation._log_kernel, continuation.correct,
-            tracer.correct) == before
+            tracer.correct, poly._horner_triple) == before
+
+    # the count starts before the input is parsed: a coefficient-form
+    # plant's own rooting counts with the rest of its job
+    assert digest.main(["highorder", "--jobs", "1", "--work"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    job = next(sys.modules["workloads"].jobs("highorder", 101))
+    calls = []
+    horner = poly._horner_triple
+    monkeypatch.setattr(poly, "_horner_triple", lambda *args: calls.append(None) or horner(*args))
+    parsed = cli.parse_input(job.doc)
+    at_parse = len(calls)
+    run(parsed, RegionSpec(job.sigma0, job.kmax), TraceOptions(negative_gains=job.negative_gains))
+    assert 0 < at_parse < len(calls)
+    assert int(re.findall(work, line)[0][-1]) == len(calls)
 
 
 def test_output_digest_ledger_lines(capsys, monkeypatch):

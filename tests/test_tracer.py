@@ -8,14 +8,20 @@ sit on W branches, evaluated through scipy as an independent oracle.
 import dataclasses
 import json
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
 from scipy.special import lambertw
 
 from dtlocus import boundary, branch, tracer
-from dtlocus.boundary import RegionSpec, _breakpoints, _omega_cap, boundary_functions
+from dtlocus.boundary import (
+    RegionSpec,
+    _breakpoints,
+    _omega_cap,
+    boundary_functions,
+    magnitude_intervals,
+)
 from dtlocus.cli import parse_input
 from dtlocus.continuation import H_MAX, H_MIN, MAX_ITER, CorrectorOutcome, LocusPoint, residuals
 from dtlocus.errors import BranchOnBoundary, DtLocusError, InputError
@@ -320,7 +326,9 @@ class TestSharedSetUp:
     """The sign-free set-up of a two-sign run is built once and serves the
     negative pass exactly as a run of the flipped plant builds its own."""
 
-    def test_roots_found_once_for_both_signs(self, p2, monkeypatch):
+    @staticmethod
+    def _rootings(plant, region, monkeypatch):
+        """The run of both signs and its complex_roots and nonneg_real_roots calls."""
         calls = Counter()
 
         def counted(name, fn):
@@ -332,9 +340,22 @@ class TestSharedSetUp:
         monkeypatch.setattr(branch, "complex_roots", counted("complex_roots", branch.complex_roots))
         monkeypatch.setattr(boundary, "nonneg_real_roots",
                             counted("nonneg_real_roots", boundary.nonneg_real_roots))
-        res = run(p2, RegionSpec(-3.5, 5.0), TraceOptions(negative_gains=True))
+        return run(plant, region, TraceOptions(negative_gains=True)), calls
+
+    def test_roots_found_once_for_both_signs(self, p2, monkeypatch):
+        res, calls = self._rootings(p2, RegionSpec(-3.5, 5.0), monkeypatch)
         assert res.negative is not None and res.branch_points
+        assert res.crossings.inward and res.negative.crossings.inward
         assert calls == {"complex_roots": 1, "nonneg_real_roots": 2}
+
+    def test_phiprime_not_rooted_without_a_gain_interval(self, p2, monkeypatch):
+        # at kmax 1e-3 the boundary gain of p2 lies above the cap at every
+        # omega, so no crossing search reads the roots of phi': only K' is rooted
+        region = RegionSpec(-3.5, 1e-3)
+        assert magnitude_intervals(boundary_functions(p2, region), region) == []
+        res, calls = self._rootings(p2, region, monkeypatch)
+        assert res.negative is not None and res.trajectories and res.negative.trajectories
+        assert calls == {"complex_roots": 1, "nonneg_real_roots": 1}
 
     def test_negative_pass_equals_flipped_run(self):
         compared, active = 0, Counter()
@@ -1011,3 +1032,157 @@ class TestCorpusRegressions:
                    if isinstance(t.origin, BranchOrigin) and t.origin.angle == math.pi]
         assert all(p.sigma >= -2.640953 for p in left.points)
         assert left.termination == LeftRegion(0)
+
+
+Step = namedtuple("Step", "kind got rule slack plain bend long oversized after_probe")
+
+
+def _replayed_steps(plant, region, monkeypatch):
+    """Every step of every trajectory of one gain sign, replayed against the
+    predictor rule: one Step per prediction, with the prediction the tracer
+    made (got), the rule's (rule, to within rounding: slack), the plain
+    tangent's, the cubic's bend, whether the step is more than twice the
+    last accepted one (long) or the bend more than half the tangent step
+    (oversized), and whether the last accepted step stopped at a branch
+    probe gain (after_probe).
+
+    The cursor's ds/dK is v = -1/dlog (its real part on the axis).  After an
+    accepted step of gain H from (s0, v0) to (s1, v1), the Hermite cubic
+    through both points and tangents predicts s1 + t v1 + t^2 (c2 + c3 t) at
+    K1 + t.  Its bend applies only to a step that is not the first
+    (``first``), not the cap step (``cap``), at most twice the last
+    accepted one (``long``) and at most half the tangent step in size
+    (``oversized``); every other step bends (``bent``).
+    """
+    branches = branch.branch_points(plant, region)
+    seeds = seed_points(plant, region, branches=branches)
+    calls = []
+    correct = tracer._correct
+
+    def recorded(*args):
+        out = correct(*args)
+        calls.append((args[1], args[2], out))
+        return out
+
+    monkeypatch.setattr(tracer, "_correct", recorded)
+    steps = []
+    for seed in seeds:
+        calls.clear()
+        traj = tracer.trace(plant, region, seed, branches)
+        if not calls:
+            continue  # a seed at the cap takes no step
+        real = seed.start.omega == 0.0
+        probe_gains = {K for K, _, _ in tracer._branch_probes(plant, branches, seed.start.Kval)}
+        (_, _, start), *tries = calls
+        accepted = iter(traj.points[1:])
+        following = next(accepted, None)
+        s, K = seed.start.s, seed.start.Kval
+        slope = start.dlog.real if real else start.dlog
+        v, H, c2, c3, after_probe = -1.0 / slope, 0.0, 0.0, 0.0, False
+        for s_in, K1, out in tries:
+            t = K1 - K
+            plain = s + t * v
+            bend = t * t * (c2 + c3 * t)
+            long, oversized = t > 2.0 * H, abs(bend) > 0.5 * abs(t * v)
+            if H == 0.0:
+                kind = "first"
+            elif K1 >= region.lnkmax:
+                kind = "cap"
+            else:
+                kind = "long" if long else "oversized" if oversized else "bent"
+            rule = s + (t * v + bend) if kind == "bent" else plain
+            slack = 1e-12 * (abs(s) + abs(t * v)) if kind == "bent" else 0.0
+            steps.append(Step(kind, s_in, rule, slack, plain, bend, long, oversized, after_probe))
+            if out.point != following:
+                continue  # rejected: the cursor and its cubic stay
+            following = next(accepted, None)
+            slope = out.dlog.real if real else out.dlog
+            v1 = -1.0 / slope
+            q = (s - out.point.s) / t
+            q = q.real if real else q
+            c3 = (v1 + v + 2.0 * q) / (t * t)
+            c2 = (q + v1) / t + c3 * t
+            s, K, H, v, after_probe = out.point.s, K1, t, v1, K1 in probe_gains
+    return steps
+
+
+class TestHermitePredictor:
+    """Each step is predicted along the cubic Hermite through the last two
+    accepted points and their tangents, with three guards: no bend after a
+    step more than twice as long as the last, none larger than half the
+    tangent step, and none on the cap step."""
+
+    @pytest.fixture(scope="class")
+    def steps(self):
+        rng = np.random.RandomState(31)
+        steps = []
+        with pytest.MonkeyPatch.context() as mp:
+            for _ in range(12):
+                plant = random_plant(rng, Plant)
+                region = RegionSpec(*clean_region(plant, rng))
+                for signed in (plant, plant.flipped_gain()):
+                    try:
+                        steps += _replayed_steps(signed, region, mp)
+                    except DtLocusError:
+                        continue
+        return steps
+
+    def test_every_prediction_follows_the_rule(self, steps):
+        kinds = Counter(step.kind for step in steps)
+        assert set(kinds) == {"first", "cap", "long", "oversized", "bent"}, kinds
+        assert kinds["bent"] > kinds["long"] + kinds["oversized"]
+        for step in steps:
+            assert abs(step.got - step.rule) <= step.slack, step
+        bent = [step for step in steps if step.kind == "bent"]
+        assert sum(abs(step.bend) > 1e3 * step.slack for step in bent) > 0.9 * len(bent)
+
+    def test_long_step_after_probe_limited_one_uses_the_tangent(self, steps):
+        # a step cut short at a branch probe gain leaves a tiny last step H;
+        # the cubic extrapolated far past it is not used
+        cut = [step for step in steps if step.kind == "long" and step.after_probe]
+        assert cut
+        for step in cut:
+            assert step.got == step.plain != step.plain + step.bend
+
+    def test_oversized_bend_is_dropped(self, steps):
+        dropped = [step for step in steps if step.kind == "oversized"]
+        assert dropped
+        for step in dropped:
+            assert step.got == step.plain != step.plain + step.bend
+
+    def test_cap_step_does_not_bend(self, p1, monkeypatch):
+        # on the integrator's negative-gain axis the cap step would bend by a
+        # nonzero amount within the other two guards; it predicts along the
+        # tangent instead, and its Newton solve ends on Lambert W0
+        steps = _replayed_steps(p1.flipped_gain(), RegionSpec(-2.0, 1.0), monkeypatch)
+        caps = [step for step in steps if step.kind == "cap"]
+        assert caps
+        for step in caps:
+            assert step.got == step.plain
+        assert any(not (step.long or step.oversized) and step.plain + step.bend != step.plain
+                   for step in caps)
+
+    def test_newton_iterations_per_accepted_step(self, monkeypatch):
+        # the Hermite predictor lands closer to the locus than the tangent did:
+        # over these draws the tangent predictor took 1.08 Newton iterations per
+        # accepted step, the Hermite one takes 0.76
+        counts = Counter()
+        step_update = tracer.step_update
+
+        def counted(h, out, *args):
+            new_h, repeat = step_update(h, out, *args)
+            counts["newton"] += out.iterations
+            counts["accepted"] += not repeat
+            return new_h, repeat
+
+        monkeypatch.setattr(tracer, "step_update", counted)
+        rng = np.random.RandomState(47)
+        for _ in range(40):
+            plant = random_plant(rng, Plant)
+            region = RegionSpec(*clean_region(plant, rng))
+            try:
+                run(plant, region, TraceOptions(negative_gains=True))
+            except DtLocusError:
+                continue
+        assert counts["accepted"] > 2000
+        assert counts["newton"] <= 0.9 * counts["accepted"], counts

@@ -36,11 +36,15 @@ locus the two counts agree at every gain.
 
 With ``--work`` a job that returns prints, instead of hashes, one line per
 gain sign: the plant kernel evaluations (``plant._log_kernel``), the
-``continuation.correct`` calls and their Newton iterations.  They are
-counted by wrapping those names in every dtlocus module that holds them,
-where the program looks them up, as ``locusbench/tracing.py`` does; the
-sign-free set-up both passes share counts with the positive one.  Diffing
-these shows that a change which should only save time does the same work.
+``continuation.correct`` calls, their Newton iterations and the Horner
+passes of the root polish (``poly._horner_triple``).  They are counted by
+wrapping those names in every dtlocus module that holds them, where the
+program looks them up, as ``locusbench/tracing.py`` does; the sign-free
+set-up both passes share counts with the positive one, and so does every
+polish pass, which has no plant to tell the sign by.  The count starts
+before the job's input is parsed, so it holds the rooting of a plant given
+by coefficients.  Diffing these shows
+that a change which should only save time does the same work.
 
 Digest two commits and diff the files to show a change keeps every output
 byte (or, with ``--topology``, every structure) and every failure the same:
@@ -146,12 +150,14 @@ def ledger(result) -> str:
 
 
 class WorkCount:
-    """Kernel evaluations, correct calls and Newton iterations per gain sign.
+    """Kernel evaluations, correct calls, Newton iterations and polish
+    passes per gain sign.
 
-    install() wraps ``plant._log_kernel`` and ``continuation.correct`` in
-    every dtlocus module namespace that holds them; uninstall() puts the
-    originals back.  A call counts towards "+" when its plant's gain has the
-    sign of the job's plant (set ``alpha`` before each job), else "-".
+    install() wraps ``plant._log_kernel``, ``continuation.correct`` and
+    ``poly._horner_triple`` in every dtlocus module namespace that holds
+    them; uninstall() puts the originals back.  A call counts towards "+"
+    when its plant's gain has the sign of the job's plant (set ``alpha``
+    before each job), else "-"; a polish pass always counts towards "+".
     """
 
     def __init__(self):
@@ -165,6 +171,7 @@ class WorkCount:
     def install(self) -> None:
         kernel = sys.modules["dtlocus.plant"]._log_kernel
         correct = sys.modules["dtlocus.continuation"].correct
+        horner = sys.modules["dtlocus.poly"]._horner_triple
 
         def counted_kernel(plant, *args):
             self.counts[self._sign(plant), "kernel"] += 1
@@ -177,7 +184,11 @@ class WorkCount:
             self.counts[sign, "newton"] += out.iterations
             return out
 
-        wrappers = {kernel: counted_kernel, correct: counted_correct}
+        def counted_horner(*args):
+            self.counts["+", "polish"] += 1
+            return horner(*args)
+
+        wrappers = {kernel: counted_kernel, correct: counted_correct, horner: counted_horner}
         for name, module in list(sys.modules.items()):
             if module is None or not (name == "dtlocus" or name.startswith("dtlocus.")):
                 continue
@@ -194,7 +205,7 @@ class WorkCount:
     def line(self, signs) -> str:
         return " ".join(
             f"{sign}[kernel={self.counts[sign, 'kernel']} correct={self.counts[sign, 'correct']} "
-            f"newton={self.counts[sign, 'newton']}]"
+            f"newton={self.counts[sign, 'newton']} polish={self.counts[sign, 'polish']}]"
             for sign in signs
         )
 
@@ -202,12 +213,13 @@ class WorkCount:
 def digest_line(dtlocus, job, structure: bool = False, work: WorkCount | None = None,
                 audit: bool = False) -> str:
     cli, svgplot = dtlocus.cli, dtlocus.svgplot
+    if work is not None:
+        work.counts.clear()  # the plant's own roots are set-up work too
     try:
         plant = cli.parse_input(job.doc)
         region = dtlocus.RegionSpec(job.sigma0, job.kmax)
         if work is not None:
             work.alpha = plant.alpha
-            work.counts.clear()
         result = dtlocus.run(plant, region, dtlocus.TraceOptions(negative_gains=job.negative_gains))
         if work is not None:
             parts = [work.line("+-" if result.negative is not None else "+")]
@@ -236,7 +248,8 @@ def main(argv=None) -> int:
     mode.add_argument("--topology", action="store_true",
                       help="print trajectory and termination counts, not output hashes")
     mode.add_argument("--work", action="store_true",
-                      help="print kernel evaluations, correct calls and Newton iterations")
+                      help="print kernel evaluations, correct calls, Newton iterations "
+                           "and polish passes")
     mode.add_argument("--ledger", action="store_true",
                       help="print gain intervals and those whose traced count misses the ledger")
     args = ap.parse_args(argv)
