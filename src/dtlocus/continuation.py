@@ -8,10 +8,9 @@ iteration.  The tracer predicts each step along the cubic Hermite through
 the last two accepted points and their tangents, and along the tangent
 alone on a trajectory's first step, on the cap step, on a step more than
 twice as long as the last accepted one, and where the cubic bends by more
-than half the tangent step (tracer.trace).  correct_on_line is the one
-solve at frozen sigma, for region exits.  step_update is the one step rule;
-the step stays in [H_MIN, h_max], and the tracer ends a trajectory that must
-halve at H_MIN.
+than half the tangent step (tracer.trace).  step_update is the one step
+rule; the step stays in [H_MIN, h_max], and the tracer ends a trajectory
+that must halve at H_MIN.
 """
 
 from __future__ import annotations
@@ -141,26 +140,6 @@ def correct(plant: Plant, s: complex, Kval: float, tol: float = TOL_CORR,
     kappa = norm1 / norm0 if steps >= 2 and norm0 > 0.0 else 0.0
     return CorrectorOutcome(LocusPoint(sig, w, Kval), steps, kappa, converged,
                             complex(msig, -mom), norm0)
-
-
-def correct_on_line(plant: Plant, sigma: float, omega: float, tol: float = TOL_CORR,
-                    max_iter: int = MAX_ITER) -> CorrectorOutcome:
-    """Newton on the phase along Re(s) = sigma from omega, then K = -ln|G e^(-hs)|.
-
-    Along the line dP/domega = Re(dlog), so each step is omega <- omega -
-    P/Re(dlog); sigma never moves.  Converged when |P| <= tol; the gain then
-    makes M vanish.
-    """
-    steps = 0
-    while True:
-        lnmag, phase, msig, mom = _log_kernel(plant, sigma, omega)
-        P = wrap_angle(phase - math.pi)
-        if abs(P) <= tol or steps >= max_iter:
-            break
-        omega -= P / msig  # a non-finite omega fails LocusPoint below
-        steps += 1
-    return CorrectorOutcome(LocusPoint(sigma, omega, -lnmag), steps, 0.0, abs(P) <= tol,
-                            complex(msig, -mom))
 
 
 def step_update(h: float, out: CorrectorOutcome, h_max: float = H_MAX,

@@ -4,14 +4,16 @@ Seeds trajectories at open-loop poles (gain 0+), inward boundary crossings
 and the closed-form departure fan of every active branch point, all before
 tracing starts, so no seed depends on another.  Each seed is advanced by
 predictor-corrector continuation until it hits a branching point, the gain
-cap, the region boundary, or a step failure.  Region exits are then matched
-to outward crossings, and the upper half-plane picture is mirrored onto the
+cap, the region boundary, or a step failure.  A region exit ends at one of
+the outward crossings found before tracing; each of them should end exactly
+one trajectory.  The upper half-plane picture is then mirrored onto the
 lower one (real-coefficient symmetry).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .boundary import (
@@ -31,7 +33,6 @@ from .continuation import (
     CorrectorOutcome,
     LocusPoint,
     correct,
-    correct_on_line,
     departure_angles,
     gain_step,
     pole_group,
@@ -42,8 +43,6 @@ from .plant import Plant, log_eval, wrap_angle
 
 _AXIS_TOL = 1e-9
 _SPAWN_ANGLE_TOL = 1e-6
-_MATCH_OMEGA = 1e-4
-_MATCH_K = 1e-3
 _DEDUP_TOL = 1e-8
 _DEDUP_CELL = 2e-8  # strictly above _DEDUP_TOL: close endpoints bin at most one cell apart
 _NEAR_CELLS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
@@ -75,7 +74,7 @@ class GainCap:
 
 @dataclass(frozen=True)
 class LeftRegion:
-    matched: int | None
+    matched: int
 
 
 @dataclass(frozen=True)
@@ -255,23 +254,6 @@ def _first_step(plant: Plant, branches, start: complex, options: TraceOptions) -
     return min(max(options.h0, _FIRST_STEP_REL * rho, H_MIN), options.h_max)
 
 
-def _match_outward(point: LocusPoint, w_out, claimed: set[int]) -> int | None:
-    """Nearest unclaimed outward crossing within tolerance, else None."""
-    best, best_score = None, math.inf
-    for wi, c in enumerate(w_out):
-        if wi in claimed:
-            continue
-        dw = abs(abs(point.omega) - c.omega)
-        dK = abs(point.Kval - c.Kval)
-        if dw <= _MATCH_OMEGA and dK <= _MATCH_K:
-            score = dw + dK
-            if score < best_score:
-                best, best_score = wi, score
-    if best is not None:
-        claimed.add(best)
-    return best
-
-
 def _branch_probes(plant: Plant, branches, Kval: float) -> list[tuple[float, int, float]]:
     """(probe gain, index, |a|) of each active branch point above gain Kval,
     sorted by probe gain.  Near s* of multiplicity N the arriving roots lie
@@ -300,7 +282,7 @@ def _ds_dK(dlog: complex, real: bool):
     return -1.0 / slope if slope else 0.0
 
 
-def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
+def trace(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
           options: TraceOptions | None = None) -> Trajectory:
     """Advance one seed to its termination, stepping in the gain.
 
@@ -319,11 +301,15 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
     once, inside tol but farther from the cap root than its solve would
     bring it).  A rejected step keeps s0 and v0.  step_update grades each
     step; these reject it too: a real-axis step past a real plant root, and
-    a step left of sigma0 whose exit (correct_on_line from the step
-    interpolated to sigma0) fails or lies outside the gain window [K, K1].
-    A rejected step is redone at half the length; at H_MIN, or after
-    MAX_STEPS steps, the trajectory ends in StepFailure.  An exit ends in
-    LeftRegion(None), for the caller to match; a step to ln kmax in GainCap.
+    a step left of sigma0 with no exit among outward, the pass's outward
+    crossings.  The exit is the crossing with gain in the step's window
+    [K - tol, min(K1 + tol, ln kmax)] whose omega is nearest |w|, w the
+    step's chord interpolated to sigma0, if it is no farther from |w| than
+    the chord is long.  The trajectory records it as (sigma0, omega on the
+    side of w, its gain) when that gain is above K, and ends in
+    LeftRegion(its index).  A rejected step is redone at half the length; at
+    H_MIN, or after MAX_STEPS steps, the trajectory ends in StepFailure.  A
+    step to ln kmax ends in GainCap.
     At a branch point's probe gain (_branch_probes) the trajectory arrives,
     ending ReachedBranch at s*, if it lies within 2 rho of s*; otherwise it
     ignores that branch point.  Departures start above their own branch
@@ -387,20 +373,18 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches,
         elif real and (c.sigma > hi or lo > max(c.sigma, sigma0)):
             reason = f"step passed a real plant root at step {len(points)}"
         elif c.sigma < sigma0:
-            frac = (sigma0 - s.real) / (c.sigma - s.real)
-            try:
-                exit_out = correct_on_line(plant, sigma0, s.imag + frac * (c.omega - s.imag), tol)
-            except (SingularPointError, InputError, ZeroDivisionError):
-                exit_out = CorrectorOutcome(c, MAX_ITER, math.inf, False)
-            exit_pt = exit_out.point
-            if not exit_out.converged:
-                reason = f"region exit refinement did not converge at step {len(points)}"
-            elif not K - tol <= exit_pt.Kval <= min(K1 + tol, lnkmax):
-                reason = f"region exit outside the step's gain window at step {len(points)}"
+            w = s.imag + (sigma0 - s.real) / (c.sigma - s.real) * (c.omega - s.imag)
+            top = min(K1 + tol, lnkmax)
+            dw, ci = min(((abs(x.omega - abs(w)), i) for i, x in enumerate(outward)
+                          if K - tol <= x.Kval <= top), default=(math.inf, -1))
+            if dw > abs(c.s - s):
+                reason = ("region exit with no outward crossing in the step's gain window "
+                          f"at step {len(points)}")
             else:
-                if exit_pt.Kval > K:
-                    points.append(exit_pt)
-                return finish(LeftRegion(None))
+                x = outward[ci]
+                if x.Kval > K:
+                    points.append(LocusPoint(sigma0, math.copysign(x.omega, w), x.Kval))
+                return finish(LeftRegion(ci))
 
         if reason is not None:
             if h_used <= H_MIN * (1.0 + 1e-12):  # no halving is left
@@ -522,24 +506,23 @@ def _run_signed(bf: BoundaryFunctions, region: RegionSpec, options: TraceOptions
     crossings = boundary_crossings(bf, region)
 
     seeds = seed_points(plant, region, bf, crossings, options, branches)
-    trajectories = [trace(plant, region, seed, branches, options) for seed in seeds]
-    claimed: set[int] = set()
-    for i, traj in enumerate(trajectories):
-        if isinstance(traj.termination, LeftRegion):
-            matched = _match_outward(traj.points[-1], crossings.outward, claimed)
-            trajectories[i] = replace(traj, termination=LeftRegion(matched))
+    trajectories = [trace(plant, region, seed, branches, crossings.outward, options)
+                     for seed in seeds]
+    # each outward crossing ends exactly one trajectory (its mirror image the
+    # other); counted before _dedup so that a doubled exit shows
+    exits = Counter(t.termination.matched for t in trajectories
+                    if isinstance(t.termination, LeftRegion))
+    warnings = [
+        f"outward crossing at omega={c.omega:.6g}, k={c.k:.6g} ends "
+        f"{exits[ci]} traced trajectories, not 1"
+        for ci, c in enumerate(crossings.outward) if exits[ci] != 1
+    ]
 
     trajectories = _dedup(trajectories)
 
-    warnings: list[str] = []
     for traj in trajectories:
         p = traj.points[-1]
-        if isinstance(traj.termination, LeftRegion) and traj.termination.matched is None:
-            warnings.append(
-                f"region exit at omega={p.omega:.6g}, k={math.exp(p.Kval):.6g} "
-                "has no matching outward crossing"
-            )
-        elif isinstance(traj.termination, StepFailure):
+        if isinstance(traj.termination, StepFailure):
             warnings.append(
                 f"trajectory stopped at {p.sigma:.6g}{p.omega:+.6g}j, k={math.exp(p.Kval):.6g}: "
                 f"{traj.termination.reason}"

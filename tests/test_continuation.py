@@ -16,7 +16,6 @@ from dtlocus.continuation import (
     LocusPoint,
     _locus_eval,
     correct,
-    correct_on_line,
     departure_angles,
     gain_step,
     residuals,
@@ -201,26 +200,6 @@ class TestPredictCorrect:
     def test_kappa_zero_for_quick_convergence(self, p1):
         out = correct(p1, complex(-1.0, 0.0), -1.0)
         assert out.kappa == 0.0
-
-
-class TestCorrectOnLine:
-    """The region-exit solve: Newton on the phase along Re(s) = sigma."""
-
-    def test_exit_lies_on_the_line_and_locus(self, p2):
-        region = RegionSpec(-3.5, 5.0)
-        cs = boundary_crossings(boundary_functions(p2, region), region)
-        assert cs.outward
-        for c in cs.outward:
-            out = correct_on_line(p2, -3.5, c.omega + 1e-3)
-            assert out.converged and out.point.sigma == -3.5
-            assert out.point.omega == pytest.approx(c.omega, abs=1e-6)
-            assert out.point.Kval == pytest.approx(c.Kval, abs=1e-6)
-            M, P = residuals(p2, out.point)
-            assert abs(M) <= 1e-12 and abs(P) <= 1e-6
-
-    def test_budget_bounds_the_solve(self, p1):
-        out = correct_on_line(p1, -2.0, 0.7, tol=1e-300, max_iter=3)
-        assert out.iterations == 3 and not out.converged
 
 
 class TestStepController:

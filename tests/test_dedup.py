@@ -103,7 +103,7 @@ def test_dropped_i_keeps_dropping_later_candidates():
 def test_mixed_termination_types_kept():
     end = (-0.5, 1.25, 0.75)
     ts = [traj(end, 3, GainCap(), tag=0),
-          traj(end, 3, LeftRegion(None), tag=1),
+          traj(end, 3, LeftRegion(0), tag=1),
           traj(end, 3, LeftRegion(2), tag=2),
           traj(end, 3, StepFailure("x"), tag=3)]
     # the two LeftRegion ends are one type, whatever they matched
@@ -124,7 +124,7 @@ def test_reached_branch_never_dropped():
 
 def test_random_clusters():
     rng = np.random.RandomState(11)
-    terms = [GainCap(), LeftRegion(None), StepFailure("x"), ReachedBranch(0)]
+    terms = [GainCap(), LeftRegion(0), StepFailure("x"), ReachedBranch(0)]
     centers = rng.uniform(-3.0, 3.0, size=(6, 3))
     for _ in range(20):
         ts = []

@@ -443,7 +443,7 @@ class TestSeedsAndStability:
             return correct(*args)
 
         monkeypatch.setattr(tracer, "correct", counted)
-        traj = tracer.trace(p1, region, seed, ())
+        traj = tracer.trace(p1, region, seed, (), ())
         assert traj.points == (seed.start,)
         assert traj.termination == GainCap()
         assert traj.start_marker == 0j
@@ -543,8 +543,8 @@ def test_branch_overshoot_is_redone(doc, sigma0, kmax, sign):
     res = run(parse_input(json.dumps(doc).encode()), RegionSpec(sigma0, kmax),
               TraceOptions(negative_gains=True))
     res = res if sign > 0 else res.negative
-    # no step failure, no unmatched region exit, no branch point short of
-    # its arrivals
+    # no step failure, no outward crossing without its one exit, no branch
+    # point short of its arrivals
     assert res.warnings == ()
 
 
@@ -596,27 +596,32 @@ class TestRejectAtFloor:
             assert steps[-1] == H_MIN and steps[-2] <= 2.0 * H_MIN
         return failed
 
-    def test_region_exit_not_refined(self, p1, monkeypatch, traced):
-        # the pole trajectory leaves the region right of the branch point
-        def no_exit(plant, sigma, omega, tol):
-            return CorrectorOutcome(LocusPoint(sigma, omega, 0.0), 20, 0.0, False)
+    def _outward_replaced(self, monkeypatch, crossings):
+        """Trace every seed against crossings(outward) in place of outward."""
+        trace = tracer.trace
 
-        monkeypatch.setattr(tracer, "correct_on_line", no_exit)
-        run(p1, RegionSpec(-0.5, 1.0))
-        self._assert_failed(traced, "region exit refinement did not converge at step ")
+        def replaced(plant, region, seed, branches, outward, options=None):
+            return trace(plant, region, seed, branches, crossings(outward), options)
+
+        monkeypatch.setattr(tracer, "trace", replaced)
+
+    def test_region_exit_with_no_crossing(self, p1, monkeypatch, traced):
+        # the pole trajectory leaves the region right of the branch point,
+        # with no outward crossing to end at
+        self._outward_replaced(monkeypatch, lambda outward: ())
+        res = run(p1, RegionSpec(-0.5, 1.0))
+        self._assert_failed(
+            traced, "region exit with no outward crossing in the step's gain window at step ")
+        assert len(res.crossings.outward) == 1
+        assert any("ends 0 traced trajectories" in w for w in res.warnings)
 
     def test_region_exit_outside_the_gain_window(self, p1, monkeypatch, traced):
-        # an exit solved one unit of K below the step's gain window
-        correct_on_line = tracer.correct_on_line
-
-        def low_exit(*args):
-            out = correct_on_line(*args)
-            p = out.point
-            return dataclasses.replace(out, point=LocusPoint(p.sigma, p.omega, p.Kval - 1.0))
-
-        monkeypatch.setattr(tracer, "correct_on_line", low_exit)
+        # the exit's crossing moved one unit of K below the step's gain window
+        self._outward_replaced(monkeypatch, lambda outward: tuple(
+            dataclasses.replace(c, Kval=c.Kval - 1.0) for c in outward))
         run(p1, RegionSpec(-0.5, 1.0))
-        self._assert_failed(traced, "region exit outside the step's gain window at step ")
+        self._assert_failed(
+            traced, "region exit with no outward crossing in the step's gain window at step ")
 
     def test_gain_cap_off_locus(self, p1, monkeypatch, traced):
         # every frozen-gain solve at the cap (ln kmax = 0) fails: each failed
@@ -650,39 +655,98 @@ class TestRejectAtFloor:
         self._assert_failed(traced, "step passed a real plant root at step ", at_least=3)
 
 
-def test_region_exit_pinned_to_the_line(p1, monkeypatch):
-    # the exit solve moves omega alone along Re(s) = sigma0, so every exit
-    # it returns, and every recorded exit, lies exactly on the line
-    exits = []
-    correct_on_line = tracer.correct_on_line
+def _exit_crossing(res, t):
+    """The outward crossing a region exit names, as a point on its side."""
+    c = res.crossings.outward[t.termination.matched]
+    return LocusPoint(res.region.sigma0, math.copysign(c.omega, t.points[-1].omega), c.Kval)
 
-    def recorded(*args):
-        exits.append(correct_on_line(*args))
-        return exits[-1]
 
-    monkeypatch.setattr(tracer, "correct_on_line", recorded)
-    res = run(p1, RegionSpec(-0.5, 1.0))
-    assert exits and all(out.point.sigma == -0.5 for out in exits)
-    ends = [t.points[-1] for t in res.trajectories if isinstance(t.termination, LeftRegion)]
-    assert ends and all(p.sigma == -0.5 for p in ends)
+@pytest.mark.parametrize("plant, region", [
+    (Plant(1.0, 1.0, (), (0j,)), RegionSpec(-0.5, 1.0)),
+    (Plant(1.0, 1.0, (5 + 5j, 5 - 5j), (-0.5 + 0j, -1 + 0j, -2.5 + 0j)), RegionSpec(-3.5, 5.0)),
+    (parse_input(b'{"num": [50, -10, 1], "den": [1.25, 4.25, 4, 1], "delay": 1}'),
+     RegionSpec(-3.5, 50.0)),
+], ids=["integrator", "p2", "demo"])
+def test_region_exits_are_their_crossings(plant, region):
+    # a recorded exit is its outward crossing, to the bit; an exit whose
+    # crossing lies at or below the last accepted gain records no point
+    res = run(plant, region)
+    exits = [t for t in res.trajectories if isinstance(t.termination, LeftRegion)]
+    assert exits and res.warnings == ()
+    recorded = 0
+    for t in exits:
+        end, at = t.points[-1], _exit_crossing(res, t)
+        if end.sigma == region.sigma0:
+            assert end == at
+            recorded += 1
+        else:
+            assert end.sigma > region.sigma0 and end.Kval >= at.Kval
+    assert recorded
 
 
 def test_region_exits_lie_on_the_boundary_line():
-    # a recorded exit lies exactly on Re(s) = sigma0; an exit whose gain
-    # does not rise is not recorded, and the end stays inside the region
+    # a recorded exit lies exactly on Re(s) = sigma0 at its crossing; an exit
+    # whose gain does not rise is not recorded, and the end stays inside the
+    # region.  Without warnings each outward crossing ends exactly one
+    # unmirrored trajectory.
     rng = np.random.RandomState(23)
-    exits = 0
+    exits = clean = 0
     for _ in range(60):
         plant = random_plant(rng, Plant)
         sigma0, kmax = clean_region(plant, rng)
         res = run(plant, RegionSpec(sigma0, kmax), TraceOptions(negative_gains=True))
         for r in (res, res.negative):
+            ends = Counter()
             for t in r.trajectories:
                 if isinstance(t.termination, LeftRegion):
-                    end = t.points[-1].sigma
-                    assert end == sigma0 or end - sigma0 > 1e-9, (end, sigma0)
-                    exits += end == sigma0
-    assert exits >= 20
+                    end = t.points[-1]
+                    assert end == _exit_crossing(r, t) or end.sigma - sigma0 > 1e-9, (end, sigma0)
+                    exits += end.sigma == sigma0
+                    ends[t.termination.matched] += not t.mirrored
+            if r.warnings == ():
+                assert ends == Counter(range(len(r.crossings.outward)))
+                clean += bool(ends)
+    assert exits >= 20 and clean >= 20
+
+
+class TestOutwardCrossingCount:
+    """Each outward crossing ends exactly one traced trajectory; one that
+    ends another number, counted before _dedup, gets a warning."""
+
+    @staticmethod
+    def _warned(p2, count):
+        res = run(p2, RegionSpec(-3.5, 5.0))
+        (c,) = res.crossings.outward
+        assert res.warnings == (
+            f"outward crossing at omega={c.omega:.6g}, k={c.k:.6g} ends {count} traced "
+            "trajectories, not 1",)
+        return res
+
+    def test_lost_exit_warns_once(self, p2, monkeypatch):
+        # the third pole's exit is dropped: its crossing ends no trajectory
+        trace = tracer.trace
+
+        def lost(*args):
+            t = trace(*args)
+            if isinstance(t.termination, LeftRegion):
+                return dataclasses.replace(t, termination=GainCap())
+            return t
+
+        monkeypatch.setattr(tracer, "trace", lost)
+        self._warned(p2, 0)
+
+    def test_doubled_exit_warns_although_deduplicated(self, p2, monkeypatch):
+        # the third pole, which exits, is seeded twice; _dedup keeps one
+        # copy, the count still reads two
+        seed_points = tracer.seed_points
+
+        def doubled(*args):
+            seeds = seed_points(*args)
+            return seeds + [s for s in seeds if s.start_marker == -2.5 + 0j]
+
+        monkeypatch.setattr(tracer, "seed_points", doubled)
+        res = self._warned(p2, 2)
+        assert sum(isinstance(t.termination, LeftRegion) for t in res.trajectories) == 1
 
 
 def assert_ends_on_locus(result, sigma0, tol=1e-6):
@@ -1055,7 +1119,8 @@ def _replayed_steps(plant, region, monkeypatch):
     (``oversized``); every other step bends (``bent``).
     """
     branches = branch.branch_points(plant, region)
-    seeds = seed_points(plant, region, branches=branches)
+    crossings = boundary.boundary_crossings(boundary_functions(plant, region), region)
+    seeds = seed_points(plant, region, crossings=crossings, branches=branches)
     calls = []
     correct = tracer._correct
 
@@ -1068,7 +1133,7 @@ def _replayed_steps(plant, region, monkeypatch):
     steps = []
     for seed in seeds:
         calls.clear()
-        traj = tracer.trace(plant, region, seed, branches)
+        traj = tracer.trace(plant, region, seed, branches, crossings.outward)
         if not calls:
             continue  # a seed at the cap takes no step
         real = seed.start.omega == 0.0

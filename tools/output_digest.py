@@ -27,10 +27,11 @@ count that differs from the crossing ledger.  The event gains are the start
 and end gains of every trajectory and the gains of the boundary crossings.
 The traced count at a gain is the number of trajectories alive there,
 mirrored ones included; a pole trajectory is alive from gain 0, a branch
-departure from its branch point's gain, and a matched region exit ends at
-its outward crossing's gain.  The ledger is the number of plant poles with
-Re p > sigma0, plus the inward crossings below the gain, minus the outward
-ones, a crossing at omega > 0 counted twice (its mirror image crosses too).
+departure from its branch point's gain, and a region exit ends at the gain
+of the outward crossing it names.  The ledger is the number of plant poles
+with Re p > sigma0, plus the inward crossings below the gain, minus the
+outward ones, a crossing at omega > 0 counted twice (its mirror image
+crosses too).
 Roots enter and leave the window only across Re s = sigma0, so on a correct
 locus the two counts agree at every gain.
 
@@ -106,7 +107,7 @@ _AXIS_TOL = 1e-9
 def _alive_span(res, t) -> tuple[float, float]:
     """(start gain, end gain) of one trajectory for the ledger."""
     kind, end = type(t.termination).__name__, t.points[-1].Kval
-    if kind == "LeftRegion" and t.termination.matched is not None:
+    if kind == "LeftRegion":
         end = res.crossings.outward[t.termination.matched].Kval
     origin = type(t.origin).__name__
     if origin == "PoleOrigin":
