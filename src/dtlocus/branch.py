@@ -2,20 +2,24 @@
 
 A branching point is a multiple root of 1 + k*G(s)e^(-hs), i.e. a point where
 the delayed plant's log-derivative equals zero while the point itself sits on
-the locus.  Candidates are polynomial roots (the delay folds into a
-polynomial after clearing denominators); membership is a phase test.
+the locus.  The candidates, the zeros of the log-derivative, are the
+eigenvalues of a diagonal-plus-rank-one matrix built from the plant's own
+roots; membership is a phase test.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .boundary import RegionSpec
 from .errors import SingularPointError
-from .plant import Plant, branch_numerator, dlog_ratio, log_eval, wrap_angle
-from .poly import PolyRoot, _right_of, complex_roots
+from .plant import Plant, log_eval, wrap_angle
+from .poly import CLUSTER_REL, SCREEN_REL, PolyRoot, _cluster
 
 TOL_PHASE = 1e-6
 _POLISH_ITER = 20
@@ -61,67 +65,62 @@ def branch_departures(plant: Plant, bp: BranchPoint) -> list[float]:
 
 
 def branch_roots(plant: Plant, sigma0: float) -> tuple[PolyRoot, ...]:
-    """Roots of the branch polynomial with Re(s) >= sigma0, the candidates
-    for branch points, each moved onto its zero of dlog (_on_dlog).
+    """The zeros of dlog = G'/G - h with Re(s) >= sigma0, the candidates for
+    branch points, with their multiplicities.
 
-    Only the eigenvalues that may become such a root are polished
-    (complex_roots' screen).  A root _on_dlog cannot move onto a zero is
-    dropped, a moved root within 1e-9(1 + |s|) of the real axis is put on
-    it, and of roots that settle on one point only the first is kept.  The
-    polynomial drops alpha, so the roots serve both gain signs.
+    Over the distinct plant roots r_j, compared as stored, with net weight
+    w_j = (zeros at r_j) - (poles at r_j) != 0, dlog = sum w_j/(s - r_j) - h.
+    Its zeros are the eigenvalues of A = diag(r) + (w/h) 1^T, because
+    det(sI - A) = -(1/h) prod(s - r_j) dlog(s) (Golub, "Some modified matrix
+    eigenvalue problems", 1973).  The eigenvalues right of sigma0 and in the
+    closed upper half-plane, each with a margin of SCREEN_REL(1 + |z|), are
+    grouped within CLUSTER_REL and moved onto their zero by _on_dlog: a
+    group onto one zero of its size's multiplicity, or, when its mean is no
+    zero, each member onto a simple one.  One _on_dlog cannot settle is
+    dropped, a point within 1e-9(1 + |s|) of the real axis is put on it, one
+    that lands below the axis is dropped, and of points that settle on one
+    spot only the first is kept.  The upper points' exact conjugates
+    complete the set.  dlog drops alpha, so the candidates serve both gain
+    signs.
     """
-    b = branch_numerator(plant)
-    if b.degree < 1:
+    weight = Counter(plant.zeros)
+    weight.subtract(plant.poles)
+    table = [(r, w) for r, w in weight.items() if w]
+    if not table:
         return ()
+    r = np.array([r for r, _ in table])
+    w = np.array([w for _, w in table], dtype=float)
+    a = np.diag(r) + np.outer(w / plant.delay, np.ones(len(r)))
+    kept = [z for z in map(complex, np.linalg.eigvals(a))
+            if min(z.real - sigma0, z.imag) >= -SCREEN_REL * (1.0 + abs(z))]
     out: list[PolyRoot] = []
-    for r in complex_roots(b, _keep=_right_of(sigma0)):
-        s = _on_dlog(plant, r)
-        if s is None:
-            continue  # no zero of dlog: an artifact of the expanded coefficients
-        tol = 1e-9 * (1.0 + abs(s))
-        if abs(s.imag) <= tol:
-            s = complex(s.real, 0.0)
-        if s.real >= sigma0 - tol and all(abs(s - q.value) > tol for q in out):
-            out.append(PolyRoot(s, r.multiplicity))
-    return tuple(out + _axis_zeros(plant, sigma0, out))
-
-
-def _axis_zeros(plant: Plant, sigma0: float, found) -> list[PolyRoot]:
-    """Real zeros of dlog the candidates miss: one per stretch of the real
-    axis between neighbouring real plant roots right of sigma0 that holds no
-    real candidate and on whose ends dlog differs in sign (next to a root a,
-    dlog ~ (zeros at a - poles at a)/(s - a)).  The sign change is bisected
-    to the last place, polished by _on_dlog and kept if that settles inside
-    the stretch (it can be a jump past roots just off the axis).
-    """
-    axis = sorted({x.real for x in plant.zeros + plant.poles if x.imag == 0.0 and x.real > sigma0})
-    order = {a: sum(z == a for z in plant.zeros) - sum(p == a for p in plant.poles) for a in axis}
-    out = []
-    for a, b in zip(axis, axis[1:]):  # dlog is positive just right of a iff order[a] > 0
-        if not order[a] or not order[b] or (order[a] > 0) == (order[b] < 0) or any(
-                q.value.imag == 0.0 and a < q.value.real < b for q in found):
-            continue
-        lo, hi = a, b
-        while True:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-            if (dlog_ratio(plant, mid).real > 0.0) == (order[a] > 0):
-                lo = mid
-            else:
-                hi = mid
-        s = _on_dlog(plant, PolyRoot(complex(mid, 0.0), 1))
-        if s is not None and a < s.real < b:  # not a jump across a root off the axis
-            out.append(PolyRoot(s, 1))
-    return out
+    for group in _cluster(kept, CLUSTER_REL):
+        m = len(group)
+        found = [(_on_dlog(plant, PolyRoot(sum(group) / m, m)), m)]
+        if found[0][0] is None and m > 1:  # no multiple zero: simple zeros close together
+            found = [(_on_dlog(plant, PolyRoot(z, 1)), 1) for z in group]
+        for s, m in found:
+            if s is None:
+                continue
+            tol = 1e-9 * (1.0 + abs(s))
+            if abs(s.imag) <= tol:
+                s = complex(s.real, 0.0)
+            if s.imag >= 0.0 and s.real >= sigma0 - tol and all(
+                    abs(s - q.value) > tol for q in out):
+                out.append(PolyRoot(s, m))
+    return tuple(out + [PolyRoot(q.value.conjugate(), q.multiplicity) for q in out if q.value.imag])
 
 
 def _on_dlog(plant: Plant, r: PolyRoot) -> complex | None:
-    """A root of the branch polynomial moved onto a zero of dlog = G'/G - h,
-    which the polynomial's expanded coefficients can miss: Newton on dlog
-    summed over the plant's roots, step mu f/f' for a zero of multiplicity
-    mu, real on the axis; a start where |dlog| is within _DLOG_REL of its
-    terms' size stays.  None when it does not settle in _POLISH_ITER steps.
+    """An eigenvalue of branch_roots' matrix moved onto its zero of dlog =
+    G'/G - h by Newton on dlog summed over the plant's roots, real on the
+    axis.  A start where |dlog| is within _DLOG_REL of its terms' size stays.
+    The mean of a group of mu > 1 eigenvalues is a zero of multiplicity mu
+    only if it is such a start: the eigenvalues of a multiple zero spread
+    about it and average to it, while simple zeros that merely lie close,
+    as those beside a cluster of plant roots do, have none at their mean.
+    None for a rejected mean, or when Newton does not settle in
+    _POLISH_ITER steps.
     """
     s0 = s = r.value
     try:
@@ -139,7 +138,9 @@ def _on_dlog(plant: Plant, r: PolyRoot) -> complex | None:
                 scale += abs(d)
             if i == 0 and abs(f) <= _DLOG_REL * scale:
                 return s0  # already on a zero of dlog, to the digits that matter
-            step = r.multiplicity * f / fp
+            if r.multiplicity > 1:
+                return None
+            step = f / fp
             s -= step.real if s.imag == 0.0 else step
             if abs(step) <= 1e-15 * (1.0 + abs(s)):
                 return s
@@ -152,9 +153,8 @@ def branch_points(plant: Plant, region: RegionSpec,
                   roots: tuple[PolyRoot, ...] | None = None) -> list[BranchPoint]:
     """All branch points with Re(s) >= sigma0, sorted by gain.
 
-    A root of the branch polynomial with multiplicity mu meets N = mu + 1
-    trajectories.  Roots that coincide with plant poles/zeros are artifacts
-    of repeated factors (the gain there is 0 or infinite) and are skipped.
+    A zero of dlog with multiplicity mu meets N = mu + 1 trajectories.  A
+    zero on a plant root, where the gain is 0 or infinite, is skipped.
     roots, when given, is branch_roots(plant, region.sigma0) of this plant or
     of its flipped-gain twin; the phase test and the active flags are made
     for this plant.
@@ -162,11 +162,8 @@ def branch_points(plant: Plant, region: RegionSpec,
     if roots is None:
         roots = branch_roots(plant, region.sigma0)
     out: list[BranchPoint] = []
-    structure = plant.zeros + plant.poles
     for root in roots:
         s, mu = root.value, root.multiplicity
-        if structure and min(abs(s - x) for x in structure) <= 1e-9 * (1.0 + abs(s)):
-            continue
         try:
             lv = log_eval(plant, s)
         except SingularPointError:

@@ -3,7 +3,10 @@
 Evaluation multiplies each root set's factors s - r into one complex
 product and takes its complex log, so the magnitude and phase cost one log
 per root set, not one per root.  The delay enters in the log domain only,
-so a large |Re(s)| never forms e^(-h·s) directly.
+so a large |Re(s)| never forms e^(-h·s) directly.  Nothing here expands the
+roots back into coefficients: the log-derivative is a sum over the roots as
+stored, and the branch candidates (branch.branch_roots) come from the same
+roots.
 """
 
 from __future__ import annotations
@@ -212,38 +215,3 @@ def dlog_ratio(plant: Plant, s: complex) -> complex:
 def gain_at(plant: Plant, s: complex) -> float:
     """The k > 0 that puts s on the locus magnitude-wise: |k G(s)e^(-hs)| = 1."""
     return math.exp(-log_eval(plant, s).lnmag)
-
-
-def _poly_from_roots(roots) -> RealPolynomial:
-    """Monic polynomial with the given conjugate-closed root multiset.
-
-    Conjugate pairs are folded into real quadratics so the coefficients stay
-    exactly real.
-    """
-    acc = RealPolynomial((1.0,))
-    pending = list(roots)
-    while pending:
-        r = pending.pop()
-        if abs(r.imag) <= _TOL_CONJ * (1.0 + abs(r)):
-            acc = acc * RealPolynomial((-r.real, 1.0))
-            continue
-        j = min(
-            range(len(pending)),
-            key=lambda i: abs(pending[i] - r.conjugate()),
-        )
-        w = pending.pop(j)
-        re = 0.5 * (r.real + w.real)
-        mag2 = 0.5 * (abs(r) ** 2 + abs(w) ** 2)
-        acc = acc * RealPolynomial((mag2, -2.0 * re, 1.0))
-    return acc
-
-
-def branch_numerator(plant: Plant) -> RealPolynomial:
-    """Polynomial whose zeros are the candidate locus branch points.
-
-    With G = alpha*N/D, returns N'D - ND' - h*N*D; the constant alpha scales
-    the whole polynomial and is dropped since only the zero set matters.
-    """
-    N = _poly_from_roots(plant.zeros)
-    D = _poly_from_roots(plant.poles)
-    return N.derivative() * D - N * D.derivative() - plant.delay * (N * D)

@@ -8,9 +8,10 @@ callers see multiple roots with an explicit multiplicity.  The polish stops
 after a step that rounding lets it meet: one below 1e-12(1 + |z|), or one no
 longer than its own rounding floor eps sum|a_i||z|^i / |p'(z)| where that
 floor lies within a tenth of the cluster tolerance.  A caller that keeps
-only part of the plane (nonneg_real_roots, branch.branch_roots) screens the
-eigenvalues first, with a margin of SCREEN_REL*(1+|z|): those that cannot
-become a kept root are neither polished nor clustered.
+only part of the plane (nonneg_real_roots) screens the eigenvalues first,
+with a margin of SCREEN_REL*(1+|z|): those that cannot become a kept root
+are neither polished nor clustered.  branch.branch_roots screens its own
+eigenvalues with the same margin and clusters them the same way.
 """
 
 from __future__ import annotations
@@ -235,7 +236,8 @@ def refine_roots(p: RealPolynomial, roots: list[PolyRoot]) -> list[complex]:
 
 
 def _cluster(values, rel):
-    """Group values whose pairwise distance is within rel*(1 + magnitude)."""
+    """Group values whose pairwise distance is within rel*(1 + magnitude):
+    the groups, as lists of values."""
     n = len(values)
     parent = list(range(n))
 
@@ -255,7 +257,7 @@ def _cluster(values, rel):
     groups: dict[int, list[complex]] = {}
     for i, v in enumerate(values):
         groups.setdefault(find(i), []).append(v)
-    return [(sum(g) / len(g), len(g)) for g in groups.values()]
+    return list(groups.values())
 
 
 def _near_nonneg_real(z: complex) -> bool:
@@ -264,20 +266,14 @@ def _near_nonneg_real(z: complex) -> bool:
     return abs(z.imag) <= margin and z.real >= -margin
 
 
-def _right_of(sigma: float):
-    """Screen for the roots with Re >= sigma."""
-    return lambda z: z.real >= sigma - SCREEN_REL * (1.0 + abs(z))
-
-
 def complex_roots(p: RealPolynomial, _keep=None) -> list[PolyRoot]:
     """All complex roots of p with multiplicities.
 
     The root set is closed under conjugation: complex clusters are paired with
     their mirror cluster and averaged, and clusters with negligible imaginary
     part are snapped onto the real axis.  _keep, when given, is a screen
-    (_near_nonneg_real or _right_of): eigenvalues it rejects are neither
-    polished nor clustered, so only roots near the screened part of the plane
-    come back.
+    (_near_nonneg_real): eigenvalues it rejects are neither polished nor
+    clustered, so only roots near the screened part of the plane come back.
     """
     if p.degree < 1:
         raise InputError(f"root finding needs degree >= 1, got degree {p.degree}")
@@ -296,7 +292,7 @@ def complex_roots(p: RealPolynomial, _keep=None) -> list[PolyRoot]:
     if keep(0j):
         raw.extend([0j] * nzero)
 
-    clusters = _cluster(raw, CLUSTER_REL)
+    clusters = [(sum(g) / len(g), len(g)) for g in _cluster(raw, CLUSTER_REL)]
     reals: list[tuple[float, int]] = []
     ups: list[tuple[complex, int]] = []
     downs: list[tuple[complex, int]] = []

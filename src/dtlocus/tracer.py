@@ -479,8 +479,8 @@ def run(plant: Plant, region: RegionSpec, options: TraceOptions | None = None) -
     flipped (the locus of negative k values) and lands in result.negative.
     The sign-free set-up is built once and serves both passes: the boundary
     breakpoint polynomials of K' and phi' with their roots (those of phi'
-    found on first use, by either pass), and the roots of the branch
-    polynomial right of sigma0.  Each pass makes its own boundary
+    found on first use, by either pass), and the zeros of dlog right of
+    sigma0 (branch_roots).  Each pass makes its own boundary
     phase offset, branch phase test and active flags, seeds and traces.
     """
     options = options or TraceOptions()

@@ -210,6 +210,72 @@ def branch_fan_angles(plant, s_star, k_star):
     return [cmath.phase(s - s_star) for s in found]
 
 
+def dlog_zero_count(plant, sigma0, max_rounds=80):
+    """Zeros of dlog = G'/G - h with Re s > sigma0, with multiplicity, by
+    the argument principle.
+
+    Over the distinct plant roots r with net weight w = (zeros at r) -
+    (poles at r) != 0, dlog = sum w/(s - r) - h.  At a zero h <= sum|w|/|s - r|
+    for the nearest r, so every zero lies within B = sum|w|/h of a root, and
+    inside [sigma0, R] x [-Omega, Omega] with R and Omega one past that
+    bound.  The count is the winding of dlog around that rectangle plus the
+    roots inside it, each a simple pole of dlog.  The edges start at 64
+    samples each, and a step is bisected until dlog provably turns by less
+    than pi/4 along it: |dlog'| <= L = sum|w|/d^2, with d the distance from
+    the step to r, so a step no longer than sin(pi/8)|dlog(a)|/L from its
+    start a keeps dlog in a disc about dlog(a) that 0 lies outside, and the
+    phase step is under pi/4.  A contour through a zero or a pole never gets
+    there and raises ValueError.
+    """
+    weight = {}
+    for z in plant.zeros:
+        weight[z] = weight.get(z, 0) + 1
+    for p in plant.poles:
+        weight[p] = weight.get(p, 0) - 1
+    table = [(r, w) for r, w in weight.items() if w]
+    if not table:
+        return 0
+    r = np.array([x for x, _ in table], dtype=complex)
+    w = np.array([x for _, x in table], dtype=float)
+    reach = np.abs(w).sum() / plant.delay + 1.0
+    right = max(r.real.max() + reach, sigma0 + 1.0)
+    top = np.abs(r.imag).max() + reach
+    corners = [complex(sigma0, -top), complex(right, -top),
+               complex(right, top), complex(sigma0, top)]
+    t = np.linspace(0.0, 1.0, 65)[:-1]
+    path = np.concatenate([a + (b - a) * t for a, b in zip(corners, corners[1:] + corners[:1])]
+                          + [corners[:1]])
+
+    def dlog(s):
+        return (w / (s[:, None] - r)).sum(axis=1) - plant.delay
+
+    def too_long(a, b, fa):
+        """Steps a -> b whose length could let dlog turn by pi/4 or more."""
+        ab = (b - a)[:, None]
+        along = np.clip(((r - a[:, None]) * ab.conjugate()).real / np.abs(ab) ** 2, 0.0, 1.0)
+        dist = np.abs(a[:, None] + along * ab - r)
+        lip = (np.abs(w) / dist ** 2).sum(axis=1)
+        return ~(lip * np.abs(b - a) < math.sin(math.pi / 8) * np.abs(fa))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = dlog(path)
+        for _ in range(max_rounds):
+            wide = too_long(path[:-1], path[1:], f[:-1])
+            if not wide.any():
+                break
+            at = np.nonzero(wide)[0] + 1
+            mid = 0.5 * (path[at - 1] + path[at])
+            path, f = np.insert(path, at, mid), np.insert(f, at, dlog(mid))
+        else:
+            raise ValueError(f"the contour at sigma0 = {sigma0} runs through a zero or "
+                             "a pole of dlog")
+    step = np.angle(f[1:] / f[:-1])
+    assert np.abs(step).max() < math.pi / 4
+    winding = step.sum() / (2.0 * math.pi)
+    assert abs(winding - round(winding)) < 1e-6, winding
+    return round(winding) + int((r.real > sigma0).sum())
+
+
 def pairwise_dedup(trajectories):
     """Reference trajectory dedup by comparing every pair, O(T^2).
 

@@ -2,16 +2,17 @@
 departure fan, checked against roots found by direct Newton just past the
 branch gain."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from dtlocus.boundary import RegionSpec
-from dtlocus.branch import branch_departures, branch_points
+from dtlocus.branch import branch_departures, branch_points, branch_roots
 from dtlocus.plant import Plant
 
-from oracles import _wrap, branch_fan_angles, locus_residual, random_plant
+from oracles import _wrap, branch_fan_angles, dlog_zero_count, locus_residual, random_plant
 
 # corpus seed 408 job 461: a secant of the arriving trajectory sent the real
 # branch point near -1.668 out at +-1.385 rad instead of +-pi/2
@@ -23,6 +24,56 @@ JOB_461 = Plant(
      -2.912805 + 0.337496j, -2.912805 - 0.337496j),
 )
 JOB_461_REGION = RegionSpec(-1.747593, 0.008512)
+
+# Benchmark highorder jobs (plant document, sigma0, kmax, branch point) with
+# a real branch point inside a cluster of nearly coincident plant roots that
+# an expanded branch polynomial N'D - ND' - hND (degree 41, 42 and 31 here)
+# did not resolve: seed 114 job
+# 199 (poles -3.758472 +- 3.0e-4j and -3.715613, zero -3.715464), seed 122
+# job 33 (two complex pole pairs within 0.08) and seed 129 job 124 (five
+# poles within 0.17)
+CLUSTER_JOBS = {
+    "highorder seed 114 job 199": (
+        {"num": [7543338.266843425, 29692480.324540887, 49068506.65425019, 44361132.88738758,
+                 20963445.979671665, -93759.68136186898, -8056744.014318265, -6717988.629807096,
+                 -3261479.4162029265, -1064433.503516524, -223052.28097218237, -16387.00344869241,
+                 8563.351303154514, 4528.642833354859, 1252.39584337902, 229.86821849957494,
+                 28.133259014565006, 1.772831],
+         "den": [204240186.33282432, 2996851681.3063383, 5240554338.277575, -2833109118.975068,
+                 -18085301690.21664, -24985110555.597027, -15032733783.618343, 7800922432.350483,
+                 31741933895.945076, 44421136698.4531, 41735689455.48717, 29547023520.28105,
+                 16519820018.717962, 7491708271.422842, 2803991913.758156, 875796079.2995955,
+                 229522083.9044587, 50449449.84122001, 9236629.839133436, 1388696.6758896434,
+                 167468.90793042028, 15610.470651465766, 1058.224408039094, 46.54506899999999, 1.0],
+         "delay": 0.453097},
+        -4.363632, 1.179422, -3.717409),
+    "highorder seed 122 job 33": (
+        {"num": [59209411.118269145, -239656935.08724648, 274276613.3054108, -27464917.368162602,
+                 -103647527.1313446, 56799634.02372052, -29777399.097887732, 6999398.124591922,
+                 9471058.902389793, -4372786.577410584, -964508.1650931924, 749400.2336525784,
+                 32645.683020221943, -70970.80312180851, 1891.025861019053, 4409.9111834991,
+                 -214.32990187772504, -168.12479075608667, 7.344135689435991, 3.696498],
+         "den": [-3754618640.0114884, -25389037164.339397, -77036927534.95558, -135938359329.47742,
+                 -144900784349.4901, -70212816382.67606, 53069910941.76727, 151662911189.07974,
+                 180578213271.531, 149251240499.72626, 95289093101.05212, 49044275357.17218,
+                 20784163195.997063, 7331539451.034137, 2162587582.0281587, 533345651.318255,
+                 109485065.15940803, 18536087.008953772, 2549405.850882205, 278245.5266681639,
+                 23228.303416603878, 1395.400726581652, 53.78133100000001, 1.0],
+         "delay": 0.553429},
+        -3.733406, 0.536369, -3.524412),
+    "highorder seed 129 job 124": (
+        {"num": [-156702.83157133963, -39883.77440279691, 20644.688050048273, 8135.711066033056,
+                 233.47780924751078, -98.09404207362161, -106.06423486740613, -8.254139271154948,
+                 18.797802982986994, 4.642961],
+         "den": [-2508537.3315746635, -31593967.774560407, -13014693.450031554, 477709139.8060612,
+                 1886515015.9825444, 3818193910.966543, 5111002447.808743, 5023951204.03211,
+                 3864843311.8524, 2434923220.515313, 1297902550.965451, 597578412.8603358,
+                 240146928.85756487, 84501498.17477956, 25993857.56166897, 6949792.888877902,
+                 1597060.5313224383, 309742.2462846518, 49314.30982242824, 6180.390091833101,
+                 570.0777457373149, 34.254571999999996, 1.0],
+         "delay": 0.84029},
+        -2.991689, 10.670463, -2.507808),
+}
 
 
 def fan_error(plant, bp):
@@ -141,8 +192,8 @@ class TestBranchPoints:
             assert y.multiplicity == x.multiplicity
 
     def test_p3_candidates_fail_phase_test(self, p3):
-        # the branch polynomial has real roots at -3 +- sqrt(3) but neither
-        # satisfies the phase condition for positive gain
+        # dlog has real zeros at -3 +- sqrt(3) but neither satisfies the
+        # phase condition for positive gain
         got = branch_points(p3, RegionSpec(-5.0, 100.0))
         assert got == []
 
@@ -173,11 +224,10 @@ class TestBranchPoints:
                 assert lo == pytest.approx(-hi, abs=1e-8)
 
     def test_candidates_polished_onto_zeros_of_dlog(self):
-        # highorder seed 101 job 159: the degree-38 branch numerator in
-        # coefficient form put a real branch point at -2.21964, where dlog is
-        # 3.59; the real-axis gain peaks at -2.231252, and the polish on dlog
-        # moves the point there; every point kept is a zero of dlog
-        import json
+        # highorder seed 101 job 159: an expanded degree-38 branch numerator
+        # put a real branch point at -2.21964, where dlog is 3.59; the
+        # real-axis gain peaks at -2.231252, a zero of dlog, and every point
+        # kept is a zero of dlog
 
         from dtlocus.cli import parse_input
         from dtlocus.plant import dlog_ratio
@@ -207,17 +257,128 @@ class TestBranchPoints:
 
     def test_missing_real_zero_of_dlog_is_added(self, p2):
         # dlog runs from -inf just right of the pole -1 to +inf just left of
-        # the pole -0.5, so a zero lies between them: with no candidate there
-        # it is found by bisection and polished; with one, it is not added
-        from dtlocus.branch import _axis_zeros
+        # the pole -0.5, so a zero lies between them, and the stretch between
+        # the poles -2.5 and -1 holds one as well: both are candidates, real
+        # and on a zero of dlog
         from dtlocus.plant import dlog_ratio
-        from dtlocus.poly import PolyRoot
 
-        # (the stretch between the poles -2.5 and -1 holds one as well)
-        low, added = _axis_zeros(p2, -3.5, [])
-        assert -2.5 < low.value.real < -1.0
-        assert -1.0 < added.value.real < -0.5 and added.value.imag == 0.0
-        assert abs(dlog_ratio(p2, added.value)) <= 1e-12
+        real = [r.value for r in branch_roots(p2, -3.5) if r.value.imag == 0.0]
+        low = [s for s in real if -2.5 < s.real < -1.0]
+        high = [s for s in real if -1.0 < s.real < -0.5]
+        assert len(low) == len(high) == 1
+        for s in low + high:
+            assert abs(dlog_ratio(p2, s)) <= 1e-12
         bp = [b for b in branch_points(p2, RegionSpec(-3.5, 5.0)) if -1.0 < b.s.real < -0.5]
-        assert abs(bp[0].s - added.value) <= 1e-12
-        assert _axis_zeros(p2, -3.5, [PolyRoot(bp[0].s, 1)]) == [low]
+        assert bp[0].s == high[0]
+
+
+def _from_roots(roots):
+    """Monic real polynomial with the given conjugate-closed roots."""
+    from dtlocus.poly import RealPolynomial
+
+    p = RealPolynomial((1.0,))
+    for r in roots:
+        if r.imag == 0.0:
+            p = p * RealPolynomial((-r.real, 1.0))
+        elif r.imag > 0.0:
+            p = p * RealPolynomial((abs(r) ** 2, -2.0 * r.real, 1.0))
+    return p
+
+
+def _with(plant, zeros=(), poles=()):
+    return Plant(plant.alpha, plant.delay, plant.zeros + tuple(zeros), plant.poles + tuple(poles))
+
+
+def _pair(s):
+    return (s, s.conjugate()) if s.imag else (s,)
+
+
+def _argument_corpus(rng):
+    """Plants of every kind the argument-principle test covers, 40 each:
+    clean random plants (right-half-plane zeros among them), near-coincident
+    root clusters, repeated poles, zero-pole coincidences, bi-proper plants,
+    and plants rooted from coefficients."""
+    from dtlocus.plant import plant_from_coefficients
+
+    out = [random_plant(rng, Plant) for _ in range(40)]
+    for i in range(40):  # a cluster of roots 1e-6 to 1e-2 across
+        plant = random_plant(rng, Plant)
+        a, d = rng.uniform(-3.0, 0.5), 10.0 ** rng.uniform(-6.0, -2.0)
+        c = complex(a, rng.uniform(0.3, 3.0))
+        zeros, poles = [(), (), (), (a + 0.5 * d,)][i % 4], [
+            (a, a + d, a + 2.0 * d),  # three real poles
+            _pair(c) + _pair(c + d * (1 + 1j)),  # a near-double complex pair
+            (a,) + _pair(complex(a - d, d)),  # a pair straddling the axis by a pole
+            _pair(complex(a, d)) + (a + d,),  # ... with a zero beside them
+        ][i % 4]
+        out.append(_with(plant, zeros, poles))
+    for i in range(40):  # a pole repeated once or twice
+        plant = random_plant(rng, Plant)
+        out.append(_with(plant, poles=_pair(plant.poles[-1]) * (1 + i % 2)))
+    for i in range(40):  # a zero on a pole, on a repeated pole, or 1e-9 beside one
+        plant = random_plant(rng, Plant)
+        p = plant.poles[0]
+        zero = [p, p, p + 1e-9][i % 3]
+        poles = plant.poles + (_pair(p) if i % 3 == 1 else ())
+        out.append(Plant(plant.alpha, plant.delay, _pair(zero), poles))
+    for _ in range(40):  # bi-proper
+        plant = random_plant(rng, Plant)
+        zeros = list(plant.zeros)
+        while len(zeros) < len(plant.poles):
+            zeros.append(complex(rng.uniform(-3.0, 3.0), 0.0))
+        out.append(Plant(plant.alpha, plant.delay, tuple(zeros), plant.poles))
+    for _ in range(40):  # coefficient form, order 6-15
+        plant = random_plant(rng, Plant)
+        more = random_plant(rng, Plant).poles + random_plant(rng, Plant).poles
+        den = _from_roots(plant.poles + more)
+        out.append(plant_from_coefficients(_from_roots(plant.zeros), den, plant.delay))
+    return out
+
+
+def _closed_under_conjugation(roots):
+    key = sorted((r.value.real, r.value.imag, r.multiplicity) for r in roots)
+    return key == sorted((r.value.real, -r.value.imag, r.multiplicity) for r in roots)
+
+
+class TestArgumentPrinciple:
+    def test_candidates_count_every_zero_of_dlog(self):
+        # the summed multiplicities of the candidates right of sigma0 equal
+        # the argument-principle count of the zeros of dlog there; a sigma0
+        # within 1e-6 of a candidate or a plant root moves 1e-3 right
+        rng = np.random.RandomState(2105)
+        plants = _argument_corpus(rng)
+        assert len(plants) >= 200
+        counted = 0
+        for plant in plants:
+            structure = [r.real for r in plant.zeros + plant.poles]
+            sigma0 = rng.uniform(min(structure) - 1.0, max(structure) + 0.5)
+            for _ in range(10):
+                got = branch_roots(plant, sigma0)
+                near = [x for x in [r.value.real for r in got] + structure
+                        if abs(x - sigma0) <= 1e-6]
+                if not near:
+                    break
+                sigma0 += 1e-3
+            assert not near, plant
+            assert _closed_under_conjugation(got), (plant, got)
+            want = dlog_zero_count(plant, sigma0)
+            assert sum(r.multiplicity for r in got if r.value.real > sigma0) == want, (
+                plant, sigma0, got)
+            counted += want
+        assert counted >= 400
+
+    @pytest.mark.parametrize("name", sorted(CLUSTER_JOBS))
+    def test_branch_point_in_a_root_cluster(self, name):
+        # highorder jobs whose real branch point inside a cluster of nearly
+        # coincident plant roots the expanded branch polynomial missed: it
+        # is catalogued now, and the job traces with no warning
+        from dtlocus import TraceOptions, run
+        from dtlocus.cli import parse_input
+
+        doc, sigma0, kmax, where = CLUSTER_JOBS[name]
+        plant, region = parse_input(json.dumps(doc).encode()), RegionSpec(sigma0, kmax)
+        res = run(plant, region, TraceOptions(negative_gains=True))
+        catalogued = [bp for r in (res, res.negative) for bp in r.branch_points
+                      if bp.active and abs(bp.s - where) <= 1e-6]
+        assert len(catalogued) == 1 and catalogued[0].multiplicity == 2
+        assert not res.warnings and not res.negative.warnings

@@ -1,10 +1,14 @@
 """The eigenvalue screen of the breakpoint and branch root finders.
 
-nonneg_real_roots and branch.branch_roots polish only the companion
-eigenvalues that may become a root they keep.  The screen must change
-nothing but the work: every root they return is a root, and they return
-every genuine root the full, unscreened root set would have given them.
+nonneg_real_roots polishes only the companion eigenvalues that may become a
+root it keeps, and branch.branch_roots moves onto zeros of dlog only the
+eigenvalues of its root-form matrix that may become a candidate it keeps.
+The screen must change nothing but the work: every root they return is a
+root, and they return every genuine root the full, unscreened eigenvalue set
+would have given them.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -12,8 +16,8 @@ import pytest
 from dtlocus import branch, poly
 from dtlocus.boundary import RegionSpec, boundary_functions
 from dtlocus.branch import branch_roots
-from dtlocus.plant import Plant, branch_numerator, plant_from_coefficients
-from dtlocus.poly import RealPolynomial, complex_roots, nonneg_real_roots
+from dtlocus.plant import Plant, dlog_ratio, plant_from_coefficients
+from dtlocus.poly import RealPolynomial, nonneg_real_roots
 from dtlocus.tracer import TraceOptions, run
 
 from oracles import backward_error, clean_region, random_plant, reference_nonneg_real_roots
@@ -103,6 +107,13 @@ def _genuine(p, z):
     return backward_error(p.coeffs, z) <= TOL_GENUINE
 
 
+def _on_dlog(plant, s):
+    """|dlog(s)| within 1e-12 of the size of its terms: a zero of dlog to
+    the rounding floor of its root-form sum."""
+    scale = plant.delay + sum(abs(1.0 / (s - r)) for r in plant.zeros + plant.poles)
+    return abs(dlog_ratio(plant, s)) <= 1e-12 * scale
+
+
 class TestGenuineBreakpoints:
     @pytest.mark.parametrize("name", sorted(NON_ROOT_POLISH_JOBS))
     def test_breakpoints_are_roots(self, name):
@@ -118,9 +129,8 @@ class TestGenuineBreakpoints:
     @pytest.mark.parametrize("name", sorted(NON_ROOT_POLISH_JOBS))
     def test_branch_candidates_are_roots(self, name):
         plant, region = _job(name)
-        b = branch_numerator(plant)
         for r in branch_roots(plant, region.sigma0):
-            assert _genuine(b, r.value), (name, r)
+            assert _on_dlog(plant, r.value), (name, r)
 
 
 def _from_roots(roots):
@@ -202,22 +212,22 @@ class TestScreenChangesNothingElse:
         assert kept >= 100
 
     def test_branch_roots(self, monkeypatch):
-        cases = [(branch_numerator(plant), sigma0) for plant, sigma0 in _plants()]
-        rng = np.random.RandomState(78)
-        for sigma0 in (-1.3, 0.0, 0.7):
-            cases += [(p, sigma0) for p in _crafted(rng, sigma0)]
-        assert len(cases) >= 100
+        # every plant at its clean sigma0, and plants whose real candidate
+        # sits on the screen's edge: on sigma0 and 1e-12 to 1e-3 either side
+        cases = _plants()
+        for plant, _ in cases[:24]:
+            for r in branch_roots(plant, -100.0):
+                if r.value.imag == 0.0:
+                    x = r.value.real
+                    cases += [(plant, x + d) for d in (0.0, 1e-12, -1e-12, 1e-9, -1e-9,
+                                                       1e-6, -1e-6, 1e-3, -1e-3)]
+        assert len(cases) >= 200
+        screened = [branch_roots(plant, sigma0) for plant, sigma0 in cases]
+        monkeypatch.setattr(branch, "SCREEN_REL", math.inf)  # every eigenvalue kept
         kept = 0
-        # the screen alone: the polish on dlog that follows it, and the real
-        # zeros of dlog added after it, are left out
-        monkeypatch.setattr(branch, "_on_dlog", lambda plant, r: r.value)
-        monkeypatch.setattr(branch, "_axis_zeros", lambda plant, sigma0, found: [])
-        for b, sigma0 in cases:
-            monkeypatch.setattr(branch, "branch_numerator", lambda plant: b)
-            got = [r for r in branch_roots(None, sigma0) if _genuine(b, r.value)]
-            want = [r for r in complex_roots(b) if _genuine(b, r.value)
-                    and r.value.real >= sigma0 - 1e-9 * (1.0 + abs(r.value))]
-            assert got == want, (b, sigma0)
+        for (plant, sigma0), got in zip(cases, screened):
+            assert got == branch_roots(plant, sigma0), (plant, sigma0)
+            assert all(_on_dlog(plant, r.value) for r in got)
             kept += len(got)
         assert kept >= 100
 

@@ -1,11 +1,14 @@
 """Smoke tests of the tools.  tools/output_digest.py, the per-job same-output
 check: one labelled line per job, in the hash format, the --topology format
 (with its mirrored and over-captured counts), the --work format and the
---ledger format, whose count is checked on a crafted result.
+--ledger format, whose count is checked on a crafted result; --census, a
+line per job with a finding and a totals line, checked with a stub check
+and a stub _dedup.
 tools/bench_pairs.py: current bytecode in both checkouts before the first
 pair."""
 
 import importlib.util
+import itertools
 import json
 import re
 import sys
@@ -50,6 +53,8 @@ def test_output_digest_lines(capsys, monkeypatch):
 def test_output_digest_work_lines(capsys, monkeypatch):
     # --work counts through wrappers and puts the program's names back after;
     # every polish pass, the plant's own rooting included, counts with "+"
+    # (a root-form job may polish nothing: its branch candidates are found
+    # without polynomial roots)
     from dtlocus import RegionSpec, TraceOptions, cli, continuation, plant, poly, run, tracer
 
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -67,7 +72,6 @@ def test_output_digest_work_lines(capsys, monkeypatch):
     assert sum(counts) > 0
     polish = [(sign, int(n)) for line in lines for sign, *_, n in re.findall(work, line)]
     assert all(n == 0 for sign, n in polish if sign == "-")
-    assert all(n > 0 for sign, n in polish if sign == "+")
     assert (plant._log_kernel, continuation._log_kernel, continuation.correct,
             tracer.correct, poly._horner_triple) == before
 
@@ -98,6 +102,51 @@ def test_output_digest_ledger_lines(capsys, monkeypatch):
         assert match, line
         counts = [int(n) for n in match.groups() if n is not None]
         assert all(bad <= n for n, bad in zip(counts[::2], counts[1::2]))
+
+
+def test_output_digest_census_lines(capsys, monkeypatch):
+    # only jobs with a finding print a line, a totals line ends the output,
+    # and tracer._dedup is put back after
+    import dtlocus.cli
+    import dtlocus.svgplot
+    from dtlocus import tracer
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    digest = _output_digest()
+    dedup = tracer._dedup
+    assert digest.main(["corpus", "--jobs", "3", "--census"]) == 0
+    *lines, total = capsys.readouterr().out.splitlines()
+    counts = r"warnings=\d+ step_failures=\d+ drops=\d+"
+    assert re.fullmatch(rf"total jobs=3 failed=\d+ warning_jobs=\d+ {counts}", total), total
+    for line in lines:
+        assert re.fullmatch(rf"corpus\[[0-2]\] failed=[01] {counts}( \| .+)*", line), line
+    assert tracer._dedup is dedup
+
+    # a finding of the check and the trajectories _dedup drops, per job
+    class Checks:
+        Malformed = ValueError
+
+        @staticmethod
+        def check_job(job, n_traj, json_text, csv_text, svg_text):
+            return [f"stub finding of {n_traj} trajectories"]
+
+    monkeypatch.setattr(tracer, "_dedup", lambda trajectories: trajectories[1:])
+    census = digest.Census(Checks)
+    census.install()
+    job = list(itertools.islice(sys.modules["workloads"].jobs("corpus", 101), 2))[1]
+    try:
+        line = census.line(dtlocus, job)
+    finally:
+        census.uninstall()
+    res = dtlocus.run(dtlocus.cli.parse_input(job.doc), dtlocus.RegionSpec(job.sigma0, job.kmax),
+                      dtlocus.TraceOptions(negative_gains=job.negative_gains))
+    n = len(res.trajectories) + len(res.negative.trajectories)  # after one drop per pass
+    assert res.trajectories and res.negative.trajectories
+    assert line == (f"corpus[1] failed=1 warnings=0 step_failures=0 drops=2 "
+                    f"| stub finding of {n} trajectories")
+    assert census.total_line() == ("total jobs=1 failed=1 warning_jobs=0 warnings=0 "
+                                   "step_failures=0 drops=2")
+    assert tracer._dedup is not dedup  # the stub, put back by uninstall()
 
 
 def test_ledger_counts_a_missing_root():

@@ -328,7 +328,7 @@ class TestSharedSetUp:
 
     @staticmethod
     def _rootings(plant, region, monkeypatch):
-        """The run of both signs and its complex_roots and nonneg_real_roots calls."""
+        """The run of both signs and its branch_roots and nonneg_real_roots calls."""
         calls = Counter()
 
         def counted(name, fn):
@@ -337,7 +337,9 @@ class TestSharedSetUp:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(branch, "complex_roots", counted("complex_roots", branch.complex_roots))
+        solve = counted("branch_roots", branch.branch_roots)
+        monkeypatch.setattr(branch, "branch_roots", solve)
+        monkeypatch.setattr(tracer, "branch_roots", solve)
         monkeypatch.setattr(boundary, "nonneg_real_roots",
                             counted("nonneg_real_roots", boundary.nonneg_real_roots))
         return run(plant, region, TraceOptions(negative_gains=True)), calls
@@ -346,7 +348,7 @@ class TestSharedSetUp:
         res, calls = self._rootings(p2, RegionSpec(-3.5, 5.0), monkeypatch)
         assert res.negative is not None and res.branch_points
         assert res.crossings.inward and res.negative.crossings.inward
-        assert calls == {"complex_roots": 1, "nonneg_real_roots": 2}
+        assert calls == {"branch_roots": 1, "nonneg_real_roots": 2}
 
     def test_phiprime_not_rooted_without_a_gain_interval(self, p2, monkeypatch):
         # at kmax 1e-3 the boundary gain of p2 lies above the cap at every
@@ -355,7 +357,7 @@ class TestSharedSetUp:
         assert magnitude_intervals(boundary_functions(p2, region), region) == []
         res, calls = self._rootings(p2, region, monkeypatch)
         assert res.negative is not None and res.trajectories and res.negative.trajectories
-        assert calls == {"complex_roots": 1, "nonneg_real_roots": 1}
+        assert calls == {"branch_roots": 1, "nonneg_real_roots": 1}
 
     def test_negative_pass_equals_flipped_run(self):
         compared, active = 0, Counter()

@@ -1,7 +1,7 @@
 """One digest line per job of a benchmark workload, for same-output checks.
 
     python3 tools/output_digest.py corpus|highorder|dense [--seed N] [--jobs N]
-        [--src DIR] [--topology | --work | --ledger]
+        [--src DIR] [--topology | --work | --ledger | --census]
 
 Each job runs as the benchmark runs it (``cli.parse_input`` ->
 ``tracer.run`` -> ``cli.result_to_json``, plus ``result_to_csv`` and
@@ -46,6 +46,14 @@ polish pass, which has no plant to tell the sign by.  The count starts
 before the job's input is parsed, so it holds the rooting of a plant given
 by coefficients.  Diffing these shows
 that a change which should only save time does the same work.
+
+With ``--census`` only the jobs with a finding print a line: the findings
+of the benchmark's own output check (``locusbench/checks.py``,
+``check_job``), or the exception a job raised, then the warning count, the
+``StepFailure`` count and the trajectories ``tracer._dedup`` dropped
+(``drops``, counted by wrapping that name as ``--work`` wraps its names).
+A job fails when it raises or its check finds something, as it does in the
+benchmark.  A totals line ends the output.
 
 Digest two commits and diff the files to show a change keeps every output
 byte (or, with ``--topology``, every structure) and every failure the same:
@@ -150,6 +158,26 @@ def ledger(result) -> str:
     return " ".join(parts)
 
 
+def _wrap(wrappers: dict) -> list[tuple[object, str, object]]:
+    """Replace every function in wrappers by its wrapper in every dtlocus
+    module namespace that holds it; the (module, name, original) list puts
+    them back (_unwrap)."""
+    undo = []
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "dtlocus" or name.startswith("dtlocus.")):
+            continue
+        for key, value in list(vars(module).items()):
+            if any(value is fn for fn in wrappers):
+                undo.append((module, key, value))
+                setattr(module, key, wrappers[value])
+    return undo
+
+
+def _unwrap(undo) -> None:
+    for module, key, value in reversed(undo):
+        setattr(module, key, value)
+
+
 class WorkCount:
     """Kernel evaluations, correct calls, Newton iterations and polish
     passes per gain sign.
@@ -189,19 +217,12 @@ class WorkCount:
             self.counts["+", "polish"] += 1
             return horner(*args)
 
-        wrappers = {kernel: counted_kernel, correct: counted_correct, horner: counted_horner}
-        for name, module in list(sys.modules.items()):
-            if module is None or not (name == "dtlocus" or name.startswith("dtlocus.")):
-                continue
-            for key, value in list(vars(module).items()):
-                if any(value is fn for fn in wrappers):
-                    self._undo.append((module, key, value))
-                    setattr(module, key, wrappers[value])
+        self._undo = _wrap({kernel: counted_kernel, correct: counted_correct,
+                            horner: counted_horner})
 
     def uninstall(self) -> None:
-        for module, key, value in reversed(self._undo):
-            setattr(module, key, value)
-        self._undo.clear()
+        _unwrap(self._undo)
+        self._undo = []
 
     def line(self, signs) -> str:
         return " ".join(
@@ -211,13 +232,80 @@ class WorkCount:
         )
 
 
+def _outputs(dtlocus, job, result) -> dict:
+    """The output texts the job asks for, as the benchmark makes them."""
+    texts = {"json": dtlocus.cli.result_to_json(result)}
+    if "csv" in job.outputs:
+        texts["csv"] = dtlocus.cli.result_to_csv(result)
+    if "svg" in job.outputs:
+        texts["svg"] = dtlocus.svgplot.render_svg(result)
+    return texts
+
+
+class Census:
+    """Per-job findings, warnings, step failures and _dedup drops, with
+    totals.  install() wraps ``tracer._dedup`` to count its drops;
+    uninstall() puts it back."""
+
+    def __init__(self, checks):
+        self.checks = checks
+        self.totals: Counter = Counter()
+        self.drops = 0
+        self._undo: list[tuple[object, str, object]] = []
+
+    def install(self) -> None:
+        dedup = sys.modules["dtlocus.tracer"]._dedup
+
+        def counted_dedup(trajectories):
+            kept = dedup(trajectories)
+            self.drops += len(trajectories) - len(kept)
+            return kept
+
+        self._undo = _wrap({dedup: counted_dedup})
+
+    def uninstall(self) -> None:
+        _unwrap(self._undo)
+        self._undo = []
+
+    def line(self, dtlocus, job) -> str | None:
+        """The job's census line, or None when it has no finding."""
+        self.drops = 0
+        warnings = failures = 0
+        try:
+            plant = dtlocus.cli.parse_input(job.doc)
+            result = dtlocus.run(plant, dtlocus.RegionSpec(job.sigma0, job.kmax),
+                                 dtlocus.TraceOptions(negative_gains=job.negative_gains))
+            passes = [res for res in (result, result.negative) if res is not None]
+            warnings = sum(len(res.warnings) for res in passes)
+            failures = sum(type(t.termination).__name__ == "StepFailure"
+                           for res in passes for t in res.trajectories)
+            texts = _outputs(dtlocus, job, result)
+            try:
+                found = self.checks.check_job(job, sum(len(res.trajectories) for res in passes),
+                                              texts["json"], texts.get("csv"), texts.get("svg"))
+            except self.checks.Malformed as e:
+                found = [f"malformed: {e}"]
+        except Exception as e:  # a raising job fails, as in the benchmark
+            found = [f"raised {type(e).__name__}: {e}"]
+        self.totals.update(jobs=1, failed=int(bool(found)), warning_jobs=int(bool(warnings)),
+                           warnings=warnings, step_failures=failures, drops=self.drops)
+        if not (found or warnings or failures or self.drops):
+            return None
+        return (f"{job.label} failed={int(bool(found))} warnings={warnings} "
+                f"step_failures={failures} drops={self.drops}"
+                + "".join(f" | {f}" for f in found))
+
+    def total_line(self) -> str:
+        keys = ("jobs", "failed", "warning_jobs", "warnings", "step_failures", "drops")
+        return "total " + " ".join(f"{k}={self.totals[k]}" for k in keys)
+
+
 def digest_line(dtlocus, job, structure: bool = False, work: WorkCount | None = None,
                 audit: bool = False) -> str:
-    cli, svgplot = dtlocus.cli, dtlocus.svgplot
     if work is not None:
         work.counts.clear()  # the plant's own roots are set-up work too
     try:
-        plant = cli.parse_input(job.doc)
+        plant = dtlocus.cli.parse_input(job.doc)
         region = dtlocus.RegionSpec(job.sigma0, job.kmax)
         if work is not None:
             work.alpha = plant.alpha
@@ -229,11 +317,7 @@ def digest_line(dtlocus, job, structure: bool = False, work: WorkCount | None = 
         elif audit:
             parts = [ledger(result)]
         else:
-            parts = [f"json={_sha(cli.result_to_json(result))}"]
-            if "csv" in job.outputs:
-                parts.append(f"csv={_sha(cli.result_to_csv(result))}")
-            if "svg" in job.outputs:
-                parts.append(f"svg={_sha(svgplot.render_svg(result))}")
+            parts = [f"{fmt}={_sha(text)}" for fmt, text in _outputs(dtlocus, job, result).items()]
     except Exception as e:  # a raising job is part of the digest
         parts = [f"raised {type(e).__name__}: {e}"]
     return f"{job.label} " + " ".join(parts)
@@ -253,6 +337,9 @@ def main(argv=None) -> int:
                            "and polish passes")
     mode.add_argument("--ledger", action="store_true",
                       help="print gain intervals and those whose traced count misses the ledger")
+    mode.add_argument("--census", action="store_true",
+                      help="print the benchmark check's findings, warnings, step failures "
+                           "and dedup drops of each job that has any, then their totals")
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(args.src.resolve()))
@@ -266,11 +353,24 @@ def main(argv=None) -> int:
     workloads = importlib.import_module("workloads")
 
     n = args.jobs if args.jobs is not None else DEFAULT_JOBS[args.workload]
+    jobs = itertools.islice(workloads.jobs(args.workload, args.seed), n)
+    if args.census:
+        census = Census(importlib.import_module("checks"))
+        census.install()
+        try:
+            for job in jobs:
+                line = census.line(dtlocus, job)
+                if line is not None:
+                    print(line, flush=True)
+        finally:
+            census.uninstall()
+        print(census.total_line())
+        return 0
     work = WorkCount() if args.work else None
     if work is not None:
         work.install()
     try:
-        for job in itertools.islice(workloads.jobs(args.workload, args.seed), n):
+        for job in jobs:
             print(digest_line(dtlocus, job, args.topology, work, args.ledger), flush=True)
     finally:
         if work is not None:
