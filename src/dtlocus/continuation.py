@@ -10,16 +10,21 @@ alone on a trajectory's first step, on the cap step, on a step more than
 twice as long as the last accepted one, and where the cubic bends by more
 than half the tangent step (tracer.trace).  step_update is the one step
 rule; the step stays in [H_MIN, h_max], and the tracer ends a trajectory
-that must halve at H_MIN.
+that must halve at H_MIN.  gain_step and hermite_bend serve floats and
+arrays alike; correct_many and step_update_many are the array twins of
+correct and step_update for the tracer's lockstep rounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import InputError
-from .plant import Plant, _log_kernel, wrap_angle
+from .plant import Plant, _log_kernel, _log_kernel_many, _wrap_angles, wrap_angle
 
 TOL_CORR = 1e-6
 MAX_ITER = 20
@@ -32,6 +37,7 @@ FIRST_MAX = 1.0
 _RESOLUTION = 2.0 ** -52  # the spacing of the doubles relative to their size
 
 _setattr = object.__setattr__  # how a frozen dataclass sets its own fields
+_new = object.__new__
 
 
 @dataclass(frozen=True, init=False)
@@ -59,6 +65,16 @@ class LocusPoint:
     @property
     def k(self) -> float:
         return math.exp(self.Kval)
+
+
+def _unchecked_point(sigma: float, omega: float, Kval: float) -> LocusPoint:
+    """LocusPoint(sigma, omega, Kval) for values already known to be finite,
+    without the constructor's check."""
+    p = _new(LocusPoint)
+    _setattr(p, "sigma", sigma)
+    _setattr(p, "omega", omega)
+    _setattr(p, "Kval", Kval)
+    return p
 
 
 @dataclass(frozen=True)
@@ -96,11 +112,27 @@ def residuals(plant: Plant, p: LocusPoint) -> tuple[float, float]:
     return M, P
 
 
-def gain_step(h: float, dlog: complex) -> float:
+def gain_step(h: float, dlog: complex, sqrt=math.sqrt) -> float:
     """dK moves s by dK/|dlog| along s(K), so a step of length h in
-    (sigma, omega, K) raises the gain by h |dlog| / sqrt(1 + |dlog|^2)."""
+    (sigma, omega, K) raises the gain by h |dlog| / sqrt(1 + |dlog|^2).
+
+    With arrays h and dlog, pass sqrt=np.sqrt."""
     a = abs(dlog)
-    return h * a / math.sqrt(1.0 + a * a)
+    return h * a / sqrt(1.0 + a * a)
+
+
+def hermite_bend(s, v, s0, v0, H: float, t: float, real: bool = False):
+    """The bend t^2 (c2 + c3 t) that the cubic Hermite through s0 at gain
+    K - H and s at K, with slopes v0 and v, adds to the tangent step t v.
+
+    Floats and complex numbers, or arrays of them, alike; real keeps the
+    secant slope real, as on the axis."""
+    u = 1.0 / H
+    q = (s0 - s) * u
+    if real:
+        q = q.real
+    c3 = (v + v0 + q + q) * u * u
+    return t * t * ((q + v) * u + c3 * (H + t))
 
 
 def correct(plant: Plant, s: complex, Kval: float, tol: float = TOL_CORR,
@@ -157,6 +189,76 @@ def step_update(h: float, out: CorrectorOutcome, h_max: float = H_MAX,
         h_bar = min(max(math.sqrt(out.kappa / KAPPA_NOM), 0.5), 2.0)
         return min(max(h / h_bar, H_MIN), h_max), False
     return min(max(0.5 * h, H_MIN), h_max), True
+
+
+class CorrectorOutcomes(NamedTuple):
+    """CorrectorOutcome of many solves, each field an array, the points as
+    complex numbers; bad marks the solves that met a point _log_kernel_many
+    flagged, whose other fields are not to be used."""
+
+    point: np.ndarray
+    iterations: np.ndarray
+    kappa: np.ndarray
+    converged: np.ndarray
+    dlog: np.ndarray
+    first: np.ndarray
+    bad: np.ndarray
+
+
+def correct_many(plant: Plant, s: np.ndarray, Kval: np.ndarray, tol: float = TOL_CORR,
+                 max_iter: int = MAX_ITER) -> CorrectorOutcomes:
+    """correct (off the axis) from every start point of the complex array s,
+    each at its own frozen gain in Kval, the Newton iterations of all solves
+    in lockstep.  A solve stops at an iterate where correct would raise or
+    fold (bad).
+    """
+    n = len(s)
+    point = s.copy()
+    iterations = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    bad = np.zeros(n, dtype=bool)
+    dlog = np.zeros(n, dtype=complex)
+    first = np.zeros(n)
+    second = np.zeros(n)
+    ids = np.arange(n)  # the solves still iterating, all at iteration it
+    for it in range(max_iter + 1):
+        lnmag, phase, dl, flag = _log_kernel_many(plant, s)
+        M = lnmag + Kval
+        P = _wrap_angles(phase - math.pi)
+        lim = np.maximum(tol, _RESOLUTION * (np.abs(s.real) + np.abs(s.imag))
+                         * (np.abs(dl.real) + np.abs(dl.imag)))
+        done = (np.abs(M) <= lim) & (np.abs(P) <= lim) & ~flag
+        stop = done | flag | (it >= max_iter)
+        out = ids[stop]
+        point[out] = s[stop]
+        iterations[out] = it
+        converged[out] = done[stop]
+        bad[out] = flag[stop]
+        dlog[out] = dl[stop]
+        go = ~stop
+        if not go.any():
+            break
+        ids, s, Kval = ids[go], s[go], Kval[go]
+        with np.errstate(all="ignore"):  # a zero dlog gives a non-finite iterate, flagged next
+            d = (M[go] + 1j * P[go]) / dl[go]
+        s = s - d
+        if it < 2:
+            (first if it == 0 else second)[ids] = np.abs(d)
+    with np.errstate(all="ignore"):
+        kappa = np.where((second > 0.0) & (first > 0.0), second / first, 0.0)
+    return CorrectorOutcomes(point, iterations, kappa, converged, dlog, first, bad)
+
+
+def step_update_many(h: np.ndarray, converged: np.ndarray, kappa: np.ndarray,
+                     first: np.ndarray, ds: np.ndarray, err: np.ndarray,
+                     h_max: float = H_MAX) -> tuple[np.ndarray, np.ndarray]:
+    """step_update at every element of arrays: the next step lengths and
+    whether each step is to be redone."""
+    accept = converged & (kappa <= KAPPA_MAX) & (first <= FIRST_MAX * ds + err)
+    with np.errstate(all="ignore"):
+        h_bar = np.clip(np.sqrt(kappa / KAPPA_NOM), 0.5, 2.0)
+    new_h = np.where(accept, h / h_bar, 0.5 * h)
+    return np.clip(new_h, H_MIN, h_max), ~accept
 
 
 def _phase_rest_at(plant: Plant, p: complex, skip: list[int]) -> float:

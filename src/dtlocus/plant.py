@@ -17,6 +17,8 @@ from cmath import log as _clog
 from dataclasses import dataclass, field
 from math import log as _log
 
+import numpy as np
+
 from .errors import InputError, SingularPointError
 from .poly import RealPolynomial, complex_roots, refine_roots
 
@@ -35,6 +37,14 @@ def wrap_angle(x: float) -> float:
         w -= 2.0 * math.pi
     elif w <= -math.pi:
         w += 2.0 * math.pi
+    return w
+
+
+def _wrap_angles(x: np.ndarray) -> np.ndarray:
+    """wrap_angle at every element of a float array."""
+    w = np.fmod(x, 2.0 * math.pi)
+    w[w > math.pi] -= 2.0 * math.pi
+    w[w <= -math.pi] += 2.0 * math.pi
     return w
 
 
@@ -183,6 +193,29 @@ def _log_kernel(plant: Plant, sigma: float, omega: float) -> tuple[float, float,
     lnmag = lnalpha + lz.real - lp.real - delay * sigma
     phase = argalpha + lz.imag - lp.imag - delay * omega
     return lnmag, wrap_angle(phase), dlog.real, 0.0 - dlog.imag  # 0.0 - keeps a zero positive
+
+
+def _log_kernel_many(plant: Plant, s: np.ndarray):
+    """_log_kernel at every point of the complex array s, as arrays
+    (lnmag, phase, dlog = dM/dsigma - j dM/domega), with a mask of the points
+    where _log_kernel would raise SingularPointError or fold a product by
+    _folded_log, or s is not finite; the values there are not to be used.
+
+    Each point's products and sums run over the roots in _log_kernel's order.
+    """
+    zeros, poles, lnalpha, argalpha = plant._table
+    delay = plant.delay
+    d = s - np.array([*zeros, *poles], dtype=complex).reshape(-1, 1)  # a row per root
+    weight = np.array([1.0] * len(zeros) + [-1.0] * len(poles)).reshape(-1, 1)
+    with np.errstate(all="ignore"):
+        bad = ~np.isfinite(s) | (np.abs(d) <= TOL_SING * (1.0 + np.abs(s))).any(axis=0)
+        dlog = np.add.reduce(weight / d, axis=0, initial=-delay)
+        lz = np.log(np.multiply.reduce(d[:len(zeros)], axis=0, initial=1.0))
+        lp = np.log(np.multiply.reduce(d[len(zeros):], axis=0, initial=1.0))
+        lnmag = lnalpha + lz.real - lp.real - delay * s.real
+        phase = _wrap_angles(argalpha + lz.imag - lp.imag - delay * s.imag)
+    bad |= ~((_LN_MIN < lz.real) & (lz.real < _LN_MAX) & (_LN_MIN < lp.real) & (lp.real < _LN_MAX))
+    return lnmag, phase, dlog, bad
 
 
 def _folded_log(s: complex, roots) -> complex:

@@ -8,6 +8,15 @@ cap, the region boundary, or a step failure.  A region exit ends at one of
 the outward crossings found before tracing; each of them should end exactly
 one trajectory.  The upper half-plane picture is then mirrored onto the
 lower one (real-coefficient symmetry).
+
+trace advances one seed at a time.  A pass with _BATCH_MIN or more seeds
+off the real axis, below the cap and above every active branch point's gain
+(mostly inward crossings far left or at large kmax, each a few steps long)
+advances those in lockstep instead (_trace_batch): each round is one step
+of trace's rule for every live trajectory at once, over numpy arrays.  A
+trajectory whose step needs any other rule of trace, or is one of the last
+_LIVE_MIN live, goes on in trace's own loop from its state, so every exit,
+probe, real-axis and failure rule has trace as its one source.
 """
 
 from __future__ import annotations
@@ -15,6 +24,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .boundary import (
     BoundaryFunctions,
@@ -32,11 +43,15 @@ from .continuation import (
     TOL_CORR,
     CorrectorOutcome,
     LocusPoint,
+    _unchecked_point,
     correct,
+    correct_many,
     departure_angles,
     gain_step,
+    hermite_bend,
     pole_group,
     step_update,
+    step_update_many,
 )
 from .errors import BranchOnBoundary, InputError, SingularPointError
 from .plant import Plant, log_eval, wrap_angle
@@ -49,6 +64,9 @@ _NEAR_CELLS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 _SEED_HALVINGS = 8
 _FIRST_STEP_REL = 0.1
 MAX_STEPS = 20000  # step budget per trajectory
+_LAST_HALVING = H_MIN * (1.0 + 1e-12)  # a rejected step this short ends its trajectory
+_BATCH_MIN = 48  # batchable seeds from which a pass traces them by _trace_batch
+_LIVE_MIN = 32  # live trajectories below which a lockstep round costs more than trace
 
 
 @dataclass(frozen=True)
@@ -317,29 +335,39 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
     _first_step's; a seed at or above the cap is its own only point.
     """
     options = options or TraceOptions()
-    lnkmax, sigma0, tol = region.lnkmax, region.sigma0, options.tol_corr
+    if seed.start.Kval >= region.lnkmax:  # the seed already sits at or above the cap
+        return Trajectory(seed.origin, (seed.start,), GainCap(), start_marker=seed.start_marker)
+    s = seed.start.s
+    # 0j where the kernel raises
+    dlog = _correct(plant, s, seed.start.Kval, math.inf, 0, s.imag == 0.0).dlog
+    return _advance(plant, region, seed, branches, outward, options, [seed.start], dlog,
+                    s, None, 0.0, _first_step(plant, branches, s, options), MAX_STEPS)
 
-    points: list[LocusPoint] = [seed.start]
+
+def _advance(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
+             options: TraceOptions, points: list[LocusPoint], dlog: complex, s0: complex,
+             v0: complex | None, H: float, h: float, budget: int) -> Trajectory:
+    """trace's steps from the cursor points[-1], with dlog there, the point
+    s0 and ds/dK v0 one accepted gain step H back (v0 None: the cursor's, on
+    the first step), the next step length h and budget steps left; points
+    grows by every accepted step."""
+    lnkmax, sigma0, tol = region.lnkmax, region.sigma0, options.tol_corr
 
     def finish(termination):
         return Trajectory(seed.origin, tuple(points), termination,
                           start_marker=seed.start_marker)
 
-    if seed.start.Kval >= lnkmax:
-        return finish(GainCap())  # the seed already sits at or above the cap
-
-    s, K = seed.start.s, seed.start.Kval
-    real = s.imag == 0.0
+    s, K = points[-1].s, points[-1].Kval
+    real = seed.start.omega == 0.0
     # a real trajectory stays between the real plant roots around its start
     axis = [r.real for r in plant.zeros + plant.poles if abs(r.imag) <= _AXIS_TOL * (1.0 + abs(r))]
-    lo = max((x for x in axis if x < s.real), default=-math.inf)
-    hi = min((x for x in axis if x > s.real), default=math.inf)
-    dlog = _correct(plant, s, K, math.inf, 0, real).dlog  # 0j where the kernel raises
+    lo = max((x for x in axis if x < seed.start.sigma), default=-math.inf)
+    hi = min((x for x in axis if x > seed.start.sigma), default=math.inf)
     v = _ds_dK(dlog, real)  # at the cursor
-    s0, v0, H = s, v, 0.0  # the point and ds/dK one accepted gain step H back
+    if v0 is None:
+        v0 = v
     probes = _branch_probes(plant, branches, K)
-    h = _first_step(plant, branches, s, options)
-    for _ in range(MAX_STEPS):
+    for _ in range(budget):
         while probes and probes[0][0] <= K:  # the cursor is at a probe gain
             _, bi, abs_a = probes.pop(0)
             bp = branches[bi]
@@ -354,12 +382,7 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
         t = K1 - K
         ds = t * v
         if t <= 2.0 * H and K1 < lnkmax:  # bend along the cubic through (s0, v0) and (s, v)
-            u = 1.0 / H
-            q = (s0 - s) * u
-            if real:
-                q = q.real
-            c3 = (v + v0 + q + q) * u * u
-            bend = t * t * ((q + v) * u + c3 * (H + t))
+            bend = hermite_bend(s, v, s0, v0, H, t, real)
             if abs(bend) <= 0.5 * abs(ds):
                 ds += bend
         out = _correct(plant, s + ds, K1, tol, MAX_ITER, real)
@@ -387,7 +410,7 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
                 return finish(LeftRegion(ci))
 
         if reason is not None:
-            if h_used <= H_MIN * (1.0 + 1e-12):  # no halving is left
+            if h_used <= _LAST_HALVING:
                 return finish(StepFailure(reason))
             h = max(0.5 * h_used, H_MIN)
             continue
@@ -400,6 +423,112 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
         v = _ds_dK(dlog, real)
 
     return finish(StepFailure(f"step budget of {MAX_STEPS} exhausted"))
+
+
+def _slopes(dlog: np.ndarray) -> np.ndarray:
+    """_ds_dK off the axis at every element: -1/dlog, 0 where dlog is 0."""
+    with np.errstate(all="ignore"):
+        return np.where(dlog != 0.0, -1.0 / dlog, 0.0)
+
+
+def _batchable(seed: Seed, region: RegionSpec, top: float) -> bool:
+    """Whether _trace_batch takes the seed: off the real axis, below the cap
+    and at or above top, the highest gain of an active branch point, so that
+    trace would probe no branch point on its way."""
+    return seed.start.omega != 0.0 and top <= seed.start.Kval < region.lnkmax
+
+
+def _trace_batch(plant: Plant, region: RegionSpec, seeds, branches, outward,
+                 options: TraceOptions) -> list[Trajectory]:
+    """trace for many _batchable seeds, the bulk of their steps in lockstep
+    over numpy arrays.
+
+    Each round takes one step of trace for every live trajectory: the
+    gain_step raise of the gain, at most to ln kmax, the Hermite bend
+    (hermite_bend) with trace's fallbacks to the tangent, frozen-gain Newton
+    (correct_many) and step_update's rule (step_update_many), a rejected step
+    halved.  A trajectory leaves the lockstep at the cap, in GainCap, or
+    where trace would need any other rule: a step that lands left of sigma0,
+    a point the kernel flags (where trace's correct would raise or fold), a
+    gain that no longer rises, a rejection at H_MIN, MAX_STEPS spent, and a
+    trajectory still live when fewer than _LIVE_MIN are.  Such a trajectory
+    goes on in trace's own loop (_advance) from its state before that step,
+    so trace stays the one source of every other rule; a seed at whose
+    start the kernel flags is traced by trace.
+    """
+    lnkmax, sigma0, tol, h_max = region.lnkmax, region.sigma0, options.tol_corr, options.h_max
+    n = len(seeds)
+    s = np.array([seed.start.s for seed in seeds])
+    K = np.array([seed.start.Kval for seed in seeds])
+    _, _, _, _, dlog, _, bad = correct_many(plant, s, K, math.inf, 0)
+    # _first_step of every seed
+    anchors = np.array([*plant.zeros, *plant.poles, *(bp.s for bp in branches)], dtype=complex)
+    rho = np.abs(s[:, None] - anchors).min(axis=1, initial=math.inf)
+    h = np.minimum(np.maximum(np.maximum(options.h0, _FIRST_STEP_REL * rho), H_MIN), h_max)
+    v = _slopes(dlog)
+    # per live trajectory: its seed's index, the cursor, its gain, dlog and
+    # ds/dK, the point and ds/dK one accepted gain step H back, the step length
+    state = (np.arange(n), s, K, dlog, v, s, v, np.zeros(n), h)
+    keep = ~bad
+    capped = np.zeros(n, dtype=bool)
+    accepted = []  # (ids, points, gains) of the steps each round accepted
+    handed = []  # (ids, dlog, s0, v0, H, h, steps left) of trajectories for _advance
+
+    def hand(mask, left):  # of the round's live arrays
+        handed.append((ids[mask], dlog[mask], s0[mask], v0[mask], H[mask], h[mask], left))
+
+    for step in range(MAX_STEPS + 1):
+        ids, s, K, dlog, v, s0, v0, H, h = (x[keep] for x in state)
+        if len(ids) < _LIVE_MIN or step == MAX_STEPS:
+            hand(np.ones(len(ids), dtype=bool), MAX_STEPS - step)
+            break
+        K1 = np.minimum(K + gain_step(h, dlog, np.sqrt), lnkmax)
+        t = K1 - K
+        ds = t * v
+        with np.errstate(all="ignore"):  # H is 0 before the first accepted step
+            bend = hermite_bend(s, v, s0, v0, H, t)
+        ds = np.where((t <= 2.0 * H) & (K1 < lnkmax) & (np.abs(bend) <= 0.5 * np.abs(ds)),
+                      ds + bend, ds)
+        c, _, kappa, converged, dlog1, first, bad = correct_many(plant, s + ds, K1, tol, MAX_ITER)
+        h_next, redo = step_update_many(h, converged, kappa, first, np.abs(ds), tol * np.abs(v),
+                                        h_max)
+        accept = ~(redo | bad)
+        other = (bad | (accept & (c.real < sigma0)) | (redo & (h <= _LAST_HALVING))
+                 | (K1 <= K) | (v == 0.0))
+        ok = accept & ~other
+        if other.any():
+            hand(other, MAX_STEPS - step)
+        top = ok & (K1 >= lnkmax)
+        capped[ids[top]] = True
+        accepted.append((ids[ok], c[ok], K1[ok]))
+        keep = ~(other | top)
+        state = (ids, np.where(ok, c, s), np.where(ok, K1, K), np.where(ok, dlog1, dlog),
+                 np.where(ok, _slopes(dlog1), v), np.where(ok, s, s0), np.where(ok, v, v0),
+                 np.where(ok, t, H), h_next)
+
+    ends = np.zeros(n + 1, dtype=int)
+    points: list[LocusPoint] = []
+    if accepted:
+        ids, c, K1 = (np.concatenate(x) for x in zip(*accepted))
+        order = np.argsort(ids, kind="stable")  # by seed, each seed's steps in order
+        ids, c, K1 = ids[order], c[order], K1[order]
+        points = list(map(_unchecked_point, c.real.tolist(), c.imag.tolist(), K1.tolist()))
+        ends[1:] = np.cumsum(np.bincount(ids, minlength=n))
+    ends = ends.tolist()
+    out = [None] * n
+    cap = GainCap()
+    for i in np.flatnonzero(capped).tolist():
+        seed = seeds[i]
+        out[i] = Trajectory(seed.origin, (seed.start, *points[ends[i]:ends[i + 1]]), cap,
+                            start_marker=seed.start_marker)
+    for ids, *rest, left in handed:
+        for i, dlog, s0, v0, H, h in zip(ids.tolist(), *(x.tolist() for x in rest)):
+            seed = seeds[i]
+            out[i] = _advance(plant, region, seed, branches, outward, options,
+                              [seed.start, *points[ends[i]:ends[i + 1]]], dlog, s0, v0, H, h,
+                              left)
+    return [t or trace(plant, region, seed, branches, outward, options)
+            for t, seed in zip(out, seeds)]
 
 
 def _conj_index(items, value: complex) -> int:
@@ -421,7 +550,7 @@ def _mirror_trajectory(plant: Plant, branches, traj: Trajectory) -> Trajectory:
         )
     return Trajectory(
         origin=origin,
-        points=tuple([LocusPoint(p.sigma, -p.omega, p.Kval) for p in traj.points]),
+        points=tuple([_unchecked_point(p.sigma, -p.omega, p.Kval) for p in traj.points]),
         termination=termination,
         mirrored=True,
         start_marker=traj.start_marker.conjugate() if traj.start_marker is not None else None,
@@ -506,8 +635,14 @@ def _run_signed(bf: BoundaryFunctions, region: RegionSpec, options: TraceOptions
     crossings = boundary_crossings(bf, region)
 
     seeds = seed_points(plant, region, bf, crossings, options, branches)
-    trajectories = [trace(plant, region, seed, branches, crossings.outward, options)
-                     for seed in seeds]
+    top = max((bp.Kval for bp in branches if bp.active), default=-math.inf)
+    batchable = [i for i, seed in enumerate(seeds) if _batchable(seed, region, top)]
+    batched = dict(zip(batchable, _trace_batch(plant, region, [seeds[i] for i in batchable],
+                                               branches, crossings.outward, options)
+                       if len(batchable) >= _BATCH_MIN else ()))
+    trajectories = [batched[i] if i in batched else
+                    trace(plant, region, seed, branches, crossings.outward, options)
+                    for i, seed in enumerate(seeds)]
     # each outward crossing ends exactly one trajectory (its mirror image the
     # other); counted before _dedup so that a doubled exit shows
     exits = Counter(t.termination.matched for t in trajectories

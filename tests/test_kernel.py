@@ -11,6 +11,7 @@ corrector logic run on the kernel.
 
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,11 +24,21 @@ from dtlocus.continuation import (
     LocusPoint,
     _locus_eval,
     correct,
+    correct_many,
     residuals,
     step_update,
+    step_update_many,
 )
 from dtlocus.errors import InputError, SingularPointError
-from dtlocus.plant import TOL_SING, Plant, _log_kernel, dlog_ratio, log_eval, wrap_angle
+from dtlocus.plant import (
+    TOL_SING,
+    Plant,
+    _log_kernel,
+    _log_kernel_many,
+    dlog_ratio,
+    log_eval,
+    wrap_angle,
+)
 from dtlocus.tracer import TraceOptions, _first_step
 
 from oracles import (
@@ -194,6 +205,79 @@ def test_kernel_range_extremes(plant, points, folded, monkeypatch):
     assert bool(calls) is folded
     if folded:  # a plain product overflows there
         assert not cmath.isfinite(math.prod(points[0] - p for p in plant.poles))
+
+
+def test_kernel_many_equals_the_kernel(monkeypatch):
+    # the lockstep twin at arrays of random points, points within the
+    # singular radius of a root and points where a product leaves the double
+    # range: values within 1e-13 of _log_kernel's (relative, the phase
+    # around the circle), flagged exactly where _log_kernel raises or folds
+    folds = []
+    fold = plant_module._folded_log
+    monkeypatch.setattr(plant_module, "_folded_log", lambda s, roots: folds.append(s) or fold(s, roots))
+    rng = np.random.RandomState(23)
+    plants = PLANTS + [Plant(1.0, 0.5, (), _ring(100, 3.0, -4.0)),
+                       Plant(2.0, 1.0, (-0.5 + 0j,), (-1 + 0j,) * 4 + (-2 + 1j, -2 - 1j))]
+    counts = Counter()
+    for plant in plants:
+        roots = plant.zeros + plant.poles
+        pts = _points(plant, rng, 150) + [2000j, 1500 + 2000j, complex(-1e160, 1.0)]
+        pts += [r + 0.5 * TOL_SING * (1.0 + abs(r)) for r in roots[:3]]
+        lnmag, phase, dlog, bad = _log_kernel_many(plant, np.array(pts))
+        for i, s in enumerate(pts):
+            folds.clear()
+            try:
+                want = _log_kernel(plant, s.real, s.imag)
+            except SingularPointError:
+                counts["raised"] += 1
+                assert bad[i], s
+                continue
+            if folds:
+                counts["folded"] += 1
+                assert bad[i], s
+                continue
+            assert not bad[i], s
+            got = (lnmag[i], phase[i], dlog[i].real, 0.0 - dlog[i].imag)
+            for j, (a, b) in enumerate(zip(got, want)):
+                diff = wrap_angle(a - b) if j == 1 else a - b
+                assert abs(diff) <= 1e-13 * max(1.0, abs(b)), (plant, s, j, a, b)
+            counts["equal"] += 1
+    assert counts["raised"] and counts["folded"] and counts["equal"] > 1000, counts
+
+
+def test_lockstep_corrector_and_step_rule_equal_theirs():
+    # correct_many and step_update_many against correct and step_update,
+    # solve by solve, off the axis: the same iterations, convergence, steps
+    # and next length, points within the rounding of the two kernels
+    rng = np.random.RandomState(29)
+    counts = Counter()
+    for plant in PLANTS[:10]:
+        pts = [s for s in _points(plant, rng, 60) if s.imag != 0.0]
+        values = [_outcome(log_eval, plant, s) for s in pts]
+        K = np.array([0.0 if isinstance(lv, tuple) else -lv.lnmag + rng.uniform(-0.05, 0.05)
+                      for lv in values])
+        many = correct_many(plant, np.array(pts), K, 1e-6, 20)
+        h = rng.uniform(1e-8, 0.5, len(pts))
+        ds = rng.uniform(0.0, 0.3, len(pts))
+        new_h, redo = step_update_many(h, many.converged, many.kappa, many.first, ds,
+                                       np.full(len(pts), 1e-7), 0.5)
+        for i, s in enumerate(pts):
+            try:
+                one = correct(plant, s, K[i], 1e-6, 20)
+            except (SingularPointError, InputError, ZeroDivisionError):
+                counts["raised"] += 1
+                assert many.bad[i] or not many.converged[i]
+                continue
+            if many.bad[i]:
+                counts["bad"] += 1
+                continue
+            assert (many.iterations[i], many.converged[i]) == (one.iterations, one.converged)
+            assert abs(many.point[i] - one.point.s) <= 1e-9 * (1.0 + abs(s))
+            assert abs(many.kappa[i] - one.kappa) <= 1e-9 and abs(many.first[i] - one.first) <= 1e-9
+            want = step_update(h[i], one, 0.5, ds[i], 1e-7)
+            assert (redo[i], new_h[i]) == pytest.approx((want[1], want[0]), rel=1e-9)
+            counts["redo" if want[1] else "accept"] += 1
+    assert counts["accept"] > 50 and counts["redo"] > 50, counts
 
 
 @pytest.mark.parametrize("bad", [(math.nan, 0.0, 0.0), (0.5, math.inf, 0.0),

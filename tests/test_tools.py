@@ -1,6 +1,7 @@
 """Smoke tests of the tools.  tools/output_digest.py, the per-job same-output
 check: one labelled line per job, in the hash format, the --topology format
-(with its mirrored and over-captured counts), the --work format and the
+(with its mirrored and over-captured counts), the --work format (whose
+dense count with lockstep tracing equals the count without) and the
 --ledger format, whose count is checked on a crafted result; --census, a
 line per job with a finding and a totals line, checked with a stub check
 and a stub _dedup.
@@ -10,6 +11,7 @@ pair."""
 import importlib.util
 import itertools
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -88,6 +90,23 @@ def test_output_digest_work_lines(capsys, monkeypatch):
     run(parsed, RegionSpec(job.sigma0, job.kmax), TraceOptions(negative_gains=job.negative_gains))
     assert 0 < at_parse < len(calls)
     assert int(re.findall(work, line)[0][-1]) == len(calls)
+
+    # a dense job traces its crossing-seeded bulk in lockstep; each point of
+    # a lockstep kernel call counts as one evaluation and each lockstep solve
+    # as one correct call with its Newton iterations, so the line equals the
+    # count of tracing every seed one at a time
+    lockstep = (plant._log_kernel_many, continuation.correct_many, tracer.correct_many)
+    batches = []
+    batch = tracer._trace_batch
+    monkeypatch.setattr(tracer, "_trace_batch", lambda *args: batches.append(None) or batch(*args))
+    assert digest.main(["dense", "--jobs", "1", "--work"]) == 0
+    (batched,) = capsys.readouterr().out.splitlines()
+    assert batches
+    monkeypatch.setattr(tracer, "_BATCH_MIN", math.inf)
+    assert digest.main(["dense", "--jobs", "1", "--work"]) == 0
+    assert capsys.readouterr().out.splitlines() == [batched]
+    assert len(batches) == 1
+    assert (plant._log_kernel_many, continuation.correct_many, tracer.correct_many) == lockstep
 
 
 def test_output_digest_ledger_lines(capsys, monkeypatch):

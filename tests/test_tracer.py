@@ -1243,6 +1243,9 @@ class TestHermitePredictor:
             return new_h, repeat
 
         monkeypatch.setattr(tracer, "step_update", counted)
+        # every step through trace's loop: the lockstep batch takes the same
+        # steps (TestBatch) without calling step_update
+        monkeypatch.setattr(tracer, "_BATCH_MIN", math.inf)
         rng = np.random.RandomState(47)
         for _ in range(40):
             plant = random_plant(rng, Plant)
@@ -1253,3 +1256,163 @@ class TestHermitePredictor:
                 continue
         assert counts["accepted"] > 2000
         assert counts["newton"] <= 0.9 * counts["accepted"], counts
+
+
+def _traced_in_lockstep(plant, region, options, monkeypatch):
+    """run(plant, region, options) with every _trace_batch call recorded as
+    (plant, seeds, branches, outward, trajectories), and every seed that
+    trace took from the start."""
+    batches, traced = [], []
+    batch, trace = tracer._trace_batch, tracer.trace
+
+    def recorded_batch(plant, region, seeds, branches, outward, options):
+        out = batch(plant, region, seeds, branches, outward, options)
+        batches.append((plant, seeds, branches, outward, out))
+        return out
+
+    def recorded_trace(plant, region, seed, *args):
+        traced.append((plant, seed))
+        return trace(plant, region, seed, *args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(tracer, "_trace_batch", recorded_batch)
+        mp.setattr(tracer, "trace", recorded_trace)
+        res = run(plant, region, options)
+    return res, batches, traced
+
+
+def _assert_as_traced(region, options, batches):
+    """Each batched trajectory has the origin, termination and point count
+    trace gives its seed, and its end within 1e-9 relative; the kinds of
+    ending seen are returned."""
+    ends = Counter()
+    for plant, seeds, branches, outward, out in batches:
+        assert len(out) == len(seeds)
+        for seed, got in zip(seeds, out):
+            ref = tracer.trace(plant, region, seed, branches, outward, options)
+            assert (got.origin, got.termination, len(got.points), got.start_marker) == (
+                ref.origin, ref.termination, len(ref.points), ref.start_marker)
+            assert got.points[0] == seed.start
+            a, b = got.points[-1], ref.points[-1]
+            assert abs(a.s - b.s) <= 1e-9 * (1.0 + abs(b.s)), (a, b)
+            assert abs(a.Kval - b.Kval) <= 1e-9 * (1.0 + abs(b.Kval)), (a, b)
+            ends[type(got.termination).__name__] += 1
+    return ends
+
+
+class TestBatch:
+    """_trace_batch, the lockstep tracer of the crossing-seeded bulk, ends
+    every trajectory as trace does from its seed: in lockstep at the cap,
+    through trace's own loop everywhere else."""
+
+    @pytest.mark.parametrize("sigma0, kmax", [(-3.5, 50.0), (-3.5, 150.0), (-3.5, 500.0),
+                                              (-6.0, 5.0)])
+    def test_dense_rungs(self, sigma0, kmax, monkeypatch):
+        res, batches, traced = _traced_in_lockstep(
+            parse_input(DEMO), RegionSpec(sigma0, kmax), TraceOptions(), monkeypatch)
+        ((_, seeds, *_),) = batches
+        assert len(seeds) >= tracer._BATCH_MIN
+        assert len(seeds) + len(traced) == sum(not t.mirrored for t in res.trajectories)
+        assert _assert_as_traced(RegionSpec(sigma0, kmax), TraceOptions(), batches)["GainCap"] \
+            > 0.99 * len(seeds)
+
+    def test_random_plants(self, monkeypatch):
+        # every pass batches, and every batched trajectory stays in lockstep
+        # until it needs another of trace's rules; the seeds left to trace
+        # are the real ones and those below an active branch point's gain,
+        # and the batch hands on region exits to trace's loop
+        monkeypatch.setattr(tracer, "_BATCH_MIN", 1)
+        monkeypatch.setattr(tracer, "_LIVE_MIN", 1)
+        rng = np.random.RandomState(19)
+        ends, left_out = Counter(), Counter()
+        for _ in range(40):
+            plant = random_plant(rng, Plant)
+            region = RegionSpec(*clean_region(plant, rng))
+            options = TraceOptions(negative_gains=True)
+            try:
+                res, batches, traced = _traced_in_lockstep(plant, region, options, monkeypatch)
+            except DtLocusError:
+                continue
+            ends += _assert_as_traced(region, options, batches)
+            for signed, seeds, branches, _, _ in batches:
+                top = max((bp.Kval for bp in branches if bp.active), default=-math.inf)
+                for seed in seeds:
+                    assert seed.start.omega != 0.0 and top <= seed.start.Kval < region.lnkmax
+            tops = {r.plant: max((bp.Kval for bp in r.branch_points if bp.active),
+                                 default=-math.inf) for r in (res, res.negative)}
+            for signed, seed in traced:
+                top = tops[signed]
+                if seed.start.omega == 0.0:
+                    left_out["real"] += 1
+                elif seed.start.Kval < top:
+                    left_out["below a branch point"] += 1
+        assert ends["GainCap"] and ends["LeftRegion"], ends
+        assert left_out["real"] and left_out["below a branch point"], left_out
+
+    def test_step_budget(self, monkeypatch):
+        # with MAX_STEPS 2 the batch hands its live trajectories to trace's
+        # loop with no steps left, which ends them as trace does
+        monkeypatch.setattr(tracer, "MAX_STEPS", 2)
+        region = RegionSpec(-3.5, 50.0)
+        _, batches, _ = _traced_in_lockstep(parse_input(DEMO), region, TraceOptions(),
+                                            monkeypatch)
+        ends = _assert_as_traced(region, TraceOptions(), batches)
+        assert ends["GainCap"] and ends["StepFailure"], ends
+
+    def test_point_next_to_a_plant_root(self, monkeypatch):
+        # a seed next to a plant zero, where trace's kernel raises, and
+        # steps on which the batch's kernel flags a point: trace's loop
+        # ends the first and takes the steps of the others
+        plant, region, options = parse_input(DEMO), RegionSpec(-3.5, 50.0), TraceOptions()
+        branches = tuple(branch.branch_points(plant, region))
+        outward = boundary.boundary_crossings(boundary_functions(plant, region), region).outward
+        seeds = seed_points(plant, region, branches=branches)
+        seeds = [seed for seed in seeds if seed.start.omega != 0.0]
+        zero = plant.zeros[0]
+        near = zero + complex(0.0, 1e-14)
+        seeds.insert(3, Seed(CrossingOrigin(99), LocusPoint(near.real, near.imag, 0.0)))
+        correct_many = tracer.correct_many
+
+        def flagging(plant, s, Kval, *args):
+            out = correct_many(plant, s, Kval, *args)
+            return out._replace(bad=out.bad | (Kval > 2.0))
+
+        monkeypatch.setattr(tracer, "correct_many", flagging)
+        out = tracer._trace_batch(plant, region, seeds, branches, outward, options)
+        ends = _assert_as_traced(region, options, [(plant, seeds, branches, outward, out)])
+        assert out[3].termination == StepFailure("the gain no longer rises at step 1")
+        assert ends["GainCap"] > 0.9 * len(seeds)
+
+    def test_gain_that_stops_rising(self, monkeypatch):
+        # steps shorter than 0.3 raise the gain by nothing, in trace and in
+        # the batch alike: trace's loop ends those trajectories
+        gain_step = tracer.gain_step
+        monkeypatch.setattr(tracer, "gain_step",
+                            lambda h, dlog, sqrt=math.sqrt: gain_step(h, dlog, sqrt) * (h > 0.3))
+        region = RegionSpec(-3.5, 50.0)
+        _, batches, _ = _traced_in_lockstep(parse_input(DEMO), region, TraceOptions(),
+                                            monkeypatch)
+        ends = _assert_as_traced(region, TraceOptions(), batches)
+        assert ends["GainCap"] and ends["StepFailure"], ends
+
+    def test_rejection_at_the_smallest_step(self, monkeypatch):
+        # every solve at the cap fails, in trace and in the batch alike: cap
+        # steps halve down to H_MIN, where trace's loop ends the trajectory
+        region = RegionSpec(-3.5, 50.0)
+        correct, correct_many = tracer.correct, tracer.correct_many
+
+        def no_cap(plant, s, Kval, *args):
+            out = correct(plant, s, Kval, *args)
+            return dataclasses.replace(out, converged=False) if Kval == region.lnkmax else out
+
+        def no_cap_many(plant, s, Kval, *args):
+            out = correct_many(plant, s, Kval, *args)
+            return out._replace(converged=out.converged & (Kval != region.lnkmax))
+
+        monkeypatch.setattr(tracer, "correct", no_cap)
+        monkeypatch.setattr(tracer, "correct_many", no_cap_many)
+        monkeypatch.setattr(tracer, "_LIVE_MIN", 1)
+        _, batches, _ = _traced_in_lockstep(parse_input(DEMO), region, TraceOptions(),
+                                            monkeypatch)
+        ends = _assert_as_traced(region, TraceOptions(), batches)
+        assert ends == {"StepFailure": len(batches[0][1])}

@@ -38,7 +38,10 @@ locus the two counts agree at every gain.
 With ``--work`` a job that returns prints, instead of hashes, one line per
 gain sign: the plant kernel evaluations (``plant._log_kernel``), the
 ``continuation.correct`` calls, their Newton iterations and the Horner
-passes of the root polish (``poly._horner_triple``).  They are counted by
+passes of the root polish (``poly._horner_triple``).  The lockstep tracer's
+work counts alike: each point of a ``plant._log_kernel_many`` call is one
+kernel evaluation, and each solve of a ``continuation.correct_many`` call
+one ``correct`` call with its Newton iterations.  They are counted by
 wrapping those names in every dtlocus module that holds them, where the
 program looks them up, as ``locusbench/tracing.py`` does; the sign-free
 set-up both passes share counts with the positive one, and so does every
@@ -182,7 +185,9 @@ class WorkCount:
     """Kernel evaluations, correct calls, Newton iterations and polish
     passes per gain sign.
 
-    install() wraps ``plant._log_kernel``, ``continuation.correct`` and
+    install() wraps ``plant._log_kernel``, ``continuation.correct``, their
+    lockstep twins ``plant._log_kernel_many`` and
+    ``continuation.correct_many`` (one count per point or solve) and
     ``poly._horner_triple`` in every dtlocus module namespace that holds
     them; uninstall() puts the originals back.  A call counts towards "+"
     when its plant's gain has the sign of the job's plant (set ``alpha``
@@ -200,11 +205,18 @@ class WorkCount:
     def install(self) -> None:
         kernel = sys.modules["dtlocus.plant"]._log_kernel
         correct = sys.modules["dtlocus.continuation"].correct
+        # the lockstep twins, missing from a checkout without them
+        kernel_many = getattr(sys.modules["dtlocus.plant"], "_log_kernel_many", None)
+        correct_many = getattr(sys.modules["dtlocus.continuation"], "correct_many", None)
         horner = sys.modules["dtlocus.poly"]._horner_triple
 
         def counted_kernel(plant, *args):
             self.counts[self._sign(plant), "kernel"] += 1
             return kernel(plant, *args)
+
+        def counted_kernel_many(plant, s):
+            self.counts[self._sign(plant), "kernel"] += len(s)
+            return kernel_many(plant, s)
 
         def counted_correct(plant, *args, **kwargs):
             sign = self._sign(plant)
@@ -213,12 +225,21 @@ class WorkCount:
             self.counts[sign, "newton"] += out.iterations
             return out
 
+        def counted_correct_many(plant, s, *args, **kwargs):
+            sign = self._sign(plant)
+            self.counts[sign, "correct"] += len(s)
+            out = correct_many(plant, s, *args, **kwargs)
+            self.counts[sign, "newton"] += int(out.iterations.sum())
+            return out
+
         def counted_horner(*args):
             self.counts["+", "polish"] += 1
             return horner(*args)
 
-        self._undo = _wrap({kernel: counted_kernel, correct: counted_correct,
-                            horner: counted_horner})
+        wrappers = {kernel: counted_kernel, correct: counted_correct, horner: counted_horner}
+        if kernel_many is not None:
+            wrappers.update({kernel_many: counted_kernel_many, correct_many: counted_correct_many})
+        self._undo = _wrap(wrappers)
 
     def uninstall(self) -> None:
         _unwrap(self._undo)
