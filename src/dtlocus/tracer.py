@@ -637,9 +637,10 @@ def _run_signed(bf: BoundaryFunctions, region: RegionSpec, options: TraceOptions
     seeds = seed_points(plant, region, bf, crossings, options, branches)
     top = max((bp.Kval for bp in branches if bp.active), default=-math.inf)
     batchable = [i for i, seed in enumerate(seeds) if _batchable(seed, region, top)]
-    batched = dict(zip(batchable, _trace_batch(plant, region, [seeds[i] for i in batchable],
-                                               branches, crossings.outward, options)
-                       if len(batchable) >= _BATCH_MIN else ()))
+    batched = {}
+    if len(batchable) >= _BATCH_MIN:
+        batched = dict(zip(batchable, _trace_batch(plant, region, [seeds[i] for i in batchable],
+                                                   branches, crossings.outward, options)))
     trajectories = [batched[i] if i in batched else
                     trace(plant, region, seed, branches, crossings.outward, options)
                     for i, seed in enumerate(seeds)]
