@@ -1349,6 +1349,24 @@ class TestBatch:
         assert ends["GainCap"] and ends["LeftRegion"], ends
         assert left_out["real"] and left_out["below a branch point"], left_out
 
+    def test_crossing_trajectory_that_exits(self, monkeypatch):
+        # corpus seed 101 job 287, negative gains: one of its two crossing
+        # seeds leaves the region again; the batch hands the step that lands
+        # left of sigma0 to trace's loop, which ends it at its outward crossing
+        monkeypatch.setattr(tracer, "_BATCH_MIN", 1)
+        monkeypatch.setattr(tracer, "_LIVE_MIN", 1)
+        doc = {"alpha": -4.268413, "delay": 0.374703,
+               "zeros": [[-2.05334, 1.996117], [-2.05334, -1.996117], [-1.12581, 0.0]],
+               "poles": [[0.134537, 0.0], [-2.313032, 0.0], [-0.876671, 0.0],
+                         [-2.118442, 1.25742], [-2.118442, -1.25742], [-2.468588, 0.0]]}
+        region = RegionSpec(-1.863112, 12.958963)
+        _, batches, _ = _traced_in_lockstep(parse_input(json.dumps(doc).encode()), region,
+                                            TraceOptions(), monkeypatch)
+        assert _assert_as_traced(region, TraceOptions(), batches)["LeftRegion"] == 1
+        (_, _, _, _, out), = batches
+        assert [type(t.origin) for t in out if isinstance(t.termination, LeftRegion)] == [
+            CrossingOrigin]
+
     def test_step_budget(self, monkeypatch):
         # with MAX_STEPS 2 the batch hands its live trajectories to trace's
         # loop with no steps left, which ends them as trace does
