@@ -470,8 +470,9 @@ def _trace_batch(plant: Plant, region: RegionSpec, seeds, branches, outward,
     # ds/dK, the point and ds/dK one accepted gain step H back, the step length
     state = (np.arange(n), s, K, dlog, v, s, v, np.zeros(n), h)
     keep = ~bad
-    capped = np.zeros(n, dtype=bool)
-    accepted = []  # (ids, points, gains) of the steps each round accepted
+    paths = [[seed.start] for seed in seeds]  # each trajectory's points so far
+    out: list[Trajectory | None] = [None] * n
+    cap = GainCap()
     handed = []  # (ids, dlog, s0, v0, H, h, steps left) of trajectories for _advance
 
     def hand(mask, left):  # of the round's live arrays
@@ -498,35 +499,22 @@ def _trace_batch(plant: Plant, region: RegionSpec, seeds, branches, outward,
         ok = accept & ~other
         if other.any():
             hand(other, MAX_STEPS - step)
+        for i, p in zip(ids[ok].tolist(), map(_unchecked_point, c.real[ok].tolist(),
+                                              c.imag[ok].tolist(), K1[ok].tolist())):
+            paths[i].append(p)
         top = ok & (K1 >= lnkmax)
-        capped[ids[top]] = True
-        accepted.append((ids[ok], c[ok], K1[ok]))
+        for i in ids[top].tolist():
+            seed = seeds[i]
+            out[i] = Trajectory(seed.origin, tuple(paths[i]), cap, start_marker=seed.start_marker)
         keep = ~(other | top)
         state = (ids, np.where(ok, c, s), np.where(ok, K1, K), np.where(ok, dlog1, dlog),
                  np.where(ok, _slopes(dlog1), v), np.where(ok, s, s0), np.where(ok, v, v0),
                  np.where(ok, t, H), h_next)
 
-    ends = np.zeros(n + 1, dtype=int)
-    points: list[LocusPoint] = []
-    if accepted:
-        ids, c, K1 = (np.concatenate(x) for x in zip(*accepted))
-        order = np.argsort(ids, kind="stable")  # by seed, each seed's steps in order
-        ids, c, K1 = ids[order], c[order], K1[order]
-        points = list(map(_unchecked_point, c.real.tolist(), c.imag.tolist(), K1.tolist()))
-        ends[1:] = np.cumsum(np.bincount(ids, minlength=n))
-    ends = ends.tolist()
-    out = [None] * n
-    cap = GainCap()
-    for i in np.flatnonzero(capped).tolist():
-        seed = seeds[i]
-        out[i] = Trajectory(seed.origin, (seed.start, *points[ends[i]:ends[i + 1]]), cap,
-                            start_marker=seed.start_marker)
     for ids, *rest, left in handed:
         for i, dlog, s0, v0, H, h in zip(ids.tolist(), *(x.tolist() for x in rest)):
-            seed = seeds[i]
-            out[i] = _advance(plant, region, seed, branches, outward, options,
-                              [seed.start, *points[ends[i]:ends[i + 1]]], dlog, s0, v0, H, h,
-                              left)
+            out[i] = _advance(plant, region, seeds[i], branches, outward, options, paths[i],
+                              dlog, s0, v0, H, h, left)
     return [t or trace(plant, region, seed, branches, outward, options)
             for t, seed in zip(out, seeds)]
 
