@@ -267,9 +267,20 @@ def _first_step(plant: Plant, branches, start: complex, options: TraceOptions) -
     1e-3(1 + |anchor|) of their anchor, so they keep h0 while the anchor lies
     inside |s| < 99.
     """
-    anchors = (*plant.zeros, *plant.poles, *(bp.s for bp in branches))
-    rho = min(map(abs, map(start.__sub__, anchors)), default=math.inf)
-    return min(max(options.h0, _FIRST_STEP_REL * rho, H_MIN), options.h_max)
+    rho = min(map(abs, map(start.__sub__, _anchors(plant, branches))), default=math.inf)
+    return _first_step_length(rho, options)
+
+
+def _anchors(plant: Plant, branches) -> tuple[complex, ...]:
+    """The plant zeros and poles and the branch points, which _first_step
+    measures rho to."""
+    return (*plant.zeros, *plant.poles, *(bp.s for bp in branches))
+
+
+def _first_step_length(rho, options: TraceOptions, maximum=max, minimum=min):
+    """_first_step's length from rho: a tenth of it, raised to h0 and kept
+    in [H_MIN, h_max].  With an array rho, pass np.maximum and np.minimum."""
+    return minimum(maximum(maximum(options.h0, _FIRST_STEP_REL * rho), H_MIN), options.h_max)
 
 
 def _branch_probes(plant: Plant, branches, Kval: float) -> list[tuple[float, int, float]]:
@@ -462,9 +473,9 @@ def _trace_batch(plant: Plant, region: RegionSpec, seeds, branches, outward,
     K = np.array([seed.start.Kval for seed in seeds])
     _, _, _, _, dlog, _, bad = correct_many(plant, s, K, math.inf, 0)
     # _first_step of every seed
-    anchors = np.array([*plant.zeros, *plant.poles, *(bp.s for bp in branches)], dtype=complex)
+    anchors = np.array(_anchors(plant, branches), dtype=complex)
     rho = np.abs(s[:, None] - anchors).min(axis=1, initial=math.inf)
-    h = np.minimum(np.maximum(np.maximum(options.h0, _FIRST_STEP_REL * rho), H_MIN), h_max)
+    h = _first_step_length(rho, options, np.maximum, np.minimum)
     v = _slopes(dlog)
     # per live trajectory: its seed's index, the cursor, its gain, dlog and
     # ds/dK, the point and ds/dK one accepted gain step H back, the step length

@@ -480,18 +480,23 @@ class TestFirstStep:
 
     @pytest.fixture(scope="class")
     def demo_500(self):
-        calls = []  # one step_update per step taken
-        step_update = tracer.step_update
+        calls = []  # one step_update per step taken, one per solve of a lockstep round
+        step_update, step_update_many = tracer.step_update, tracer.step_update_many
 
         def counted(*args):
-            calls.append(None)
+            calls.append(1)
             return step_update(*args)
+
+        def counted_many(h, *args):
+            calls.append(len(h))
+            return step_update_many(h, *args)
 
         plant = parse_input(b'{"num": [50, -10, 1], "den": [1.25, 4.25, 4, 1], "delay": 1}')
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tracer, "step_update", counted)
+            mp.setattr(tracer, "step_update_many", counted_many)
             res = run(plant, RegionSpec(-3.5, 500.0))
-        return res, len(calls)
+        return res, sum(calls)
 
     def test_corrector_calls_per_trajectory(self, demo_500):
         res, calls = demo_500
@@ -1234,7 +1239,8 @@ class TestHermitePredictor:
         # over these draws the tangent predictor took 1.08 Newton iterations per
         # accepted step, the Hermite one takes 0.76
         counts = Counter()
-        step_update = tracer.step_update
+        step_update, correct_many = tracer.step_update, tracer.correct_many
+        step_update_many = tracer.step_update_many
 
         def counted(h, out, *args):
             new_h, repeat = step_update(h, out, *args)
@@ -1242,10 +1248,22 @@ class TestHermitePredictor:
             counts["accepted"] += not repeat
             return new_h, repeat
 
+        # the lockstep rounds: each solve of a round is one step, judged by
+        # step_update_many (the seeds' own dlog solves take no iteration)
+        def counted_correct_many(*args):
+            outs = correct_many(*args)
+            counts["newton"] += int(outs.iterations.sum())
+            return outs
+
+        def counted_many(*args):
+            new_h, repeat = step_update_many(*args)
+            counts["accepted"] += int((~repeat).sum())
+            counts["lockstep"] += len(repeat)
+            return new_h, repeat
+
         monkeypatch.setattr(tracer, "step_update", counted)
-        # every step through trace's loop: the lockstep batch takes the same
-        # steps (TestBatch) without calling step_update
-        monkeypatch.setattr(tracer, "_BATCH_MIN", math.inf)
+        monkeypatch.setattr(tracer, "correct_many", counted_correct_many)
+        monkeypatch.setattr(tracer, "step_update_many", counted_many)
         rng = np.random.RandomState(47)
         for _ in range(40):
             plant = random_plant(rng, Plant)
@@ -1254,7 +1272,7 @@ class TestHermitePredictor:
                 run(plant, region, TraceOptions(negative_gains=True))
             except DtLocusError:
                 continue
-        assert counts["accepted"] > 2000
+        assert counts["accepted"] > 2000 and counts["lockstep"] > 0
         assert counts["newton"] <= 0.9 * counts["accepted"], counts
 
 
