@@ -68,6 +68,9 @@ class BoundaryCrossing:
 
 @dataclass(frozen=True)
 class CrossingSet:
+    """The boundary crossings by direction, each tuple sorted by gain; the
+    tracer bisects outward for the next exit gain above a trajectory's."""
+
     inward: tuple[BoundaryCrossing, ...]
     outward: tuple[BoundaryCrossing, ...]
 

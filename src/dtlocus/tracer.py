@@ -22,8 +22,10 @@ probe, real-axis and failure rule has trace as its one source.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -316,29 +318,32 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
     """Advance one seed to its termination, stepping in the gain.
 
     A step of length h in (sigma, omega, K) raises the gain by
-    gain_step(h, dlog) to K1, at most to ln kmax and to the next branch
-    probe gain, predicts along the cubic in t = K1 - K through the cursor s
-    and the point s0 one accepted gain step H back, with their slopes
-    ds/dK = -1/dlog, v and v0 (the cubic Hermite interpolant; Allgower and
-    Georg, Introduction to Numerical Continuation Methods, SIAM 2003), and
-    corrects by Newton at frozen K1, on the axis for a trajectory that
+    gain_step(h, dlog) to K1, at most to ln kmax, to the next branch probe
+    gain and to the next gain in outward, the pass's outward crossings
+    sorted by gain (found by bisection), predicts along the cubic in
+    t = K1 - K through the cursor s and the point s0 one accepted gain step
+    H back, with their slopes ds/dK = -1/dlog, v and v0 (the cubic Hermite
+    interpolant; Allgower and Georg, Introduction to Numerical Continuation
+    Methods, SIAM 2003), and corrects by Newton at frozen K1, on the axis for a trajectory that
     starts on it.  The prediction is the tangent s + t v plus the cubic's
     bend t^2 (c2 + c3 t), which is left out on the first step, when t
     exceeds 2H (after a step cut short at a probe gain the cubic would be
     extrapolated far beyond its data), when the bend exceeds half of |t v|,
     and on the step to ln kmax (from a bent prediction Newton can stop at
     once, inside tol but farther from the cap root than its solve would
-    bring it).  A rejected step keeps s0 and v0.  step_update grades each
-    step; these reject it too: a real-axis step past a real plant root, and
-    a step left of sigma0 with no exit among outward, the pass's outward
-    crossings.  The exit is the crossing with gain in the step's window
-    [K - tol, min(K1 + tol, ln kmax)] whose omega is nearest |w|, w the
-    step's chord interpolated to sigma0, if it is no farther from |w| than
-    the chord is long.  The trajectory records it as (sigma0, omega on the
-    side of w, its gain) when that gain is above K, and ends in
-    LeftRegion(its index).  A rejected step is redone at half the length; at
-    H_MIN, or after MAX_STEPS steps, the trajectory ends in StepFailure.  A
-    step to ln kmax ends in GainCap.
+    bring it).  A rejected step keeps s0 and v0.
+    A root leaves the window only across Re(s) = sigma0, so only at an
+    outward crossing and at that crossing's own gain.  On the step to it the
+    trajectory leaves there if its corrected point lies within
+    4 tol/|dlog| + 1e-9(1 + |x|) of x = sigma0 + j omega_c, on the side of
+    the axis of the point: it records (sigma0, Im x, the crossing's gain) and
+    ends in LeftRegion(the crossing's index).  That test comes before the
+    one for sigma0, since the step may land a rounding error left of the
+    line.  step_update grades each step; these reject it too: a real-axis
+    step past a real plant root, and any other step that lands left of
+    sigma0.  A rejected step is redone at half the length; at H_MIN, or
+    after MAX_STEPS steps, the trajectory ends in StepFailure.  A step to
+    ln kmax ends in GainCap.
     At a branch point's probe gain (_branch_probes) the trajectory arrives,
     ending ReachedBranch at s*, if it lies within 2 rho of s*; otherwise it
     ignores that branch point.  Departures start above their own branch
@@ -387,7 +392,9 @@ def _advance(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
                 points.append(LocusPoint(bp.s.real, bp.s.imag, bp.Kval))
                 return finish(ReachedBranch(bi))
 
-        K1 = min(K + gain_step(h, dlog), lnkmax, probes[0][0] if probes else math.inf)
+        ex = bisect_right(outward, K, key=attrgetter("Kval"))  # the next exit gain's crossing
+        exit_gain = outward[ex].Kval if ex < len(outward) else math.inf
+        K1 = min(K + gain_step(h, dlog), lnkmax, probes[0][0] if probes else math.inf, exit_gain)
         if K1 <= K or not v:
             return finish(StepFailure(f"the gain no longer rises at step {len(points)}"))
         t = K1 - K
@@ -401,24 +408,19 @@ def _advance(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
         h, repeat = step_update(h_used, out, options.h_max, abs(ds), tol * abs(v))
         c = out.point
         reason = None
+        # the crossing the trajectory may leave the region at, on the step to its gain
+        x = complex(sigma0, math.copysign(outward[ex].omega, c.omega)) if K1 == exit_gain else None
 
         if repeat:
             reason = f"step underflow: step length {h_used:.3e} cannot shrink below {H_MIN:.3e}"
         elif real and (c.sigma > hi or lo > max(c.sigma, sigma0)):
             reason = f"step passed a real plant root at step {len(points)}"
+        elif x is not None and out.dlog and (
+                abs(c.s - x) <= 4.0 * tol / abs(out.dlog) + 1e-9 * (1.0 + abs(x))):
+            points.append(LocusPoint(sigma0, x.imag, K1))
+            return finish(LeftRegion(ex))
         elif c.sigma < sigma0:
-            w = s.imag + (sigma0 - s.real) / (c.sigma - s.real) * (c.omega - s.imag)
-            top = min(K1 + tol, lnkmax)
-            dw, ci = min(((abs(x.omega - abs(w)), i) for i, x in enumerate(outward)
-                          if K - tol <= x.Kval <= top), default=(math.inf, -1))
-            if dw > abs(c.s - s):
-                reason = ("region exit with no outward crossing in the step's gain window "
-                          f"at step {len(points)}")
-            else:
-                x = outward[ci]
-                if x.Kval > K:
-                    points.append(LocusPoint(sigma0, math.copysign(x.omega, w), x.Kval))
-                return finish(LeftRegion(ci))
+            reason = f"step left the region off every outward crossing at step {len(points)}"
 
         if reason is not None:
             if h_used <= _LAST_HALVING:
@@ -458,8 +460,11 @@ def _trace_batch(plant: Plant, region: RegionSpec, seeds, branches, outward,
     gain_step raise of the gain, at most to ln kmax, the Hermite bend
     (hermite_bend) with trace's fallbacks to the tangent, frozen-gain Newton
     (correct_many) and step_update's rule (step_update_many), a rejected step
-    halved.  A trajectory leaves the lockstep at the cap, in GainCap, or
-    where trace would need any other rule: a step that lands left of sigma0,
+    halved, each step capped also at the gain of the next outward crossing
+    above the seed.  A trajectory leaves the lockstep at the cap, in GainCap,
+    or where trace would need any other rule: a step capped at that exit
+    gain (so the gain stays fixed while the trajectory is in the lockstep),
+    a step that lands left of sigma0,
     a point the kernel flags (where trace's correct would raise or fold), a
     gain that no longer rises, a rejection at H_MIN, MAX_STEPS spent, and a
     trajectory still live when fewer than _LIVE_MIN are.  Such a trajectory
@@ -477,9 +482,14 @@ def _trace_batch(plant: Plant, region: RegionSpec, seeds, branches, outward,
     rho = np.abs(s[:, None] - anchors).min(axis=1, initial=math.inf)
     h = _first_step_length(rho, options, np.maximum, np.minimum)
     v = _slopes(dlog)
+    # the gain of the next outward crossing above each seed, fixed while the
+    # trajectory is in the lockstep: the step capped there is handed on
+    gains = np.array([c.Kval for c in outward])
+    exit_gain = np.append(gains, math.inf)[np.searchsorted(gains, K, side="right")]
     # per live trajectory: its seed's index, the cursor, its gain, dlog and
-    # ds/dK, the point and ds/dK one accepted gain step H back, the step length
-    state = (np.arange(n), s, K, dlog, v, s, v, np.zeros(n), h)
+    # ds/dK, the point and ds/dK one accepted gain step H back, the step
+    # length, the next exit gain
+    state = (np.arange(n), s, K, dlog, v, s, v, np.zeros(n), h, exit_gain)
     keep = ~bad
     paths = [[seed.start] for seed in seeds]  # each trajectory's points so far
     out: list[Trajectory | None] = [None] * n
@@ -490,11 +500,11 @@ def _trace_batch(plant: Plant, region: RegionSpec, seeds, branches, outward,
         handed.append((ids[mask], dlog[mask], s0[mask], v0[mask], H[mask], h[mask], left))
 
     for step in range(MAX_STEPS + 1):
-        ids, s, K, dlog, v, s0, v0, H, h = (x[keep] for x in state)
+        ids, s, K, dlog, v, s0, v0, H, h, exit_gain = (x[keep] for x in state)
         if len(ids) < _LIVE_MIN or step == MAX_STEPS:
             hand(np.ones(len(ids), dtype=bool), MAX_STEPS - step)
             break
-        K1 = np.minimum(K + gain_step(h, dlog, np.sqrt), lnkmax)
+        K1 = np.minimum(np.minimum(K + gain_step(h, dlog, np.sqrt), lnkmax), exit_gain)
         t = K1 - K
         ds = t * v
         with np.errstate(all="ignore"):  # H is 0 before the first accepted step
@@ -506,7 +516,7 @@ def _trace_batch(plant: Plant, region: RegionSpec, seeds, branches, outward,
                                         h_max)
         accept = ~(redo | bad)
         other = (bad | (accept & (c.real < sigma0)) | (redo & (h <= _LAST_HALVING))
-                 | (K1 <= K) | (v == 0.0))
+                 | (K1 <= K) | (v == 0.0) | (K1 == exit_gain))
         ok = accept & ~other
         if other.any():
             hand(other, MAX_STEPS - step)
@@ -520,7 +530,7 @@ def _trace_batch(plant: Plant, region: RegionSpec, seeds, branches, outward,
         keep = ~(other | top)
         state = (ids, np.where(ok, c, s), np.where(ok, K1, K), np.where(ok, dlog1, dlog),
                  np.where(ok, _slopes(dlog1), v), np.where(ok, s, s0), np.where(ok, v, v0),
-                 np.where(ok, t, H), h_next)
+                 np.where(ok, t, H), h_next, exit_gain)
 
     for ids, *rest, left in handed:
         for i, dlog, s0, v0, H, h in zip(ids.tolist(), *(x.tolist() for x in rest)):

@@ -8,6 +8,7 @@ and a stub _dedup.
 tools/bench_pairs.py: current bytecode in both checkouts before the first
 pair."""
 
+import dataclasses
 import importlib.util
 import itertools
 import json
@@ -136,9 +137,11 @@ def test_output_digest_census_lines(capsys, monkeypatch):
     assert digest.main(["corpus", "--jobs", "3", "--census"]) == 0
     *lines, total = capsys.readouterr().out.splitlines()
     counts = r"warnings=\d+ step_failures=\d+ drops=\d+"
-    assert re.fullmatch(rf"total jobs=3 failed=\d+ warning_jobs=\d+ {counts}", total), total
+    assert re.fullmatch(rf"total jobs=3 failed=\d+ warning_jobs=\d+ {counts} ledger_jobs=\d+",
+                        total), total
     for line in lines:
-        assert re.fullmatch(rf"corpus\[[0-2]\] failed=[01] {counts}( \| .+)*", line), line
+        assert re.fullmatch(rf"corpus\[[0-2]\] failed=[01] {counts} ledger=\d+( \| .+)*",
+                            line), line
     assert tracer._dedup is dedup
 
     # a finding of the check and the trajectories _dedup drops, per job
@@ -161,11 +164,38 @@ def test_output_digest_census_lines(capsys, monkeypatch):
                       dtlocus.TraceOptions(negative_gains=job.negative_gains))
     n = len(res.trajectories) + len(res.negative.trajectories)  # after one drop per pass
     assert res.trajectories and res.negative.trajectories
-    assert line == (f"corpus[1] failed=1 warnings=0 step_failures=0 drops=2 "
+    # each dropped trajectory leaves gain intervals off the ledger
+    off = sum(digest.ledger_mismatches(r)[1] for r in (res, res.negative))
+    assert off > 0
+    assert line == (f"corpus[1] failed=1 warnings=0 step_failures=0 drops=2 ledger={off} "
                     f"| stub finding of {n} trajectories")
     assert census.total_line() == ("total jobs=1 failed=1 warning_jobs=0 warnings=0 "
-                                   "step_failures=0 drops=2")
+                                   "step_failures=0 drops=2 ledger_jobs=1")
     assert tracer._dedup is not dedup  # the stub, put back by uninstall()
+
+    # a job whose only finding is a ledger mismatch prints its line: a
+    # trajectory lost after _dedup, with no warning
+    class Clean(Checks):
+        @staticmethod
+        def check_job(job, n_traj, json_text, csv_text, svg_text):
+            return []
+
+    monkeypatch.setattr(tracer, "_dedup", dedup)
+    run = dtlocus.run
+
+    def lossy(*args):
+        result = run(*args)
+        return dataclasses.replace(result, trajectories=result.trajectories[1:])
+
+    monkeypatch.setattr(dtlocus, "run", lossy)
+    res = lossy(dtlocus.cli.parse_input(job.doc), dtlocus.RegionSpec(job.sigma0, job.kmax),
+                dtlocus.TraceOptions(negative_gains=job.negative_gains))
+    off = sum(digest.ledger_mismatches(r)[1] for r in (res, res.negative))
+    assert off > 0 and res.warnings == () and res.negative.warnings == ()
+    census = digest.Census(Clean)
+    assert census.line(dtlocus, job) == (
+        f"corpus[1] failed=0 warnings=0 step_failures=0 drops=0 ledger={off}")
+    assert census.total_line().endswith(" drops=0 ledger_jobs=1")
 
 
 def test_ledger_counts_a_missing_root():

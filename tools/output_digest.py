@@ -53,10 +53,14 @@ that a change which should only save time does the same work.
 With ``--census`` only the jobs with a finding print a line: the findings
 of the benchmark's own output check (``locusbench/checks.py``,
 ``check_job``), or the exception a job raised, then the warning count, the
-``StepFailure`` count and the trajectories ``tracer._dedup`` dropped
-(``drops``, counted by wrapping that name as ``--work`` wraps its names).
-A job fails when it raises or its check finds something, as it does in the
-benchmark.  A totals line ends the output.
+``StepFailure`` count, the trajectories ``tracer._dedup`` dropped
+(``drops``, counted by wrapping that name as ``--work`` wraps its names)
+and the gain intervals off the crossing ledger (``ledger``, the
+``mismatched`` of ``--ledger`` summed over both gain signs).  A job whose
+only finding is a ledger mismatch prints a line too, so a pass that loses a
+root without a warning shows.  A job fails when it raises or its check
+finds something, as it does in the benchmark.  A totals line ends the
+output; its ``ledger_jobs`` counts the jobs with a ledger mismatch.
 
 Digest two commits and diff the files to show a change keeps every output
 byte (or, with ``--topology``, every structure) and every failure the same:
@@ -264,9 +268,9 @@ def _outputs(dtlocus, job, result) -> dict:
 
 
 class Census:
-    """Per-job findings, warnings, step failures and _dedup drops, with
-    totals.  install() wraps ``tracer._dedup`` to count its drops;
-    uninstall() puts it back."""
+    """Per-job findings, warnings, step failures, _dedup drops and ledger
+    mismatches, with totals.  install() wraps ``tracer._dedup`` to count its
+    drops; uninstall() puts it back."""
 
     def __init__(self, checks):
         self.checks = checks
@@ -291,7 +295,7 @@ class Census:
     def line(self, dtlocus, job) -> str | None:
         """The job's census line, or None when it has no finding."""
         self.drops = 0
-        warnings = failures = 0
+        warnings = failures = mismatched = 0
         try:
             plant = dtlocus.cli.parse_input(job.doc)
             result = dtlocus.run(plant, dtlocus.RegionSpec(job.sigma0, job.kmax),
@@ -300,6 +304,7 @@ class Census:
             warnings = sum(len(res.warnings) for res in passes)
             failures = sum(type(t.termination).__name__ == "StepFailure"
                            for res in passes for t in res.trajectories)
+            mismatched = sum(ledger_mismatches(res)[1] for res in passes)
             texts = _outputs(dtlocus, job, result)
             try:
                 found = self.checks.check_job(job, sum(len(res.trajectories) for res in passes),
@@ -309,15 +314,17 @@ class Census:
         except Exception as e:  # a raising job fails, as in the benchmark
             found = [f"raised {type(e).__name__}: {e}"]
         self.totals.update(jobs=1, failed=int(bool(found)), warning_jobs=int(bool(warnings)),
-                           warnings=warnings, step_failures=failures, drops=self.drops)
-        if not (found or warnings or failures or self.drops):
+                           warnings=warnings, step_failures=failures, drops=self.drops,
+                           ledger_jobs=int(bool(mismatched)))
+        if not (found or warnings or failures or self.drops or mismatched):
             return None
         return (f"{job.label} failed={int(bool(found))} warnings={warnings} "
-                f"step_failures={failures} drops={self.drops}"
+                f"step_failures={failures} drops={self.drops} ledger={mismatched}"
                 + "".join(f" | {f}" for f in found))
 
     def total_line(self) -> str:
-        keys = ("jobs", "failed", "warning_jobs", "warnings", "step_failures", "drops")
+        keys = ("jobs", "failed", "warning_jobs", "warnings", "step_failures", "drops",
+                "ledger_jobs")
         return "total " + " ".join(f"{k}={self.totals[k]}" for k in keys)
 
 
@@ -359,8 +366,9 @@ def main(argv=None) -> int:
     mode.add_argument("--ledger", action="store_true",
                       help="print gain intervals and those whose traced count misses the ledger")
     mode.add_argument("--census", action="store_true",
-                      help="print the benchmark check's findings, warnings, step failures "
-                           "and dedup drops of each job that has any, then their totals")
+                      help="print the benchmark check's findings, warnings, step failures, "
+                           "dedup drops and ledger mismatches of each job that has any, "
+                           "then their totals")
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(args.src.resolve()))
