@@ -4,11 +4,13 @@ Roots of 1 + k*G(s)e^(-hs) crossing the line are found by splitting omega >= 0
 into pieces where the boundary gain K(omega) = h*sigma0 - ln|G(sigma0+j omega)|
 and the continuous phase phi(omega) are monotone, then solving K against the
 gain cap and phi against the odd multiples of pi by safeguarded Newton, with
-value and slope from one pass over the roots.  The breakpoints are the
-nonnegative real roots of K' and phi' cleared of their denominators: two
-polynomials built from one running product of the squared root distances per
-root set, with the parity that conjugate closure gives them imposed exactly.
-That parity lets them be rooted in omega^2, at half the degree.
+value and slope from one pass over the roots; the phase lines of a piece
+that meets many of them are solved together over numpy arrays.  The
+breakpoints are the nonnegative real roots of K' and phi' cleared of their
+denominators: two polynomials built from one running product of the squared
+root distances per root set, with the parity that conjugate closure gives
+them imposed exactly.  That parity lets them be rooted in omega^2, at half
+the degree.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter, itemgetter
+
+import numpy as np
 
 from .errors import (
     BiProperGainCapViolated,
@@ -29,6 +34,7 @@ from .poly import RealPolynomial, nonneg_real_roots
 TOL_BND = 1e-9
 TOL_DIR = 1e-9
 TOL_BISECT = 1e-10
+_ARRAY_LINES = 64  # phase lines from which a monotone piece is solved by _solve_many
 
 _TWO_PI = 2.0 * math.pi
 
@@ -160,6 +166,25 @@ class BoundaryFunctions:
             slope -= d / g
         return acc, slope
 
+    def K_slope_many(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """K_slope at each omega of an array, in its operation order.  The logs
+        come from math.log, so each K equals K_slope's to the bit; numpy's log
+        is not correctly rounded."""
+        h = self.plant.delay
+        acc = np.full(omega.shape, h * self.sigma0 - math.log(abs(self.plant.alpha)))
+        slope = np.zeros(omega.shape)
+        for ds, om in zip(self.dsp, self.omp):
+            d = omega - om
+            g = ds * ds + d * d
+            acc += 0.5 * _logs(g)
+            slope += d / g
+        for ds, om in zip(self.dsz, self.omz):
+            d = omega - om
+            g = ds * ds + d * d
+            acc -= 0.5 * _logs(g)
+            slope -= d / g
+        return acc, slope
+
     def Kprime(self, omega: float) -> float:
         return dlog_ratio(self.plant, complex(self.sigma0, omega)).imag
 
@@ -187,6 +212,21 @@ class BoundaryFunctions:
             acc = math.pi * round(acc / math.pi)
         return acc, slope
 
+    def phi_slope_many(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """phi_slope at each omega of an array, in its operation order."""
+        acc = self.phi0 - self.plant.delay * omega
+        slope = np.full(omega.shape, -self.plant.delay)
+        for ds, om in zip(self.dsz, self.omz):
+            x = omega - om
+            acc += np.arctan(x / ds)
+            slope += ds / (ds * ds + x * x)
+        for ds, om in zip(self.dsp, self.omp):
+            x = omega - om
+            acc -= np.arctan(x / ds)
+            slope -= ds / (ds * ds + x * x)
+        acc = np.where(omega == 0.0, math.pi * np.round(acc / math.pi), acc)
+        return acc, slope
+
     def phiprime(self, omega: float) -> float:
         return dlog_ratio(self.plant, complex(self.sigma0, omega)).real
 
@@ -195,6 +235,10 @@ class BoundaryFunctions:
         plant = self.plant.flipped_gain()
         return replace(self, plant=plant, phi0=_phi0(plant, self.sigma0, self.dsz, self.omz,
                                                      self.dsp, self.omp))
+
+
+def _logs(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.log, x.tolist()), float, x.size)
 
 
 def _phi0(plant: Plant, s0: float, dsz, omz, dsp, omp) -> float:
@@ -308,6 +352,50 @@ def _solve_monotone(f, target, a, b, va, vb, lo, start, tol):
         x, step_old = x - step, step
 
 
+def _solve_many(f, targets, a, b, va, vb, tol):
+    """_solve_monotone for many targets at once, each on its own monotone
+    bracket [a, b] (arrays, one entry per target, like va, vb and tol).
+
+    f maps an array of omegas to (value, slope) arrays.  Every target starts
+    from the chord through its bracket's endpoints and takes _solve_monotone's
+    steps: Newton while a step stays in the bracket and halves the step
+    before it, bisection otherwise, until a step or the bracket is within its
+    tol.  Returns the roots and the slope each solve last evaluated (nan for
+    a root at an endpoint, where nothing is evaluated).
+    """
+    roots = np.full(targets.shape, np.nan)
+    slopes = np.full(targets.shape, np.nan)
+    fa, fb = va - targets, vb - targets
+    # an endpoint on the target, or a graze rounding pushed off the bracket
+    graze = (fa < 0.0) == (fb < 0.0)
+    at_a = (fa == 0.0) | (fb != 0.0) & graze & (abs(fa) <= abs(fb))
+    at_b = ~at_a & ((fb == 0.0) | graze)
+    roots[at_a], roots[at_b] = a[at_a], b[at_b]
+    idx = np.flatnonzero(~(at_a | at_b))
+    lo, hi, T, tol, up = a[idx], b[idx], targets[idx], tol[idx], fa[idx] < 0.0
+    x = lo + (T - va[idx]) / (vb[idx] - va[idx]) * (hi - lo)
+    x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+    step_old = hi - lo
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero slope bisects
+        while idx.size:
+            v, d = f(x)
+            g = v - T
+            below = (g < 0.0) == up
+            lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+            step = g / d
+            newton = (abs(step) <= 0.5 * abs(step_old)) & (lo < x - step) & (x - step < hi)
+            mid = 0.5 * (lo + hi)
+            step = np.where(newton, step, x - mid)
+            exact = g == 0.0
+            done = exact | np.where(newton, abs(step) <= tol, hi - lo <= tol)
+            x = np.where(exact, x, np.where(newton, x - step, mid))
+            roots[idx[done]], slopes[idx[done]] = x[done], d[done]
+            live = ~done
+            idx, lo, hi, T, tol, up = idx[live], lo[live], hi[live], T[live], tol[live], up[live]
+            x, step_old = x[live], step[live]
+    return roots, slopes
+
+
 def _omega_cap(bf: BoundaryFunctions, region: RegionSpec, kp_roots) -> float:
     """An omega beyond which K(omega) stays above the gain cap.
 
@@ -369,14 +457,19 @@ def boundary_crossings(bf: BoundaryFunctions, region: RegionSpec) -> CrossingSet
     Within each interval of admissible gain, the continuous phase is split
     into monotone pieces at the roots of phi'.  Each piece meets a given
     odd-multiple-of-pi phase line at most once, so the line count comes from
-    the endpoint phases.  The hits are solved in order along the piece, each
-    by safeguarded Newton on phi from the tangent at the previous one.  A
-    hit's direction comes from the phase slope its solve last evaluated, or
-    from the cut's own slope when the hit is a piece endpoint.
+    the endpoint phases.  On a piece with fewer than _ARRAY_LINES lines the
+    hits are solved in order along the piece, each by safeguarded Newton on
+    phi from the tangent at the previous one; the lines of every larger
+    piece are solved together over arrays (_solve_many), and their gains
+    come from one array pass.  A hit's direction comes from the phase slope
+    its solve last evaluated, or from the cut's own slope when the hit is a
+    piece endpoint.
     """
     intervals = magnitude_intervals(bf, region)
+    lnkmax = region.lnkmax
 
-    hits: list[tuple[float, float]] = []  # (omega, phase slope there)
+    hits: list[tuple[float, float, float]] = []  # (omega, phase slope there, K there)
+    many: list[tuple] = []  # (a, b, pa, pb, da, db, tol, first line, lines) per larger piece
     for lo, hi in intervals:
         tol = TOL_BISECT * (1.0 + hi)
         cuts = [lo] + [r for r in bf.phiprime_roots if lo < r < hi] + [hi]
@@ -388,17 +481,30 @@ def boundary_crossings(bf: BoundaryFunctions, region: RegionSpec) -> CrossingSet
             lines = range(
                 math.ceil(pmin / _TWO_PI - 0.5), math.floor(pmax / _TWO_PI - 0.5) + 1
             )
+            if len(lines) >= _ARRAY_LINES:
+                many.append((a, b, pa, pb, da, db, tol, lines.start, len(lines)))
+                continue
             last, left = (a, pa, da), a
             for l in (lines if pa <= pb else reversed(lines)):
                 target = (2.0 * l + 1.0) * math.pi
                 left, last = _solve_monotone(bf.phi_slope, target, a, b, pa, pb, left, last, tol)
-                hits.append((left, da if left == a else db if left == b else last[2]))
+                slope = da if left == a else db if left == b else last[2]
+                hits.append((left, slope, bf.K(left)))
+    if many:
+        # one entry per line: the ends, end phases, end slopes and tol of its piece
+        *piece, first, counts = (np.array(c) for c in zip(*many))
+        a, b, pa, pb, da, db, tol = (np.repeat(c, counts) for c in piece)
+        offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        targets = (2.0 * (np.repeat(first, counts) + offset) + 1.0) * math.pi
+        w, slope = _solve_many(bf.phi_slope_many, targets, a, b, pa, pb, tol)
+        slope = np.where(w == a, da, np.where(w == b, db, slope))
+        hits += zip(w.tolist(), slope.tolist(), bf.K_slope_many(w)[0].tolist())
 
-    hits.sort(key=lambda hit: hit[0])
+    hits.sort(key=itemgetter(0))
     inward: list[BoundaryCrossing] = []
     outward: list[BoundaryCrossing] = []
     prev = None
-    for w, slope in hits:
+    for w, slope, K in hits:
         if prev is not None and w - prev <= 2.0 * TOL_BISECT * (1.0 + w):
             continue
         prev = w
@@ -407,15 +513,12 @@ def boundary_crossings(bf: BoundaryFunctions, region: RegionSpec) -> CrossingSet
                 f"phase slope {slope:.3e} at boundary root omega={w:.12g}; "
                 "crossing direction is ill-posed"
             )
-        Kval = min(bf.K(w), region.lnkmax)
-        bc = BoundaryCrossing(
-            omega=w,
-            Kval=Kval,
-            k=math.exp(Kval),
-            direction=Direction.INWARD if slope < 0.0 else Direction.OUTWARD,
-        )
-        (inward if slope < 0.0 else outward).append(bc)
+        Kval = min(K, lnkmax)
+        if slope < 0.0:  # fields by position: a keyword call costs a third more
+            inward.append(BoundaryCrossing(w, Kval, math.exp(Kval), Direction.INWARD))
+        else:
+            outward.append(BoundaryCrossing(w, Kval, math.exp(Kval), Direction.OUTWARD))
 
-    inward.sort(key=lambda c: c.Kval)
-    outward.sort(key=lambda c: c.Kval)
+    inward.sort(key=attrgetter("Kval"))
+    outward.sort(key=attrgetter("Kval"))
     return CrossingSet(inward=tuple(inward), outward=tuple(outward))

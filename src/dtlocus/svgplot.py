@@ -9,6 +9,9 @@ for a fixed result.
 from __future__ import annotations
 
 import math
+from itertools import chain
+
+import numpy as np
 
 from .tracer import RootLocusResult, Trajectory
 
@@ -64,11 +67,11 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return out
 
 
-def _plane_points(t: Trajectory) -> list[tuple[float, float]]:
-    """(sigma, omega) of each point, led by the start marker; no gain."""
-    xy = [(p.sigma, p.omega) for p in t.points]
+def _plane_points(t: Trajectory) -> list[float]:
+    """sigma, omega of each point, flat and led by the start marker; no gain."""
+    xy = [v for p in t.points for v in (p.sigma, p.omega)]
     if t.start_marker is not None:
-        xy.insert(0, (t.start_marker.real, t.start_marker.imag))
+        xy[:0] = (t.start_marker.real, t.start_marker.imag)
     return xy
 
 
@@ -76,14 +79,12 @@ def render_svg(result: RootLocusResult) -> str:
     curves = [(t, "", _plane_points(t)) for t in result.trajectories]
     if result.negative is not None:
         curves += [(t, " negative", _plane_points(t)) for t in result.negative.trajectories]
-    xs = [x for _, _, xy in curves for x, _ in xy]
-    ys = [y for _, _, xy in curves for _, y in xy]
+    size = sum(len(xy) for _, _, xy in curves)
+    plane = np.fromiter(chain.from_iterable(xy for _, _, xy in curves), float, size).reshape(-1, 2)
     sigma0 = result.region.sigma0
-    if xs:
-        xmin = min(min(xs), sigma0)
-        xmax = max(max(xs), sigma0)
-        ymin = min(ys)
-        ymax = max(ys)
+    if len(plane):
+        (xmin, ymin), (xmax, ymax) = plane.min(axis=0).tolist(), plane.max(axis=0).tolist()
+        xmin, xmax = min(xmin, sigma0), max(xmax, sigma0)
     else:
         xmin, xmax, ymin, ymax = sigma0 - 1.0, sigma0 + 1.0, -1.0, 1.0
     # 10% margin, never a zero-thickness box
@@ -105,6 +106,13 @@ def render_svg(result: RootLocusResult) -> str:
 
     def Y(y):
         return py0 + (y - ymin) / sy * wy
+
+    # X and Y of every point at once, in their operation order; in place, as
+    # a fresh array per step raised a large plot's peak memory
+    plane -= (xmin, ymin)
+    plane /= (sx, sy)
+    plane *= (wx, wy)
+    pixels = np.add((px0, py0), plane, out=plane).ravel()
 
     parts = [
         (
@@ -147,11 +155,13 @@ def render_svg(result: RootLocusResult) -> str:
         f'<line class="boundary" x1="{bx}" y1="{_fmt(py1)}" x2="{bx}" y2="{_fmt(py0)}"/>'
     )
 
+    end = 0
     for t, extra_class, xy in curves:
+        start, end = end, end + len(xy)
         # one format per point; a "-0.00" can only be a whole coordinate
-        d = " ".join(["%.2f,%.2f" % (X(x), Y(y)) for x, y in xy]).replace("-0.00", "0.00")
+        d = " ".join(["%.2f,%.2f"] * (len(xy) // 2)) % tuple(pixels[start:end].tolist())
         parts.append(
-            f'<polyline class="trajectory{extra_class}" points="{d}" '
+            f'<polyline class="trajectory{extra_class}" points="{d.replace("-0.00", "0.00")}" '
             f'data-mirrored="{str(t.mirrored).lower()}"/>'
         )
 

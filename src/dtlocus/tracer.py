@@ -218,10 +218,11 @@ def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
     crossing, one per departure ray of each active branch point.
 
     Pole and branch seeds start on the locus a short way along their ray
-    (_seed_from_ray), a crossing seed at its crossing.  Seeds whose
-    trajectory is the conjugate image of another are omitted; the mirror
-    pass reinstates them.  Every trajectory heads along ds/dK = -1/dlog, so
-    a seed carries no direction.
+    (_seed_from_ray), a crossing seed at its crossing; the boundary stage
+    gives that omega and gain finite, so the point is built unchecked.
+    Seeds whose trajectory is the conjugate image of another are omitted;
+    the mirror pass reinstates them.  Every trajectory heads along
+    ds/dK = -1/dlog, so a seed carries no direction.
     """
     options = options or TraceOptions()
     if bf is None:
@@ -246,7 +247,7 @@ def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
                                    options.tol_corr, neighbours, start_marker=p)
                 )
     for ci, c in enumerate(crossings.inward):
-        seeds.append(Seed(CrossingOrigin(ci), LocusPoint(region.sigma0, c.omega, c.Kval)))
+        seeds.append(Seed(CrossingOrigin(ci), _unchecked_point(region.sigma0, c.omega, c.Kval)))
     for bi, bp in enumerate(branches):
         if not bp.active:
             continue

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from dtlocus import boundary
 from dtlocus.boundary import (
     TOL_BISECT,
     BoundaryCrossing,
@@ -14,6 +15,7 @@ from dtlocus.boundary import (
     RegionSpec,
     _breakpoints,
     _omega_cap,
+    _solve_many,
     _solve_monotone,
     boundary_crossings,
     boundary_functions,
@@ -605,3 +607,174 @@ class TestNewtonSearch:
         # an endpoint on the target returns it; a graze off the bracket picks the nearer end
         assert _solve_monotone(f, 0.0, 0.0, 4.0, 0.0, 64.0, 0.0, (0.0, 0.0, 0.0), 1e-12)[0] == 0.0
         assert _solve_monotone(f, -1e-9, 0.0, 4.0, 0.0, 64.0, 0.0, (0.0, 0.0, 0.0), 1e-12)[0] == 0.0
+
+
+
+def _crossing_cases(p2):
+    """The (plant, region) pairs of TestBoundaryCrossings and TestNewtonSearch:
+    the integrator, the demo plant, the degenerate triple integrator, seeded
+    random plants and the signed breakpoint corpus with the demo ladder."""
+    from oracles import clean_region, random_plant
+
+    integrator = Plant(1.0, 1.0, (), (0j,))
+    cases = [(integrator, RegionSpec(-2.0, 1.0)), (integrator, RegionSpec(-2.0, 0.2)),
+             (p2, RegionSpec(-3.5, 5.0)),
+             (Plant(1.0, 3.0, (), (0j, 0j, 0j)), RegionSpec(-1.0, 1.0))]
+    rng = np.random.RandomState(101)
+    for _ in range(16):
+        plant = random_plant(rng, Plant)
+        cases.append((plant, RegionSpec(*clean_region(plant, rng))))
+    return cases + _signed_corpus(far_left=False) + _demo_ladder(p2)
+
+
+def _on_both_paths(bf, region, monkeypatch):
+    """boundary_crossings with every piece solved over arrays, then with every
+    piece by the scalar chain; a DegenerateCrossing is returned, not raised."""
+    out = []
+    for lines in (1, math.inf):
+        with monkeypatch.context() as mp:
+            mp.setattr(boundary, "_ARRAY_LINES", lines)
+            try:
+                out.append(boundary_crossings(bf, region))
+            except DegenerateCrossing as e:
+                out.append(e)
+    return out
+
+
+def _by_omega(cs):
+    """(omega, "in" | "out", k) of every crossing, ascending in omega."""
+    return sorted([(c.omega, "in", c.k) for c in cs.inward]
+                  + [(c.omega, "out", c.k) for c in cs.outward])
+
+
+def _solve_on(f, targets, a, b, va, vb, tol):
+    """_solve_many with every target on the bracket [a, b]."""
+    n = len(targets)
+    return _solve_many(f, np.asarray(targets, float), *(np.full(n, v) for v in (a, b, va, vb, tol)))
+
+
+class TestArraySolve:
+    """_solve_many, the array solve of every piece with _ARRAY_LINES or more
+    phase lines, against the scalar chain of _solve_monotone."""
+
+    def test_same_crossings_as_scalar_chain(self, p2, monkeypatch):
+        compared = crossings = 0
+        for plant, region in _crossing_cases(p2):
+            try:
+                bf = boundary_functions(plant, region)
+            except PoleOrZeroOnBoundary:
+                continue
+            arrays, scalar = _on_both_paths(bf, region, monkeypatch)
+            assert type(arrays) is type(scalar), (plant, region)
+            if isinstance(scalar, DegenerateCrossing):
+                continue
+            for cs in (arrays, scalar):
+                for group in (cs.inward, cs.outward):
+                    assert [c.Kval for c in group] == sorted(c.Kval for c in group)
+            got, want = _by_omega(arrays), _by_omega(scalar)
+            assert len(got) == len(want), (plant, region)
+            ends = [b for _, b in magnitude_intervals(bf, region)]
+            for (gw, gd, _), (ww, wd, _) in zip(got, want):
+                hi = next(b for b in ends if ww <= b + TOL_BISECT * (1.0 + b))
+                assert gd == wd, (plant, region, ww)
+                assert abs(gw - ww) <= TOL_BISECT * (1.0 + hi), (plant, region, gw, ww)
+            compared += 1
+            crossings += len(got)
+        assert compared >= 80 and crossings >= 4000
+
+    def test_against_oracles(self, p2, monkeypatch):
+        # the grid oracle of TestBoundaryCrossings and the bisection reference
+        # of TestNewtonSearch, with every piece solved over arrays
+        from oracles import reference_crossing_omegas
+
+        monkeypatch.setattr(boundary, "_ARRAY_LINES", 1)
+        region = RegionSpec(-3.5, 5.0)
+        got = _by_omega(boundary_crossings(boundary_functions(p2, region), region))
+        want = grid_crossings(p2, -3.5, 5.0, step=1e-3)
+        assert len(got) == len(want)
+        for (gw, gd, gk), (ww, wk, wd) in zip(got, want):
+            assert gw == pytest.approx(ww, abs=1e-6)
+            assert gk == pytest.approx(wk, rel=1e-6, abs=1e-12)
+            assert gd == wd
+        for plant, region in _demo_ladder(p2):
+            bf = boundary_functions(plant, region)
+            got = _by_omega(boundary_crossings(bf, region))
+            want = reference_crossing_omegas(bf, region)
+            assert len(got) == len(want) > 200
+            for (gw, gd, _), (ww, wd, hi) in zip(got, want):
+                assert gd == wd and abs(gw - ww) <= TOL_BISECT * (1.0 + hi)
+
+    def test_degenerate_crossing_raises_on_both_paths(self, monkeypatch):
+        p = Plant(1.0, 3.0, (), (0j, 0j, 0j))
+        region = RegionSpec(-1.0, 1.0)
+        for got in _on_both_paths(boundary_functions(p, region), region, monkeypatch):
+            assert isinstance(got, DegenerateCrossing)
+
+    def test_phase_evaluations_per_crossing(self, p2, monkeypatch):
+        # every line starts from the chord through its piece and takes about
+        # two evaluations; the scalar chain's tangent from the previous hit
+        # takes about one, each a Python call
+        region = RegionSpec(-3.5, 500.0)
+        bf = boundary_functions(p2, region)
+        evaluated = []
+        many, one = BoundaryFunctions.phi_slope_many, BoundaryFunctions.phi_slope
+        monkeypatch.setattr(BoundaryFunctions, "phi_slope_many",
+                            lambda self, w: evaluated.append(len(w)) or many(self, w))
+        monkeypatch.setattr(BoundaryFunctions, "phi_slope",
+                            lambda self, w: evaluated.append(1) or one(self, w))
+        cs = boundary_crossings(bf, region)
+        n = len(cs.inward) + len(cs.outward)
+        assert n > 2000 and len(evaluated) < 100
+        assert sum(evaluated) <= 3 * n
+
+    def test_twins_match_scalar(self, bf2):
+        # phi_slope_many and K_slope_many evaluate each omega as phi_slope
+        # and K_slope do: K to the bit (its logs are math.log's), phi to
+        # numpy's arctan, and phi at omega = 0 on its multiple of pi
+        _, bf = bf2
+        w = np.concatenate([[0.0], np.random.RandomState(5).uniform(0.0, 200.0, 300)])
+        K, dK = bf.K_slope_many(w)
+        phi, dphi = bf.phi_slope_many(w)
+        for i, x in enumerate(w.tolist()):
+            assert (K[i], dK[i]) == bf.K_slope(x)
+            assert phi[i] == pytest.approx(bf.phi(x), rel=1e-15, abs=1e-14)
+            assert dphi[i] == pytest.approx(bf.phiprime(x), rel=1e-12, abs=1e-14)
+        assert phi[0] == bf.phi(0.0) == math.pi
+
+    def test_safeguards(self):
+        # w^3 = t on [0, 4] for several t at once: the chord from (0, 0) to
+        # (4, 64) starts small targets where the tangent jumps out of the
+        # bracket, so they bisect first, as in _solve_monotone
+        def f(w):
+            return w ** 3, 3.0 * w * w
+
+        t = np.array([1e-6, 0.5, 1.0, 8.0, 27.0, 63.9])
+        roots, slopes = _solve_on(f, t, 0.0, 4.0, 0.0, 64.0, 1e-12)
+        assert roots == pytest.approx(np.cbrt(t), abs=1e-12)
+        assert slopes == pytest.approx(3.0 * roots ** 2, rel=1e-6)
+        # w^25 = 1e-25 from the chord of [0, 2]: steps that fail to halve
+        # the one before them bisect, so the creep toward 0.1 stays short;
+        # each target takes as many evaluations as _solve_monotone started
+        # at the same point
+        rounds = []
+
+        def steep(w):
+            rounds.append(w)
+            return w ** 25, 25.0 * w ** 24
+
+        t = np.array([1e-25, 1e-10, 1.0])
+        roots, _ = _solve_on(steep, t, 0.0, 2.0, 0.0, 2.0 ** 25, 1e-12)
+        assert roots == pytest.approx(t ** (1.0 / 25.0), abs=1e-12)
+        assert len(rounds) <= 30
+        for target in t:
+            rounds.clear()
+            _solve_on(steep, [target], 0.0, 2.0, 0.0, 2.0 ** 25, 1e-12)
+            solo = len(rounds)
+            rounds.clear()
+            chord = (2.0 * target / 2.0 ** 25, target, 1.0)
+            _solve_monotone(steep, target, 0.0, 2.0, 0.0, 2.0 ** 25, 0.0, chord, 1e-12)
+            assert solo == len(rounds)
+        # an endpoint on the target returns it, as does a graze off the
+        # bracket, the nearer end winning; nothing is evaluated for them
+        roots, slopes = _solve_on(f, [0.0, -1e-9, 64.0, 64.0 + 1e-9], 0.0, 4.0, 0.0, 64.0, 1e-12)
+        assert roots.tolist() == [0.0, 0.0, 4.0, 4.0] and np.isnan(slopes).all()

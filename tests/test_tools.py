@@ -1,7 +1,8 @@
 """Smoke tests of the tools.  tools/output_digest.py, the per-job same-output
 check: one labelled line per job, in the hash format, the --topology format
 (with its mirrored and over-captured counts), the --work format (whose
-dense count with lockstep tracing equals the count without) and the
+dense count with lockstep tracing equals the count without, and whose
+phase count shows the array solve of the crossing search) and the
 --ledger format, whose count is checked on a crafted result; --census, a
 line per job with a finding and a totals line, checked with a stub check
 and a stub _dedup.
@@ -58,7 +59,9 @@ def test_output_digest_work_lines(capsys, monkeypatch):
     # every polish pass, the plant's own rooting included, counts with "+"
     # (a root-form job may polish nothing: its branch candidates are found
     # without polynomial roots)
-    from dtlocus import RegionSpec, TraceOptions, cli, continuation, plant, poly, run, tracer
+    from dtlocus import (RegionSpec, TraceOptions, boundary, cli, continuation, plant, poly, run,
+                         tracer)
+    from dtlocus.boundary import BoundaryFunctions
 
     monkeypatch.setattr(sys, "path", list(sys.path))
     digest = _output_digest()
@@ -68,12 +71,12 @@ def test_output_digest_work_lines(capsys, monkeypatch):
     assert digest.main(["corpus", "--jobs", "3", "--work"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
-    work = r"([+-])\[kernel=(\d+) correct=(\d+) newton=(\d+) polish=(\d+)\]"
+    work = r"([+-])\[kernel=(\d+) correct=(\d+) newton=(\d+) polish=(\d+) phase=(\d+)\]"
     for i, line in enumerate(lines):
         assert re.fullmatch(rf"corpus\[{i}\] {work}( {work})?", line), line
     counts = [int(n) for line in lines for n in re.findall(r"=(\d+)", line)]
     assert sum(counts) > 0
-    polish = [(sign, int(n)) for line in lines for sign, *_, n in re.findall(work, line)]
+    polish = [(sign, int(n)) for line in lines for sign, *_, n, _ in re.findall(work, line)]
     assert all(n == 0 for sign, n in polish if sign == "-")
     assert (plant._log_kernel, continuation._log_kernel, continuation.correct,
             tracer.correct, poly._horner_triple) == before
@@ -90,7 +93,7 @@ def test_output_digest_work_lines(capsys, monkeypatch):
     at_parse = len(calls)
     run(parsed, RegionSpec(job.sigma0, job.kmax), TraceOptions(negative_gains=job.negative_gains))
     assert 0 < at_parse < len(calls)
-    assert int(re.findall(work, line)[0][-1]) == len(calls)
+    assert int(re.findall(work, line)[0][-2]) == len(calls)
 
     # a dense job traces its crossing-seeded bulk in lockstep; each point of
     # a lockstep kernel call counts as one evaluation and each lockstep solve
@@ -108,6 +111,26 @@ def test_output_digest_work_lines(capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines() == [batched]
     assert len(batches) == 1
     assert (plant._log_kernel_many, continuation.correct_many, tracer.correct_many) == lockstep
+
+    # phase counts each scalar phi_slope call and each element of a
+    # phi_slope_many call; the dense job's pieces are solved over arrays,
+    # and with that solve off the line differs in phase alone
+    line_methods = (BoundaryFunctions.phi_slope, BoundaryFunctions.phi_slope_many)
+    evaluated = []
+    many = BoundaryFunctions.phi_slope_many
+    with monkeypatch.context() as mp:
+        mp.setattr(BoundaryFunctions, "phi_slope_many",
+                   lambda bf, w: evaluated.append(len(w)) or many(bf, w))
+        assert digest.main(["dense", "--jobs", "1", "--work"]) == 0
+    (arrays,) = capsys.readouterr().out.splitlines()
+    monkeypatch.setattr(boundary, "_ARRAY_LINES", math.inf)
+    assert digest.main(["dense", "--jobs", "1", "--work"]) == 0
+    (scalar,) = capsys.readouterr().out.splitlines()
+    (*same, phase), = re.findall(work, arrays)
+    (*same_scalar, phase_scalar), = re.findall(work, scalar)
+    assert same == same_scalar
+    assert int(phase) > sum(evaluated) > 0 and int(phase_scalar) > 0
+    assert (BoundaryFunctions.phi_slope, BoundaryFunctions.phi_slope_many) == line_methods
 
 
 def test_output_digest_ledger_lines(capsys, monkeypatch):

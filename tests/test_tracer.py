@@ -1483,3 +1483,66 @@ class TestBatch:
                                             monkeypatch)
         ends = _assert_as_traced(region, TraceOptions(), batches)
         assert ends == {"StepFailure": len(batches[0][1])}
+
+
+def _run_both_crossing_paths(plant, region, options, monkeypatch):
+    """run(plant, region, options) with every crossing-search piece solved
+    over arrays, then with every piece by the scalar chain; a DtLocusError
+    is returned, not raised."""
+    out = []
+    for lines in (1, math.inf):
+        with monkeypatch.context() as mp:
+            mp.setattr(boundary, "_ARRAY_LINES", lines)
+            try:
+                out.append(run(plant, region, options))
+            except DtLocusError as e:
+                out.append(e)
+    return out
+
+
+def _assert_same_locus(arrays, scalar):
+    """The same trajectories, origins and terminations on both paths, each
+    end within 1e-9 relative; the number of trajectories compared."""
+    n = 0
+    for a, b in ((arrays, scalar), (arrays.negative, scalar.negative)):
+        if b is None:
+            assert a is None
+            continue
+        assert len(a.crossings.inward) == len(b.crossings.inward)
+        assert len(a.crossings.outward) == len(b.crossings.outward)
+        assert len(a.trajectories) == len(b.trajectories)
+        for got, want in zip(a.trajectories, b.trajectories):
+            assert (got.origin, got.termination, got.mirrored) == (
+                want.origin, want.termination, want.mirrored)
+            x, y = got.points[-1], want.points[-1]
+            assert abs(x.s - y.s) <= 1e-9 * (1.0 + abs(y.s)), (x, y)
+        n += len(b.trajectories)
+    return n
+
+
+class TestArrayCrossings:
+    """The crossing search's array solve seeds and ends every trajectory as
+    the scalar chain does."""
+
+    @pytest.mark.parametrize("sigma0, kmax", [(-3.5, 50.0), (-3.5, 150.0), (-3.5, 500.0),
+                                              (-6.0, 5.0)])
+    def test_dense_rungs(self, sigma0, kmax, monkeypatch):
+        arrays, scalar = _run_both_crossing_paths(parse_input(DEMO), RegionSpec(sigma0, kmax),
+                                                  TraceOptions(), monkeypatch)
+        assert _assert_same_locus(arrays, scalar) > 200
+
+    def test_random_plants(self, monkeypatch):
+        rng = np.random.RandomState(19)
+        traced = crossings = 0
+        for _ in range(40):
+            plant = random_plant(rng, Plant)
+            region = RegionSpec(*clean_region(plant, rng))
+            options = TraceOptions(negative_gains=True)
+            arrays, scalar = _run_both_crossing_paths(plant, region, options, monkeypatch)
+            assert type(arrays) is type(scalar)
+            if isinstance(scalar, DtLocusError):
+                continue
+            traced += _assert_same_locus(arrays, scalar)
+            crossings += sum(len(r.crossings.inward) + len(r.crossings.outward)
+                             for r in (scalar, scalar.negative))
+        assert traced > 4000 and crossings > 2000

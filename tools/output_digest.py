@@ -37,8 +37,11 @@ locus the two counts agree at every gain.
 
 With ``--work`` a job that returns prints, instead of hashes, one line per
 gain sign: the plant kernel evaluations (``plant._log_kernel``), the
-``continuation.correct`` calls, their Newton iterations and the Horner
-passes of the root polish (``poly._horner_triple``).  The lockstep tracer's
+``continuation.correct`` calls, their Newton iterations, the Horner
+passes of the root polish (``poly._horner_triple``) and the phase
+evaluations of the boundary crossing search (``phase``: each
+``BoundaryFunctions.phi_slope`` call, and each element of a
+``phi_slope_many`` call).  The lockstep tracer's
 work counts alike: each point of a ``plant._log_kernel_many`` call is one
 kernel evaluation, and each solve of a ``continuation.correct_many`` call
 one ``correct`` call with its Newton iterations.  They are counted by
@@ -186,16 +189,18 @@ def _unwrap(undo) -> None:
 
 
 class WorkCount:
-    """Kernel evaluations, correct calls, Newton iterations and polish
-    passes per gain sign.
+    """Kernel evaluations, correct calls, Newton iterations, polish passes
+    and crossing-search phase evaluations per gain sign.
 
     install() wraps ``plant._log_kernel``, ``continuation.correct``, their
     lockstep twins ``plant._log_kernel_many`` and
     ``continuation.correct_many`` (one count per point or solve) and
     ``poly._horner_triple`` in every dtlocus module namespace that holds
-    them; uninstall() puts the originals back.  A call counts towards "+"
-    when its plant's gain has the sign of the job's plant (set ``alpha``
-    before each job), else "-"; a polish pass always counts towards "+".
+    them, and ``BoundaryFunctions.phi_slope`` and its array twin
+    ``phi_slope_many`` (one count per element) on their class;
+    uninstall() puts the originals back.  A call counts towards "+" when
+    its plant's gain has the sign of the job's plant (set ``alpha`` before
+    each job), else "-"; a polish pass always counts towards "+".
     """
 
     def __init__(self):
@@ -213,6 +218,9 @@ class WorkCount:
         kernel_many = getattr(sys.modules["dtlocus.plant"], "_log_kernel_many", None)
         correct_many = getattr(sys.modules["dtlocus.continuation"], "correct_many", None)
         horner = sys.modules["dtlocus.poly"]._horner_triple
+        line = sys.modules["dtlocus.boundary"].BoundaryFunctions
+        phase = line.phi_slope
+        phase_many = getattr(line, "phi_slope_many", None)  # missing from a checkout without it
 
         def counted_kernel(plant, *args):
             self.counts[self._sign(plant), "kernel"] += 1
@@ -240,10 +248,24 @@ class WorkCount:
             self.counts["+", "polish"] += 1
             return horner(*args)
 
+        def counted_phase(bf, omega):
+            self.counts[self._sign(bf.plant), "phase"] += 1
+            return phase(bf, omega)
+
+        def counted_phase_many(bf, omega):
+            self.counts[self._sign(bf.plant), "phase"] += len(omega)
+            return phase_many(bf, omega)
+
         wrappers = {kernel: counted_kernel, correct: counted_correct, horner: counted_horner}
         if kernel_many is not None:
             wrappers.update({kernel_many: counted_kernel_many, correct_many: counted_correct_many})
         self._undo = _wrap(wrappers)
+        methods = {"phi_slope": counted_phase}
+        if phase_many is not None:
+            methods["phi_slope_many"] = counted_phase_many
+        for name, wrapper in methods.items():
+            self._undo.append((line, name, getattr(line, name)))
+            setattr(line, name, wrapper)
 
     def uninstall(self) -> None:
         _unwrap(self._undo)
@@ -252,7 +274,8 @@ class WorkCount:
     def line(self, signs) -> str:
         return " ".join(
             f"{sign}[kernel={self.counts[sign, 'kernel']} correct={self.counts[sign, 'correct']} "
-            f"newton={self.counts[sign, 'newton']} polish={self.counts[sign, 'polish']}]"
+            f"newton={self.counts[sign, 'newton']} polish={self.counts[sign, 'polish']} "
+            f"phase={self.counts[sign, 'phase']}]"
             for sign in signs
         )
 
