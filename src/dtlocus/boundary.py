@@ -314,8 +314,9 @@ def _solve_monotone(f, target, a, b, va, vb, lo, start, tol):
     search runs on [lo, b], where lo >= a lies at or before the root, by
     Newton from the tangent of start = (omega, value, slope).  A step that
     leaves the bracket, or does not halve the step before it, bisects
-    instead.  Returns the root and the last evaluation, which starts the next
-    solve on the same piece.
+    instead; a step within tol that lands on a bracket end is taken (on the
+    root to the last bit the step rounds to nothing).  Returns the root and
+    the last evaluation, which starts the next solve on the same piece.
     """
     fa, fb = va - target, vb - target
     if fa == 0.0:
@@ -342,24 +343,24 @@ def _solve_monotone(f, target, a, b, va, vb, lo, start, tol):
         else:
             hi = x
         step = g / d if d != 0.0 else math.inf
-        if abs(step) <= 0.5 * abs(step_old) and lo < x - step < hi:
-            if abs(step) <= tol:
-                return x - step, (x, v, d)
-        elif hi - lo <= tol:
-            return 0.5 * (lo + hi), (x, v, d)
-        else:
+        halves = abs(step) <= 0.5 * abs(step_old)
+        if halves and abs(step) <= tol and lo <= x - step <= hi:
+            return x - step, (x, v, d)
+        if not (halves and lo < x - step < hi):
+            if hi - lo <= tol:
+                return 0.5 * (lo + hi), (x, v, d)
             step = x - 0.5 * (lo + hi)
         x, step_old = x - step, step
 
 
 def _solve_many(f, targets, a, b, va, vb, tol):
-    """_solve_monotone for many targets at once, each on its own monotone
-    bracket [a, b] (arrays, one entry per target, like va, vb and tol).
+    """_solve_monotone for an array of targets at once, all on the monotone
+    bracket [a, b] whose end values are va and vb.
 
     f maps an array of omegas to (value, slope) arrays.  Every target starts
-    from the chord through its bracket's endpoints and takes _solve_monotone's
+    from the chord through the bracket's endpoints and takes _solve_monotone's
     steps: Newton while a step stays in the bracket and halves the step
-    before it, bisection otherwise, until a step or the bracket is within its
+    before it, bisection otherwise, until a step or the bracket is within
     tol.  Returns the roots and the slope each solve last evaluated (nan for
     a root at an endpoint, where nothing is evaluated).
     """
@@ -370,11 +371,12 @@ def _solve_many(f, targets, a, b, va, vb, tol):
     graze = (fa < 0.0) == (fb < 0.0)
     at_a = (fa == 0.0) | (fb != 0.0) & graze & (abs(fa) <= abs(fb))
     at_b = ~at_a & ((fb == 0.0) | graze)
-    roots[at_a], roots[at_b] = a[at_a], b[at_b]
+    roots[at_a], roots[at_b] = a, b
     idx = np.flatnonzero(~(at_a | at_b))
-    lo, hi, T, tol, up = a[idx], b[idx], targets[idx], tol[idx], fa[idx] < 0.0
-    x = lo + (T - va[idx]) / (vb[idx] - va[idx]) * (hi - lo)
-    x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+    T, up = targets[idx], fa[idx] < 0.0
+    lo, hi = np.full(idx.shape, a), np.full(idx.shape, b)
+    x = a + (T - va) / (vb - va) * (b - a)
+    x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
     step_old = hi - lo
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero slope bisects
         while idx.size:
@@ -383,15 +385,18 @@ def _solve_many(f, targets, a, b, va, vb, tol):
             below = (g < 0.0) == up
             lo, hi = np.where(below, x, lo), np.where(below, hi, x)
             step = g / d
-            newton = (abs(step) <= 0.5 * abs(step_old)) & (lo < x - step) & (x - step < hi)
+            to = x - step
+            halves = abs(step) <= 0.5 * abs(step_old)
+            settled = halves & (abs(step) <= tol) & (lo <= to) & (to <= hi)
+            newton = settled | halves & (lo < to) & (to < hi)
             mid = 0.5 * (lo + hi)
             step = np.where(newton, step, x - mid)
             exact = g == 0.0
-            done = exact | np.where(newton, abs(step) <= tol, hi - lo <= tol)
-            x = np.where(exact, x, np.where(newton, x - step, mid))
+            done = exact | settled | ~newton & (hi - lo <= tol)
+            x = np.where(exact, x, np.where(newton, to, mid))
             roots[idx[done]], slopes[idx[done]] = x[done], d[done]
             live = ~done
-            idx, lo, hi, T, tol, up = idx[live], lo[live], hi[live], T[live], tol[live], up[live]
+            idx, lo, hi, T, up = idx[live], lo[live], hi[live], T[live], up[live]
             x, step_old = x[live], step[live]
     return roots, slopes
 
@@ -459,17 +464,16 @@ def boundary_crossings(bf: BoundaryFunctions, region: RegionSpec) -> CrossingSet
     odd-multiple-of-pi phase line at most once, so the line count comes from
     the endpoint phases.  On a piece with fewer than _ARRAY_LINES lines the
     hits are solved in order along the piece, each by safeguarded Newton on
-    phi from the tangent at the previous one; the lines of every larger
-    piece are solved together over arrays (_solve_many), and their gains
-    come from one array pass.  A hit's direction comes from the phase slope
-    its solve last evaluated, or from the cut's own slope when the hit is a
+    phi from the tangent at the previous one; the lines of a larger piece
+    are solved together over arrays (_solve_many), and their gains come
+    from one array pass.  A hit's direction comes from the phase slope its
+    solve last evaluated, or from the cut's own slope when the hit is a
     piece endpoint.
     """
     intervals = magnitude_intervals(bf, region)
     lnkmax = region.lnkmax
 
     hits: list[tuple[float, float, float]] = []  # (omega, phase slope there, K there)
-    many: list[tuple] = []  # (a, b, pa, pb, da, db, tol, first line, lines) per larger piece
     for lo, hi in intervals:
         tol = TOL_BISECT * (1.0 + hi)
         cuts = [lo] + [r for r in bf.phiprime_roots if lo < r < hi] + [hi]
@@ -482,7 +486,10 @@ def boundary_crossings(bf: BoundaryFunctions, region: RegionSpec) -> CrossingSet
                 math.ceil(pmin / _TWO_PI - 0.5), math.floor(pmax / _TWO_PI - 0.5) + 1
             )
             if len(lines) >= _ARRAY_LINES:
-                many.append((a, b, pa, pb, da, db, tol, lines.start, len(lines)))
+                targets = (2.0 * np.arange(lines.start, lines.stop) + 1.0) * math.pi
+                w, slope = _solve_many(bf.phi_slope_many, targets, a, b, pa, pb, tol)
+                slope = np.where(w == a, da, np.where(w == b, db, slope))
+                hits += zip(w.tolist(), slope.tolist(), bf.K_slope_many(w)[0].tolist())
                 continue
             last, left = (a, pa, da), a
             for l in (lines if pa <= pb else reversed(lines)):
@@ -490,16 +497,6 @@ def boundary_crossings(bf: BoundaryFunctions, region: RegionSpec) -> CrossingSet
                 left, last = _solve_monotone(bf.phi_slope, target, a, b, pa, pb, left, last, tol)
                 slope = da if left == a else db if left == b else last[2]
                 hits.append((left, slope, bf.K(left)))
-    if many:
-        # one entry per line: the ends, end phases, end slopes and tol of its piece
-        *piece, first, counts = (np.array(c) for c in zip(*many))
-        a, b, pa, pb, da, db, tol = (np.repeat(c, counts) for c in piece)
-        offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        targets = (2.0 * (np.repeat(first, counts) + offset) + 1.0) * math.pi
-        w, slope = _solve_many(bf.phi_slope_many, targets, a, b, pa, pb, tol)
-        slope = np.where(w == a, da, np.where(w == b, db, slope))
-        hits += zip(w.tolist(), slope.tolist(), bf.K_slope_many(w)[0].tolist())
-
     hits.sort(key=itemgetter(0))
     inward: list[BoundaryCrossing] = []
     outward: list[BoundaryCrossing] = []

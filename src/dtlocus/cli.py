@@ -12,7 +12,7 @@ import json
 import sys
 
 from .boundary import RegionSpec
-from .continuation import H0, TOL_CORR
+from .continuation import TOL_CORR
 from .errors import (
     BiProperGainCapViolated,
     BranchOnBoundary,
@@ -188,7 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--strict", action="store_true",
                     help="exit 3 if any trajectory ends in a step failure")
     ap.add_argument("--tol", type=float, default=TOL_CORR, help="corrector tolerance")
-    ap.add_argument("--h0", type=float, default=H0, help="smallest first continuation step")
     return ap
 
 
@@ -197,7 +196,7 @@ def main(argv=None) -> int:
     try:
         with open(args.input, "rb") as f:
             plant = parse_input(f.read())
-        options = TraceOptions(tol_corr=args.tol, h0=args.h0, negative_gains=args.negative_gains)
+        options = TraceOptions(tol_corr=args.tol, negative_gains=args.negative_gains)
         result = run(plant, RegionSpec(args.sigma0, args.kmax), options)
     except (
         InputError,

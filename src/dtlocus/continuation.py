@@ -9,7 +9,7 @@ the last two accepted points and their tangents, and along the tangent
 alone on a trajectory's first step, on the cap step, on a step more than
 twice as long as the last accepted one, and where the cubic bends by more
 than half the tangent step (tracer.trace).  step_update is the one step
-rule; the step stays in [H_MIN, h_max], and the tracer ends a trajectory
+rule; the step stays in [H_MIN, H_MAX], and the tracer ends a trajectory
 that must halve at H_MIN.  gain_step and hermite_bend serve floats and
 arrays alike; correct_many and step_update_many are the array twins of
 correct and step_update for the tracer's lockstep rounds.
@@ -28,35 +28,26 @@ from .plant import Plant, _log_kernel, _log_kernel_many, _wrap_angles, wrap_angl
 
 TOL_CORR = 1e-6
 MAX_ITER = 20
-H0 = 1e-2
+H0 = 1e-2  # the floor under a trajectory's first step
 H_MIN = 1e-8
-H_MAX = 0.5
+H_MAX = 0.5  # the longest step
 KAPPA_NOM = 0.5
 KAPPA_MAX = 0.7
 FIRST_MAX = 1.0
 _RESOLUTION = 2.0 ** -52  # the spacing of the doubles relative to their size
 
-_setattr = object.__setattr__  # how a frozen dataclass sets its own fields
-_new = object.__new__
 
-
-@dataclass(frozen=True, init=False)
-class LocusPoint:
+class LocusPoint(NamedTuple):
     """One point of a trajectory: position sigma + j*omega at gain e^Kval.
 
-    The constructor checks finiteness before it sets the frozen fields.
+    Built unchecked: finiteness is checked where values enter the program
+    (Plant, RegionSpec, TraceOptions, and every Newton iterate in
+    _locus_eval and _log_kernel_many).
     """
 
     sigma: float
     omega: float
     Kval: float
-
-    def __init__(self, sigma: float, omega: float, Kval: float):
-        if not (math.isfinite(sigma) and math.isfinite(omega) and math.isfinite(Kval)):
-            raise InputError(f"non-finite locus point ({sigma}, {omega}, {Kval})")
-        _setattr(self, "sigma", sigma)
-        _setattr(self, "omega", omega)
-        _setattr(self, "Kval", Kval)
 
     @property
     def s(self) -> complex:
@@ -65,16 +56,6 @@ class LocusPoint:
     @property
     def k(self) -> float:
         return math.exp(self.Kval)
-
-
-def _unchecked_point(sigma: float, omega: float, Kval: float) -> LocusPoint:
-    """LocusPoint(sigma, omega, Kval) for values already known to be finite,
-    without the constructor's check."""
-    p = _new(LocusPoint)
-    _setattr(p, "sigma", sigma)
-    _setattr(p, "omega", omega)
-    _setattr(p, "Kval", Kval)
-    return p
 
 
 @dataclass(frozen=True)
@@ -94,7 +75,7 @@ class CorrectorOutcome:
 def _locus_eval(plant: Plant, sigma: float, omega: float, Kval: float):
     """(M, P, dM/dsigma, dM/domega) at one iterate, from one plant pass.
 
-    A non-finite iterate raises InputError, as LocusPoint does.
+    A non-finite iterate raises InputError.
     """
     if not (math.isfinite(sigma) and math.isfinite(omega) and math.isfinite(Kval)):
         raise InputError(f"non-finite locus point ({sigma}, {omega}, {Kval})")
@@ -174,8 +155,8 @@ def correct(plant: Plant, s: complex, Kval: float, tol: float = TOL_CORR,
                             complex(msig, -mom), norm0)
 
 
-def step_update(h: float, out: CorrectorOutcome, h_max: float = H_MAX,
-                ds: float = math.inf, err: float = 0.0) -> tuple[float, bool]:
+def step_update(h: float, out: CorrectorOutcome, ds: float = math.inf,
+                err: float = 0.0) -> tuple[float, bool]:
     """Next step length after a step of length h, and whether to redo it.
 
     The step is redone at half the length unless Newton converged with
@@ -183,12 +164,12 @@ def step_update(h: float, out: CorrectorOutcome, h_max: float = H_MAX,
     FIRST_MAX times the predicted |ds|, plus err, how far the step's start
     may lie off the locus (tol/|dlog|, which no shorter step shrinks).  An
     accepted step divides h by sqrt(kappa/KAPPA_NOM) clamped to [0.5, 2].
-    The length stays in [H_MIN, h_max]; a redo at H_MIN is the caller's to end.
+    The length stays in [H_MIN, H_MAX]; a redo at H_MIN is the caller's to end.
     """
     if out.converged and out.kappa <= KAPPA_MAX and out.first <= FIRST_MAX * ds + err:
         h_bar = min(max(math.sqrt(out.kappa / KAPPA_NOM), 0.5), 2.0)
-        return min(max(h / h_bar, H_MIN), h_max), False
-    return min(max(0.5 * h, H_MIN), h_max), True
+        return min(max(h / h_bar, H_MIN), H_MAX), False
+    return min(max(0.5 * h, H_MIN), H_MAX), True
 
 
 class CorrectorOutcomes(NamedTuple):
@@ -250,15 +231,15 @@ def correct_many(plant: Plant, s: np.ndarray, Kval: np.ndarray, tol: float = TOL
 
 
 def step_update_many(h: np.ndarray, converged: np.ndarray, kappa: np.ndarray,
-                     first: np.ndarray, ds: np.ndarray, err: np.ndarray,
-                     h_max: float = H_MAX) -> tuple[np.ndarray, np.ndarray]:
+                     first: np.ndarray, ds: np.ndarray,
+                     err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """step_update at every element of arrays: the next step lengths and
     whether each step is to be redone."""
     accept = converged & (kappa <= KAPPA_MAX) & (first <= FIRST_MAX * ds + err)
     with np.errstate(all="ignore"):
         h_bar = np.clip(np.sqrt(kappa / KAPPA_NOM), 0.5, 2.0)
     new_h = np.where(accept, h / h_bar, 0.5 * h)
-    return np.clip(new_h, H_MIN, h_max), ~accept
+    return np.clip(new_h, H_MIN, H_MAX), ~accept
 
 
 def _phase_rest_at(plant: Plant, p: complex, skip: list[int]) -> float:

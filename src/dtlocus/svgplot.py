@@ -69,7 +69,7 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 
 def _plane_points(t: Trajectory) -> list[float]:
     """sigma, omega of each point, flat and led by the start marker; no gain."""
-    xy = [v for p in t.points for v in (p.sigma, p.omega)]
+    xy = [v for sigma, omega, _ in t.points for v in (sigma, omega)]
     if t.start_marker is not None:
         xy[:0] = (t.start_marker.real, t.start_marker.imag)
     return xy

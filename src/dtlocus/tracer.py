@@ -45,7 +45,6 @@ from .continuation import (
     TOL_CORR,
     CorrectorOutcome,
     LocusPoint,
-    _unchecked_point,
     correct,
     correct_many,
     departure_angles,
@@ -125,7 +124,7 @@ class Trajectory:
     def rows(self, sign: float = 1.0) -> list[tuple[float, float, float]]:
         """(sigma, omega, k) per point, led by a (sigma, omega, 0.0) row for
         the start marker; sign is -1.0 for the negative-gain pass."""
-        rows = [(p.sigma, p.omega, sign * math.exp(p.Kval)) for p in self.points]
+        rows = [(sigma, omega, sign * math.exp(K)) for sigma, omega, K in self.points]
         if self.start_marker is not None:
             rows.insert(0, (self.start_marker.real, self.start_marker.imag, 0.0))
         return rows
@@ -133,21 +132,14 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class TraceOptions:
-    """Corrector tolerance, smallest first step, largest step and the
-    negative-gain pass; checked once here."""
+    """Corrector tolerance and the negative-gain pass; checked once here."""
 
     tol_corr: float = TOL_CORR
-    h0: float = H0
-    h_max: float = H_MAX
     negative_gains: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.tol_corr) and self.tol_corr > 0.0):
             raise InputError(f"corrector tolerance must be finite and > 0, got {self.tol_corr}")
-        if not (math.isfinite(self.h0) and self.h0 > 0.0):
-            raise InputError(f"first step h0 must be finite and > 0, got {self.h0}")
-        if not (math.isfinite(self.h_max) and self.h_max >= H_MIN):
-            raise InputError(f"largest step h_max must be finite and >= {H_MIN}, got {self.h_max}")
 
 
 @dataclass(frozen=True)
@@ -218,8 +210,7 @@ def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
     crossing, one per departure ray of each active branch point.
 
     Pole and branch seeds start on the locus a short way along their ray
-    (_seed_from_ray), a crossing seed at its crossing; the boundary stage
-    gives that omega and gain finite, so the point is built unchecked.
+    (_seed_from_ray), a crossing seed at its crossing.
     Seeds whose trajectory is the conjugate image of another are omitted;
     the mirror pass reinstates them.  Every trajectory heads along
     ds/dK = -1/dlog, so a seed carries no direction.
@@ -233,7 +224,7 @@ def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
         branches = branch_points(plant, region)
 
     seeds: list[Seed] = []
-    neighbours = (*plant.zeros, *plant.poles, *(bp.s for bp in branches))
+    neighbours = _anchors(plant, branches)
     for i, p in enumerate(plant.poles):
         group = pole_group(plant, i)
         if group[0] != i:
@@ -247,7 +238,7 @@ def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
                                    options.tol_corr, neighbours, start_marker=p)
                 )
     for ci, c in enumerate(crossings.inward):
-        seeds.append(Seed(CrossingOrigin(ci), _unchecked_point(region.sigma0, c.omega, c.Kval)))
+        seeds.append(Seed(CrossingOrigin(ci), LocusPoint(region.sigma0, c.omega, c.Kval)))
     for bi, bp in enumerate(branches):
         if not bp.active:
             continue
@@ -260,30 +251,30 @@ def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
     return seeds
 
 
-def _first_step(plant: Plant, branches, start: complex, options: TraceOptions) -> float:
+def _first_step(plant: Plant, branches, start: complex) -> float:
     """First step length of a trajectory starting at start.
 
     A tenth of rho, the distance from start to the nearest plant zero, pole
-    or branch point, raised to h0 and then kept in [H_MIN, h_max]: a seed far
-    from everything that bends the locus starts long instead of doubling up
-    from h0 step by step.  Pole seeds and branch departures sit within
-    1e-3(1 + |anchor|) of their anchor, so they keep h0 while the anchor lies
+    or branch point, raised to H0 and capped at H_MAX: a seed far from
+    everything that bends the locus starts long instead of doubling up from
+    H0 step by step.  Pole seeds and branch departures sit within
+    1e-3(1 + |anchor|) of their anchor, so they keep H0 while the anchor lies
     inside |s| < 99.
     """
     rho = min(map(abs, map(start.__sub__, _anchors(plant, branches))), default=math.inf)
-    return _first_step_length(rho, options)
+    return _first_step_length(rho)
 
 
 def _anchors(plant: Plant, branches) -> tuple[complex, ...]:
-    """The plant zeros and poles and the branch points, which _first_step
-    measures rho to."""
+    """The plant zeros and poles and the branch points: _first_step measures
+    rho to them, and _seed_from_ray steps at most half way to the nearest."""
     return (*plant.zeros, *plant.poles, *(bp.s for bp in branches))
 
 
-def _first_step_length(rho, options: TraceOptions, maximum=max, minimum=min):
-    """_first_step's length from rho: a tenth of it, raised to h0 and kept
-    in [H_MIN, h_max].  With an array rho, pass np.maximum and np.minimum."""
-    return minimum(maximum(maximum(options.h0, _FIRST_STEP_REL * rho), H_MIN), options.h_max)
+def _first_step_length(rho, maximum=max, minimum=min):
+    """_first_step's length from rho: a tenth of it, raised to H0 and capped
+    at H_MAX.  With an array rho, pass np.maximum and np.minimum."""
+    return minimum(maximum(H0, _FIRST_STEP_REL * rho), H_MAX)
 
 
 def _branch_probes(plant: Plant, branches, Kval: float) -> list[tuple[float, int, float]]:
@@ -358,7 +349,7 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
     # 0j where the kernel raises
     dlog = _correct(plant, s, seed.start.Kval, math.inf, 0, s.imag == 0.0).dlog
     return _advance(plant, region, seed, branches, outward, options, [seed.start], dlog,
-                    s, None, 0.0, _first_step(plant, branches, s, options), MAX_STEPS)
+                    s, None, 0.0, _first_step(plant, branches, s), MAX_STEPS)
 
 
 def _advance(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
@@ -406,7 +397,7 @@ def _advance(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
                 ds += bend
         out = _correct(plant, s + ds, K1, tol, MAX_ITER, real)
         h_used = h
-        h, repeat = step_update(h_used, out, options.h_max, abs(ds), tol * abs(v))
+        h, repeat = step_update(h_used, out, abs(ds), tol * abs(v))
         c = out.point
         reason = None
         # the crossing the trajectory may leave the region at, on the step to its gain
@@ -473,7 +464,7 @@ def _trace_batch(plant: Plant, region: RegionSpec, seeds, branches, outward,
     so trace stays the one source of every other rule; a seed at whose
     start the kernel flags is traced by trace.
     """
-    lnkmax, sigma0, tol, h_max = region.lnkmax, region.sigma0, options.tol_corr, options.h_max
+    lnkmax, sigma0, tol = region.lnkmax, region.sigma0, options.tol_corr
     n = len(seeds)
     s = np.array([seed.start.s for seed in seeds])
     K = np.array([seed.start.Kval for seed in seeds])
@@ -481,7 +472,7 @@ def _trace_batch(plant: Plant, region: RegionSpec, seeds, branches, outward,
     # _first_step of every seed
     anchors = np.array(_anchors(plant, branches), dtype=complex)
     rho = np.abs(s[:, None] - anchors).min(axis=1, initial=math.inf)
-    h = _first_step_length(rho, options, np.maximum, np.minimum)
+    h = _first_step_length(rho, np.maximum, np.minimum)
     v = _slopes(dlog)
     # the gain of the next outward crossing above each seed, fixed while the
     # trajectory is in the lockstep: the step capped there is handed on
@@ -513,15 +504,14 @@ def _trace_batch(plant: Plant, region: RegionSpec, seeds, branches, outward,
         ds = np.where((t <= 2.0 * H) & (K1 < lnkmax) & (np.abs(bend) <= 0.5 * np.abs(ds)),
                       ds + bend, ds)
         c, _, kappa, converged, dlog1, first, bad = correct_many(plant, s + ds, K1, tol, MAX_ITER)
-        h_next, redo = step_update_many(h, converged, kappa, first, np.abs(ds), tol * np.abs(v),
-                                        h_max)
+        h_next, redo = step_update_many(h, converged, kappa, first, np.abs(ds), tol * np.abs(v))
         accept = ~(redo | bad)
         other = (bad | (accept & (c.real < sigma0)) | (redo & (h <= _LAST_HALVING))
                  | (K1 <= K) | (v == 0.0) | (K1 == exit_gain))
         ok = accept & ~other
         if other.any():
             hand(other, MAX_STEPS - step)
-        for i, p in zip(ids[ok].tolist(), map(_unchecked_point, c.real[ok].tolist(),
+        for i, p in zip(ids[ok].tolist(), map(LocusPoint, c.real[ok].tolist(),
                                               c.imag[ok].tolist(), K1[ok].tolist())):
             paths[i].append(p)
         top = ok & (K1 >= lnkmax)
@@ -560,7 +550,7 @@ def _mirror_trajectory(plant: Plant, branches, traj: Trajectory) -> Trajectory:
         )
     return Trajectory(
         origin=origin,
-        points=tuple([_unchecked_point(p.sigma, -p.omega, p.Kval) for p in traj.points]),
+        points=tuple([LocusPoint(sigma, -omega, K) for sigma, omega, K in traj.points]),
         termination=termination,
         mirrored=True,
         start_marker=traj.start_marker.conjugate() if traj.start_marker is not None else None,

@@ -393,6 +393,34 @@ def test_07_residual_invariant(corpus):
     assert npts > 100
 
 
+def test_emitted_points_are_finite(demo_plant):
+    # points are built unchecked, so every value they carry must come finite
+    # from a checked input or a checked Newton iterate: random plants with
+    # both gain signs, and the demo plant far left and at large kmax
+    rng = np.random.RandomState(2026)
+    cases = []
+    while len(cases) < 20:
+        plant = random_plant(rng, Plant)
+        region = RegionSpec(*clean_region(plant, rng))
+        try:
+            res = run(plant, region, TraceOptions(negative_gains=True))
+        except (PoleOrZeroOnBoundary, DegenerateCrossing, BranchOnBoundary):
+            continue
+        cases += [res, res.negative]
+    for sigma0, kmax in ((-3.5, 50.0), (-3.5, 150.0), (-3.5, 500.0), (-6.0, 5.0)):
+        cases.append(run(demo_plant, RegionSpec(sigma0, kmax)))
+    npts = 0
+    for res in cases:
+        for t in res.trajectories:
+            rows = t.rows()
+            assert all(map(math.isfinite, (v for row in rows for v in row))), (res.plant, t)
+            assert all(isinstance(p, LocusPoint) for p in t.points)
+            npts += len(rows)
+        for c in res.crossings.inward + res.crossings.outward:
+            assert math.isfinite(c.omega) and math.isfinite(c.Kval), (res.plant, c)
+    assert npts > 20000
+
+
 def _traj_key(t):
     o = t.origin
     if isinstance(o, PoleOrigin):
@@ -414,7 +442,7 @@ def _endpoint_map(res):
 
 
 @_criterion(8, "step control forced cases exact; refinement leaves outcomes fixed")
-def test_08_step_control(demo_plant, demo_result, p1_result):
+def test_08_step_control(demo_plant, demo_result, p1_result, step_bounds):
     pt = LocusPoint(0.0, 0.0, 0.0)
 
     nominal = CorrectorOutcome(pt, 3, KAPPA_NOM, True)
@@ -432,19 +460,20 @@ def test_08_step_control(demo_plant, demo_result, p1_result):
     crisp = CorrectorOutcome(pt, 2, KAPPA_NOM / 9.0, True)
     h, repeat = step_update(0.01, crisp)
     assert h == 0.02 and repeat is False
-    h, repeat = step_update(0.4, crisp, h_max=0.5)
-    assert h == 0.5 and repeat is False
+    h, repeat = step_update(0.4, crisp)
+    assert h == H_MAX == 0.5 and repeat is False
 
     # halving the initial step, or the largest step, must not change any
     # termination reason, and endpoints may move at most 1e-4.  Crossing
-    # seeds start above h0, so the h_max run is the one that shortens most
+    # seeds start above H0, so the H_MAX run is the one that shortens most
     # steps.
-    for fine in (TraceOptions(h0=H0 / 2.0), TraceOptions(h_max=H_MAX / 2.0)):
+    for h0, h_max in ((H0 / 2.0, H_MAX), (H0, H_MAX / 2.0)):
+        step_bounds(h0, h_max)
         for plant, region, base in (
             (P1, P1_REGION, p1_result),
             (demo_plant, DEMO_REGION, demo_result),
         ):
-            refined = run(plant, region, fine)
+            refined = run(plant, region)
             a, b = _endpoint_map(base), _endpoint_map(refined)
             assert set(a) == set(b)
             for key in a:
@@ -493,21 +522,20 @@ def test_branch_departures_complete(corpus):
 
 
 def test_first_step_rule(corpus):
-    # pole seeds and branch departures start at h0; every first step lies in
-    # [h0, h_max], and below h_max a crossing seed starts at a tenth of its
+    # pole seeds and branch departures start at H0; every first step lies in
+    # [H0, H_MAX], and below H_MAX a crossing seed starts at a tenth of its
     # distance to the nearest plant root or branch point
-    options = TraceOptions()
     crossings_sized = 0
     for res in corpus:
         anchors = [*res.plant.zeros, *res.plant.poles, *(bp.s for bp in res.branch_points)]
-        seeds = seed_points(res.plant, res.region, options=options, branches=res.branch_points)
+        seeds = seed_points(res.plant, res.region, branches=res.branch_points)
         for seed in seeds:
-            h = _first_step(res.plant, res.branch_points, seed.start.s, options)
-            assert options.h0 <= h <= options.h_max
+            h = _first_step(res.plant, res.branch_points, seed.start.s)
+            assert H0 <= h <= H_MAX
             if isinstance(seed.origin, (PoleOrigin, BranchOrigin)):
-                assert h == options.h0, seed
+                assert h == H0, seed
             else:
                 rho = min(abs(seed.start.s - a) for a in anchors)
-                assert h == max(options.h0, min(options.h_max, 0.1 * rho)), seed
-                crossings_sized += options.h0 < 0.1 * rho < options.h_max
+                assert h == max(H0, min(H_MAX, 0.1 * rho)), seed
+                crossings_sized += H0 < 0.1 * rho < H_MAX
     assert crossings_sized > 0

@@ -604,6 +604,15 @@ class TestNewtonSearch:
                                   (2.0, 2.0 ** 25, 25.0 * 2.0 ** 24), 1e-12)
         assert root == pytest.approx(0.1, abs=1e-12)
         assert len(calls) <= 30
+        # w^25 = 2^24 from the chord of [0, 2]: the 9th evaluation is the root
+        # to the last bit, where the step rounds to nothing and lands on the
+        # bracket end that evaluation just set; that step is taken
+        calls.clear()
+        target = 2.0 ** 24
+        root, _ = _solve_monotone(steep, target, 0.0, 2.0, 0.0, 2.0 ** 25, 0.0,
+                                  (1.0, target, 1.0), 1e-12)
+        assert len(calls) <= 10 and root == calls[8]
+        assert abs(root - 2.0 ** (24 / 25)) <= 4e-16
         # an endpoint on the target returns it; a graze off the bracket picks the nearer end
         assert _solve_monotone(f, 0.0, 0.0, 4.0, 0.0, 64.0, 0.0, (0.0, 0.0, 0.0), 1e-12)[0] == 0.0
         assert _solve_monotone(f, -1e-9, 0.0, 4.0, 0.0, 64.0, 0.0, (0.0, 0.0, 0.0), 1e-12)[0] == 0.0
@@ -645,12 +654,6 @@ def _by_omega(cs):
     """(omega, "in" | "out", k) of every crossing, ascending in omega."""
     return sorted([(c.omega, "in", c.k) for c in cs.inward]
                   + [(c.omega, "out", c.k) for c in cs.outward])
-
-
-def _solve_on(f, targets, a, b, va, vb, tol):
-    """_solve_many with every target on the bracket [a, b]."""
-    n = len(targets)
-    return _solve_many(f, np.asarray(targets, float), *(np.full(n, v) for v in (a, b, va, vb, tol)))
 
 
 class TestArraySolve:
@@ -749,32 +752,39 @@ class TestArraySolve:
             return w ** 3, 3.0 * w * w
 
         t = np.array([1e-6, 0.5, 1.0, 8.0, 27.0, 63.9])
-        roots, slopes = _solve_on(f, t, 0.0, 4.0, 0.0, 64.0, 1e-12)
+        roots, slopes = _solve_many(f, t, 0.0, 4.0, 0.0, 64.0, 1e-12)
         assert roots == pytest.approx(np.cbrt(t), abs=1e-12)
         assert slopes == pytest.approx(3.0 * roots ** 2, rel=1e-6)
         # w^25 = 1e-25 from the chord of [0, 2]: steps that fail to halve
         # the one before them bisect, so the creep toward 0.1 stays short;
         # each target takes as many evaluations as _solve_monotone started
-        # at the same point
+        # at the same point, and returns the same root
         rounds = []
 
         def steep(w):
             rounds.append(w)
             return w ** 25, 25.0 * w ** 24
 
-        t = np.array([1e-25, 1e-10, 1.0])
-        roots, _ = _solve_on(steep, t, 0.0, 2.0, 0.0, 2.0 ** 25, 1e-12)
+        t = np.array([1e-25, 1e-10, 1.0, 2.0 ** 24])
+        roots, _ = _solve_many(steep, t, 0.0, 2.0, 0.0, 2.0 ** 25, 1e-12)
         assert roots == pytest.approx(t ** (1.0 / 25.0), abs=1e-12)
         assert len(rounds) <= 30
-        for target in t:
+        for target, root in zip(t, roots):
             rounds.clear()
-            _solve_on(steep, [target], 0.0, 2.0, 0.0, 2.0 ** 25, 1e-12)
+            _solve_many(steep, np.array([target]), 0.0, 2.0, 0.0, 2.0 ** 25, 1e-12)
             solo = len(rounds)
             rounds.clear()
             chord = (2.0 * target / 2.0 ** 25, target, 1.0)
-            _solve_monotone(steep, target, 0.0, 2.0, 0.0, 2.0 ** 25, 0.0, chord, 1e-12)
+            assert _solve_monotone(steep, target, 0.0, 2.0, 0.0, 2.0 ** 25, 0.0, chord,
+                                   1e-12)[0] == root
             assert solo == len(rounds)
+        # 2^24 is reached to the last bit at the 9th evaluation, where the
+        # step rounds to nothing and lands on a bracket end; that step is taken
+        rounds.clear()
+        roots, _ = _solve_many(steep, np.array([2.0 ** 24]), 0.0, 2.0, 0.0, 2.0 ** 25, 1e-12)
+        assert len(rounds) <= 10 and roots[0] == rounds[8][0]
         # an endpoint on the target returns it, as does a graze off the
         # bracket, the nearer end winning; nothing is evaluated for them
-        roots, slopes = _solve_on(f, [0.0, -1e-9, 64.0, 64.0 + 1e-9], 0.0, 4.0, 0.0, 64.0, 1e-12)
+        roots, slopes = _solve_many(f, np.array([0.0, -1e-9, 64.0, 64.0 + 1e-9]),
+                                    0.0, 4.0, 0.0, 64.0, 1e-12)
         assert roots.tolist() == [0.0, 0.0, 4.0, 4.0] and np.isnan(slopes).all()

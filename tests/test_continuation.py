@@ -9,6 +9,7 @@ import pytest
 from dtlocus.boundary import RegionSpec, boundary_crossings, boundary_functions
 from dtlocus.continuation import (
     FIRST_MAX,
+    H0,
     H_MIN,
     KAPPA_MAX,
     KAPPA_NOM,
@@ -33,12 +34,6 @@ class TestLocusPoint:
         p = LocusPoint(-1.0, 2.0, 0.5)
         assert p.s == complex(-1.0, 2.0)
         assert p.k == pytest.approx(math.exp(0.5))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(InputError):
-            LocusPoint(math.nan, 0.0, 0.0)
-        with pytest.raises(InputError):
-            LocusPoint(0.0, math.inf, 0.0)
 
 
 class TestResiduals:
@@ -208,12 +203,13 @@ class TestStepController:
     def _out(self, kappa, converged=True, first=0.0):
         return CorrectorOutcome(LocusPoint(0, 0, 0), 3, kappa, converged, first=first)
 
-    def test_clamps_h(self):
-        # the new length stays in [H_MIN, h_max] whatever h is
+    def test_clamps_h(self, step_bounds):
+        # the new length stays in [H_MIN, H_MAX] whatever h is
         for h, want in ((1e-12, 1e-8), (1e-8, 1e-8), (0.3, 0.3), (0.5, 0.5), (7.0, 0.5),
                         (10.0, 0.5)):
             assert step_update(h, self._out(KAPPA_NOM)) == (want, False)
-        assert step_update(0.4, self._out(KAPPA_NOM), h_max=0.2) == (0.2, False)
+        step_bounds(H0, 0.2)
+        assert step_update(0.4, self._out(KAPPA_NOM)) == (0.2, False)
 
     def test_nominal_keeps_h(self):
         new_h, repeat = step_update(0.01, self._out(KAPPA_NOM))

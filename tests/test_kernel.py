@@ -39,7 +39,7 @@ from dtlocus.plant import (
     log_eval,
     wrap_angle,
 )
-from dtlocus.tracer import TraceOptions, _first_step
+from dtlocus.tracer import _first_step
 
 from oracles import (
     extended_log_eval,
@@ -260,7 +260,7 @@ def test_lockstep_corrector_and_step_rule_equal_theirs():
         h = rng.uniform(1e-8, 0.5, len(pts))
         ds = rng.uniform(0.0, 0.3, len(pts))
         new_h, redo = step_update_many(h, many.converged, many.kappa, many.first, ds,
-                                       np.full(len(pts), 1e-7), 0.5)
+                                       np.full(len(pts), 1e-7))
         for i, s in enumerate(pts):
             try:
                 one = correct(plant, s, K[i], 1e-6, 20)
@@ -274,7 +274,7 @@ def test_lockstep_corrector_and_step_rule_equal_theirs():
             assert (many.iterations[i], many.converged[i]) == (one.iterations, one.converged)
             assert abs(many.point[i] - one.point.s) <= 1e-9 * (1.0 + abs(s))
             assert abs(many.kappa[i] - one.kappa) <= 1e-9 and abs(many.first[i] - one.first) <= 1e-9
-            want = step_update(h[i], one, 0.5, ds[i], 1e-7)
+            want = step_update(h[i], one, ds[i], 1e-7)
             assert (redo[i], new_h[i]) == pytest.approx((want[1], want[0]), rel=1e-9)
             counts["redo" if want[1] else "accept"] += 1
     assert counts["accept"] > 50 and counts["redo"] > 50, counts
@@ -283,11 +283,8 @@ def test_lockstep_corrector_and_step_rule_equal_theirs():
 @pytest.mark.parametrize("bad", [(math.nan, 0.0, 0.0), (0.5, math.inf, 0.0),
                                  (0.5, 0.5, -math.inf), (math.nan, math.nan, math.nan)])
 def test_nonfinite_iterate_raises_input_error(bad):
-    plant = PLANTS[0]
     with pytest.raises(InputError):
-        LocusPoint(*bad)
-    with pytest.raises(InputError):
-        _locus_eval(plant, *bad)
+        _locus_eval(PLANTS[0], *bad)
 
 
 def test_corrector_still_raises_on_nonfinite_iterate(monkeypatch):
@@ -323,10 +320,12 @@ def test_corrector_equals_former_corrector():
     assert total >= 400 and converged >= 50
 
 
-def test_step_controller_resize_clamps_like_constructor():
+def test_step_controller_resize_clamps_like_constructor(step_bounds):
     # a nominal step keeps its length, so step_update only clamps it; the
-    # first step of a seed next to a pole is h0 clamped: the two clamps agree
+    # first step of a seed next to a pole is H0 capped at H_MAX: the two
+    # clamps agree (H0 is never below H_MIN)
     plant = Plant(1.0, 1.0, (), (0j,))
     nominal = CorrectorOutcome(LocusPoint(0.0, 0.0, 0.0), 3, KAPPA_NOM, True)
-    for h in (1e-12, 1e-8, 0.3, 0.5, 7.0):
-        assert step_update(h, nominal) == (_first_step(plant, [], 1e-15 + 0j, TraceOptions(h0=h)), False)
+    for h in (1e-8, 0.3, 0.5, 7.0):
+        step_bounds(h, continuation.H_MAX)
+        assert step_update(h, nominal) == (_first_step(plant, [], 1e-15 + 0j), False)

@@ -4,10 +4,10 @@ check: one labelled line per job, in the hash format, the --topology format
 dense count with lockstep tracing equals the count without, and whose
 phase count shows the array solve of the crossing search) and the
 --ledger format, whose count is checked on a crafted result; --census, a
-line per job with a finding and a totals line, checked with a stub check
-and a stub _dedup.
-tools/bench_pairs.py: current bytecode in both checkouts before the first
-pair."""
+line per job with a finding and a totals line, checked with a stub check,
+a stub _dedup and stub results for the close cap ends.
+tools/bench_pairs.py: current bytecode in a checkout before each of its
+runs."""
 
 import dataclasses
 import importlib.util
@@ -160,10 +160,10 @@ def test_output_digest_census_lines(capsys, monkeypatch):
     assert digest.main(["corpus", "--jobs", "3", "--census"]) == 0
     *lines, total = capsys.readouterr().out.splitlines()
     counts = r"warnings=\d+ step_failures=\d+ drops=\d+"
-    assert re.fullmatch(rf"total jobs=3 failed=\d+ warning_jobs=\d+ {counts} ledger_jobs=\d+",
-                        total), total
+    assert re.fullmatch(rf"total jobs=3 failed=\d+ warning_jobs=\d+ {counts} ledger_jobs=\d+ "
+                        r"close=\d+", total), total
     for line in lines:
-        assert re.fullmatch(rf"corpus\[[0-2]\] failed=[01] {counts} ledger=\d+( \| .+)*",
+        assert re.fullmatch(rf"corpus\[[0-2]\] failed=[01] {counts} ledger=\d+ close=\d+( \| .+)*",
                             line), line
     assert tracer._dedup is dedup
 
@@ -191,9 +191,9 @@ def test_output_digest_census_lines(capsys, monkeypatch):
     off = sum(digest.ledger_mismatches(r)[1] for r in (res, res.negative))
     assert off > 0
     assert line == (f"corpus[1] failed=1 warnings=0 step_failures=0 drops=2 ledger={off} "
-                    f"| stub finding of {n} trajectories")
+                    f"close=0 | stub finding of {n} trajectories")
     assert census.total_line() == ("total jobs=1 failed=1 warning_jobs=0 warnings=0 "
-                                   "step_failures=0 drops=2 ledger_jobs=1")
+                                   "step_failures=0 drops=2 ledger_jobs=1 close=0")
     assert tracer._dedup is not dedup  # the stub, put back by uninstall()
 
     # a job whose only finding is a ledger mismatch prints its line: a
@@ -217,8 +217,61 @@ def test_output_digest_census_lines(capsys, monkeypatch):
     assert off > 0 and res.warnings == () and res.negative.warnings == ()
     census = digest.Census(Clean)
     assert census.line(dtlocus, job) == (
-        f"corpus[1] failed=0 warnings=0 step_failures=0 drops=0 ledger={off}")
-    assert census.total_line().endswith(" drops=0 ledger_jobs=1")
+        f"corpus[1] failed=0 warnings=0 step_failures=0 drops=0 ledger={off} close=0")
+    assert census.total_line().endswith(" drops=0 ledger_jobs=1 close=0")
+
+
+def test_output_digest_census_close_cap_ends(monkeypatch):
+    # pairs of GainCap ends within 1e-4 in |dsigma| + |domega|, mirror
+    # images included, a trajectory never paired with its own image; a job
+    # whose only finding is close cap ends prints its line
+    from types import SimpleNamespace
+
+    from dtlocus import LocusPoint, tracer
+
+    digest = _output_digest()
+
+    def traj(sigma, omega, mirrored=False, termination=tracer.GainCap()):
+        return SimpleNamespace(points=(LocusPoint(0.0, 0.0, -1.0), LocusPoint(sigma, omega, 0.0)),
+                               termination=termination, mirrored=mirrored)
+
+    def with_images(*originals):
+        out = []
+        for t in originals:
+            out.append(t)
+            p = t.points[-1]
+            if p.omega:
+                out.append(traj(p.sigma, -p.omega, True, t.termination))
+        return SimpleNamespace(trajectories=out, warnings=(), negative=None)
+
+    res = with_images(
+        traj(-1.0, 2.0), traj(-1.0 + 4e-5, 2.0 + 5e-5),  # close: a pair and its image
+        traj(-3.0, 1e-5),                 # within 1e-4 of its own image only
+        traj(-5.0, 1.0), traj(-5.0 + 6e-5, 1.0 + 6e-5),  # each within, the sum not
+        traj(-7.0, 0.0), traj(-7.0, 0.0),  # two real ends on one point
+        traj(2.0, 3.0, termination=tracer.LeftRegion(0)), traj(2.0, 3.0),  # one ends elsewhere
+    )
+    assert digest.close_cap_ends(res) == 3
+
+    class Clean:
+        Malformed = ValueError
+
+        @staticmethod
+        def check_job(job, n_traj, json_text, csv_text, svg_text):
+            return []
+
+    monkeypatch.syspath_prepend(str(ROOT / "locusbench"))
+    import dtlocus.cli
+    import workloads
+
+    monkeypatch.setattr(dtlocus, "run", lambda *args: res)
+    monkeypatch.setattr(digest, "ledger_mismatches", lambda r: (1, 0))
+    monkeypatch.setattr(digest, "_outputs", lambda *args: {"json": ""})
+    job = next(workloads.jobs("corpus", 101))
+    census = digest.Census(Clean)
+    assert census.line(dtlocus, job) == (
+        "corpus[0] failed=0 warnings=0 step_failures=0 drops=0 ledger=0 close=3")
+    assert census.total_line().endswith(" drops=0 ledger_jobs=0 close=3")
 
 
 def test_ledger_counts_a_missing_root():
@@ -263,6 +316,7 @@ def test_bench_pairs_compiles_both_checkouts_first(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(bench, "run_once",
                         lambda checkout, *args: events.append(("run", checkout)) or (summary, set()))
     assert bench.main(["--parent", str(parent), "--workload", "corpus", "--seeds", "1-2"]) == 0
-    assert events[:2] == [("compile", parent), ("compile", ROOT)]
-    assert [kind for kind, _ in events[2:]] == ["run"] * 4
+    # the parent runs first in the first pair and second in the next
+    order = [parent, ROOT, ROOT, parent]
+    assert events == [(kind, side) for side in order for kind in ("compile", "run")]
     assert "corpus, seeds 1-2, 2 pairs" in capsys.readouterr().out

@@ -23,7 +23,7 @@ from dtlocus.boundary import (
     magnitude_intervals,
 )
 from dtlocus.cli import parse_input
-from dtlocus.continuation import H_MAX, H_MIN, MAX_ITER, CorrectorOutcome, LocusPoint, residuals
+from dtlocus.continuation import H0, H_MAX, H_MIN, MAX_ITER, CorrectorOutcome, LocusPoint, residuals
 from dtlocus.errors import BranchOnBoundary, DtLocusError, InputError
 from dtlocus.plant import Plant, dlog_ratio
 from dtlocus.tracer import (
@@ -265,13 +265,10 @@ class TestP3AndEdges:
             assert f"k={math.exp(t.points[-1].Kval):.6g}" in w
 
     def test_options_validated_at_construction(self):
-        for bad in (dict(tol_corr=0.0), dict(tol_corr=-1.0), dict(tol_corr=math.nan),
-                    dict(tol_corr=math.inf), dict(h0=0.0), dict(h0=-1.0), dict(h0=math.nan),
-                    dict(h0=math.inf), dict(h_max=H_MIN / 2.0), dict(h_max=math.inf),
-                    dict(h_max=math.nan)):
+        for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(InputError):
-                TraceOptions(**bad)
-        TraceOptions(tol_corr=1e-18, h0=1e-12, h_max=H_MIN)
+                TraceOptions(tol_corr=bad)
+        TraceOptions(tol_corr=1e-18)
 
 
 class TestNegativeGains:
@@ -460,11 +457,12 @@ class TestSeedsAndStability:
             assert s.start.sigma == -3.5
             assert (-1.0 / dlog_ratio(p2, s.start.s)).real > 0.0  # inward means growing sigma
 
-    def test_topology_stable_under_refinement(self, p1):
+    def test_topology_stable_under_refinement(self, p1, step_bounds):
         region = RegionSpec(-2.0, 1.0)
         coarse = run(p1, region)
-        for options in (TraceOptions(h0=5e-3), TraceOptions(h_max=H_MAX / 2.0)):
-            fine = run(p1, region, options)
+        for h0, h_max in ((H0 / 2.0, H_MAX), (H0, H_MAX / 2.0)):
+            step_bounds(h0, h_max)
+            fine = run(p1, region)
             assert len(coarse.trajectories) == len(fine.trajectories)
             for a, b in zip(coarse.trajectories, fine.trajectories):
                 assert type(a.termination) is type(b.termination)
@@ -476,7 +474,7 @@ class TestSeedsAndStability:
 class TestFirstStep:
     """The README demo plant at sigma0 -3.5 and kmax 500: 2,639 traced
     trajectories, almost all seeded at boundary crossings far from every
-    root, which start at a step sized to that distance instead of h0."""
+    root, which start at a step sized to that distance instead of H0."""
 
     @pytest.fixture(scope="class")
     def demo_500(self):
@@ -501,7 +499,7 @@ class TestFirstStep:
     def test_corrector_calls_per_trajectory(self, demo_500):
         res, calls = demo_500
         traced = sum(1 for t in res.trajectories if not t.mirrored)
-        assert calls <= 4 * traced  # 7.8 per trajectory from a first step of h0
+        assert calls <= 4 * traced  # 7.8 per trajectory from a first step of H0
 
     def test_topology(self, demo_500):
         res, _ = demo_500

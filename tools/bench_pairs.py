@@ -7,11 +7,12 @@ For each seed in A..B (inclusive) the benchmark command of BENCHMARK.json
 (``locusbench/run.py --trace 0``) runs once in the parent checkout DIR and
 once in this checkout, the parent first on even pairs and second on odd
 ones, so a drift of the machine's speed falls on both sides alike.  Each run
-imports the program from its own checkout's ``src``.  Before the first pair
-both checkouts' ``src`` is byte-compiled (``compileall``): with
-``PYTHONDONTWRITEBYTECODE`` set, a module edited since its ``.pyc`` was
-written would otherwise be recompiled on every import of every run, which
-reads as set-up time.
+imports the program from its own checkout's ``src``.  Before each run its
+checkout's ``src`` is byte-compiled (``compileall``, which rewrites only
+what changed): with ``PYTHONDONTWRITEBYTECODE`` set, a module edited since
+its ``.pyc`` was written would otherwise be recompiled on every import of
+every later run, which reads as set-up time, so an edit made while the
+pairs run is compiled once.
 
 As each pair ends it prints the seed's failed job count on each side and
 whether the failed jobs are the same ones (read from the run records the
@@ -89,13 +90,12 @@ def main(argv=None) -> int:
     metrics = spec["end_to_end"]
 
     sides = {"parent": parent, "change": ROOT}
-    for checkout in sides.values():
-        compile_sources(checkout, spec["command"][0])
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         failed = {}
         for side in order:
+            compile_sources(sides[side], spec["command"][0])
             summary, failed[side] = run_once(sides[side], spec["command"], args.workload, seed,
                                              args.seconds)
             runs[side].append(summary)

@@ -57,13 +57,18 @@ With ``--census`` only the jobs with a finding print a line: the findings
 of the benchmark's own output check (``locusbench/checks.py``,
 ``check_job``), or the exception a job raised, then the warning count, the
 ``StepFailure`` count, the trajectories ``tracer._dedup`` dropped
-(``drops``, counted by wrapping that name as ``--work`` wraps its names)
-and the gain intervals off the crossing ledger (``ledger``, the
-``mismatched`` of ``--ledger`` summed over both gain signs).  A job whose
-only finding is a ledger mismatch prints a line too, so a pass that loses a
-root without a warning shows.  A job fails when it raises or its check
-finds something, as it does in the benchmark.  A totals line ends the
-output; its ``ledger_jobs`` counts the jobs with a ledger mismatch.
+(``drops``, counted by wrapping that name as ``--work`` wraps its names),
+the gain intervals off the crossing ledger (``ledger``, the
+``mismatched`` of ``--ledger`` summed over both gain signs) and the close
+cap ends (``close``: pairs of ``GainCap`` end points within 1e-4 in
+|dsigma| + |domega| of each other, per gain sign, mirror images included,
+a trajectory never paired with its own mirror image).  A job whose only
+finding is a ledger mismatch or close cap ends prints a line too, so a
+pass that loses a root without a warning, or ends two trajectories on one
+root, shows.  A job fails when it raises or its check finds something, as
+it does in the benchmark.  A totals line ends the output; its
+``ledger_jobs`` counts the jobs with a ledger mismatch, its ``close`` the
+close pairs of all jobs.
 
 Digest two commits and diff the files to show a change keeps every output
 byte (or, with ``--topology``, every structure) and every failure the same:
@@ -156,6 +161,31 @@ def ledger_mismatches(res) -> tuple[int, int]:
         diff += change[K]
         mismatched += diff != 0
     return len(events) + 1, mismatched
+
+
+_CLOSE_TOL = 1e-4
+
+
+def close_cap_ends(res) -> int:
+    """Pairs of GainCap end points within _CLOSE_TOL in |dsigma| + |domega|
+    for one gain sign, mirror images included.  A trajectory is not paired
+    with its own mirror image, which run places right after it."""
+    ends = []
+    owner = -1
+    for t in res.trajectories:
+        owner += not t.mirrored
+        if type(t.termination).__name__ == "GainCap":
+            p = t.points[-1]
+            ends.append((p.sigma, p.omega, owner))
+    ends.sort()  # by sigma, so each end's partners follow it within _CLOSE_TOL
+    pairs = 0
+    for i, (sigma, omega, owner) in enumerate(ends):
+        j = i + 1
+        while j < len(ends) and ends[j][0] - sigma <= _CLOSE_TOL:
+            s, w, o = ends[j]
+            pairs += o != owner and s - sigma + abs(w - omega) <= _CLOSE_TOL
+            j += 1
+    return pairs
 
 
 def ledger(result) -> str:
@@ -291,8 +321,8 @@ def _outputs(dtlocus, job, result) -> dict:
 
 
 class Census:
-    """Per-job findings, warnings, step failures, _dedup drops and ledger
-    mismatches, with totals.  install() wraps ``tracer._dedup`` to count its
+    """Per-job findings, warnings, step failures, _dedup drops, ledger
+    mismatches and close cap ends, with totals.  install() wraps ``tracer._dedup`` to count its
     drops; uninstall() puts it back."""
 
     def __init__(self, checks):
@@ -318,7 +348,7 @@ class Census:
     def line(self, dtlocus, job) -> str | None:
         """The job's census line, or None when it has no finding."""
         self.drops = 0
-        warnings = failures = mismatched = 0
+        warnings = failures = mismatched = close = 0
         try:
             plant = dtlocus.cli.parse_input(job.doc)
             result = dtlocus.run(plant, dtlocus.RegionSpec(job.sigma0, job.kmax),
@@ -328,6 +358,7 @@ class Census:
             failures = sum(type(t.termination).__name__ == "StepFailure"
                            for res in passes for t in res.trajectories)
             mismatched = sum(ledger_mismatches(res)[1] for res in passes)
+            close = sum(close_cap_ends(res) for res in passes)
             texts = _outputs(dtlocus, job, result)
             try:
                 found = self.checks.check_job(job, sum(len(res.trajectories) for res in passes),
@@ -338,16 +369,16 @@ class Census:
             found = [f"raised {type(e).__name__}: {e}"]
         self.totals.update(jobs=1, failed=int(bool(found)), warning_jobs=int(bool(warnings)),
                            warnings=warnings, step_failures=failures, drops=self.drops,
-                           ledger_jobs=int(bool(mismatched)))
-        if not (found or warnings or failures or self.drops or mismatched):
+                           ledger_jobs=int(bool(mismatched)), close=close)
+        if not (found or warnings or failures or self.drops or mismatched or close):
             return None
         return (f"{job.label} failed={int(bool(found))} warnings={warnings} "
-                f"step_failures={failures} drops={self.drops} ledger={mismatched}"
+                f"step_failures={failures} drops={self.drops} ledger={mismatched} close={close}"
                 + "".join(f" | {f}" for f in found))
 
     def total_line(self) -> str:
         keys = ("jobs", "failed", "warning_jobs", "warnings", "step_failures", "drops",
-                "ledger_jobs")
+                "ledger_jobs", "close")
         return "total " + " ".join(f"{k}={self.totals[k]}" for k in keys)
 
 
@@ -390,8 +421,8 @@ def main(argv=None) -> int:
                       help="print gain intervals and those whose traced count misses the ledger")
     mode.add_argument("--census", action="store_true",
                       help="print the benchmark check's findings, warnings, step failures, "
-                           "dedup drops and ledger mismatches of each job that has any, "
-                           "then their totals")
+                           "dedup drops, ledger mismatches and close cap ends of each job "
+                           "that has any, then their totals")
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(args.src.resolve()))
