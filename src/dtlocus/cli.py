@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from itertools import chain
+
+import numpy as np
 
 from .boundary import RegionSpec
 from .continuation import TOL_CORR
@@ -33,6 +37,7 @@ from .tracer import (
     RootLocusResult,
     StepFailure,
     TraceOptions,
+    Trajectory,
     run,
 )
 
@@ -112,6 +117,12 @@ def _tagged(value) -> dict:
     return {"type": _TYPE_NAMES[type(value)], **vars(value)}
 
 
+# stands in for each trajectory's points in the document json.dumps writes;
+# result_to_json splices the formatted points in its place
+_POINTS = "\0"
+_POINTS_JSON = json.dumps(_POINTS)
+
+
 def _result_doc(result: RootLocusResult, sign: float) -> dict:
     plant = result.plant
     crossing = lambda c: {"omega": c.omega, "k": sign * c.k}
@@ -134,19 +145,63 @@ def _result_doc(result: RootLocusResult, sign: float) -> dict:
         ],
         "trajectories": [
             {"origin": _tagged(t.origin), "termination": _tagged(t.termination),
-             "mirrored": t.mirrored, "points": t.rows(sign)}
+             "mirrored": t.mirrored, "points": _POINTS}
             for t in result.trajectories
         ],
         "warnings": list(result.warnings),
     }
 
 
+_CONJUGATE = np.array([1.0, -1.0, 1.0])
+
+
+def _is_image(t: Trajectory, prev: Trajectory) -> bool:
+    """Whether t's rows are prev's with omega negated, to the bit (-0.0
+    apart from 0.0), the start marker's too; a complex repr tells every
+    double apart."""
+    m, pm = t.start_marker, prev.start_marker
+    return ((m is None) == (pm is None) and (m is None or repr(m) == repr(pm.conjugate()))
+            and (t.array * _CONJUGATE).tobytes() == prev.array.tobytes())
+
+
+def _point_texts(trajectories, sign: float, row: str, sep: str):
+    """The text of each trajectory's rows (Trajectory.rows(sign)), each by
+    the % format row of (sigma, omega, k), joined by sep.  row puts a NUL
+    character before the omega field.  A mirrored trajectory that directly
+    follows its exact conjugate (_is_image) reuses that one's text with the
+    sign of each omega toggled, by two replaces of the NUL: '%.17g' % -x and
+    repr(-x) are the text of x with its sign flipped, -0.0 included."""
+    prev = None
+    for t in trajectories:
+        if t.mirrored and prev is not None and _is_image(t, prev):
+            yield text.replace("\0-", "").replace("\0", "-")
+            prev = None  # an image's text is not kept to toggle back
+            continue
+        values = t.array.ravel().tolist()
+        values[2::3] = [sign * math.exp(K) for K in values[2::3]]
+        if t.start_marker is not None:
+            values[:0] = (t.start_marker.real, t.start_marker.imag, 0.0)
+        text = sep.join([row] * (len(values) // 3)) % tuple(values)
+        yield text.replace("\0", "")
+        prev = t
+
+
 def result_to_json(result: RootLocusResult) -> str:
-    """The result as one line of strict JSON; floats round-trip exactly."""
+    """The result as one line of strict JSON; floats round-trip exactly.
+
+    json.dumps writes all but the trajectories' points, which are formatted
+    as it would (repr of each float, its separators) and spliced in."""
+    passes = [(result, 1.0)]
     doc = _result_doc(result, 1.0)
     if result.negative is not None:
         doc["negative"] = _result_doc(result.negative, -1.0)
-    return json.dumps(doc, allow_nan=False, check_circular=False) + "\n"
+        passes.append((result.negative, -1.0))
+    parts = json.dumps(doc, allow_nan=False, check_circular=False).split(_POINTS_JSON)
+    points = [f"[{text}]" for res, sign in passes
+              for text in _point_texts(res.trajectories, sign, "[%r, \0%r, %r]", ", ")]
+    if any("n" in text for text in points):  # inf or nan: no float text holds an n
+        raise ValueError("Out of range float values are not JSON compliant")
+    return "".join(chain.from_iterable(zip(parts, points))) + parts[-1] + "\n"
 
 
 def result_to_csv(result: RootLocusResult) -> str:
@@ -155,9 +210,9 @@ def result_to_csv(result: RootLocusResult) -> str:
     for res, sign in ((result, 1.0), (result.negative, -1.0)):
         if res is None:
             continue
-        for t in res.trajectories:
-            row = f"{tid},%.17g,%.17g,%.17g"
-            lines += [row % r for r in t.rows(sign)]
+        for text in _point_texts(res.trajectories, sign, "%.17g,\0%.17g,%.17g", "\n"):
+            if text:
+                lines.append(f"{tid}," + text.replace("\n", f"\n{tid},"))
             tid += 1
     return "\n".join(lines) + "\n"
 

@@ -3,13 +3,14 @@
 Pure string assembly, no drawing dependencies: trajectories become
 polylines, plant poles/zeros and branch points become markers, and the
 region boundary is a dashed vertical line. Output bytes are deterministic
-for a fixed result.
+for a fixed result. The plane points of every polyline come from the sigma
+and omega columns of its trajectory's array (a mirror image's rows are its
+original's with omega negated), mapped to pixels in one array pass.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -67,20 +68,20 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return out
 
 
-def _plane_points(t: Trajectory) -> list[float]:
-    """sigma, omega of each point, flat and led by the start marker; no gain."""
-    xy = [v for sigma, omega, _ in t.points for v in (sigma, omega)]
+def _plane_points(t: Trajectory) -> np.ndarray:
+    """sigma, omega of each point, one row each, led by the start marker."""
+    xy = t.array[:, :2]
     if t.start_marker is not None:
-        xy[:0] = (t.start_marker.real, t.start_marker.imag)
+        xy = np.vstack(((t.start_marker.real, t.start_marker.imag), xy))
     return xy
 
 
 def render_svg(result: RootLocusResult) -> str:
-    curves = [(t, "", _plane_points(t)) for t in result.trajectories]
+    curves = [(t, "") for t in result.trajectories]
     if result.negative is not None:
-        curves += [(t, " negative", _plane_points(t)) for t in result.negative.trajectories]
-    size = sum(len(xy) for _, _, xy in curves)
-    plane = np.fromiter(chain.from_iterable(xy for _, _, xy in curves), float, size).reshape(-1, 2)
+        curves += [(t, " negative") for t in result.negative.trajectories]
+    planes = [_plane_points(t) for t, _ in curves]
+    plane = np.concatenate(planes) if planes else np.empty((0, 2))
     sigma0 = result.region.sigma0
     if len(plane):
         (xmin, ymin), (xmax, ymax) = plane.min(axis=0).tolist(), plane.max(axis=0).tolist()
@@ -156,10 +157,10 @@ def render_svg(result: RootLocusResult) -> str:
     )
 
     end = 0
-    for t, extra_class, xy in curves:
-        start, end = end, end + len(xy)
+    for (t, extra_class), xy in zip(curves, planes):
+        start, end = end, end + 2 * len(xy)
         # one format per point; a "-0.00" can only be a whole coordinate
-        d = " ".join(["%.2f,%.2f"] * (len(xy) // 2)) % tuple(pixels[start:end].tolist())
+        d = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(pixels[start:end].tolist())
         parts.append(
             f'<polyline class="trajectory{extra_class}" points="{d.replace("-0.00", "0.00")}" '
             f'data-mirrored="{str(t.mirrored).lower()}"/>'

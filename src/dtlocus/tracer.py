@@ -7,7 +7,10 @@ predictor-corrector continuation until it hits a branching point, the gain
 cap, the region boundary, or a step failure.  A region exit ends at one of
 the outward crossings found before tracing; each of them should end exactly
 one trajectory.  The upper half-plane picture is then mirrored onto the
-lower one (real-coefficient symmetry).
+lower one (real-coefficient symmetry): each trajectory with a point off the
+real axis is directly followed by its conjugate image.  Points live in
+float arrays (Trajectory.array), never as one object each, so the cyclic
+collector has none to walk; a pass's images are views of one array.
 
 trace advances one seed at a time.  A pass with _BATCH_MIN or more seeds
 off the real axis, below the cap and above every active branch point's gain
@@ -22,9 +25,11 @@ probe, real-axis and failure rule has trace as its one source.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import accumulate, chain
 from operator import attrgetter
 
 import numpy as np
@@ -60,14 +65,13 @@ from .plant import Plant, log_eval, wrap_angle
 _AXIS_TOL = 1e-9
 _SPAWN_ANGLE_TOL = 1e-6
 _DEDUP_TOL = 1e-8
-_DEDUP_CELL = 2e-8  # strictly above _DEDUP_TOL: close endpoints bin at most one cell apart
-_NEAR_CELLS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 _SEED_HALVINGS = 8
 _FIRST_STEP_REL = 0.1
 MAX_STEPS = 20000  # step budget per trajectory
 _LAST_HALVING = H_MIN * (1.0 + 1e-12)  # a rejected step this short ends its trajectory
 _BATCH_MIN = 48  # batchable seeds from which a pass traces them by _trace_batch
 _LIVE_MIN = 32  # live trajectories below which a lockstep round costs more than trace
+_FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -106,25 +110,54 @@ class StepFailure:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Trajectory:
-    """One traced locus branch, gain strictly increasing along points.
+    """One traced locus branch, gain strictly increasing along its points.
 
-    start_marker carries the open-loop pole for pole-seeded trajectories;
-    that point belongs to gain k = 0 which has no finite K, so it rides along
-    outside the points list.
+    array holds one row (sigma, omega, K) per point, read-only float64 of
+    shape (n, 3), maybe a view of an array other trajectories share; the
+    constructor also takes any sequence of points.  points builds them as
+    LocusPoints on each access.  start_marker carries the open-loop pole of
+    a pole-seeded trajectory; that point belongs to gain k = 0, which has no
+    finite K, so it rides along outside the array.
     """
 
     origin: PoleOrigin | CrossingOrigin | BranchOrigin
-    points: tuple[LocusPoint, ...]
+    array: np.ndarray
     termination: GainCap | LeftRegion | ReachedBranch | StepFailure
     mirrored: bool = False
     start_marker: complex | None = None
 
+    def __post_init__(self):
+        array = self.array
+        if not isinstance(array, np.ndarray):  # a sequence of points
+            array = np.fromiter(chain.from_iterable(array), float).reshape(-1, 3)
+        elif array.flags.writeable or array.dtype is not _FLOAT64:
+            array = np.array(array, dtype=float).reshape(-1, 3)  # a copy of its own
+        else:
+            return
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
+
+    def __eq__(self, other):  # as the dataclass's, with the array compared by value
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return self._key() == other._key() and np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self):
+        return self.origin, self.termination, self.mirrored, self.start_marker
+
+    @property
+    def points(self) -> tuple[LocusPoint, ...]:
+        return tuple(map(LocusPoint._make, self.array.tolist()))
+
     def rows(self, sign: float = 1.0) -> list[tuple[float, float, float]]:
         """(sigma, omega, k) per point, led by a (sigma, omega, 0.0) row for
         the start marker; sign is -1.0 for the negative-gain pass."""
-        rows = [(sigma, omega, sign * math.exp(K)) for sigma, omega, K in self.points]
+        rows = [(sigma, omega, sign * math.exp(K)) for sigma, omega, K in self.array.tolist()]
         if self.start_marker is not None:
             rows.insert(0, (self.start_marker.real, self.start_marker.imag, 0.0))
         return rows
@@ -345,27 +378,27 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
     options = options or TraceOptions()
     if seed.start.Kval >= region.lnkmax:  # the seed already sits at or above the cap
         return Trajectory(seed.origin, (seed.start,), GainCap(), start_marker=seed.start_marker)
-    s = seed.start.s
+    s, K = seed.start.s, seed.start.Kval
     # 0j where the kernel raises
-    dlog = _correct(plant, s, seed.start.Kval, math.inf, 0, s.imag == 0.0).dlog
-    return _advance(plant, region, seed, branches, outward, options, [seed.start], dlog,
-                    s, None, 0.0, _first_step(plant, branches, s), MAX_STEPS)
+    dlog = _correct(plant, s, K, math.inf, 0, s.imag == 0.0).dlog
+    points, termination = _advance(plant, region, seed, branches, outward, options, 1, s, K,
+                                   dlog, s, None, 0.0, _first_step(plant, branches, s), MAX_STEPS)
+    rows = [*seed.start, *points]
+    # an array over bytes is read-only as made, so Trajectory keeps it as it is
+    rows = np.ndarray((len(rows) // 3, 3), _FLOAT64, array("d", rows).tobytes())
+    return Trajectory(seed.origin, rows, termination, start_marker=seed.start_marker)
 
 
 def _advance(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
-             options: TraceOptions, points: list[LocusPoint], dlog: complex, s0: complex,
-             v0: complex | None, H: float, h: float, budget: int) -> Trajectory:
-    """trace's steps from the cursor points[-1], with dlog there, the point
-    s0 and ds/dK v0 one accepted gain step H back (v0 None: the cursor's, on
-    the first step), the next step length h and budget steps left; points
-    grows by every accepted step."""
+             options: TraceOptions, count: int, s: complex, K: float, dlog: complex,
+             s0: complex, v0: complex | None, H: float, h: float, budget: int):
+    """trace's steps from the cursor s at gain K, point number count of its
+    trajectory, with dlog there, the point s0 and ds/dK v0 one accepted gain
+    step H back (v0 None: the cursor's, on the first step), the next step
+    length h and budget steps left.  Returns the points after the cursor, a
+    flat list of sigma, omega, K floats, and the termination."""
     lnkmax, sigma0, tol = region.lnkmax, region.sigma0, options.tol_corr
-
-    def finish(termination):
-        return Trajectory(seed.origin, tuple(points), termination,
-                          start_marker=seed.start_marker)
-
-    s, K = points[-1].s, points[-1].Kval
+    points: list[float] = []
     real = seed.start.omega == 0.0
     # a real trajectory stays between the real plant roots around its start
     axis = [r.real for r in plant.zeros + plant.poles if abs(r.imag) <= _AXIS_TOL * (1.0 + abs(r))]
@@ -381,14 +414,15 @@ def _advance(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
             bp = branches[bi]
             n = bp.multiplicity
             if abs_a * abs(s - bp.s) ** n <= 2.0 ** n * n * (bp.Kval - K):
-                points.append(LocusPoint(bp.s.real, bp.s.imag, bp.Kval))
-                return finish(ReachedBranch(bi))
+                points += bp.s.real, bp.s.imag, bp.Kval
+                return points, ReachedBranch(bi)
 
         ex = bisect_right(outward, K, key=attrgetter("Kval"))  # the next exit gain's crossing
         exit_gain = outward[ex].Kval if ex < len(outward) else math.inf
         K1 = min(K + gain_step(h, dlog), lnkmax, probes[0][0] if probes else math.inf, exit_gain)
         if K1 <= K or not v:
-            return finish(StepFailure(f"the gain no longer rises at step {len(points)}"))
+            return points, StepFailure(
+                f"the gain no longer rises at step {count + len(points) // 3}")
         t = K1 - K
         ds = t * v
         if t <= 2.0 * H and K1 < lnkmax:  # bend along the cubic through (s0, v0) and (s, v)
@@ -406,28 +440,29 @@ def _advance(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
         if repeat:
             reason = f"step underflow: step length {h_used:.3e} cannot shrink below {H_MIN:.3e}"
         elif real and (c.sigma > hi or lo > max(c.sigma, sigma0)):
-            reason = f"step passed a real plant root at step {len(points)}"
+            reason = f"step passed a real plant root at step {count + len(points) // 3}"
         elif x is not None and out.dlog and (
                 abs(c.s - x) <= 4.0 * tol / abs(out.dlog) + 1e-9 * (1.0 + abs(x))):
-            points.append(LocusPoint(sigma0, x.imag, K1))
-            return finish(LeftRegion(ex))
+            points += sigma0, x.imag, K1
+            return points, LeftRegion(ex)
         elif c.sigma < sigma0:
-            reason = f"step left the region off every outward crossing at step {len(points)}"
+            reason = ("step left the region off every outward crossing at step "
+                      f"{count + len(points) // 3}")
 
         if reason is not None:
             if h_used <= _LAST_HALVING:
-                return finish(StepFailure(reason))
+                return points, StepFailure(reason)
             h = max(0.5 * h_used, H_MIN)
             continue
 
-        points.append(c)
+        points += c  # sigma, omega and K1, c's gain
         if K1 >= lnkmax:
-            return finish(GainCap())
+            return points, GainCap()
         s0, v0, H = s, v, t
         s, K, dlog = c.s, K1, out.dlog
         v = _ds_dK(dlog, real)
 
-    return finish(StepFailure(f"step budget of {MAX_STEPS} exhausted"))
+    return points, StepFailure(f"step budget of {MAX_STEPS} exhausted")
 
 
 def _slopes(dlog: np.ndarray) -> np.ndarray:
@@ -462,7 +497,10 @@ def _trace_batch(plant: Plant, region: RegionSpec, seeds, branches, outward,
     trajectory still live when fewer than _LIVE_MIN are.  Such a trajectory
     goes on in trace's own loop (_advance) from its state before that step,
     so trace stays the one source of every other rule; a seed at whose
-    start the kernel flags is traced by trace.
+    start the kernel flags is traced by trace.  Each round's accepted points
+    are recorded as arrays, those of _advance as floats after them; one
+    stable sort by seed then makes every trajectory's rows a view of one
+    array, in the order they were accepted.
     """
     lnkmax, sigma0, tol = region.lnkmax, region.sigma0, options.tol_corr
     n = len(seeds)
@@ -483,13 +521,15 @@ def _trace_batch(plant: Plant, region: RegionSpec, seeds, branches, outward,
     # length, the next exit gain
     state = (np.arange(n), s, K, dlog, v, s, v, np.zeros(n), h, exit_gain)
     keep = ~bad
-    paths = [[seed.start] for seed in seeds]  # each trajectory's points so far
-    out: list[Trajectory | None] = [None] * n
+    # (seed indices, points, gains) accepted in each round, led by the seeds
+    record = [(np.flatnonzero(keep), s[keep], K[keep])]
+    ends: list = [None] * n  # each trajectory's termination
     cap = GainCap()
-    handed = []  # (ids, dlog, s0, v0, H, h, steps left) of trajectories for _advance
+    handed = []  # (ids, s, K, dlog, s0, v0, H, h, steps left) of trajectories for _advance
 
     def hand(mask, left):  # of the round's live arrays
-        handed.append((ids[mask], dlog[mask], s0[mask], v0[mask], H[mask], h[mask], left))
+        handed.append((ids[mask], s[mask], K[mask], dlog[mask], s0[mask], v0[mask], H[mask],
+                       h[mask], left))
 
     for step in range(MAX_STEPS + 1):
         ids, s, K, dlog, v, s0, v0, H, h, exit_gain = (x[keep] for x in state)
@@ -511,24 +551,32 @@ def _trace_batch(plant: Plant, region: RegionSpec, seeds, branches, outward,
         ok = accept & ~other
         if other.any():
             hand(other, MAX_STEPS - step)
-        for i, p in zip(ids[ok].tolist(), map(LocusPoint, c.real[ok].tolist(),
-                                              c.imag[ok].tolist(), K1[ok].tolist())):
-            paths[i].append(p)
+        record.append((ids[ok], c[ok], K1[ok]))
         top = ok & (K1 >= lnkmax)
         for i in ids[top].tolist():
-            seed = seeds[i]
-            out[i] = Trajectory(seed.origin, tuple(paths[i]), cap, start_marker=seed.start_marker)
+            ends[i] = cap
         keep = ~(other | top)
         state = (ids, np.where(ok, c, s), np.where(ok, K1, K), np.where(ok, dlog1, dlog),
                  np.where(ok, _slopes(dlog1), v), np.where(ok, s, s0), np.where(ok, v, v0),
                  np.where(ok, t, H), h_next, exit_gain)
 
-    for ids, *rest, left in handed:
-        for i, dlog, s0, v0, H, h in zip(ids.tolist(), *(x.tolist() for x in rest)):
-            out[i] = _advance(plant, region, seeds[i], branches, outward, options, paths[i],
-                              dlog, s0, v0, H, h, left)
-    return [t or trace(plant, region, seed, branches, outward, options)
-            for t, seed in zip(out, seeds)]
+    ids, s, K = (np.concatenate(x) for x in zip(*record))
+    count = np.bincount(ids, minlength=n).tolist()  # each trajectory's points so far
+    tail_ids, tails = [], []
+    for hids, *at, left in handed:
+        for i, *cursor in zip(hids.tolist(), *(x.tolist() for x in at)):
+            points, ends[i] = _advance(plant, region, seeds[i], branches, outward, options,
+                                       count[i], *cursor, left)
+            tail_ids += [i] * (len(points) // 3)
+            tails += points
+    ids = np.concatenate((ids, np.array(tail_ids, dtype=ids.dtype)))
+    rows = np.concatenate((np.column_stack((s.real, s.imag, K)), np.reshape(tails, (-1, 3))))
+    rows = rows[np.argsort(ids, kind="stable")]
+    rows.flags.writeable = False
+    bounds = np.cumsum(np.bincount(ids, minlength=n)).tolist()
+    return [trace(plant, region, seed, branches, outward, options) if end is None else
+            Trajectory(seed.origin, rows[a:b], end, start_marker=seed.start_marker)
+            for seed, end, a, b in zip(seeds, ends, [0, *bounds], bounds)]
 
 
 def _conj_index(items, value: complex) -> int:
@@ -536,68 +584,90 @@ def _conj_index(items, value: complex) -> int:
     return min(range(len(items)), key=lambda i: abs(items[i] - target))
 
 
-def _mirror_trajectory(plant: Plant, branches, traj: Trajectory) -> Trajectory:
+def _mirror_trajectory(traj: Trajectory, image: np.ndarray, conj) -> Trajectory:
+    """The conjugate image of traj, with image its array with omega negated;
+    conj(kind, index) is the index of the conjugate of pole (kind
+    PoleOrigin) or branch point (BranchOrigin) index."""
     origin = traj.origin
     if isinstance(origin, PoleOrigin):
-        origin = PoleOrigin(_conj_index(list(plant.poles), plant.poles[origin.index]))
+        origin = PoleOrigin(conj(PoleOrigin, origin.index))
     elif isinstance(origin, BranchOrigin):
-        bi = _conj_index([b.s for b in branches], branches[origin.index].s)
-        origin = BranchOrigin(bi, wrap_angle(-origin.angle))
+        origin = BranchOrigin(conj(BranchOrigin, origin.index), wrap_angle(-origin.angle))
     termination = traj.termination
     if isinstance(termination, ReachedBranch):
-        termination = ReachedBranch(
-            _conj_index([b.s for b in branches], branches[termination.index].s)
-        )
-    return Trajectory(
-        origin=origin,
-        points=tuple([LocusPoint(sigma, -omega, K) for sigma, omega, K in traj.points]),
-        termination=termination,
-        mirrored=True,
-        start_marker=traj.start_marker.conjugate() if traj.start_marker is not None else None,
-    )
+        termination = ReachedBranch(conj(BranchOrigin, termination.index))
+    marker = traj.start_marker
+    return Trajectory(origin, image, termination, True,
+                      marker.conjugate() if marker is not None else None)
+
+
+def _mirror(plant: Plant, branches, trajectories: list[Trajectory]) -> list[Trajectory]:
+    """The trajectories, each with any point off the real axis (|omega| >
+    _AXIS_TOL) followed by its conjugate image.  The images are views of
+    one array, the trajectories' rows stacked with omega negated; conj
+    looks up the conjugate of each pole and branch point once."""
+    if not trajectories:
+        return []
+    arrays = [t.array for t in trajectories]
+    bounds = [0, *accumulate(map(len, arrays))]
+    rows = np.concatenate(arrays)
+    omega = rows[:, 1]
+    omega *= -1.0
+    rows.flags.writeable = False
+    peaks = np.maximum.reduceat(np.abs(omega), bounds[:-1]).tolist()
+    spots = {PoleOrigin: plant.poles, BranchOrigin: [b.s for b in branches]}
+    found: dict[tuple, int] = {}
+
+    def conj(kind, index):
+        key = kind, index
+        if key not in found:
+            found[key] = _conj_index(spots[kind], spots[kind][index])
+        return found[key]
+
+    out = []
+    for traj, peak, a, b in zip(trajectories, peaks, bounds, bounds[1:]):
+        out.append(traj)
+        if peak > _AXIS_TOL:
+            out.append(_mirror_trajectory(traj, rows[a:b], conj))
+    return out
 
 
 def _dedup(trajectories: list[Trajectory]) -> list[Trajectory]:
     """Drop a trajectory when another of the same ending reaches the same
-    final point; distinct arrivals at one branch point are kept apart
-    (their shared endpoint is the snap, not a duplication).
+    final point, within _DEDUP_TOL in sigma, omega and K; distinct arrivals
+    at one branch point are kept apart (their shared endpoint is the snap,
+    not a duplication).
 
-    Endpoints are binned by sigma and omega on a grid of cell
-    _DEDUP_CELL > _DEDUP_TOL, so two endpoints within tolerance sit in the
-    same or adjacent cells and each trajectory is compared only against the
-    9 cells around its own.  The choice of survivors is greedy, in index
-    order: for each i still kept, every later j still kept and within
-    tolerance drops the shorter of the pair, j on a tie.  Which j are dropped
-    for one i does not depend on the order its candidates are visited, so the
-    result equals the pairwise scan.
+    The endpoints are sorted by omega, so each one's candidates follow it
+    up to the first more than _DEDUP_TOL above it.  The choice of survivors
+    is greedy, in index order: for each i still kept, every later j still
+    kept and within tolerance drops the shorter of the pair, j on a tie.
+    Which j are dropped for one i does not depend on the order its
+    candidates are visited, so the result equals the pairwise scan.
     """
-    keys: list[tuple | None] = []
-    cells: dict[tuple, list[int]] = {}
-    for j, t in enumerate(trajectories):
-        if isinstance(t.termination, ReachedBranch):
-            keys.append(None)
-            continue
-        p = t.points[-1]
-        key = (type(t.termination), math.floor(p.sigma / _DEDUP_CELL),
-               math.floor(p.omega / _DEDUP_CELL))
-        keys.append(key)
-        cells.setdefault(key, []).append(j)
-
+    if len(trajectories) < 2:
+        return list(trajectories)
+    ends = [t.array[-1].tolist() for t in trajectories]
+    order = sorted((j for j, t in enumerate(trajectories)
+                    if not isinstance(t.termination, ReachedBranch)), key=lambda j: ends[j][1])
+    near: dict[int, list[int]] = {}  # i: the later j within tolerance
+    for p, i in enumerate(order):
+        a, kind = ends[i], type(trajectories[i].termination)
+        for q in range(p + 1, len(order)):
+            j = order[q]
+            b = ends[j]
+            if b[1] - a[1] > _DEDUP_TOL:
+                break
+            if (type(trajectories[j].termination) is kind
+                    and max(abs(a[0] - b[0]), abs(a[1] - b[1]), abs(a[2] - b[2])) <= _DEDUP_TOL):
+                near.setdefault(min(i, j), []).append(max(i, j))
     drop: set[int] = set()
-    for i, key in enumerate(keys):
-        if key is None or i in drop:
+    for i in sorted(near):
+        if i in drop:
             continue
-        kind, x, y = key
-        ti = trajectories[i]
-        for dx, dy in _NEAR_CELLS:
-            for j in cells.get((kind, x + dx, y + dy), ()):
-                if j <= i or j in drop:
-                    continue
-                tj = trajectories[j]
-                a, b = ti.points[-1], tj.points[-1]
-                sep = max(abs(a.sigma - b.sigma), abs(a.omega - b.omega), abs(a.Kval - b.Kval))
-                if sep <= _DEDUP_TOL:
-                    drop.add(j if len(tj.points) <= len(ti.points) else i)
+        for j in near[i]:
+            if j not in drop:
+                drop.add(j if len(trajectories[j].array) <= len(trajectories[i].array) else i)
     return [t for i, t in enumerate(trajectories) if i not in drop]
 
 
@@ -657,18 +727,13 @@ def _run_signed(bf: BoundaryFunctions, region: RegionSpec, options: TraceOptions
     trajectories = _dedup(trajectories)
 
     for traj in trajectories:
-        p = traj.points[-1]
         if isinstance(traj.termination, StepFailure):
+            sigma, omega, K = traj.array[-1].tolist()
             warnings.append(
-                f"trajectory stopped at {p.sigma:.6g}{p.omega:+.6g}j, k={math.exp(p.Kval):.6g}: "
+                f"trajectory stopped at {sigma:.6g}{omega:+.6g}j, k={math.exp(K):.6g}: "
                 f"{traj.termination.reason}"
             )
-    mirrored: list[Trajectory] = []
-    for traj in trajectories:
-        mirrored.append(traj)
-        if any(abs(p.omega) > _AXIS_TOL for p in traj.points):
-            mirrored.append(_mirror_trajectory(plant, branches, traj))
-    trajectories = mirrored
+    trajectories = _mirror(plant, branches, trajectories)
 
     arrivals = [0] * len(branches)
     departures = [0] * len(branches)

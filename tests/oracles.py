@@ -6,6 +6,7 @@ agreement between the two is meaningful.
 """
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -621,8 +622,10 @@ def reference_nonneg_real_roots(p, tol_imag=1e-8):
 
 
 # The writers' former per-point formatting.  render_svg now formats a whole
-# polyline with one % format per point and result_to_csv a whole trajectory;
-# these are the loops they replaced, kept so tests can require the same bytes.
+# polyline with one % format per point, result_to_csv and result_to_json a
+# whole trajectory (a mirror image by toggling the signs of its original's
+# text); these are the loops and the document they replaced, kept so tests
+# can require the same bytes.
 
 def _fmt_2f(v, rewrite=True):
     s = format(v, ".2f")
@@ -676,3 +679,43 @@ def reference_csv(result):
                 lines.append(f"{tid},{s:.17g},{w:.17g},{k:.17g}")
             tid += 1
     return "\n".join(lines) + "\n"
+
+
+def reference_json(result):
+    """result_to_json by the former whole-document json.dumps, the points of
+    each trajectory as its rows(sign); cli._tagged names origins and
+    terminations, as result_to_json does."""
+    from dtlocus.cli import _tagged
+
+    def doc(result, sign):
+        plant = result.plant
+        crossing = lambda c: {"omega": c.omega, "k": sign * c.k}
+        return {
+            "plant": {
+                "alpha": plant.alpha,
+                "delay": plant.delay,
+                "zeros": [[z.real, z.imag] for z in plant.zeros],
+                "poles": [[p.real, p.imag] for p in plant.poles],
+            },
+            "region": {"sigma0": result.region.sigma0, "kmax": result.region.kmax},
+            "crossings": {
+                "inward": [crossing(c) for c in result.crossings.inward],
+                "outward": [crossing(c) for c in result.crossings.outward],
+            },
+            "branch_points": [
+                {"re": b.s.real, "im": b.s.imag, "k": sign * b.k,
+                 "multiplicity": b.multiplicity, "active": b.active}
+                for b in result.branch_points
+            ],
+            "trajectories": [
+                {"origin": _tagged(t.origin), "termination": _tagged(t.termination),
+                 "mirrored": t.mirrored, "points": t.rows(sign)}
+                for t in result.trajectories
+            ],
+            "warnings": list(result.warnings),
+        }
+
+    out = doc(result, 1.0)
+    if result.negative is not None:
+        out["negative"] = doc(result.negative, -1.0)
+    return json.dumps(out, allow_nan=False, check_circular=False) + "\n"

@@ -1,7 +1,7 @@
 """Trajectory dedup against the pairwise reference scan.
 
-tracer._dedup bins endpoints on a grid; oracles.pairwise_dedup compares every
-pair.  Both must keep exactly the same trajectories, in the same order.
+tracer._dedup compares the pairs of endpoints in a window of omega;
+oracles.pairwise_dedup compares every pair.  Both must keep exactly the same trajectories, in the same order.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ from dtlocus.tracer import (
 )
 from oracles import pairwise_dedup
 
-CELL = 2e-8  # grid cell of tracer._dedup
+CELL = 2e-8  # grid cell of a former tracer._dedup: its edges stay a test case
 
 
 def traj(end, n=3, term=None, tag=0):

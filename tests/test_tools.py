@@ -5,7 +5,8 @@ dense count with lockstep tracing equals the count without, and whose
 phase count shows the array solve of the crossing search) and the
 --ledger format, whose count is checked on a crafted result; --census, a
 line per job with a finding and a totals line, checked with a stub check,
-a stub _dedup and stub results for the close cap ends.
+a stub _dedup and stub results for the close cap ends; --census --baseline,
+the jobs that differ from a baseline file, checked on stub records.
 tools/bench_pairs.py: current bytecode in a checkout before each of its
 runs."""
 
@@ -272,6 +273,55 @@ def test_output_digest_census_close_cap_ends(monkeypatch):
     assert census.line(dtlocus, job) == (
         "corpus[0] failed=0 warnings=0 step_failures=0 drops=0 ledger=0 close=3")
     assert census.total_line().endswith(" drops=0 ledger_jobs=0 close=3")
+
+
+def test_output_digest_census_baseline_diff(tmp_path, capsys, monkeypatch):
+    # only jobs that appear, clear or change print, seed by seed in job
+    # order, then the totals of those seeds before and after; a seed the
+    # baseline lacks counts as empty
+    digest = _output_digest()
+
+    def record(found, **total):
+        return {"jobs": found, "total": total}
+
+    before = {
+        "101": record({"corpus[2]": "failed=0 warnings=1", "corpus[10]": "failed=1 | x",
+                       "corpus[7]": "failed=0 ledger=1"}, jobs=20, failed=1, warnings=1),
+        "102": record({"corpus[0]": "failed=0 close=2"}, jobs=20),
+    }
+    after = {
+        "101": record({"corpus[10]": "failed=1 | y", "corpus[7]": "failed=0 ledger=1",
+                       "corpus[9]": "failed=0 drops=1"}, jobs=20, failed=1, drops=1),
+        "103": record({"corpus[4]": "failed=0 warnings=2"}, jobs=20, warnings=2),
+    }
+    zeros = "warning_jobs=0 warnings={} step_failures=0 drops={} ledger_jobs=0 close=0"
+    assert digest.census_diff(before, after) == [
+        "101 corpus[2] clears: failed=0 warnings=1",
+        "101 corpus[9] appears: failed=0 drops=1",
+        "101 corpus[10] changes: failed=1 | x -> failed=1 | y",
+        "103 corpus[4] appears: failed=0 warnings=2",
+        "total before: jobs=20 failed=1 " + zeros.format(1, 0),
+        "total after: jobs=40 failed=1 " + zeros.format(2, 1),
+    ]
+    assert digest.census_diff(after, after)[:-2] == []
+
+    # the command line: --update writes the records, a rerun diffs empty
+    # (exit 0), a finding the file holds and the run lacks clears (exit 1)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    baseline = tmp_path / "census.json"
+    args = ["corpus", "--jobs", "2", "--seed", "101-102", "--census", "--baseline", str(baseline)]
+    assert digest.main(args + ["--update"]) == 0
+    *_, total = capsys.readouterr().out.splitlines()
+    assert total.startswith("total after: jobs=4 ")
+    stored = json.loads(baseline.read_text())
+    assert sorted(stored["corpus"]) == ["101", "102"]
+    assert digest.main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0][len("total before:"):] == lines[1][len("total after:"):]
+    stored["corpus"]["102"]["jobs"]["corpus[1]"] = "failed=1 | stub"
+    baseline.write_text(json.dumps(stored))
+    assert digest.main(args) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "102 corpus[1] clears: failed=1 | stub"
 
 
 def test_ledger_counts_a_missing_root():

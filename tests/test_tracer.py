@@ -6,6 +6,7 @@ sit on W branches, evaluated through scipy as an independent oracle.
 """
 
 import dataclasses
+import gc
 import json
 import math
 from collections import Counter, namedtuple
@@ -1544,3 +1545,36 @@ class TestArrayCrossings:
             crossings += sum(len(r.crossings.inward) + len(r.crossings.outward)
                              for r in (scalar, scalar.negative))
         assert traced > 4000 and crossings > 2000
+
+
+class TestColumnarResult:
+    """run's trajectories hold their points in read-only float arrays, so
+    the result keeps no LocusPoint alive: a tuple subclass stays tracked by
+    the cyclic collector, and every full collection would walk it.  Each
+    mirrored trajectory directly follows its original, its array the
+    original's with omega negated to the bit; the writers rely on that
+    order to reuse the original's text."""
+
+    def test_no_locus_points_and_images_follow_originals(self):
+        plant = parse_input(DEMO)
+
+        def locus_points():
+            gc.collect()
+            return sum(type(o) is LocusPoint for o in gc.get_objects())
+
+        before = locus_points()
+        res = run(plant, RegionSpec(-3.5, 500.0))
+        assert locus_points() == before
+        assert not res.trajectories[0].mirrored
+        images = 0
+        for prev, t in zip(res.trajectories, res.trajectories[1:]):
+            assert not t.array.flags.writeable and t.array.dtype == np.float64
+            if t.mirrored:
+                assert not prev.mirrored
+                assert (prev.array * (1.0, -1.0, 1.0)).tobytes() == t.array.tobytes()
+                images += 1
+        assert images > 2500 and len(res.trajectories) > 5000
+        # the points view builds LocusPoints from the array on each access
+        t = res.trajectories[-1]
+        assert t.points == tuple(LocusPoint(*row) for row in t.array.tolist())
+        assert t.points is not t.points

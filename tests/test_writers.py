@@ -1,22 +1,26 @@
-"""Byte-for-byte agreement of the SVG polylines and the CSV rows with the
-former per-point formatting kept in oracles.py, on the demo plant and on
-crafted results: pixel coordinates either side of 0.00 (where the former
-formatting turned "-0.00" into "0.00"), points on the edges of the plot box,
-and a box of zero width and height."""
+"""Byte-for-byte agreement of the SVG polylines, the CSV rows and the JSON
+document with the former per-point formatting and whole-document json.dumps
+kept in oracles.py, on the demo plant and on crafted results: pixel
+coordinates either side of 0.00 (where the former formatting turned "-0.00"
+into "0.00"), points on the edges of the plot box, a box of zero width and
+height, and mirrored trajectories with and without their exact conjugate
+right before them (omega 0.0 against -0.0, a start marker on the real axis),
+whose text the writers reuse only in the first case."""
 
 import dataclasses
 import json
+import math
 import re
 
 import pytest
 
 from dtlocus import svgplot
 from dtlocus.boundary import RegionSpec
-from dtlocus.cli import parse_input, result_to_csv
+from dtlocus.cli import parse_input, result_to_csv, result_to_json
 from dtlocus.continuation import LocusPoint
 from dtlocus.tracer import CrossingOrigin, GainCap, PoleOrigin, TraceOptions, Trajectory, run
 
-from oracles import reference_csv, reference_polyline_points
+from oracles import reference_csv, reference_json, reference_polyline_points
 
 DEMO = {"num": [50, -10, 1], "den": [1.25, 4.25, 4, 1], "delay": 1}
 
@@ -42,6 +46,7 @@ def test_demo_plant_writes_the_former_bytes(demo):
     assert len(polylines(svg)) == len(demo.trajectories) + len(demo.negative.trajectories)
     assert polylines(svg) == reference_polyline_points(demo, svgplot)
     assert result_to_csv(demo) == reference_csv(demo)
+    assert result_to_json(demo) == reference_json(demo)
 
 
 def test_pixel_coordinates_either_side_of_zero(demo, monkeypatch):
@@ -82,3 +87,41 @@ def test_box_edges_and_zero_width_box(demo):
         assert result_to_csv(res) == reference_csv(res)
     # the negative pass writes k = -0.0 for a gain that underflows
     assert result_to_csv(edges).splitlines()[-2] == "2,-1,-0,-0"
+
+
+def test_mirrored_trajectories_with_and_without_their_original(demo):
+    pts = [(-1.0, 0.0, -2.0), (-0.75, 0.25, -1.0), (0.5, -1e-300, 0.5)]
+    conj = [(sigma, -omega, K) for sigma, omega, K in pts]
+    marker = -0.5 + 0j  # on the real axis: its image is -0.5-0j
+    ulp_off = conj[:-1] + [(0.5, 1e-300, 0.5000000000000001)]
+    trajectories = (
+        traj(conj, mirrored=True),  # no trajectory before it
+        traj(pts, marker), traj(conj, marker.conjugate(), mirrored=True),  # an exact image
+        traj(pts, marker), traj(conj, marker, mirrored=True),  # marker omega +0.0, not -0.0
+        traj(pts), traj(ulp_off, mirrored=True),  # one K an ulp off the original's
+        traj(pts), traj(conj[:-1], mirrored=True),  # a point short
+        traj([(2.0, 0.0, 1.0)]), traj([(2.0, 0.0, 1.0)], mirrored=True),  # 0.0 is no image of 0.0
+        traj([(2.0, 0.0, 1.0)]), traj([(2.0, -0.0, 1.0)], mirrored=True),  # -0.0 is
+        traj(pts, mirrored=True), traj(conj, mirrored=True),  # the image of a mirrored one
+        traj(pts, mirrored=True),  # and an image of that image, after a reused text
+        traj([]), traj([], mirrored=True),  # no points
+    )
+    crafted = dataclasses.replace(
+        demo, trajectories=trajectories,
+        negative=dataclasses.replace(demo.negative, trajectories=trajectories[::-1]))
+    csv = result_to_csv(crafted)
+    assert csv == reference_csv(crafted)
+    assert result_to_json(crafted) == reference_json(crafted)
+    assert polylines(svgplot.render_svg(crafted)) == reference_polyline_points(crafted, svgplot)
+    rows = csv.splitlines()
+    # the marker of 2, conjugated, and of 4, not; omega 0.0 at 10 and -0.0 at 12
+    assert "2,-0.5,-0,0" in rows and "4,-0.5,0,0" in rows
+    assert "10,2,0,2.7182818284590451" in rows and "12,2,-0,2.7182818284590451" in rows
+
+
+def test_json_refuses_a_non_finite_point(demo):
+    crafted = dataclasses.replace(demo, trajectories=(traj([(math.inf, 1.0, 0.0)]),))
+    with pytest.raises(ValueError):
+        reference_json(crafted)
+    with pytest.raises(ValueError):
+        result_to_json(crafted)

@@ -1,7 +1,7 @@
 """One digest line per job of a benchmark workload, for same-output checks.
 
     python3 tools/output_digest.py corpus|highorder|dense [--seed N] [--jobs N]
-        [--src DIR] [--topology | --work | --ledger | --census]
+        [--src DIR] [--topology | --work | --ledger | --census [--baseline FILE [--update]]]
 
 Each job runs as the benchmark runs it (``cli.parse_input`` ->
 ``tracer.run`` -> ``cli.result_to_json``, plus ``result_to_csv`` and
@@ -70,6 +70,24 @@ it does in the benchmark.  A totals line ends the output; its
 ``ledger_jobs`` counts the jobs with a ledger mismatch, its ``close`` the
 close pairs of all jobs.
 
+With ``--census --baseline FILE`` the census runs over every seed of
+``--seed``, which then takes a list of seeds and ranges (``101-140,201-230``),
+and is compared with the records FILE holds for the workload and those
+seeds.  Only the jobs that differ print: ``SEED LABEL appears: FIELDS`` for
+a job with findings that had none, ``SEED LABEL clears: FIELDS`` for one
+whose findings are gone (FIELDS as recorded), ``SEED LABEL changes: OLD ->
+NEW`` for one whose fields differ, then ``total before: ...`` and ``total
+after: ...`` over those seeds.  A seed missing from FILE counts as one
+with no findings and zero totals.  The exit status is 1 when a job
+differs, else 0.  With ``--update`` the run's records replace those of its
+seeds in FILE (created if missing); the records of other workloads and
+seeds stay.  The committed ``CENSUS.json`` holds corpus and highorder seeds
+101-140 and 201-230 and dense seeds 101-103.  Regenerate it when a change
+moves findings on purpose, and quote the diff:
+
+    python3 tools/output_digest.py corpus --census --seed 101-140,201-230 \
+        --baseline CENSUS.json --update
+
 Digest two commits and diff the files to show a change keeps every output
 byte (or, with ``--topology``, every structure) and every failure the same:
 
@@ -84,6 +102,7 @@ import argparse
 import hashlib
 import importlib
 import itertools
+import json
 import math
 import sys
 from collections import Counter
@@ -127,9 +146,19 @@ def topology(result) -> str:
 _AXIS_TOL = 1e-9
 
 
+def _end_rows(t) -> tuple[list[float], list[float]]:
+    """The first and last (sigma, omega, K) row of a trajectory, read from
+    its array (from its points where it has none: an older checkout, a stub)."""
+    rows = getattr(t, "array", None)
+    if rows is None:
+        return list(t.points[0]), list(t.points[-1])
+    return rows[0].tolist(), rows[-1].tolist()
+
+
 def _alive_span(res, t) -> tuple[float, float]:
     """(start gain, end gain) of one trajectory for the ledger."""
-    kind, end = type(t.termination).__name__, t.points[-1].Kval
+    first, last = _end_rows(t)
+    kind, end = type(t.termination).__name__, last[2]
     if kind == "LeftRegion":
         end = res.crossings.outward[t.termination.matched].Kval
     origin = type(t.origin).__name__
@@ -137,7 +166,7 @@ def _alive_span(res, t) -> tuple[float, float]:
         return -math.inf, end
     if origin == "BranchOrigin":
         return res.branch_points[t.origin.index].Kval, end
-    return t.points[0].Kval, end
+    return first[2], end
 
 
 def ledger_mismatches(res) -> tuple[int, int]:
@@ -175,8 +204,8 @@ def close_cap_ends(res) -> int:
     for t in res.trajectories:
         owner += not t.mirrored
         if type(t.termination).__name__ == "GainCap":
-            p = t.points[-1]
-            ends.append((p.sigma, p.omega, owner))
+            sigma, omega, _ = _end_rows(t)[1]
+            ends.append((sigma, omega, owner))
     ends.sort()  # by sigma, so each end's partners follow it within _CLOSE_TOL
     pairs = 0
     for i, (sigma, omega, owner) in enumerate(ends):
@@ -377,9 +406,62 @@ class Census:
                 + "".join(f" | {f}" for f in found))
 
     def total_line(self) -> str:
-        keys = ("jobs", "failed", "warning_jobs", "warnings", "step_failures", "drops",
-                "ledger_jobs", "close")
-        return "total " + " ".join(f"{k}={self.totals[k]}" for k in keys)
+        return "total " + _count_fields(self.totals)
+
+    def record(self, dtlocus, jobs) -> dict:
+        """The census of jobs as a baseline record: the fields of each job
+        with a finding by its label, and the totals."""
+        found = {}
+        for job in jobs:
+            line = self.line(dtlocus, job)
+            if line is not None:
+                found[job.label] = line[len(job.label) + 1:]
+        return {"jobs": found, "total": {k: self.totals[k] for k in _TOTAL_KEYS}}
+
+
+_TOTAL_KEYS = ("jobs", "failed", "warning_jobs", "warnings", "step_failures", "drops",
+               "ledger_jobs", "close")
+
+
+def _count_fields(counts) -> str:
+    return " ".join(f"{k}={counts.get(k, 0)}" for k in _TOTAL_KEYS)
+
+
+def _job_order(label: str) -> tuple[int, str]:
+    """Workload job labels sort by the job index in their brackets."""
+    return int(label[label.index("[") + 1:label.index("]")]), label
+
+
+def census_diff(before: dict, after: dict) -> list[str]:
+    """The jobs of the records after ({seed: record}) that appear, clear or
+    change against the records before, seed by seed, then the totals of
+    those seeds before and after; a seed missing before counts as empty."""
+    lines = []
+    totals = {"before": Counter(), "after": Counter()}
+    for seed, new in after.items():
+        old = before.get(seed, {"jobs": {}, "total": {}})
+        totals["before"].update(old["total"])
+        totals["after"].update(new["total"])
+        for label in sorted(old["jobs"].keys() | new["jobs"].keys(), key=_job_order):
+            was, now = old["jobs"].get(label), new["jobs"].get(label)
+            if was is None:
+                lines.append(f"{seed} {label} appears: {now}")
+            elif now is None:
+                lines.append(f"{seed} {label} clears: {was}")
+            elif was != now:
+                lines.append(f"{seed} {label} changes: {was} -> {now}")
+    return lines + [f"total {when}: {_count_fields(counts)}" for when, counts in totals.items()]
+
+
+def _seed_list(text: str) -> list[int]:
+    """Seeds from a comma list of seeds and inclusive ranges: 101-140,201."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"no seed in {text!r}")
+    return seeds
 
 
 def digest_line(dtlocus, job, structure: bool = False, work: WorkCount | None = None,
@@ -408,7 +490,8 @@ def digest_line(dtlocus, job, structure: bool = False, work: WorkCount | None = 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("workload", choices=sorted(DEFAULT_JOBS))
-    ap.add_argument("--seed", type=int, default=101)
+    ap.add_argument("--seed", type=_seed_list, default=[101],
+                    help="workload seed; with --baseline a list such as 101-140,201-230")
     ap.add_argument("--jobs", type=int, help="jobs to run (default: %s)" % DEFAULT_JOBS)
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding dtlocus/")
     mode = ap.add_mutually_exclusive_group()
@@ -423,7 +506,18 @@ def main(argv=None) -> int:
                       help="print the benchmark check's findings, warnings, step failures, "
                            "dedup drops, ledger mismatches and close cap ends of each job "
                            "that has any, then their totals")
+    ap.add_argument("--baseline", type=Path,
+                    help="with --census: print only the jobs that differ from this file's "
+                         "records, and the totals before and after")
+    ap.add_argument("--update", action="store_true",
+                    help="with --baseline: write this run's records into the file")
     args = ap.parse_args(argv)
+    if args.baseline is not None and not args.census:
+        ap.error("--baseline needs --census")
+    if args.update and args.baseline is None:
+        ap.error("--update needs --baseline")
+    if len(args.seed) > 1 and args.baseline is None:
+        ap.error("more than one seed needs --census --baseline")
 
     sys.path.insert(0, str(args.src.resolve()))
     sys.path.insert(0, str(ROOT / "locusbench"))
@@ -436,12 +530,33 @@ def main(argv=None) -> int:
     workloads = importlib.import_module("workloads")
 
     n = args.jobs if args.jobs is not None else DEFAULT_JOBS[args.workload]
-    jobs = itertools.islice(workloads.jobs(args.workload, args.seed), n)
+
+    def jobs(seed):
+        return itertools.islice(workloads.jobs(args.workload, seed), n)
+
+    if args.baseline is not None:
+        checks = importlib.import_module("checks")
+        stored = json.loads(args.baseline.read_text()) if args.baseline.exists() else {}
+        records = {}
+        for seed in args.seed:
+            census = Census(checks)
+            census.install()
+            try:
+                records[str(seed)] = census.record(dtlocus, jobs(seed))
+            finally:
+                census.uninstall()
+        lines = census_diff(stored.get(args.workload, {}), records)
+        print("\n".join(lines))
+        if args.update:
+            stored.setdefault(args.workload, {}).update(records)
+            args.baseline.write_text(json.dumps(stored, indent=1, sort_keys=True) + "\n")
+        return int(len(lines) > 2)
+    (seed,) = args.seed
     if args.census:
         census = Census(importlib.import_module("checks"))
         census.install()
         try:
-            for job in jobs:
+            for job in jobs(seed):
                 line = census.line(dtlocus, job)
                 if line is not None:
                     print(line, flush=True)
@@ -453,7 +568,7 @@ def main(argv=None) -> int:
     if work is not None:
         work.install()
     try:
-        for job in jobs:
+        for job in jobs(seed):
             print(digest_line(dtlocus, job, args.topology, work, args.ledger), flush=True)
     finally:
         if work is not None:
