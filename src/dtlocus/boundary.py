@@ -6,11 +6,13 @@ and the continuous phase phi(omega) are monotone, then solving K against the
 gain cap and phi against the odd multiples of pi by safeguarded Newton, with
 value and slope from one pass over the roots; the phase lines of a piece
 that meets many of them are solved together over numpy arrays.  The
-breakpoints are the nonnegative real roots of K' and phi' cleared of their
-denominators: two polynomials built from one running product of the squared
-root distances per root set, with the parity that conjugate closure gives
-them imposed exactly.  That parity lets them be rooted in omega^2, at half
-the degree.
+breakpoints come from the plant's distinct roots r_j with net weights w_j
+(plant.root_weights), as branch.branch_roots' zeros of dlog do.  On the
+line s - r_j = j(omega - c_j) with c_j = Im r_j + j(sigma0 - Re r_j), so by
+conjugate closure, with u = omega^2 and q_j = c_j^2, K' = Im dlog = omega
+sum_j -w_j/(u - q_j) and phi' = Re dlog = sum_j -j w_j c_j/(u - q_j) - h:
+their zeros in u are the eigenvalues of diagonal-plus-rank-one matrices
+over q (_turning_points).
 """
 
 from __future__ import annotations
@@ -28,13 +30,17 @@ from .errors import (
     InputError,
     PoleOrZeroOnBoundary,
 )
-from .plant import Plant, dlog_ratio, log_eval
-from .poly import RealPolynomial, nonneg_real_roots
+from .plant import SCREEN_REL, Plant, dlog_ratio, log_eval, root_weights, secular_eigvals
+from .poly import CLUSTER_REL, _cluster
 
 TOL_BND = 1e-9
 TOL_DIR = 1e-9
 TOL_BISECT = 1e-10
 _ARRAY_LINES = 64  # phase lines from which a monotone piece is solved by _solve_many
+_SECULAR_STEPS = 30  # Newton steps of _on_secular
+_STEP_REL = 1e-14  # a Newton step this short ends them
+_RESIDUAL_REL = 1e-12  # |f| within this of its terms' size is a zero
+_SNAP_REL = 1e-12  # a zero within this of max|q_j| is u = 0
 
 _TWO_PI = 2.0 * math.pi
 
@@ -81,30 +87,6 @@ class CrossingSet:
     outward: tuple[BoundaryCrossing, ...]
 
 
-def _gamma_poly(dsig: float, om: float) -> RealPolynomial:
-    # squared distance |sigma0 + j w - root|^2 as a polynomial in w
-    return RealPolynomial((dsig * dsig + om * om, -2.0 * om, 1.0))
-
-
-def _line_products(ds, om) -> tuple[RealPolynomial, RealPolynomial]:
-    """G = prod_r g_r and H = sum_r ds_r prod_{q != r} g_q for one root set.
-
-    g_r is the squared distance from sigma0 + j w to root r (_gamma_poly) and
-    ds_r its horizontal offset, so 2H is dG/dsigma0 and G' carries the sum of
-    (w - Im r) prod_{q != r} g_q.
-    """
-    G, H = RealPolynomial((1.0,)), RealPolynomial(())
-    for d, o in zip(ds, om):
-        g = _gamma_poly(d, o)
-        G, H = G * g, H * g + d * G
-    return G, H
-
-
-def _with_parity(p: RealPolynomial, odd: bool) -> RealPolynomial:
-    """p with its coefficients of the other parity set to exactly zero."""
-    return RealPolynomial(tuple(c if i % 2 == odd else 0.0 for i, c in enumerate(p.coeffs)))
-
-
 @dataclass(frozen=True)
 class BoundaryFunctions:
     """Cached boundary geometry for one plant/line pair.
@@ -117,15 +99,12 @@ class BoundaryFunctions:
     which return the value and its omega-derivative from one pass; Kprime and
     phiprime take the derivative from the plant's log kernel instead.
 
-    Only plant and phi0 depend on the sign of the gain: the offsets, the
-    breakpoint polynomials of K' and phi' and their nonnegative real roots
-    (kprime_roots, phiprime_roots, ascending) do not, so flipped_gain()
-    serves the negative-gain locus without rebuilding or re-rooting them.
-    kprime_roots are found when the object is built.  phiprime_roots are
-    found on first use, which only a crossing search inside an interval of
-    admissible gain makes, and are then shared with every flipped_gain()
-    copy, so a run roots phi' at most once and a run with no such interval
-    not at all.
+    kprime_roots and phiprime_roots are the breakpoints, the zeros of K'
+    and phi' with omega >= 0, ascending (_turning_points).  omega = 0 is
+    always the first of K', which is odd; a plant whose roots all cancel
+    has none.  Only plant and phi0 depend on the sign of the gain, so
+    flipped_gain() serves the negative-gain locus with the same offsets and
+    breakpoints, found once.
     """
 
     plant: Plant
@@ -135,16 +114,8 @@ class BoundaryFunctions:
     dsp: tuple[float, ...]
     omp: tuple[float, ...]
     phi0: float
-    kprime_poly: RealPolynomial = field(repr=False)
-    phiprime_poly: RealPolynomial = field(repr=False)
     kprime_roots: tuple[float, ...] = field(repr=False)
-    _phiprime_cell: list = field(default_factory=list, repr=False, compare=False)
-
-    @property
-    def phiprime_roots(self) -> tuple[float, ...]:
-        if not self._phiprime_cell:  # the one-item cell flipped_gain() copies share
-            self._phiprime_cell.append(tuple(_breakpoints(self.phiprime_poly, odd=False)))
-        return self._phiprime_cell[0]
+    phiprime_roots: tuple[float, ...] = field(repr=False)
 
     def K(self, omega: float) -> float:
         return self.K_slope(omega)[0]
@@ -270,15 +241,9 @@ def boundary_functions(plant: Plant, region: RegionSpec) -> BoundaryFunctions:
     dsp = tuple(s0 - p.real for p in plant.poles)
     omp = tuple(p.imag for p in plant.poles)
 
-    Gz, Hz = _line_products(dsz, omz)
-    Gp, Hp = _line_products(dsp, omp)
-    # conjugate closure makes K and phi' even in omega, so K' is odd.  Zeroing
-    # the other parity exactly keeps rounding residue off the root at omega = 0
-    # and drops a bi-proper plant's cancelled omega^(4n-2) coefficient, whose
-    # residue would be a spurious root near 1e16.
-    kprime_poly = _with_parity(0.5 * (Gz * Gp.derivative() - Gp * Gz.derivative()), odd=True)
-    phiprime_poly = _with_parity(Gp * Hz - Gz * Hp - plant.delay * (Gz * Gp), odd=False)
-
+    r, w = root_weights(plant)
+    c = r.imag + 1j * (s0 - r.real)  # s - r_j = j(omega - c_j) on the line
+    kprime = [x for x in _turning_points(c * c, -w, 0.0) if x > 0.0]
     return BoundaryFunctions(
         plant=plant,
         sigma0=s0,
@@ -287,24 +252,79 @@ def boundary_functions(plant: Plant, region: RegionSpec) -> BoundaryFunctions:
         dsp=dsp,
         omp=omp,
         phi0=_phi0(plant, s0, dsz, omz, dsp, omp),
-        kprime_poly=kprime_poly,
-        phiprime_poly=phiprime_poly,
-        kprime_roots=tuple(_breakpoints(kprime_poly, odd=True)),
+        kprime_roots=(0.0, *kprime) if r.size else (),
+        phiprime_roots=tuple(_turning_points(c * c, -1j * w * c, plant.delay)),
     )
 
 
-def _breakpoints(p: RealPolynomial, odd: bool) -> list[float]:
-    """The nonnegative real roots of a polynomial of exact parity, ascending.
+def _turning_points(q: np.ndarray, a: np.ndarray, h: float) -> list[float]:
+    """The omega >= 0 whose u = omega^2 is a real zero of the secular
+    function f(u) = sum_j a_j/(u - q_j) - h, ascending.
 
-    An even p is q(omega^2) and an odd one omega*q(omega^2), where q holds
-    every other coefficient of p.  So the roots are sqrt(u) for the
-    nonnegative real roots u of q, plus omega = 0 when p is odd: half the
-    degree for the eigenproblem, a quarter of the work for the polish.
+    With h != 0 the zeros of f are the eigenvalues of diag(q) + (a/h) 1^T.
+    With h = 0, f has no constant term; if C_t = sum_j a_j q_j^(t-1) is the
+    first of C_1, C_2, ... that is not zero, u^t f(u) = sum_j a_j q_j^t/(u -
+    q_j) + C_t, so the eigenvalues of diag(q) + (a q^t/-C_t) 1^T are the
+    zeros of f and t more at u = 0, and the t nearest 0 are dropped.  The
+    eigenvalues within SCREEN_REL(1 + |z|) of the nonnegative real axis are
+    grouped within CLUSTER_REL, and each group's mean is moved onto a real
+    zero by _on_secular; a group it cannot settle is dropped.  Zeros within
+    CLUSTER_REL(1 + u) of each other are one multiple zero.
     """
-    roots = [math.sqrt(u) for u, _ in nonneg_real_roots(RealPolynomial(p.coeffs[odd::2]))]
-    if odd and p.coeffs and not (roots and roots[0] == 0.0):
-        roots.insert(0, 0.0)
-    return roots
+    if h:
+        eig = secular_eigvals(q, a / h)
+    else:
+        for t in range(1, len(q) + 1):
+            ct = float(np.dot(a, q ** (t - 1)).real)  # real by conjugate closure
+            if ct != 0.0:
+                break
+        else:
+            return []  # f vanishes: the gain is flat along the line
+        eig = sorted(secular_eigvals(q, a * q ** t / -ct), key=abs)[t:]
+    near = [z for z in eig if abs(z.imag) <= SCREEN_REL * (1.0 + abs(z))
+            and z.real >= -SCREEN_REL * (1.0 + abs(z))]
+    terms = list(zip(q.tolist(), a.tolist()))
+    snap = _SNAP_REL * max((abs(x) for x, _ in terms), default=0.0)
+    found = sorted(u for u in (_on_secular(terms, h, (sum(g) / len(g)).real, snap)
+                               for g in _cluster(near, CLUSTER_REL)) if u is not None)
+    zeros: list[float] = []
+    for u in found:
+        if not (zeros and u - zeros[-1] <= CLUSTER_REL * (1.0 + u)):
+            zeros.append(u)
+    return [math.sqrt(u) for u in zeros]
+
+
+def _on_secular(terms, h: float, u: float, snap: float) -> float | None:
+    """A real zero u >= 0 of f(u) = sum_j a_j/(u - q_j) - h, terms the
+    (q_j, a_j), by real Newton from u (f is real there by conjugate
+    closure), or None.  After a step within _STEP_REL(1 + |u|), or
+    _SECULAR_STEPS steps, the iterate of least |f| is a zero if |f| there is
+    within _RESIDUAL_REL of the size of f's terms: a multiple zero converges
+    only to its rounding floor, and an eigenvalue of a complex pair near the
+    axis to no zero.  A zero within snap of 0 is 0, a negative one None.
+    """
+    best, best_res = None, math.inf
+    try:
+        for _ in range(_SECULAR_STEPS):
+            f, d, size = -h, 0j, abs(h)
+            for qj, aj in terms:
+                x = 1.0 / (u - qj)
+                t = aj * x
+                f += t
+                d -= t * x
+                size += abs(t)
+            res = abs(f.real) / size
+            if res < best_res:
+                best, best_res = u, res
+            step = f.real / d.real
+            u -= step
+            if not abs(step) > _STEP_REL * (1.0 + abs(u)):
+                break
+    except ZeroDivisionError:  # an iterate on a q_j, or a flat f
+        pass
+    if best is None or best_res > _RESIDUAL_REL or best < -snap:
+        return None
+    return 0.0 if best <= snap else best
 
 
 def _solve_monotone(f, target, a, b, va, vb, lo, start, tol):

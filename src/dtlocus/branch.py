@@ -11,15 +11,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .boundary import RegionSpec
 from .errors import SingularPointError
-from .plant import Plant, log_eval, wrap_angle
-from .poly import CLUSTER_REL, SCREEN_REL, PolyRoot, _cluster
+from .plant import SCREEN_REL, Plant, log_eval, root_weights, secular_eigvals, wrap_angle
+from .poly import CLUSTER_REL, PolyRoot, _cluster
 
 TOL_PHASE = 1e-6
 _POLISH_ITER = 20
@@ -68,30 +65,23 @@ def branch_roots(plant: Plant, sigma0: float) -> tuple[PolyRoot, ...]:
     """The zeros of dlog = G'/G - h with Re(s) >= sigma0, the candidates for
     branch points, with their multiplicities.
 
-    Over the distinct plant roots r_j, compared as stored, with net weight
-    w_j = (zeros at r_j) - (poles at r_j) != 0, dlog = sum w_j/(s - r_j) - h.
-    Its zeros are the eigenvalues of A = diag(r) + (w/h) 1^T, because
-    det(sI - A) = -(1/h) prod(s - r_j) dlog(s) (Golub, "Some modified matrix
-    eigenvalue problems", 1973).  The eigenvalues right of sigma0 and in the
-    closed upper half-plane, each with a margin of SCREEN_REL(1 + |z|), are
-    grouped within CLUSTER_REL and moved onto their zero by _on_dlog: a
-    group onto one zero of its size's multiplicity, or, when its mean is no
-    zero, each member onto a simple one.  One _on_dlog cannot settle is
-    dropped, a point within 1e-9(1 + |s|) of the real axis is put on it, one
-    that lands below the axis is dropped, and of points that settle on one
-    spot only the first is kept.  The upper points' exact conjugates
-    complete the set.  dlog drops alpha, so the candidates serve both gain
-    signs.
+    Over the distinct plant roots r_j with net weights w_j (root_weights),
+    dlog = sum w_j/(s - r_j) - h, so its zeros are the eigenvalues of
+    diag(r) + (w/h) 1^T (secular_eigvals).  The eigenvalues right of sigma0
+    and in the closed upper half-plane, each with a margin of
+    SCREEN_REL(1 + |z|), are grouped within CLUSTER_REL and moved onto their
+    zero by _on_dlog: a group onto one zero of its size's multiplicity, or,
+    when its mean is no zero, each member onto a simple one.  One _on_dlog
+    cannot settle is dropped, a point within 1e-9(1 + |s|) of the real axis
+    is put on it, one that lands below the axis is dropped, and of points
+    that settle on one spot only the first is kept.  The upper points' exact
+    conjugates complete the set.  dlog drops alpha, so the candidates serve
+    both gain signs.
     """
-    weight = Counter(plant.zeros)
-    weight.subtract(plant.poles)
-    table = [(r, w) for r, w in weight.items() if w]
-    if not table:
+    r, w = root_weights(plant)
+    if not r.size:
         return ()
-    r = np.array([r for r, _ in table])
-    w = np.array([w for _, w in table], dtype=float)
-    a = np.diag(r) + np.outer(w / plant.delay, np.ones(len(r)))
-    kept = [z for z in map(complex, np.linalg.eigvals(a))
+    kept = [z for z in secular_eigvals(r, w / plant.delay)
             if min(z.real - sigma0, z.imag) >= -SCREEN_REL * (1.0 + abs(z))]
     out: list[PolyRoot] = []
     for group in _cluster(kept, CLUSTER_REL):

@@ -5,8 +5,10 @@ product and takes its complex log, so the magnitude and phase cost one log
 per root set, not one per root.  The delay enters in the log domain only,
 so a large |Re(s)| never forms e^(-h·s) directly.  Nothing here expands the
 roots back into coefficients: the log-derivative is a sum over the roots as
-stored, and the branch candidates (branch.branch_roots) come from the same
-roots.
+stored.  The zeros of dlog (branch.branch_roots) and the turning points of
+the boundary gain and phase (boundary.boundary_functions) come from the
+same roots, as the eigenvalues of a diagonal-plus-rank-one matrix
+(secular_eigvals) over the distinct ones (root_weights).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from cmath import log as _clog
+from collections import Counter
 from dataclasses import dataclass, field
 from math import log as _log
 
@@ -23,6 +26,11 @@ from .errors import InputError, SingularPointError
 from .poly import RealPolynomial, complex_roots, refine_roots
 
 TOL_SING = 1e-12
+# Screen margin of the eigenvalues of secular_eigvals a caller keeps: far
+# above the worst eigenvalue error seen on the benchmark plants (9e-5) and
+# the eps^(1/4) ~ 1.2e-4 spread of a 4-fold root, so no root a caller keeps
+# and no member of its cluster is screened out.
+SCREEN_REL = 1e-2
 _TOL_CONJ = 1e-9
 # ln of the smallest normal and of the largest double: a product whose ln|.|
 # lies outside has lost precision or overflowed
@@ -152,6 +160,25 @@ def plant_from_coefficients(num: RealPolynomial, den: RealPolynomial, delay: flo
         return tuple(out)
 
     return Plant(alpha, delay, roots_of(num), roots_of(den))
+
+
+def root_weights(plant: Plant) -> tuple[np.ndarray, np.ndarray]:
+    """The plant's distinct roots r_j, compared as stored, and their net
+    weights w_j = (zeros at r_j) - (poles at r_j), those with w_j != 0:
+    dlog = G'/G - h = sum_j w_j/(s - r_j) - h.  A cancelled zero-pole pair
+    drops out."""
+    weight = Counter(plant.zeros)
+    weight.subtract(plant.poles)
+    table = [(r, w) for r, w in weight.items() if w]
+    return (np.array([r for r, _ in table], dtype=complex),
+            np.array([w for _, w in table], dtype=float))
+
+
+def secular_eigvals(d: np.ndarray, a: np.ndarray) -> list[complex]:
+    """The zeros of 1 - sum_j a_j/(x - d_j), as the eigenvalues of
+    diag(d) + a 1^T: det(xI - diag(d) - a 1^T) = prod_j (x - d_j) times
+    that sum (Golub, "Some modified matrix eigenvalue problems", 1973)."""
+    return list(map(complex, np.linalg.eigvals(np.diag(d) + np.outer(a, np.ones(len(d))))))
 
 
 def _log_kernel(plant: Plant, sigma: float, omega: float) -> tuple[float, float, float, float]:

@@ -2,16 +2,13 @@
 
 Coefficients are stored densely in ascending degree order, so coeffs[d] is the
 coefficient of x**d.  Root finding normalizes by the largest coefficient
-magnitude, takes companion-matrix eigenvalues, polishes the eigenvalues the
-caller may keep with a few Newton steps, and finally clusters nearby values so
-callers see multiple roots with an explicit multiplicity.  The polish stops
-after a step that rounding lets it meet: one below 1e-12(1 + |z|), or one no
-longer than its own rounding floor eps sum|a_i||z|^i / |p'(z)| where that
-floor lies within a tenth of the cluster tolerance.  A caller that keeps
-only part of the plane (nonneg_real_roots) screens the eigenvalues first,
-with a margin of SCREEN_REL*(1+|z|): those that cannot become a kept root
-are neither polished nor clustered.  branch.branch_roots screens its own
-eigenvalues with the same margin and clusters them the same way.
+magnitude, takes companion-matrix eigenvalues, polishes each with a few
+Newton steps, and finally clusters nearby values so callers see multiple
+roots with an explicit multiplicity.  The polish stops after a step that
+rounding lets it meet: one below 1e-12(1 + |z|), or one no longer than its
+own rounding floor eps sum|a_i||z|^i / |p'(z)| where that floor lies within
+a tenth of the cluster tolerance.  The eigenvalue solvers over a plant's
+roots (plant.secular_eigvals) cluster their eigenvalues the same way.
 """
 
 from __future__ import annotations
@@ -23,17 +20,12 @@ import numpy as np
 
 from .errors import InputError
 
-TOL_ROOT = 1e-8
 TOL_IMAG = 1e-8
 CLUSTER_REL = 1e-6
 _POLISH_STEPS = 10
 _STOP_REL = 1e-12  # a polish step this short ends it
 _FLOOR_REL = 0.1 * CLUSTER_REL  # so does one within its rounding floor, if that is this narrow
 _EPS = 2.0 ** -52
-# Screen margin: far above the worst companion-eigenvalue error seen on the
-# benchmark plants (9e-5) and the eps^(1/4) ~ 1.2e-4 spread of a 4-fold root,
-# so no root a caller keeps and no member of its cluster is screened out.
-SCREEN_REL = 1e-2
 
 
 def _trimmed(coeffs) -> tuple[float, ...]:
@@ -260,20 +252,12 @@ def _cluster(values, rel):
     return list(groups.values())
 
 
-def _near_nonneg_real(z: complex) -> bool:
-    """Screen for the nonnegative real roots."""
-    margin = SCREEN_REL * (1.0 + abs(z))
-    return abs(z.imag) <= margin and z.real >= -margin
-
-
-def complex_roots(p: RealPolynomial, _keep=None) -> list[PolyRoot]:
+def complex_roots(p: RealPolynomial) -> list[PolyRoot]:
     """All complex roots of p with multiplicities.
 
     The root set is closed under conjugation: complex clusters are paired with
     their mirror cluster and averaged, and clusters with negligible imaginary
-    part are snapped onto the real axis.  _keep, when given, is a screen
-    (_near_nonneg_real): eigenvalues it rejects are neither polished nor
-    clustered, so only roots near the screened part of the plane come back.
+    part are snapped onto the real axis.
     """
     if p.degree < 1:
         raise InputError(f"root finding needs degree >= 1, got degree {p.degree}")
@@ -285,12 +269,8 @@ def complex_roots(p: RealPolynomial, _keep=None) -> list[PolyRoot]:
     # scale by a power of two: exact division, so multiple roots stay multiple
     scale = 2.0 ** round(math.log2(max(abs(v) for v in c)))
     cs = [v / scale for v in c]
-    keep = _keep or (lambda z: True)
-    raw: list[complex] = []
-    if len(cs) >= 2:
-        raw = [_polish(cs, z) for z in map(complex, np.roots(cs[::-1])) if keep(z)]
-    if keep(0j):
-        raw.extend([0j] * nzero)
+    raw = [_polish(cs, z) for z in map(complex, np.roots(cs[::-1]))] if len(cs) >= 2 else []
+    raw.extend([0j] * nzero)
 
     clusters = [(sum(g) / len(g), len(g)) for g in _cluster(raw, CLUSTER_REL)]
     reals: list[tuple[float, int]] = []
@@ -318,26 +298,3 @@ def complex_roots(p: RealPolynomial, _keep=None) -> list[PolyRoot]:
     out.extend(PolyRoot(z, m) for z, m in downs_left)
     out.sort(key=lambda r: (r.value.real, r.value.imag))
     return out
-
-
-def nonneg_real_roots(p: RealPolynomial) -> list[tuple[float, int]]:
-    """Real roots with Re >= 0, as (value, multiplicity), ascending.
-
-    Roots with |Im| <= TOL_IMAG count as real; small negative reals are
-    clamped to 0.  Constant polynomials have no roots.  Only the eigenvalues
-    near the nonnegative real axis are polished (complex_roots' screen).
-    """
-    if p.degree < 1:
-        return []
-    picked: list[tuple[float, int]] = []
-    for r in complex_roots(p, _keep=_near_nonneg_real):
-        if abs(r.value.imag) <= TOL_IMAG and r.value.real >= -TOL_IMAG:
-            picked.append((max(r.value.real, 0.0), r.multiplicity))
-    picked.sort()
-    merged: list[tuple[float, int]] = []
-    for v, m in picked:
-        if merged and abs(v - merged[-1][0]) <= 1e-12 * (1.0 + abs(v)):
-            merged[-1] = (merged[-1][0], merged[-1][1] + m)
-        else:
-            merged.append((v, m))
-    return merged

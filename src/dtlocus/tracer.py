@@ -7,7 +7,7 @@ predictor-corrector continuation until it hits a branching point, the gain
 cap, the region boundary, or a step failure.  A region exit ends at one of
 the outward crossings found before tracing; each of them should end exactly
 one trajectory.  The upper half-plane picture is then mirrored onto the
-lower one (real-coefficient symmetry): each trajectory with a point off the
+lower one (real-coefficient symmetry): each trajectory that starts off the
 real axis is directly followed by its conjugate image.  Points live in
 float arrays (Trajectory.array), never as one object each, so the cyclic
 collector has none to walk; a pass's images are views of one array.
@@ -602,10 +602,11 @@ def _mirror_trajectory(traj: Trajectory, image: np.ndarray, conj) -> Trajectory:
 
 
 def _mirror(plant: Plant, branches, trajectories: list[Trajectory]) -> list[Trajectory]:
-    """The trajectories, each with any point off the real axis (|omega| >
-    _AXIS_TOL) followed by its conjugate image.  The images are views of
-    one array, the trajectories' rows stacked with omega negated; conj
-    looks up the conjugate of each pole and branch point once."""
+    """The trajectories, each that starts off the real axis (omega != 0.0,
+    the rule of trace's real mode and of _batchable) followed by its
+    conjugate image.  The images are views of one array, the trajectories'
+    rows stacked with omega negated; conj looks up the conjugate of each
+    pole and branch point once."""
     if not trajectories:
         return []
     arrays = [t.array for t in trajectories]
@@ -614,7 +615,7 @@ def _mirror(plant: Plant, branches, trajectories: list[Trajectory]) -> list[Traj
     omega = rows[:, 1]
     omega *= -1.0
     rows.flags.writeable = False
-    peaks = np.maximum.reduceat(np.abs(omega), bounds[:-1]).tolist()
+    starts = omega[bounds[:-1]].tolist()
     spots = {PoleOrigin: plant.poles, BranchOrigin: [b.s for b in branches]}
     found: dict[tuple, int] = {}
 
@@ -625,9 +626,9 @@ def _mirror(plant: Plant, branches, trajectories: list[Trajectory]) -> list[Traj
         return found[key]
 
     out = []
-    for traj, peak, a, b in zip(trajectories, peaks, bounds, bounds[1:]):
+    for traj, start, a, b in zip(trajectories, starts, bounds, bounds[1:]):
         out.append(traj)
-        if peak > _AXIS_TOL:
+        if start != 0.0:
             out.append(_mirror_trajectory(traj, rows[a:b], conj))
     return out
 

@@ -181,6 +181,21 @@ def random_plant(rng, plant_cls):
     return plant_cls(alpha, h, tuple(zeros), tuple(poles))
 
 
+def poly_from_roots(roots):
+    """Monic real polynomial with the given roots.  A complex root brings its
+    conjugate, and one with Im < 0 is skipped, so a conjugate-closed list and
+    its upper half give the same polynomial."""
+    from dtlocus.poly import RealPolynomial
+
+    p = RealPolynomial((1.0,))
+    for r in roots:
+        if r.imag == 0.0:
+            p = p * RealPolynomial((-r.real, 1.0))
+        elif r.imag > 0.0:
+            p = p * RealPolynomial((abs(r) ** 2, -2.0 * r.real, 1.0))
+    return p
+
+
 def clean_region(plant, rng):
     """Pick (sigma0, kmax) placing the boundary away from plant structure."""
     res = [p.real for p in plant.poles] + [z.real for z in plant.zeros]
@@ -428,7 +443,8 @@ def extended_log_eval(plant, sigma, omega):
 
 
 def reference_breakpoint_polys(plant, sigma0):
-    """(kprime_poly, phiprime_poly) by the former cofactor assembly, O(n^3).
+    """(kprime_poly, phiprime_poly), K' and phi' on the line Re s = sigma0
+    cleared of their denominators, by the cofactor assembly, O(n^3).
 
     Each root set's sum over roots multiplies a per-root factor into the
     product of every other root's squared distance to sigma0 + j w, built
@@ -479,11 +495,12 @@ def reference_breakpoint_polys(plant, sigma0):
 
 
 # The former boundary search: breakpoints as the nonnegative real roots of the
-# full-degree K' and phi' polynomials, and every gain-cap and phase-line hit by
-# bisection.  Its loops are kept as they were; only the result differs, a
-# list of (omega, direction, interval end) with no DegenerateCrossing check.
-# The library roots those polynomials in omega^2 and solves each line by
-# safeguarded Newton; the tests compare the two on the same BoundaryFunctions.
+# full-degree K' and phi' polynomials (reference_breakpoint_polys), and every
+# gain-cap and phase-line hit by bisection.  Its loops are kept as they were;
+# only the result differs, a list of (omega, direction, interval end) with no
+# DegenerateCrossing check.  The library takes the breakpoints as eigenvalues
+# over the plant's roots and solves each line by safeguarded Newton; the
+# tests compare the two on the same BoundaryFunctions.
 
 
 def reference_bisect(f, a, b, fa, fb, tol):
@@ -510,10 +527,9 @@ def reference_bisect(f, a, b, fa, fb, tol):
 def reference_magnitude_intervals(bf, region):
     """The omega >= 0 set where the boundary gain stays within the cap."""
     from dtlocus.boundary import TOL_BISECT, _omega_cap
-    from dtlocus.poly import nonneg_real_roots
 
     L = region.lnkmax
-    kp_roots = nonneg_real_roots(bf.kprime_poly)
+    kp_roots = reference_nonneg_real_roots(reference_breakpoint_polys(bf.plant, bf.sigma0)[0])
     cap = _omega_cap(bf, region, [r for r, _ in kp_roots])
     cuts = [0.0] + [r for r, _ in kp_roots if 0.0 < r < cap] + [cap]
 
@@ -543,10 +559,10 @@ def reference_magnitude_intervals(bf, region):
 def reference_crossing_omegas(bf, region):
     """Sorted (omega, 'in'|'out', interval end) of every boundary crossing."""
     from dtlocus.boundary import TOL_BISECT
-    from dtlocus.poly import nonneg_real_roots
 
     intervals = reference_magnitude_intervals(bf, region)
-    pp_roots = [r for r, _ in nonneg_real_roots(bf.phiprime_poly)]
+    pp_roots = [r for r, _ in reference_nonneg_real_roots(
+        reference_breakpoint_polys(bf.plant, bf.sigma0)[1])]
 
     hits = []
     for lo, hi in intervals:

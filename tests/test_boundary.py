@@ -13,7 +13,6 @@ from dtlocus.boundary import (
     BoundaryFunctions,
     Direction,
     RegionSpec,
-    _breakpoints,
     _omega_cap,
     _solve_many,
     _solve_monotone,
@@ -28,7 +27,7 @@ from dtlocus.errors import (
     InputError,
     PoleOrZeroOnBoundary,
 )
-from dtlocus.plant import Plant, log_eval, wrap_angle
+from dtlocus.plant import Plant, log_eval, plant_from_coefficients, wrap_angle
 
 from oracles import fd, geval, grid_crossings, reference_classify
 
@@ -78,10 +77,8 @@ class TestBoundaryFunctions:
     def test_p1_structure(self, bf1):
         _, bf = bf1
         assert bf.phi0 == pytest.approx(math.pi)
-        from dtlocus.poly import nonneg_real_roots
-
-        assert nonneg_real_roots(bf.kprime_poly) == [(0.0, 1)]
-        assert nonneg_real_roots(bf.phiprime_poly) == []
+        assert bf.kprime_roots == (0.0,)
+        assert bf.phiprime_roots == ()
 
     def test_p1_values(self, bf1):
         _, bf = bf1
@@ -96,11 +93,8 @@ class TestBoundaryFunctions:
     def test_p1_shifted_phiprime_root(self):
         p = Plant(1.0, 1.0, (), (0j,))
         bf = boundary_functions(p, RegionSpec(-0.5, 1.0))
-        from dtlocus.poly import nonneg_real_roots
-
-        roots = nonneg_real_roots(bf.phiprime_poly)
-        assert len(roots) == 1
-        assert roots[0][0] == pytest.approx(0.5, abs=1e-10)
+        # phi' = 0.5/(0.25 + omega^2) - 1
+        assert bf.phiprime_roots == (pytest.approx(0.5, abs=1e-10),)
 
     def test_p2_phi0(self, bf2):
         _, bf = bf2
@@ -123,22 +117,28 @@ class TestBoundaryFunctions:
             assert bf.K_slope(w) == (bf.K(w), pytest.approx(bf.Kprime(w), rel=1e-12, abs=1e-14))
             assert bf.phi_slope(w) == (bf.phi(w), pytest.approx(bf.phiprime(w), rel=1e-12, abs=1e-14))
 
-    def test_critical_polys_match_functions(self, bf2):
-        plant, bf = bf2
-        rng = np.random.RandomState(29)
-        for w in rng.uniform(0.0, 12.0, size=25):
-            gz = np.prod([(-3.5 - z.real) ** 2 + (w - z.imag) ** 2 for z in plant.zeros])
-            gp = np.prod([(-3.5 - p.real) ** 2 + (w - p.imag) ** 2 for p in plant.poles])
-            assert bf.kprime_poly(w) == pytest.approx(bf.Kprime(w) * gz * gp, rel=1e-9, abs=1e-9)
-            assert bf.phiprime_poly(w) == pytest.approx(
-                bf.phiprime(w) * gz * gp, rel=1e-9, abs=1e-9
-            )
+    def test_breakpoints_are_zeros_of_the_slopes(self):
+        found = 0
+        for plant, region in PROPERTY_CORPUS:
+            bf = boundary_functions(plant, region)
+            for roots, slope in ((bf.kprime_roots, bf.Kprime), (bf.phiprime_roots, bf.phiprime)):
+                for w in roots:
+                    assert abs(slope(w)) <= 1e-10 * _slope_scale(bf, w), (plant, region, w)
+                found += len(roots)
+        assert found >= 400
 
     def test_kprime_zero_at_origin(self, bf2):
         # conjugate closure forces a stationary boundary gain at omega = 0
         _, bf = bf2
         assert bf.Kprime(0.0) == pytest.approx(0.0, abs=1e-14)
-        assert abs(bf.kprime_poly(0.0)) < 1e-9
+        assert bf.kprime_roots[0] == 0.0
+
+
+def _slope_scale(bf, w):
+    """h + sum_r 1/|s - r| at s = sigma0 + j w: the size of the terms K' and
+    phi' are summed from, against which their rounding is measured."""
+    s = complex(bf.sigma0, w)
+    return bf.plant.delay + sum(1.0 / abs(s - r) for r in bf.plant.zeros + bf.plant.poles)
 
 
 class TestMagnitudeIntervals:
@@ -310,41 +310,99 @@ def _breakpoint_corpus():
 BREAKPOINT_CORPUS = _breakpoint_corpus()
 
 
+def _property_corpus():
+    """About 200 (plant, region) pairs, fixed seeds: oracles.random_plant;
+    coefficient-form plants with a root cluster 1e-5 to 1e-3 wide or a
+    repeated root; bi-proper plants; a pure delay; cancelled zero-pole
+    pairs.  Each on a clean sigma0, a bi-proper one with kmax half its cap."""
+    from oracles import clean_region, poly_from_roots, random_plant
+
+    rng = np.random.RandomState(2028)
+    plants = [random_plant(rng, Plant) for _ in range(116)]
+    for i in range(50):
+        center = complex(rng.uniform(-3.0, 0.5), rng.uniform(0.3, 2.0) if i % 2 else 0.0)
+        m = rng.randint(2, 4)
+        width = 10.0 ** -rng.randint(3, 6) if i % 4 < 2 else 0.0  # a cluster, or m equal roots
+        den = poly_from_roots([center + width * k for k in range(m)]
+                              + list(_roots(rng, rng.randint(0, 4), -3.0, 0.5)))
+        num = _roots(rng, rng.randint(0, den.degree), -3.0, 3.0)
+        plants.append(plant_from_coefficients(rng.uniform(0.2, 5.0) * poly_from_roots(num), den,
+                                              rng.uniform(0.1, 2.0)))
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        plants.append(Plant(rng.uniform(0.2, 5.0) * rng.choice([-1, 1]), rng.uniform(0.1, 2.0),
+                            _roots(rng, n, -3.0, 3.0), _roots(rng, n, -3.0, 0.5)))
+    plants += [
+        Plant(1.5, 0.6, (-1 + 0j,), (-1 + 0j, -2 + 0j)),
+        Plant(0.8, 1.1, (0.5 + 0j,), (0.5 + 0j, -1 + 1j, -1 - 1j)),
+        Plant(-2.0, 0.4, (-1 + 1j, -1 - 1j), (-1 + 1j, -1 - 1j)),
+    ]
+    out = [(Plant(1.0, 0.8, (), ()), RegionSpec(-1.0, 0.2))]
+    for plant in plants:
+        sigma0, kmax = clean_region(plant, rng)
+        if plant.biproper:
+            kmax = 0.5 * math.exp(plant.delay * sigma0) / abs(plant.alpha)
+        out.append((plant, RegionSpec(sigma0, kmax)))
+    return out
+
+
+PROPERTY_CORPUS = _property_corpus()
+
+
 class TestBreakpointPolynomials:
-    """kprime_poly and phiprime_poly from one running product per root set."""
+    """The breakpoints against K' and phi' themselves and against the
+    nonnegative real roots of their cofactor-assembled polynomials
+    (oracles.reference_breakpoint_polys), on PROPERTY_CORPUS and the demo
+    plant."""
 
-    def test_match_cofactor_reference(self):
-        from oracles import reference_breakpoint_polys
+    def test_match_cofactor_reference(self, p2):
+        from oracles import reference_breakpoint_polys, reference_nonneg_real_roots
 
-        plants = {id(p): p for p, _ in BREAKPOINT_CORPUS}.values()
-        assert sum(p.biproper for p in plants) >= 8
-        assert any(len(set(p.poles)) < len(p.poles) for p in plants)
-        assert any(r.imag != 0.0 for p in plants for r in p.poles + p.zeros)
-        assert any(z.real > 0.0 for p in plants for z in p.zeros)
-        assert any(
-            region.sigma0 < min(r.real for r in p.zeros + p.poles) - 10.0
-            for p, region in BREAKPOINT_CORPUS
-        )
-        for plant, region in BREAKPOINT_CORPUS:
+        plants = [p for p, _ in PROPERTY_CORPUS]
+        assert len(plants) >= 200 and sum(p.biproper for p in plants) >= 30
+        assert sum(len(set(p.poles)) < len(p.poles) for p in plants) >= 10
+        assert any(not p.poles for p in plants)
+        assert sum(bool(set(p.zeros) & set(p.poles)) for p in plants) >= 3
+        compared = 0
+        for plant, region in PROPERTY_CORPUS + _demo_ladder(p2):
             bf = boundary_functions(plant, region)
-            ref_kp, ref_pp = reference_breakpoint_polys(plant, region.sigma0)
-            for got, ref in ((bf.kprime_poly, ref_kp), (bf.phiprime_poly, ref_pp)):
-                assert got.degree == ref.degree, (plant, region)
-                scale = max((abs(c) for c in ref.coeffs), default=0.0)
-                for a, b in zip(got.coeffs, ref.coeffs):
-                    assert abs(a - b) <= 1e-12 * scale, (plant, region)
+            for got, ref in zip((bf.kprime_roots, bf.phiprime_roots),
+                                reference_breakpoint_polys(plant, region.sigma0)):
+                want = [v for v, _ in reference_nonneg_real_roots(ref)]
+                assert len(got) == len(want), (plant, region, got, want)
+                for a, b in zip(got, want):
+                    assert abs(a - b) <= 1e-8 * (1.0 + b), (plant, region, a, b)
+                compared += len(got)
+        assert compared >= 450
 
-    def test_parity_is_exact(self):
-        from dtlocus.poly import nonneg_real_roots
-
-        for plant, region in BREAKPOINT_CORPUS:
+    def test_slopes_keep_sign_between_breakpoints(self, p2):
+        # sampled between consecutive breakpoints and on to twice the last
+        # plus 10, K' and phi' keep one sign wherever they stand above the
+        # rounding of their terms
+        for plant, region in PROPERTY_CORPUS + _demo_ladder(p2):
             bf = boundary_functions(plant, region)
-            kp, pp = bf.kprime_poly, bf.phiprime_poly
-            assert all(c == 0.0 for c in kp.coeffs[0::2])
-            assert all(c == 0.0 for c in pp.coeffs[1::2])
-            if kp.degree >= 1:
-                m = next(i for i, c in enumerate(kp.coeffs) if c != 0.0)
-                assert nonneg_real_roots(kp)[0] == (0.0, m)
+            for cuts, slope in ((bf.kprime_roots, bf.K_slope), (bf.phiprime_roots, bf.phi_slope)):
+                ends = [0.0, *cuts]
+                ends.append(2.0 * ends[-1] + 10.0)
+                for a, b in zip(ends, ends[1:]):
+                    signs = set()
+                    for w in np.linspace(a, b, 27)[1:-1].tolist():
+                        v = slope(w)[1]
+                        if abs(v) > 1e-9 * _slope_scale(bf, w):
+                            signs.add(v > 0.0)
+                    assert len(signs) <= 1, (plant, region, a, b)
+
+    def test_zero_is_the_first_kprime_breakpoint(self):
+        # K' is odd by conjugate closure, so omega = 0 is a zero, exactly
+        # and once; a plant whose roots all cancel has a flat gain and none
+        for plant, region in PROPERTY_CORPUS:
+            bf = boundary_functions(plant, region)
+            kp, pp = bf.kprime_roots, bf.phiprime_roots
+            assert list(kp) == sorted(kp) and list(pp) == sorted(pp)
+            if set(plant.zeros) == set(plant.poles) and plant.biproper:
+                assert kp == () and pp == (), plant
+            else:
+                assert kp[0] == 0.0 and all(w > 0.0 for w in kp[1:]), plant
 
 
 # Benchmark jobs (corpus seed 101 jobs 195, 393, 471, 500, 594, 606, 729 and
@@ -494,26 +552,33 @@ def _demo_ladder(plant):
 
 
 class TestHalfDegreeBreakpoints:
+    """The breakpoints are solved for in u = omega^2, at half the degree of
+    K' and phi' in omega."""
+
     def test_cover_full_degree_roots(self, p2):
-        from dtlocus.poly import nonneg_real_roots
+        from oracles import reference_breakpoint_polys, reference_nonneg_real_roots
 
         for plant, region in BREAKPOINT_CORPUS + _demo_ladder(p2):
             bf = boundary_functions(plant, region)
-            for poly, odd in ((bf.kprime_poly, True), (bf.phiprime_poly, False)):
-                half = _breakpoints(poly, odd)
-                assert half == sorted(half) and all(r >= 0.0 for r in half)
+            polys = reference_breakpoint_polys(plant, region.sigma0)
+            for half, poly in zip((bf.kprime_roots, bf.phiprime_roots), polys):
+                assert list(half) == sorted(half) and all(r >= 0.0 for r in half)
                 # extra roots are allowed: an extra cut only splits a monotone piece
-                for r, _ in nonneg_real_roots(poly):
+                for r, _ in reference_nonneg_real_roots(poly):
                     assert min(abs(r - w) for w in half) <= 1e-9 * (1.0 + r), (plant, region, r)
 
     def test_odd_polynomial_roots_at_origin(self):
-        from dtlocus.poly import RealPolynomial
-
-        # omega (omega^2 - 4) and omega^3 (omega^2 - 4): omega = 0 once, then 2
-        assert _breakpoints(RealPolynomial((0.0, -4.0, 0.0, 1.0)), odd=True) == [0.0, 2.0]
-        assert _breakpoints(RealPolynomial((0.0, 0.0, 0.0, -4.0, 0.0, 1.0)), odd=True) == [0.0, 2.0]
-        assert _breakpoints(RealPolynomial((-4.0, 0.0, 1.0)), odd=False) == [2.0]
-        assert _breakpoints(RealPolynomial(()), odd=True) == []
+        # K' is odd: omega*f(omega^2).  Over the pole pair sigma0 - 1 +- jb,
+        # f(u) = 2(u - b^2 + 1)/|u - q|^2, so b = sqrt(5) turns K at omega =
+        # 0 and 2, and b = 1 makes omega = 0 a triple zero, found once; at
+        # b = 1 + 1e-15 the zero u = 2.2e-15 rounds to 0 and merges with it
+        for b, want in ((5.0 ** 0.5, (0.0, 2.0)), (1.0, (0.0,)), (1.0 + 1e-15, (0.0,))):
+            plant = Plant(1.0, 0.5, (), (complex(-2.0, b), complex(-2.0, -b)))
+            bf = boundary_functions(plant, RegionSpec(-1.0, 1.0))
+            assert bf.kprime_roots == pytest.approx(want, rel=1e-14, abs=1e-14)
+            assert bf.kprime_roots[0] == 0.0
+        plant = Plant(1.0, 0.5, (), (0j,))
+        assert boundary_functions(plant, RegionSpec(-1.0, 1.0)).kprime_roots == (0.0,)
 
 
 class TestNewtonSearch:
@@ -525,7 +590,7 @@ class TestNewtonSearch:
         compared = crossings = 0
         for plant, region in _signed_corpus(far_left=False) + _demo_ladder(p2):
             bf = boundary_functions(plant, region)
-            cap = _omega_cap(bf, region, _breakpoints(bf.kprime_poly, odd=True))
+            cap = _omega_cap(bf, region, bf.kprime_roots)
             got_iv = magnitude_intervals(bf, region)
             want_iv = reference_magnitude_intervals(bf, region)
             assert len(got_iv) == len(want_iv), (plant, region)

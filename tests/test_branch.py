@@ -12,7 +12,8 @@ from dtlocus.boundary import RegionSpec
 from dtlocus.branch import branch_departures, branch_points, branch_roots
 from dtlocus.plant import Plant
 
-from oracles import _wrap, branch_fan_angles, dlog_zero_count, locus_residual, random_plant
+from oracles import (_wrap, branch_fan_angles, dlog_zero_count, locus_residual, poly_from_roots,
+                     random_plant)
 
 # corpus seed 408 job 461: a secant of the arriving trajectory sent the real
 # branch point near -1.668 out at +-1.385 rad instead of +-pi/2
@@ -272,19 +273,6 @@ class TestBranchPoints:
         assert bp[0].s == high[0]
 
 
-def _from_roots(roots):
-    """Monic real polynomial with the given conjugate-closed roots."""
-    from dtlocus.poly import RealPolynomial
-
-    p = RealPolynomial((1.0,))
-    for r in roots:
-        if r.imag == 0.0:
-            p = p * RealPolynomial((-r.real, 1.0))
-        elif r.imag > 0.0:
-            p = p * RealPolynomial((abs(r) ** 2, -2.0 * r.real, 1.0))
-    return p
-
-
 def _with(plant, zeros=(), poles=()):
     return Plant(plant.alpha, plant.delay, plant.zeros + tuple(zeros), plant.poles + tuple(poles))
 
@@ -330,8 +318,8 @@ def _argument_corpus(rng):
     for _ in range(40):  # coefficient form, order 6-15
         plant = random_plant(rng, Plant)
         more = random_plant(rng, Plant).poles + random_plant(rng, Plant).poles
-        den = _from_roots(plant.poles + more)
-        out.append(plant_from_coefficients(_from_roots(plant.zeros), den, plant.delay))
+        den = poly_from_roots(plant.poles + more)
+        out.append(plant_from_coefficients(poly_from_roots(plant.zeros), den, plant.delay))
     return out
 
 

@@ -7,7 +7,9 @@ import pytest
 
 from dtlocus import poly
 from dtlocus.errors import InputError
-from dtlocus.poly import PolyRoot, RealPolynomial, complex_roots, nonneg_real_roots
+from dtlocus.poly import PolyRoot, RealPolynomial, complex_roots
+
+from oracles import reference_nonneg_real_roots
 
 
 def frac_mul(a, b):
@@ -133,27 +135,30 @@ class TestRoots:
 
 
 class TestNonnegRealRoots:
+    """The oracle the boundary breakpoints are checked against: the
+    nonnegative real roots picked from complex_roots."""
+
     def test_pure_even_origin(self):
         # -w^2: double root at 0
-        assert nonneg_real_roots(RealPolynomial((0.0, 0.0, -1.0))) == [(0.0, 2)]
+        assert reference_nonneg_real_roots(RealPolynomial((0.0, 0.0, -1.0))) == [(0.0, 2)]
 
     def test_offset_quadratic(self):
         # 0.25 - w^2 has roots +-0.5; keep the nonnegative one
-        got = nonneg_real_roots(RealPolynomial((0.25, 0.0, -1.0)))
+        got = reference_nonneg_real_roots(RealPolynomial((0.25, 0.0, -1.0)))
         assert len(got) == 1
         assert got[0][0] == pytest.approx(0.5, abs=1e-12)
         assert got[0][1] == 1
 
     def test_discards_complex_and_negative(self):
         p = RealPolynomial((1.0, 0.0, 1.0)) * RealPolynomial((1.0, 1.0))  # (w^2+1)(w+1)
-        assert nonneg_real_roots(p) == []
+        assert reference_nonneg_real_roots(p) == []
 
     def test_constant_has_none(self):
-        assert nonneg_real_roots(RealPolynomial((4.0,))) == []
+        assert reference_nonneg_real_roots(RealPolynomial((4.0,))) == []
 
     def test_near_zero_negative_clamped(self):
         p = RealPolynomial((1e-12, 1.0))  # root at -1e-12
-        got = nonneg_real_roots(p)
+        got = reference_nonneg_real_roots(p)
         assert got == [(0.0, 1)]
 
 

@@ -1,11 +1,11 @@
 """The eigenvalue screen of the breakpoint and branch root finders.
 
-nonneg_real_roots polishes only the companion eigenvalues that may become a
-root it keeps, and branch.branch_roots moves onto zeros of dlog only the
-eigenvalues of its root-form matrix that may become a candidate it keeps.
-The screen must change nothing but the work: every root they return is a
-root, and they return every genuine root the full, unscreened eigenvalue set
-would have given them.
+boundary._turning_points moves onto real zeros of its secular function only
+the eigenvalues near the nonnegative real axis, and branch.branch_roots
+moves onto zeros of dlog only the eigenvalues of its root-form matrix that
+may become a candidate it keeps.  The screen must change nothing but the
+work: every root they return is a root, and they return every genuine root
+the full, unscreened eigenvalue set would have given them.
 """
 
 import math
@@ -13,20 +13,21 @@ import math
 import numpy as np
 import pytest
 
-from dtlocus import branch, poly
+from dtlocus import boundary, branch
 from dtlocus.boundary import RegionSpec, boundary_functions
 from dtlocus.branch import branch_roots
 from dtlocus.plant import Plant, dlog_ratio, plant_from_coefficients
-from dtlocus.poly import RealPolynomial, nonneg_real_roots
+from dtlocus.poly import RealPolynomial
 from dtlocus.tracer import TraceOptions, run
 
-from oracles import backward_error, clean_region, random_plant, reference_nonneg_real_roots
+from oracles import (backward_error, clean_region, poly_from_roots, random_plant,
+                     reference_breakpoint_polys)
 
 TOL_GENUINE = 1e-10
 
 # Benchmark highorder jobs (num, den, delay, sigma0, kmax) where polishing
-# every companion eigenvalue of a breakpoint polynomial carried one onto a
-# point that is not a root.
+# every companion eigenvalue of a breakpoint polynomial, as breakpoints were
+# once found, carried one onto a point that is not a root.
 NON_ROOT_POLISH_JOBS = {
     # the root u = -49.26 of phi''s omega^2 polynomial went to u = 17.94, a
     # spurious phi' breakpoint at omega = 4.2352
@@ -97,10 +98,11 @@ def _job(name):
     return plant_from_coefficients(num, den, delay), RegionSpec(sigma0, kmax)
 
 
-def _omega2_polys(bf):
-    """q with K'(omega) = omega*q(omega^2) and phi'(omega) = q(omega^2)."""
-    return (RealPolynomial(bf.kprime_poly.coeffs[1::2]),
-            RealPolynomial(bf.phiprime_poly.coeffs[0::2]))
+def _omega2_polys(plant, sigma0):
+    """q with K'(omega) ~ omega*q(omega^2) and phi'(omega) ~ q(omega^2), from
+    the cofactor-assembled polynomials cleared of their denominators."""
+    kp, pp = reference_breakpoint_polys(plant, sigma0)
+    return RealPolynomial(kp.coeffs[1::2]), RealPolynomial(pp.coeffs[0::2])
 
 
 def _genuine(p, z):
@@ -119,8 +121,8 @@ class TestGenuineBreakpoints:
     def test_breakpoints_are_roots(self, name):
         plant, region = _job(name)
         bf = boundary_functions(plant, region)
-        kq, phiq = _omega2_polys(bf)
-        # omega = 0 is a root of the odd K' by parity, not a root of kq
+        kq, phiq = _omega2_polys(plant, region.sigma0)
+        # omega = 0 is a root of the odd K', not a root of kq
         for w in [w for w in bf.kprime_roots if w > 0.0]:
             assert _genuine(kq, w * w), (name, "K'", w)
         for w in bf.phiprime_roots:
@@ -131,17 +133,6 @@ class TestGenuineBreakpoints:
         plant, region = _job(name)
         for r in branch_roots(plant, region.sigma0):
             assert _on_dlog(plant, r.value), (name, r)
-
-
-def _from_roots(roots):
-    """Real polynomial with the given roots; complex ones bring their mirror."""
-    p = RealPolynomial((1.0,))
-    for r in roots:
-        if r.imag == 0.0:
-            p = p * RealPolynomial((-r.real, 1.0))
-        else:
-            p = p * RealPolynomial((abs(r) ** 2, -2.0 * r.real, 1.0))
-    return p
 
 
 def _highorder_plant(rng):
@@ -158,8 +149,8 @@ def _highorder_plant(rng):
         return [r for r in out if r.imag >= 0.0]
 
     n = rng.randint(14, 25)
-    num = float(rng.uniform(0.2, 5.0)) * _from_roots(draw(rng.randint(0, n), -4.0, 4.0))
-    den = _from_roots(draw(n, -4.0, 1.0))
+    num = float(rng.uniform(0.2, 5.0)) * poly_from_roots(draw(rng.randint(0, n), -4.0, 4.0))
+    den = poly_from_roots(draw(n, -4.0, 1.0))
     return plant_from_coefficients(num, den, round(rng.uniform(0.1, 1.0), 6))
 
 
@@ -176,40 +167,34 @@ def _plants():
     return [(plant, clean_region(plant, rng)[0]) for plant in out]
 
 
-def _crafted(rng, center):
-    """Polynomials with roots at the edge of a screen at center: multiple
-    real roots on and next to it, and conjugate pairs |Im| ~ 1e-9 off the axis."""
-    out = []
-    for d in (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3):
-        for m in (2, 3):
-            others = [complex(rng.uniform(-3.0, 3.0), rng.uniform(0.2, 3.0)) for _ in range(2)]
-            others += [complex(rng.uniform(-3.0, 3.0), 0.0) for _ in range(rng.randint(1, 4))]
-            out.append(_from_roots([complex(center + d, 0.0)] * m + others))
-    for _ in range(6):
-        re = center + rng.uniform(-0.5, 2.0)
-        others = [complex(rng.uniform(-3.0, 3.0), rng.uniform(0.2, 3.0))]
-        out.append(_from_roots([complex(re, 1e-9 * rng.uniform(0.5, 2.0))] + others))
-    return out
+def _crafted():
+    """Plants whose K' zero in u = omega^2 sits at the screen's edge u = 0:
+    over the pole pair sigma0 - 1 +- j(1 + d), K'(omega) = omega f(omega^2)
+    with f zero at u = (1 + d)^2 - 1 ~ 2d, next to the eigenvalue at u = 0
+    that _turning_points drops; at d = 0, omega = 0 is a triple zero of K'."""
+    return [(Plant(1.0, h, (), (complex(-2.0, 1.0 + d), complex(-2.0, -1.0 - d))), -1.0)
+            for d in (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3)
+            for h in (0.3, 0.7, 2.0)]
 
 
 class TestScreenChangesNothingElse:
-    def test_nonneg_real_roots(self):
-        rng = np.random.RandomState(77)
-        polys = []
-        for plant, sigma0 in _plants():
-            polys += [q for q in _omega2_polys(boundary_functions(plant, RegionSpec(sigma0, 10.0)))
-                      if q.degree >= 1]
-        polys += _crafted(rng, 0.0)
-        for k in (1, 2, 3):  # exact roots at the origin
-            polys.append(RealPolynomial((0.0,) * k + tuple(rng.uniform(-2.0, 2.0, 5))))
-        assert len(polys) >= 200
+    def test_nonneg_real_roots(self, monkeypatch):
+        # the breakpoints, as omega = sqrt(u) of the nonnegative real zeros u
+        cases = _plants() + _crafted()
+        assert len(cases) >= 130
+        regions = [RegionSpec(sigma0, 10.0) for _, sigma0 in cases]
+        screened = [boundary_functions(plant, region) for (plant, _), region in zip(cases, regions)]
+        monkeypatch.setattr(boundary, "SCREEN_REL", math.inf)  # every eigenvalue kept
         kept = 0
-        for p in polys:
-            got = [(v, m) for v, m in nonneg_real_roots(p) if _genuine(p, v)]
-            want = [(v, m) for v, m in reference_nonneg_real_roots(p) if _genuine(p, v)]
-            assert got == want, p
-            kept += len(got)
-        assert kept >= 100
+        for (plant, _), region, bf in zip(cases, regions, screened):
+            full = boundary_functions(plant, region)
+            # an unscreened eigenvalue far off the axis may polish onto a
+            # zero another reached: the copies merge, to the last bits
+            for got, want in ((bf.kprime_roots, full.kprime_roots),
+                              (bf.phiprime_roots, full.phiprime_roots)):
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), plant
+            kept += len(bf.kprime_roots) + len(bf.phiprime_roots)
+        assert kept >= 200
 
     def test_branch_roots(self, monkeypatch):
         # every plant at its clean sigma0, and plants whose real candidate
@@ -233,39 +218,40 @@ class TestScreenChangesNothingElse:
 
 
 class TestScreenWork:
+    @staticmethod
+    def _counted(monkeypatch):
+        """The eigenvalues the breakpoint solves find, and the Newton polishes
+        they start."""
+        found, polished = [], []
+        eigvals, polish = boundary.secular_eigvals, boundary._on_secular
+
+        def counted_eigvals(*args):
+            out = eigvals(*args)
+            found.extend(out)
+            return out
+
+        def counted_polish(terms, h, u, snap):
+            polished.append(u)
+            return polish(terms, h, u, snap)
+
+        monkeypatch.setattr(boundary, "secular_eigvals", counted_eigvals)
+        monkeypatch.setattr(boundary, "_on_secular", counted_polish)
+        return found, polished
+
     def test_nonneg_polishes_only_screened_eigenvalues(self, monkeypatch):
-        polished = []
-
-        def counted(coeffs, z, *args):
-            polished.append(z)
-            return exact(coeffs, z, *args)
-
-        exact = poly._polish
-        monkeypatch.setattr(poly, "_polish", counted)
-        p = _from_roots([0.5 + 0j, 2.0 + 0j, -1.0 + 0j, -3.0 + 0j,
-                         -2.0 + 1.5j, 1.0 + 2.0j, 3.0 + 0.5j])
-        assert nonneg_real_roots(p) == [(pytest.approx(0.5), 1), (pytest.approx(2.0), 1)]
-        assert len(polished) == 2
-        for z in polished:
-            assert abs(z.imag) <= poly.SCREEN_REL * (1.0 + abs(z))
-            assert z.real >= -poly.SCREEN_REL * (1.0 + abs(z))
+        found, polished = self._counted(monkeypatch)
+        plant = Plant(1.0, 0.5, (1.0 + 2j, 1.0 - 2j, -0.5 + 0j),
+                      (-1.0 + 0j, -3.0 + 0j, -2.0 + 1.5j, -2.0 - 1.5j, -0.5 + 3j, -0.5 - 3j))
+        bf = boundary_functions(plant, RegionSpec(0.0, 1.0))
+        near = [z for z in found if abs(z.imag) <= boundary.SCREEN_REL * (1.0 + abs(z))
+                and z.real >= -boundary.SCREEN_REL * (1.0 + abs(z))]
+        assert len(found) == 18 and 0 < len(polished) <= len(near) < len(found)
+        assert len(bf.kprime_roots) + len(bf.phiprime_roots) >= 2
+        assert all(u >= -boundary.SCREEN_REL * (1.0 + abs(u)) for u in polished)
 
     def test_run_polishes_fewer_than_it_finds(self, monkeypatch):
         plant, region = _job("highorder seed 101 job 219")
-        found, polished = [0], [0]
-        roots, polish = np.roots, poly._polish
-
-        def counted_roots(c):
-            out = roots(c)
-            found[0] += len(out)
-            return out
-
-        def counted_polish(*args):
-            polished[0] += 1
-            return polish(*args)
-
-        monkeypatch.setattr(poly.np, "roots", counted_roots)
-        monkeypatch.setattr(poly, "_polish", counted_polish)
+        found, polished = self._counted(monkeypatch)
         run(plant, region, TraceOptions(negative_gains=True))
-        assert found[0] > 0
-        assert polished[0] < found[0]
+        assert found
+        assert len(polished) < len(found)

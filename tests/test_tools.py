@@ -3,7 +3,7 @@ check: one labelled line per job, in the hash format, the --topology format
 (with its mirrored and over-captured counts), the --work format (whose
 dense count with lockstep tracing equals the count without, and whose
 phase count shows the array solve of the crossing search) and the
---ledger format, whose count is checked on a crafted result; --census, a
+--ledger format, each over a seed list too, whose count is checked on a crafted result; --census, a
 line per job with a finding and a totals line, checked with a stub check,
 a stub _dedup and stub results for the close cap ends; --census --baseline,
 the jobs that differ from a baseline file, checked on stub records.
@@ -18,6 +18,8 @@ import math
 import re
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,6 +57,23 @@ def test_output_digest_lines(capsys, monkeypatch):
                         r"( (csv|svg)=[0-9a-f]{64})*", line), line
 
 
+def test_output_digest_seed_lists(capsys, monkeypatch):
+    # every digest mode takes a seed list: each line is led by its seed and
+    # is the line that seed gives alone; a census of many seeds needs a baseline
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    digest = _output_digest()
+    for mode in ([], ["--topology"], ["--work"], ["--ledger"]):
+        assert digest.main(["corpus", "--jobs", "2", "--seed", "101,103", *mode]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        alone = []
+        for seed in ("101", "103"):
+            assert digest.main(["corpus", "--jobs", "2", "--seed", seed, *mode]) == 0
+            alone += [f"{seed} {line}" for line in capsys.readouterr().out.splitlines()]
+        assert len(lines) == 4 and lines == alone, mode
+    with pytest.raises(SystemExit):
+        digest.main(["corpus", "--census", "--seed", "101-102"])
+
+
 def test_output_digest_work_lines(capsys, monkeypatch):
     # --work counts through wrappers and puts the program's names back after;
     # every polish pass, the plant's own rooting included, counts with "+"
@@ -83,7 +102,9 @@ def test_output_digest_work_lines(capsys, monkeypatch):
             tracer.correct, poly._horner_triple) == before
 
     # the count starts before the input is parsed: a coefficient-form
-    # plant's own rooting counts with the rest of its job
+    # plant's own rooting counts with the rest of its job, and is all the
+    # polish a run does (breakpoints and branch candidates are eigenvalues
+    # over the plant's roots)
     assert digest.main(["highorder", "--jobs", "1", "--work"]) == 0
     (line,) = capsys.readouterr().out.splitlines()
     job = next(sys.modules["workloads"].jobs("highorder", 101))
@@ -93,7 +114,7 @@ def test_output_digest_work_lines(capsys, monkeypatch):
     parsed = cli.parse_input(job.doc)
     at_parse = len(calls)
     run(parsed, RegionSpec(job.sigma0, job.kmax), TraceOptions(negative_gains=job.negative_gains))
-    assert 0 < at_parse < len(calls)
+    assert 0 < at_parse == len(calls)
     assert int(re.findall(work, line)[0][-2]) == len(calls)
 
     # a dense job traces its crossing-seeded bulk in lockstep; each point of

@@ -18,10 +18,8 @@ from scipy.special import lambertw
 from dtlocus import boundary, branch, tracer
 from dtlocus.boundary import (
     RegionSpec,
-    _breakpoints,
     _omega_cap,
     boundary_functions,
-    magnitude_intervals,
 )
 from dtlocus.cli import parse_input
 from dtlocus.continuation import H0, H_MAX, H_MIN, MAX_ITER, CorrectorOutcome, LocusPoint, residuals
@@ -326,7 +324,7 @@ class TestSharedSetUp:
 
     @staticmethod
     def _rootings(plant, region, monkeypatch):
-        """The run of both signs and its branch_roots and nonneg_real_roots calls."""
+        """The run of both signs and its branch_roots and breakpoint solves."""
         calls = Counter()
 
         def counted(name, fn):
@@ -338,24 +336,16 @@ class TestSharedSetUp:
         solve = counted("branch_roots", branch.branch_roots)
         monkeypatch.setattr(branch, "branch_roots", solve)
         monkeypatch.setattr(tracer, "branch_roots", solve)
-        monkeypatch.setattr(boundary, "nonneg_real_roots",
-                            counted("nonneg_real_roots", boundary.nonneg_real_roots))
+        monkeypatch.setattr(boundary, "_turning_points",
+                            counted("_turning_points", boundary._turning_points))
         return run(plant, region, TraceOptions(negative_gains=True)), calls
 
     def test_roots_found_once_for_both_signs(self, p2, monkeypatch):
         res, calls = self._rootings(p2, RegionSpec(-3.5, 5.0), monkeypatch)
         assert res.negative is not None and res.branch_points
         assert res.crossings.inward and res.negative.crossings.inward
-        assert calls == {"branch_roots": 1, "nonneg_real_roots": 2}
-
-    def test_phiprime_not_rooted_without_a_gain_interval(self, p2, monkeypatch):
-        # at kmax 1e-3 the boundary gain of p2 lies above the cap at every
-        # omega, so no crossing search reads the roots of phi': only K' is rooted
-        region = RegionSpec(-3.5, 1e-3)
-        assert magnitude_intervals(boundary_functions(p2, region), region) == []
-        res, calls = self._rootings(p2, region, monkeypatch)
-        assert res.negative is not None and res.trajectories and res.negative.trajectories
-        assert calls == {"branch_roots": 1, "nonneg_real_roots": 1}
+        # one solve for K' and one for phi', shared by both signs
+        assert calls == {"branch_roots": 1, "_turning_points": 2}
 
     def test_negative_pass_equals_flipped_run(self):
         compared, active = 0, Counter()
@@ -1014,9 +1004,9 @@ class TestCorpusRegressions:
         assert_ends_on_locus(res.negative, sigma0)
 
     def test_biproper_kprime_has_exact_degree(self):
-        # the cancelled omega^(4n-2) coefficient of K' kept a 1e-16 residue, a
-        # spurious root near 1e16 and an omega cap near 1e17: the crossing
-        # search then ran for millions of pieces
+        # a bi-proper K' loses its leading term (C_1 = 0, exactly); a 1e-16
+        # residue of it once made a spurious root near 1e16 and an omega cap
+        # near 1e17, and the crossing search ran for millions of pieces
         plant = parse_input(json.dumps({
             "alpha": -0.416151, "delay": 0.145683,
             "zeros": [[1.747341, 0.413925], [1.747341, -0.413925],
@@ -1027,8 +1017,8 @@ class TestCorpusRegressions:
         region = RegionSpec(-1.264558, 0.434758)
         for signed in (plant, plant.flipped_gain()):
             bf = boundary_functions(signed, region)
-            assert bf.kprime_poly.degree == 13
-            assert _omega_cap(bf, region, _breakpoints(bf.kprime_poly, odd=True)) < 1e3
+            assert bf.kprime_roots[0] == 0.0 and bf.kprime_roots[-1] < 10.0
+            assert _omega_cap(bf, region, bf.kprime_roots) < 1e3
         res = run(plant, region, TraceOptions(negative_gains=True))
         assert_ends_on_locus(res, -1.264558)
         assert_ends_on_locus(res.negative, -1.264558)

@@ -1,6 +1,6 @@
 """One digest line per job of a benchmark workload, for same-output checks.
 
-    python3 tools/output_digest.py corpus|highorder|dense [--seed N] [--jobs N]
+    python3 tools/output_digest.py corpus|highorder|dense [--seed SEEDS] [--jobs N]
         [--src DIR] [--topology | --work | --ledger | --census [--baseline FILE [--update]]]
 
 Each job runs as the benchmark runs it (``cli.parse_input`` ->
@@ -10,6 +10,9 @@ time limit.  A job that returns prints its label and the sha256 of each
 output text; a job that raises prints its label, the exception type and its
 message.  The jobs come from ``locusbench/workloads.py`` of this checkout;
 the program comes from ``--src`` (default: this checkout's ``src``).
+``--seed`` takes one seed or a list of seeds and ranges (``101-102,201``);
+given more than one, the jobs of each seed run in turn and each line is led
+by its seed.  A census without ``--baseline`` takes one seed.
 
 With ``--topology`` a job that returns prints, instead of hashes, one line
 per gain sign: the trajectory count, the count of each termination type,
@@ -38,7 +41,9 @@ locus the two counts agree at every gain.
 With ``--work`` a job that returns prints, instead of hashes, one line per
 gain sign: the plant kernel evaluations (``plant._log_kernel``), the
 ``continuation.correct`` calls, their Newton iterations, the Horner
-passes of the root polish (``poly._horner_triple``) and the phase
+passes of the root polish (``poly._horner_triple``; only the rooting of a
+plant given by coefficients polishes, since breakpoints and branch
+candidates are eigenvalues over the plant's roots) and the phase
 evaluations of the boundary crossing search (``phase``: each
 ``BoundaryFunctions.phi_slope`` call, and each element of a
 ``phi_slope_many`` call).  The lockstep tracer's
@@ -91,8 +96,8 @@ moves findings on purpose, and quote the diff:
 Digest two commits and diff the files to show a change keeps every output
 byte (or, with ``--topology``, every structure) and every failure the same:
 
-    python3 tools/output_digest.py corpus --src ../old/src > old.txt
-    python3 tools/output_digest.py corpus > new.txt
+    python3 tools/output_digest.py corpus --seed 101-102 --src ../old/src > old.txt
+    python3 tools/output_digest.py corpus --seed 101-102 > new.txt
     diff old.txt new.txt
 """
 
@@ -491,7 +496,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("workload", choices=sorted(DEFAULT_JOBS))
     ap.add_argument("--seed", type=_seed_list, default=[101],
-                    help="workload seed; with --baseline a list such as 101-140,201-230")
+                    help="workload seed, or a list such as 101-140,201-230")
     ap.add_argument("--jobs", type=int, help="jobs to run (default: %s)" % DEFAULT_JOBS)
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding dtlocus/")
     mode = ap.add_mutually_exclusive_group()
@@ -516,8 +521,8 @@ def main(argv=None) -> int:
         ap.error("--baseline needs --census")
     if args.update and args.baseline is None:
         ap.error("--update needs --baseline")
-    if len(args.seed) > 1 and args.baseline is None:
-        ap.error("more than one seed needs --census --baseline")
+    if len(args.seed) > 1 and args.census and args.baseline is None:
+        ap.error("a census of more than one seed needs --baseline")
 
     sys.path.insert(0, str(args.src.resolve()))
     sys.path.insert(0, str(ROOT / "locusbench"))
@@ -551,8 +556,8 @@ def main(argv=None) -> int:
             stored.setdefault(args.workload, {}).update(records)
             args.baseline.write_text(json.dumps(stored, indent=1, sort_keys=True) + "\n")
         return int(len(lines) > 2)
-    (seed,) = args.seed
     if args.census:
+        (seed,) = args.seed
         census = Census(importlib.import_module("checks"))
         census.install()
         try:
@@ -567,9 +572,12 @@ def main(argv=None) -> int:
     work = WorkCount() if args.work else None
     if work is not None:
         work.install()
+    lead = len(args.seed) > 1
     try:
-        for job in jobs(seed):
-            print(digest_line(dtlocus, job, args.topology, work, args.ledger), flush=True)
+        for seed in args.seed:
+            for job in jobs(seed):
+                line = digest_line(dtlocus, job, args.topology, work, args.ledger)
+                print(f"{seed} {line}" if lead else line, flush=True)
     finally:
         if work is not None:
             work.uninstall()
