@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from itertools import chain
 
 import numpy as np
@@ -37,16 +38,23 @@ from .tracer import (
     RootLocusResult,
     StepFailure,
     TraceOptions,
-    Trajectory,
     run,
 )
+
+
+def _float(x, field):
+    """float(x) of a JSON number, an integer too large for a double refused."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise InputError(f"field '{field}' holds an integer too large for a double") from None
 
 
 def _number(doc, field):
     v = doc.get(field)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise InputError(f"field '{field}' must be a number, got {v!r}")
-    return float(v)
+    return _float(v, field)
 
 
 def _pair_list(doc, field):
@@ -61,7 +69,7 @@ def _pair_list(doc, field):
             or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in item)
         ):
             raise InputError(f"entry {i} of '{field}' must be a [re, im] pair of numbers")
-        out.append(complex(float(item[0]), float(item[1])))
+        out.append(complex(_float(item[0], field), _float(item[1], field)))
     return tuple(out)
 
 
@@ -73,7 +81,10 @@ def _coeff_list(doc, field):
         or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)
     ):
         raise InputError(f"field '{field}' must be a non-empty list of numbers")
-    return [float(x) for x in v]
+    out = [_float(x, field) for x in v]
+    if not all(map(math.isfinite, out)):  # JSON's 1e400 and NaN parse to floats
+        raise InputError(f"field '{field}' must hold finite numbers")
+    return out
 
 
 def parse_input(data: bytes) -> Plant:
@@ -113,19 +124,41 @@ _TYPE_NAMES = {
 }
 
 
-def _tagged(value) -> dict:
-    return {"type": _TYPE_NAMES[type(value)], **vars(value)}
+def _header(origin: type, termination: type, mirrored: bool) -> tuple[str, bool]:
+    """The text json.dumps writes for a trajectory of these types, origin
+    and termination each {"type": name, **vars(value)}, as a % format of
+    their fields and the points' text; and whether the fields go in as they
+    are (%r: ints, whose repr json.dumps writes) or as their json.dumps
+    text (%s: a BranchOrigin's angle, a StepFailure's reason)."""
+    plain = origin is not BranchOrigin and termination is not StepFailure
+    conv = "%r" if plain else "%s"
+
+    def tag(cls):
+        return "{%s}" % ", ".join([f'"type": "{_TYPE_NAMES[cls]}"',
+                                   *(f'"{f.name}": {conv}' for f in fields(cls))])
+
+    return (f'{{"origin": {tag(origin)}, "termination": {tag(termination)}, '
+            f'"mirrored": {json.dumps(mirrored)}, "points": [%s]}}', plain)
 
 
-# stands in for each trajectory's points in the document json.dumps writes;
-# result_to_json splices the formatted points in its place
-_POINTS = "\0"
-_POINTS_JSON = json.dumps(_POINTS)
+_HEADERS = {(o, e, m): _header(o, e, m)
+            for o in (PoleOrigin, CrossingOrigin, BranchOrigin)
+            for e in (GainCap, LeftRegion, ReachedBranch, StepFailure)
+            for m in (False, True)}
+
+
+def _json_fields(value) -> list[str]:
+    return [json.dumps(v, allow_nan=False) for v in vars(value).values()]
+
+
+# stands in for each pass's crossing lists and trajectory list in the
+# document json.dumps writes; result_to_json splices their text in its place
+_SLOT = "\0"
+_SLOT_JSON = json.dumps(_SLOT)
 
 
 def _result_doc(result: RootLocusResult, sign: float) -> dict:
     plant = result.plant
-    crossing = lambda c: {"omega": c.omega, "k": sign * c.k}
     return {
         "plant": {
             "alpha": plant.alpha,
@@ -134,20 +167,13 @@ def _result_doc(result: RootLocusResult, sign: float) -> dict:
             "poles": [[p.real, p.imag] for p in plant.poles],
         },
         "region": {"sigma0": result.region.sigma0, "kmax": result.region.kmax},
-        "crossings": {
-            "inward": [crossing(c) for c in result.crossings.inward],
-            "outward": [crossing(c) for c in result.crossings.outward],
-        },
+        "crossings": {"inward": _SLOT, "outward": _SLOT},
         "branch_points": [
             {"re": b.s.real, "im": b.s.imag, "k": sign * b.k,
              "multiplicity": b.multiplicity, "active": b.active}
             for b in result.branch_points
         ],
-        "trajectories": [
-            {"origin": _tagged(t.origin), "termination": _tagged(t.termination),
-             "mirrored": t.mirrored, "points": _POINTS}
-            for t in result.trajectories
-        ],
+        "trajectories": _SLOT,
         "warnings": list(result.warnings),
     }
 
@@ -155,66 +181,116 @@ def _result_doc(result: RootLocusResult, sign: float) -> dict:
 _CONJUGATE = np.array([1.0, -1.0, 1.0])
 
 
-def _is_image(t: Trajectory, prev: Trajectory) -> bool:
-    """Whether t's rows are prev's with omega negated, to the bit (-0.0
-    apart from 0.0), the start marker's too; a complex repr tells every
-    double apart."""
-    m, pm = t.start_marker, prev.start_marker
-    return ((m is None) == (pm is None) and (m is None or repr(m) == repr(pm.conjugate()))
-            and (t.array * _CONJUGATE).tobytes() == prev.array.tobytes())
-
-
-def _point_texts(trajectories, sign: float, row: str, sep: str):
-    """The text of each trajectory's rows (Trajectory.rows(sign)), each by
-    the % format row of (sigma, omega, k), joined by sep.  row puts a NUL
-    character before the omega field.  A mirrored trajectory that directly
-    follows its exact conjugate (_is_image) reuses that one's text with the
-    sign of each omega toggled, by two replaces of the NUL: '%.17g' % -x and
-    repr(-x) are the text of x with its sign flipped, -0.0 included."""
-    prev = None
-    for t in trajectories:
-        if t.mirrored and prev is not None and _is_image(t, prev):
-            yield text.replace("\0-", "").replace("\0", "-")
-            prev = None  # an image's text is not kept to toggle back
+def _pass_texts(trajectories, sign: float, row: str, sep: str):
+    """The text of each trajectory's rows (Trajectory.rows(sign)).  Each row
+    is the % format row of (sigma, omega, k), which puts a NUL character
+    before the omega field, and sep joins them.  One % call
+    formats the rows of the whole pass but an image's: a mirrored trajectory
+    that directly follows its exact conjugate (its rows with omega negated,
+    to the bit, -0.0 apart from 0.0, and its start marker's conjugate by
+    repr) reuses that one's text with the sign of each omega toggled, by two
+    replaces of the NUL: '%.17g' % -x and repr(-x) are the text of x with
+    its sign flipped, -0.0 included.  The other texts keep their NULs for
+    the caller to drop."""
+    if not trajectories:
+        return []
+    arrays = [t.array for t in trajectories]
+    rows = np.concatenate(arrays)
+    raw, conj = rows.tobytes(), (rows * _CONJUGATE).tobytes()
+    w = rows.strides[0]
+    images, fmts, markers = [], [], []
+    at = kept = 0  # rows before, and those formatted
+    prev = None  # the trajectory before, unless an image
+    for t, n in zip(trajectories, map(len, arrays)):
+        m = t.start_marker
+        image = (t.mirrored and prev is not None and len(prev.array) == n
+                 and (m is None) == (prev.start_marker is None)
+                 and (m is None or repr(m) == repr(prev.start_marker.conjugate()))
+                 and conj[w * at:w * (at + n)] == raw[w * (at - n):w * at])
+        images.append(image)
+        at += n
+        if image:
+            prev = None
             continue
-        values = t.array.ravel().tolist()
-        values[2::3] = [sign * math.exp(K) for K in values[2::3]]
-        if t.start_marker is not None:
-            values[:0] = (t.start_marker.real, t.start_marker.imag, 0.0)
-        text = sep.join([row] * (len(values) // 3)) % tuple(values)
-        yield text.replace("\0", "")
+        fmts.append(sep.join([row] * (n + (m is not None))))
+        if m is not None:
+            markers.append((kept, m))
+        kept += n
         prev = t
+    if kept < at:
+        rows = np.concatenate([a for a, image in zip(arrays, images) if not image])
+    values = rows.ravel().tolist()
+    ks = map(math.exp, values[2::3])
+    values[2::3] = ks if sign == 1.0 else [sign * k for k in ks]
+    for i, m in reversed(markers):
+        values[3 * i:3 * i] = m.real, m.imag, 0.0
+    texts = ("\1".join(fmts) % tuple(values)).split("\1")
+    if kept < at:
+        pieces, texts = iter(texts), []
+        for image in images:
+            texts.append(texts[-1].replace("\0-", "").replace("\0", "-") if image else next(pieces))
+    return texts
+
+
+def _crossing_list(crossings, sign: float) -> str:
+    values = [x for c in crossings for x in (c.omega, sign * c.k)]
+    text = "[%s]" % ", ".join(['{"omega": %r, "k": %r}'] * len(crossings)) % tuple(values)
+    if "n" in text:  # inf or nan: no float text holds an n, nor does the format
+        raise ValueError("Out of range float values are not JSON compliant")
+    return text
+
+
+def _trajectory_list(trajectories, sign: float) -> str:
+    texts = _pass_texts(trajectories, sign, "[%r, \0%r, %r]", ", ")
+    if any("n" in text for text in texts):  # inf or nan: no float text holds an n
+        raise ValueError("Out of range float values are not JSON compliant")
+    fmts, args = [], []
+    for t, text in zip(trajectories, texts):
+        o, e = t.origin, t.termination
+        fmt, plain = _HEADERS[type(o), type(e), t.mirrored]
+        fmts.append(fmt)
+        if plain:
+            args += vars(o).values()
+            args += vars(e).values()
+        else:
+            args += _json_fields(o)
+            args += _json_fields(e)
+        args.append(text)
+    return ("[%s]" % ", ".join(fmts) % tuple(args)).replace("\0", "")
 
 
 def result_to_json(result: RootLocusResult) -> str:
     """The result as one line of strict JSON; floats round-trip exactly.
 
-    json.dumps writes all but the trajectories' points, which are formatted
-    as it would (repr of each float, its separators) and spliced in."""
+    json.dumps writes all but each pass's crossing lists and trajectory list,
+    which are formatted as it would (repr of each float, its separators) and
+    spliced in."""
     passes = [(result, 1.0)]
     doc = _result_doc(result, 1.0)
     if result.negative is not None:
         doc["negative"] = _result_doc(result.negative, -1.0)
         passes.append((result.negative, -1.0))
-    parts = json.dumps(doc, allow_nan=False, check_circular=False).split(_POINTS_JSON)
-    points = [f"[{text}]" for res, sign in passes
-              for text in _point_texts(res.trajectories, sign, "[%r, \0%r, %r]", ", ")]
-    if any("n" in text for text in points):  # inf or nan: no float text holds an n
-        raise ValueError("Out of range float values are not JSON compliant")
-    return "".join(chain.from_iterable(zip(parts, points))) + parts[-1] + "\n"
+    parts = json.dumps(doc, allow_nan=False, check_circular=False).split(_SLOT_JSON)
+    texts = []
+    for res, sign in passes:
+        texts += (_crossing_list(res.crossings.inward, sign),
+                  _crossing_list(res.crossings.outward, sign),
+                  _trajectory_list(res.trajectories, sign))
+    return "".join(chain.from_iterable(zip(parts, texts))) + parts[-1] + "\n"
 
 
 def result_to_csv(result: RootLocusResult) -> str:
-    lines = ["traj_id,sigma,omega,k"]
+    parts = ["traj_id,sigma,omega,k"]
     tid = 0
     for res, sign in ((result, 1.0), (result.negative, -1.0)):
         if res is None:
             continue
-        for text in _point_texts(res.trajectories, sign, "%.17g,\0%.17g,%.17g", "\n"):
-            if text:
-                lines.append(f"{tid}," + text.replace("\n", f"\n{tid},"))
-            tid += 1
-    return "\n".join(lines) + "\n"
+        # each row's text starts with a \2 for its trajectory's id
+        texts = _pass_texts(res.trajectories, sign, "\2%.17g,\0%.17g,%.17g", "\n")
+        parts += [text.replace("\2", f"{i},").replace("\0", "")
+                  for i, text in enumerate(texts, tid) if text]
+        tid += len(texts)
+    return "\n".join(parts) + "\n"
 
 
 def _has_step_failure(result: RootLocusResult) -> bool:

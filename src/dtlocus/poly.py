@@ -269,6 +269,9 @@ def complex_roots(p: RealPolynomial) -> list[PolyRoot]:
     # scale by a power of two: exact division, so multiple roots stay multiple
     scale = 2.0 ** round(math.log2(max(abs(v) for v in c)))
     cs = [v / scale for v in c]
+    if not all(math.isfinite(v / cs[-1]) for v in cs):  # np.roots divides by it
+        raise InputError(f"leading coefficient {c[-1]!r} is too small beside the others: "
+                         "the monic polynomial overflows")
     raw = [_polish(cs, z) for z in map(complex, np.roots(cs[::-1]))] if len(cs) >= 2 else []
     raw.extend([0j] * nzero)
 

@@ -5,7 +5,8 @@ polylines, plant poles/zeros and branch points become markers, and the
 region boundary is a dashed vertical line. Output bytes are deterministic
 for a fixed result. The plane points of every polyline come from the sigma
 and omega columns of its trajectory's array (a mirror image's rows are its
-original's with omega negated), mapped to pixels in one array pass.
+original's with omega negated), mapped to pixels in one array pass, and one
+% call formats the polylines of both passes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from .tracer import RootLocusResult, Trajectory
+from .tracer import RootLocusResult
 
 _WIDTH = 800.0
 _HEIGHT = 600.0
@@ -68,20 +69,26 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return out
 
 
-def _plane_points(t: Trajectory) -> np.ndarray:
-    """sigma, omega of each point, one row each, led by the start marker."""
-    xy = t.array[:, :2]
-    if t.start_marker is not None:
-        xy = np.vstack(((t.start_marker.real, t.start_marker.imag), xy))
-    return xy
-
-
 def render_svg(result: RootLocusResult) -> str:
-    curves = [(t, "") for t in result.trajectories]
+    passes = [(result.trajectories, "")]
     if result.negative is not None:
-        curves += [(t, " negative") for t in result.negative.trajectories]
-    planes = [_plane_points(t) for t, _ in curves]
-    plane = np.concatenate(planes) if planes else np.empty((0, 2))
+        passes.append((result.negative.trajectories, " negative"))
+    # one polyline format per trajectory, and its start marker's row
+    arrays, fmts, markers, at = [], [], [], 0
+    for trajectories, extra in passes:
+        for t in trajectories:
+            arrays.append(t.array)
+            m = t.start_marker
+            if m is not None:
+                markers.append((at, m))
+            at += len(t.array)
+            fmts.append(f'<polyline class="trajectory{extra}" points="'
+                        + " ".join(["%.2f,%.2f"] * (len(t.array) + (m is not None)))
+                        + f'" data-mirrored="{str(t.mirrored).lower()}"/>')
+    plane = np.concatenate(arrays)[:, :2] if arrays else np.empty((0, 2))
+    if markers:
+        plane = np.insert(plane, [i for i, _ in markers], [(m.real, m.imag) for _, m in markers],
+                          axis=0)
     sigma0 = result.region.sigma0
     if len(plane):
         (xmin, ymin), (xmax, ymax) = plane.min(axis=0).tolist(), plane.max(axis=0).tolist()
@@ -156,15 +163,8 @@ def render_svg(result: RootLocusResult) -> str:
         f'<line class="boundary" x1="{bx}" y1="{_fmt(py1)}" x2="{bx}" y2="{_fmt(py0)}"/>'
     )
 
-    end = 0
-    for (t, extra_class), xy in zip(curves, planes):
-        start, end = end, end + 2 * len(xy)
-        # one format per point; a "-0.00" can only be a whole coordinate
-        d = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(pixels[start:end].tolist())
-        parts.append(
-            f'<polyline class="trajectory{extra_class}" points="{d.replace("-0.00", "0.00")}" '
-            f'data-mirrored="{str(t.mirrored).lower()}"/>'
-        )
+    if fmts:  # one format per point; a "-0.00" can only be a whole coordinate
+        parts.append(("\n".join(fmts) % tuple(pixels.tolist())).replace("-0.00", "0.00"))
 
     for p in result.plant.poles:
         x, y = X(p.real), Y(p.imag)

@@ -471,17 +471,19 @@ def _slopes(dlog: np.ndarray) -> np.ndarray:
         return np.where(dlog != 0.0, -1.0 / dlog, 0.0)
 
 
-def _batchable(seed: Seed, region: RegionSpec, top: float) -> bool:
-    """Whether _trace_batch takes the seed: off the real axis, below the cap
-    and at or above top, the highest gain of an active branch point, so that
-    trace would probe no branch point on its way."""
-    return seed.start.omega != 0.0 and top <= seed.start.Kval < region.lnkmax
+def _batchable(starts: np.ndarray, region: RegionSpec, top: float) -> np.ndarray:
+    """The indices of the seeds _trace_batch takes, of their start rows
+    (sigma, omega, K): off the real axis, below the cap and at or above top,
+    the highest gain of an active branch point, so that trace would probe no
+    branch point on their way."""
+    K = starts[:, 2]
+    return np.flatnonzero((starts[:, 1] != 0.0) & (top <= K) & (K < region.lnkmax))
 
 
-def _trace_batch(plant: Plant, region: RegionSpec, seeds, branches, outward,
-                 options: TraceOptions) -> list[Trajectory]:
-    """trace for many _batchable seeds, the bulk of their steps in lockstep
-    over numpy arrays.
+def _trace_batch(plant: Plant, region: RegionSpec, seeds, starts: np.ndarray, branches,
+                 outward, options: TraceOptions) -> list[Trajectory]:
+    """trace for many _batchable seeds, with their start rows, the bulk of
+    their steps in lockstep over numpy arrays.
 
     Each round takes one step of trace for every live trajectory: the
     gain_step raise of the gain, at most to ln kmax, the Hermite bend
@@ -504,8 +506,8 @@ def _trace_batch(plant: Plant, region: RegionSpec, seeds, branches, outward,
     """
     lnkmax, sigma0, tol = region.lnkmax, region.sigma0, options.tol_corr
     n = len(seeds)
-    s = np.array([seed.start.s for seed in seeds])
-    K = np.array([seed.start.Kval for seed in seeds])
+    s = np.ascontiguousarray(starts[:, :2]).view(complex).ravel()  # sigma + j omega, exactly
+    K = starts[:, 2]
     _, _, _, _, dlog, _, bad = correct_many(plant, s, K, math.inf, 0)
     # _first_step of every seed
     anchors = np.array(_anchors(plant, branches), dtype=complex)
@@ -584,29 +586,14 @@ def _conj_index(items, value: complex) -> int:
     return min(range(len(items)), key=lambda i: abs(items[i] - target))
 
 
-def _mirror_trajectory(traj: Trajectory, image: np.ndarray, conj) -> Trajectory:
-    """The conjugate image of traj, with image its array with omega negated;
-    conj(kind, index) is the index of the conjugate of pole (kind
-    PoleOrigin) or branch point (BranchOrigin) index."""
-    origin = traj.origin
-    if isinstance(origin, PoleOrigin):
-        origin = PoleOrigin(conj(PoleOrigin, origin.index))
-    elif isinstance(origin, BranchOrigin):
-        origin = BranchOrigin(conj(BranchOrigin, origin.index), wrap_angle(-origin.angle))
-    termination = traj.termination
-    if isinstance(termination, ReachedBranch):
-        termination = ReachedBranch(conj(BranchOrigin, termination.index))
-    marker = traj.start_marker
-    return Trajectory(origin, image, termination, True,
-                      marker.conjugate() if marker is not None else None)
-
-
 def _mirror(plant: Plant, branches, trajectories: list[Trajectory]) -> list[Trajectory]:
     """The trajectories, each that starts off the real axis (omega != 0.0,
     the rule of trace's real mode and of _batchable) followed by its
     conjugate image.  The images are views of one array, the trajectories'
-    rows stacked with omega negated; conj looks up the conjugate of each
-    pole and branch point once."""
+    rows stacked with omega negated.  An image keeps its original's origin
+    and termination, except that one naming a pole or a branch point names
+    its conjugate instead (conj looks each up once), and its start marker is
+    conjugated."""
     if not trajectories:
         return []
     arrays = [t.array for t in trajectories]
@@ -628,8 +615,18 @@ def _mirror(plant: Plant, branches, trajectories: list[Trajectory]) -> list[Traj
     out = []
     for traj, start, a, b in zip(trajectories, starts, bounds, bounds[1:]):
         out.append(traj)
-        if start != 0.0:
-            out.append(_mirror_trajectory(traj, rows[a:b], conj))
+        if start == 0.0:
+            continue
+        origin, termination, marker = traj.origin, traj.termination, traj.start_marker
+        if type(origin) is PoleOrigin:
+            origin = PoleOrigin(conj(PoleOrigin, origin.index))
+        elif type(origin) is BranchOrigin:
+            origin = BranchOrigin(conj(BranchOrigin, origin.index), wrap_angle(-origin.angle))
+        if type(termination) is ReachedBranch:
+            termination = ReachedBranch(conj(BranchOrigin, termination.index))
+        if marker is not None:
+            marker = marker.conjugate()
+        out.append(Trajectory(origin, rows[a:b], termination, True, marker))
     return out
 
 
@@ -640,7 +637,8 @@ def _dedup(trajectories: list[Trajectory]) -> list[Trajectory]:
     not a duplication).
 
     The endpoints are sorted by omega, so each one's candidates follow it
-    up to the first more than _DEDUP_TOL above it.  The choice of survivors
+    up to the first more than _DEDUP_TOL above it, so only an endpoint whose
+    successor lies within it has any.  The choice of survivors
     is greedy, in index order: for each i still kept, every later j still
     kept and within tolerance drops the shorter of the pair, j on a tie.
     Which j are dropped for one i does not depend on the order its
@@ -649,10 +647,13 @@ def _dedup(trajectories: list[Trajectory]) -> list[Trajectory]:
     if len(trajectories) < 2:
         return list(trajectories)
     ends = [t.array[-1].tolist() for t in trajectories]
+    omega = [end[1] for end in ends]
     order = sorted((j for j, t in enumerate(trajectories)
-                    if not isinstance(t.termination, ReachedBranch)), key=lambda j: ends[j][1])
+                    if type(t.termination) is not ReachedBranch), key=omega.__getitem__)
+    w = [omega[j] for j in order]
     near: dict[int, list[int]] = {}  # i: the later j within tolerance
-    for p, i in enumerate(order):
+    for p in [p for p, (x, y) in enumerate(zip(w, w[1:])) if not y - x > _DEDUP_TOL]:
+        i = order[p]
         a, kind = ends[i], type(trajectories[i].termination)
         for q in range(p + 1, len(order)):
             j = order[q]
@@ -706,12 +707,16 @@ def _run_signed(bf: BoundaryFunctions, region: RegionSpec, options: TraceOptions
     crossings = boundary_crossings(bf, region)
 
     seeds = seed_points(plant, region, bf, crossings, options, branches)
-    top = max((bp.Kval for bp in branches if bp.active), default=-math.inf)
-    batchable = [i for i, seed in enumerate(seeds) if _batchable(seed, region, top)]
     batched = {}
-    if len(batchable) >= _BATCH_MIN:
-        batched = dict(zip(batchable, _trace_batch(plant, region, [seeds[i] for i in batchable],
-                                                   branches, crossings.outward, options)))
+    if len(seeds) >= _BATCH_MIN:  # else too few to be batchable
+        starts = np.fromiter(chain.from_iterable(seed.start for seed in seeds), float,
+                             3 * len(seeds)).reshape(-1, 3)  # (sigma, omega, K) of each
+        top = max((bp.Kval for bp in branches if bp.active), default=-math.inf)
+        batchable = _batchable(starts, region, top).tolist()
+        if len(batchable) >= _BATCH_MIN:
+            batched = dict(zip(batchable, _trace_batch(
+                plant, region, [seeds[i] for i in batchable], starts[batchable], branches,
+                crossings.outward, options)))
     trajectories = [batched[i] if i in batched else
                     trace(plant, region, seed, branches, crossings.outward, options)
                     for i, seed in enumerate(seeds)]

@@ -699,9 +699,17 @@ def reference_csv(result):
 
 def reference_json(result):
     """result_to_json by the former whole-document json.dumps, the points of
-    each trajectory as its rows(sign); cli._tagged names origins and
-    terminations, as result_to_json does."""
-    from dtlocus.cli import _tagged
+    each trajectory as its rows(sign), each origin and termination as
+    {"type": its type's name, **vars(value)}."""
+    from dtlocus import tracer
+
+    names = {tracer.PoleOrigin: "pole", tracer.CrossingOrigin: "crossing",
+             tracer.BranchOrigin: "branch", tracer.GainCap: "gain_cap",
+             tracer.LeftRegion: "left_region", tracer.ReachedBranch: "reached_branch",
+             tracer.StepFailure: "step_failure"}
+
+    def tagged(value):
+        return {"type": names[type(value)], **vars(value)}
 
     def doc(result, sign):
         plant = result.plant
@@ -724,7 +732,7 @@ def reference_json(result):
                 for b in result.branch_points
             ],
             "trajectories": [
-                {"origin": _tagged(t.origin), "termination": _tagged(t.termination),
+                {"origin": tagged(t.origin), "termination": tagged(t.termination),
                  "mirrored": t.mirrored, "points": t.rows(sign)}
                 for t in result.trajectories
             ],

@@ -65,6 +65,8 @@ class TestParseInput:
             json.dumps({"alpha": 1, "delay": 1, "zeros": [], "poles": [["x", 0]]}).encode(),
             json.dumps({"alpha": 1, "delay": 1, "zeros": [[1, 2]], "poles": [[0, 0]]}).encode(),
             json.dumps({"num": [1, 1], "den": [1], "delay": 1}).encode(),
+            b'{"num": [1], "den": [1, 1e400], "delay": 1}',
+            b'{"num": [1], "den": [NaN, 1], "delay": 1}',
         ):
             with pytest.raises(InputError):
                 parse_input(doc)
@@ -259,6 +261,40 @@ class TestMain:
             rc = main([str(bad), "--sigma0", "-2", "--kmax", "1"])
         assert rc == 2
         assert "delay" in err.getvalue()
+
+    @pytest.mark.parametrize("doc", [
+        # an integer literal too large for a double, in each field it may take
+        '{"num": [1%s], "den": [1, 1], "delay": 1}',
+        '{"num": [1], "den": [1, 1%s], "delay": 1}',
+        '{"num": [1], "den": [1, 1], "delay": 1%s}',
+        '{"alpha": 1%s, "delay": 1, "zeros": [], "poles": [[-1, 0]]}',
+        '{"alpha": 1, "delay": 1%s, "zeros": [], "poles": [[-1, 0]]}',
+        '{"alpha": 1, "delay": 1, "zeros": [[-1%s, 0]], "poles": [[-1, 0]]}',
+        '{"alpha": 1, "delay": 1, "zeros": [], "poles": [[-1, 1%s]]}',
+    ])
+    def test_exit_2_on_integer_beyond_double_range(self, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc % ("0" * 400))
+        with pytest.raises(InputError, match="too large"):
+            parse_input(bad.read_bytes())
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main([str(bad), "--sigma0", "-2", "--kmax", "1"])
+        assert rc == 2
+        assert "too large for a double" in err.getvalue()
+
+    @pytest.mark.parametrize("doc", [
+        {"num": [1], "den": [1, 1e-320], "delay": 1},
+        {"num": [1, 1e-320], "den": [1, 1], "delay": 1},
+    ])
+    def test_exit_2_on_subnormal_leading_coefficient(self, tmp_path, doc):
+        # the monic polynomial's coefficients overflow: its roots lie beyond
+        # double range
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main([str(bad), "--sigma0", "-2", "--kmax", "1"])
+        assert rc == 2
+        assert "leading coefficient" in err.getvalue()
 
     def test_exit_2_on_missing_file(self, tmp_path):
         with contextlib.redirect_stderr(io.StringIO()):

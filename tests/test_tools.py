@@ -8,7 +8,7 @@ line per job with a finding and a totals line, checked with a stub check,
 a stub _dedup and stub results for the close cap ends; --census --baseline,
 the jobs that differ from a baseline file, checked on stub records.
 tools/bench_pairs.py: current bytecode in a checkout before each of its
-runs."""
+runs, and with --trace, traced runs and each per-layer metric's medians."""
 
 import dataclasses
 import importlib.util
@@ -391,3 +391,32 @@ def test_bench_pairs_compiles_both_checkouts_first(tmp_path, monkeypatch, capsys
     order = [parent, ROOT, ROOT, parent]
     assert events == [(kind, side) for side in order for kind in ("compile", "run")]
     assert "corpus, seeds 1-2, 2 pairs" in capsys.readouterr().out
+
+
+def test_bench_pairs_trace_prints_per_layer_medians(tmp_path, monkeypatch, capsys):
+    bench = _tool("bench_pairs")
+    parent = tmp_path / "parent"
+    (parent / "locusbench").mkdir(parents=True)
+    (parent / "locusbench" / "run.py").write_text("")
+    layers = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    values = {parent: [2.0, 4.0, 3.0], ROOT: [1.0, 2.0, 6.0]}  # medians 3 and 2
+    calls = []
+
+    def run_once(checkout, command, workload, seed, seconds, trace):
+        calls.append((checkout, seed, trace))
+        value = values[checkout][seed - 1]
+        return {"failed": 0, "attempted": 1, "correct": True,
+                "metrics": {m["name"]: {"value": value} for m in layers}}, set()
+
+    monkeypatch.setattr(bench, "compile_sources", lambda checkout, python: None)
+    monkeypatch.setattr(bench, "run_once", run_once)
+    assert bench.main(["--parent", str(parent), "--workload", "dense", "--seeds", "1-3",
+                       "--trace"]) == 0
+    # every run traced, the sides alternating as in untraced pairs
+    assert calls == [(parent, 1, 1), (ROOT, 1, 1), (ROOT, 2, 1), (parent, 2, 1),
+                     (parent, 3, 1), (ROOT, 3, 1)]
+    out = capsys.readouterr().out
+    assert "dense, seeds 1-3, 3 pairs, --seconds 30, traced" in out
+    for m in layers:
+        (row,) = [line for line in out.splitlines() if line.split()[:1] == [m["name"]]]
+        assert row.split()[1:] == [m["unit"], "3", "2", "-33.3%"]

@@ -1303,8 +1303,8 @@ def _traced_in_lockstep(plant, region, options, monkeypatch):
     batches, traced = [], []
     batch, trace = tracer._trace_batch, tracer.trace
 
-    def recorded_batch(plant, region, seeds, branches, outward, options):
-        out = batch(plant, region, seeds, branches, outward, options)
+    def recorded_batch(plant, region, seeds, starts, branches, outward, options):
+        out = batch(plant, region, seeds, starts, branches, outward, options)
         batches.append((plant, seeds, branches, outward, out))
         return out
 
@@ -1434,7 +1434,8 @@ class TestBatch:
             return out._replace(bad=out.bad | (Kval > 2.0))
 
         monkeypatch.setattr(tracer, "correct_many", flagging)
-        out = tracer._trace_batch(plant, region, seeds, branches, outward, options)
+        starts = np.array([seed.start for seed in seeds])
+        out = tracer._trace_batch(plant, region, seeds, starts, branches, outward, options)
         ends = _assert_as_traced(region, options, [(plant, seeds, branches, outward, out)])
         assert out[3].termination == StepFailure("the gain no longer rises at step 1")
         assert ends["GainCap"] > 0.9 * len(seeds)

@@ -5,7 +5,10 @@ coordinates either side of 0.00 (where the former formatting turned "-0.00"
 into "0.00"), points on the edges of the plot box, a box of zero width and
 height, and mirrored trajectories with and without their exact conjugate
 right before them (omega 0.0 against -0.0, a start marker on the real axis),
-whose text the writers reuse only in the first case."""
+whose text the writers reuse only in the first case.  The writers format a
+whole pass at once, so empty passes, passes of mirrored trajectories alone,
+every origin and termination type (a reason that JSON must escape, a branch
+departure angle), a gain of -0.0 and non-finite gains are crafted too."""
 
 import dataclasses
 import json
@@ -15,10 +18,22 @@ import re
 import pytest
 
 from dtlocus import svgplot
-from dtlocus.boundary import RegionSpec
+from dtlocus.boundary import BoundaryCrossing, CrossingSet, Direction, RegionSpec
+from dtlocus.branch import BranchPoint
 from dtlocus.cli import parse_input, result_to_csv, result_to_json
 from dtlocus.continuation import LocusPoint
-from dtlocus.tracer import CrossingOrigin, GainCap, PoleOrigin, TraceOptions, Trajectory, run
+from dtlocus.tracer import (
+    BranchOrigin,
+    CrossingOrigin,
+    GainCap,
+    LeftRegion,
+    PoleOrigin,
+    ReachedBranch,
+    StepFailure,
+    TraceOptions,
+    Trajectory,
+    run,
+)
 
 from oracles import reference_csv, reference_json, reference_polyline_points
 
@@ -125,3 +140,58 @@ def test_json_refuses_a_non_finite_point(demo):
         reference_json(crafted)
     with pytest.raises(ValueError):
         result_to_json(crafted)
+
+
+def test_empty_passes_and_passes_of_mirrored_trajectories(demo):
+    pts = [(-1.0, 0.5, -2.0), (-0.75, 0.25, -1.0)]
+    conj = [(sigma, -omega, K) for sigma, omega, K in pts]
+    # every trajectory mirrored: each second one is its predecessor's image,
+    # and a lone mirrored trajectory has none before it
+    mirrored = (traj(pts, mirrored=True), traj(conj, mirrored=True),
+                traj(pts, mirrored=True), traj(conj, mirrored=True))
+    for positive, negative in (((), ()), (mirrored, (traj(conj, mirrored=True),)),
+                               ((), mirrored)):
+        crafted = dataclasses.replace(
+            demo, trajectories=positive,
+            negative=dataclasses.replace(demo.negative, trajectories=negative))
+        assert result_to_csv(crafted) == reference_csv(crafted)
+        assert result_to_json(crafted) == reference_json(crafted)
+        assert polylines(svgplot.render_svg(crafted)) == reference_polyline_points(crafted, svgplot)
+
+
+def test_headers_crossings_and_branch_points_as_json_dumps_writes_them(demo):
+    pts = [(-1.0, 0.5, -2.0), (-0.75, 0.25, -1.0)]
+    conj = [(sigma, -omega, K) for sigma, omega, K in pts]
+    failed = StepFailure('a "quoted" \\ reason, ω ≠ 0')
+    trajectories = (
+        Trajectory(BranchOrigin(0, 2.0943951023931953), pts, failed),
+        Trajectory(BranchOrigin(1, -2.0943951023931953), conj, ReachedBranch(0), mirrored=True),
+        Trajectory(CrossingOrigin(3), pts, LeftRegion(2)),
+        Trajectory(PoleOrigin(1), pts, failed, start_marker=-0.5 + 0.5j),
+    )
+    # a crossing gain that underflows is -0.0 in the negative pass
+    crossings = CrossingSet(inward=(BoundaryCrossing(1.5, -800.0, 0.0, Direction.INWARD),),
+                            outward=(BoundaryCrossing(-0.0, 0.5, 1.25, Direction.OUTWARD),))
+    branch = BranchPoint(-1.0 + 0.5j, 0.0, -800.0, 2, True)
+    crafted = dataclasses.replace(
+        demo, trajectories=trajectories, crossings=crossings, branch_points=(branch,),
+        negative=dataclasses.replace(demo.negative, trajectories=trajectories[::-1],
+                                     crossings=crossings, branch_points=(branch,)))
+    text = result_to_json(crafted)
+    assert text == reference_json(crafted)
+    assert result_to_csv(crafted) == reference_csv(crafted)
+    assert '"k": -0.0' in text and '\\u03c9' in text
+
+    # json.dumps(allow_nan=False) refuses a non-finite gain anywhere
+    for bad in (math.inf, math.nan):
+        for res in (
+            dataclasses.replace(crafted, crossings=CrossingSet(
+                inward=(BoundaryCrossing(1.5, 0.0, bad, Direction.INWARD),), outward=())),
+            dataclasses.replace(crafted, branch_points=(dataclasses.replace(branch, k=bad),)),
+            dataclasses.replace(crafted, trajectories=(
+                Trajectory(BranchOrigin(0, bad), pts, GainCap()),)),
+        ):
+            with pytest.raises(ValueError):
+                reference_json(res)
+            with pytest.raises(ValueError):
+                result_to_json(res)

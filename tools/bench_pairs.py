@@ -1,7 +1,7 @@
 """Alternating benchmark pairs of a parent checkout against this one.
 
     python3 tools/bench_pairs.py --parent DIR --workload corpus|highorder|dense \
-        --seeds A-B [--seconds 30]
+        --seeds A-B [--seconds 30] [--trace]
 
 For each seed in A..B (inclusive) the benchmark command of BENCHMARK.json
 (``locusbench/run.py --trace 0``) runs once in the parent checkout DIR and
@@ -20,8 +20,11 @@ benchmark writes to ``.locusbench-out/`` of each checkout).  At the end it
 prints, per end-to-end metric of BENCHMARK.json: the parent's median and
 interquartile range, this checkout's median, the relative change of the
 medians, the gap between them over the parent's IQR, and the pairs this
-checkout wins in the metric's direction.  Nothing under ``locusbench/`` is
-changed.
+checkout wins in the metric's direction.  With ``--trace`` the pairs run
+``--trace 1`` instead, and the end prints each per-layer metric of
+BENCHMARK.json: the parent's median, this checkout's, and their relative
+change, which shows in which layer a change's saving sits.  Nothing under
+``locusbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -54,16 +57,16 @@ def compile_sources(checkout: Path, python: str) -> None:
 
 
 def run_once(checkout: Path, command: list[str], workload: str, seed: int,
-             seconds: float) -> tuple[dict, set[str]]:
-    """The summary object (last stdout line) of one benchmark run and the
-    labels of its failed jobs."""
+             seconds: float, trace: int = 0) -> tuple[dict, set[str]]:
+    """The summary object (last stdout line) of one benchmark run, traced
+    with trace 1, and the labels of its failed jobs."""
     cmd = command + ["--workload", workload, "--seed", str(seed),
-                     "--seconds", str(seconds), "--trace", "0"]
+                     "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"bench_pairs.py: {' '.join(cmd)} in {checkout} exited "
                          f"{proc.returncode}:\n{proc.stderr}")
-    record = checkout / ".locusbench-out" / f"{workload}-seed{seed}-trace0.json"
+    record = checkout / ".locusbench-out" / f"{workload}-seed{seed}-trace{trace}.json"
     failures = json.loads(record.read_text())["failures"]
     return json.loads(proc.stdout.strip().splitlines()[-1]), {f["job"] for f in failures}
 
@@ -81,13 +84,15 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=("corpus", "highorder", "dense"))
     ap.add_argument("--seeds", type=_seeds, required=True, help="seed range A-B, inclusive")
     ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--trace", action="store_true",
+                    help="run traced pairs and print the per-layer metrics' medians")
     args = ap.parse_args(argv)
 
     parent = args.parent.resolve()
     if parent == ROOT or not (parent / "locusbench" / "run.py").is_file():
         raise SystemExit(f"bench_pairs.py: {parent} is not another checkout with locusbench/run.py")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = spec["end_to_end"]
+    metrics = spec["per_layer" if args.trace else "end_to_end"]
 
     sides = {"parent": parent, "change": ROOT}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -97,7 +102,7 @@ def main(argv=None) -> int:
         for side in order:
             compile_sources(sides[side], spec["command"][0])
             summary, failed[side] = run_once(sides[side], spec["command"], args.workload, seed,
-                                             args.seconds)
+                                             args.seconds, int(args.trace))
             runs[side].append(summary)
         p, c = runs["parent"][-1], runs["change"][-1]
         same = "the same jobs" if failed["parent"] == failed["change"] else (
@@ -111,7 +116,16 @@ def main(argv=None) -> int:
 
     n = len(args.seeds)
     print(f"{args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}, {n} pairs, "
-          f"--seconds {args.seconds:g}")
+          f"--seconds {args.seconds:g}" + (", traced" if args.trace else ""))
+    if args.trace:
+        print(f"{'metric':<38} {'unit':<10} {'parent p50':>11} {'change p50':>11} {'rel':>8}")
+        for m in metrics:
+            name = m["name"]
+            pm, cm = (statistics.median(r["metrics"][name]["value"] for r in runs[side])
+                      for side in ("parent", "change"))
+            rel = (cm - pm) / pm if pm else float("nan")
+            print(f"{name:<38} {m['unit']:<10} {pm:>11.5g} {cm:>11.5g} {rel:>+8.1%}")
+        return 0
     print(f"{'metric':<14} {'parent p50':>11} {'parent IQR':>23} {'change p50':>11} "
           f"{'rel':>8} {'gap/IQR':>8} {'wins':>6}")
     for m in metrics:
