@@ -3,8 +3,10 @@
 Points live in (sigma, omega, K) with K = ln k.  Between branch points each
 closed-loop root is an analytic function s(K), ds/dK = -1/dlog with
 dlog = G'/G - h, so trajectories step in K and every solve on the locus
-holds K fixed: correct is scalar complex Newton, one kernel pass per
-iteration.  The tracer predicts each step along the cubic Hermite through
+holds K fixed: correct is scalar complex Newton on the kernel's dlog, one
+kernel pass per iteration, and returns a failed outcome, never an error,
+where the kernel meets a plant root, the slope vanishes or a value is not
+finite.  The tracer predicts each step along the cubic Hermite through
 the last two accepted points and their tangents, and along the tangent
 alone on a trajectory's first step, on the cap step, on a step more than
 twice as long as the last accepted one, and where the cubic bends by more
@@ -17,13 +19,13 @@ correct and step_update for the tracer's lockstep rounds.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import SingularPointError
 from .plant import Plant, _log_kernel, _log_kernel_many, _wrap_angles, wrap_angle
 
 TOL_CORR = 1e-6
@@ -41,8 +43,8 @@ class LocusPoint(NamedTuple):
     """One point of a trajectory: position sigma + j*omega at gain e^Kval.
 
     Built unchecked: finiteness is checked where values enter the program
-    (Plant, RegionSpec, TraceOptions, and every Newton iterate in
-    _locus_eval and _log_kernel_many).
+    (Plant, RegionSpec, TraceOptions, and every Newton iterate in correct
+    and _log_kernel_many).
     """
 
     sigma: float
@@ -58,8 +60,7 @@ class LocusPoint(NamedTuple):
         return math.exp(self.Kval)
 
 
-@dataclass(frozen=True)
-class CorrectorOutcome:
+class CorrectorOutcome(NamedTuple):
     """A corrected point and its Newton record: kappa is the ratio of the
     first two Newton step lengths (0 when fewer than two ran), first the
     length of the first, and dlog the log-derivative at the point."""
@@ -72,25 +73,14 @@ class CorrectorOutcome:
     first: float = 0.0
 
 
-def _locus_eval(plant: Plant, sigma: float, omega: float, Kval: float):
-    """(M, P, dM/dsigma, dM/domega) at one iterate, from one plant pass.
-
-    A non-finite iterate raises InputError.
-    """
-    if not (math.isfinite(sigma) and math.isfinite(omega) and math.isfinite(Kval)):
-        raise InputError(f"non-finite locus point ({sigma}, {omega}, {Kval})")
-    lnmag, phase, msig, mom = _log_kernel(plant, sigma, omega)
-    return lnmag + Kval, wrap_angle(phase - math.pi), msig, mom
-
-
 def residuals(plant: Plant, p: LocusPoint) -> tuple[float, float]:
     """Log-magnitude and phase residuals of 1 + e^K G(s)e^(-hs) = 0.
 
     Both vanish exactly on the locus; P is the principal distance of the
     phase from pi, so it lives in (-pi, pi].
     """
-    M, P, _, _ = _locus_eval(plant, p.sigma, p.omega, p.Kval)
-    return M, P
+    lnmag, phase, _ = _log_kernel(plant, p.s)
+    return lnmag + p.Kval, wrap_angle(phase - math.pi)
 
 
 def gain_step(h: float, dlog: complex, sqrt=math.sqrt) -> float:
@@ -124,35 +114,39 @@ def correct(plant: Plant, s: complex, Kval: float, tol: float = TOL_CORR,
     Converged when |M| and |P| are within tol, or within |dlog| times the
     spacing of the doubles around s where that is coarser (next to a plant
     root no s does better).  With real set each step keeps only its real
-    part, -M/(dM/dsigma), so omega stays exactly as given.
+    part, -M/(dM/dsigma), so omega stays as given.  An iterate on a plant
+    root, a zero slope, or a start, gain or iterate that is not finite fails
+    the solve: the outcome is the start point, not converged, with kappa inf,
+    dlog 0j and the steps taken.
     """
-    sig, w = s.real, s.imag
+    z = s
     steps = 0
     norm0 = norm1 = 0.0
-    converged = False
-    while True:
-        M, P, msig, mom = _locus_eval(plant, sig, w, Kval)
-        lim = max(tol, _RESOLUTION * (abs(sig) + abs(w)) * (abs(msig) + abs(mom)))
-        if abs(M) <= lim and abs(P) <= lim:
-            converged = True
+    while math.isfinite(Kval) and cmath.isfinite(z):
+        try:
+            lnmag, phase, dlog = _log_kernel(plant, z)
+        except SingularPointError:
             break
-        if steps >= max_iter:
+        M, P = lnmag + Kval, wrap_angle(phase - math.pi)
+        lim = max(tol, _RESOLUTION * (abs(z.real) + abs(z.imag))
+                  * (abs(dlog.real) + abs(dlog.imag)))
+        converged = abs(M) <= lim and abs(P) <= lim
+        if converged or steps >= max_iter:
+            kappa = norm1 / norm0 if steps >= 2 and norm0 > 0.0 else 0.0
+            return CorrectorOutcome(LocusPoint(z.real, z.imag, Kval), steps, kappa, converged,
+                                    dlog, norm0)
+        slope = dlog.real if real else dlog
+        if not slope:
             break
-        if real:
-            dx, dy = -M / msig, 0.0
-        else:
-            d = complex(M, P) / complex(msig, -mom)
-            dx, dy = -d.real, -d.imag
-        sig += dx
-        w += dy
+        # on the axis omega - (-0.0) is omega + 0.0: omega stays, a -0.0 turns 0.0
+        d = complex(M / slope, -0.0) if real else complex(M, P) / slope
+        z -= d
         steps += 1
         if steps == 1:
-            norm0 = math.hypot(dx, dy)
+            norm0 = math.hypot(d.real, d.imag)
         elif steps == 2:
-            norm1 = math.hypot(dx, dy)
-    kappa = norm1 / norm0 if steps >= 2 and norm0 > 0.0 else 0.0
-    return CorrectorOutcome(LocusPoint(sig, w, Kval), steps, kappa, converged,
-                            complex(msig, -mom), norm0)
+            norm1 = math.hypot(d.real, d.imag)
+    return CorrectorOutcome(LocusPoint(s.real, s.imag, Kval), steps, math.inf, False)
 
 
 def step_update(h: float, out: CorrectorOutcome, ds: float = math.inf,

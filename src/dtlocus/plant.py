@@ -181,23 +181,22 @@ def secular_eigvals(d: np.ndarray, a: np.ndarray) -> list[complex]:
     return list(map(complex, np.linalg.eigvals(np.diag(d) + np.outer(a, np.ones(len(d))))))
 
 
-def _log_kernel(plant: Plant, sigma: float, omega: float) -> tuple[float, float, float, float]:
-    """ln|G(s)e^(-hs)|, its principal phase, dM/dsigma and dM/domega at s.
+def _log_kernel(plant: Plant, s: complex) -> tuple[float, float, complex]:
+    """ln|G(s)e^(-hs)|, its principal phase and dlog = G'/G - h at s.
 
     One pass over each root set multiplies the factors s - r into a running
-    complex product and sums their reciprocals, which give dlog = G'/G - h =
+    complex product and sums their reciprocals, which give dlog =
     dM/dsigma - j dM/domega; by Cauchy-Riemann the phase gradient is
     (-dM/domega, dM/dsigma).  The magnitude and phase then come from one
     complex log per product.  A product that leaves the normal double range
     is taken again by _folded_log.  A point within TOL_SING*(1+|s|) of a root
     raises SingularPointError.
     """
-    s = complex(sigma, omega)
     tol = TOL_SING * (1.0 + abs(s))
     zeros, poles, lnalpha, argalpha = plant._table
     delay = plant.delay
     num = den = 1.0
-    dlog = -delay
+    dlog = complex(-delay)
     for r in zeros:
         d = s - r
         if abs(d) <= tol:
@@ -217,16 +216,16 @@ def _log_kernel(plant: Plant, sigma: float, omega: float) -> tuple[float, float,
         normal = False
     if not normal:
         lz, lp = _folded_log(s, zeros), _folded_log(s, poles)
-    lnmag = lnalpha + lz.real - lp.real - delay * sigma
-    phase = argalpha + lz.imag - lp.imag - delay * omega
-    return lnmag, wrap_angle(phase), dlog.real, 0.0 - dlog.imag  # 0.0 - keeps a zero positive
+    lnmag = lnalpha + lz.real - lp.real - delay * s.real
+    phase = argalpha + lz.imag - lp.imag - delay * s.imag
+    return lnmag, wrap_angle(phase), dlog
 
 
 def _log_kernel_many(plant: Plant, s: np.ndarray):
     """_log_kernel at every point of the complex array s, as arrays
-    (lnmag, phase, dlog = dM/dsigma - j dM/domega), with a mask of the points
-    where _log_kernel would raise SingularPointError or fold a product by
-    _folded_log, or s is not finite; the values there are not to be used.
+    (lnmag, phase, dlog), with a mask of the points where _log_kernel would
+    raise SingularPointError or fold a product by _folded_log, or s is not
+    finite; the values there are not to be used.
 
     Each point's products and sums run over the roots in _log_kernel's order.
     """
@@ -260,16 +259,12 @@ def _folded_log(s: complex, roots) -> complex:
 
 def log_eval(plant: Plant, s: complex) -> LogValue:
     """Log-domain value of G(s)e^(-h*s): never forms the exponential."""
-    s = complex(s)
-    lnmag, phase, _, _ = _log_kernel(plant, s.real, s.imag)
-    return LogValue(lnmag, phase)
+    return LogValue(*_log_kernel(plant, complex(s))[:2])
 
 
 def dlog_ratio(plant: Plant, s: complex) -> complex:
     """Logarithmic derivative of the delayed plant: G'(s)/G(s) - h."""
-    s = complex(s)
-    _, _, msig, mom = _log_kernel(plant, s.real, s.imag)
-    return complex(msig, -mom)
+    return _log_kernel(plant, complex(s))[2]
 
 
 def gain_at(plant: Plant, s: complex) -> float:

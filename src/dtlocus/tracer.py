@@ -48,7 +48,6 @@ from .continuation import (
     H_MIN,
     MAX_ITER,
     TOL_CORR,
-    CorrectorOutcome,
     LocusPoint,
     correct,
     correct_many,
@@ -59,7 +58,7 @@ from .continuation import (
     step_update,
     step_update_many,
 )
-from .errors import BranchOnBoundary, InputError, SingularPointError
+from .errors import BranchOnBoundary, InputError
 from .plant import Plant, log_eval, wrap_angle
 
 _AXIS_TOL = 1e-9
@@ -193,15 +192,6 @@ class RootLocusResult:
     negative: "RootLocusResult | None" = None
 
 
-def _correct(plant: Plant, s: complex, Kval: float, tol: float, max_iter: int,
-             real: bool) -> CorrectorOutcome:
-    """correct, failing at s on a plant root, zero slope or non-finite iterate."""
-    try:
-        return correct(plant, s, Kval, tol, max_iter, real)
-    except (SingularPointError, InputError, ZeroDivisionError):
-        return CorrectorOutcome(LocusPoint(s.real, s.imag, Kval), max_iter, math.inf, False)
-
-
 def _seed_from_ray(plant, origin, anchor: complex, theta: float, sigma0: float,
                    tol_corr: float, neighbours, start_marker=None) -> Seed:
     """Seed one trajectory a small step along a ray from anchor.
@@ -222,8 +212,8 @@ def _seed_from_ray(plant, origin, anchor: complex, theta: float, sigma0: float,
         delta = min(delta, 0.5 * (anchor.real - sigma0) / -dx)
     for _ in range(_SEED_HALVINGS + 1):
         s1 = anchor + delta * complex(dx, dy)
-        out = _correct(plant, s1, -log_eval(plant, s1).lnmag, 0.01 * tol_corr, 11,
-                       s1.imag == 0.0)
+        out = correct(plant, s1, -log_eval(plant, s1).lnmag, 0.01 * tol_corr, 11,
+                      s1.imag == 0.0)
         if out.converged:
             break
         delta *= 0.5
@@ -380,7 +370,7 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
         return Trajectory(seed.origin, (seed.start,), GainCap(), start_marker=seed.start_marker)
     s, K = seed.start.s, seed.start.Kval
     # 0j where the kernel raises
-    dlog = _correct(plant, s, K, math.inf, 0, s.imag == 0.0).dlog
+    dlog = correct(plant, s, K, math.inf, 0, s.imag == 0.0).dlog
     points, termination = _advance(plant, region, seed, branches, outward, options, 1, s, K,
                                    dlog, s, None, 0.0, _first_step(plant, branches, s), MAX_STEPS)
     rows = [*seed.start, *points]
@@ -429,7 +419,7 @@ def _advance(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
             bend = hermite_bend(s, v, s0, v0, H, t, real)
             if abs(bend) <= 0.5 * abs(ds):
                 ds += bend
-        out = _correct(plant, s + ds, K1, tol, MAX_ITER, real)
+        out = correct(plant, s + ds, K1, tol, MAX_ITER, real)
         h_used = h
         h, repeat = step_update(h_used, out, abs(ds), tol * abs(v))
         c = out.point

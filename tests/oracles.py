@@ -377,25 +377,37 @@ def reference_partials(plant, sigma, omega):
 
 def reference_frozen_newton(plant, s, Kval, kernel, tol=1e-6, max_iter=20, real=False):
     """Plain Newton on ln(k G(s)e^(-hs)) = j pi at the frozen gain e^Kval: a
-    validated LocusPoint, a kernel pass and one complex step per iteration,
-    every step length kept.  kernel(plant, sigma, omega) returns (lnmag,
-    phase, dM/dsigma, dM/domega), so the library's kernel pins the corrector
-    logic to the bit whatever the kernel's own rounding."""
+    kernel pass and one complex step per iteration, every step length kept.
+    kernel(plant, s) returns (lnmag, phase, dlog), so the library's kernel
+    pins the corrector logic to the bit whatever the kernel's own rounding.
+    A kernel raise, a zero slope, or a gain or iterate that is not finite
+    fails the solve: the start point, not converged, kappa inf, dlog 0j and
+    the steps taken."""
     from dtlocus.continuation import CorrectorOutcome, LocusPoint
+    from dtlocus.errors import SingularPointError
     from dtlocus.plant import wrap_angle
 
     z = complex(s)
     norms = []
+
+    def failed():
+        return CorrectorOutcome(LocusPoint(s.real, s.imag, Kval), len(norms), math.inf, False)
+
     while True:
-        pt = LocusPoint(z.real, z.imag, Kval)
-        lnmag, phase, msig, mom = kernel(plant, pt.sigma, pt.omega)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag) and math.isfinite(Kval)):
+            return failed()
+        try:
+            lnmag, phase, dlog = kernel(plant, z)
+        except SingularPointError:
+            return failed()
         r = complex(lnmag + Kval, wrap_angle(phase - math.pi))
-        dlog = complex(msig, -mom)
         if abs(r.real) <= tol and abs(r.imag) <= tol:
             break
         if len(norms) >= max_iter:
             break
-        step = complex(-r.real / msig, 0.0) if real else -(r / dlog)
+        if (dlog.real if real else dlog) == 0.0:
+            return failed()
+        step = complex(-r.real / dlog.real, 0.0) if real else -(r / dlog)
         z = complex(z.real + step.real, z.imag + step.imag)
         norms.append(math.hypot(step.real, step.imag))
     converged = abs(r.real) <= tol and abs(r.imag) <= tol

@@ -31,7 +31,7 @@ from dtlocus.continuation import (
     KAPPA_NOM,
     CorrectorOutcome,
     LocusPoint,
-    _locus_eval,
+    correct,
     step_update,
 )
 from dtlocus.errors import (
@@ -357,7 +357,8 @@ def test_06_derivative_accuracy(demo_plant):
             s = complex(sig, w)
             if min(abs(s - r) for r in roots) < 1e-2:
                 continue
-            _, _, msig, mom = _locus_eval(plant, sig, w, 0.0)
+            dlog = dlog_ratio(plant, s)
+            msig, mom = dlog.real, -dlog.imag  # dM/dsigma, dM/domega
 
             def lnmag(q):
                 return math.log(abs(geval_delayed(plant, q)))
@@ -376,9 +377,9 @@ def test_06_derivative_accuracy(demo_plant):
             assert abs(fd_ps - (-mom)) <= 1e-5 * (1.0 + abs(mom))
             assert abs(fd_pw - msig) <= 1e-5 * (1.0 + abs(msig))
 
-            # the Cauchy-Riemann pairing is structural: the M and P gradients
-            # are the parts of one complex log-derivative
-            assert dlog_ratio(plant, s) == complex(msig, -mom)
+            # the Cauchy-Riemann pairing is structural: the corrector divides
+            # by the one complex log-derivative whose parts are checked above
+            assert correct(plant, s, 0.0, math.inf, 0).dlog == dlog
             checked += 1
 
 

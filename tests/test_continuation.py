@@ -15,14 +15,12 @@ from dtlocus.continuation import (
     KAPPA_NOM,
     CorrectorOutcome,
     LocusPoint,
-    _locus_eval,
     correct,
     departure_angles,
     gain_step,
     residuals,
     step_update,
 )
-from dtlocus.errors import InputError, SingularPointError
 from dtlocus.plant import Plant, dlog_ratio
 from dtlocus.tracer import CrossingOrigin, seed_points
 
@@ -55,16 +53,17 @@ class TestResiduals:
 
 
 class TestJacobian:
-    """The corrector divides by dlog = dM/dsigma - j dM/domega, built from
-    _locus_eval's gradient; by Cauchy-Riemann it is the whole (M, P)
+    """The corrector divides by dlog = dM/dsigma - j dM/domega, the kernel's
+    one complex log-derivative; by Cauchy-Riemann it is the whole (M, P)
     Jacobian in s."""
 
     def test_p1_branch_point_structure(self, p1):
-        _, _, msig, mom = _locus_eval(p1, -1.0, 0.0, -1.0)
+        dlog = dlog_ratio(p1, -1.0)
         # at the branch point the 2x2 (M,P)x(sigma,omega) block, rows
-        # (msig, mom) and (-mom, msig), vanishes
-        assert msig == pytest.approx(0.0, abs=1e-12)
-        assert mom == pytest.approx(0.0, abs=1e-12)
+        # (dM/dsigma, dM/domega) = (Re dlog, -Im dlog) and (Im dlog, Re dlog),
+        # vanishes
+        assert dlog.real == pytest.approx(0.0, abs=1e-12)
+        assert dlog.imag == pytest.approx(0.0, abs=1e-12)
 
     def test_cauchy_riemann_exact(self, p2):
         rng = np.random.RandomState(7)
@@ -72,9 +71,9 @@ class TestJacobian:
             pt = LocusPoint(rng.uniform(-4, 6), rng.uniform(-8, 8), rng.uniform(-3, 3))
             if min(abs(pt.s - r) for r in p2.zeros + p2.poles) < 1e-3:
                 continue
-            _, _, msig, mom = _locus_eval(p2, pt.sigma, pt.omega, pt.Kval)
-            # exact: both rows are parts of the one complex log-derivative
-            assert dlog_ratio(p2, pt.s) == complex(msig, -mom)
+            # exact: the corrector's Jacobian is the one complex log-derivative
+            out = correct(p2, pt.s, pt.Kval, math.inf, 0)
+            assert out.dlog == dlog_ratio(p2, pt.s)
 
     def test_partials_match_fd(self, p2):
         rng = np.random.RandomState(19)
@@ -83,7 +82,8 @@ class TestJacobian:
             pt = LocusPoint(rng.uniform(-4, 6), rng.uniform(-8, 8), rng.uniform(-3, 3))
             if min(abs(pt.s - r) for r in p2.zeros + p2.poles) < 1e-2:
                 continue
-            _, _, msig, mom = _locus_eval(p2, pt.sigma, pt.omega, pt.Kval)
+            dlog = dlog_ratio(p2, pt.s)
+            msig, mom = dlog.real, -dlog.imag  # dM/dsigma, dM/domega
 
             def M_at(sig, om):
                 return residuals(p2, LocusPoint(sig, om, pt.Kval))[0]
@@ -142,6 +142,14 @@ class TestPredictCorrect:
         assert out.converged and out.point.omega == 0.0
         assert out.point.sigma == pytest.approx(-0.6, abs=1e-6)
 
+    def test_real_step_adds_zero_to_omega(self, p1):
+        # omega + 0.0 at each real step: a start at omega -0.0 ends at 0.0
+        sig = -0.48
+        K = math.log(-sig * math.exp(sig))
+        out = correct(p1, complex(sig + 0.02, -0.0), K, real=True)
+        assert out.converged and out.iterations > 0
+        assert math.copysign(1.0, out.point.omega) == 1.0
+
     def test_converged_residuals_hold(self, p2):
         # perturb true locus points, correct at their gain, verify directly
         rng = np.random.RandomState(37)
@@ -184,10 +192,7 @@ class TestPredictCorrect:
             plant = random_plant(rng, Plant)
             s = complex(rng.uniform(-3.0, 1.0), rng.uniform(-3.0, 3.0))
             K = float(rng.uniform(-3.0, 3.0))
-            try:
-                out = correct(plant, s, K, 1e-8, 11)
-            except (SingularPointError, InputError, ZeroDivisionError):
-                continue
+            out = correct(plant, s, K, 1e-8, 11)
             assert out.point.Kval == K
             converged += out.converged
         assert converged >= 150

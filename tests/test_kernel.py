@@ -22,14 +22,13 @@ from dtlocus.continuation import (
     KAPPA_NOM,
     CorrectorOutcome,
     LocusPoint,
-    _locus_eval,
     correct,
     correct_many,
     residuals,
     step_update,
     step_update_many,
 )
-from dtlocus.errors import InputError, SingularPointError
+from dtlocus.errors import SingularPointError
 from dtlocus.plant import (
     TOL_SING,
     Plant,
@@ -98,11 +97,18 @@ def _points(plant, rng, n):
     return pts
 
 
+def _parts(value):
+    """(lnmag, phase, dM/dsigma, dM/domega) of a kernel value (lnmag, phase,
+    dlog): dlog = dM/dsigma - j dM/domega."""
+    lnmag, phase, dlog = value
+    return lnmag, phase, dlog.real, -dlog.imag
+
+
 def _outcome(f, *args):
     """Return value, or (exception type, message) when f raises."""
     try:
         return f(*args)
-    except (SingularPointError, InputError, ZeroDivisionError) as e:
+    except SingularPointError as e:
         return type(e), str(e)
 
 
@@ -134,21 +140,20 @@ def test_kernel_equals_former_loops():
     big_m = 0
     for plant in PLANTS:
         for s in _points(plant, rng, 120):
-            got = _outcome(_log_kernel, plant, s.real, s.imag)
+            got = _outcome(_log_kernel, plant, s)
             ref = _outcome(reference_log_eval, plant, s)
             if isinstance(ref, tuple) and ref and ref[0] is SingularPointError:
                 assert got == ref
                 continue
-            assert max(_errors(got, plant, s)) <= BOUND, (plant, s)
+            assert max(_errors(_parts(got), plant, s)) <= BOUND, (plant, s)
             former = ref + reference_partials(plant, s.real, s.imag)
             assert max(_errors(former, plant, s)) <= BOUND, (plant, s)
             lv = log_eval(plant, s)
             assert (lv.lnmag, lv.phase) == got[:2]
-            assert dlog_ratio(plant, s) == complex(got[2], -got[3])
+            assert dlog_ratio(plant, s) == got[2]
             K = rng.uniform(-3.0, 3.0)
             M, P = residuals(plant, LocusPoint(s.real, s.imag, K))
             assert (M, P) == (got[0] + K, wrap_angle(got[1] - math.pi))
-            assert _locus_eval(plant, s.real, s.imag, K) == (M, P) + got[2:]
             rng.randn(3)  # the former direction draw, so later points stay the same
             big_m += abs(M) > 50.0
             checked += 1
@@ -164,13 +169,13 @@ def test_singular_points_raise_as_before():
             for c in (0.0, 0.3, 0.999, 1.0, 1.001, 1.5, 4.0, 1e3):
                 for theta in (0.0, 0.7, math.pi / 2, 2.5, math.pi):
                     s = x + c * scale * complex(math.cos(theta), math.sin(theta))
-                    got = _outcome(_log_kernel, plant, s.real, s.imag)
+                    got = _outcome(_log_kernel, plant, s)
                     ref = _outcome(reference_log_eval, plant, s)
                     if ref[0] is SingularPointError:
                         assert got == ref
                         hits += 1
                     else:
-                        assert max(_errors(got, plant, s)) <= BOUND, (plant, s)
+                        assert max(_errors(_parts(got), plant, s)) <= BOUND, (plant, s)
     assert hits > 0
 
 
@@ -197,7 +202,7 @@ def test_kernel_range_extremes(plant, points, folded, monkeypatch):
     fold = plant_module._folded_log
     monkeypatch.setattr(plant_module, "_folded_log", lambda s, roots: calls.append(s) or fold(s, roots))
     for s in points:
-        got = _log_kernel(plant, s.real, s.imag)
+        got = _parts(_log_kernel(plant, s))
         assert all(math.isfinite(v) for v in got)
         assert max(_errors(got, plant, s)) <= BOUND, s
         former = reference_log_eval(plant, s) + reference_partials(plant, s.real, s.imag)
@@ -227,7 +232,7 @@ def test_kernel_many_equals_the_kernel(monkeypatch):
         for i, s in enumerate(pts):
             folds.clear()
             try:
-                want = _log_kernel(plant, s.real, s.imag)
+                want = _parts(_log_kernel(plant, s))
             except SingularPointError:
                 counts["raised"] += 1
                 assert bad[i], s
@@ -237,7 +242,7 @@ def test_kernel_many_equals_the_kernel(monkeypatch):
                 assert bad[i], s
                 continue
             assert not bad[i], s
-            got = (lnmag[i], phase[i], dlog[i].real, 0.0 - dlog[i].imag)
+            got = _parts((lnmag[i], phase[i], dlog[i]))
             for j, (a, b) in enumerate(zip(got, want)):
                 diff = wrap_angle(a - b) if j == 1 else a - b
                 assert abs(diff) <= 1e-13 * max(1.0, abs(b)), (plant, s, j, a, b)
@@ -247,12 +252,13 @@ def test_kernel_many_equals_the_kernel(monkeypatch):
 
 def test_lockstep_corrector_and_step_rule_equal_theirs():
     # correct_many and step_update_many against correct and step_update,
-    # solve by solve, off the axis: the same iterations, convergence, steps
-    # and next length, points within the rounding of the two kernels
+    # solve by solve, off the axis: correct fails exactly where correct_many
+    # flags a bad point, and elsewhere the same iterations, convergence,
+    # steps and next length, points within the rounding of the two kernels
     rng = np.random.RandomState(29)
     counts = Counter()
     for plant in PLANTS[:10]:
-        pts = [s for s in _points(plant, rng, 60) if s.imag != 0.0]
+        pts = [s for s in _points(plant, rng, 60) + list(plant.poles) if s.imag != 0.0]
         values = [_outcome(log_eval, plant, s) for s in pts]
         K = np.array([0.0 if isinstance(lv, tuple) else -lv.lnmag + rng.uniform(-0.05, 0.05)
                       for lv in values])
@@ -262,13 +268,11 @@ def test_lockstep_corrector_and_step_rule_equal_theirs():
         new_h, redo = step_update_many(h, many.converged, many.kappa, many.first, ds,
                                        np.full(len(pts), 1e-7))
         for i, s in enumerate(pts):
-            try:
-                one = correct(plant, s, K[i], 1e-6, 20)
-            except (SingularPointError, InputError, ZeroDivisionError):
-                counts["raised"] += 1
-                assert many.bad[i] or not many.converged[i]
-                continue
+            one = correct(plant, s, K[i], 1e-6, 20)
+            assert many.bad[i] == (one.kappa == math.inf), (plant, s)
             if many.bad[i]:
+                assert one == CorrectorOutcome(LocusPoint(s.real, s.imag, K[i]), many.iterations[i],
+                                               math.inf, False)
                 counts["bad"] += 1
                 continue
             assert (many.iterations[i], many.converged[i]) == (one.iterations, one.converged)
@@ -277,47 +281,53 @@ def test_lockstep_corrector_and_step_rule_equal_theirs():
             want = step_update(h[i], one, ds[i], 1e-7)
             assert (redo[i], new_h[i]) == pytest.approx((want[1], want[0]), rel=1e-9)
             counts["redo" if want[1] else "accept"] += 1
-    assert counts["accept"] > 50 and counts["redo"] > 50, counts
+    assert counts["accept"] > 50 and counts["redo"] > 50 and counts["bad"], counts
 
 
-@pytest.mark.parametrize("bad", [(math.nan, 0.0, 0.0), (0.5, math.inf, 0.0),
-                                 (0.5, 0.5, -math.inf), (math.nan, math.nan, math.nan)])
-def test_nonfinite_iterate_raises_input_error(bad):
-    with pytest.raises(InputError):
-        _locus_eval(PLANTS[0], *bad)
-
-
-def test_corrector_still_raises_on_nonfinite_iterate(monkeypatch):
+def _tiny_dlog(monkeypatch):
     # a log-derivative of 1e-320 sends the Newton step to infinity
-    plant = Plant(1.0, 1.0, (), (0j,))
     kernel = continuation._log_kernel
-    monkeypatch.setattr(continuation, "_log_kernel",
-                        lambda *args: kernel(*args)[:2] + (1e-320, 0.0))
-    with pytest.raises(InputError):
-        correct(plant, complex(-0.5, 0.3), 0.0)
+    monkeypatch.setattr(continuation, "_log_kernel", lambda *args: kernel(*args)[:2] + (1e-320 + 0j,))
+
+
+@pytest.mark.parametrize("s, Kval, real, patch, steps", [
+    pytest.param(0j, 0.0, False, None, 0, id="start_on_root"),
+    pytest.param(-0.5 + 0.3j, math.nan, False, None, 0, id="nonfinite_gain"),
+    pytest.param(-0.5 + 0.3j, 0.0, False, _tiny_dlog, 1, id="iterate_to_infinity"),
+    # dlog = -1/s - 1 vanishes at s = -1, where M = 1
+    pytest.param(-1.0 + 0j, 0.0, True, None, 0, id="zero_slope_on_axis"),
+])
+def test_corrector_fails_without_raising(s, Kval, real, patch, steps, monkeypatch):
+    # the start point, not converged, kappa inf, the steps taken, and dlog 0j
+    # and first 0.0 by default
+    plant = Plant(1.0, 1.0, (), (0j,))
+    if patch:
+        patch(monkeypatch)
+    out = correct(plant, s, Kval, real=real)
+    assert out == CorrectorOutcome(LocusPoint(s.real, s.imag, Kval), steps, math.inf, False)
 
 
 def test_corrector_equals_former_corrector():
     # the corrector's logic to the bit, against a plain Newton loop on the
-    # same kernel; converged points are the closed-loop roots at their gain
+    # same kernel, failed solves at singular points included; converged
+    # points are the closed-loop roots at their gain
     rng = np.random.RandomState(17)
-    converged = total = 0
+    converged = failed = total = 0
     for plant in PLANTS:
-        for s in _points(plant, rng, 40):
+        for s in _points(plant, rng, 40) + [*plant.zeros, *plant.poles][:2]:
             ref_lv = _outcome(reference_log_eval, plant, s)
-            if ref_lv[0] is SingularPointError:
-                continue
-            K = -ref_lv[0] + rng.uniform(-0.05, 0.05)
+            singular = ref_lv[0] is SingularPointError
+            K = (0.0 if singular else -ref_lv[0]) + rng.uniform(-0.05, 0.05)
             real = s.imag == 0.0
-            got = _outcome(correct, plant, s, K, 1e-6, 20, real)
-            ref = _outcome(reference_frozen_newton, plant, s, K, _log_kernel, 1e-6, 20, real)
-            assert got == ref
-            if getattr(got, "converged", False) and not real:
+            got = correct(plant, s, K, 1e-6, 20, real)
+            assert got == reference_frozen_newton(plant, s, K, _log_kernel, 1e-6, 20, real)
+            failed += got.kappa == math.inf
+            if got.converged and not real:
                 root = newton_root(plant, math.exp(K), got.point.s)
                 assert abs(root - got.point.s) <= 1e-5 * (1.0 + abs(root))
                 converged += 1
             total += 1
-    assert total >= 400 and converged >= 50
+    assert total >= 400 and converged >= 50 and failed > 0
 
 
 def test_step_controller_resize_clamps_like_constructor(step_bounds):

@@ -1149,14 +1149,14 @@ def _replayed_steps(plant, region, monkeypatch):
     crossings = boundary.boundary_crossings(boundary_functions(plant, region), region)
     seeds = seed_points(plant, region, crossings=crossings, branches=branches)
     calls = []
-    correct = tracer._correct
+    correct = tracer.correct
 
     def recorded(*args):
         out = correct(*args)
         calls.append((args[1], args[2], out))
         return out
 
-    monkeypatch.setattr(tracer, "_correct", recorded)
+    monkeypatch.setattr(tracer, "correct", recorded)
     steps = []
     for seed in seeds:
         calls.clear()
@@ -1460,7 +1460,7 @@ class TestBatch:
 
         def no_cap(plant, s, Kval, *args):
             out = correct(plant, s, Kval, *args)
-            return dataclasses.replace(out, converged=False) if Kval == region.lnkmax else out
+            return out._replace(converged=False) if Kval == region.lnkmax else out
 
         def no_cap_many(plant, s, Kval, *args):
             out = correct_many(plant, s, Kval, *args)
