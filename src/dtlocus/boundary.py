@@ -4,9 +4,9 @@ Roots of 1 + k*G(s)e^(-hs) crossing the line are found by splitting omega >= 0
 into pieces where the boundary gain K(omega) = h*sigma0 - ln|G(sigma0+j omega)|
 and the continuous phase phi(omega) are monotone, then solving K against the
 gain cap and phi against the odd multiples of pi by safeguarded Newton, with
-value and slope from one pass over the roots; the phase lines of a piece
-that meets many of them are solved together over numpy arrays.  The
-breakpoints come from the plant's distinct roots r_j with net weights w_j
+value and slope from one pass over one signed row per root; the phase lines
+of a piece that meets many of them are solved together over numpy arrays.
+The breakpoints come from the plant's distinct roots r_j with net weights w_j
 (plant.root_weights), as branch.branch_roots' zeros of dlog do.  On the
 line s - r_j = j(omega - c_j) with c_j = Im r_j + j(sigma0 - Re r_j), so by
 conjugate closure, with u = omega^2 and q_j = c_j^2, K' = Im dlog = omega
@@ -91,28 +91,33 @@ class CrossingSet:
 class BoundaryFunctions:
     """Cached boundary geometry for one plant/line pair.
 
-    dsz/dsp hold the signed horizontal offsets sigma0 - Re(root); omz/omp the
-    root imaginary parts.  phi is the continuous phase extension, equal to the
-    principal phase of G(sigma0)e^(-h sigma0) at omega = 0 (an exact multiple
-    of pi there) and built from single-argument arctangents (safe: no root
-    sits on the line).  K and phi are projections of K_slope and phi_slope,
-    which return the value and its omega-derivative from one pass; Kprime and
-    phiprime take the derivative from the plant's log kernel instead.
+    Each root has one row per function, its sign folded in.  K's rows are
+    (ds^2, Im r, +-0.5, +-1.0), ds = sigma0 - Re r, plus for a pole and
+    minus for a zero, poles first; kconst = h*sigma0 - ln|alpha| starts
+    their sum and is a bi-proper plant's limit of K.  phi's rows are
+    (sigma0 - Re z, Im z) for a zero, then (Re p - sigma0, Im p) for a pole.
+    Division and atan are odd, so the rows sum to the bits of the signed
+    sums over zeros and poles.  phi is the continuous phase extension,
+    equal to the principal phase of G(sigma0)e^(-h sigma0) at omega = 0 (an
+    exact multiple of pi there) and built from single-argument arctangents
+    (safe: no root sits on the line).  K and phi are projections of K_slope
+    and phi_slope, which return the value and its omega-derivative from one
+    pass; Kprime and phiprime take the derivative from the plant's log
+    kernel instead.
 
     kprime_roots and phiprime_roots are the breakpoints, the zeros of K'
     and phi' with omega >= 0, ascending (_turning_points).  omega = 0 is
     always the first of K', which is odd; a plant whose roots all cancel
     has none.  Only plant and phi0 depend on the sign of the gain, so
-    flipped_gain() serves the negative-gain locus with the same offsets and
+    flipped_gain() serves the negative-gain locus with the same rows and
     breakpoints, found once.
     """
 
     plant: Plant
     sigma0: float
-    dsz: tuple[float, ...]
-    omz: tuple[float, ...]
-    dsp: tuple[float, ...]
-    omp: tuple[float, ...]
+    kconst: float
+    krows: tuple[tuple[float, float, float, float], ...]
+    phirows: tuple[tuple[float, float], ...]
     phi0: float
     kprime_roots: tuple[float, ...] = field(repr=False)
     phiprime_roots: tuple[float, ...] = field(repr=False)
@@ -120,40 +125,19 @@ class BoundaryFunctions:
     def K(self, omega: float) -> float:
         return self.K_slope(omega)[0]
 
-    def K_slope(self, omega: float) -> tuple[float, float]:
-        """K and K' at omega in one pass over the roots."""
-        h = self.plant.delay
-        acc = h * self.sigma0 - math.log(abs(self.plant.alpha))
-        slope = 0.0
-        for ds, om in zip(self.dsp, self.omp):
+    def K_slope(self, omega: float | np.ndarray) -> tuple:
+        """K and K' at omega, a float or an array, in one pass over the
+        roots.  An array's logs come from math.log, so each K equals the
+        float's to the bit; numpy's log is not correctly rounded."""
+        if isinstance(omega, np.ndarray):
+            acc, slope, log = np.full(omega.shape, self.kconst), np.zeros(omega.shape), _logs
+        else:
+            acc, slope, log = self.kconst, 0.0, math.log
+        for ds2, om, half, sign in self.krows:
             d = omega - om
-            g = ds * ds + d * d
-            acc += 0.5 * math.log(g)
-            slope += d / g
-        for ds, om in zip(self.dsz, self.omz):
-            d = omega - om
-            g = ds * ds + d * d
-            acc -= 0.5 * math.log(g)
-            slope -= d / g
-        return acc, slope
-
-    def K_slope_many(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """K_slope at each omega of an array, in its operation order.  The logs
-        come from math.log, so each K equals K_slope's to the bit; numpy's log
-        is not correctly rounded."""
-        h = self.plant.delay
-        acc = np.full(omega.shape, h * self.sigma0 - math.log(abs(self.plant.alpha)))
-        slope = np.zeros(omega.shape)
-        for ds, om in zip(self.dsp, self.omp):
-            d = omega - om
-            g = ds * ds + d * d
-            acc += 0.5 * _logs(g)
-            slope += d / g
-        for ds, om in zip(self.dsz, self.omz):
-            d = omega - om
-            g = ds * ds + d * d
-            acc -= 0.5 * _logs(g)
-            slope -= d / g
+            g = ds2 + d * d
+            acc += half * log(g)
+            slope += sign * d / g
         return acc, slope
 
     def Kprime(self, omega: float) -> float:
@@ -171,14 +155,10 @@ class BoundaryFunctions:
         """
         acc = self.phi0 - self.plant.delay * omega
         slope = -self.plant.delay
-        for ds, om in zip(self.dsz, self.omz):
+        for ds, om in self.phirows:
             x = omega - om
             acc += math.atan(x / ds)
             slope += ds / (ds * ds + x * x)
-        for ds, om in zip(self.dsp, self.omp):
-            x = omega - om
-            acc -= math.atan(x / ds)
-            slope -= ds / (ds * ds + x * x)
         if omega == 0.0:
             acc = math.pi * round(acc / math.pi)
         return acc, slope
@@ -187,14 +167,10 @@ class BoundaryFunctions:
         """phi_slope at each omega of an array, in its operation order."""
         acc = self.phi0 - self.plant.delay * omega
         slope = np.full(omega.shape, -self.plant.delay)
-        for ds, om in zip(self.dsz, self.omz):
+        for ds, om in self.phirows:
             x = omega - om
             acc += np.arctan(x / ds)
             slope += ds / (ds * ds + x * x)
-        for ds, om in zip(self.dsp, self.omp):
-            x = omega - om
-            acc -= np.arctan(x / ds)
-            slope -= ds / (ds * ds + x * x)
         acc = np.where(omega == 0.0, math.pi * np.round(acc / math.pi), acc)
         return acc, slope
 
@@ -204,21 +180,20 @@ class BoundaryFunctions:
     def flipped_gain(self) -> "BoundaryFunctions":
         """The same line for plant.flipped_gain(): only phi0 is recomputed."""
         plant = self.plant.flipped_gain()
-        return replace(self, plant=plant, phi0=_phi0(plant, self.sigma0, self.dsz, self.omz,
-                                                     self.dsp, self.omp))
+        return replace(self, plant=plant, phi0=_phi0(plant, self.sigma0, self.phirows))
 
 
 def _logs(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, x.tolist()), float, x.size)
 
 
-def _phi0(plant: Plant, s0: float, dsz, omz, dsp, omp) -> float:
-    """The offset that makes phi(0) the principal phase of G(s0)e^(-h s0)."""
-    phi1_0 = (
-        sum(math.atan(-om / ds) for ds, om in zip(dsz, omz))
-        - sum(math.atan(-om / ds) for ds, om in zip(dsp, omp))
-    )
-    return log_eval(plant, complex(s0, 0.0)).phase - phi1_0
+def _phi0(plant: Plant, s0: float, phirows) -> float:
+    """The offset that makes phi(0) the principal phase of G(s0)e^(-h s0).
+    The zeros' and the poles' arctangents are two sums: one running sum
+    over all the rows rounds differently."""
+    at0 = [math.atan(-om / ds) for ds, om in phirows]
+    nz = len(plant.zeros)
+    return log_eval(plant, complex(s0, 0.0)).phase - (sum(at0[:nz]) + sum(at0[nz:]))
 
 
 def boundary_functions(plant: Plant, region: RegionSpec) -> BoundaryFunctions:
@@ -228,18 +203,18 @@ def boundary_functions(plant: Plant, region: RegionSpec) -> BoundaryFunctions:
             raise PoleOrZeroOnBoundary(
                 f"root {x} lies on the line Re(s) = {s0}; shift sigma0"
             )
-    if plant.biproper:
-        k_inf = plant.delay * s0 - math.log(abs(plant.alpha))
-        if region.lnkmax >= k_inf:
-            raise BiProperGainCapViolated(
-                f"bi-proper plant: kmax must stay below e^(h*sigma0)/|alpha| = "
-                f"{math.exp(k_inf):.6g}, got {region.kmax:.6g}"
-            )
+    kconst = plant.delay * s0 - math.log(abs(plant.alpha))
+    if plant.biproper and region.lnkmax >= kconst:
+        raise BiProperGainCapViolated(
+            f"bi-proper plant: kmax must stay below e^(h*sigma0)/|alpha| = "
+            f"{math.exp(kconst):.6g}, got {region.kmax:.6g}"
+        )
 
-    dsz = tuple(s0 - z.real for z in plant.zeros)
-    omz = tuple(z.imag for z in plant.zeros)
-    dsp = tuple(s0 - p.real for p in plant.poles)
-    omp = tuple(p.imag for p in plant.poles)
+    phirows = tuple([(s0 - z.real, z.imag) for z in plant.zeros]
+                    + [(p.real - s0, p.imag) for p in plant.poles])
+    nz = len(plant.zeros)
+    krows = tuple([(ds * ds, om, 0.5, 1.0) for ds, om in phirows[nz:]]
+                  + [(ds * ds, om, -0.5, -1.0) for ds, om in phirows[:nz]])
 
     r, w = root_weights(plant)
     c = r.imag + 1j * (s0 - r.real)  # s - r_j = j(omega - c_j) on the line
@@ -247,11 +222,10 @@ def boundary_functions(plant: Plant, region: RegionSpec) -> BoundaryFunctions:
     return BoundaryFunctions(
         plant=plant,
         sigma0=s0,
-        dsz=dsz,
-        omz=omz,
-        dsp=dsp,
-        omp=omp,
-        phi0=_phi0(plant, s0, dsz, omz, dsp, omp),
+        kconst=kconst,
+        krows=krows,
+        phirows=phirows,
+        phi0=_phi0(plant, s0, phirows),
         kprime_roots=(0.0, *kprime) if r.size else (),
         phiprime_roots=tuple(_turning_points(c * c, -1j * w * c, plant.delay)),
     )
@@ -432,8 +406,7 @@ def _omega_cap(bf: BoundaryFunctions, region: RegionSpec, kp_roots) -> float:
     mags = [abs(x) for x in plant.zeros + plant.poles] + list(kp_roots) + [1.0]
     cap = 1.0 + 2.0 * max(mags)
     if plant.biproper:
-        k_inf = plant.delay * bf.sigma0 - math.log(abs(plant.alpha))
-        target = region.lnkmax + min(1.0, 0.5 * (k_inf - region.lnkmax))
+        target = region.lnkmax + min(1.0, 0.5 * (bf.kconst - region.lnkmax))
     else:
         target = region.lnkmax + 1.0
     while bf.K(cap) <= target:
@@ -509,7 +482,7 @@ def boundary_crossings(bf: BoundaryFunctions, region: RegionSpec) -> CrossingSet
                 targets = (2.0 * np.arange(lines.start, lines.stop) + 1.0) * math.pi
                 w, slope = _solve_many(bf.phi_slope_many, targets, a, b, pa, pb, tol)
                 slope = np.where(w == a, da, np.where(w == b, db, slope))
-                hits += zip(w.tolist(), slope.tolist(), bf.K_slope_many(w)[0].tolist())
+                hits += zip(w.tolist(), slope.tolist(), bf.K_slope(w)[0].tolist())
                 continue
             last, left = (a, pa, da), a
             for l in (lines if pa <= pb else reversed(lines)):

@@ -18,13 +18,7 @@ import numpy as np
 
 from .boundary import RegionSpec
 from .continuation import TOL_CORR
-from .errors import (
-    BiProperGainCapViolated,
-    BranchOnBoundary,
-    DegenerateCrossing,
-    InputError,
-    PoleOrZeroOnBoundary,
-)
+from .errors import DtLocusError, InputError
 from .plant import Plant, plant_from_coefficients
 from .poly import RealPolynomial
 from .svgplot import render_svg
@@ -329,14 +323,7 @@ def main(argv=None) -> int:
             plant = parse_input(f.read())
         options = TraceOptions(tol_corr=args.tol, negative_gains=args.negative_gains)
         result = run(plant, RegionSpec(args.sigma0, args.kmax), options)
-    except (
-        InputError,
-        PoleOrZeroOnBoundary,
-        BiProperGainCapViolated,
-        DegenerateCrossing,
-        BranchOnBoundary,
-        OSError,
-    ) as e:
+    except (DtLocusError, OSError) as e:
         print(f"dtlocus: error: {e}", file=sys.stderr)
         return 2
 

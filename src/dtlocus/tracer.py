@@ -669,10 +669,10 @@ def run(plant: Plant, region: RegionSpec, options: TraceOptions | None = None) -
     With negative_gains set, a second pass runs with the plant gain sign
     flipped (the locus of negative k values) and lands in result.negative.
     The sign-free set-up is built once and serves both passes: the boundary
-    breakpoint polynomials of K' and phi' with their roots (those of phi'
-    found on first use, by either pass), and the zeros of dlog right of
-    sigma0 (branch_roots).  Each pass makes its own boundary
-    phase offset, branch phase test and active flags, seeds and traces.
+    line's rows, its constant and the breakpoints of K' and phi', all found
+    in boundary_functions, and the zeros of dlog right of sigma0
+    (branch_roots).  Each pass makes its own boundary phase offset, branch
+    phase test and active flags, seeds and traces.
     """
     options = options or TraceOptions()
     bf = boundary_functions(plant, region)

@@ -292,6 +292,39 @@ def dlog_zero_count(plant, sigma0, max_rounds=80):
     return round(winding) + int((r.real > sigma0).sum())
 
 
+def exact_dlog(plant, s):
+    """|dlog(s)| for dlog = G'/G - h, and dlog's Newton step at s, as
+    floats, from exact rational arithmetic over the double inputs: s and
+    the roots are exact binary fractions, so only the two results round."""
+    from fractions import Fraction
+
+    def inv(re, im):
+        n = re * re + im * im
+        return re / n, -im / n
+
+    sr, si = Fraction(s.real), Fraction(s.imag)
+    f, fp = [Fraction(-plant.delay), Fraction(0)], [Fraction(0), Fraction(0)]
+    for roots, sign in ((plant.zeros, 1), (plant.poles, -1)):
+        for r in roots:
+            dr, di = inv(sr - Fraction(r.real), si - Fraction(r.imag))
+            f[0] += sign * dr
+            f[1] += sign * di
+            fp[0] -= sign * (dr * dr - di * di)
+            fp[1] -= sign * 2 * dr * di
+    qr, qi = inv(*fp)
+    step = complex(float(f[0] * qr - f[1] * qi), float(f[0] * qi + f[1] * qr))
+    return math.hypot(float(f[0]), float(f[1])), step
+
+
+def reference_dlog_zero(plant, s, steps=4):
+    """The zero of dlog that exact Newton reaches from s, to the nearest
+    double: each step is exact_dlog's, rounded to a double; from a start
+    near a simple zero the steps shrink quadratically to far below an ulp."""
+    for _ in range(steps):
+        s -= exact_dlog(plant, s)[1]
+    return s
+
+
 def pairwise_dedup(trajectories):
     """Reference trajectory dedup by comparing every pair, O(T^2).
 
@@ -504,6 +537,76 @@ def reference_breakpoint_polys(plant, sigma0):
         ssum_p = ssum_p + dsp[i] * cof
     phiprime_poly = Gp * ssum_z - Gz * ssum_p - plant.delay * (Gz * Gp)
     return kprime_poly, phiprime_poly
+
+
+class FormerLine:
+    """K and phi on the line Re s = sigma0 as BoundaryFunctions evaluated
+    them from four parallel tuples: dsz/dsp the offsets sigma0 - Re(root)
+    of the zeros and the poles, omz/omp their imaginary parts, with the
+    zeros and the poles walked in two loops each.  tests/test_boundary.py
+    requires the signed rows that replaced them to give the same bits."""
+
+    def __init__(self, plant, sigma0):
+        self.plant, self.sigma0 = plant, sigma0
+        self.dsz = tuple(sigma0 - z.real for z in plant.zeros)
+        self.omz = tuple(z.imag for z in plant.zeros)
+        self.dsp = tuple(sigma0 - p.real for p in plant.poles)
+        self.omp = tuple(p.imag for p in plant.poles)
+        self.phi0 = self._phi0()
+
+    def K_slope(self, omega):
+        h = self.plant.delay
+        acc = h * self.sigma0 - math.log(abs(self.plant.alpha))
+        slope = 0.0
+        for ds, om in zip(self.dsp, self.omp):
+            d = omega - om
+            g = ds * ds + d * d
+            acc += 0.5 * math.log(g)
+            slope += d / g
+        for ds, om in zip(self.dsz, self.omz):
+            d = omega - om
+            g = ds * ds + d * d
+            acc -= 0.5 * math.log(g)
+            slope -= d / g
+        return acc, slope
+
+    def phi_slope(self, omega):
+        acc = self.phi0 - self.plant.delay * omega
+        slope = -self.plant.delay
+        for ds, om in zip(self.dsz, self.omz):
+            x = omega - om
+            acc += math.atan(x / ds)
+            slope += ds / (ds * ds + x * x)
+        for ds, om in zip(self.dsp, self.omp):
+            x = omega - om
+            acc -= math.atan(x / ds)
+            slope -= ds / (ds * ds + x * x)
+        if omega == 0.0:
+            acc = math.pi * round(acc / math.pi)
+        return acc, slope
+
+    def phi_slope_many(self, omega):
+        acc = self.phi0 - self.plant.delay * omega
+        slope = np.full(omega.shape, -self.plant.delay)
+        for ds, om in zip(self.dsz, self.omz):
+            x = omega - om
+            acc += np.arctan(x / ds)
+            slope += ds / (ds * ds + x * x)
+        for ds, om in zip(self.dsp, self.omp):
+            x = omega - om
+            acc -= np.arctan(x / ds)
+            slope -= ds / (ds * ds + x * x)
+        acc = np.where(omega == 0.0, math.pi * np.round(acc / math.pi), acc)
+        return acc, slope
+
+    def _phi0(self):
+        from dtlocus.plant import log_eval
+
+        phi1_0 = (
+            sum(math.atan(-om / ds) for ds, om in zip(self.dsz, self.omz))
+            - sum(math.atan(-om / ds) for ds, om in zip(self.dsp, self.omp))
+        )
+        return log_eval(self.plant, complex(self.sigma0, 0.0)).phase - phi1_0
 
 
 # The former boundary search: breakpoints as the nonnegative real roots of the

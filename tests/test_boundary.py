@@ -527,6 +527,45 @@ def _signed_corpus(far_left=True):
             if far_left or i % 2 == 0 for s in (p, p.flipped_gain())]
 
 
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestSignedRows:
+    def test_equal_former_tuples_to_the_bit(self):
+        # each root's sign folded into its row gives K, phi, their slopes
+        # and phi0 the bits of the former four tuples (oracles.FormerLine),
+        # for both gain signs, at omega = 0, at random floats and on arrays;
+        # each plant also with its roots shuffled, so that conjugates need
+        # not sit side by side and cancel in phi0's sums
+        from oracles import FormerLine
+
+        rng = np.random.RandomState(32)
+        plants = [p for p, _ in PROPERTY_CORPUS]
+        assert len(plants) >= 200 and sum(p.biproper for p in plants) >= 30
+        assert sum(len(set(p.poles)) < len(p.poles) for p in plants) >= 10
+        shuffled = [(Plant(p.alpha, p.delay, rng.permutation(p.zeros), rng.permutation(p.poles)),
+                     region) for p, region in PROPERTY_CORPUS]
+        compared = 0
+        for plant, region in PROPERTY_CORPUS + shuffled:
+            bf = boundary_functions(plant, region)
+            reach = 2.0 * max([abs(r) for r in plant.zeros + plant.poles], default=1.0)
+            w = np.concatenate([[0.0], rng.uniform(0.0, reach, 12),
+                                10.0 ** rng.uniform(-6.0, 4.0, 12)])
+            for line in (bf, bf.flipped_gain()):
+                ref = FormerLine(line.plant, region.sigma0)
+                assert _bits(line.phi0) == _bits(ref.phi0), (plant, region)
+                K, dK = line.K_slope(w)
+                phi, dphi = line.phi_slope_many(w)
+                want = ref.phi_slope_many(w)
+                assert phi.tobytes() == want[0].tobytes() and dphi.tobytes() == want[1].tobytes()
+                for i, x in enumerate(w.tolist()):
+                    assert _bits(*line.K_slope(x)) == _bits(*ref.K_slope(x)) == _bits(K[i], dK[i])
+                    assert _bits(*line.phi_slope(x)) == _bits(*ref.phi_slope(x)), (plant, x)
+                compared += w.size
+        assert compared >= 20_000
+
+
 class TestExactPhaseAtOrigin:
     def test_job_phase_is_pi(self):
         doc, sigma0, kmax = EXACT_PHASE_JOBS[0]
@@ -796,12 +835,13 @@ class TestArraySolve:
         assert sum(evaluated) <= 3 * n
 
     def test_twins_match_scalar(self, bf2):
-        # phi_slope_many and K_slope_many evaluate each omega as phi_slope
-        # and K_slope do: K to the bit (its logs are math.log's), phi to
-        # numpy's arctan, and phi at omega = 0 on its multiple of pi
+        # phi_slope_many and K_slope over an array evaluate each omega as
+        # phi_slope and K_slope over a float do: K to the bit (its logs are
+        # math.log's), phi to numpy's arctan, and phi at omega = 0 on its
+        # multiple of pi
         _, bf = bf2
         w = np.concatenate([[0.0], np.random.RandomState(5).uniform(0.0, 200.0, 300)])
-        K, dK = bf.K_slope_many(w)
+        K, dK = bf.K_slope(w)
         phi, dphi = bf.phi_slope_many(w)
         for i, x in enumerate(w.tolist()):
             assert (K[i], dK[i]) == bf.K_slope(x)

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from dtlocus import branch
 from dtlocus.boundary import RegionSpec
 from dtlocus.branch import branch_departures, branch_points, branch_roots
 from dtlocus.plant import Plant
@@ -321,6 +322,37 @@ def _argument_corpus(rng):
         den = poly_from_roots(plant.poles + more)
         out.append(plant_from_coefficients(poly_from_roots(plant.zeros), den, plant.delay))
     return out
+
+
+class TestPolish:
+    def test_newton_settles_a_zero_between_close_pole_pairs(self, monkeypatch):
+        # two pole pairs 3.8e-7 apart put a simple zero of dlog between
+        # them, where dlog's terms are about 5e6 each: the eigenvalue there
+        # misses it by more than _DLOG_REL of their sum, so _on_dlog moves
+        # it by Newton onto the nearest double of the exact zero
+        from oracles import exact_dlog, reference_dlog_zero
+
+        a, b, im = -2.2861061187243257, -2.286105738776417, 1.1796126055327134
+        poles = (complex(a, im), complex(a, -im), complex(b, im), complex(b, -im),
+                 complex(-1.6297323172643674, 0.0))
+        plant = Plant(1.0, 1.2506391072647212, (), poles)
+        moved = []
+        on_dlog = branch._on_dlog
+
+        def recorded(plant, r):
+            s = on_dlog(plant, r)
+            if s is not None and s != r.value:
+                moved.append((r.value, s))
+            return s
+
+        monkeypatch.setattr(branch, "_on_dlog", recorded)
+        got = [r.value for r in branch_roots(plant, -3.0)]
+        ((start, s),) = moved
+        assert s in got and a < s.real < b and abs(s.imag - im) <= 1e-12
+        scale = sum(1.0 / abs(s - p) for p in poles)
+        assert exact_dlog(plant, start)[0] > branch._DLOG_REL * scale
+        assert exact_dlog(plant, s)[0] <= branch._DLOG_REL * scale
+        assert s == reference_dlog_zero(plant, start)
 
 
 def _closed_under_conjugation(roots):

@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 import dtlocus
-from dtlocus import tracer
+from dtlocus import cli, tracer
 from dtlocus.cli import main, parse_input, result_to_csv, result_to_json
-from dtlocus.errors import InputError
+from dtlocus.errors import InputError, SingularPointError
 from dtlocus.plant import Plant
 from dtlocus.boundary import RegionSpec
 from dtlocus.svgplot import render_svg
@@ -300,6 +300,24 @@ class TestMain:
         with contextlib.redirect_stderr(io.StringIO()):
             rc = main([str(tmp_path / "absent.json"), "--sigma0", "-2", "--kmax", "1"])
         assert rc == 2
+
+    def test_exit_2_on_unwritable_out(self, p1_path, tmp_path):
+        out = tmp_path / "absent" / "out.json"
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main([p1_path, "--sigma0", "-2", "--kmax", "1", "--out", str(out)])
+        assert rc == 2
+        assert err.getvalue().startswith("dtlocus: error: ") and not out.exists()
+
+    def test_exit_2_on_any_package_error(self, p1_path, monkeypatch):
+        # every DtLocusError is an input or validation error to the CLI
+        def raising(*args):
+            raise SingularPointError("evaluation at a pole")
+
+        monkeypatch.setattr(cli, "run", raising)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main([p1_path, "--sigma0", "-2", "--kmax", "1"])
+        assert rc == 2
+        assert err.getvalue() == "dtlocus: error: evaluation at a pole\n"
 
     def test_exit_2_on_boundary_pole(self, p1_path):
         with contextlib.redirect_stderr(io.StringIO()):

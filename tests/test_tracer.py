@@ -439,6 +439,25 @@ class TestSeedsAndStability:
         assert traj.start_marker == 0j
         assert calls == []
 
+    @pytest.mark.parametrize("fails", [3, tracer._SEED_HALVINGS + 4])
+    def test_seed_step_halves_while_the_polish_fails(self, p1, monkeypatch, fails):
+        # while correct fails, the step from the pole along its ray halves,
+        # at most _SEED_HALVINGS times; then the last try is the seed
+        tries, correct = [], tracer.correct
+
+        def failing(plant, s, *args):
+            out = correct(plant, s, *args)
+            tries.append((s, out.point))
+            return out._replace(converged=False) if len(tries) <= fails else out
+
+        monkeypatch.setattr(tracer, "correct", failing)
+        seed = tracer._seed_from_ray(p1, PoleOrigin(0), 0j, math.pi, -2.0, 1e-10, (), 0j)
+        assert len(tries) == min(fails, tracer._SEED_HALVINGS) + 1
+        steps = [-s.real for s, _ in tries]
+        assert steps[0] == 1e-3 and all(s.imag == 0.0 for s, _ in tries)
+        assert steps[1:] == [0.5 * x for x in steps[:-1]]
+        assert seed.start == tries[-1][1]
+
     def test_crossing_seeds_sit_on_crossings(self, p2):
         region = RegionSpec(-3.5, 5.0)
         seeds = seed_points(p2, region)
