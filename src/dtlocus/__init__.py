@@ -16,7 +16,6 @@ Typical use:
 from .boundary import (
     BoundaryCrossing,
     CrossingSet,
-    Direction,
     RegionSpec,
     boundary_crossings,
     boundary_functions,
@@ -61,7 +60,6 @@ __all__ = [
     "CrossingOrigin",
     "CrossingSet",
     "DegenerateCrossing",
-    "Direction",
     "DtLocusError",
     "GainCap",
     "InputError",

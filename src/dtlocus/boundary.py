@@ -17,10 +17,10 @@ over q (_turning_points).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field, replace
 from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import (
     InputError,
     PoleOrZeroOnBoundary,
 )
-from .plant import SCREEN_REL, Plant, dlog_ratio, log_eval, root_weights, secular_eigvals
+from .plant import SCREEN_REL, Plant, log_eval, root_weights, secular_eigvals
 from .poly import CLUSTER_REL, _cluster
 
 TOL_BND = 1e-9
@@ -65,23 +65,22 @@ class RegionSpec:
         return math.log(self.kmax)
 
 
-class Direction(enum.Enum):
-    INWARD = "inward"
-    OUTWARD = "outward"
+class BoundaryCrossing(NamedTuple):
+    """A locus root sigma0 + j omega on the boundary line at gain e^Kval;
+    the CrossingSet tuple that holds it tells which way it crosses."""
 
-
-@dataclass(frozen=True)
-class BoundaryCrossing:
     omega: float
     Kval: float
-    k: float
-    direction: Direction
+
+    @property
+    def k(self) -> float:
+        return math.exp(self.Kval)
 
 
 @dataclass(frozen=True)
 class CrossingSet:
-    """The boundary crossings by direction, each tuple sorted by gain; the
-    tracer bisects outward for the next exit gain above a trajectory's."""
+    """Boundary crossings, inward where phi falls and outward where it rises,
+    each sorted by gain; the tracer bisects outward for the next exit gain."""
 
     inward: tuple[BoundaryCrossing, ...]
     outward: tuple[BoundaryCrossing, ...]
@@ -102,8 +101,7 @@ class BoundaryFunctions:
     exact multiple of pi there) and built from single-argument arctangents
     (safe: no root sits on the line).  K and phi are projections of K_slope
     and phi_slope, which return the value and its omega-derivative from one
-    pass; Kprime and phiprime take the derivative from the plant's log
-    kernel instead.
+    pass, at a float or at each element of an array.
 
     kprime_roots and phiprime_roots are the breakpoints, the zeros of K'
     and phi' with omega >= 0, ascending (_turning_points).  omega = 0 is
@@ -140,42 +138,31 @@ class BoundaryFunctions:
             slope += sign * d / g
         return acc, slope
 
-    def Kprime(self, omega: float) -> float:
-        return dlog_ratio(self.plant, complex(self.sigma0, omega)).imag
-
     def phi(self, omega: float) -> float:
         return self.phi_slope(omega)[0]
 
-    def phi_slope(self, omega: float) -> tuple[float, float]:
-        """phi and phi' at omega in one pass over the roots.
+    def phi_slope(self, omega: float | np.ndarray) -> tuple:
+        """phi and phi' at omega, a float or an array, in one pass over the
+        roots.  An array's arctangents are numpy's, a float's math.atan's.
 
         At omega = 0 the phase is rounded to the multiple of pi it equals:
         conjugate closure makes G(sigma0)e^(-h sigma0) real, and the summed
         arctangents would land a few ulp off a phase line that lies there.
         """
+        if isinstance(omega, np.ndarray):
+            slope, atan = np.full(omega.shape, -self.plant.delay), np.arctan
+        else:
+            slope, atan = -self.plant.delay, math.atan
         acc = self.phi0 - self.plant.delay * omega
-        slope = -self.plant.delay
         for ds, om in self.phirows:
             x = omega - om
-            acc += math.atan(x / ds)
+            acc += atan(x / ds)
             slope += ds / (ds * ds + x * x)
-        if omega == 0.0:
+        if isinstance(omega, np.ndarray):
+            acc = np.where(omega == 0.0, math.pi * np.round(acc / math.pi), acc)
+        elif omega == 0.0:
             acc = math.pi * round(acc / math.pi)
         return acc, slope
-
-    def phi_slope_many(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """phi_slope at each omega of an array, in its operation order."""
-        acc = self.phi0 - self.plant.delay * omega
-        slope = np.full(omega.shape, -self.plant.delay)
-        for ds, om in self.phirows:
-            x = omega - om
-            acc += np.arctan(x / ds)
-            slope += ds / (ds * ds + x * x)
-        acc = np.where(omega == 0.0, math.pi * np.round(acc / math.pi), acc)
-        return acc, slope
-
-    def phiprime(self, omega: float) -> float:
-        return dlog_ratio(self.plant, complex(self.sigma0, omega)).real
 
     def flipped_gain(self) -> "BoundaryFunctions":
         """The same line for plant.flipped_gain(): only phi0 is recomputed."""
@@ -395,7 +382,7 @@ def _solve_many(f, targets, a, b, va, vb, tol):
     return roots, slopes
 
 
-def _omega_cap(bf: BoundaryFunctions, region: RegionSpec, kp_roots) -> float:
+def _omega_cap(bf: BoundaryFunctions, region: RegionSpec) -> float:
     """An omega beyond which K(omega) stays above the gain cap.
 
     Past the largest K' root, K is monotone; strictly proper plants grow
@@ -403,7 +390,7 @@ def _omega_cap(bf: BoundaryFunctions, region: RegionSpec, kp_roots) -> float:
     doubling from beyond the last breakpoint terminates either way.
     """
     plant = bf.plant
-    mags = [abs(x) for x in plant.zeros + plant.poles] + list(kp_roots) + [1.0]
+    mags = [abs(x) for x in plant.zeros + plant.poles] + list(bf.kprime_roots) + [1.0]
     cap = 1.0 + 2.0 * max(mags)
     if plant.biproper:
         target = region.lnkmax + min(1.0, 0.5 * (bf.kconst - region.lnkmax))
@@ -423,7 +410,7 @@ def magnitude_intervals(bf: BoundaryFunctions, region: RegionSpec) -> list[tuple
     roots of K', K is monotone and meets the cap at most once.
     """
     L = region.lnkmax
-    cap = _omega_cap(bf, region, bf.kprime_roots)
+    cap = _omega_cap(bf, region)
     cuts = [0.0] + [r for r in bf.kprime_roots if 0.0 < r < cap] + [cap]
 
     tol = TOL_BISECT * (1.0 + cap)
@@ -459,9 +446,9 @@ def boundary_crossings(bf: BoundaryFunctions, region: RegionSpec) -> CrossingSet
     hits are solved in order along the piece, each by safeguarded Newton on
     phi from the tangent at the previous one; the lines of a larger piece
     are solved together over arrays (_solve_many), and their gains come
-    from one array pass.  A hit's direction comes from the phase slope its
-    solve last evaluated, or from the cut's own slope when the hit is a
-    piece endpoint.
+    from one array pass.  A hit is inward where the phase slope its solve
+    last evaluated is negative, else outward; a hit on a piece endpoint
+    takes the cut's own slope.
     """
     intervals = magnitude_intervals(bf, region)
     lnkmax = region.lnkmax
@@ -480,7 +467,7 @@ def boundary_crossings(bf: BoundaryFunctions, region: RegionSpec) -> CrossingSet
             )
             if len(lines) >= _ARRAY_LINES:
                 targets = (2.0 * np.arange(lines.start, lines.stop) + 1.0) * math.pi
-                w, slope = _solve_many(bf.phi_slope_many, targets, a, b, pa, pb, tol)
+                w, slope = _solve_many(bf.phi_slope, targets, a, b, pa, pb, tol)
                 slope = np.where(w == a, da, np.where(w == b, db, slope))
                 hits += zip(w.tolist(), slope.tolist(), bf.K_slope(w)[0].tolist())
                 continue
@@ -503,11 +490,8 @@ def boundary_crossings(bf: BoundaryFunctions, region: RegionSpec) -> CrossingSet
                 f"phase slope {slope:.3e} at boundary root omega={w:.12g}; "
                 "crossing direction is ill-posed"
             )
-        Kval = min(K, lnkmax)
-        if slope < 0.0:  # fields by position: a keyword call costs a third more
-            inward.append(BoundaryCrossing(w, Kval, math.exp(Kval), Direction.INWARD))
-        else:
-            outward.append(BoundaryCrossing(w, Kval, math.exp(Kval), Direction.OUTWARD))
+        # fields by position: a keyword call costs a third more
+        (inward if slope < 0.0 else outward).append(BoundaryCrossing(w, min(K, lnkmax)))
 
     inward.sort(key=attrgetter("Kval"))
     outward.sort(key=attrgetter("Kval"))

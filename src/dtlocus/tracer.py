@@ -227,8 +227,8 @@ def _mirrored_away(anchor: complex, theta: float) -> bool:
     return anchor.imag < 0.0
 
 
-def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
-                options: TraceOptions | None = None, branches=None) -> list[Seed]:
+def seed_points(plant: Plant, region: RegionSpec, crossings: CrossingSet, branches,
+                options: TraceOptions) -> list[Seed]:
     """Initial trajectories: one per in-region pole ray, one per inward
     crossing, one per departure ray of each active branch point.
 
@@ -238,14 +238,6 @@ def seed_points(plant: Plant, region: RegionSpec, bf=None, crossings=None,
     the mirror pass reinstates them.  Every trajectory heads along
     ds/dK = -1/dlog, so a seed carries no direction.
     """
-    options = options or TraceOptions()
-    if bf is None:
-        bf = boundary_functions(plant, region)
-    if crossings is None:
-        crossings = boundary_crossings(bf, region)
-    if branches is None:
-        branches = branch_points(plant, region)
-
     seeds: list[Seed] = []
     neighbours = _anchors(plant, branches)
     for i, p in enumerate(plant.poles):
@@ -679,7 +671,7 @@ def run(plant: Plant, region: RegionSpec, options: TraceOptions | None = None) -
     roots = branch_roots(plant, region.sigma0)
     result = _run_signed(bf, region, options, roots)
     if options.negative_gains:
-        neg = _run_signed(bf.flipped_gain(), region, replace(options, negative_gains=False), roots)
+        neg = _run_signed(bf.flipped_gain(), region, options, roots)
         result = replace(result, negative=neg)
     return result
 
@@ -696,7 +688,7 @@ def _run_signed(bf: BoundaryFunctions, region: RegionSpec, options: TraceOptions
             )
     crossings = boundary_crossings(bf, region)
 
-    seeds = seed_points(plant, region, bf, crossings, options, branches)
+    seeds = seed_points(plant, region, crossings, branches, options)
     batched = {}
     if len(seeds) >= _BATCH_MIN:  # else too few to be batchable
         starts = np.fromiter(chain.from_iterable(seed.start for seed in seeds), float,

@@ -1,8 +1,10 @@
 """Independent reference computations for the test suite.
 
-Everything here evaluates the plant by direct complex arithmetic (products of
+The oracles evaluate the plant by direct complex arithmetic (products of
 factors, cmath.exp), deliberately NOT via the library's log-domain code, so
-agreement between the two is meaningful.
+agreement between the two is meaningful.  The boundary slopes Kprime and
+phiprime read the plant's log kernel, which the line's signed rows do not
+use, and the former implementations kept here read what they read before.
 """
 
 import cmath
@@ -30,6 +32,33 @@ def geval_delayed(plant, s):
 def fd(f, x, h=1e-6):
     """Central finite difference."""
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def Kprime(bf, omega):
+    """K' on bf's boundary line at omega, as Im dlog from the plant's log
+    kernel: a reference that does not read the line's signed rows."""
+    from dtlocus.plant import dlog_ratio
+
+    return dlog_ratio(bf.plant, complex(bf.sigma0, omega)).imag
+
+
+def phiprime(bf, omega):
+    """phi' on bf's boundary line at omega, as Re dlog (see Kprime)."""
+    from dtlocus.plant import dlog_ratio
+
+    return dlog_ratio(bf.plant, complex(bf.sigma0, omega)).real
+
+
+def seeds_of(plant, region):
+    """tracer.seed_points with the crossings and branch points that
+    tracer.run hands it, and the default options."""
+    from dtlocus.boundary import boundary_crossings, boundary_functions
+    from dtlocus.branch import branch_points
+    from dtlocus.tracer import TraceOptions, seed_points
+
+    crossings = boundary_crossings(boundary_functions(plant, region), region)
+    return seed_points(plant, region, crossings, tuple(branch_points(plant, region)),
+                       TraceOptions())
 
 
 def newton_root(plant, k, s0, tol=1e-13, maxit=60):
@@ -641,11 +670,13 @@ def reference_bisect(f, a, b, fa, fb, tol):
 
 def reference_magnitude_intervals(bf, region):
     """The omega >= 0 set where the boundary gain stays within the cap."""
+    from dataclasses import replace
+
     from dtlocus.boundary import TOL_BISECT, _omega_cap
 
     L = region.lnkmax
     kp_roots = reference_nonneg_real_roots(reference_breakpoint_polys(bf.plant, bf.sigma0)[0])
-    cap = _omega_cap(bf, region, [r for r, _ in kp_roots])
+    cap = _omega_cap(replace(bf, kprime_roots=tuple(r for r, _ in kp_roots)), region)
     cuts = [0.0] + [r for r, _ in kp_roots if 0.0 < r < cap] + [cap]
 
     tol = TOL_BISECT * (1.0 + cap)
@@ -702,23 +733,19 @@ def reference_crossing_omegas(bf, region):
         if prev is not None and w - prev <= 2.0 * TOL_BISECT * (1.0 + w):
             continue
         prev = w
-        out.append((w, "in" if bf.phiprime(w) < 0.0 else "out", hi))
+        out.append((w, "in" if phiprime(bf, w) < 0.0 else "out", hi))
     return out
 
 
 def reference_classify(bf, region, omegas):
     """The former classification of boundary roots: a CrossingSet whose
-    directions come from one log-kernel pass (bf.phiprime) per root."""
-    from dtlocus.boundary import BoundaryCrossing, CrossingSet, Direction
+    directions come from one log-kernel pass (phiprime) per root."""
+    from dtlocus.boundary import BoundaryCrossing, CrossingSet
 
     inward, outward = [], []
     for w in omegas:
-        slope = bf.phiprime(w)
-        Kval = min(bf.K(w), region.lnkmax)
-        direction = Direction.INWARD if slope < 0.0 else Direction.OUTWARD
-        (inward if slope < 0.0 else outward).append(
-            BoundaryCrossing(omega=w, Kval=Kval, k=math.exp(Kval), direction=direction)
-        )
+        crossing = BoundaryCrossing(omega=w, Kval=min(bf.K(w), region.lnkmax))
+        (inward if phiprime(bf, w) < 0.0 else outward).append(crossing)
     inward.sort(key=lambda c: c.Kval)
     outward.sort(key=lambda c: c.Kval)
     return CrossingSet(inward=tuple(inward), outward=tuple(outward))

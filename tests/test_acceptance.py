@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from dtlocus.boundary import (
-    Direction,
     RegionSpec,
     boundary_crossings,
     boundary_functions,
@@ -53,11 +52,13 @@ from dtlocus.tracer import (
     seed_points,
 )
 from oracles import (
+    Kprime,
     clean_region,
     geval_delayed,
     grid_crossings,
     locus_residual,
     newton_root,
+    phiprime,
     random_plant,
 )
 
@@ -280,17 +281,15 @@ def test_05_crossing_completeness():
         # tangencies, or crossings closer together than its step
         if any(abs(c.Kval - region.lnkmax) < 1e-4 for c in allc):
             continue
-        if any(abs(bf.phiprime(c.omega)) < 1e-4 for c in allc):
+        if any(abs(phiprime(bf, c.omega)) < 1e-4 for c in allc):
             continue
         ws = sorted(c.omega for c in allc)
         if any(y - x < 5e-3 for x, y in zip(ws, ws[1:])):
             continue
 
         want = grid_crossings(plant, sigma0, kmax, step=1e-3)
-        got = sorted(
-            (c.omega, "in" if c.direction is Direction.INWARD else "out", c.k)
-            for c in allc
-        )
+        got = sorted([(c.omega, "in", c.k) for c in cs.inward]
+                     + [(c.omega, "out", c.k) for c in cs.outward])
         assert len(got) == len(want), (plant, sigma0, kmax)
         for (gw, gd, _), (ww, _, wd) in zip(got, want):
             assert abs(gw - ww) <= 1e-6
@@ -345,7 +344,7 @@ def test_06_derivative_accuracy(demo_plant):
                 continue
             fd_k = (bf.K(w + e) - bf.K(w - e)) / (2.0 * e)
             fd_phi = (bf.phi(w + e) - bf.phi(w - e)) / (2.0 * e)
-            kp, pp = bf.Kprime(w), bf.phiprime(w)
+            kp, pp = Kprime(bf, w), phiprime(bf, w)
             assert abs(fd_k - kp) <= 1e-5 * (1.0 + abs(kp))
             assert abs(fd_phi - pp) <= 1e-5 * (1.0 + abs(pp))
             checked += 1
@@ -529,7 +528,7 @@ def test_first_step_rule(corpus):
     crossings_sized = 0
     for res in corpus:
         anchors = [*res.plant.zeros, *res.plant.poles, *(bp.s for bp in res.branch_points)]
-        seeds = seed_points(res.plant, res.region, branches=res.branch_points)
+        seeds = seed_points(res.plant, res.region, res.crossings, res.branch_points, TraceOptions())
         for seed in seeds:
             h = _first_step(res.plant, res.branch_points, seed.start.s)
             assert H0 <= h <= H_MAX

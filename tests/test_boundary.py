@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from dtlocus import boundary
+from dtlocus import plant as plant_module
 from dtlocus.boundary import (
     TOL_BISECT,
     BoundaryCrossing,
     BoundaryFunctions,
-    Direction,
     RegionSpec,
     _omega_cap,
     _solve_many,
@@ -29,7 +29,7 @@ from dtlocus.errors import (
 )
 from dtlocus.plant import Plant, log_eval, plant_from_coefficients, wrap_angle
 
-from oracles import fd, geval, grid_crossings, reference_classify
+from oracles import Kprime, fd, geval, grid_crossings, phiprime, reference_classify
 
 
 @pytest.fixture
@@ -87,8 +87,8 @@ class TestBoundaryFunctions:
         assert bf.K(w1) == pytest.approx(0.0, abs=1e-12)
         assert bf.phi(0.0) == pytest.approx(math.pi)
         assert bf.phi(2.0) == pytest.approx(math.pi + math.atan(1.0) - 2.0, abs=1e-12)
-        assert bf.phiprime(0.0) == pytest.approx(-0.5, abs=1e-14)
-        assert bf.Kprime(2.0) == pytest.approx(0.25, abs=1e-14)
+        assert phiprime(bf, 0.0) == pytest.approx(-0.5, abs=1e-14)
+        assert Kprime(bf, 2.0) == pytest.approx(0.25, abs=1e-14)
 
     def test_p1_shifted_phiprime_root(self):
         p = Plant(1.0, 1.0, (), (0j,))
@@ -112,25 +112,25 @@ class TestBoundaryFunctions:
         _, bf = bf2
         rng = np.random.RandomState(13)
         for w in rng.uniform(0.1, 15.0, size=50):
-            assert bf.Kprime(w) == pytest.approx(fd(bf.K, w), rel=1e-5, abs=1e-8)
-            assert bf.phiprime(w) == pytest.approx(fd(bf.phi, w), rel=1e-5, abs=1e-8)
-            assert bf.K_slope(w) == (bf.K(w), pytest.approx(bf.Kprime(w), rel=1e-12, abs=1e-14))
-            assert bf.phi_slope(w) == (bf.phi(w), pytest.approx(bf.phiprime(w), rel=1e-12, abs=1e-14))
+            assert Kprime(bf, w) == pytest.approx(fd(bf.K, w), rel=1e-5, abs=1e-8)
+            assert phiprime(bf, w) == pytest.approx(fd(bf.phi, w), rel=1e-5, abs=1e-8)
+            assert bf.K_slope(w) == (bf.K(w), pytest.approx(Kprime(bf, w), rel=1e-12, abs=1e-14))
+            assert bf.phi_slope(w) == (bf.phi(w), pytest.approx(phiprime(bf, w), rel=1e-12, abs=1e-14))
 
     def test_breakpoints_are_zeros_of_the_slopes(self):
         found = 0
         for plant, region in PROPERTY_CORPUS:
             bf = boundary_functions(plant, region)
-            for roots, slope in ((bf.kprime_roots, bf.Kprime), (bf.phiprime_roots, bf.phiprime)):
+            for roots, slope in ((bf.kprime_roots, Kprime), (bf.phiprime_roots, phiprime)):
                 for w in roots:
-                    assert abs(slope(w)) <= 1e-10 * _slope_scale(bf, w), (plant, region, w)
+                    assert abs(slope(bf, w)) <= 1e-10 * _slope_scale(bf, w), (plant, region, w)
                 found += len(roots)
         assert found >= 400
 
     def test_kprime_zero_at_origin(self, bf2):
         # conjugate closure forces a stationary boundary gain at omega = 0
         _, bf = bf2
-        assert bf.Kprime(0.0) == pytest.approx(0.0, abs=1e-14)
+        assert Kprime(bf, 0.0) == pytest.approx(0.0, abs=1e-14)
         assert bf.kprime_roots[0] == 0.0
 
 
@@ -192,7 +192,6 @@ class TestBoundaryCrossings:
         assert c.omega == pytest.approx(0.0, abs=1e-9)
         assert c.k == pytest.approx(2.0 * math.exp(-2.0), rel=1e-9)
         assert c.Kval == pytest.approx(math.log(2.0) - 2.0, abs=1e-9)
-        assert c.direction is Direction.INWARD
 
     def test_p2_against_grid_oracle(self, p2, bf2):
         _, bf = bf2
@@ -252,7 +251,7 @@ class TestBoundaryCrossings:
                 abs(c.Kval - region.lnkmax) < 1e-4
                 for c in cs.inward + cs.outward
             )
-            if edge or any(abs(bf.phiprime(c.omega)) < 1e-4 for c in cs.inward + cs.outward):
+            if edge or any(abs(phiprime(bf, c.omega)) < 1e-4 for c in cs.inward + cs.outward):
                 continue
             want = grid_crossings(plant, sigma0, kmax, step=1e-3)
             got = sorted(
@@ -556,7 +555,7 @@ class TestSignedRows:
                 ref = FormerLine(line.plant, region.sigma0)
                 assert _bits(line.phi0) == _bits(ref.phi0), (plant, region)
                 K, dK = line.K_slope(w)
-                phi, dphi = line.phi_slope_many(w)
+                phi, dphi = line.phi_slope(w)
                 want = ref.phi_slope_many(w)
                 assert phi.tobytes() == want[0].tobytes() and dphi.tobytes() == want[1].tobytes()
                 for i, x in enumerate(w.tolist()):
@@ -582,7 +581,7 @@ class TestExactPhaseAtOrigin:
             assert value == math.pi * turns
             # the phase line through omega = 0 is odd exactly when G(sigma0) < 0
             assert turns % 2 == (geval(plant, region.sigma0).real < 0.0), (plant, region)
-            assert slope == pytest.approx(bf.phiprime(0.0), rel=1e-12, abs=1e-12)
+            assert slope == pytest.approx(phiprime(bf, 0.0), rel=1e-12, abs=1e-12)
 
 
 def _demo_ladder(plant):
@@ -629,7 +628,7 @@ class TestNewtonSearch:
         compared = crossings = 0
         for plant, region in _signed_corpus(far_left=False) + _demo_ladder(p2):
             bf = boundary_functions(plant, region)
-            cap = _omega_cap(bf, region, bf.kprime_roots)
+            cap = _omega_cap(bf, region)
             got_iv = magnitude_intervals(bf, region)
             want_iv = reference_magnitude_intervals(bf, region)
             assert len(got_iv) == len(want_iv), (plant, region)
@@ -673,13 +672,10 @@ class TestNewtonSearch:
         region = RegionSpec(-3.5, 500.0)
         bf = boundary_functions(p2, region)
         calls = []
-        phiprime = BoundaryFunctions.phiprime
-
-        def counted(self, omega):
-            calls.append(omega)
-            return phiprime(self, omega)
-
-        monkeypatch.setattr(BoundaryFunctions, "phiprime", counted)
+        for name in ("_log_kernel", "_log_kernel_many"):
+            kernel = getattr(plant_module, name)
+            monkeypatch.setattr(plant_module, name,
+                                lambda *args, kernel=kernel: calls.append(args) or kernel(*args))
         cs = boundary_crossings(bf, region)
         monkeypatch.undo()
         assert calls == []
@@ -824,29 +820,28 @@ class TestArraySolve:
         region = RegionSpec(-3.5, 500.0)
         bf = boundary_functions(p2, region)
         evaluated = []
-        many, one = BoundaryFunctions.phi_slope_many, BoundaryFunctions.phi_slope
-        monkeypatch.setattr(BoundaryFunctions, "phi_slope_many",
-                            lambda self, w: evaluated.append(len(w)) or many(self, w))
+        phi_slope = BoundaryFunctions.phi_slope
         monkeypatch.setattr(BoundaryFunctions, "phi_slope",
-                            lambda self, w: evaluated.append(1) or one(self, w))
+                            lambda self, w: evaluated.append(np.size(w)) or phi_slope(self, w))
         cs = boundary_crossings(bf, region)
         n = len(cs.inward) + len(cs.outward)
         assert n > 2000 and len(evaluated) < 100
         assert sum(evaluated) <= 3 * n
 
     def test_twins_match_scalar(self, bf2):
-        # phi_slope_many and K_slope over an array evaluate each omega as
-        # phi_slope and K_slope over a float do: K to the bit (its logs are
-        # math.log's), phi to numpy's arctan, and phi at omega = 0 on its
-        # multiple of pi
+        # phi_slope and K_slope over an array evaluate each omega as they do
+        # over a float: K to the bit (its logs are math.log's), phi to
+        # numpy's arctan, and phi at omega = 0 on its multiple of pi
         _, bf = bf2
         w = np.concatenate([[0.0], np.random.RandomState(5).uniform(0.0, 200.0, 300)])
         K, dK = bf.K_slope(w)
-        phi, dphi = bf.phi_slope_many(w)
+        phi, dphi = bf.phi_slope(w)
         for i, x in enumerate(w.tolist()):
             assert (K[i], dK[i]) == bf.K_slope(x)
-            assert phi[i] == pytest.approx(bf.phi(x), rel=1e-15, abs=1e-14)
-            assert dphi[i] == pytest.approx(bf.phiprime(x), rel=1e-12, abs=1e-14)
+            value, slope = bf.phi_slope(x)
+            assert phi[i] == pytest.approx(value, rel=1e-15, abs=1e-14)
+            assert dphi[i] == pytest.approx(slope, rel=1e-12, abs=1e-14)
+            assert dphi[i] == pytest.approx(phiprime(bf, x), rel=1e-12, abs=1e-14)
         assert phi[0] == bf.phi(0.0) == math.pi
 
     def test_safeguards(self):

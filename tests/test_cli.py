@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -282,6 +283,34 @@ class TestMain:
         assert rc == 2
         assert "too large for a double" in err.getvalue()
 
+    @pytest.mark.parametrize("doc, message", [
+        # a scalar field that is not a number
+        ({"alpha": "1", "delay": 1, "zeros": [], "poles": [[-1, 0]]}, "field 'alpha' must be a number"),
+        ({"num": [1], "den": [1, 1], "delay": True}, "field 'delay' must be a number"),
+        # a pair field that is not a list
+        ({"alpha": 1, "delay": 1, "zeros": {}, "poles": [[-1, 0]]},
+         "field 'zeros' must be a list of [re, im] pairs"),
+        ({"alpha": 1, "delay": 1, "zeros": [], "poles": "[[-1, 0]]"},
+         "field 'poles' must be a list of [re, im] pairs"),
+        # a coefficient list that is empty, not a list or holds a non-number
+        ({"num": [], "den": [1, 1], "delay": 1}, "field 'num' must be a non-empty list of numbers"),
+        ({"num": 1, "den": [1, 1], "delay": 1}, "field 'num' must be a non-empty list of numbers"),
+        ({"num": [1], "den": [1, "1"], "delay": 1}, "field 'den' must be a non-empty list of numbers"),
+        ({"num": [1], "den": [1, True], "delay": 1}, "field 'den' must be a non-empty list of numbers"),
+        # a root beyond double range, and a zero denominator
+        ({"alpha": 1, "delay": 1, "zeros": [], "poles": [[1e400, 0]]}, "zeros/poles must be finite"),
+        ({"num": [1], "den": [0, 0], "delay": 1}, "denominator is the zero polynomial"),
+    ])
+    def test_exit_2_on_malformed_field(self, tmp_path, doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))  # 1e400 is written as Infinity, parsed back to inf
+        with pytest.raises(InputError, match=re.escape(message)):
+            parse_input(bad.read_bytes())
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main([str(bad), "--sigma0", "-2", "--kmax", "1"])
+        assert rc == 2
+        assert err.getvalue().startswith(f"dtlocus: error: {message}")
+
     @pytest.mark.parametrize("doc", [
         {"num": [1], "den": [1, 1e-320], "delay": 1},
         {"num": [1, 1e-320], "den": [1, 1], "delay": 1},
@@ -348,6 +377,13 @@ class TestMain:
         assert rc == 3
         data = json.loads(out.read_text())
         assert any(t["termination"]["type"] == "step_failure" for t in data["trajectories"])
+
+    def test_strict_exits_zero_without_step_failures(self, p1_path, capsys):
+        # no negative pass to look through, and no step failure in the one run
+        assert not cli._has_step_failure(run(Plant(1.0, 1.0, (), (0j,)), RegionSpec(-2.0, 1.0)))
+        rc = main([p1_path, "--sigma0", "-2", "--kmax", "1", "--strict"])
+        assert rc == 0
+        assert '"step_failure"' not in capsys.readouterr().out
 
     def test_unstrict_step_failure_exits_zero(self, p1_path, capsys, monkeypatch):
         monkeypatch.setattr(tracer, "MAX_STEPS", 2)

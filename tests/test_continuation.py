@@ -22,9 +22,9 @@ from dtlocus.continuation import (
     step_update,
 )
 from dtlocus.plant import Plant, dlog_ratio
-from dtlocus.tracer import CrossingOrigin, seed_points
+from dtlocus.tracer import CrossingOrigin
 
-from oracles import fd
+from oracles import fd, seeds_of
 
 
 class TestLocusPoint:
@@ -321,7 +321,7 @@ class TestInitialDirections:
         assert c.k * math.exp(2.0) == pytest.approx(2.0, rel=1e-9)
         assert d0.real == pytest.approx(2.0, rel=1e-9)
         assert d0.imag == pytest.approx(0.0, abs=1e-12)
-        (seed,) = [s for s in seed_points(p1, region) if isinstance(s.origin, CrossingOrigin)]
+        (seed,) = [s for s in seeds_of(p1, region) if isinstance(s.origin, CrossingOrigin)]
         assert seed.start == LocusPoint(region.sigma0, c.omega, c.Kval)
 
     def test_inward_entries_point_right(self, p2):

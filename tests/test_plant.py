@@ -49,6 +49,11 @@ class TestConstruction:
             Plant(1.0, 1.0, (1j, 2j), (0j, 0j))  # zeros not conjugate closed
         with pytest.raises(InputError):
             Plant(1.0, 1.0, (0j, 1j, -1j), (0j, 0j))  # improper
+        for root in (complex(math.inf, 0.0), complex(math.nan, 0.0), complex(-1.0, math.inf)):
+            with pytest.raises(InputError, match="zeros/poles must be finite"):
+                Plant(1.0, 1.0, (), (root, root.conjugate()))
+            with pytest.raises(InputError, match="zeros/poles must be finite"):
+                Plant(1.0, 1.0, (root, root.conjugate()), (0j, 0j))
 
     def test_conjugate_pairs_accepted(self):
         p = Plant(2.0, 0.5, (1 + 1j, 1 - 1j), (0j, -2 + 3j, -2 - 3j))
@@ -83,6 +88,9 @@ class TestConstruction:
             plant_from_coefficients(RealPolynomial((0.0, 0.0, 1.0)), s, 1.0)  # improper
         with pytest.raises(InputError):
             plant_from_coefficients(RealPolynomial(()), s, 1.0)  # zero numerator
+        for zero in (RealPolynomial(()), RealPolynomial((0.0, 0.0))):
+            with pytest.raises(InputError, match="denominator is the zero polynomial"):
+                plant_from_coefficients(RealPolynomial((1.0,)), zero, 1.0)
         with pytest.raises(InputError):
             plant_from_coefficients(RealPolynomial((1.0,)), s, 0.0)  # h = 0
 

@@ -19,6 +19,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -134,15 +135,14 @@ def test_output_digest_work_lines(capsys, monkeypatch):
     assert len(batches) == 1
     assert (plant._log_kernel_many, continuation.correct_many, tracer.correct_many) == lockstep
 
-    # phase counts each scalar phi_slope call and each element of a
-    # phi_slope_many call; the dense job's pieces are solved over arrays,
-    # and with that solve off the line differs in phase alone
-    line_methods = (BoundaryFunctions.phi_slope, BoundaryFunctions.phi_slope_many)
+    # phase counts each phi_slope call at a float and each element of one
+    # at an array; the dense job's pieces are solved over arrays, and with
+    # that solve off the line differs in phase alone
+    phi_slope = BoundaryFunctions.phi_slope
     evaluated = []
-    many = BoundaryFunctions.phi_slope_many
     with monkeypatch.context() as mp:
-        mp.setattr(BoundaryFunctions, "phi_slope_many",
-                   lambda bf, w: evaluated.append(len(w)) or many(bf, w))
+        mp.setattr(BoundaryFunctions, "phi_slope", lambda bf, w: evaluated.append(
+            w.size if isinstance(w, np.ndarray) else 0) or phi_slope(bf, w))
         assert digest.main(["dense", "--jobs", "1", "--work"]) == 0
     (arrays,) = capsys.readouterr().out.splitlines()
     monkeypatch.setattr(boundary, "_ARRAY_LINES", math.inf)
@@ -152,7 +152,7 @@ def test_output_digest_work_lines(capsys, monkeypatch):
     (*same_scalar, phase_scalar), = re.findall(work, scalar)
     assert same == same_scalar
     assert int(phase) > sum(evaluated) > 0 and int(phase_scalar) > 0
-    assert (BoundaryFunctions.phi_slope, BoundaryFunctions.phi_slope_many) == line_methods
+    assert BoundaryFunctions.phi_slope is phi_slope
 
 
 def test_output_digest_ledger_lines(capsys, monkeypatch):

@@ -41,7 +41,7 @@ from dtlocus.tracer import (
     seed_points,
 )
 
-from oracles import clean_region, random_plant
+from oracles import clean_region, random_plant, seeds_of
 
 
 def by_origin(result, kind, index=None, mirrored=False):
@@ -391,7 +391,7 @@ class TestSeedsAndStability:
         cases = [(p2, RegionSpec(-3.5, 5.0), 3), (JOB_461_FLIPPED, RegionSpec(-1.747593, 0.008512), 4),
                  (JOB_183, RegionSpec(-2.402994, 6.621255), 3)]
         for plant, region, n_seeds in cases:
-            seeds = seed_points(plant, region)
+            seeds = seeds_of(plant, region)
             pole_seeds = [s for s in seeds if isinstance(s.origin, PoleOrigin)]
             assert len(pole_seeds) == n_seeds
             for s in pole_seeds:
@@ -411,7 +411,7 @@ class TestSeedsAndStability:
             plant = random_plant(rng, Plant)
             region = RegionSpec(*clean_region(plant, rng))
             for signed in (plant, plant.flipped_gain()):
-                for s in seed_points(signed, region):
+                for s in seeds_of(signed, region):
                     dlog = dlog_ratio(signed, s.start.s)
                     assert 0.0 < abs(dlog) < math.inf, s.origin
                     if isinstance(s.origin, CrossingOrigin):
@@ -423,7 +423,7 @@ class TestSeedsAndStability:
         # the pole seed 1e-3 off the integrator's pole sits at k ~ 1e-3,
         # above a cap of 1e-4: it is its own only point, with no corrector call
         region = RegionSpec(-2.0, 1e-4)
-        (seed,) = [s for s in seed_points(p1, region) if isinstance(s.origin, PoleOrigin)]
+        (seed,) = [s for s in seeds_of(p1, region) if isinstance(s.origin, PoleOrigin)]
         assert seed.start.Kval >= region.lnkmax
         calls = []
         correct = tracer.correct
@@ -460,7 +460,7 @@ class TestSeedsAndStability:
 
     def test_crossing_seeds_sit_on_crossings(self, p2):
         region = RegionSpec(-3.5, 5.0)
-        seeds = seed_points(p2, region)
+        seeds = seeds_of(p2, region)
         cross = [s for s in seeds if isinstance(s.origin, CrossingOrigin)]
         assert len(cross) == 27
         for s in cross:
@@ -634,7 +634,7 @@ class TestRejectAtFloor:
         # trajectory is not at the crossing, and at its own exit gain there is
         # no crossing
         self._outward_replaced(monkeypatch, lambda outward: tuple(
-            dataclasses.replace(c, Kval=c.Kval - 1.0) for c in outward))
+            c._replace(Kval=c.Kval - 1.0) for c in outward))
         run(p1, RegionSpec(-0.5, 1.0))
         self._assert_failed(traced, "step left the region off every outward crossing at step ")
 
@@ -1037,7 +1037,7 @@ class TestCorpusRegressions:
         for signed in (plant, plant.flipped_gain()):
             bf = boundary_functions(signed, region)
             assert bf.kprime_roots[0] == 0.0 and bf.kprime_roots[-1] < 10.0
-            assert _omega_cap(bf, region, bf.kprime_roots) < 1e3
+            assert _omega_cap(bf, region) < 1e3
         res = run(plant, region, TraceOptions(negative_gains=True))
         assert_ends_on_locus(res, -1.264558)
         assert_ends_on_locus(res.negative, -1.264558)
@@ -1166,7 +1166,7 @@ def _replayed_steps(plant, region, monkeypatch):
     """
     branches = branch.branch_points(plant, region)
     crossings = boundary.boundary_crossings(boundary_functions(plant, region), region)
-    seeds = seed_points(plant, region, crossings=crossings, branches=branches)
+    seeds = seed_points(plant, region, crossings, branches, TraceOptions())
     calls = []
     correct = tracer.correct
 
@@ -1440,8 +1440,9 @@ class TestBatch:
         # ends the first and takes the steps of the others
         plant, region, options = parse_input(DEMO), RegionSpec(-3.5, 50.0), TraceOptions()
         branches = tuple(branch.branch_points(plant, region))
-        outward = boundary.boundary_crossings(boundary_functions(plant, region), region).outward
-        seeds = seed_points(plant, region, branches=branches)
+        crossings = boundary.boundary_crossings(boundary_functions(plant, region), region)
+        outward = crossings.outward
+        seeds = seed_points(plant, region, crossings, branches, options)
         seeds = [seed for seed in seeds if seed.start.omega != 0.0]
         zero = plant.zeros[0]
         near = zero + complex(0.0, 1e-14)

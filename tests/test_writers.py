@@ -18,7 +18,7 @@ import re
 import pytest
 
 from dtlocus import svgplot
-from dtlocus.boundary import BoundaryCrossing, CrossingSet, Direction, RegionSpec
+from dtlocus.boundary import BoundaryCrossing, CrossingSet, RegionSpec
 from dtlocus.branch import BranchPoint
 from dtlocus.cli import parse_input, result_to_csv, result_to_json
 from dtlocus.continuation import LocusPoint
@@ -170,8 +170,8 @@ def test_headers_crossings_and_branch_points_as_json_dumps_writes_them(demo):
         Trajectory(PoleOrigin(1), pts, failed, start_marker=-0.5 + 0.5j),
     )
     # a crossing gain that underflows is -0.0 in the negative pass
-    crossings = CrossingSet(inward=(BoundaryCrossing(1.5, -800.0, 0.0, Direction.INWARD),),
-                            outward=(BoundaryCrossing(-0.0, 0.5, 1.25, Direction.OUTWARD),))
+    crossings = CrossingSet(inward=(BoundaryCrossing(1.5, -800.0),),
+                            outward=(BoundaryCrossing(-0.0, 0.5),))
     branch = BranchPoint(-1.0 + 0.5j, 0.0, -800.0, 2, True)
     crafted = dataclasses.replace(
         demo, trajectories=trajectories, crossings=crossings, branch_points=(branch,),
@@ -186,7 +186,7 @@ def test_headers_crossings_and_branch_points_as_json_dumps_writes_them(demo):
     for bad in (math.inf, math.nan):
         for res in (
             dataclasses.replace(crafted, crossings=CrossingSet(
-                inward=(BoundaryCrossing(1.5, 0.0, bad, Direction.INWARD),), outward=())),
+                inward=(BoundaryCrossing(1.5, bad),), outward=())),
             dataclasses.replace(crafted, branch_points=(dataclasses.replace(branch, k=bad),)),
             dataclasses.replace(crafted, trajectories=(
                 Trajectory(BranchOrigin(0, bad), pts, GainCap()),)),

@@ -45,8 +45,9 @@ passes of the root polish (``poly._horner_triple``; only the rooting of a
 plant given by coefficients polishes, since breakpoints and branch
 candidates are eigenvalues over the plant's roots) and the phase
 evaluations of the boundary crossing search (``phase``: each
-``BoundaryFunctions.phi_slope`` call, and each element of a
-``phi_slope_many`` call).  The lockstep tracer's
+``BoundaryFunctions.phi_slope`` call at a float, and each element of one
+at an array or of a ``phi_slope_many`` call, where a checkout still has
+that array twin).  The lockstep tracer's
 work counts alike: each point of a ``plant._log_kernel_many`` call is one
 kernel evaluation, and each solve of a ``continuation.correct_many`` call
 one ``correct`` call with its Newton iterations.  They are counted by
@@ -260,8 +261,9 @@ class WorkCount:
     lockstep twins ``plant._log_kernel_many`` and
     ``continuation.correct_many`` (one count per point or solve) and
     ``poly._horner_triple`` in every dtlocus module namespace that holds
-    them, and ``BoundaryFunctions.phi_slope`` and its array twin
-    ``phi_slope_many`` (one count per element) on their class;
+    them, and ``BoundaryFunctions.phi_slope`` (one count per element of
+    an array) and, where a checkout has it, its former array twin
+    ``phi_slope_many`` on their class;
     uninstall() puts the originals back.  A call counts towards "+" when
     its plant's gain has the sign of the job's plant (set ``alpha`` before
     each job), else "-"; a polish pass always counts towards "+".
@@ -313,7 +315,7 @@ class WorkCount:
             return horner(*args)
 
         def counted_phase(bf, omega):
-            self.counts[self._sign(bf.plant), "phase"] += 1
+            self.counts[self._sign(bf.plant), "phase"] += getattr(omega, "size", 1)
             return phase(bf, omega)
 
         def counted_phase_many(bf, omega):
