@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .boundary import RegionSpec
 from .errors import SingularPointError
@@ -23,19 +23,22 @@ _POLISH_ITER = 20
 _DLOG_REL = 1e-9
 
 
-@dataclass(frozen=True)
-class BranchPoint:
-    """A locus point of multiplicity N >= 2 inside the region.
+class BranchPoint(NamedTuple):
+    """A locus point of multiplicity N >= 2 inside the region, at the gain
+    k = e^Kval.
 
     `active` marks branch points reachable under the gain cap; inactive ones
     are kept for diagnostics but never traced into.
     """
 
     s: complex
-    k: float
     Kval: float
     multiplicity: int
     active: bool
+
+    @property
+    def k(self) -> float:
+        return math.exp(self.Kval)
 
 
 def power_sum(plant: Plant, bp: BranchPoint) -> complex:
@@ -162,19 +165,11 @@ def branch_points(plant: Plant, region: RegionSpec,
             continue
         Kval = -lv.lnmag
         try:
-            k = math.exp(Kval)
+            math.exp(Kval)
         except OverflowError:
             # a gain beyond the double range exceeds every kmax, so the point
             # could never be active
             continue
-        out.append(
-            BranchPoint(
-                s=s,
-                k=k,
-                Kval=Kval,
-                multiplicity=mu + 1,
-                active=Kval <= region.lnkmax,
-            )
-        )
+        out.append(BranchPoint(s, Kval, mu + 1, Kval <= region.lnkmax))
     out.sort(key=lambda bp: (bp.Kval, bp.s.real, bp.s.imag))
     return out

@@ -176,7 +176,8 @@ _CONJUGATE = np.array([1.0, -1.0, 1.0])
 
 
 def _pass_texts(trajectories, sign: float, row: str, sep: str):
-    """The text of each trajectory's rows (Trajectory.rows(sign)).  Each row
+    """The text of each trajectory's rows: (sigma, omega, sign e^K) per
+    point, led by (sigma, omega, 0.0) of its start marker.  Each row
     is the % format row of (sigma, omega, k), which puts a NUL character
     before the omega field, and sep joins them.  One % call
     formats the rows of the whole pass but an image's: a mirrored trajectory

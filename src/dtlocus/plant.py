@@ -112,14 +112,6 @@ class Plant:
         ))
 
     @property
-    def n_poles(self) -> int:
-        return len(self.poles)
-
-    @property
-    def n_zeros(self) -> int:
-        return len(self.zeros)
-
-    @property
     def biproper(self) -> bool:
         return len(self.zeros) == len(self.poles)
 

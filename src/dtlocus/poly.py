@@ -1,4 +1,6 @@
-"""Real-coefficient polynomials and their roots.
+"""Real-coefficient polynomials and their roots: the rooting behind a plant
+given in coefficient form (plant.plant_from_coefficients).  There is no
+polynomial arithmetic; the library expands no roots into coefficients.
 
 Coefficients are stored densely in ascending degree order, so coeffs[d] is the
 coefficient of x**d.  Root finding normalizes by the largest coefficient
@@ -37,7 +39,8 @@ def _trimmed(coeffs) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class RealPolynomial:
-    """Dense univariate polynomial with real coefficients.
+    """Dense univariate polynomial with real coefficients, trailing zeros
+    trimmed.
 
     The zero polynomial is the empty coefficient tuple and has degree -1.
     """
@@ -50,42 +53,6 @@ class RealPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = 0.0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "RealPolynomial":
-        return RealPolynomial(tuple(d * c for d, c in enumerate(self.coeffs))[1:])
-
-    def _padded(self, n: int) -> list[float]:
-        return list(self.coeffs) + [0.0] * (n - len(self.coeffs))
-
-    def __add__(self, other: "RealPolynomial") -> "RealPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RealPolynomial(tuple(a + b for a, b in zip(self._padded(n), other._padded(n))))
-
-    def __sub__(self, other: "RealPolynomial") -> "RealPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RealPolynomial(tuple(a - b for a, b in zip(self._padded(n), other._padded(n))))
-
-    def __neg__(self) -> "RealPolynomial":
-        return RealPolynomial(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, RealPolynomial):
-            if not self.coeffs or not other.coeffs:
-                return RealPolynomial(())
-            out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return RealPolynomial(tuple(out))
-        return RealPolynomial(tuple(float(other) * c for c in self.coeffs))
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@ lower one (real-coefficient symmetry): each trajectory that starts off the
 real axis is directly followed by its conjugate image.  Points live in
 float arrays (Trajectory.array), never as one object each, so the cyclic
 collector has none to walk; a pass's images are views of one array.
+Trajectory and Seed are named tuples, built unchecked: trace, _trace_batch
+and _mirror, the only producers of trajectories, each hand over a read-only
+float64 array of shape (n, 3).
 
 trace advances one seed at a time.  A pass with _BATCH_MIN or more seeds
 off the real axis, below the cap and above every active branch point's gain
@@ -31,6 +34,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,16 +113,17 @@ class StepFailure:
     reason: str
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """One traced locus branch, gain strictly increasing along its points.
 
     array holds one row (sigma, omega, K) per point, read-only float64 of
-    shape (n, 3), maybe a view of an array other trajectories share; the
-    constructor also takes any sequence of points.  points builds them as
-    LocusPoints on each access.  start_marker carries the open-loop pole of
-    a pole-seeded trajectory; that point belongs to gain k = 0, which has no
-    finite K, so it rides along outside the array.
+    shape (n, 3), maybe a view of an array other trajectories share; its
+    producer (trace, _trace_batch, _mirror) makes it so.  points builds them
+    as LocusPoints on each access.  start_marker carries the open-loop pole
+    of a pole-seeded trajectory; that point belongs to gain k = 0, which has
+    no finite K, so it rides along outside the array.  Trajectories are not
+    compared by value: tuple == on two arrays of more than one element
+    raises, so compare arrays with np.array_equal.
     """
 
     origin: PoleOrigin | CrossingOrigin | BranchOrigin
@@ -127,39 +132,9 @@ class Trajectory:
     mirrored: bool = False
     start_marker: complex | None = None
 
-    def __post_init__(self):
-        array = self.array
-        if not isinstance(array, np.ndarray):  # a sequence of points
-            array = np.fromiter(chain.from_iterable(array), float).reshape(-1, 3)
-        elif array.flags.writeable or array.dtype is not _FLOAT64:
-            array = np.array(array, dtype=float).reshape(-1, 3)  # a copy of its own
-        else:
-            return
-        array.flags.writeable = False
-        object.__setattr__(self, "array", array)
-
-    def __eq__(self, other):  # as the dataclass's, with the array compared by value
-        if not isinstance(other, Trajectory):
-            return NotImplemented
-        return self._key() == other._key() and np.array_equal(self.array, other.array)
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def _key(self):
-        return self.origin, self.termination, self.mirrored, self.start_marker
-
     @property
     def points(self) -> tuple[LocusPoint, ...]:
         return tuple(map(LocusPoint._make, self.array.tolist()))
-
-    def rows(self, sign: float = 1.0) -> list[tuple[float, float, float]]:
-        """(sigma, omega, k) per point, led by a (sigma, omega, 0.0) row for
-        the start marker; sign is -1.0 for the negative-gain pass."""
-        rows = [(sigma, omega, sign * math.exp(K)) for sigma, omega, K in self.array.tolist()]
-        if self.start_marker is not None:
-            rows.insert(0, (self.start_marker.real, self.start_marker.imag, 0.0))
-        return rows
 
 
 @dataclass(frozen=True)
@@ -174,8 +149,7 @@ class TraceOptions:
             raise InputError(f"corrector tolerance must be finite and > 0, got {self.tol_corr}")
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(NamedTuple):
     origin: PoleOrigin | CrossingOrigin | BranchOrigin
     start: LocusPoint
     start_marker: complex | None = None
@@ -321,7 +295,7 @@ def _ds_dK(dlog: complex, real: bool):
 
 
 def trace(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
-          options: TraceOptions | None = None) -> Trajectory:
+          options: TraceOptions) -> Trajectory:
     """Advance one seed to its termination, stepping in the gain.
 
     A step of length h in (sigma, omega, K) raises the gain by
@@ -357,16 +331,17 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
     gain, so they are never probed against it.  The first step is
     _first_step's; a seed at or above the cap is its own only point.
     """
-    options = options or TraceOptions()
     if seed.start.Kval >= region.lnkmax:  # the seed already sits at or above the cap
-        return Trajectory(seed.origin, (seed.start,), GainCap(), start_marker=seed.start_marker)
-    s, K = seed.start.s, seed.start.Kval
-    # 0j where the kernel raises
-    dlog = correct(plant, s, K, math.inf, 0, s.imag == 0.0).dlog
-    points, termination = _advance(plant, region, seed, branches, outward, options, 1, s, K,
-                                   dlog, s, None, 0.0, _first_step(plant, branches, s), MAX_STEPS)
+        points, termination = [], GainCap()
+    else:
+        s, K = seed.start.s, seed.start.Kval
+        # 0j where the kernel raises
+        dlog = correct(plant, s, K, math.inf, 0, s.imag == 0.0).dlog
+        points, termination = _advance(plant, region, seed, branches, outward, options, 1, s, K,
+                                       dlog, s, None, 0.0, _first_step(plant, branches, s),
+                                       MAX_STEPS)
     rows = [*seed.start, *points]
-    # an array over bytes is read-only as made, so Trajectory keeps it as it is
+    # an array over bytes is read-only as made
     rows = np.ndarray((len(rows) // 3, 3), _FLOAT64, array("d", rows).tobytes())
     return Trajectory(seed.origin, rows, termination, start_marker=seed.start_marker)
 

@@ -5,6 +5,10 @@ factors, cmath.exp), deliberately NOT via the library's log-domain code, so
 agreement between the two is meaningful.  The boundary slopes Kprime and
 phiprime read the plant's log kernel, which the line's signed rows do not
 use, and the former implementations kept here read what they read before.
+poly_mul, poly_add and poly_scale are the polynomial arithmetic the
+library no longer has; rows_array, trajectory_rows and same_result
+stand in for Trajectory's former sequence constructor, rows method and
+value equality.
 """
 
 import cmath
@@ -210,6 +214,37 @@ def random_plant(rng, plant_cls):
     return plant_cls(alpha, h, tuple(zeros), tuple(poles))
 
 
+def poly_mul(p, *factors):
+    """The product of RealPolynomials, left to right, each coefficient summed
+    in the i-major order of the library's former product, so every test
+    polynomial keeps its coefficients to the bit."""
+    from dtlocus.poly import RealPolynomial
+
+    for q in factors:
+        out = [0.0] * max(len(p.coeffs) + len(q.coeffs) - 1, 0)
+        for i, a in enumerate(p.coeffs):
+            for j, b in enumerate(q.coeffs):
+                out[i + j] += a * b
+        p = RealPolynomial(tuple(out))
+    return p
+
+
+def poly_add(p, q, sign=1.0):
+    """p + q, or p - q with sign -1.0, coefficient by coefficient."""
+    from dtlocus.poly import RealPolynomial
+
+    n = max(len(p.coeffs), len(q.coeffs))
+    a, b = (list(x.coeffs) + [0.0] * (n - len(x.coeffs)) for x in (p, q))
+    return RealPolynomial(tuple(x + sign * y for x, y in zip(a, b)))
+
+
+def poly_scale(c, p):
+    """c*p, coefficient by coefficient."""
+    from dtlocus.poly import RealPolynomial
+
+    return RealPolynomial(tuple(float(c) * x for x in p.coeffs))
+
+
 def poly_from_roots(roots):
     """Monic real polynomial with the given roots.  A complex root brings its
     conjugate, and one with Im < 0 is skipped, so a conjugate-closed list and
@@ -219,9 +254,9 @@ def poly_from_roots(roots):
     p = RealPolynomial((1.0,))
     for r in roots:
         if r.imag == 0.0:
-            p = p * RealPolynomial((-r.real, 1.0))
+            p = poly_mul(p, RealPolynomial((-r.real, 1.0)))
         elif r.imag > 0.0:
-            p = p * RealPolynomial((abs(r) ** 2, -2.0 * r.real, 1.0))
+            p = poly_mul(p, RealPolynomial((abs(r) ** 2, -2.0 * r.real, 1.0)))
     return p
 
 
@@ -352,6 +387,42 @@ def reference_dlog_zero(plant, s, steps=4):
     for _ in range(steps):
         s -= exact_dlog(plant, s)[1]
     return s
+
+
+def rows_array(points):
+    """A trajectory's array from a sequence of (sigma, omega, K) points:
+    read-only float64 of shape (n, 3), as the tracer hands them over."""
+    array = np.array(points, dtype=float).reshape(-1, 3)
+    array.flags.writeable = False
+    return array
+
+
+def trajectory_rows(t, sign=1.0):
+    """(sigma, omega, k) per point of trajectory t, led by a (sigma, omega,
+    0.0) row for its start marker; sign is -1.0 for the negative-gain pass."""
+    rows = [(sigma, omega, sign * math.exp(K)) for sigma, omega, K in t.array.tolist()]
+    if t.start_marker is not None:
+        rows.insert(0, (t.start_marker.real, t.start_marker.imag, 0.0))
+    return rows
+
+
+def same_result(a, b):
+    """Whether two RootLocusResults (or None) are equal field by field,
+    their trajectories too, each array by np.array_equal: a trajectory is a
+    named tuple of an array, which has no truth value for ==."""
+    import dataclasses
+
+    if a is None or b is None:
+        return a is b
+
+    def strip(r):
+        return dataclasses.replace(r, trajectories=(), negative=None)
+
+    return (strip(a) == strip(b) and len(a.trajectories) == len(b.trajectories)
+            and all(s._replace(array=None) == t._replace(array=None)
+                    and np.array_equal(s.array, t.array)
+                    for s, t in zip(a.trajectories, b.trajectories))
+            and same_result(a.negative, b.negative))
 
 
 def pairwise_dedup(trajectories):
@@ -530,10 +601,7 @@ def reference_breakpoint_polys(plant, sigma0):
         return RealPolynomial((dsig * dsig + om * om, -2.0 * om, 1.0))
 
     def prod(polys):
-        acc = RealPolynomial((1.0,))
-        for p in polys:
-            acc = acc * p
-        return acc
+        return poly_mul(RealPolynomial((1.0,)), *polys)
 
     dsz = tuple(sigma0 - z.real for z in plant.zeros)
     omz = tuple(z.imag for z in plant.zeros)
@@ -550,21 +618,22 @@ def reference_breakpoint_polys(plant, sigma0):
     zero = RealPolynomial(())
     sum_p = zero
     for i, cof in enumerate(Gp_i):
-        sum_p = sum_p + RealPolynomial((-omp[i], 1.0)) * cof
+        sum_p = poly_add(sum_p, poly_mul(RealPolynomial((-omp[i], 1.0)), cof))
     sum_z = zero
     for r, cof in enumerate(Gz_r):
-        sum_z = sum_z + RealPolynomial((-omz[r], 1.0)) * cof
-    kprime_poly = Gz * sum_p - Gp * sum_z
-    if plant.biproper and plant.n_poles:
-        kprime_poly = RealPolynomial(kprime_poly.coeffs[: 4 * plant.n_poles - 2])
+        sum_z = poly_add(sum_z, poly_mul(RealPolynomial((-omz[r], 1.0)), cof))
+    kprime_poly = poly_add(poly_mul(Gz, sum_p), poly_mul(Gp, sum_z), -1.0)
+    if plant.biproper and plant.poles:
+        kprime_poly = RealPolynomial(kprime_poly.coeffs[: 4 * len(plant.poles) - 2])
 
     ssum_z = zero
     for r, cof in enumerate(Gz_r):
-        ssum_z = ssum_z + dsz[r] * cof
+        ssum_z = poly_add(ssum_z, poly_scale(dsz[r], cof))
     ssum_p = zero
     for i, cof in enumerate(Gp_i):
-        ssum_p = ssum_p + dsp[i] * cof
-    phiprime_poly = Gp * ssum_z - Gz * ssum_p - plant.delay * (Gz * Gp)
+        ssum_p = poly_add(ssum_p, poly_scale(dsp[i], cof))
+    phiprime_poly = poly_add(poly_add(poly_mul(Gp, ssum_z), poly_mul(Gz, ssum_p), -1.0),
+                             poly_scale(plant.delay, poly_mul(Gz, Gp)), -1.0)
     return kprime_poly, phiprime_poly
 
 
@@ -795,9 +864,9 @@ def reference_polyline_points(result, svgplot, rewrite=True):
     order, by the former per-point _fmt(X(x)),_fmt(Y(y)).  The page and its
     margins are read from the svgplot module, as render_svg reads them;
     rewrite=False keeps a "-0.00" the former _fmt turned into "0.00"."""
-    curves = [t.rows() for t in result.trajectories]
+    curves = [trajectory_rows(t) for t in result.trajectories]
     if result.negative is not None:
-        curves += [t.rows() for t in result.negative.trajectories]
+        curves += [trajectory_rows(t) for t in result.negative.trajectories]
     xs = [row[0] for rows in curves for row in rows]
     ys = [row[1] for rows in curves for row in rows]
     sigma0 = result.region.sigma0
@@ -833,7 +902,7 @@ def reference_csv(result):
         if res is None:
             continue
         for t in res.trajectories:
-            for s, w, k in t.rows(sign):
+            for s, w, k in trajectory_rows(t, sign):
                 lines.append(f"{tid},{s:.17g},{w:.17g},{k:.17g}")
             tid += 1
     return "\n".join(lines) + "\n"
@@ -841,8 +910,8 @@ def reference_csv(result):
 
 def reference_json(result):
     """result_to_json by the former whole-document json.dumps, the points of
-    each trajectory as its rows(sign), each origin and termination as
-    {"type": its type's name, **vars(value)}."""
+    each trajectory as trajectory_rows(t, sign), each origin and termination
+    as {"type": its type's name, **vars(value)}."""
     from dtlocus import tracer
 
     names = {tracer.PoleOrigin: "pole", tracer.CrossingOrigin: "crossing",
@@ -875,7 +944,7 @@ def reference_json(result):
             ],
             "trajectories": [
                 {"origin": tagged(t.origin), "termination": tagged(t.termination),
-                 "mirrored": t.mirrored, "points": t.rows(sign)}
+                 "mirrored": t.mirrored, "points": trajectory_rows(t, sign)}
                 for t in result.trajectories
             ],
             "warnings": list(result.warnings),

@@ -60,6 +60,7 @@ from oracles import (
     newton_root,
     phiprime,
     random_plant,
+    trajectory_rows,
 )
 
 # the two-zero / three-pole demo system, fed through the coefficient parser
@@ -412,7 +413,7 @@ def test_emitted_points_are_finite(demo_plant):
     npts = 0
     for res in cases:
         for t in res.trajectories:
-            rows = t.rows()
+            rows = trajectory_rows(t)
             assert all(map(math.isfinite, (v for row in rows for v in row))), (res.plant, t)
             assert all(isinstance(p, LocusPoint) for p in t.points)
             npts += len(rows)

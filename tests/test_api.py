@@ -31,13 +31,14 @@ def test_module_entry_point_help():
 def test_benchmark_harness_finds_every_target(monkeypatch):
     # locusbench times public dtlocus functions by name and reads a missing
     # one as zero, so a deleted or renamed name would blank its metrics.
-    # The 3x3 solve went with the pseudo-arclength corrector, and the
-    # breakpoint polynomials' root finder with the breakpoints in root form;
-    # their targets stay listed in locusbench until the benchmark is next
-    # changed.
+    # The 3x3 solve went with the pseudo-arclength corrector, the
+    # breakpoint polynomials' root finder with the breakpoints in root form,
+    # and the polynomial product with the last polynomial arithmetic; their
+    # targets stay listed in locusbench until the benchmark is next changed.
     spec = importlib.util.spec_from_file_location("locusbench_tracing",
                                                   ROOT / "locusbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
     spec.loader.exec_module(tracing)
-    assert tracing.missing_targets() == ["poly.nonneg_real_roots", "continuation.solve3"]
+    assert tracing.missing_targets() == [
+        "poly.nonneg_real_roots", "continuation.solve3", "poly.mul"]

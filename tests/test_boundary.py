@@ -314,7 +314,7 @@ def _property_corpus():
     coefficient-form plants with a root cluster 1e-5 to 1e-3 wide or a
     repeated root; bi-proper plants; a pure delay; cancelled zero-pole
     pairs.  Each on a clean sigma0, a bi-proper one with kmax half its cap."""
-    from oracles import clean_region, poly_from_roots, random_plant
+    from oracles import clean_region, poly_from_roots, poly_scale, random_plant
 
     rng = np.random.RandomState(2028)
     plants = [random_plant(rng, Plant) for _ in range(116)]
@@ -325,8 +325,8 @@ def _property_corpus():
         den = poly_from_roots([center + width * k for k in range(m)]
                               + list(_roots(rng, rng.randint(0, 4), -3.0, 0.5)))
         num = _roots(rng, rng.randint(0, den.degree), -3.0, 3.0)
-        plants.append(plant_from_coefficients(rng.uniform(0.2, 5.0) * poly_from_roots(num), den,
-                                              rng.uniform(0.1, 2.0)))
+        num = poly_scale(rng.uniform(0.2, 5.0), poly_from_roots(num))
+        plants.append(plant_from_coefficients(num, den, rng.uniform(0.1, 2.0)))
     for _ in range(30):
         n = rng.randint(1, 6)
         plants.append(Plant(rng.uniform(0.2, 5.0) * rng.choice([-1, 1]), rng.uniform(0.1, 2.0),

@@ -11,7 +11,7 @@ import pytest
 from dtlocus import branch
 from dtlocus.boundary import RegionSpec
 from dtlocus.branch import branch_departures, branch_points, branch_roots
-from dtlocus.plant import Plant
+from dtlocus.plant import Plant, log_eval
 
 from oracles import (_wrap, branch_fan_angles, dlog_zero_count, locus_residual, poly_from_roots,
                      random_plant)
@@ -178,6 +178,17 @@ class TestBranchPoints:
         assert bp.k == pytest.approx(9.3e-4, rel=0.05)
         assert bp.multiplicity == 2
         assert bp.active
+
+    def test_gain_beyond_double_range_skipped(self):
+        # the one zero of dlog, 10.009983, passes the phase test (phase pi)
+        # at ln|G e^(-hs)| = -1010.49: its gain e^1010.49 is no double
+        plant = Plant(-1.0, 100.0, (10 + 0j,), (-1 + 0j, -2 + 0j))
+        region = RegionSpec(-0.5, 1.0)
+        (root,) = branch_roots(plant, region.sigma0)
+        assert root.value == pytest.approx(10.009983, abs=1e-6)
+        lv = log_eval(plant, root.value)
+        assert lv.lnmag == pytest.approx(-1010.49, abs=1e-2) and lv.phase == pytest.approx(math.pi)
+        assert branch_points(plant, region) == []
 
     def test_membership_residual(self, p2):
         for bp in branch_points(p2, RegionSpec(-3.5, 5.0)):

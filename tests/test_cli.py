@@ -23,6 +23,7 @@ from dtlocus.boundary import RegionSpec
 from dtlocus.svgplot import render_svg
 from dtlocus.tracer import TraceOptions, run
 
+from oracles import trajectory_rows
 
 P2_COEFF = {"num": [50, -10, 1], "den": [1.25, 4.25, 4, 1], "delay": 1}
 P1_ROOTS = {"alpha": 1, "delay": 1, "zeros": [], "poles": [[0, 0]]}
@@ -137,7 +138,7 @@ class TestSerialization:
                 (b.s.real, b.s.imag, sign * b.k) for b in r.branch_points
             ]
             assert [[tuple(row) for row in t["points"]] for t in block["trajectories"]] == [
-                t.rows(sign) for t in r.trajectories
+                trajectory_rows(t, sign) for t in r.trajectories
             ]
 
     def test_csv_rows_equal_json_points(self, res_both):
@@ -154,7 +155,7 @@ class TestSerialization:
         text = result_to_json(res_both)
         assert text.count("\n") == 1 and text.endswith("\n")
         json.loads(text, parse_constant=reject)
-        bp = dataclasses.replace(res_both.branch_points[0], k=math.inf)
+        bp = res_both.branch_points[0]._replace(Kval=math.inf)
         with pytest.raises(ValueError):
             result_to_json(dataclasses.replace(res_both, branch_points=(bp,)))
 
@@ -308,6 +309,19 @@ class TestMain:
             parse_input(bad.read_bytes())
         with contextlib.redirect_stderr(io.StringIO()) as err:
             rc = main([str(bad), "--sigma0", "-2", "--kmax", "1"])
+        assert rc == 2
+        assert err.getvalue().startswith(f"dtlocus: error: {message}")
+
+    def test_exit_2_on_unbounded_gain_cap_region(self, tmp_path):
+        # 1/(s+1) with delay 1: K(omega) passes ln 1e300 nowhere below the
+        # omega search's limit of 1e12
+        message = "gain cap region unbounded in omega; kmax too large"
+        with pytest.raises(InputError, match=re.escape(message)):
+            run(Plant(1.0, 1.0, (), (-1 + 0j,)), RegionSpec(-0.5, 1e300))
+        doc = tmp_path / "lag.json"
+        doc.write_text(json.dumps({"alpha": 1, "delay": 1, "zeros": [], "poles": [[-1, 0]]}))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main([str(doc), "--sigma0", "-0.5", "--kmax", "1e300"])
         assert rc == 2
         assert err.getvalue().startswith(f"dtlocus: error: {message}")
 

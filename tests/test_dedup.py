@@ -20,7 +20,7 @@ from dtlocus.tracer import (
     _dedup,
     run,
 )
-from oracles import pairwise_dedup
+from oracles import pairwise_dedup, rows_array
 
 CELL = 2e-8  # grid cell of a former tracer._dedup: its edges stay a test case
 
@@ -28,8 +28,8 @@ CELL = 2e-8  # grid cell of a former tracer._dedup: its edges stay a test case
 def traj(end, n=3, term=None, tag=0):
     """A trajectory of n points ending at end = (sigma, omega, K)."""
     last = LocusPoint(*end)
-    pts = tuple(LocusPoint(last.sigma, last.omega, last.Kval - (n - 1 - i)) for i in range(n))
-    return Trajectory(CrossingOrigin(tag), pts, term if term is not None else GainCap())
+    pts = [(last.sigma, last.omega, last.Kval - (n - 1 - i)) for i in range(n)]
+    return Trajectory(CrossingOrigin(tag), rows_array(pts), term if term is not None else GainCap())
 
 
 def kept(trajectories):

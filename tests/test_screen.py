@@ -20,7 +20,7 @@ from dtlocus.plant import Plant, dlog_ratio, plant_from_coefficients
 from dtlocus.poly import RealPolynomial
 from dtlocus.tracer import TraceOptions, run
 
-from oracles import (backward_error, clean_region, poly_from_roots, random_plant,
+from oracles import (backward_error, clean_region, poly_from_roots, poly_scale, random_plant,
                      reference_breakpoint_polys)
 
 TOL_GENUINE = 1e-10
@@ -149,7 +149,8 @@ def _highorder_plant(rng):
         return [r for r in out if r.imag >= 0.0]
 
     n = rng.randint(14, 25)
-    num = float(rng.uniform(0.2, 5.0)) * poly_from_roots(draw(rng.randint(0, n), -4.0, 4.0))
+    num = poly_scale(float(rng.uniform(0.2, 5.0)),
+                     poly_from_roots(draw(rng.randint(0, n), -4.0, 4.0)))
     den = poly_from_roots(draw(n, -4.0, 1.0))
     return plant_from_coefficients(num, den, round(rng.uniform(0.1, 1.0), 6))
 

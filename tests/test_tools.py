@@ -249,21 +249,21 @@ def test_output_digest_census_close_cap_ends(monkeypatch):
     # whose only finding is close cap ends prints its line
     from types import SimpleNamespace
 
-    from dtlocus import LocusPoint, tracer
+    from dtlocus import tracer
 
     digest = _output_digest()
 
     def traj(sigma, omega, mirrored=False, termination=tracer.GainCap()):
-        return SimpleNamespace(points=(LocusPoint(0.0, 0.0, -1.0), LocusPoint(sigma, omega, 0.0)),
+        return SimpleNamespace(array=np.array([(0.0, 0.0, -1.0), (sigma, omega, 0.0)]),
                                termination=termination, mirrored=mirrored)
 
     def with_images(*originals):
         out = []
         for t in originals:
             out.append(t)
-            p = t.points[-1]
-            if p.omega:
-                out.append(traj(p.sigma, -p.omega, True, t.termination))
+            sigma, omega, _ = t.array[-1].tolist()
+            if omega:
+                out.append(traj(sigma, -omega, True, t.termination))
         return SimpleNamespace(trajectories=out, warnings=(), negative=None)
 
     res = with_images(

@@ -5,7 +5,6 @@ closed-loop roots of s e^s = -k (positive gain) and s e^s = k (flipped sign)
 sit on W branches, evaluated through scipy as an independent oracle.
 """
 
-import dataclasses
 import gc
 import json
 import math
@@ -41,7 +40,7 @@ from dtlocus.tracer import (
     seed_points,
 )
 
-from oracles import clean_region, random_plant, seeds_of
+from oracles import clean_region, random_plant, same_result, seeds_of
 
 
 def by_origin(result, kind, index=None, mirrored=False):
@@ -355,7 +354,7 @@ class TestSharedSetUp:
                 res = run(plant, region, TraceOptions(negative_gains=True))
             except DtLocusError:
                 continue  # the positive pass raised; no negative pass to compare
-            assert res.negative == run(plant.flipped_gain(), region, TraceOptions())
+            assert same_result(res.negative, run(plant.flipped_gain(), region, TraceOptions()))
             compared += 1
             active["positive"] += any(b.active for b in res.branch_points)
             active["negative"] += any(b.active for b in res.negative.branch_points)
@@ -433,8 +432,11 @@ class TestSeedsAndStability:
             return correct(*args)
 
         monkeypatch.setattr(tracer, "correct", counted)
-        traj = tracer.trace(p1, region, seed, (), ())
+        traj = tracer.trace(p1, region, seed, (), (), TraceOptions())
         assert traj.points == (seed.start,)
+        # made as trace makes every array: read-only float64 rows
+        assert traj.array.dtype == np.float64 and not traj.array.flags.writeable
+        assert traj.array.shape == (1, 3) and traj.array.tolist() == [list(seed.start)]
         assert traj.termination == GainCap()
         assert traj.start_marker == 0j
         assert calls == []
@@ -733,7 +735,7 @@ class TestOutwardCrossingCount:
         def lost(*args):
             t = trace(*args)
             if isinstance(t.termination, LeftRegion):
-                return dataclasses.replace(t, termination=GainCap())
+                return t._replace(termination=GainCap())
             return t
 
         monkeypatch.setattr(tracer, "trace", lost)
@@ -1179,7 +1181,7 @@ def _replayed_steps(plant, region, monkeypatch):
     steps = []
     for seed in seeds:
         calls.clear()
-        traj = tracer.trace(plant, region, seed, branches, crossings.outward)
+        traj = tracer.trace(plant, region, seed, branches, crossings.outward, TraceOptions())
         if not calls:
             continue  # a seed at the cap takes no step
         real = seed.start.omega == 0.0
@@ -1589,3 +1591,36 @@ class TestColumnarResult:
         t = res.trajectories[-1]
         assert t.points == tuple(LocusPoint(*row) for row in t.array.tolist())
         assert t.points is not t.points
+
+    def test_every_producer_hands_over_read_only_float64_rows(self, monkeypatch):
+        # trace, _trace_batch and _mirror build every trajectory; none is
+        # checked after, so each must make its array read-only float64 of
+        # shape (n, 3), in both gain passes
+        batched = []
+        trace_batch = tracer._trace_batch
+
+        def recorded(*args):
+            out = trace_batch(*args)
+            batched.extend(out)
+            return out
+
+        monkeypatch.setattr(tracer, "_trace_batch", recorded)
+        rng = np.random.RandomState(2031)
+        cases = [(parse_input(DEMO), RegionSpec(-3.5, 500.0))]
+        for _ in range(24):
+            plant = random_plant(rng, Plant)
+            cases.append((plant, RegionSpec(*clean_region(plant, rng))))
+        seen = Counter()
+        for plant, region in cases:
+            try:
+                res = run(plant, region, TraceOptions(negative_gains=True))
+            except DtLocusError:
+                continue
+            for sign, r in (("positive", res), ("negative", res.negative)):
+                for t in r.trajectories:
+                    a = t.array
+                    assert a.dtype == np.float64 and not a.flags.writeable, (plant, t.origin)
+                    assert a.ndim == 2 and a.shape[1] == 3 and len(a) >= 1, (plant, t.origin)
+                    seen[sign, t.mirrored] += 1
+        assert len(seen) == 4 and min(seen.values()) >= 20, seen
+        assert len(batched) > 1000 and all(not t.array.flags.writeable for t in batched)

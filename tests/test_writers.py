@@ -21,7 +21,6 @@ from dtlocus import svgplot
 from dtlocus.boundary import BoundaryCrossing, CrossingSet, RegionSpec
 from dtlocus.branch import BranchPoint
 from dtlocus.cli import parse_input, result_to_csv, result_to_json
-from dtlocus.continuation import LocusPoint
 from dtlocus.tracer import (
     BranchOrigin,
     CrossingOrigin,
@@ -35,7 +34,7 @@ from dtlocus.tracer import (
     run,
 )
 
-from oracles import reference_csv, reference_json, reference_polyline_points
+from oracles import reference_csv, reference_json, reference_polyline_points, rows_array
 
 DEMO = {"num": [50, -10, 1], "den": [1.25, 4.25, 4, 1], "delay": 1}
 
@@ -46,8 +45,7 @@ def polylines(svg):
 
 def traj(points, marker=None, mirrored=False):
     return Trajectory(PoleOrigin(0) if marker is not None else CrossingOrigin(0),
-                      tuple(LocusPoint(*p) for p in points), GainCap(),
-                      mirrored=mirrored, start_marker=marker)
+                      rows_array(points), GainCap(), mirrored=mirrored, start_marker=marker)
 
 
 @pytest.fixture(scope="module")
@@ -160,8 +158,8 @@ def test_empty_passes_and_passes_of_mirrored_trajectories(demo):
 
 
 def test_headers_crossings_and_branch_points_as_json_dumps_writes_them(demo):
-    pts = [(-1.0, 0.5, -2.0), (-0.75, 0.25, -1.0)]
-    conj = [(sigma, -omega, K) for sigma, omega, K in pts]
+    pts = rows_array([(-1.0, 0.5, -2.0), (-0.75, 0.25, -1.0)])
+    conj = rows_array([(sigma, -omega, K) for sigma, omega, K in pts.tolist()])
     failed = StepFailure('a "quoted" \\ reason, ω ≠ 0')
     trajectories = (
         Trajectory(BranchOrigin(0, 2.0943951023931953), pts, failed),
@@ -172,7 +170,7 @@ def test_headers_crossings_and_branch_points_as_json_dumps_writes_them(demo):
     # a crossing gain that underflows is -0.0 in the negative pass
     crossings = CrossingSet(inward=(BoundaryCrossing(1.5, -800.0),),
                             outward=(BoundaryCrossing(-0.0, 0.5),))
-    branch = BranchPoint(-1.0 + 0.5j, 0.0, -800.0, 2, True)
+    branch = BranchPoint(-1.0 + 0.5j, -800.0, 2, True)
     crafted = dataclasses.replace(
         demo, trajectories=trajectories, crossings=crossings, branch_points=(branch,),
         negative=dataclasses.replace(demo.negative, trajectories=trajectories[::-1],
@@ -187,7 +185,7 @@ def test_headers_crossings_and_branch_points_as_json_dumps_writes_them(demo):
         for res in (
             dataclasses.replace(crafted, crossings=CrossingSet(
                 inward=(BoundaryCrossing(1.5, bad),), outward=())),
-            dataclasses.replace(crafted, branch_points=(dataclasses.replace(branch, k=bad),)),
+            dataclasses.replace(crafted, branch_points=(branch._replace(Kval=bad),)),
             dataclasses.replace(crafted, trajectories=(
                 Trajectory(BranchOrigin(0, bad), pts, GainCap()),)),
         ):

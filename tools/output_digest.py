@@ -153,12 +153,8 @@ _AXIS_TOL = 1e-9
 
 
 def _end_rows(t) -> tuple[list[float], list[float]]:
-    """The first and last (sigma, omega, K) row of a trajectory, read from
-    its array (from its points where it has none: an older checkout, a stub)."""
-    rows = getattr(t, "array", None)
-    if rows is None:
-        return list(t.points[0]), list(t.points[-1])
-    return rows[0].tolist(), rows[-1].tolist()
+    """The first and last (sigma, omega, K) row of a trajectory's array."""
+    return t.array[0].tolist(), t.array[-1].tolist()
 
 
 def _alive_span(res, t) -> tuple[float, float]:
