@@ -50,15 +50,13 @@ def _label(v: float) -> str:
 def _nice_step(span: float, target: int) -> float:
     raw = span / max(target, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
-    for m in (1.0, 2.0, 5.0, 10.0):
+    for m in (1.0, 2.0, 5.0):
         if raw <= m * mag * (1.0 + 1e-12):
             return m * mag
-    return 10.0 * mag
+    return 10.0 * mag  # raw / mag lies in [1, 10) up to rounding
 
 
 def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    if hi <= lo:
-        return [lo]
     step = _nice_step(hi - lo, target)
     first = math.ceil(lo / step - 1e-9) * step
     out = []
@@ -95,9 +93,9 @@ def render_svg(result: RootLocusResult) -> str:
         xmin, xmax = min(xmin, sigma0), max(xmax, sigma0)
     else:
         xmin, xmax, ymin, ymax = sigma0 - 1.0, sigma0 + 1.0, -1.0, 1.0
-    # 10% margin, never a zero-thickness box
-    dx = (xmax - xmin) or 1.0
-    dy = (ymax - ymin) or 1.0
+    # 10% margin, never a zero-thickness box: a zero span is 1, or 1e-9 |x| where rounding eats 0.1
+    dx = (xmax - xmin) or max(1.0, 1e-9 * abs(xmin))
+    dy = (ymax - ymin) or max(1.0, 1e-9 * abs(ymin))
     xmin -= 0.1 * dx
     xmax += 0.1 * dx
     ymin -= 0.1 * dy

@@ -15,11 +15,13 @@ Trajectory and Seed are named tuples, built unchecked: trace, _trace_batch
 and _mirror, the only producers of trajectories, each hand over a read-only
 float64 array of shape (n, 3).
 
+Each gain pass finds once, in one record (_Pass), what its seeds are seeded
+and traced against: branch probes, exit gains, real plant roots, anchors.
 trace advances one seed at a time.  A pass with _BATCH_MIN or more seeds
 off the real axis, below the cap and above every active branch point's gain
 (mostly inward crossings far left or at large kmax, each a few steps long)
-advances those in lockstep instead (_trace_batch): each round is one step
-of trace's rule for every live trajectory at once, over numpy arrays.  A
+advances those in lockstep instead (_trace_batch): each round is one step of
+trace's rule for every live trajectory at once, over numpy arrays.  A
 trajectory whose step needs any other rule of trace, or is one of the last
 _LIVE_MIN live, goes on in trace's own loop from its state, so every exit,
 probe, real-axis and failure rule has trace as its one source.
@@ -29,11 +31,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -166,28 +167,56 @@ class RootLocusResult:
     negative: "RootLocusResult | None" = None
 
 
-def _seed_from_ray(plant, origin, anchor: complex, theta: float, sigma0: float,
-                   tol_corr: float, neighbours, start_marker=None) -> Seed:
-    """Seed one trajectory a small step along a ray from anchor.
+class _Pass(NamedTuple):
+    """What every seed of one gain pass is seeded and traced against, built
+    once by _make_pass: tol is the corrector's, probes _branch_probes',
+    exit_gains the outward crossings' gains, axis the real plant roots
+    ascending, anchors the plant zeros, poles and branch points."""
 
-    The step is 1e-3(1 + |anchor|), or half the way to the nearest other
-    neighbour (plant root or branch point) or to the line Re(s) = sigma0 if
-    less.  The stepped point is polished by Newton at its own gain, on the
-    axis for a real ray; while that fails the step is halved, at most
-    _SEED_HALVINGS times.
+    plant: Plant
+    region: RegionSpec
+    tol: float
+    branches: tuple[BranchPoint, ...]
+    outward: tuple
+    probes: list[tuple[float, int, float]]
+    exit_gains: list[float]
+    axis: list[float]
+    anchors: tuple[complex, ...]
+
+    def ahead(self, sigma: float, K: float):
+        """The probes above gain K, in order, and the real plant roots nearest
+        sigma strictly left and right (infinite where there is none)."""
+        i, j, axis = bisect_left(self.axis, sigma), bisect_right(self.axis, sigma), self.axis
+        return ([q for q in self.probes if self.branches[q[1]].Kval > K],
+                axis[i - 1] if i else -math.inf, axis[j] if j < len(axis) else math.inf)
+
+
+def _make_pass(plant: Plant, region: RegionSpec, branches, outward, tol: float) -> _Pass:
+    roots = plant.zeros + plant.poles
+    axis = sorted(r.real for r in roots if abs(r.imag) <= _AXIS_TOL * (1.0 + abs(r)))
+    return _Pass(plant, region, tol, branches, outward, _branch_probes(plant, branches),
+                 [c.Kval for c in outward], axis, (*roots, *(bp.s for bp in branches)))
+
+
+def _seed_from_ray(p: _Pass, origin, anchor: complex, theta: float, start_marker=None) -> Seed:
+    """Seed one trajectory of pass p a small step along a ray from anchor.
+
+    The step is 1e-3(1 + |anchor|), or half the way to the nearest other of
+    p's anchors or to the line Re(s) = sigma0 if less.  The stepped point is
+    polished by Newton at its own gain, on the axis for a real ray; while
+    that fails the step is halved, at most _SEED_HALVINGS times.
     """
     dx, dy = math.cos(theta), math.sin(theta)
     if abs(dy) <= _SPAWN_ANGLE_TOL:
         dx, dy = math.copysign(1.0, dx), 0.0  # keep exactly on axis
     tol = 1e-9 * (1.0 + abs(anchor))
-    near = min((d for d in (abs(anchor - x) for x in neighbours) if d > tol), default=math.inf)
+    near = min((d for d in (abs(anchor - x) for x in p.anchors) if d > tol), default=math.inf)
     delta = min(1e-3 * (1.0 + abs(anchor)), 0.5 * near)
     if dx < 0.0:
-        delta = min(delta, 0.5 * (anchor.real - sigma0) / -dx)
+        delta = min(delta, 0.5 * (anchor.real - p.region.sigma0) / -dx)
     for _ in range(_SEED_HALVINGS + 1):
         s1 = anchor + delta * complex(dx, dy)
-        out = correct(plant, s1, -log_eval(plant, s1).lnmag, 0.01 * tol_corr, 11,
-                      s1.imag == 0.0)
+        out = correct(p.plant, s1, -log_eval(p.plant, s1).lnmag, 0.01 * p.tol, 11, s1.imag == 0.0)
         if out.converged:
             break
         delta *= 0.5
@@ -201,10 +230,9 @@ def _mirrored_away(anchor: complex, theta: float) -> bool:
     return anchor.imag < 0.0
 
 
-def seed_points(plant: Plant, region: RegionSpec, crossings: CrossingSet, branches,
-                options: TraceOptions) -> list[Seed]:
-    """Initial trajectories: one per in-region pole ray, one per inward
-    crossing, one per departure ray of each active branch point.
+def seed_points(p: _Pass, inward) -> list[Seed]:
+    """Initial trajectories of pass p: one per in-region pole ray, one per
+    crossing in inward, one per departure ray of each active branch point.
 
     Pole and branch seeds start on the locus a short way along their ray
     (_seed_from_ray), a crossing seed at its crossing.
@@ -212,63 +240,39 @@ def seed_points(plant: Plant, region: RegionSpec, crossings: CrossingSet, branch
     the mirror pass reinstates them.  Every trajectory heads along
     ds/dK = -1/dlog, so a seed carries no direction.
     """
+    plant, sigma0 = p.plant, p.region.sigma0
     seeds: list[Seed] = []
-    neighbours = _anchors(plant, branches)
-    for i, p in enumerate(plant.poles):
-        group = pole_group(plant, i)
-        if group[0] != i:
-            continue  # one fan per distinct pole location
-        if p.real < region.sigma0:
-            continue
+    for i, pole in enumerate(plant.poles):
+        if pole_group(plant, i)[0] != i or pole.real < sigma0:
+            continue  # one fan per distinct pole location in the region
         for theta in departure_angles(plant, i):
-            if not _mirrored_away(p, theta):
-                seeds.append(
-                    _seed_from_ray(plant, PoleOrigin(i), p, theta, region.sigma0,
-                                   options.tol_corr, neighbours, start_marker=p)
-                )
-    for ci, c in enumerate(crossings.inward):
-        seeds.append(Seed(CrossingOrigin(ci), LocusPoint(region.sigma0, c.omega, c.Kval)))
-    for bi, bp in enumerate(branches):
+            if not _mirrored_away(pole, theta):
+                seeds.append(_seed_from_ray(p, PoleOrigin(i), pole, theta, start_marker=pole))
+    for ci, c in enumerate(inward):
+        seeds.append(Seed(CrossingOrigin(ci), LocusPoint(sigma0, c.omega, c.Kval)))
+    for bi, bp in enumerate(p.branches):
         if not bp.active:
             continue
         for theta in branch_departures(plant, bp):
             if not _mirrored_away(bp.s, theta):
-                seeds.append(
-                    _seed_from_ray(plant, BranchOrigin(bi, theta), bp.s, theta,
-                                   region.sigma0, options.tol_corr, neighbours)
-                )
+                seeds.append(_seed_from_ray(p, BranchOrigin(bi, theta), bp.s, theta))
     return seeds
 
 
-def _first_step(plant: Plant, branches, start: complex) -> float:
-    """First step length of a trajectory starting at start.
-
-    A tenth of rho, the distance from start to the nearest plant zero, pole
-    or branch point, raised to H0 and capped at H_MAX: a seed far from
-    everything that bends the locus starts long instead of doubling up from
-    H0 step by step.  Pole seeds and branch departures sit within
-    1e-3(1 + |anchor|) of their anchor, so they keep H0 while the anchor lies
-    inside |s| < 99.
-    """
-    rho = min(map(abs, map(start.__sub__, _anchors(plant, branches))), default=math.inf)
-    return _first_step_length(rho)
-
-
-def _anchors(plant: Plant, branches) -> tuple[complex, ...]:
-    """The plant zeros and poles and the branch points: _first_step measures
-    rho to them, and _seed_from_ray steps at most half way to the nearest."""
-    return (*plant.zeros, *plant.poles, *(bp.s for bp in branches))
-
-
 def _first_step_length(rho, maximum=max, minimum=min):
-    """_first_step's length from rho: a tenth of it, raised to H0 and capped
-    at H_MAX.  With an array rho, pass np.maximum and np.minimum."""
+    """The first step length of a trajectory whose seed lies rho from the
+    nearest of its pass's anchors: a tenth of rho, raised to H0 and capped
+    at H_MAX, so that a seed far from everything that bends the locus starts
+    long instead of doubling up from H0 step by step.  Pole seeds and branch
+    departures sit within 1e-3(1 + |anchor|) of their anchor, so they keep
+    H0 while the anchor lies inside |s| < 99.  With an array rho, pass
+    np.maximum and np.minimum."""
     return minimum(maximum(H0, _FIRST_STEP_REL * rho), H_MAX)
 
 
-def _branch_probes(plant: Plant, branches, Kval: float) -> list[tuple[float, int, float]]:
-    """(probe gain, index, |a|) of each active branch point above gain Kval,
-    sorted by probe gain.  Near s* of multiplicity N the arriving roots lie
+def _branch_probes(plant: Plant, branches) -> list[tuple[float, int, float]]:
+    """(probe gain, index, |a|) of each active branch point, sorted by probe
+    gain.  Near s* of multiplicity N the arriving roots lie
     rho = (N(K* - K)/|a|)^(1/N) from s*, with a = (-1)^(N-1) S_N
     (branch.power_sum); the probe gain K* - |a|(R/2)^N/N is where rho = R/2,
     R a quarter of the distance from s* to the nearest other plant root or
@@ -277,7 +281,7 @@ def _branch_probes(plant: Plant, branches, Kval: float) -> list[tuple[float, int
     roots = plant.zeros + plant.poles
     probes = []
     for bi, bp in enumerate(branches):
-        if not bp.active or bp.Kval <= Kval:
+        if not bp.active:
             continue
         n = bp.multiplicity
         abs_a = abs(power_sum(plant, bp))
@@ -294,21 +298,20 @@ def _ds_dK(dlog: complex, real: bool):
     return -1.0 / slope if slope else 0.0
 
 
-def trace(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
-          options: TraceOptions) -> Trajectory:
-    """Advance one seed to its termination, stepping in the gain.
+def trace(p: _Pass, seed: Seed) -> Trajectory:
+    """Advance one seed of pass p to its termination, stepping in the gain.
 
     A step of length h in (sigma, omega, K) raises the gain by
     gain_step(h, dlog) to K1, at most to ln kmax, to the next branch probe
-    gain and to the next gain in outward, the pass's outward crossings
-    sorted by gain (found by bisection), predicts along the cubic in
-    t = K1 - K through the cursor s and the point s0 one accepted gain step
-    H back, with their slopes ds/dK = -1/dlog, v and v0 (the cubic Hermite
-    interpolant; Allgower and Georg, Introduction to Numerical Continuation
-    Methods, SIAM 2003), and corrects by Newton at frozen K1, on the axis for a trajectory that
-    starts on it.  The prediction is the tangent s + t v plus the cubic's
-    bend t^2 (c2 + c3 t), which is left out on the first step, when t
-    exceeds 2H (after a step cut short at a probe gain the cubic would be
+    gain and to the next of p's exit gains, those of its outward crossings
+    (found by bisection), predicts along the cubic in t = K1 - K through the
+    cursor s and the point s0 one accepted gain step H back, with their
+    slopes ds/dK = -1/dlog, v and v0 (the cubic Hermite interpolant;
+    Allgower and Georg, Introduction to Numerical Continuation Methods, SIAM
+    2003), and corrects by Newton at frozen K1, on the axis for a trajectory
+    that starts on it.  The prediction is the tangent s + t v plus the
+    cubic's bend t^2 (c2 + c3 t), which is left out on the first step, when
+    t exceeds 2H (after a step cut short at a probe gain the cubic would be
     extrapolated far beyond its data), when the bend exceeds half of |t v|,
     and on the step to ln kmax (from a bent prediction Newton can stop at
     once, inside tol but farther from the cap root than its solve would
@@ -321,61 +324,56 @@ def trace(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
     ends in LeftRegion(the crossing's index).  That test comes before the
     one for sigma0, since the step may land a rounding error left of the
     line.  step_update grades each step; these reject it too: a real-axis
-    step past a real plant root, and any other step that lands left of
-    sigma0.  A rejected step is redone at half the length; at H_MIN, or
+    step past a real plant root (p.axis), and any other step that lands left
+    of sigma0.  A rejected step is redone at half the length; at H_MIN, or
     after MAX_STEPS steps, the trajectory ends in StepFailure.  A step to
-    ln kmax ends in GainCap.
-    At a branch point's probe gain (_branch_probes) the trajectory arrives,
-    ending ReachedBranch at s*, if it lies within 2 rho of s*; otherwise it
-    ignores that branch point.  Departures start above their own branch
-    gain, so they are never probed against it.  The first step is
-    _first_step's; a seed at or above the cap is its own only point.
+    ln kmax ends in GainCap.  At a branch point's probe gain (p.probes) the
+    trajectory arrives, ending ReachedBranch at s*, if it lies within 2 rho
+    of s*; otherwise it ignores that branch point.  Departures start above
+    their own branch gain, so they are never probed against it.  The first
+    step is _first_step_length's, rho measured to p's anchors; a seed at or
+    above the cap is its own only point.
     """
-    if seed.start.Kval >= region.lnkmax:  # the seed already sits at or above the cap
+    if seed.start.Kval >= p.region.lnkmax:  # the seed already sits at or above the cap
         points, termination = [], GainCap()
     else:
         s, K = seed.start.s, seed.start.Kval
-        # 0j where the kernel raises
-        dlog = correct(plant, s, K, math.inf, 0, s.imag == 0.0).dlog
-        points, termination = _advance(plant, region, seed, branches, outward, options, 1, s, K,
-                                       dlog, s, None, 0.0, _first_step(plant, branches, s),
-                                       MAX_STEPS)
+        dlog = correct(p.plant, s, K, math.inf, 0, s.imag == 0.0).dlog  # 0j if the kernel raises
+        rho = min(map(abs, map(s.__sub__, p.anchors)), default=math.inf)
+        points, termination = _advance(p, seed, 1, s, K, dlog, s, None, 0.0,
+                                       _first_step_length(rho), MAX_STEPS)
     rows = [*seed.start, *points]
     # an array over bytes is read-only as made
     rows = np.ndarray((len(rows) // 3, 3), _FLOAT64, array("d", rows).tobytes())
     return Trajectory(seed.origin, rows, termination, start_marker=seed.start_marker)
 
 
-def _advance(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
-             options: TraceOptions, count: int, s: complex, K: float, dlog: complex,
+def _advance(p: _Pass, seed: Seed, count: int, s: complex, K: float, dlog: complex,
              s0: complex, v0: complex | None, H: float, h: float, budget: int):
-    """trace's steps from the cursor s at gain K, point number count of its
-    trajectory, with dlog there, the point s0 and ds/dK v0 one accepted gain
-    step H back (v0 None: the cursor's, on the first step), the next step
-    length h and budget steps left.  Returns the points after the cursor, a
-    flat list of sigma, omega, K floats, and the termination."""
-    lnkmax, sigma0, tol = region.lnkmax, region.sigma0, options.tol_corr
+    """trace's steps for seed of pass p from the cursor s at gain K, point
+    number count of its trajectory, with dlog there, the point s0 and ds/dK
+    v0 one accepted gain step H back (v0 None: the cursor's, on the first
+    step), the next step length h and budget steps left.  Returns the points
+    after the cursor (flat sigma, omega, K floats) and the termination."""
+    lnkmax, sigma0, tol = p.region.lnkmax, p.region.sigma0, p.tol
+    outward, exit_gains = p.outward, p.exit_gains
     points: list[float] = []
     real = seed.start.omega == 0.0
-    # a real trajectory stays between the real plant roots around its start
-    axis = [r.real for r in plant.zeros + plant.poles if abs(r.imag) <= _AXIS_TOL * (1.0 + abs(r))]
-    lo = max((x for x in axis if x < seed.start.sigma), default=-math.inf)
-    hi = min((x for x in axis if x > seed.start.sigma), default=math.inf)
+    probes, lo, hi = p.ahead(seed.start.sigma, K)  # a real trajectory stays in (lo, hi)
     v = _ds_dK(dlog, real)  # at the cursor
     if v0 is None:
         v0 = v
-    probes = _branch_probes(plant, branches, K)
     for _ in range(budget):
         while probes and probes[0][0] <= K:  # the cursor is at a probe gain
             _, bi, abs_a = probes.pop(0)
-            bp = branches[bi]
+            bp = p.branches[bi]
             n = bp.multiplicity
             if abs_a * abs(s - bp.s) ** n <= 2.0 ** n * n * (bp.Kval - K):
                 points += bp.s.real, bp.s.imag, bp.Kval
                 return points, ReachedBranch(bi)
 
-        ex = bisect_right(outward, K, key=attrgetter("Kval"))  # the next exit gain's crossing
-        exit_gain = outward[ex].Kval if ex < len(outward) else math.inf
+        ex = bisect_right(exit_gains, K)  # the next exit gain's crossing
+        exit_gain = exit_gains[ex] if ex < len(exit_gains) else math.inf
         K1 = min(K + gain_step(h, dlog), lnkmax, probes[0][0] if probes else math.inf, exit_gain)
         if K1 <= K or not v:
             return points, StepFailure(
@@ -386,7 +384,7 @@ def _advance(plant: Plant, region: RegionSpec, seed: Seed, branches, outward,
             bend = hermite_bend(s, v, s0, v0, H, t, real)
             if abs(bend) <= 0.5 * abs(ds):
                 ds += bend
-        out = correct(plant, s + ds, K1, tol, MAX_ITER, real)
+        out = correct(p.plant, s + ds, K1, tol, MAX_ITER, real)
         h_used = h
         h, repeat = step_update(h_used, out, abs(ds), tol * abs(v))
         c = out.point
@@ -437,10 +435,9 @@ def _batchable(starts: np.ndarray, region: RegionSpec, top: float) -> np.ndarray
     return np.flatnonzero((starts[:, 1] != 0.0) & (top <= K) & (K < region.lnkmax))
 
 
-def _trace_batch(plant: Plant, region: RegionSpec, seeds, starts: np.ndarray, branches,
-                 outward, options: TraceOptions) -> list[Trajectory]:
-    """trace for many _batchable seeds, with their start rows, the bulk of
-    their steps in lockstep over numpy arrays.
+def _trace_batch(p: _Pass, seeds, starts: np.ndarray) -> list[Trajectory]:
+    """trace for many _batchable seeds of pass p, with their start rows, the
+    bulk of their steps in lockstep over numpy arrays.
 
     Each round takes one step of trace for every live trajectory: the
     gain_step raise of the gain, at most to ln kmax, the Hermite bend
@@ -450,30 +447,28 @@ def _trace_batch(plant: Plant, region: RegionSpec, seeds, starts: np.ndarray, br
     above the seed.  A trajectory leaves the lockstep at the cap, in GainCap,
     or where trace would need any other rule: a step capped at that exit
     gain (so the gain stays fixed while the trajectory is in the lockstep),
-    a step that lands left of sigma0,
-    a point the kernel flags (where trace's correct would raise or fold), a
-    gain that no longer rises, a rejection at H_MIN, MAX_STEPS spent, and a
-    trajectory still live when fewer than _LIVE_MIN are.  Such a trajectory
-    goes on in trace's own loop (_advance) from its state before that step,
-    so trace stays the one source of every other rule; a seed at whose
-    start the kernel flags is traced by trace.  Each round's accepted points
-    are recorded as arrays, those of _advance as floats after them; one
-    stable sort by seed then makes every trajectory's rows a view of one
-    array, in the order they were accepted.
+    a step that lands left of sigma0, a point the kernel flags (where
+    trace's correct would raise or fold), a gain that no longer rises, a
+    rejection at H_MIN, MAX_STEPS spent, and a trajectory still live when
+    fewer than _LIVE_MIN are.  Such a trajectory goes on in trace's own loop
+    (_advance) from its state before that step, so trace stays the one
+    source of every other rule; a seed at whose start the kernel flags is
+    traced by trace.  Each round's accepted points are recorded as arrays,
+    those of _advance as floats after them; one stable sort by seed then
+    makes every trajectory's rows a view of one array, in the order they
+    were accepted.
     """
-    lnkmax, sigma0, tol = region.lnkmax, region.sigma0, options.tol_corr
+    plant, lnkmax, sigma0, tol = p.plant, p.region.lnkmax, p.region.sigma0, p.tol
     n = len(seeds)
     s = np.ascontiguousarray(starts[:, :2]).view(complex).ravel()  # sigma + j omega, exactly
     K = starts[:, 2]
     _, _, _, _, dlog, _, bad = correct_many(plant, s, K, math.inf, 0)
-    # _first_step of every seed
-    anchors = np.array(_anchors(plant, branches), dtype=complex)
-    rho = np.abs(s[:, None] - anchors).min(axis=1, initial=math.inf)
-    h = _first_step_length(rho, np.maximum, np.minimum)
+    rho = np.abs(s[:, None] - np.array(p.anchors, dtype=complex)).min(axis=1, initial=math.inf)
+    h = _first_step_length(rho, np.maximum, np.minimum)  # trace's first step of every seed
     v = _slopes(dlog)
     # the gain of the next outward crossing above each seed, fixed while the
     # trajectory is in the lockstep: the step capped there is handed on
-    gains = np.array([c.Kval for c in outward])
+    gains = np.array(p.exit_gains)
     exit_gain = np.append(gains, math.inf)[np.searchsorted(gains, K, side="right")]
     # per live trajectory: its seed's index, the cursor, its gain, dlog and
     # ds/dK, the point and ds/dK one accepted gain step H back, the step
@@ -524,8 +519,7 @@ def _trace_batch(plant: Plant, region: RegionSpec, seeds, starts: np.ndarray, br
     tail_ids, tails = [], []
     for hids, *at, left in handed:
         for i, *cursor in zip(hids.tolist(), *(x.tolist() for x in at)):
-            points, ends[i] = _advance(plant, region, seeds[i], branches, outward, options,
-                                       count[i], *cursor, left)
+            points, ends[i] = _advance(p, seeds[i], count[i], *cursor, left)
             tail_ids += [i] * (len(points) // 3)
             tails += points
     ids = np.concatenate((ids, np.array(tail_ids, dtype=ids.dtype)))
@@ -533,7 +527,7 @@ def _trace_batch(plant: Plant, region: RegionSpec, seeds, starts: np.ndarray, br
     rows = rows[np.argsort(ids, kind="stable")]
     rows.flags.writeable = False
     bounds = np.cumsum(np.bincount(ids, minlength=n)).tolist()
-    return [trace(plant, region, seed, branches, outward, options) if end is None else
+    return [trace(p, seed) if end is None else
             Trajectory(seed.origin, rows[a:b], end, start_marker=seed.start_marker)
             for seed, end, a, b in zip(seeds, ends, [0, *bounds], bounds)]
 
@@ -662,8 +656,8 @@ def _run_signed(bf: BoundaryFunctions, region: RegionSpec, options: TraceOptions
                 "crossing directions are ill-posed there"
             )
     crossings = boundary_crossings(bf, region)
-
-    seeds = seed_points(plant, region, crossings, branches, options)
+    p = _make_pass(plant, region, branches, crossings.outward, options.tol_corr)
+    seeds = seed_points(p, crossings.inward)
     batched = {}
     if len(seeds) >= _BATCH_MIN:  # else too few to be batchable
         starts = np.fromiter(chain.from_iterable(seed.start for seed in seeds), float,
@@ -672,10 +666,8 @@ def _run_signed(bf: BoundaryFunctions, region: RegionSpec, options: TraceOptions
         batchable = _batchable(starts, region, top).tolist()
         if len(batchable) >= _BATCH_MIN:
             batched = dict(zip(batchable, _trace_batch(
-                plant, region, [seeds[i] for i in batchable], starts[batchable], branches,
-                crossings.outward, options)))
-    trajectories = [batched[i] if i in batched else
-                    trace(plant, region, seed, branches, crossings.outward, options)
+                p, [seeds[i] for i in batchable], starts[batchable])))
+    trajectories = [batched[i] if i in batched else trace(p, seed)
                     for i, seed in enumerate(seeds)]
     # each outward crossing ends exactly one trajectory (its mirror image the
     # other); counted before _dedup so that a doubled exit shows

@@ -8,7 +8,8 @@ use, and the former implementations kept here read what they read before.
 poly_mul, poly_add and poly_scale are the polynomial arithmetic the
 library no longer has; rows_array, trajectory_rows and same_result
 stand in for Trajectory's former sequence constructor, rows method and
-value equality.
+value equality.  reference_branch_probes and reference_axis_bounds are the
+tracer's former per-trajectory rebuilds of what its pass record holds.
 """
 
 import cmath
@@ -53,16 +54,57 @@ def phiprime(bf, omega):
     return dlog_ratio(bf.plant, complex(bf.sigma0, omega)).real
 
 
-def seeds_of(plant, region):
-    """tracer.seed_points with the crossings and branch points that
-    tracer.run hands it, and the default options."""
+def pass_of(plant, region):
+    """The pass record tracer.run builds for the plant's gain pass with the
+    default options, from the branch points and crossings it finds, and the
+    pass's crossings."""
     from dtlocus.boundary import boundary_crossings, boundary_functions
     from dtlocus.branch import branch_points
-    from dtlocus.tracer import TraceOptions, seed_points
+    from dtlocus.tracer import TraceOptions, _make_pass
 
     crossings = boundary_crossings(boundary_functions(plant, region), region)
-    return seed_points(plant, region, crossings, tuple(branch_points(plant, region)),
-                       TraceOptions())
+    p = _make_pass(plant, region, tuple(branch_points(plant, region)), crossings.outward,
+                   TraceOptions().tol_corr)
+    return p, crossings
+
+
+def seeds_of(plant, region):
+    """tracer.seed_points with the pass record and inward crossings that
+    tracer.run hands it, and the default options."""
+    from dtlocus.tracer import seed_points
+
+    p, crossings = pass_of(plant, region)
+    return seed_points(p, crossings.inward)
+
+
+def reference_branch_probes(plant, branches, Kval):
+    """(probe gain, index, |a|) of each active branch point above gain Kval,
+    sorted by probe gain: the list the tracer rebuilt for every trajectory
+    from its start gain before its pass record held the probes."""
+    from dtlocus.branch import power_sum
+
+    roots = plant.zeros + plant.poles
+    probes = []
+    for bi, bp in enumerate(branches):
+        if not bp.active or bp.Kval <= Kval:
+            continue
+        n = bp.multiplicity
+        abs_a = abs(power_sum(plant, bp))
+        others = (*roots, *(b.s for j, b in enumerate(branches) if j != bi))
+        R = 0.25 * min((abs(bp.s - x) for x in others), default=math.inf)
+        probes.append((bp.Kval - abs_a * (0.5 * R) ** n / n, bi, abs_a))
+    probes.sort()
+    return probes
+
+
+def reference_axis_bounds(plant, sigma, axis_tol=1e-9):
+    """(lo, hi), the nearest real plant roots strictly left and right of
+    sigma (infinite where there is none), by the scan over every root the
+    tracer made per trajectory before its pass record held them sorted."""
+    axis = [r.real for r in plant.zeros + plant.poles if abs(r.imag) <= axis_tol * (1.0 + abs(r))]
+    lo = max((x for x in axis if x < sigma), default=-math.inf)
+    hi = min((x for x in axis if x > sigma), default=math.inf)
+    return lo, hi
 
 
 def newton_root(plant, k, s0, tol=1e-13, maxit=60):

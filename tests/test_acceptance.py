@@ -47,7 +47,8 @@ from dtlocus.tracer import (
     PoleOrigin,
     ReachedBranch,
     TraceOptions,
-    _first_step,
+    _first_step_length,
+    _make_pass,
     run,
     seed_points,
 )
@@ -529,14 +530,17 @@ def test_first_step_rule(corpus):
     crossings_sized = 0
     for res in corpus:
         anchors = [*res.plant.zeros, *res.plant.poles, *(bp.s for bp in res.branch_points)]
-        seeds = seed_points(res.plant, res.region, res.crossings, res.branch_points, TraceOptions())
+        p = _make_pass(res.plant, res.region, res.branch_points, res.crossings.outward,
+                       TraceOptions().tol_corr)
+        assert list(p.anchors) == anchors
+        seeds = seed_points(p, res.crossings.inward)
         for seed in seeds:
-            h = _first_step(res.plant, res.branch_points, seed.start.s)
+            rho = min(abs(seed.start.s - a) for a in anchors)
+            h = _first_step_length(rho)
             assert H0 <= h <= H_MAX
             if isinstance(seed.origin, (PoleOrigin, BranchOrigin)):
                 assert h == H0, seed
             else:
-                rho = min(abs(seed.start.s - a) for a in anchors)
                 assert h == max(H0, min(H_MAX, 0.1 * rho)), seed
                 crossings_sized += H0 < 0.1 * rho < H_MAX
     assert crossings_sized > 0

@@ -717,6 +717,33 @@ class TestNewtonSearch:
         assert _solve_monotone(f, 0.0, 0.0, 4.0, 0.0, 64.0, 0.0, (0.0, 0.0, 0.0), 1e-12)[0] == 0.0
         assert _solve_monotone(f, -1e-9, 0.0, 4.0, 0.0, 64.0, 0.0, (0.0, 0.0, 0.0), 1e-12)[0] == 0.0
 
+    def test_right_end_on_the_target(self):
+        # the right end on the target returns it, with start, unevaluated
+        def f(w):
+            raise AssertionError("evaluated")
+
+        start = (1.0, 1.0, 3.0)
+        got = _solve_monotone(f, 64.0, 0.0, 4.0, 0.0, 64.0, 0.0, start, 1e-12)
+        assert got[0] == 4.0 and got[1] is start
+
+    def test_flat_slope_bisects_down_to_tol(self):
+        # a flat slope gives no Newton step, so the search bisects until the
+        # bracket is within tol and returns its midpoint with the last
+        # evaluation; the root 1/3 is no double, so no evaluation hits it
+        calls = []
+
+        def flat(w):
+            assert len(calls) < 60, "no end to the bisection"
+            calls.append(w)
+            return w - 1.0 / 3.0, 0.0
+
+        tol = 1e-6
+        root, last = _solve_monotone(flat, 0.0, 0.0, 1.0, -1.0 / 3.0, 2.0 / 3.0, 0.0,
+                                     (0.0, -1.0 / 3.0, 0.0), tol)
+        assert abs(root - 1.0 / 3.0) <= tol and root not in calls
+        assert last == (calls[-1], calls[-1] - 1.0 / 3.0, 0.0)
+        assert len(calls) == math.ceil(math.log2(1.0 / tol))
+
 
 
 def _crossing_cases(p2):

@@ -12,6 +12,7 @@ from dtlocus import branch
 from dtlocus.boundary import RegionSpec
 from dtlocus.branch import branch_departures, branch_points, branch_roots
 from dtlocus.plant import Plant, log_eval
+from dtlocus.poly import PolyRoot
 
 from oracles import (_wrap, branch_fan_angles, dlog_zero_count, locus_residual, poly_from_roots,
                      random_plant)
@@ -364,6 +365,23 @@ class TestPolish:
         assert exact_dlog(plant, start)[0] > branch._DLOG_REL * scale
         assert exact_dlog(plant, s)[0] <= branch._DLOG_REL * scale
         assert s == reference_dlog_zero(plant, start)
+
+
+    def test_start_on_a_plant_root_is_rejected(self):
+        # dlog has a pole there: the first reciprocal divides by zero
+        plant = Plant(1.0, 1.0, (-0.5 + 0j,), (0j, -2.0 + 1j, -2.0 - 1j))
+        for r in (*plant.zeros, *plant.poles):
+            assert branch._on_dlog(plant, PolyRoot(r, 1)) is None
+
+
+def test_branch_points_skip_a_candidate_on_a_plant_pole():
+    # the gain is infinite at a pole: a candidate there is skipped, and the
+    # other candidates keep their branch points
+    plant, region = Plant(1.0, 1.0, (), (0j,)), RegionSpec(-2.0, 1.0)
+    roots = branch_roots(plant, region.sigma0)
+    assert [r.value for r in roots] == [-1.0 + 0j]
+    got = branch_points(plant, region, (PolyRoot(0j, 1), *roots))
+    assert [bp.s for bp in got] == [-1.0 + 0j] and got == branch_points(plant, region)
 
 
 def _closed_under_conjugation(roots):

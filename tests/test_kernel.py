@@ -38,7 +38,7 @@ from dtlocus.plant import (
     log_eval,
     wrap_angle,
 )
-from dtlocus.tracer import _first_step
+from dtlocus.tracer import _first_step_length
 
 from oracles import (
     extended_log_eval,
@@ -212,6 +212,19 @@ def test_kernel_range_extremes(plant, points, folded, monkeypatch):
         assert not cmath.isfinite(math.prod(points[0] - p for p in plant.poles))
 
 
+def test_kernel_folds_a_product_that_underflows_to_zero():
+    # 40 poles at the origin, 1e-11 away (outside the singular guard): the
+    # plain pole product underflows to exactly zero, which has no log, so
+    # the kernel takes it again folded; it equals the sum of the factors' logs
+    plant = Plant(-2.0, 0.5, (-1.0 + 0j,), (0j,) * 40)
+    for s in (1e-11 + 0j, 3e-12 + 4e-12j, -6e-12j):
+        assert math.prod(s - p for p in plant.poles) == 0.0
+        lnmag, phase, _ = _log_kernel(plant, s)
+        logs = math.log(2.0) + cmath.log(s + 1.0) - 40 * cmath.log(s) - 0.5 * s
+        assert abs(lnmag - logs.real) <= 1e-13 * abs(logs.real)
+        assert abs(wrap_angle(phase - math.pi - logs.imag)) <= 1e-12
+
+
 def test_kernel_many_equals_the_kernel(monkeypatch):
     # the lockstep twin at arrays of random points, points within the
     # singular radius of a root and points where a product leaves the double
@@ -332,10 +345,9 @@ def test_corrector_equals_former_corrector():
 
 def test_step_controller_resize_clamps_like_constructor(step_bounds):
     # a nominal step keeps its length, so step_update only clamps it; the
-    # first step of a seed next to a pole is H0 capped at H_MAX: the two
+    # first step of a seed 1e-15 from a pole is H0 capped at H_MAX: the two
     # clamps agree (H0 is never below H_MIN)
-    plant = Plant(1.0, 1.0, (), (0j,))
     nominal = CorrectorOutcome(LocusPoint(0.0, 0.0, 0.0), 3, KAPPA_NOM, True)
     for h in (1e-8, 0.3, 0.5, 7.0):
         step_bounds(h, continuation.H_MAX)
-        assert step_update(h, nominal) == (_first_step(plant, [], 1e-15 + 0j), False)
+        assert step_update(h, nominal) == (_first_step_length(1e-15), False)

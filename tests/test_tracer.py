@@ -40,7 +40,15 @@ from dtlocus.tracer import (
     seed_points,
 )
 
-from oracles import clean_region, random_plant, same_result, seeds_of
+from oracles import (
+    clean_region,
+    pass_of,
+    random_plant,
+    reference_axis_bounds,
+    reference_branch_probes,
+    same_result,
+    seeds_of,
+)
 
 
 def by_origin(result, kind, index=None, mirrored=False):
@@ -432,7 +440,7 @@ class TestSeedsAndStability:
             return correct(*args)
 
         monkeypatch.setattr(tracer, "correct", counted)
-        traj = tracer.trace(p1, region, seed, (), (), TraceOptions())
+        traj = tracer.trace(tracer._make_pass(p1, region, (), (), TraceOptions().tol_corr), seed)
         assert traj.points == (seed.start,)
         # made as trace makes every array: read-only float64 rows
         assert traj.array.dtype == np.float64 and not traj.array.flags.writeable
@@ -453,7 +461,8 @@ class TestSeedsAndStability:
             return out._replace(converged=False) if len(tries) <= fails else out
 
         monkeypatch.setattr(tracer, "correct", failing)
-        seed = tracer._seed_from_ray(p1, PoleOrigin(0), 0j, math.pi, -2.0, 1e-10, (), 0j)
+        p = tracer._make_pass(p1, RegionSpec(-2.0, 1.0), (), (), 1e-10)
+        seed = tracer._seed_from_ray(p, PoleOrigin(0), 0j, math.pi, 0j)
         assert len(tries) == min(fails, tracer._SEED_HALVINGS) + 1
         steps = [-s.real for s, _ in tries]
         assert steps[0] == 1e-3 and all(s.imag == 0.0 for s, _ in tries)
@@ -519,6 +528,43 @@ class TestFirstStep:
         assert len(res.trajectories) == 5275
         assert ends == {"GainCap": 5272, "LeftRegion": 1, "ReachedBranch": 2}
         assert res.warnings == ()
+
+
+def test_pass_record_answers_as_the_per_trajectory_rebuilds():
+    # the record's probes above a gain and the real plant roots around a
+    # start sigma (_Pass.ahead, which _advance reads) equal what the tracer
+    # rebuilt for every trajectory before (oracles), in both gain passes:
+    # at each seed's start gain, at each branch gain and between them, at
+    # random sigmas and at each real plant root itself
+    rng = np.random.RandomState(35)
+    passes = probed = at_active_gain = at_root = 0
+    for _ in range(200):
+        plant = random_plant(rng, Plant)
+        region = RegionSpec(*clean_region(plant, rng))
+        for signed in (plant, plant.flipped_gain()):
+            try:
+                p, crossings = pass_of(signed, region)
+                seeds = seed_points(p, crossings.inward)
+            except DtLocusError:
+                continue
+            passes += 1
+            gains = sorted({bp.Kval for bp in p.branches})
+            between = [0.5 * (a + b) for a, b in zip(gains, gains[1:])]
+            edges = [gains[0] - 1.0, gains[-1] + 1.0] if gains else [0.0]
+            for K in [seed.start.Kval for seed in seeds] + gains + between + edges:
+                want = reference_branch_probes(signed, p.branches, K)
+                assert p.ahead(0.0, K)[0] == want, (signed, K)
+                probed += bool(want)
+            at_active_gain += sum(bp.active for bp in p.branches)
+            real = [r.real for r in signed.zeros + signed.poles if r.imag == 0.0]
+            lo, hi = min(real, default=-1.0) - 1.0, max(real, default=1.0) + 1.0
+            sigmas = [*rng.uniform(lo, hi, 20), *real, region.sigma0,
+                      *(seed.start.sigma for seed in seeds)]
+            for sigma in sigmas:
+                assert p.ahead(sigma, 0.0)[1:] == reference_axis_bounds(signed, sigma), sigma
+            at_root += len(real)
+    assert passes >= 380 and probed > 400 and at_active_gain > 100 and at_root > 800, (
+        passes, probed, at_active_gain, at_root)
 
 
 # corpus draws where a real-axis trajectory stepped past the branch point it
@@ -614,11 +660,13 @@ class TestRejectAtFloor:
         return failed
 
     def _outward_replaced(self, monkeypatch, crossings):
-        """Trace every seed against crossings(outward) in place of outward."""
+        """Trace every seed against crossings(outward) in place of outward,
+        in a pass record rebuilt around them, exit gains included."""
         trace = tracer.trace
 
-        def replaced(plant, region, seed, branches, outward, options=None):
-            return trace(plant, region, seed, branches, crossings(outward), options)
+        def replaced(p, seed):
+            return trace(tracer._make_pass(p.plant, p.region, p.branches, crossings(p.outward),
+                                           p.tol), seed)
 
         monkeypatch.setattr(tracer, "trace", replaced)
 
@@ -1166,9 +1214,8 @@ def _replayed_steps(plant, region, monkeypatch):
     accepted one (``long``) and at most half the tangent step in size
     (``oversized``); every other step bends (``bent``).
     """
-    branches = branch.branch_points(plant, region)
-    crossings = boundary.boundary_crossings(boundary_functions(plant, region), region)
-    seeds = seed_points(plant, region, crossings, branches, TraceOptions())
+    p, crossings = pass_of(plant, region)
+    seeds = seed_points(p, crossings.inward)
     calls = []
     correct = tracer.correct
 
@@ -1181,11 +1228,12 @@ def _replayed_steps(plant, region, monkeypatch):
     steps = []
     for seed in seeds:
         calls.clear()
-        traj = tracer.trace(plant, region, seed, branches, crossings.outward, TraceOptions())
+        traj = tracer.trace(p, seed)
         if not calls:
             continue  # a seed at the cap takes no step
         real = seed.start.omega == 0.0
-        probe_gains = {K for K, _, _ in tracer._branch_probes(plant, branches, seed.start.Kval)}
+        probe_gains = {K for K, _, _ in reference_branch_probes(plant, p.branches,
+                                                                seed.start.Kval)}
         (_, _, start), *tries = calls
         accepted = iter(traj.points[1:])
         following = next(accepted, None)
@@ -1319,19 +1367,19 @@ class TestHermitePredictor:
 
 def _traced_in_lockstep(plant, region, options, monkeypatch):
     """run(plant, region, options) with every _trace_batch call recorded as
-    (plant, seeds, branches, outward, trajectories), and every seed that
-    trace took from the start."""
+    (pass record, seeds, trajectories), and every seed that trace took from
+    the start, with its plant."""
     batches, traced = [], []
     batch, trace = tracer._trace_batch, tracer.trace
 
-    def recorded_batch(plant, region, seeds, starts, branches, outward, options):
-        out = batch(plant, region, seeds, starts, branches, outward, options)
-        batches.append((plant, seeds, branches, outward, out))
+    def recorded_batch(p, seeds, starts):
+        out = batch(p, seeds, starts)
+        batches.append((p, seeds, out))
         return out
 
-    def recorded_trace(plant, region, seed, *args):
-        traced.append((plant, seed))
-        return trace(plant, region, seed, *args)
+    def recorded_trace(p, seed):
+        traced.append((p.plant, seed))
+        return trace(p, seed)
 
     with monkeypatch.context() as mp:
         mp.setattr(tracer, "_trace_batch", recorded_batch)
@@ -1340,15 +1388,15 @@ def _traced_in_lockstep(plant, region, options, monkeypatch):
     return res, batches, traced
 
 
-def _assert_as_traced(region, options, batches):
+def _assert_as_traced(batches):
     """Each batched trajectory has the origin, termination and point count
-    trace gives its seed, and its end within 1e-9 relative; the kinds of
-    ending seen are returned."""
+    trace gives its seed in the same pass, and its end within 1e-9
+    relative; the kinds of ending seen are returned."""
     ends = Counter()
-    for plant, seeds, branches, outward, out in batches:
+    for p, seeds, out in batches:
         assert len(out) == len(seeds)
         for seed, got in zip(seeds, out):
-            ref = tracer.trace(plant, region, seed, branches, outward, options)
+            ref = tracer.trace(p, seed)
             assert (got.origin, got.termination, len(got.points), got.start_marker) == (
                 ref.origin, ref.termination, len(ref.points), ref.start_marker)
             assert got.points[0] == seed.start
@@ -1372,8 +1420,7 @@ class TestBatch:
         ((_, seeds, *_),) = batches
         assert len(seeds) >= tracer._BATCH_MIN
         assert len(seeds) + len(traced) == sum(not t.mirrored for t in res.trajectories)
-        assert _assert_as_traced(RegionSpec(sigma0, kmax), TraceOptions(), batches)["GainCap"] \
-            > 0.99 * len(seeds)
+        assert _assert_as_traced(batches)["GainCap"] > 0.99 * len(seeds)
 
     def test_random_plants(self, monkeypatch):
         # every pass batches, and every batched trajectory stays in lockstep
@@ -1392,9 +1439,9 @@ class TestBatch:
                 res, batches, traced = _traced_in_lockstep(plant, region, options, monkeypatch)
             except DtLocusError:
                 continue
-            ends += _assert_as_traced(region, options, batches)
-            for signed, seeds, branches, _, _ in batches:
-                top = max((bp.Kval for bp in branches if bp.active), default=-math.inf)
+            ends += _assert_as_traced(batches)
+            for p, seeds, _ in batches:
+                top = max((bp.Kval for bp in p.branches if bp.active), default=-math.inf)
                 for seed in seeds:
                     assert seed.start.omega != 0.0 and top <= seed.start.Kval < region.lnkmax
             tops = {r.plant: max((bp.Kval for bp in r.branch_points if bp.active),
@@ -1421,8 +1468,8 @@ class TestBatch:
         region = RegionSpec(-1.863112, 12.958963)
         _, batches, _ = _traced_in_lockstep(parse_input(json.dumps(doc).encode()), region,
                                             TraceOptions(), monkeypatch)
-        assert _assert_as_traced(region, TraceOptions(), batches)["LeftRegion"] == 1
-        (_, _, _, _, out), = batches
+        assert _assert_as_traced(batches)["LeftRegion"] == 1
+        (_, _, out), = batches
         assert [type(t.origin) for t in out if isinstance(t.termination, LeftRegion)] == [
             CrossingOrigin]
 
@@ -1433,18 +1480,16 @@ class TestBatch:
         region = RegionSpec(-3.5, 50.0)
         _, batches, _ = _traced_in_lockstep(parse_input(DEMO), region, TraceOptions(),
                                             monkeypatch)
-        ends = _assert_as_traced(region, TraceOptions(), batches)
+        ends = _assert_as_traced(batches)
         assert ends["GainCap"] and ends["StepFailure"], ends
 
     def test_point_next_to_a_plant_root(self, monkeypatch):
         # a seed next to a plant zero, where trace's kernel raises, and
         # steps on which the batch's kernel flags a point: trace's loop
         # ends the first and takes the steps of the others
-        plant, region, options = parse_input(DEMO), RegionSpec(-3.5, 50.0), TraceOptions()
-        branches = tuple(branch.branch_points(plant, region))
-        crossings = boundary.boundary_crossings(boundary_functions(plant, region), region)
-        outward = crossings.outward
-        seeds = seed_points(plant, region, crossings, branches, options)
+        plant, region = parse_input(DEMO), RegionSpec(-3.5, 50.0)
+        p, crossings = pass_of(plant, region)
+        seeds = seed_points(p, crossings.inward)
         seeds = [seed for seed in seeds if seed.start.omega != 0.0]
         zero = plant.zeros[0]
         near = zero + complex(0.0, 1e-14)
@@ -1457,8 +1502,8 @@ class TestBatch:
 
         monkeypatch.setattr(tracer, "correct_many", flagging)
         starts = np.array([seed.start for seed in seeds])
-        out = tracer._trace_batch(plant, region, seeds, starts, branches, outward, options)
-        ends = _assert_as_traced(region, options, [(plant, seeds, branches, outward, out)])
+        out = tracer._trace_batch(p, seeds, starts)
+        ends = _assert_as_traced([(p, seeds, out)])
         assert out[3].termination == StepFailure("the gain no longer rises at step 1")
         assert ends["GainCap"] > 0.9 * len(seeds)
 
@@ -1471,7 +1516,7 @@ class TestBatch:
         region = RegionSpec(-3.5, 50.0)
         _, batches, _ = _traced_in_lockstep(parse_input(DEMO), region, TraceOptions(),
                                             monkeypatch)
-        ends = _assert_as_traced(region, TraceOptions(), batches)
+        ends = _assert_as_traced(batches)
         assert ends["GainCap"] and ends["StepFailure"], ends
 
     def test_rejection_at_the_smallest_step(self, monkeypatch):
@@ -1493,7 +1538,7 @@ class TestBatch:
         monkeypatch.setattr(tracer, "_LIVE_MIN", 1)
         _, batches, _ = _traced_in_lockstep(parse_input(DEMO), region, TraceOptions(),
                                             monkeypatch)
-        ends = _assert_as_traced(region, TraceOptions(), batches)
+        ends = _assert_as_traced(batches)
         assert ends == {"StepFailure": len(batches[0][1])}
 
 

@@ -21,6 +21,7 @@ from dtlocus import svgplot
 from dtlocus.boundary import BoundaryCrossing, CrossingSet, RegionSpec
 from dtlocus.branch import BranchPoint
 from dtlocus.cli import parse_input, result_to_csv, result_to_json
+from dtlocus.plant import Plant
 from dtlocus.tracer import (
     BranchOrigin,
     CrossingOrigin,
@@ -100,6 +101,18 @@ def test_box_edges_and_zero_width_box(demo):
         assert result_to_csv(res) == reference_csv(res)
     # the negative pass writes k = -0.0 for a gain that underflows
     assert result_to_csv(edges).splitlines()[-2] == "2,-1,-0,-0"
+
+
+def test_empty_plot_far_right_keeps_its_box():
+    # at sigma0 1e16 the empty plot's x range sigma0 -+ 1 rounds to one
+    # double, and a margin of 0.1 rounds away too: that zero span widens by
+    # 1e-9 |sigma0| instead, so the box keeps a width and its ticks
+    res = run(Plant(1.0, 1.0, (), (-1.0 + 0j,)), RegionSpec(1e16, 1.0))
+    assert res.trajectories == () and 1e16 - 1.0 == 1e16 + 1.0
+    svg = svgplot.render_svg(res)
+    ticks = re.findall(r'<line class="grid" x1="([^"]*)" y1="[^"]*" x2="\1"', svg)
+    assert len(ticks) >= 2 and len(set(ticks)) == len(ticks)
+    assert "nan" not in svg and "inf" not in svg
 
 
 def test_mirrored_trajectories_with_and_without_their_original(demo):
