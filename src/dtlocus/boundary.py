@@ -205,7 +205,12 @@ def boundary_functions(plant: Plant, region: RegionSpec) -> BoundaryFunctions:
 
     r, w = root_weights(plant)
     c = r.imag + 1j * (s0 - r.real)  # s - r_j = j(omega - c_j) on the line
-    kprime = [x for x in _turning_points(c * c, -w, 0.0) if x > 0.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = c * c
+    if not (np.isfinite(q).all() and all(math.isfinite(row[0]) for row in krows)):
+        raise InputError(f"sigma0 = {s0:g} lies too far from the plant's roots: "
+                         "the boundary line's squared distances overflow")
+    kprime = [x for x in _turning_points(q, -w, 0.0) if x > 0.0]
     return BoundaryFunctions(
         plant=plant,
         sigma0=s0,
@@ -214,7 +219,7 @@ def boundary_functions(plant: Plant, region: RegionSpec) -> BoundaryFunctions:
         phirows=phirows,
         phi0=_phi0(plant, s0, phirows),
         kprime_roots=(0.0, *kprime) if r.size else (),
-        phiprime_roots=tuple(_turning_points(c * c, -1j * w * c, plant.delay)),
+        phiprime_roots=tuple(_turning_points(q, -1j * w * c, plant.delay)),
     )
 
 

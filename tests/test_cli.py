@@ -325,6 +325,21 @@ class TestMain:
         assert rc == 2
         assert err.getvalue().startswith(f"dtlocus: error: {message}")
 
+    @pytest.mark.parametrize("sigma0, rc", [("1e20", 0), ("1e100", 0), ("1e200", 2),
+                                            ("1e300", 2)])
+    def test_far_right_sigma0(self, tmp_path, sigma0, rc):
+        # 1/(s+1) with delay 1: past about 1e154 the squared distances of the
+        # boundary line's rows overflow, which is an input error naming sigma0
+        doc = tmp_path / "lag.json"
+        doc.write_text(json.dumps({"alpha": 1, "delay": 1, "zeros": [], "poles": [[-1, 0]]}))
+        with contextlib.redirect_stderr(io.StringIO()) as err, \
+                contextlib.redirect_stdout(io.StringIO()):
+            assert main([str(doc), "--sigma0", sigma0, "--kmax", "1"]) == rc
+        if rc:
+            assert err.getvalue().startswith("dtlocus: error: sigma0 = ")
+        else:
+            assert err.getvalue() == ""
+
     @pytest.mark.parametrize("doc", [
         {"num": [1], "den": [1, 1e-320], "delay": 1},
         {"num": [1, 1e-320], "den": [1, 1], "delay": 1},
