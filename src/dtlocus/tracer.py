@@ -151,9 +151,13 @@ class TraceOptions:
 
 
 class Seed(NamedTuple):
+    """Where one trajectory starts; dlog is the log-derivative at start
+    where the seed's polish found it, else None (a crossing seed)."""
+
     origin: PoleOrigin | CrossingOrigin | BranchOrigin
     start: LocusPoint
     start_marker: complex | None = None
+    dlog: complex | None = None
 
 
 @dataclass(frozen=True)
@@ -220,7 +224,7 @@ def _seed_from_ray(p: _Pass, origin, anchor: complex, theta: float, start_marker
         if out.converged:
             break
         delta *= 0.5
-    return Seed(origin, out.point, start_marker)
+    return Seed(origin, out.point, start_marker, out.dlog if out.converged else None)
 
 
 def _mirrored_away(anchor: complex, theta: float) -> bool:
@@ -332,13 +336,15 @@ def trace(p: _Pass, seed: Seed) -> Trajectory:
     of s*; otherwise it ignores that branch point.  Departures start above
     their own branch gain, so they are never probed against it.  The first
     step is _first_step_length's, rho measured to p's anchors; a seed at or
-    above the cap is its own only point.
+    above the cap is its own only point.  dlog at the start is the seed's
+    where its polish found it.
     """
     if seed.start.Kval >= p.region.lnkmax:  # the seed already sits at or above the cap
         points, termination = [], GainCap()
     else:
-        s, K = seed.start.s, seed.start.Kval
-        dlog = correct(p.plant, s, K, math.inf, 0, s.imag == 0.0).dlog  # 0j if the kernel raises
+        s, K, dlog = seed.start.s, seed.start.Kval, seed.dlog
+        if dlog is None:  # one kernel pass; 0j if the kernel raises
+            dlog = correct(p.plant, s, K, math.inf, 0, s.imag == 0.0).dlog
         rho = min(map(abs, map(s.__sub__, p.anchors)), default=math.inf)
         points, termination = _advance(p, seed, 1, s, K, dlog, s, None, 0.0,
                                        _first_step_length(rho), MAX_STEPS)
@@ -452,8 +458,9 @@ def _trace_batch(p: _Pass, seeds, starts: np.ndarray) -> list[Trajectory]:
     rejection at H_MIN, MAX_STEPS spent, and a trajectory still live when
     fewer than _LIVE_MIN are.  Such a trajectory goes on in trace's own loop
     (_advance) from its state before that step, so trace stays the one
-    source of every other rule; a seed at whose start the kernel flags is
-    traced by trace.  Each round's accepted points are recorded as arrays,
+    source of every other rule.  The seeds that carry no dlog take one
+    correct_many pass at their start; one at whose start the kernel flags
+    is traced by trace.  Each round's accepted points are recorded as arrays,
     those of _advance as floats after them; one stable sort by seed then
     makes every trajectory's rows a view of one array, in the order they
     were accepted.
@@ -462,7 +469,11 @@ def _trace_batch(p: _Pass, seeds, starts: np.ndarray) -> list[Trajectory]:
     n = len(seeds)
     s = np.ascontiguousarray(starts[:, :2]).view(complex).ravel()  # sigma + j omega, exactly
     K = starts[:, 2]
-    _, _, _, _, dlog, _, bad = correct_many(plant, s, K, math.inf, 0)
+    dlog = np.array([0j if seed.dlog is None else seed.dlog for seed in seeds])
+    bad = np.zeros(n, dtype=bool)
+    todo = np.array([seed.dlog is None for seed in seeds])  # seeds whose dlog is not known
+    if todo.any():
+        _, _, _, _, dlog[todo], _, bad[todo] = correct_many(plant, s[todo], K[todo], math.inf, 0)
     rho = np.abs(s[:, None] - np.array(p.anchors, dtype=complex)).min(axis=1, initial=math.inf)
     h = _first_step_length(rho, np.maximum, np.minimum)  # trace's first step of every seed
     v = _slopes(dlog)

@@ -1234,11 +1234,14 @@ def _replayed_steps(plant, region, monkeypatch):
         real = seed.start.omega == 0.0
         probe_gains = {K for K, _, _ in reference_branch_probes(plant, p.branches,
                                                                 seed.start.Kval)}
-        (_, _, start), *tries = calls
+        tries, dlog = calls, seed.dlog  # a polished seed carries dlog at its start
+        if dlog is None:  # else trace takes it by a first, zero-iteration correct
+            (_, _, start), *tries = calls
+            dlog = start.dlog
         accepted = iter(traj.points[1:])
         following = next(accepted, None)
         s, K = seed.start.s, seed.start.Kval
-        slope = start.dlog.real if real else start.dlog
+        slope = dlog.real if real else dlog
         v, H, c2, c3, after_probe = -1.0 / slope, 0.0, 0.0, 0.0, False
         for s_in, K1, out in tries:
             t = K1 - K
