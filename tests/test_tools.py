@@ -1,7 +1,7 @@
 """Smoke tests of the tools.  tools/output_digest.py, the per-job same-output
 check: one labelled line per job, in the hash format, the --topology format
 (with its mirrored and over-captured counts), the --work format (whose
-dense count with lockstep tracing equals the count without, and whose
+points and above counts are checked on one job, whose dense count with lockstep tracing equals the count without, and whose
 phase count shows the array solve of the crossing search) and the
 --ledger format, each over a seed list too, whose count is checked on a crafted result; --census, a
 line per job with a finding and a totals line, checked with a stub check,
@@ -92,13 +92,21 @@ def test_output_digest_work_lines(capsys, monkeypatch):
     assert digest.main(["corpus", "--jobs", "3", "--work"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
-    work = r"([+-])\[kernel=(\d+) correct=(\d+) newton=(\d+) polish=(\d+) phase=(\d+)\]"
+    work = (r"([+-])\[kernel=(\d+) correct=(\d+) newton=(\d+) polish=(\d+) phase=(\d+)"
+            r" points=(\d+) above=(\d+)\]")
     for i, line in enumerate(lines):
         assert re.fullmatch(rf"corpus\[{i}\] {work}( {work})?", line), line
     counts = [int(n) for line in lines for n in re.findall(r"=(\d+)", line)]
     assert sum(counts) > 0
-    polish = [(sign, int(n)) for line in lines for sign, *_, n, _ in re.findall(work, line)]
+    polish = [(sign, int(n)) for line in lines for sign, _, _, _, n, *_ in re.findall(work, line)]
     assert all(n == 0 for sign, n in polish if sign == "-")
+    # points counts a pass's rows, mirror images left out; above those with K > ln kmax
+    job = list(itertools.islice(sys.modules["workloads"].jobs("corpus", 101), 3))[2]
+    res = run(cli.parse_input(job.doc), RegionSpec(job.sigma0, job.kmax),
+              TraceOptions(negative_gains=job.negative_gains))
+    for (*_, points, above), signed in zip(re.findall(work, lines[2]), (res, res.negative)):
+        K = np.concatenate([t.array[:, 2] for t in signed.trajectories if not t.mirrored])
+        assert (int(points), int(above)) == (len(K), int((K > signed.region.lnkmax).sum()))
     assert (plant._log_kernel, continuation._log_kernel, continuation.correct,
             tracer.correct, poly._horner_triple) == before
 
@@ -116,7 +124,7 @@ def test_output_digest_work_lines(capsys, monkeypatch):
     at_parse = len(calls)
     run(parsed, RegionSpec(job.sigma0, job.kmax), TraceOptions(negative_gains=job.negative_gains))
     assert 0 < at_parse == len(calls)
-    assert int(re.findall(work, line)[0][-2]) == len(calls)
+    assert int(re.findall(work, line)[0][4]) == len(calls)
 
     # a dense job traces its crossing-seeded bulk in lockstep; each point of
     # a lockstep kernel call counts as one evaluation and each lockstep solve
@@ -148,9 +156,9 @@ def test_output_digest_work_lines(capsys, monkeypatch):
     monkeypatch.setattr(boundary, "_ARRAY_LINES", math.inf)
     assert digest.main(["dense", "--jobs", "1", "--work"]) == 0
     (scalar,) = capsys.readouterr().out.splitlines()
-    (*same, phase), = re.findall(work, arrays)
-    (*same_scalar, phase_scalar), = re.findall(work, scalar)
-    assert same == same_scalar
+    (*same, phase, points, above), = re.findall(work, arrays)
+    (*same_scalar, phase_scalar, points_scalar, above_scalar), = re.findall(work, scalar)
+    assert same == same_scalar and (points, above) == (points_scalar, above_scalar)
     assert int(phase) > sum(evaluated) > 0 and int(phase_scalar) > 0
     assert BoundaryFunctions.phi_slope is phi_slope
 

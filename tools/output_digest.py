@@ -47,7 +47,9 @@ candidates are eigenvalues over the plant's roots) and the phase
 evaluations of the boundary crossing search (``phase``: each
 ``BoundaryFunctions.phi_slope`` call at a float, and each element of one
 at an array or of a ``phi_slope_many`` call, where a checkout still has
-that array twin).  The lockstep tracer's
+that array twin), then the trajectory rows the pass emits, mirror images
+left out (``points``), and those of them above the gain cap, K > ln kmax
+(``above``).  The lockstep tracer's
 work counts alike: each point of a ``plant._log_kernel_many`` call is one
 kernel evaluation, and each solve of a ``continuation.correct_many`` call
 one ``correct`` call with its Newton iterations.  They are counted by
@@ -333,13 +335,21 @@ class WorkCount:
         _unwrap(self._undo)
         self._undo = []
 
-    def line(self, signs) -> str:
-        return " ".join(
-            f"{sign}[kernel={self.counts[sign, 'kernel']} correct={self.counts[sign, 'correct']} "
-            f"newton={self.counts[sign, 'newton']} polish={self.counts[sign, 'polish']} "
-            f"phase={self.counts[sign, 'phase']}]"
-            for sign in signs
-        )
+    def line(self, result) -> str:
+        """The counts of each gain sign of result, with its unmirrored rows
+        and those of them above the gain cap."""
+        parts = []
+        for sign, res in (("+", result), ("-", result.negative)):
+            if res is None:
+                continue
+            K = [t.array[:, 2] for t in res.trajectories if not t.mirrored]
+            above = sum(int((k > res.region.lnkmax).sum()) for k in K)
+            parts.append(
+                f"{sign}[kernel={self.counts[sign, 'kernel']} "
+                f"correct={self.counts[sign, 'correct']} newton={self.counts[sign, 'newton']} "
+                f"polish={self.counts[sign, 'polish']} phase={self.counts[sign, 'phase']} "
+                f"points={sum(map(len, K))} above={above}]")
+        return " ".join(parts)
 
 
 def _outputs(dtlocus, job, result) -> dict:
@@ -478,7 +488,7 @@ def digest_line(dtlocus, job, structure: bool = False, work: WorkCount | None = 
             work.alpha = plant.alpha
         result = dtlocus.run(plant, region, dtlocus.TraceOptions(negative_gains=job.negative_gains))
         if work is not None:
-            parts = [work.line("+-" if result.negative is not None else "+")]
+            parts = [work.line(result)]
         elif structure:
             parts = [topology(result)]
         elif audit:
@@ -501,8 +511,9 @@ def main(argv=None) -> int:
     mode.add_argument("--topology", action="store_true",
                       help="print trajectory and termination counts, not output hashes")
     mode.add_argument("--work", action="store_true",
-                      help="print kernel evaluations, correct calls, Newton iterations "
-                           "and polish passes")
+                      help="print kernel evaluations, correct calls, Newton iterations, "
+                           "polish passes, phase evaluations, emitted points and those "
+                           "above the gain cap")
     mode.add_argument("--ledger", action="store_true",
                       help="print gain intervals and those whose traced count misses the ledger")
     mode.add_argument("--census", action="store_true",
