@@ -64,13 +64,28 @@ from .continuation import (
     step_update_many,
 )
 from .errors import BranchOnBoundary, InputError
-from .plant import Plant, log_eval, wrap_angle
+from .plant import Plant, _log_kernel, log_eval, wrap_angle
 
 _AXIS_TOL = 1e-9
 _SPAWN_ANGLE_TOL = 1e-6
 _DEDUP_TOL = 1e-8
 _SEED_HALVINGS = 8
 _FIRST_STEP_REL = 0.1
+# A pole seed starts _POLE_REACH of the way to the nearest other plant root
+# or branch point: far enough out that its trajectory does not climb out of
+# the pole in many short steps, near enough that the pole's local model
+# s - p ~ e^(K/m) still places it.  On corpus and highorder seeds 101-102,
+# 0.2 polished two pole seeds onto roots of other trajectories; 0.1 keeps a
+# margin below that.
+_POLE_REACH = 0.1
+# Roots of a plant given by coefficients are inexact, and a cap point a few
+# 1e-5(1 + |p|) from such a pole can fail the locus check, so the model's
+# start is not trusted within _CAP_FLOOR(1 + |p|) of its pole.
+_CAP_FLOOR = 1e-4
+# Newton from the start converges onto the pole's own root while its first
+# step stays well inside the start's distance r from the pole; the other
+# roots of an m-fold pole lie 2 sin(pi/m) r away.
+_SHEET = 0.25
 MAX_STEPS = 20000  # step budget per trajectory
 _LAST_HALVING = H_MIN * (1.0 + 1e-12)  # a rejected step this short ends its trajectory
 _BATCH_MIN = 48  # batchable seeds from which a pass traces them by _trace_batch
@@ -202,29 +217,64 @@ def _make_pass(plant: Plant, region: RegionSpec, branches, outward, tol: float) 
                  [c.Kval for c in outward], axis, (*roots, *(bp.s for bp in branches)))
 
 
-def _seed_from_ray(p: _Pass, origin, anchor: complex, theta: float, start_marker=None) -> Seed:
-    """Seed one trajectory of pass p a small step along a ray from anchor.
+def _seed_from_ray(p: _Pass, origin, anchor: complex, theta: float, poles: int = 0) -> Seed:
+    """Seed one trajectory of pass p along a ray from anchor: a pole of
+    multiplicity poles, or a branch point (poles 0).
 
-    The step is 1e-3(1 + |anchor|), or half the way to the nearest other of
-    p's anchors or to the line Re(s) = sigma0 if less.  The stepped point is
-    polished by Newton at its own gain, on the axis for a real ray; while
-    that fails the step is halved, at most _SEED_HALVINGS times.
+    The fixed step along the ray is 1e-3(1 + |anchor|), or half the way to
+    the nearest other of p's anchors or to the line Re(s) = sigma0 if less.
+    A branch seed is the stepped point polished by Newton at its own gain,
+    on the axis for a real ray; while that fails the step is halved, at most
+    _SEED_HALVINGS times.
+
+    A pole seed is placed by the pole's local model instead, from one kernel
+    pass at radius R along the ray: R is _POLE_REACH of the way to the
+    nearest other anchor, at least the fixed step and at most half that way,
+    kept clear of sigma0 alike (the fixed step if the pole has no other
+    anchor).  With K_R the gain there, the trajectory leaves the pole as
+    s - p ~ R e^((K - K_R)/m) e^(j theta).  If K_R is at most ln kmax the
+    seed is polished at (p + R e^(j theta), K_R).  Otherwise the whole
+    trajectory lies inside R, and the seed, its one point, is polished at
+    ln kmax from the model's radius there, with a first-order term for the
+    rest of the plant (fitted to K's slope at R).  The fixed step's seed is
+    taken instead when the start lies within _CAP_FLOOR(1 + |p|) of the
+    pole, when the polish fails, or when its first Newton correction
+    exceeds _SHEET times the start's distance from the pole (the start was
+    nearer another sheet).  A seed carries dlog at its polished start.
     """
     dx, dy = math.cos(theta), math.sin(theta)
     if abs(dy) <= _SPAWN_ANGLE_TOL:
         dx, dy = math.copysign(1.0, dx), 0.0  # keep exactly on axis
-    tol = 1e-9 * (1.0 + abs(anchor))
+    ray = complex(dx, dy)
+    plant, scale = p.plant, 1.0 + abs(anchor)
+    tol = 1e-9 * scale
     near = min((d for d in (abs(anchor - x) for x in p.anchors) if d > tol), default=math.inf)
-    delta = min(1e-3 * (1.0 + abs(anchor)), 0.5 * near)
-    if dx < 0.0:
-        delta = min(delta, 0.5 * (anchor.real - p.region.sigma0) / -dx)
+    clear = 0.5 * (anchor.real - p.region.sigma0) / -dx if dx < 0.0 else math.inf
+    delta = min(1e-3 * scale, 0.5 * near, clear)
+    marker = anchor if poles else None
+    if poles:
+        R = min(max(delta, _POLE_REACH * near), 0.5 * near, clear) if near < math.inf else delta
+        s = anchor + R * ray
+        lnmag, _, dlog = _log_kernel(plant, s)
+        K = -lnmag
+        if K > p.region.lnkmax:  # the model's point at the cap, inside R
+            # K(r) = K_R + m ln(r/R) + (g - m)(r/R - 1) matches K and its
+            # slope g/R at R; one fixed-point step from the bare pole's r/R
+            dK, g = p.region.lnkmax - K, -R * (dlog * ray).real
+            x = math.exp(dK / poles)
+            r = R * math.exp(min(dK + (g - poles) * (1.0 - x), 0.0) / poles)
+            s, K = anchor + r * ray, p.region.lnkmax
+        if abs(s - anchor) >= _CAP_FLOOR * scale:
+            out = correct(plant, s, K, 0.01 * p.tol, 11, s.imag == 0.0)
+            if out.converged and out.first <= _SHEET * abs(s - anchor):
+                return Seed(origin, out.point, marker, out.dlog)
     for _ in range(_SEED_HALVINGS + 1):
-        s1 = anchor + delta * complex(dx, dy)
-        out = correct(p.plant, s1, -log_eval(p.plant, s1).lnmag, 0.01 * p.tol, 11, s1.imag == 0.0)
+        s1 = anchor + delta * ray
+        out = correct(plant, s1, -log_eval(plant, s1).lnmag, 0.01 * p.tol, 11, s1.imag == 0.0)
         if out.converged:
             break
         delta *= 0.5
-    return Seed(origin, out.point, start_marker, out.dlog if out.converged else None)
+    return Seed(origin, out.point, marker, out.dlog if out.converged else None)
 
 
 def _mirrored_away(anchor: complex, theta: float) -> bool:
@@ -238,8 +288,10 @@ def seed_points(p: _Pass, inward) -> list[Seed]:
     """Initial trajectories of pass p: one per in-region pole ray, one per
     crossing in inward, one per departure ray of each active branch point.
 
-    Pole and branch seeds start on the locus a short way along their ray
-    (_seed_from_ray), a crossing seed at its crossing.
+    A branch seed starts on the locus a short way along its ray, a pole
+    seed where the pole's local model places it, at the cap if the whole
+    trajectory lies near the pole (_seed_from_ray), and a crossing seed at
+    its crossing.
     Seeds whose trajectory is the conjugate image of another are omitted;
     the mirror pass reinstates them.  Every trajectory heads along
     ds/dK = -1/dlog, so a seed carries no direction.
@@ -247,11 +299,12 @@ def seed_points(p: _Pass, inward) -> list[Seed]:
     plant, sigma0 = p.plant, p.region.sigma0
     seeds: list[Seed] = []
     for i, pole in enumerate(plant.poles):
-        if pole_group(plant, i)[0] != i or pole.real < sigma0:
+        group = pole_group(plant, i)
+        if group[0] != i or pole.real < sigma0:
             continue  # one fan per distinct pole location in the region
         for theta in departure_angles(plant, i):
             if not _mirrored_away(pole, theta):
-                seeds.append(_seed_from_ray(p, PoleOrigin(i), pole, theta, start_marker=pole))
+                seeds.append(_seed_from_ray(p, PoleOrigin(i), pole, theta, len(group)))
     for ci, c in enumerate(inward):
         seeds.append(Seed(CrossingOrigin(ci), LocusPoint(sigma0, c.omega, c.Kval)))
     for bi, bp in enumerate(p.branches):
@@ -267,10 +320,12 @@ def _first_step_length(rho, maximum=max, minimum=min):
     """The first step length of a trajectory whose seed lies rho from the
     nearest of its pass's anchors: a tenth of rho, raised to H0 and capped
     at H_MAX, so that a seed far from everything that bends the locus starts
-    long instead of doubling up from H0 step by step.  Pole seeds and branch
-    departures sit within 1e-3(1 + |anchor|) of their anchor, so they keep
-    H0 while the anchor lies inside |s| < 99.  With an array rho, pass
-    np.maximum and np.minimum."""
+    long instead of doubling up from H0 step by step.  Branch departures sit
+    within 1e-3(1 + |anchor|) of their anchor, so they keep H0 while the
+    anchor lies inside |s| < 99.  A pole seed sits at most half the way to
+    the nearest other anchor, so rho is its distance from its own pole, and
+    it starts at a tenth of that.  With an array rho, pass np.maximum and
+    np.minimum."""
     return minimum(maximum(H0, _FIRST_STEP_REL * rho), H_MAX)
 
 

@@ -11,6 +11,7 @@ import cmath
 import functools
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -524,10 +525,11 @@ def test_branch_departures_complete(corpus):
 
 
 def test_first_step_rule(corpus):
-    # pole seeds and branch departures start at H0; every first step lies in
-    # [H0, H_MAX], and below H_MAX a crossing seed starts at a tenth of its
-    # distance to the nearest plant root or branch point
-    crossings_sized = 0
+    # branch departures start at H0; every first step lies in [H0, H_MAX],
+    # and below H_MAX a crossing or pole seed starts at a tenth of its
+    # distance to the nearest plant root or branch point, which for a pole
+    # seed is its own pole
+    sized = Counter()
     for res in corpus:
         anchors = [*res.plant.zeros, *res.plant.poles, *(bp.s for bp in res.branch_points)]
         p = _make_pass(res.plant, res.region, res.branch_points, res.crossings.outward,
@@ -538,9 +540,11 @@ def test_first_step_rule(corpus):
             rho = min(abs(seed.start.s - a) for a in anchors)
             h = _first_step_length(rho)
             assert H0 <= h <= H_MAX
-            if isinstance(seed.origin, (PoleOrigin, BranchOrigin)):
+            if isinstance(seed.origin, BranchOrigin):
                 assert h == H0, seed
             else:
                 assert h == max(H0, min(H_MAX, 0.1 * rho)), seed
-                crossings_sized += H0 < 0.1 * rho < H_MAX
-    assert crossings_sized > 0
+                sized[type(seed.origin)] += H0 < 0.1 * rho < H_MAX
+            if isinstance(seed.origin, PoleOrigin):
+                assert rho == abs(seed.start.s - seed.start_marker), seed
+    assert sized[CrossingOrigin] > 0 and sized[PoleOrigin] > 0

@@ -427,8 +427,9 @@ class TestSeedsAndStability:
         assert checked > 300
 
     def test_seed_at_gain_cap_ends_without_a_step(self, p1, monkeypatch):
-        # the pole seed 1e-3 off the integrator's pole sits at k ~ 1e-3,
-        # above a cap of 1e-4: it is its own only point, with no corrector call
+        # the integrator's trajectory reaches a cap of 1e-4 about 1e-4 off its
+        # pole, so its seed is placed there, at the cap: it is its own only
+        # point, with no corrector call
         region = RegionSpec(-2.0, 1e-4)
         (seed,) = [s for s in seeds_of(p1, region) if isinstance(s.origin, PoleOrigin)]
         assert seed.start.Kval >= region.lnkmax
@@ -451,8 +452,9 @@ class TestSeedsAndStability:
 
     @pytest.mark.parametrize("fails", [3, tracer._SEED_HALVINGS + 4])
     def test_seed_step_halves_while_the_polish_fails(self, p1, monkeypatch, fails):
-        # while correct fails, the step from the pole along its ray halves,
-        # at most _SEED_HALVINGS times; then the last try is the seed
+        # while correct fails, the fixed step along the ray (a branch seed's,
+        # and a pole seed's that the pole's model does not place) halves, at
+        # most _SEED_HALVINGS times; then the last try is the seed
         tries, correct = [], tracer.correct
 
         def failing(plant, s, *args):
@@ -462,12 +464,55 @@ class TestSeedsAndStability:
 
         monkeypatch.setattr(tracer, "correct", failing)
         p = tracer._make_pass(p1, RegionSpec(-2.0, 1.0), (), (), 1e-10)
-        seed = tracer._seed_from_ray(p, PoleOrigin(0), 0j, math.pi, 0j)
+        seed = tracer._seed_from_ray(p, PoleOrigin(0), 0j, math.pi)
         assert len(tries) == min(fails, tracer._SEED_HALVINGS) + 1
         steps = [-s.real for s, _ in tries]
         assert steps[0] == 1e-3 and all(s.imag == 0.0 for s, _ in tries)
         assert steps[1:] == [0.5 * x for x in steps[:-1]]
         assert seed.start == tries[-1][1]
+
+    def test_pole_seed_with_no_other_anchor(self, p1):
+        # the integrator right of its branch point at -1 has no other anchor:
+        # its pole seed keeps the fixed radius 1e-3, polished below the cap,
+        # and is placed on the cap when the cap lies inside that radius
+        for kmax, radius in ((1.0, 1e-3), (1e-4, 1e-4)):
+            p = tracer._make_pass(p1, RegionSpec(-0.5, kmax), (), (), TraceOptions().tol_corr)
+            (seed,) = seed_points(p, ())
+            M, P = residuals(p1, seed.start)
+            assert max(abs(M), abs(P)) <= 1e-8
+            assert seed.start.Kval <= p.region.lnkmax and seed.dlog is not None
+            assert abs(seed.start.s) == pytest.approx(radius, rel=1e-2)
+        assert seed.start.Kval == p.region.lnkmax
+
+    def test_pole_seed_below_the_floor_keeps_the_fixed_step(self, p1):
+        # a cap reached within _CAP_FLOOR(1 + |p|) of the pole is not trusted
+        # to the pole's model: the seed is the fixed step's, above the cap
+        region = RegionSpec(-0.5, 0.1 * tracer._CAP_FLOOR)
+        (seed,) = seed_points(tracer._make_pass(p1, region, (), (), 1e-6), ())
+        assert seed.start.s == -1e-3 and seed.start.Kval > region.lnkmax
+
+    def test_pole_seed_off_its_sheet_keeps_the_fixed_step(self, p3, monkeypatch):
+        # a polish whose first Newton correction exceeds _SHEET times its
+        # start's distance from the pole has left the pole's sheet, so the
+        # seed is the fixed step's 1e-3(1 + |p|) instead of a tenth of the
+        # way to the conjugate pole
+        p = tracer._make_pass(p3, RegionSpec(-3.0, 100.0), (), (), 1e-6)
+        pole = p3.poles[0]
+
+        def distance():
+            (seed,) = seed_points(p, ())
+            assert seed.start_marker == pole and seed.start.Kval < p.region.lnkmax
+            return abs(seed.start.s - pole)
+
+        assert distance() == pytest.approx(0.2, rel=1e-2)
+        correct = tracer.correct
+
+        def jumped(plant, s, *args):
+            out = correct(plant, s, *args)
+            return out._replace(first=1.01 * tracer._SHEET * abs(s - pole))
+
+        monkeypatch.setattr(tracer, "correct", jumped)
+        assert distance() == pytest.approx(1e-3 * (1.0 + abs(pole)), rel=1e-2)
 
     def test_crossing_seeds_sit_on_crossings(self, p2):
         region = RegionSpec(-3.5, 5.0)
@@ -1192,6 +1237,66 @@ class TestCorpusRegressions:
                    if isinstance(t.origin, BranchOrigin) and t.origin.angle == math.pi]
         assert all(p.sigma >= -2.640953 for p in left.points)
         assert left.termination == LeftRegion(0)
+
+
+class TestPoleSeedsAtTheCap:
+    """A pole seed is placed by the pole's local model, at the cap when the
+    whole trajectory lies within its seeding radius, so no trajectory rises
+    above kmax."""
+
+    # corpus seed 101, job 201: the fixed step 1e-3(1 + |p|) off the
+    # right-half-plane pole 0.297017 lies at k = 2.87 (2.86 for negative
+    # gains), far above kmax
+    PLANT = Plant(1.890989, 1.587676, (2.50146 + 0j, -0.607964 + 0j), (
+        -2.962119 + 0j, -2.881959 + 2.052216j, -2.881959 - 2.052216j, -0.770574 + 2.899675j,
+        -0.770574 - 2.899675j, 0.297017 + 0j, -2.443224 + 2.040307j, -2.443224 - 2.040307j))
+    REGION = RegionSpec(-1.607544, 0.394262)
+
+    def test_right_half_plane_pole_ends_at_the_cap(self):
+        res = run(self.PLANT, self.REGION, TraceOptions(negative_gains=True))
+        for signed in (res, res.negative):
+            (traj,) = [t for t in by_origin(signed, PoleOrigin) if t.start_marker == 0.297017]
+            assert traj.termination == GainCap()
+            assert traj.array[-1, 2] == self.REGION.lnkmax
+            assert (traj.array[:, 2] <= self.REGION.lnkmax).all()
+            M, P = residuals(signed.plant, traj.points[0])
+            assert max(abs(M), abs(P)) <= TraceOptions().tol_corr
+
+    def test_model_places_the_cap_point(self, monkeypatch):
+        # the cap point's polish starts within 2% of the root's distance from
+        # the pole: the bare pole's radius R e^((ln kmax - K_R)/m) lies a
+        # fifth short of it here, and the first-order term for the rest of
+        # the plant takes up all but a few hundredths of that
+        starts, correct = [], tracer.correct
+
+        def recorded(plant, s, *args):
+            starts.append(s)
+            return correct(plant, s, *args)
+
+        monkeypatch.setattr(tracer, "correct", recorded)
+        for plant in (self.PLANT, self.PLANT.flipped_gain()):
+            starts.clear()
+            (seed,) = [s for s in seeds_of(plant, self.REGION) if s.start_marker == 0.297017]
+            assert seed.start.Kval == self.REGION.lnkmax
+            start = min(starts, key=lambda s: abs(s - seed.start.s))
+            assert abs(start - seed.start.s) <= 0.02 * abs(seed.start.s - 0.297017)
+
+    def test_random_plants_stay_below_the_cap(self):
+        rng = np.random.RandomState(41)
+        tol = TraceOptions().tol_corr
+        capped = 0
+        for _ in range(40):
+            plant = random_plant(rng, Plant)
+            region = RegionSpec(*clean_region(plant, rng))
+            res = run(plant, region, TraceOptions(negative_gains=True))
+            for signed in (res, res.negative):
+                for traj in signed.trajectories:
+                    assert np.exp(traj.array[:, 2]).max() <= region.kmax * (1.0 + 1e-12), traj
+                    if isinstance(traj.origin, PoleOrigin):
+                        M, P = residuals(signed.plant, traj.points[0])
+                        assert max(abs(M), abs(P)) <= tol, traj
+                        capped += len(traj.array) == 1
+        assert capped > 0  # some pole trajectories are their one point at the cap
 
 
 Step = namedtuple("Step", "kind got rule slack plain bend long oversized after_probe")
