@@ -6,15 +6,14 @@ dlog = G'/G - h, so trajectories step in K and every solve on the locus
 holds K fixed: correct is scalar complex Newton on the kernel's dlog, one
 kernel pass per iteration, and returns a failed outcome, never an error,
 where the kernel meets a plant root, the slope vanishes or a value is not
-finite.  The tracer predicts each step along the cubic Hermite through
-the last two accepted points and their tangents, and along the tangent
-alone on a trajectory's first step, on the cap step, on a step more than
-twice as long as the last accepted one, and where the cubic bends by more
+finite.  The tracer predicts each step from the cursor alone, by the
+second-order Taylor term of s(K), s'' = dlog' v^3 with v = ds/dK, and
+along the tangent alone on the cap step and where that term bends by more
 than half the tangent step (tracer.trace).  step_update is the one step
 rule; the step stays in [H_MIN, H_MAX], and the tracer ends a trajectory
-that must halve at H_MIN.  gain_step and hermite_bend serve floats and
-arrays alike; correct_many and step_update_many are the array twins of
-correct and step_update for the tracer's lockstep rounds.
+that must halve at H_MIN.  gain_step serves floats and arrays alike;
+correct_many and step_update_many are the array twins of correct and
+step_update for the tracer's lockstep rounds.
 """
 
 from __future__ import annotations
@@ -90,20 +89,6 @@ def gain_step(h: float, dlog: complex, sqrt=math.sqrt) -> float:
     With arrays h and dlog, pass sqrt=np.sqrt."""
     a = abs(dlog)
     return h * a / sqrt(1.0 + a * a)
-
-
-def hermite_bend(s, v, s0, v0, H: float, t: float, real: bool = False):
-    """The bend t^2 (c2 + c3 t) that the cubic Hermite through s0 at gain
-    K - H and s at K, with slopes v0 and v, adds to the tangent step t v.
-
-    Floats and complex numbers, or arrays of them, alike; real keeps the
-    secant slope real, as on the axis."""
-    u = 1.0 / H
-    q = (s0 - s) * u
-    if real:
-        q = q.real
-    c3 = (v + v0 + q + q) * u * u
-    return t * t * ((q + v) * u + c3 * (H + t))
 
 
 def correct(plant: Plant, s: complex, Kval: float, tol: float = TOL_CORR,

@@ -236,6 +236,20 @@ def _log_kernel_many(plant: Plant, s: np.ndarray):
     return lnmag, phase, dlog, bad
 
 
+def _dlog_prime(plant: Plant, s):
+    """The derivative of dlog at s, sum_p (s - p)^-2 - sum_z (s - z)^-2,
+    over the roots in _log_kernel's order: a complex number, or an array of
+    them at every point of a complex array s.  s lies off every root."""
+    acc = 0j * s  # 0j, or zeros shaped as s
+    for r in plant.zeros:
+        q = (1 + 0j) / (s - r)
+        acc -= q * q
+    for r in plant.poles:
+        q = (1 + 0j) / (s - r)
+        acc += q * q
+    return acc
+
+
 def _folded_log(s: complex, roots) -> complex:
     """ln of the product of s - r over roots, |product| folded into a sum of
     logs at every factor so that no partial product leaves the double range."""

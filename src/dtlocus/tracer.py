@@ -58,13 +58,12 @@ from .continuation import (
     correct_many,
     departure_angles,
     gain_step,
-    hermite_bend,
     pole_group,
     step_update,
     step_update_many,
 )
 from .errors import BranchOnBoundary, InputError
-from .plant import Plant, _log_kernel, log_eval, wrap_angle
+from .plant import _LN_MAX, Plant, _dlog_prime, _log_kernel, log_eval, wrap_angle
 
 _AXIS_TOL = 1e-9
 _SPAWN_ANGLE_TOL = 1e-6
@@ -240,7 +239,8 @@ def _seed_from_ray(p: _Pass, origin, anchor: complex, theta: float, poles: int =
     taken instead when the start lies within _CAP_FLOOR(1 + |p|) of the
     pole, when the polish fails, or when its first Newton correction
     exceeds _SHEET times the start's distance from the pole (the start was
-    nearer another sheet).  A seed carries dlog at its polished start.
+    nearer another sheet).  A seed carries dlog at its polished start.  A
+    seed whose gain e^K overflows a double is an input error naming its pole.
     """
     dx, dy = math.cos(theta), math.sin(theta)
     if abs(dy) <= _SPAWN_ANGLE_TOL:
@@ -274,6 +274,9 @@ def _seed_from_ray(p: _Pass, origin, anchor: complex, theta: float, poles: int =
         if out.converged:
             break
         delta *= 0.5
+    if out.point.Kval > _LN_MAX:  # e^K, the seed's gain, is past the doubles
+        raise InputError(f"pole {anchor:g} cannot be seeded: the gain next to it, "
+                         f"e^{out.point.Kval:g}, overflows a double")
     return Seed(origin, out.point, marker, out.dlog if out.converged else None)
 
 
@@ -363,18 +366,17 @@ def trace(p: _Pass, seed: Seed) -> Trajectory:
     A step of length h in (sigma, omega, K) raises the gain by
     gain_step(h, dlog) to K1, at most to ln kmax, to the next branch probe
     gain and to the next of p's exit gains, those of its outward crossings
-    (found by bisection), predicts along the cubic in t = K1 - K through the
-    cursor s and the point s0 one accepted gain step H back, with their
-    slopes ds/dK = -1/dlog, v and v0 (the cubic Hermite interpolant;
-    Allgower and Georg, Introduction to Numerical Continuation Methods, SIAM
-    2003), and corrects by Newton at frozen K1, on the axis for a trajectory
-    that starts on it.  The prediction is the tangent s + t v plus the
-    cubic's bend t^2 (c2 + c3 t), which is left out on the first step, when
-    t exceeds 2H (after a step cut short at a probe gain the cubic would be
-    extrapolated far beyond its data), when the bend exceeds half of |t v|,
-    and on the step to ln kmax (from a bent prediction Newton can stop at
-    once, inside tol but farther from the cap root than its solve would
-    bring it).  A rejected step keeps s0 and v0.
+    (found by bisection), predicts along the second-order Taylor polynomial
+    of s(K) at the cursor s, in t = K1 - K, and corrects by Newton at frozen
+    K1, on the axis for a trajectory that starts on it.  With D = dlog at s,
+    s' = v = -1/D and s'' = -D'/D^3 = D' v^3, D' = _dlog_prime (Allgower
+    and Georg, Introduction to Numerical Continuation Methods, SIAM 2003,
+    ch. 2), so the prediction is the tangent s + t v plus the bend
+    1/2 t^2 D' v^3, real parts on the axis.  The bend needs only the cursor,
+    and D' is found once per cursor, on its first step below the cap.  It is
+    left out when it exceeds half of |t v|, and on the step to ln kmax (from
+    a bent prediction Newton can stop at once, inside tol but farther from
+    the cap root than its solve would bring it).
     A root leaves the window only across Re(s) = sigma0, so only at an
     outward crossing and at that crossing's own gain.  On the step to it the
     trajectory leaves there if its corrected point lies within
@@ -401,8 +403,8 @@ def trace(p: _Pass, seed: Seed) -> Trajectory:
         if dlog is None:  # one kernel pass; 0j if the kernel raises
             dlog = correct(p.plant, s, K, math.inf, 0, s.imag == 0.0).dlog
         rho = min(map(abs, map(s.__sub__, p.anchors)), default=math.inf)
-        points, termination = _advance(p, seed, 1, s, K, dlog, s, None, 0.0,
-                                       _first_step_length(rho), MAX_STEPS)
+        points, termination = _advance(p, seed, 1, s, K, dlog, _first_step_length(rho),
+                                       MAX_STEPS)
     rows = [*seed.start, *points]
     # an array over bytes is read-only as made
     rows = np.ndarray((len(rows) // 3, 3), _FLOAT64, array("d", rows).tobytes())
@@ -410,20 +412,18 @@ def trace(p: _Pass, seed: Seed) -> Trajectory:
 
 
 def _advance(p: _Pass, seed: Seed, count: int, s: complex, K: float, dlog: complex,
-             s0: complex, v0: complex | None, H: float, h: float, budget: int):
+             h: float, budget: int):
     """trace's steps for seed of pass p from the cursor s at gain K, point
-    number count of its trajectory, with dlog there, the point s0 and ds/dK
-    v0 one accepted gain step H back (v0 None: the cursor's, on the first
-    step), the next step length h and budget steps left.  Returns the points
-    after the cursor (flat sigma, omega, K floats) and the termination."""
+    number count of its trajectory, with dlog there, the next step length h
+    and budget steps left.  Returns the points after the cursor (flat
+    sigma, omega, K floats) and the termination."""
     lnkmax, sigma0, tol = p.region.lnkmax, p.region.sigma0, p.tol
     outward, exit_gains = p.outward, p.exit_gains
     points: list[float] = []
     real = seed.start.omega == 0.0
     probes, lo, hi = p.ahead(seed.start.sigma, K)  # a real trajectory stays in (lo, hi)
     v = _ds_dK(dlog, real)  # at the cursor
-    if v0 is None:
-        v0 = v
+    curv = None  # 1/2 s'' at the cursor, found on its first step below the cap
     for _ in range(budget):
         while probes and probes[0][0] <= K:  # the cursor is at a probe gain
             _, bi, abs_a = probes.pop(0)
@@ -441,8 +441,12 @@ def _advance(p: _Pass, seed: Seed, count: int, s: complex, K: float, dlog: compl
                 f"the gain no longer rises at step {count + len(points) // 3}")
         t = K1 - K
         ds = t * v
-        if t <= 2.0 * H and K1 < lnkmax:  # bend along the cubic through (s0, v0) and (s, v)
-            bend = hermite_bend(s, v, s0, v0, H, t, real)
+        if K1 < lnkmax:  # bend by the Taylor term 1/2 t^2 s''
+            if curv is None:
+                curv = 0.5 * _dlog_prime(p.plant, s) * (v * v * v)
+                if real:
+                    curv = curv.real
+            bend = t * t * curv
             if abs(bend) <= 0.5 * abs(ds):
                 ds += bend
         out = correct(p.plant, s + ds, K1, tol, MAX_ITER, real)
@@ -474,9 +478,8 @@ def _advance(p: _Pass, seed: Seed, count: int, s: complex, K: float, dlog: compl
         points += c  # sigma, omega and K1, c's gain
         if K1 >= lnkmax:
             return points, GainCap()
-        s0, v0, H = s, v, t
         s, K, dlog = c.s, K1, out.dlog
-        v = _ds_dK(dlog, real)
+        v, curv = _ds_dK(dlog, real), None
 
     return points, StepFailure(f"step budget of {MAX_STEPS} exhausted")
 
@@ -501,11 +504,11 @@ def _trace_batch(p: _Pass, seeds, starts: np.ndarray) -> list[Trajectory]:
     bulk of their steps in lockstep over numpy arrays.
 
     Each round takes one step of trace for every live trajectory: the
-    gain_step raise of the gain, at most to ln kmax, the Hermite bend
-    (hermite_bend) with trace's fallbacks to the tangent, frozen-gain Newton
-    (correct_many) and step_update's rule (step_update_many), a rejected step
-    halved, each step capped also at the gain of the next outward crossing
-    above the seed.  A trajectory leaves the lockstep at the cap, in GainCap,
+    gain_step raise of the gain, at most to ln kmax, trace's Taylor bend and
+    its guards (one _dlog_prime pass over the round's cursors), frozen-gain
+    Newton (correct_many) and step_update's rule (step_update_many), a
+    rejected step halved, each step capped also at the gain of the next
+    outward crossing above the seed.  A trajectory leaves the lockstep at the cap, in GainCap,
     or where trace would need any other rule: a step capped at that exit
     gain (so the gain stays fixed while the trajectory is in the lockstep),
     a step that lands left of sigma0, a point the kernel flags (where
@@ -537,32 +540,28 @@ def _trace_batch(p: _Pass, seeds, starts: np.ndarray) -> list[Trajectory]:
     gains = np.array(p.exit_gains)
     exit_gain = np.append(gains, math.inf)[np.searchsorted(gains, K, side="right")]
     # per live trajectory: its seed's index, the cursor, its gain, dlog and
-    # ds/dK, the point and ds/dK one accepted gain step H back, the step
-    # length, the next exit gain
-    state = (np.arange(n), s, K, dlog, v, s, v, np.zeros(n), h, exit_gain)
+    # ds/dK, the step length, the next exit gain
+    state = (np.arange(n), s, K, dlog, v, h, exit_gain)
     keep = ~bad
     # (seed indices, points, gains) accepted in each round, led by the seeds
     record = [(np.flatnonzero(keep), s[keep], K[keep])]
     ends: list = [None] * n  # each trajectory's termination
     cap = GainCap()
-    handed = []  # (ids, s, K, dlog, s0, v0, H, h, steps left) of trajectories for _advance
+    handed = []  # (ids, s, K, dlog, h, steps left) of trajectories for _advance
 
     def hand(mask, left):  # of the round's live arrays
-        handed.append((ids[mask], s[mask], K[mask], dlog[mask], s0[mask], v0[mask], H[mask],
-                       h[mask], left))
+        handed.append((ids[mask], s[mask], K[mask], dlog[mask], h[mask], left))
 
     for step in range(MAX_STEPS + 1):
-        ids, s, K, dlog, v, s0, v0, H, h, exit_gain = (x[keep] for x in state)
+        ids, s, K, dlog, v, h, exit_gain = (x[keep] for x in state)
         if len(ids) < _LIVE_MIN or step == MAX_STEPS:
             hand(np.ones(len(ids), dtype=bool), MAX_STEPS - step)
             break
         K1 = np.minimum(np.minimum(K + gain_step(h, dlog, np.sqrt), lnkmax), exit_gain)
         t = K1 - K
         ds = t * v
-        with np.errstate(all="ignore"):  # H is 0 before the first accepted step
-            bend = hermite_bend(s, v, s0, v0, H, t)
-        ds = np.where((t <= 2.0 * H) & (K1 < lnkmax) & (np.abs(bend) <= 0.5 * np.abs(ds)),
-                      ds + bend, ds)
+        bend = t * t * (0.5 * _dlog_prime(plant, s) * (v * v * v))
+        ds = np.where((K1 < lnkmax) & (np.abs(bend) <= 0.5 * np.abs(ds)), ds + bend, ds)
         c, _, kappa, converged, dlog1, first, bad = correct_many(plant, s + ds, K1, tol, MAX_ITER)
         h_next, redo = step_update_many(h, converged, kappa, first, np.abs(ds), tol * np.abs(v))
         accept = ~(redo | bad)
@@ -577,8 +576,7 @@ def _trace_batch(p: _Pass, seeds, starts: np.ndarray) -> list[Trajectory]:
             ends[i] = cap
         keep = ~(other | top)
         state = (ids, np.where(ok, c, s), np.where(ok, K1, K), np.where(ok, dlog1, dlog),
-                 np.where(ok, _slopes(dlog1), v), np.where(ok, s, s0), np.where(ok, v, v0),
-                 np.where(ok, t, H), h_next, exit_gain)
+                 np.where(ok, _slopes(dlog1), v), h_next, exit_gain)
 
     ids, s, K = (np.concatenate(x) for x in zip(*record))
     count = np.bincount(ids, minlength=n).tolist()  # each trajectory's points so far

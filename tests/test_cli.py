@@ -340,6 +340,18 @@ class TestMain:
         else:
             assert err.getvalue() == ""
 
+    def test_pole_whose_gain_overflows(self, tmp_path):
+        # next to the pole at 400 with delay 2 the gain is about e^804, past
+        # the doubles: an input error naming the pole, not an OverflowError
+        # in the writer
+        doc = tmp_path / "far.json"
+        doc.write_text(json.dumps({"alpha": 1, "delay": 2, "zeros": [],
+                                   "poles": [[400, 0], [-1, 0]]}))
+        with contextlib.redirect_stderr(io.StringIO()) as err, \
+                contextlib.redirect_stdout(io.StringIO()):
+            assert main([str(doc), "--sigma0", "-0.5", "--kmax", "2"]) == 2
+        assert err.getvalue().startswith("dtlocus: error: pole 400+0j ")
+
     @pytest.mark.parametrize("doc", [
         {"num": [1], "den": [1, 1e-320], "delay": 1},
         {"num": [1, 1e-320], "den": [1, 1], "delay": 1},

@@ -10,6 +10,7 @@ from dtlocus.errors import InputError, SingularPointError
 from dtlocus.branch import branch_roots
 from dtlocus.plant import (
     Plant,
+    _dlog_prime,
     dlog_ratio,
     gain_at,
     log_eval,
@@ -181,6 +182,40 @@ class TestDlogRatio:
         fd_v = fd(lambda x: log_eval(p2, -0.6977 + x).lnmag, 0.0)
         assert v.real == pytest.approx(fd_v, rel=1e-5)
         assert abs(v) < 10.0
+
+
+class TestDlogPrime:
+    """_dlog_prime, the derivative of dlog that bends the tracer's steps."""
+
+    def test_p1_values(self, p1):
+        # G = 1/s: dlog = -1/s - 1, dlog' = 1/s^2
+        assert _dlog_prime(p1, -2.0 + 0j) == 0.25
+        assert _dlog_prime(p1, 1j) == -1.0
+
+    def test_matches_fd_of_dlog_on_the_property_corpus(self):
+        # a central difference of dlog_ratio, its step a 1e-4 of the way to
+        # the nearest root, is within about 1e-8 of dlog' relative; the array
+        # form agrees with the one-point form to rounding
+        from test_boundary import PROPERTY_CORPUS
+
+        rng = np.random.RandomState(59)
+        checked = 0
+        for plant, region in PROPERTY_CORPUS:
+            roots = plant.zeros + plant.poles
+            points = [complex(rng.uniform(region.sigma0, region.sigma0 + 4.0),
+                              rng.uniform(-3.0, 3.0)) for _ in range(4)]
+            points += [r + 0.1 * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) for r in roots]
+            points = [s for s in points if min((abs(s - r) for r in roots), default=1.0) > 1e-2]
+            many = _dlog_prime(plant, np.array(points))
+            for s, got_many in zip(points, many):
+                got = _dlog_prime(plant, s)
+                h = 1e-4 * min((abs(s - r) for r in roots), default=1.0)
+                ref = (dlog_ratio(plant, s + h) - dlog_ratio(plant, s - h)) / (2.0 * h)
+                scale = sum(abs(s - r) ** -2 for r in roots)
+                assert abs(got - ref) <= 1e-6 * scale, (plant, s, got, ref)
+                assert abs(got_many - got) <= 1e-14 * scale, (plant, s, got_many, got)
+                checked += 1
+        assert checked > 1500
 
 
 class TestGainAt:

@@ -17,6 +17,7 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -87,13 +88,13 @@ def test_output_digest_work_lines(capsys, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     digest = _output_digest()
     before = (plant._log_kernel, continuation._log_kernel, continuation.correct, tracer.correct,
-              poly._horner_triple)
+              poly._horner_triple, tracer._dlog_prime)
 
     assert digest.main(["corpus", "--jobs", "3", "--work"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
     work = (r"([+-])\[kernel=(\d+) correct=(\d+) newton=(\d+) polish=(\d+) phase=(\d+)"
-            r" points=(\d+) above=(\d+)\]")
+            r" curv=(\d+) points=(\d+) above=(\d+)\]")
     for i, line in enumerate(lines):
         assert re.fullmatch(rf"corpus\[{i}\] {work}( {work})?", line), line
     counts = [int(n) for line in lines for n in re.findall(r"=(\d+)", line)]
@@ -107,8 +108,21 @@ def test_output_digest_work_lines(capsys, monkeypatch):
     for (*_, points, above), signed in zip(re.findall(work, lines[2]), (res, res.negative)):
         K = np.concatenate([t.array[:, 2] for t in signed.trajectories if not t.mirrored])
         assert (int(points), int(above)) == (len(K), int((K > signed.region.lnkmax).sum()))
+    # curv counts each _dlog_prime call at a complex number and each element
+    # of one at an array, per gain sign
+    primed = Counter()
+    dlog_prime = plant._dlog_prime
+    with monkeypatch.context() as mp:
+        mp.setattr(tracer, "_dlog_prime", lambda p, s: primed.update(
+            {p.alpha > 0.0: getattr(s, "size", 1)}) or dlog_prime(p, s))
+        res = run(cli.parse_input(job.doc), RegionSpec(job.sigma0, job.kmax),
+                  TraceOptions(negative_gains=job.negative_gains))
+    positive = res.plant.alpha > 0.0
+    assert [int(curv) for *_, curv, _, _ in re.findall(work, lines[2])] == [
+        primed[positive], primed[not positive]][:1 + job.negative_gains]
+    assert primed[positive] > 0
     assert (plant._log_kernel, continuation._log_kernel, continuation.correct,
-            tracer.correct, poly._horner_triple) == before
+            tracer.correct, poly._horner_triple, tracer._dlog_prime) == before
 
     # the count starts before the input is parsed: a coefficient-form
     # plant's own rooting counts with the rest of its job, and is all the
@@ -129,17 +143,31 @@ def test_output_digest_work_lines(capsys, monkeypatch):
     # a dense job traces its crossing-seeded bulk in lockstep; each point of
     # a lockstep kernel call counts as one evaluation and each lockstep solve
     # as one correct call with its Newton iterations, so the line equals the
-    # count of tracing every seed one at a time
+    # count of tracing every seed one at a time, but for curv: a lockstep
+    # round takes dlog' at every live cursor, a trajectory traced alone once
+    # per cursor, on the first step from it below the cap
     lockstep = (plant._log_kernel_many, continuation.correct_many, tracer.correct_many)
-    batches = []
+    batches, sizes = [], []
     batch = tracer._trace_batch
     monkeypatch.setattr(tracer, "_trace_batch", lambda *args: batches.append(None) or batch(*args))
-    assert digest.main(["dense", "--jobs", "1", "--work"]) == 0
+
+    def recorded(p, s):
+        sizes.append(getattr(s, "size", 1))
+        return dlog_prime(p, s)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(plant, "_dlog_prime", recorded)  # so that --work wraps the recorder
+        mp.setattr(tracer, "_dlog_prime", recorded)
+        assert digest.main(["dense", "--jobs", "1", "--work"]) == 0
     (batched,) = capsys.readouterr().out.splitlines()
-    assert batches
+    assert batches and max(sizes) > 1
     monkeypatch.setattr(tracer, "_BATCH_MIN", math.inf)
     assert digest.main(["dense", "--jobs", "1", "--work"]) == 0
-    assert capsys.readouterr().out.splitlines() == [batched]
+    (alone,) = capsys.readouterr().out.splitlines()
+    (*same, curv, points, above), = re.findall(work, batched)
+    (*same_alone, curv_alone, points_alone, above_alone), = re.findall(work, alone)
+    assert (same, points, above) == (same_alone, points_alone, above_alone)
+    assert int(curv) == sum(sizes) > int(curv_alone) > 0
     assert len(batches) == 1
     assert (plant._log_kernel_many, continuation.correct_many, tracer.correct_many) == lockstep
 
@@ -156,9 +184,11 @@ def test_output_digest_work_lines(capsys, monkeypatch):
     monkeypatch.setattr(boundary, "_ARRAY_LINES", math.inf)
     assert digest.main(["dense", "--jobs", "1", "--work"]) == 0
     (scalar,) = capsys.readouterr().out.splitlines()
-    (*same, phase, points, above), = re.findall(work, arrays)
-    (*same_scalar, phase_scalar, points_scalar, above_scalar), = re.findall(work, scalar)
-    assert same == same_scalar and (points, above) == (points_scalar, above_scalar)
+    (*same, phase, curv, points, above), = re.findall(work, arrays)
+    (*same_scalar, phase_scalar, curv_scalar, points_scalar, above_scalar), = re.findall(
+        work, scalar)
+    assert same == same_scalar
+    assert (curv, points, above) == (curv_scalar, points_scalar, above_scalar)
     assert int(phase) > sum(evaluated) > 0 and int(phase_scalar) > 0
     assert BoundaryFunctions.phi_slope is phi_slope
 

@@ -47,7 +47,10 @@ candidates are eigenvalues over the plant's roots) and the phase
 evaluations of the boundary crossing search (``phase``: each
 ``BoundaryFunctions.phi_slope`` call at a float, and each element of one
 at an array or of a ``phi_slope_many`` call, where a checkout still has
-that array twin), then the trajectory rows the pass emits, mirror images
+that array twin), the points where the tracer takes the derivative of
+dlog for its Taylor bend (``curv``: each ``plant._dlog_prime`` call at a
+complex number, and each element of one at an array; 0 in a checkout
+without it), then the trajectory rows the pass emits, mirror images
 left out (``points``), and those of them above the gain cap, K > ln kmax
 (``above``).  The lockstep tracer's
 work counts alike: each point of a ``plant._log_kernel_many`` call is one
@@ -252,12 +255,13 @@ def _unwrap(undo) -> None:
 
 
 class WorkCount:
-    """Kernel evaluations, correct calls, Newton iterations, polish passes
-    and crossing-search phase evaluations per gain sign.
+    """Kernel evaluations, correct calls, Newton iterations, polish passes,
+    crossing-search phase evaluations and dlog' points per gain sign.
 
     install() wraps ``plant._log_kernel``, ``continuation.correct``, their
     lockstep twins ``plant._log_kernel_many`` and
-    ``continuation.correct_many`` (one count per point or solve) and
+    ``continuation.correct_many`` (one count per point or solve),
+    ``plant._dlog_prime`` (one count per element of an array) and
     ``poly._horner_triple`` in every dtlocus module namespace that holds
     them, and ``BoundaryFunctions.phi_slope`` (one count per element of
     an array) and, where a checkout has it, its former array twin
@@ -281,6 +285,7 @@ class WorkCount:
         # the lockstep twins, missing from a checkout without them
         kernel_many = getattr(sys.modules["dtlocus.plant"], "_log_kernel_many", None)
         correct_many = getattr(sys.modules["dtlocus.continuation"], "correct_many", None)
+        dlog_prime = getattr(sys.modules["dtlocus.plant"], "_dlog_prime", None)
         horner = sys.modules["dtlocus.poly"]._horner_triple
         line = sys.modules["dtlocus.boundary"].BoundaryFunctions
         phase = line.phi_slope
@@ -308,6 +313,10 @@ class WorkCount:
             self.counts[sign, "newton"] += int(out.iterations.sum())
             return out
 
+        def counted_dlog_prime(plant, s):
+            self.counts[self._sign(plant), "curv"] += getattr(s, "size", 1)
+            return dlog_prime(plant, s)
+
         def counted_horner(*args):
             self.counts["+", "polish"] += 1
             return horner(*args)
@@ -323,6 +332,8 @@ class WorkCount:
         wrappers = {kernel: counted_kernel, correct: counted_correct, horner: counted_horner}
         if kernel_many is not None:
             wrappers.update({kernel_many: counted_kernel_many, correct_many: counted_correct_many})
+        if dlog_prime is not None:
+            wrappers[dlog_prime] = counted_dlog_prime
         self._undo = _wrap(wrappers)
         methods = {"phi_slope": counted_phase}
         if phase_many is not None:
@@ -348,7 +359,7 @@ class WorkCount:
                 f"{sign}[kernel={self.counts[sign, 'kernel']} "
                 f"correct={self.counts[sign, 'correct']} newton={self.counts[sign, 'newton']} "
                 f"polish={self.counts[sign, 'polish']} phase={self.counts[sign, 'phase']} "
-                f"points={sum(map(len, K))} above={above}]")
+                f"curv={self.counts[sign, 'curv']} points={sum(map(len, K))} above={above}]")
         return " ".join(parts)
 
 
@@ -512,8 +523,8 @@ def main(argv=None) -> int:
                       help="print trajectory and termination counts, not output hashes")
     mode.add_argument("--work", action="store_true",
                       help="print kernel evaluations, correct calls, Newton iterations, "
-                           "polish passes, phase evaluations, emitted points and those "
-                           "above the gain cap")
+                           "polish passes, phase evaluations, dlog' points, emitted points "
+                           "and those above the gain cap")
     mode.add_argument("--ledger", action="store_true",
                       help="print gain intervals and those whose traced count misses the ledger")
     mode.add_argument("--census", action="store_true",
